@@ -40,7 +40,6 @@ from .terms import (
     is_tag_head,
     render_term,
     subst_term,
-    subterms,
     tag_index,
     term_key,
     term_vars,
@@ -137,11 +136,7 @@ def _pattern_var_indices(u: Term) -> set[int]:
 
 def _row_is_clean(row: Row) -> bool:
     """True when no coordinate mentions a reserved formula-tag head."""
-    for t in row:
-        for s in subterms(t):
-            if isinstance(s, App) and is_tag_head(s.head):
-                return False
-    return True
+    return not any(t.tagged for t in row)
 
 
 Pair = tuple  # (pattern term, frozenset of covered terms)
@@ -154,9 +149,6 @@ class DeltaTable:
     entries: dict  # Key -> frozenset[Pair]
     termset: frozenset
     max_subset: Optional[int]
-
-    def keys_by_arity(self, m: int) -> list:
-        return [k for k in self.entries if _key_arity(k) == m]
 
 
 def _key_arity(key: Key) -> int:
@@ -202,7 +194,8 @@ def build_delta_table(
                 (sd.u, frozenset(combo))
             )
 
-    native = {k: tuple(sorted(v, key=_pair_key)) for k, v in table.items()}
+    # Lift only the pairs found by the subset pass, never lifted copies.
+    native = {k: tuple(v) for k, v in table.items()}
     for key in list(table):
         m = _key_arity(key)
         if m < 2:
@@ -225,11 +218,6 @@ def build_delta_table(
     return DeltaTable(
         entries=frozen, termset=frozenset(terms), max_subset=max_subset
     )
-
-
-def _pair_key(pair: Pair) -> tuple:
-    u, covered = pair
-    return (term_key(u), tuple(sorted(term_key(t) for t in covered)))
 
 
 @dataclass(frozen=True)

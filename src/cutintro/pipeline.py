@@ -11,13 +11,15 @@ the report carries one of five statuses:
 - ``uncompressible``  the search found nothing that small
 - ``too_large``       the term set exceeds the subset-table limit
 - ``timeout``         the deadline struck mid-search
-- ``error``           bad input or no certifiable solution
+- ``error``           bad input (including terms nested too deeply to
+                      process) or no certifiable solution
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,10 +145,29 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
     except (InputError, OSError) as err:
         report.status = "error"
         report.messages.append(str(err))
+    except RecursionError:
+        # Parsing, term comparison and the oracle recurse on term depth.
+        report.status = "error"
+        report.messages.append(
+            f"input nested too deeply: its parentheses nest "
+            f"{_nesting_depth(path)} deep, and a recursive stage exceeded "
+            f"the Python recursion limit ({sys.getrecursionlimit()})"
+        )
     report.wall_time = time.monotonic() - start
     if cfg.out_dir:
         _write_report(report, cfg.out_dir)
     return report
+
+
+def _nesting_depth(path) -> int:
+    depth = deepest = 0
+    for ch in Path(path).read_text(encoding="utf-8"):
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
 
 
 def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):

@@ -3,11 +3,29 @@
 Terms are immutable values with structural equality, so they can serve as
 dictionary keys and set members throughout the decomposition machinery.
 Constants are zero-argument applications.
+
+Each term computes three values once, at construction, from the values
+its children already hold, so no later use walks the term again:
+
+- its hash, combined from the head or name and the children's hashes;
+- ``key``, the total-order sort key that ``term_key`` returns (variables
+  before applications, then by name and arguments);
+- ``tagged``, whether some subterm has a reserved formula-tag head.
+
+Equality is structural: two terms are equal exactly when they have the
+same class, head (or name) and equal arguments.  ``==`` tests identity
+first, then the cached hashes, and only then compares heads and
+arguments, so unequal terms almost never recurse and shared subterms
+stop the recursion at once.
+
+There is deliberately no intern table.  Interning would make equal terms
+identical, but the table would be process-wide mutable state that
+outlives one pipeline run and grows across a corpus batch; the cached
+hash already makes unequal comparisons and dictionary lookups cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 # Names starting with this prefix are the generated cut variables alpha_1,
@@ -19,18 +37,89 @@ ALPHA_PREFIX = "α"
 TAG_PREFIX = "#f"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Refuses attribute assignment.  Subclasses pickle through their
+    constructor (``__reduce__``), which also recomputes the cached hash:
+    string hashes differ between processes, such as corpus workers."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Var(_Frozen):
+    __slots__ = ("name", "key", "tagged", "_hash")
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "key", (0, _name_key(name)))
+        _set(self, "tagged", False)
+        _set(self, "_hash", hash((name, None)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Var, (self.name,))
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
-class App:
-    head: str
-    args: tuple["Term", ...] = ()
+class App(_Frozen):
+    __slots__ = ("head", "args", "key", "tagged", "_hash")
+
+    def __init__(self, head: str, args: tuple["Term", ...] = ()) -> None:
+        tagged = is_tag_head(head)
+        if args:
+            keys = []
+            hashes = [head]
+            for a in args:
+                keys.append(a.key)
+                hashes.append(a._hash)
+                if a.tagged:
+                    tagged = True
+            key = (1, _name_key(head), tuple(keys))
+            h = hash(tuple(hashes))
+        else:
+            key = (1, _name_key(head), ())
+            h = hash((head,))
+        _set(self, "head", head)
+        _set(self, "args", args)
+        _set(self, "key", key)
+        _set(self, "tagged", tagged)
+        _set(self, "_hash", h)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.head == other.head
+            and self.args == other.args
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (App, (self.head, self.args))
 
     def __repr__(self) -> str:
         if not self.args:
@@ -156,13 +245,11 @@ def _name_key(name: str) -> tuple:
 def term_key(t: Term) -> tuple:
     """Total structural order: variables before applications, then by name
     and arguments.  Used everywhere a deterministic term order is needed."""
-    if isinstance(t, Var):
-        return (0, _name_key(t.name))
-    return (1, _name_key(t.head), tuple(term_key(a) for a in t.args))
+    return t.key
 
 
 def tuple_key(ts: tuple[Term, ...]) -> tuple:
-    return tuple(term_key(t) for t in ts)
+    return tuple(t.key for t in ts)
 
 
 def render_tuple(ts: tuple[Term, ...]) -> str:

@@ -36,6 +36,13 @@ def random_ground_term(
     )
 
 
+def nested_input(depth: int) -> str:
+    """A valid .cis input whose single instance f(f(...f(a)...)) nests
+    ``depth`` applications deep; one instance cannot be compressed."""
+    t = "f(" * depth + "a" + ")" * depth
+    return f"ante all x: P(x).\nsucc P({t}).\ninst 1: {t}.\n"
+
+
 def _random_pattern(
     rng: random.Random,
     funcs: list[tuple[str, int]],

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
-These are deliberately naive: truth-table enumeration plus fixpoint
-congruence saturation for validity, a two-pass anti-unifier, and an
-exhaustive cover search for minimal decompositions.  They share no code
+These are deliberately naive: a recursive term order, truth-table
+enumeration plus fixpoint congruence saturation for validity, a two-pass
+anti-unifier, and an exhaustive cover search for minimal decompositions.  They share no code
 with the implementations under test.
 """
 
@@ -13,7 +13,39 @@ from typing import Iterable, Sequence
 
 from cutintro.formulas import And, Atom, Bottom, Eq, Formula, Imp, Not, Or, Top
 from cutintro.sequents import Sequent
-from cutintro.terms import App, Term, Var, is_tag_head, term_key
+from cutintro.terms import (
+    App,
+    Term,
+    Var,
+    alpha_index,
+    is_alpha,
+    is_tag_head,
+    term_key,
+)
+
+
+# --------------------------------------------------------------------------
+# Term order, recomputed recursively
+# --------------------------------------------------------------------------
+
+
+def _reference_name_key(name: str) -> tuple:
+    if is_alpha(name):
+        return (0, alpha_index(name), "")
+    return (1, 0, name)
+
+
+def reference_term_key(t: Term) -> tuple:
+    """The sort key that ``term_key`` reads off a term, rebuilt by a walk:
+    variables before applications, then by name (generated variables by
+    index), then by arguments."""
+    if isinstance(t, Var):
+        return (0, _reference_name_key(t.name))
+    return (
+        1,
+        _reference_name_key(t.head),
+        tuple(reference_term_key(a) for a in t.args),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +258,6 @@ def _row_is_clean(row: tuple[Term, ...]) -> bool:
 
 
 def _pattern_vars(t: Term) -> set[int]:
-    from cutintro.terms import alpha_index, is_alpha
-
     if isinstance(t, Var):
         return {alpha_index(t.name)} if is_alpha(t.name) else set()
     out: set[int] = set()

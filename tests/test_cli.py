@@ -145,6 +145,19 @@ class TestConsoleScript:
         assert done.returncode == 0
         assert json.loads(done.stdout)["status"] == "compressed"
 
+    def test_too_deep_input_exits_two_without_traceback(self, tmp_path):
+        p = tmp_path / "deep.cis"
+        p.write_text(gen.nested_input(10_000))
+        done = subprocess.run(
+            [sys.executable, "-m", "cutintro.cli", "run", str(p)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stdout)["status"] == "error"
+
     def test_help_lists_subcommands(self):
         done = subprocess.run(
             [sys.executable, "-m", "cutintro.cli", "--help"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from cutintro.parser import render_input
 from cutintro.pipeline import RunConfig, RunReport, run_pipeline
 
 import gen
+
+GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "running_example"
 
 
 @pytest.fixture()
@@ -101,6 +104,37 @@ class TestGoldenRun:
         assert any("single-variable" in m for m in rep.messages)
 
 
+class TestGoldenArtifacts:
+    """The bundled example's artifacts, byte for byte as committed under
+    tests/data/running_example (the report without its wall time)."""
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory, golden_text):
+        root = tmp_path_factory.mktemp("golden")
+        (root / "running_example.cis").write_text(golden_text)
+        with pytest.MonkeyPatch.context() as mp:
+            # A relative input path keeps the report's "input" fixed.
+            mp.chdir(root)
+            run_pipeline("running_example.cis", RunConfig(out_dir="out"))
+        return root / "out"
+
+    @pytest.mark.parametrize(
+        "name", ["proof.json", "decomposition.json", "solution.txt"]
+    )
+    def test_artifact_matches(self, out, name):
+        assert (out / name).read_bytes() == (
+            GOLDEN_ARTIFACTS / name
+        ).read_bytes()
+
+    def test_report_matches_apart_from_wall_time(self, out):
+        text = (out / "report.json").read_text(encoding="utf-8")
+        text, n = re.subn(r'(?m)^  "wall_time": .*\n', "", text)
+        assert n == 1
+        assert text == (GOLDEN_ARTIFACTS / "report.json").read_text(
+            encoding="utf-8"
+        )
+
+
 class TestFailureStatuses:
     def test_parse_error(self, tmp_path):
         p = tmp_path / "bad.cis"
@@ -138,6 +172,22 @@ class TestFailureStatuses:
         )
         rep = run_pipeline(p, RunConfig())
         assert rep.status == "uncompressible"
+
+    def test_term_nested_300_deep_is_processed(self, tmp_path):
+        p = tmp_path / "deep.cis"
+        p.write_text(gen.nested_input(300))
+        rep = run_pipeline(p, RunConfig())
+        assert rep.status == "uncompressible"
+        assert rep.termset_size == 1
+
+    def test_term_nested_beyond_the_recursion_limit_is_an_error(
+        self, tmp_path
+    ):
+        p = tmp_path / "deeper.cis"
+        p.write_text(gen.nested_input(10_000))
+        rep = run_pipeline(p, RunConfig())
+        assert rep.status == "error"
+        assert any("nest 10001 deep" in m for m in rep.messages)
 
 
 class TestCorpus:
@@ -202,3 +252,16 @@ class TestCorpus:
         by_name = {Path(r.input).name: r for r in reports}
         assert by_name["zz_broken.cis"].status == "error"
         assert sum(1 for r in reports if r.status != "error") == 2
+
+    def test_too_deep_file_gets_its_own_row(self, tmp_path):
+        (tmp_path / "ok.cis").write_text(
+            "ante all x: P(x).\nsucc P(a) & P(f(a)).\ninst 1: a; f(a)."
+        )
+        (tmp_path / "deep.cis").write_text(gen.nested_input(10_000))
+        reports = run_corpus(tmp_path, RunConfig(), workers=1)
+        by_name = {Path(r.input).name: r for r in reports}
+        assert by_name["ok.cis"].status == "uncompressible"
+        assert by_name["deep.cis"].status == "error"
+        assert any(
+            "nest 10001 deep" in m for m in by_name["deep.cis"].messages
+        )

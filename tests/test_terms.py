@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +36,7 @@ from cutintro.terms import (
 )
 
 import gen
+from oracles import reference_term_key
 
 
 def terms_strategy(with_vars: bool = True):
@@ -46,6 +51,34 @@ def terms_strategy(with_vars: bool = True):
         ),
         max_leaves=12,
     )
+
+
+def tagged_terms_strategy():
+    """Terms over ordinary and reserved tag heads, with generated
+    variables whose indices sort numerically (α2 < α10)."""
+    leaves = st.one_of(
+        st.builds(const, st.sampled_from(["a", "b", tag_head(1)])),
+        st.builds(Var, st.sampled_from(["x", "a", "α1", "α2", "α10"])),
+    )
+    return st.recursive(
+        leaves,
+        lambda node: st.one_of(
+            st.builds(
+                lambda h, t: App(h, (t,)),
+                st.sampled_from(["f", tag_head(2)]),
+                node,
+            ),
+            st.builds(lambda s, t: App("g", (s, t)), node, node),
+        ),
+        max_leaves=10,
+    )
+
+
+def rebuild(t):
+    """A structurally equal copy that shares no node with t."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    return App(t.head, tuple(rebuild(a) for a in t.args))
 
 
 class TestConstructors:
@@ -203,3 +236,82 @@ class TestRenderingAndOrdering:
     def test_tuple_key_orders_componentwise(self):
         a, b = const("a"), const("b")
         assert tuple_key((a, a)) < tuple_key((a, b)) < tuple_key((b, a))
+
+
+class TestCachedValues:
+    """The hash, sort key and tag flag cached at construction agree with
+    the values a walk over the term computes."""
+
+    @given(tagged_terms_strategy())
+    def test_term_key_matches_reference(self, t):
+        assert term_key(t) == reference_term_key(t)
+        assert tuple_key((t, t)) == (reference_term_key(t),) * 2
+
+    @given(tagged_terms_strategy(), tagged_terms_strategy())
+    def test_equal_exactly_when_reference_keys_equal(self, s, t):
+        # Every pair of subterms, so that pairs of leaves are compared too.
+        for x in subterms(s):
+            for y in subterms(t):
+                same = reference_term_key(x) == reference_term_key(y)
+                assert (x == y) == same
+                assert (x != y) == (not same)
+                if same:
+                    assert hash(x) == hash(y)
+
+    @given(tagged_terms_strategy())
+    def test_copy_sharing_no_node_is_equal(self, t):
+        c = rebuild(t)
+        assert c is not t
+        assert c == t and hash(c) == hash(t)
+        assert {t: 1}[c] == 1
+
+    def test_variable_and_constant_of_one_name_differ(self):
+        assert Var("a") != const("a")
+        assert len({Var("a"), const("a")}) == 2
+
+    @given(tagged_terms_strategy())
+    def test_pickle_round_trip(self, t):
+        u = pickle.loads(pickle.dumps(t))
+        assert type(u) is type(t)
+        assert u == t and hash(u) == hash(t)
+        assert term_key(u) == term_key(t)
+        assert u.tagged == t.tagged
+        assert repr(u) == repr(t)
+
+    def test_pickle_from_a_process_with_other_string_hashes(self):
+        # Corpus workers send terms between processes; a hash cached in the
+        # sender would not match this process's string hashing.
+        code = (
+            "import pickle, sys\n"
+            "from cutintro.terms import App, Var, const\n"
+            "t = App('g', (App('f', (const('a'),)), Var('x')))\n"
+            "sys.stdout.buffer.write(pickle.dumps(t))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        u = pickle.loads(done.stdout)
+        t = App("g", (App("f", (const("a"),)), Var("x")))
+        assert hash(u) == hash(t)
+        assert u in {t}
+
+    @given(tagged_terms_strategy())
+    def test_attributes_cannot_be_assigned(self, t):
+        names = ["key", "tagged", "_hash", "extra"]
+        names += ["name"] if isinstance(t, Var) else ["head", "args"]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+
+    @given(tagged_terms_strategy())
+    def test_tag_flag_marks_a_tag_headed_subterm(self, t):
+        assert t.tagged == any(
+            isinstance(s, App) and is_tag_head(s.head) for s in subterms(t)
+        )
