@@ -4,9 +4,19 @@ A sequent of quantifier-free formulas is valid in all structures iff its
 refutation clause set has no model in which the equations behave as a
 congruence.  The decision procedure here is the classic lazy loop: a DPLL
 search enumerates propositional models of the clause skeleton, a
-congruence closure over the ground subterm universe checks each model,
-and a conflict core is turned into a blocking clause before the search
-resumes.  Free variables are treated as uninterpreted constants.
+congruence closure checks each model, and a conflict core becomes a
+blocking clause.  Free variables are treated as uninterpreted constants.
+
+Each query interns its ground terms into the closure once; checking a
+model resets the union-find and merges the model's true equations.  The
+closure records why it merged two classes (an asserted equation, or the
+congruence of two applications) as an edge of a proof forest, and the
+conflict core is read off the forest's path between the clashing terms
+(Nieuwenhuis and Oliveras, "Fast congruence closure and extensions",
+2007).  The search is iterative, with a trail and two watched literals
+per clause (Eén and Sörensson, MiniSat, 2003): it keeps its assignments
+across blocking clauses, which join the watched clauses, and resumes
+after backjumping below the clause's highest decision level.
 
 All entry points return a three-valued Verdict; resource exhaustion is
 reported as UNKNOWN, never as a silent "invalid".
@@ -16,15 +26,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional
 
 from .cnf import (
     CNF,
     CnfBlowup,
     DEFAULT_CNF_CAP,
-    Literal,
     cnf_of_formulas,
-    literal_key,
     simplify_clauses,
 )
 from .formulas import Atom, Eq, Not, formula_key, is_quantifier_free
@@ -49,31 +57,54 @@ DEFAULT_STEP_CAP = 5_000_000
 # congruence closure
 
 
+class _Congruence:
+    """Why two applications were merged: their arguments are equal."""
+
+    __slots__ = ("app", "twin")
+
+    def __init__(self, app: int, twin: int) -> None:
+        self.app, self.twin = app, twin
+
+
 class CongruenceClosure:
-    """Union-find over interned ground terms with congruence propagation."""
+    """Union-find over interned ground terms with congruence propagation.
+
+    Every merge also adds an edge to a proof forest, labelled with its
+    reason: the caller's label for an asserted equation, or the
+    congruence of two applications.  ``explain`` reads off that forest
+    the labels of the asserted equations that entail an equality.
+    ``reset`` forgets the merges but keeps the interned terms, so one
+    closure serves every model of a query.
+    """
 
     def __init__(self) -> None:
         self._ids: dict[Term, int] = {}
-        self._node: list[tuple[str, tuple[int, ...]]] = []
+        self._node: list[tuple[object, tuple[int, ...]]] = []
         self._parent: list[int] = []
-        self._members: list[list[int]] = []
+        self._size: list[int] = []
         self._use: list[list[int]] = []  # apps that mention a representative
-        self._sig: dict[tuple[str, tuple[int, ...]], int] = {}
+        self._sig: dict[tuple[object, tuple[int, ...]], int] = {}
+        self._edge: list[int] = []  # proof forest: neighbour towards the root
+        self._why: list[object] = []  # reason of the edge to that neighbour
 
     def intern(self, t: Term) -> int:
         known = self._ids.get(t)
         if known is not None:
             return known
         if isinstance(t, Var):
-            head, args = t.name, ()
+            # Its own head: a free variable is a constant of its own,
+            # never the constant that shares its name.
+            head, args = t, ()
         else:
-            head, args = t.head, tuple(self.intern(a) for a in t.args)
+            head, args = t.head, tuple([self.intern(a) for a in t.args])
         i = len(self._node)
         self._ids[t] = i
         self._node.append((head, args))
         self._parent.append(i)
-        self._members.append([i])
+        self._size.append(1)
         self._use.append([])
+        self._edge.append(-1)
+        self._why.append(None)
         roots = tuple(self.find(a) for a in args)
         twin = self._sig.get((head, roots))
         if twin is None:
@@ -81,8 +112,22 @@ class CongruenceClosure:
         for a in roots:
             self._use[a].append(i)
         if twin is not None and self.find(twin) != i:
-            self._merge(i, twin)
+            self.merge(i, twin, _Congruence(i, twin))
         return i
+
+    def reset(self) -> None:
+        """Forget every merge; the interned terms stay."""
+        n = len(self._node)
+        self._parent = list(range(n))
+        self._size = [1] * n
+        self._use = [[] for _ in range(n)]
+        self._sig = {}
+        self._edge = [-1] * n
+        self._why = [None] * n
+        for i, node in enumerate(self._node):
+            self._sig[node] = i
+            for a in node[1]:
+                self._use[a].append(i)
 
     def find(self, i: int) -> int:
         parent = self._parent
@@ -94,22 +139,26 @@ class CongruenceClosure:
         return root
 
     def merge_terms(self, s: Term, t: Term) -> None:
-        self._merge(self.intern(s), self.intern(t))
+        """Assert s = t; ``explain`` reports it as the pair (s, t)."""
+        self.merge(self.intern(s), self.intern(t), (s, t))
 
     def equal(self, s: Term, t: Term) -> bool:
         return self.find(self.intern(s)) == self.find(self.intern(t))
 
-    def _merge(self, i: int, j: int) -> None:
-        queue = [(i, j)]
+    def merge(self, i: int, j: int, label: object) -> None:
+        """Assert that the terms with ids i and j are equal."""
+        queue = [(i, j, label)]
         while queue:
-            a, b = queue.pop()
+            a, b, why = queue.pop()
             ra, rb = self.find(a), self.find(b)
             if ra == rb:
                 continue
-            if len(self._members[ra]) > len(self._members[rb]):
-                ra, rb = rb, ra
+            if self._size[ra] > self._size[rb]:
+                a, b, ra, rb = b, a, rb, ra
+            self._reroot(a)
+            self._edge[a], self._why[a] = b, why
             self._parent[ra] = rb
-            self._members[rb].extend(self._members[ra])
+            self._size[rb] += self._size[ra]
             for app in self._use[ra]:
                 head, args = self._node[app]
                 roots = tuple(self.find(x) for x in args)
@@ -117,68 +166,58 @@ class CongruenceClosure:
                 if twin is None:
                     self._sig[(head, roots)] = app
                 elif self.find(twin) != self.find(app):
-                    queue.append((app, twin))
+                    queue.append((app, twin, _Congruence(app, twin)))
             self._use[rb].extend(self._use[ra])
             self._use[ra] = []
 
+    def _reroot(self, i: int) -> None:
+        """Reverse the forest edges from i to its root, making i the root."""
+        edge, why = self._edge, self._why
+        prev, prev_why = -1, None
+        while i != -1:
+            nxt, reason = edge[i], why[i]
+            edge[i], why[i] = prev, prev_why
+            prev, prev_why, i = i, reason, nxt
 
-def _model_conflict(
-    true_eqs: list[Eq], others: list[Literal]
-) -> Optional[tuple[list[Eq], list[Literal]]]:
-    """Check a full assignment against congruence; return a conflict core.
+    def explain(self, i: int, j: int) -> list:
+        """Labels of the asserted equations that entail i = j.
 
-    ``others`` holds the remaining literals: negative equations and signed
-    predicate atoms.  The returned core is (equation premises, clashing
-    literals); None means the assignment is a genuine countermodel.
-    """
-    cc = CongruenceClosure()
-    for eq in true_eqs:
-        cc.merge_terms(eq.lhs, eq.rhs)
+        The ids must be equal in the closure.  Each forest edge on the
+        path between them is an asserted equation or the congruence of
+        two applications, whose argument pairs are explained in turn.
+        """
+        labels: dict = {}
+        done: set[int] = set()
+        pending = [(i, j)]
+        while pending:
+            a, b = pending.pop()
+            if a == b:
+                continue
+            for node in self._path(a, b):
+                if node in done:
+                    continue
+                done.add(node)
+                why = self._why[node]
+                if isinstance(why, _Congruence):
+                    pending.extend(
+                        zip(self._node[why.app][1], self._node[why.twin][1])
+                    )
+                else:
+                    labels[why] = None
+        return list(labels)
 
-    clash: Optional[list[Literal]] = None
-    for sign, atom in others:
-        if isinstance(atom, Eq) and not sign:
-            if cc.equal(atom.lhs, atom.rhs):
-                clash = [(False, atom)]
-                break
-    if clash is None:
-        by_pred: dict[tuple[str, int], list[tuple[bool, Atom]]] = {}
-        for sign, atom in others:
-            if isinstance(atom, Atom):
-                by_pred.setdefault((atom.pred, len(atom.args)), []).append(
-                    (sign, atom)
-                )
-        for lits in by_pred.values():
-            pos = [a for s, a in lits if s]
-            neg = [a for s, a in lits if not s]
-            for p in pos:
-                for n in neg:
-                    if all(cc.equal(x, y) for x, y in zip(p.args, n.args)):
-                        clash = [(True, p), (False, n)]
-                        break
-                if clash:
-                    break
-            if clash:
-                break
-    if clash is None:
-        return None
-
-    def still_conflicts(eqs: list[Eq]) -> bool:
-        cc2 = CongruenceClosure()
-        for eq in eqs:
-            cc2.merge_terms(eq.lhs, eq.rhs)
-        if len(clash) == 1:
-            a = clash[0][1]
-            return cc2.equal(a.lhs, a.rhs)
-        p, n = clash[0][1], clash[1][1]
-        return all(cc2.equal(x, y) for x, y in zip(p.args, n.args))
-
-    core = list(true_eqs)
-    for eq in list(core):
-        trial = [e for e in core if e is not eq]
-        if still_conflicts(trial):
-            core = trial
-    return core, clash
+    def _path(self, a: int, b: int) -> list[int]:
+        """The nodes whose forest edges join a and b."""
+        edge = self._edge
+        up_a = [a]
+        while edge[up_a[-1]] != -1:
+            up_a.append(edge[up_a[-1]])
+        on_a = {n: k for k, n in enumerate(up_a)}
+        up_b = []
+        while b not in on_a:
+            up_b.append(b)
+            b = edge[b]
+        return up_a[: on_a[b]] + up_b
 
 
 # ---------------------------------------------------------------------------
@@ -195,68 +234,219 @@ class _Budget:
             raise OracleLimit("step budget exhausted")
 
 
-def _propagate(
-    clauses: list[frozenset[int]], assign: dict[int, bool], budget: _Budget
-) -> bool:
-    """Unit propagation; returns False on an empty clause."""
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
+class _Search:
+    """Iterative DPLL with a trail and two watched literals per clause.
+
+    Variables are 1..n and a literal is ±v.  ``_val[l]`` is the truth of
+    literal l (negative literals index from the end of the list).  The
+    first two literals of a clause are watched.  ``next_model`` returns
+    a total assignment satisfying every clause, or None; ``block`` adds
+    a clause that the last model falsifies, after which ``next_model``
+    resumes from the assignments the clause leaves standing.
+
+    A conflict clause is falsified at its highest decision level L.  If
+    one literal sits at L, the search backjumps to the next level below
+    and asserts that literal there.  Otherwise it backjumps to L and
+    flips the deepest decision not yet flipped; a flipped decision
+    stands for the exhausted branch below it.
+    """
+
+    def __init__(
+        self,
+        clauses: list[list[int]],
+        n_vars: int,
+        budget: _Budget,
+        cancel: Optional[Callable[[], None]],
+    ) -> None:
+        self._budget = budget
+        self._cancel = cancel
+        self._val: list[Optional[bool]] = [None] * (2 * n_vars + 1)
+        self._level = [0] * (n_vars + 1)
+        self._watches: list[list[list[int]]] = [
+            [] for _ in range(2 * n_vars + 1)
+        ]
+        self._trail: list[int] = []
+        self._head = 0  # trail literals before it are propagated
+        self._starts: list[int] = []  # trail length when each level began
+        self._flipped: list[bool] = []  # per level
+        self._pos: list[int] = []  # per level: decision's place in _order
+        count = [0] * (n_vars + 1)
+        for c in clauses:
+            for lit in c:
+                count[abs(lit)] += 1
+        self._order = sorted(range(1, n_vars + 1), key=lambda v: -count[v])
+        self._unsat = False
+        for c in clauses:
             budget.spend()
-            unassigned = None
-            satisfied = False
-            count = 0
-            for lit in clause:
-                v = assign.get(abs(lit))
-                if v is None:
-                    unassigned = lit
-                    count += 1
-                    if count > 1:
-                        break
-                elif v == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied or count > 1:
-                continue
-            if count == 0:
-                return False
-            assert unassigned is not None
-            assign[abs(unassigned)] = unassigned > 0
-            changed = True
-    return True
+            if len(c) > 1:
+                self._watches[c[0]].append(c)
+                self._watches[c[1]].append(c)
+            elif self._val[c[0]] is None:
+                self._assign(c[0])
+            elif self._val[c[0]] is False:
+                self._unsat = True
 
+    def _assign(self, lit: int) -> None:
+        self._val[lit], self._val[-lit] = True, False
+        self._level[abs(lit)] = len(self._starts)
+        self._trail.append(lit)
 
-def _next_model(
-    clauses: list[frozenset[int]],
-    n_vars: int,
-    budget: _Budget,
-    cancel: Optional[Callable[[], None]],
-) -> Optional[dict[int, bool]]:
-    """Find one satisfying total assignment, or None."""
-    order = sorted(
-        range(1, n_vars + 1),
-        key=lambda v: -sum(1 for c in clauses if v in c or -v in c),
-    )
+    def _undo(self, level: int) -> None:
+        """Drop every assignment above the given decision level."""
+        if level >= len(self._starts):
+            return
+        start = self._starts[level]
+        val = self._val
+        for lit in self._trail[start:]:
+            val[lit] = val[-lit] = None
+        del self._trail[start:]
+        del self._starts[level:], self._flipped[level:], self._pos[level:]
+        self._head = start
 
-    def search(assign: dict[int, bool]) -> Optional[dict[int, bool]]:
-        if cancel is not None:
-            cancel()
-        budget.spend()
-        if not _propagate(clauses, assign, budget):
-            return None
-        pick = next((v for v in order if v not in assign), None)
-        if pick is None:
-            return assign
-        for value in (True, False):
-            trial = dict(assign)
-            trial[pick] = value
-            found = search(trial)
-            if found is not None:
-                return found
+    def _decide(self, lit: int, pos: int, flipped: bool) -> None:
+        self._starts.append(len(self._trail))
+        self._flipped.append(flipped)
+        self._pos.append(pos)
+        self._assign(lit)
+
+    def _unit_propagate(self) -> Optional[list[int]]:
+        """Unit propagation; returns a falsified clause, or None."""
+        val, trail, watches = self._val, self._trail, self._watches
+        spend = self._budget.spend
+        while self._head < len(trail):
+            false_lit = -trail[self._head]
+            self._head += 1
+            ws = watches[false_lit]
+            kept = 0
+            for n, c in enumerate(ws):
+                spend()
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                other = c[0]
+                if val[other] is not True:
+                    for k in range(2, len(c)):
+                        lit = c[k]
+                        if val[lit] is not False:
+                            c[1], c[k] = lit, false_lit
+                            watches[lit].append(c)
+                            break
+                    else:
+                        if val[other] is False:
+                            ws[kept:] = ws[n:]
+                            return c
+                        self._assign(other)
+                    if c[1] != false_lit:
+                        continue
+                ws[kept] = c
+                kept += 1
+            del ws[kept:]
         return None
 
-    return search({})
+    def _resolve(self, conflict: list[int]) -> None:
+        """Undo enough of the trail that the conflict clause is not false."""
+        level = self._level
+        levels = sorted((level[abs(l)] for l in conflict), reverse=True)
+        top = levels[0]
+        if top == 0:
+            self._unsat = True
+            return
+        if len(levels) == 1 or levels[1] < top:
+            lit = next(l for l in conflict if level[abs(l)] == top)
+            self._undo(levels[1] if len(levels) > 1 else 0)
+            self._assign(lit)
+            return
+        self._undo(top)
+        while self._flipped and self._flipped[-1]:
+            self._undo(len(self._starts) - 1)
+        if not self._starts:
+            self._unsat = True
+            return
+        decision, pos = self._trail[self._starts[-1]], self._pos[-1]
+        self._undo(len(self._starts) - 1)
+        self._decide(-decision, pos, True)
+
+    def block(self, clause: list[int]) -> None:
+        """Add a clause falsified by the current total assignment."""
+        level = self._level
+        clause.sort(key=lambda l: -level[abs(l)])
+        if len(clause) > 1:
+            self._watches[clause[0]].append(clause)
+            self._watches[clause[1]].append(clause)
+        self._resolve(clause)
+
+    def next_model(self) -> Optional[list[Optional[bool]]]:
+        """The next total assignment (indexed by variable), or None."""
+        order, val, cancel = self._order, self._val, self._cancel
+        while not self._unsat:
+            if cancel is not None:
+                cancel()
+            conflict = self._unit_propagate()
+            if conflict is not None:
+                self._resolve(conflict)
+                continue
+            pos = self._pos[-1] if self._pos else 0
+            while pos < len(order) and val[order[pos]] is not None:
+                pos += 1
+            if pos == len(order):
+                return val
+            self._budget.spend()
+            self._decide(order[pos], pos, False)
+        return None
+
+
+def _intern_atoms(atoms: list) -> tuple:
+    """A closure over the atoms' terms, with the atoms as id tuples."""
+    cc = CongruenceClosure()
+    eqs = [
+        (v, cc.intern(a.lhs), cc.intern(a.rhs))
+        for v, a in enumerate(atoms, 1)
+        if isinstance(a, Eq)
+    ]
+    preds = [
+        (v, a.pred, tuple([cc.intern(t) for t in a.args]))
+        for v, a in enumerate(atoms, 1)
+        if isinstance(a, Atom)
+    ]
+    return cc, eqs, preds
+
+
+def _theory_conflict(
+    cc: CongruenceClosure,
+    eqs: list[tuple[int, int, int]],
+    preds: list[tuple[int, str, tuple[int, ...]]],
+    val: list[Optional[bool]],
+) -> Optional[list[int]]:
+    """A clause that the total assignment falsifies modulo congruence.
+
+    ``eqs`` holds (variable, lhs id, rhs id) for the equation atoms and
+    ``preds`` holds (variable, predicate, argument ids) for the others.
+    The clause negates the asserted equations that explain the clash
+    together with the clashing literals; None means the assignment is a
+    genuine countermodel.
+    """
+    cc.reset()
+    for v, i, j in eqs:
+        if val[v]:
+            cc.merge(i, j, v)
+    find = cc.find
+    for v, i, j in eqs:
+        if not val[v] and find(i) == find(j):
+            return [-u for u in cc.explain(i, j)] + [v]
+    holds: dict[tuple, tuple] = {}
+    for v, pred, args in preds:
+        if val[v]:
+            holds.setdefault((pred, tuple(find(x) for x in args)), (v, args))
+    for v, pred, args in preds:
+        if val[v]:
+            continue
+        hit = holds.get((pred, tuple(find(x) for x in args)))
+        if hit is not None:
+            p, p_args = hit
+            core: dict[int, None] = {}
+            for x, y in zip(p_args, args):
+                core.update(dict.fromkeys(cc.explain(x, y)))
+            return [-u for u in core] + [-p, v]
+    return None
 
 
 def _decide_clauses(
@@ -269,38 +459,27 @@ def _decide_clauses(
     """VALID iff the clause set is unsatisfiable (modulo equality)."""
     atoms = sorted({atom for c in cnf for _, atom in c}, key=formula_key)
     index = {atom: i + 1 for i, atom in enumerate(atoms)}
-    clauses = [
-        frozenset((index[a] if s else -index[a]) for s, a in c) for c in cnf
-    ]
+    clauses = sorted(
+        sorted((index[a] if s else -index[a] for s, a in c), key=abs)
+        for c in cnf
+    )
     if any(not c for c in clauses):
         return Verdict.VALID
-
+    search = _Search(clauses, len(atoms), budget, cancel)
+    graph = None
     while True:
-        model = _next_model(clauses, len(atoms), budget, cancel)
+        model = search.next_model()
         if model is None:
             return Verdict.VALID
         if not theory:
             return Verdict.INVALID
-        true_eqs = [
-            a
-            for a, i in index.items()
-            if isinstance(a, Eq) and model.get(i, False)
-        ]
-        others: list[Literal] = [
-            (model.get(i, False), a)
-            for a, i in index.items()
-            if not (isinstance(a, Eq) and model.get(i, False))
-        ]
-        conflict = _model_conflict(true_eqs, others)
-        if conflict is None:
+        if graph is None:
+            graph = _intern_atoms(atoms)
+        blocking = _theory_conflict(*graph, model)
+        if blocking is None:
             return Verdict.INVALID
-        core_eqs, clash = conflict
-        blocking = frozenset(
-            [-index[e] for e in core_eqs]
-            + [(-index[a] if s else index[a]) for s, a in clash]
-        )
-        clauses.append(blocking)
         budget.spend(len(blocking))
+        search.block(blocking)
 
 
 def _refutation_cnf(seq: Sequent, cap: int) -> CNF:

@@ -319,10 +319,6 @@ def build_proof_with_cut(
 # checking
 
 
-def _counter(side) -> Counter:
-    return Counter(side)
-
-
 def _check(node: Proof, oracle: Oracle, path: str) -> None:
     if isinstance(node, OracleLeaf):
         for f in tuple(node.conclusion.ante) + tuple(node.conclusion.succ):
@@ -362,9 +358,9 @@ def _check(node: Proof, oracle: Oracle, path: str) -> None:
             changed, same = (p.ante, c.ante), (p.succ, c.succ)
         else:
             changed, same = (p.succ, c.succ), (p.ante, c.ante)
-        if _counter(same[0]) != _counter(same[1]):
+        if Counter(same[0]) != Counter(same[1]):
             raise ProofCheckError(f"{path}: passive side changed")
-        before, after = _counter(changed[0]), _counter(changed[1])
+        before, after = Counter(changed[0]), Counter(changed[1])
         if before[instance] < 1:
             raise ProofCheckError(
                 f"{path}: premise lacks instance {render_formula(instance)}"
@@ -401,9 +397,9 @@ def _check(node: Proof, oracle: Oracle, path: str) -> None:
             q.body, {x: Var(y) for x, y in zip(q.vars, node.eigen)}
         )
         p, c = node.premise.conclusion, node.conclusion
-        if _counter(p.ante) != _counter(c.ante):
+        if Counter(p.ante) != Counter(c.ante):
             raise ProofCheckError(f"{path}: antecedent changed")
-        before, after = _counter(p.succ), _counter(c.succ)
+        before, after = Counter(p.succ), Counter(c.succ)
         if before[instance] < 1:
             raise ProofCheckError(
                 f"{path}: premise lacks instance {render_formula(instance)}"
@@ -421,7 +417,7 @@ def _check(node: Proof, oracle: Oracle, path: str) -> None:
         _check(node.right, oracle, path + ".right")
         cf = node.cut_formula
         l, r, c = node.left.conclusion, node.right.conclusion, node.conclusion
-        ls, ra = _counter(l.succ), _counter(r.ante)
+        ls, ra = Counter(l.succ), Counter(r.ante)
         if ls[cf] < 1:
             raise ProofCheckError(
                 f"{path}: cut formula missing from the left succedent"
@@ -432,9 +428,9 @@ def _check(node: Proof, oracle: Oracle, path: str) -> None:
             )
         ls[cf] -= 1
         ra[cf] -= 1
-        if _counter(c.ante) != _counter(l.ante) + ra:
+        if Counter(c.ante) != Counter(l.ante) + ra:
             raise ProofCheckError(f"{path}: antecedents do not join")
-        if _counter(c.succ) != ls + _counter(r.succ):
+        if Counter(c.succ) != ls + Counter(r.succ):
             raise ProofCheckError(f"{path}: succedents do not join")
         return
 
@@ -445,7 +441,7 @@ def _check(node: Proof, oracle: Oracle, path: str) -> None:
             (p.ante, c.ante, "antecedent"),
             (p.succ, c.succ, "succedent"),
         ):
-            pc, cc = _counter(pside), _counter(cside)
+            pc, cc = Counter(pside), Counter(cside)
             if set(pc) != set(cc):
                 raise ProofCheckError(
                     f"{path}: contraction changes the {label} support"
@@ -463,7 +459,7 @@ def _check(node: Proof, oracle: Oracle, path: str) -> None:
             (p.ante, c.ante, "antecedent"),
             (p.succ, c.succ, "succedent"),
         ):
-            pc, cc = _counter(pside), _counter(cside)
+            pc, cc = Counter(pside), Counter(cside)
             if any(pc[f] > cc[f] for f in pc):
                 raise ProofCheckError(
                     f"{path}: weakening drops a {label} formula"

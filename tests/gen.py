@@ -155,6 +155,41 @@ def random_ground_sequent(rng: random.Random) -> Sequent:
     return Sequent(ante, succ)
 
 
+def random_ground_clauses(rng: random.Random) -> frozenset:
+    """A ground clause set over 10–30 atoms, each used at least once:
+    equations and predicates on terms built from four constants, unary f
+    and binary g, depth ≤ 2."""
+    funcs = [("f", 1), ("g", 2)]
+    terms = list(
+        {random_ground_term(rng, funcs, ["a", "b", "c", "d"], 2) for _ in range(12)}
+    )
+    terms.sort(key=term_key)
+    n_atoms = rng.randint(10, 30)
+    atoms: list[Formula] = []
+    for _ in range(20 * n_atoms):
+        if len(atoms) == n_atoms:
+            break
+        if rng.random() < 0.6:
+            atom: Formula = Eq(rng.choice(terms), rng.choice(terms))
+        else:
+            name, arity = rng.choice([("P", 1), ("Q", 2)])
+            atom = Atom(name, tuple(rng.choice(terms) for _ in range(arity)))
+        if atom not in atoms:
+            atoms.append(atom)
+    clauses = [
+        {
+            (rng.random() < 0.5, rng.choice(atoms))
+            for _ in range(rng.choice([1, 2, 2, 3, 3, 4]))
+        }
+        for _ in range(rng.randint(len(atoms) // 2, 3 * len(atoms) // 2))
+    ]
+    used = {atom for clause in clauses for _, atom in clause}
+    for atom in atoms:
+        if atom not in used:
+            rng.choice(clauses).add((rng.random() < 0.5, atom))
+    return frozenset(frozenset(clause) for clause in clauses)
+
+
 # ---------------------------------------------------------------------------
 # solvable instances (sequent + witnessing instance lists)
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 These are deliberately naive: a recursive term order, truth-table
-enumeration plus fixpoint congruence saturation for validity, a two-pass
+enumeration plus fixpoint congruence saturation for validity, the
+oracle's first restart-DPLL lazy loop for clause sets, a two-pass
 anti-unifier, and an exhaustive cover search for minimal decompositions.  They share no code
 with the implementations under test.
 """
@@ -183,6 +184,193 @@ def naive_tautology(seq: Sequent) -> bool:
         ):
             return False
     return True
+
+
+# --------------------------------------------------------------------------
+# Clause sets modulo equality, by the oracle's first lazy loop: a DPLL that
+# restarts after every blocking clause, and conflict cores minimized by
+# deleting equations one at a time
+# --------------------------------------------------------------------------
+
+
+class ReferenceClosure:
+    """Union-find over terms with congruence propagation, no explanations."""
+
+    def __init__(self) -> None:
+        self._ids: dict = {}
+        self._node: list = []
+        self._parent: list[int] = []
+        self._members: list[list[int]] = []
+        self._use: list[list[int]] = []
+        self._sig: dict = {}
+
+    def intern(self, t: Term) -> int:
+        known = self._ids.get(t)
+        if known is not None:
+            return known
+        if isinstance(t, Var):
+            head, args = t.name, ()
+        else:
+            head, args = t.head, tuple(self.intern(a) for a in t.args)
+        i = len(self._node)
+        self._ids[t] = i
+        self._node.append((head, args))
+        self._parent.append(i)
+        self._members.append([i])
+        self._use.append([])
+        roots = tuple(self.find(a) for a in args)
+        twin = self._sig.get((head, roots))
+        if twin is None:
+            self._sig[(head, roots)] = i
+        for a in roots:
+            self._use[a].append(i)
+        if twin is not None and self.find(twin) != i:
+            self._merge(i, twin)
+        return i
+
+    def find(self, i: int) -> int:
+        while self._parent[i] != i:
+            i = self._parent[i]
+        return i
+
+    def merge_terms(self, s: Term, t: Term) -> None:
+        self._merge(self.intern(s), self.intern(t))
+
+    def equal(self, s: Term, t: Term) -> bool:
+        return self.find(self.intern(s)) == self.find(self.intern(t))
+
+    def _merge(self, i: int, j: int) -> None:
+        queue = [(i, j)]
+        while queue:
+            a, b = queue.pop()
+            ra, rb = self.find(a), self.find(b)
+            if ra == rb:
+                continue
+            if len(self._members[ra]) > len(self._members[rb]):
+                ra, rb = rb, ra
+            self._parent[ra] = rb
+            self._members[rb].extend(self._members[ra])
+            for app in self._use[ra]:
+                head, args = self._node[app]
+                roots = tuple(self.find(x) for x in args)
+                twin = self._sig.get((head, roots))
+                if twin is None:
+                    self._sig[(head, roots)] = app
+                elif self.find(twin) != self.find(app):
+                    queue.append((app, twin))
+            self._use[rb].extend(self._use[ra])
+            self._use[ra] = []
+
+
+def _reference_clash(eqs: list, others: list):
+    """The literals that clash with the closure of ``eqs``, or None."""
+    cc = ReferenceClosure()
+    for eq in eqs:
+        cc.merge_terms(eq.lhs, eq.rhs)
+    for sign, atom in others:
+        if isinstance(atom, Eq) and not sign and cc.equal(atom.lhs, atom.rhs):
+            return [(False, atom)]
+    for sp, p in others:
+        for sn, n in others:
+            if (
+                sp
+                and not sn
+                and isinstance(p, Atom)
+                and isinstance(n, Atom)
+                and p.pred == n.pred
+                and len(p.args) == len(n.args)
+                and all(cc.equal(x, y) for x, y in zip(p.args, n.args))
+            ):
+                return [(True, p), (False, n)]
+    return None
+
+
+def _reference_model_conflict(true_eqs: list, others: list):
+    """(equation core, clashing literals) for a model, or None if it is a
+    model modulo equality; the core is shrunk by trial deletion."""
+    clash = _reference_clash(true_eqs, others)
+    if clash is None:
+        return None
+    core = list(true_eqs)
+    for eq in list(core):
+        trial = [e for e in core if e is not eq]
+        if _reference_clash(trial, clash) is not None:
+            core = trial
+    return core, clash
+
+
+def _reference_propagate(clauses: list, assign: dict) -> bool:
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(assign.get(abs(l)) == (l > 0) for l in clause):
+                continue
+            open_lits = [l for l in clause if abs(l) not in assign]
+            if not open_lits:
+                return False
+            if len(open_lits) == 1:
+                assign[abs(open_lits[0])] = open_lits[0] > 0
+                changed = True
+    return True
+
+
+def _reference_next_model(clauses: list, n_vars: int):
+    order = sorted(
+        range(1, n_vars + 1),
+        key=lambda v: -sum(1 for c in clauses if v in c or -v in c),
+    )
+
+    def search(assign: dict):
+        if not _reference_propagate(clauses, assign):
+            return None
+        pick = next((v for v in order if v not in assign), None)
+        if pick is None:
+            return assign
+        for value in (True, False):
+            found = search({**assign, pick: value})
+            if found is not None:
+                return found
+        return None
+
+    return search({})
+
+
+def reference_decide_clauses(cnf, *, theory: bool = True) -> bool:
+    """True iff the clause set has no model (modulo equality when
+    ``theory``): each propositional model is checked by congruence
+    closure and blocked, and the search starts over."""
+    atoms = sorted({atom for c in cnf for _, atom in c}, key=repr)
+    index = {atom: i + 1 for i, atom in enumerate(atoms)}
+    clauses = [
+        frozenset((index[a] if s else -index[a]) for s, a in c) for c in cnf
+    ]
+    if any(not c for c in clauses):
+        return True
+    while True:
+        model = _reference_next_model(clauses, len(atoms))
+        if model is None:
+            return True
+        if not theory:
+            return False
+        true_eqs = [
+            a for a, i in index.items() if isinstance(a, Eq) and model[i]
+        ]
+        others = [
+            (model[i], a)
+            for a, i in index.items()
+            if not (isinstance(a, Eq) and model[i])
+        ]
+        conflict = _reference_model_conflict(true_eqs, others)
+        if conflict is None:
+            return False
+        core, clash = conflict
+        clauses.append(
+            frozenset(
+                [-index[e] for e in core]
+                + [(-index[a] if s else index[a]) for s, a in clash]
+            )
+        )
 
 
 # --------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from cutintro.formulas import (
 )
 from cutintro.herbrand import encode_termset
 from cutintro.parser import parse_input
+from cutintro.proofs import build_proof_with_cut
 from cutintro.terms import App, Var, alpha, const
 
 import gen
@@ -288,6 +289,28 @@ class TestSFImprove:
     def test_select_best_prefers_smaller(self, golden_sf):
         best = select_best(golden_sf.candidates)
         assert all(best.size <= c.size for c in golden_sf.candidates)
+
+    def test_every_candidate_builds_a_proof(
+        self, golden_ehs, golden_sf, golden_oracle
+    ):
+        # Passing the guard must be enough for build_proof_with_cut.
+        for cand in golden_sf.candidates:
+            build_proof_with_cut(golden_ehs, cand.formula, golden_oracle)
+
+    def test_every_candidate_builds_a_proof_on_random_instances(self):
+        built = 0
+        for seed in range(60):
+            e = _solved_random_instance(seed)
+            if e is None:
+                continue
+            oracle = InternalOracle()
+            can = canonical_solution(e)
+            assert check_solution(e, can.formula, oracle), f"seed {seed}"
+            res = sf_improve(e, can, oracle, node_cap=300)
+            for cand in res.candidates:
+                build_proof_with_cut(e, cand.formula, oracle)
+            built += 1
+        assert built >= 40
 
     def test_random_instances_improve_soundly(self, oracle):
         checked = 0

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+import cutintro.euf as euf
+from cutintro.cnf import simplify_clauses
+from cutintro.cutformula import canonical_solution, sf_improve
 from cutintro.euf import (
+    DEFAULT_STEP_CAP,
     CongruenceClosure,
     InternalOracle,
+    Oracle,
     Verdict,
     decide_tautology,
     decide_validity,
@@ -17,12 +23,12 @@ from cutintro.euf import (
 )
 from cutintro.formulas import And, Atom, Eq, Imp, Not, Or
 from cutintro.sequents import Sequent
-from cutintro.terms import App, const
+from cutintro.terms import App, Var, const
 
 import gen
 import oracles
 
-a, b, c = const("a"), const("b"), const("c")
+a, b, c, d = const("a"), const("b"), const("c"), const("d")
 
 
 def f(t):
@@ -83,6 +89,162 @@ class TestCongruenceClosure:
         assert not cc.equal(_iter(f, a, 4), _iter(s, a, 7))
 
 
+class TestExplanations:
+    """Each core is a subset of the asserted equations from which a fresh
+    closure (the reference one in tests/oracles.py) derives the same
+    equality."""
+
+    @staticmethod
+    def _core(eqs, s, t):
+        """The indices of the equations that explain s = t."""
+        cc = CongruenceClosure()
+        for lhs, rhs in eqs:
+            cc.merge_terms(lhs, rhs)
+        assert cc.equal(s, t)
+        core = cc.explain(cc.intern(s), cc.intern(t))
+        assert set(core) <= set(eqs)
+        fresh = oracles.ReferenceClosure()
+        for lhs, rhs in core:
+            fresh.merge_terms(lhs, rhs)
+        assert fresh.equal(s, t), (eqs, s, t, core)
+        return {eqs.index(eq) for eq in core}
+
+    def test_equal_ids_need_nothing(self):
+        assert self._core([(a, b)], f(a), f(a)) == set()
+
+    def test_transitive_chain_skips_unrelated_equations(self):
+        eqs = [(c, d), (a, b), (f(c), f(d)), (b, c)]
+        assert self._core(eqs, a, c) == {1, 3}
+
+    def test_congruence_chain(self):
+        eqs = [(a, b), (b, c), (f(a), s(a))]
+        assert self._core(eqs, f(f(a)), f(f(c))) == {0, 1}
+
+    def test_loop_through_its_own_argument(self):
+        eqs = [(f(a), a)]
+        assert self._core(eqs, _iter(f, a, 3), a) == {0}
+        assert self._core(eqs, _iter(f, a, 5), _iter(f, a, 2)) == {0}
+
+    def test_binary_function_needs_both_arguments(self):
+        eqs = [(a, b), (c, d), (g(a, c), f(a))]
+        assert self._core(eqs, g(a, c), g(b, d)) == {0, 1}
+        assert self._core(eqs, g(a, c), g(b, c)) == {0}
+        assert self._core(eqs, f(b), g(b, d)) == {0, 1, 2}
+
+    def test_nested_chain_needs_every_link(self):
+        eqs = [(f(_iter(f, a, i)), s(s(_iter(f, a, i)))) for i in range(4)]
+        assert self._core(eqs, _iter(f, a, 4), _iter(s, a, 8)) == {0, 1, 2, 3}
+
+    def test_terms_interned_after_the_merge(self):
+        # The congruence f(a) = f(b) is found when f(b) is interned.
+        cc = CongruenceClosure()
+        cc.merge_terms(a, b)
+        assert cc.explain(cc.intern(f(a)), cc.intern(f(b))) == [(a, b)]
+
+    def test_reset_forgets_merges_but_keeps_ids(self):
+        cc = CongruenceClosure()
+        cc.merge_terms(a, b)
+        ids = cc.intern(f(a)), cc.intern(f(b))
+        cc.reset()
+        assert not cc.equal(f(a), f(b))
+        assert (cc.intern(f(a)), cc.intern(f(b))) == ids
+        cc.merge(cc.intern(a), cc.intern(b), "again")
+        assert cc.explain(*ids) == ["again"]
+
+    def test_random_equation_sets(self):
+        funcs = [("f", 1), ("g", 2)]
+        pairs = 0
+        for seed in range(150):
+            rng = random.Random(7000 + seed)
+            pool = [
+                gen.random_ground_term(rng, funcs, ["a", "b", "c", "d"], 2)
+                for _ in range(8)
+            ]
+            eqs = [
+                (rng.choice(pool), rng.choice(pool))
+                for _ in range(rng.randint(1, 8))
+            ]
+            cc = CongruenceClosure()
+            for lhs, rhs in eqs:
+                cc.merge_terms(lhs, rhs)
+            for s_, t_ in itertools.combinations(pool, 2):
+                if s_ != t_ and cc.equal(s_, t_):
+                    self._core(eqs, s_, t_)
+                    pairs += 1
+        assert pairs >= 200
+
+
+class _Recording(Oracle):
+    """Forwards to an inner oracle and keeps every clause set it is sent."""
+
+    def __init__(self, inner: Oracle) -> None:
+        self.inner = inner
+        self.clause_sets: list = []
+
+    def validity(self, seq):
+        return self.inner.validity(seq)
+
+    def refutation(self, clauses):
+        self.clause_sets.append(clauses)
+        return self.inner.refutation(clauses)
+
+
+class TestAgainstReferenceSolver:
+    """The resuming search with explanation cores decides every clause set
+    as the restart search with deletion-minimized cores did, and never
+    finds the same blocking clause twice in one query."""
+
+    @pytest.fixture
+    def blocking(self, monkeypatch):
+        found: list = []
+        conflict = euf._theory_conflict
+
+        def recording(*args):
+            clause = conflict(*args)
+            if clause is not None:
+                found.append(frozenset(clause))
+            return clause
+
+        monkeypatch.setattr(euf, "_theory_conflict", recording)
+        return found
+
+    @staticmethod
+    def _agree(cnf, blocking, theory=True):
+        blocking.clear()
+        got = euf._decide_clauses(
+            cnf, theory=theory, budget=euf._Budget(DEFAULT_STEP_CAP)
+        )
+        assert got is not Verdict.UNKNOWN
+        assert len(set(blocking)) == len(blocking)
+        want = oracles.reference_decide_clauses(cnf, theory=theory)
+        assert (got is Verdict.VALID) == want
+        return want
+
+    def test_bundled_example_queries(self, golden_ehs, blocking):
+        rec = _Recording(InternalOracle())
+        sf_improve(golden_ehs, canonical_solution(golden_ehs), rec)
+        assert len(rec.clause_sets) >= 350
+        outcomes = {
+            self._agree(simplify_clauses(cnf), blocking)
+            for cnf in rec.clause_sets
+        }
+        assert outcomes == {True, False}
+
+    def test_random_clause_sets(self, blocking):
+        outcomes = set()
+        conflicts = 0
+        for seed in range(150):
+            cnf = gen.random_ground_clauses(random.Random(seed))
+            atoms = {atom for clause in cnf for _, atom in clause}
+            assert 10 <= len(atoms) <= 30
+            for theory in (True, False):
+                valid = self._agree(cnf, blocking, theory)
+                outcomes.add((theory, valid))
+                conflicts += len(blocking)
+        assert outcomes == {(t, v) for t in (True, False) for v in (True, False)}
+        assert conflicts >= 200
+
+
 class TestDecideValidity:
     def test_axiom(self):
         assert decide_validity(Sequent((Atom("P", (a,)),), (Atom("P", (a,)),))) is Verdict.VALID
@@ -112,6 +274,15 @@ class TestDecideValidity:
         P, Q = Atom("P", ()), Atom("Q", ())
         seq = Sequent((Or(P, Q), Imp(P, Q)), (Q,))
         assert decide_validity(seq) is Verdict.VALID
+
+    def test_free_variable_is_not_the_constant_of_its_name(self):
+        x = Var("a")
+        for seq in (
+            Sequent((), (Eq(x, a),)),
+            Sequent((Atom("P", (x,)),), (Atom("P", (a,)),)),
+        ):
+            assert not oracles.naive_evalid(seq)
+            assert decide_validity(seq) is Verdict.INVALID
 
     def test_empty_sequent_invalid(self):
         assert decide_validity(Sequent((), ())) is Verdict.INVALID
