@@ -64,11 +64,12 @@ for t in sorted(ts.terms, key=term_key):
 
 # ---------------------------------------------------------------------
 banner("3. decomposition search")
-# Anti-unify every subset of the term set, index the resulting patterns
+# Anti-unify the subsets of the term set, index the resulting patterns
 # by their witness rows, then search for the cheapest family of rows
-# whose patterns jointly regenerate the whole set.
+# whose patterns jointly regenerate the whole set.  A subset whose rows
+# would mention a formula tag is dropped, with all of its supersets.
 table = build_delta_table(ts)
-print(f"table holds {len(table.entries)} distinct witness keys")
+print(f"table holds {len(table.entries)} distinct clean witness keys")
 decs = fold_delta_table(table, ts)
 print(f"{len(decs)} minimal decomposition(s), size {decs[0].size} "
       f"(vs {len(ts.terms)} terms uncompressed)")

@@ -5,9 +5,11 @@
     cutintro check PROOF     recheck a proof.json artifact
 
 Exit codes for ``run``: 0 when the pipeline finished (compressed or
-uncompressible), 2 on bad input or pipeline error, 3 on timeout or a
-term set over the subset-table limit.  ``check`` exits 0 for a valid
-proof, 1 for an invalid one, 2 when the artifact cannot be read.
+uncompressible), 2 on bad input, an invalid option value or a pipeline
+error, 3 on timeout or a term set over the subset-table limit.
+``corpus`` also exits 2 on an invalid option value.  ``check`` exits 0
+for a valid proof, 1 for an invalid one, 2 when the artifact cannot be
+read.
 """
 
 from __future__ import annotations
@@ -95,14 +97,14 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = run_pipeline(args.input, _config(args))
+    report = run_pipeline(args.input, args.config)
     print(json.dumps(report.to_json(), indent=2))
     return _EXIT_BY_STATUS.get(report.status, 2)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     try:
-        reports = run_corpus(args.directory, _config(args), workers=args.workers)
+        reports = run_corpus(args.directory, args.config, workers=args.workers)
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -156,6 +158,12 @@ def main(argv: list[str] | None = None) -> int:
     p_check.set_defaults(fn=_cmd_check)
 
     args = parser.parse_args(argv)
+    if args.command in ("run", "corpus"):
+        try:
+            args.config = _config(args)
+        except ValueError as err:
+            print(f"cutintro {args.command}: error: {err}", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

@@ -9,32 +9,38 @@ combinatorial core of cut introduction.
 The search works in three stages:
 
 1. ``delta_g`` anti-unifies a list of terms into the least general
-   pattern together with the witness vectors (one per input term).
-2. ``build_delta_table`` runs delta_g over every subset of T and indexes
-   the results by witness-vector set, then closes the table under
-   arity-raising coordinate injections so that patterns found at a
+   pattern together with the witness vectors (one per input term).  It
+   folds the one-term extension of ``_AntiUnifier`` over the list.
+2. ``build_delta_table`` enumerates the subsets of T depth first, in
+   ``term_key`` order, extending each subset's pattern by its last term,
+   and indexes the results by witness-vector set.  A subset whose key
+   is unclean (see below) is neither stored nor extended: every superset
+   generalizes it, so its key is unclean too.  The table is then closed
+   under arity-raising coordinate injections so that patterns found at a
    smaller arity are also visible at every compatible larger key.
 3. ``fold_delta_table`` scans each key and solves a set-cover problem:
    pick pattern groups whose covered subsets tile T.  Selection is by
    covered subset — a chosen subset contributes every pattern the table
    associates with it — which keeps the expansion property exact.
 
-Keys whose vectors mention the reserved formula-tag heads are skipped:
-a tag head inside W would smuggle formula structure into the ground
-witnesses.
+Keys whose vectors mention the reserved formula-tag heads are unclean
+and never used: a tag head inside W would smuggle formula structure into
+the ground witnesses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain, permutations
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .herbrand import TermSet
 from .terms import (
     App,
     Term,
+    Var,
     alpha,
     alpha_index,
     is_tag_head,
@@ -64,6 +70,9 @@ DEFAULT_TERMSET_LIMIT = 22
 Row = tuple  # ground instantiation vector, one term per variable
 Key = frozenset  # of Row
 
+# The key of a pattern without variables: one empty row.
+_NO_COLUMNS: Key = frozenset({()})
+
 
 @dataclass(frozen=True)
 class SimpleDecomposition:
@@ -85,48 +94,134 @@ class SimpleDecomposition:
         return len(self.rows[0]) if self.rows else 0
 
 
+def _subterm_at(t: Term, path: list[int]) -> Term:
+    for i in path:
+        t = t.args[i]
+    return t
+
+
+class _AntiUnifier:
+    """Anti-unification of a pattern with one more term.
+
+    The pattern of a term list t₁..t_k comes with its columns: column j
+    lists the instances of αⱼ₊₁ in t₁..t_k.  As in ``delta_g``, the
+    positions where the terms disagree become variables, numbered by
+    first occurrence in pre-order, and equal columns share a variable.
+
+    Terms passed to ``extend`` must come from ``share``, which makes
+    equal subterms one object through a table local to this instance;
+    identity then decides equality.  The variables are the objects in
+    ``alphas``, so a pattern subterm that does not change is returned as
+    the same object.
+    """
+
+    def __init__(self, prune: bool) -> None:
+        # With ``prune``, ``extend`` gives up on a tagged column.
+        self.prune = prune
+        self.alphas: list[Var] = []
+        self.var_index: dict[Var, int] = {}
+        self.shared: dict[Term, Term] = {}
+
+    def share(self, t: Term) -> Term:
+        if t.__class__ is App and t.args:
+            args = []
+            changed = False
+            for a in t.args:
+                b = self.share(a)
+                args.append(b)
+                changed = changed or b is not a
+            if changed:
+                t = App(t.head, tuple(args))
+        return self.shared.setdefault(t, t)
+
+    def extend(
+        self, u: Term, cols: list, terms: tuple, t: Term
+    ) -> Optional[tuple[Term, list]]:
+        """The pattern and columns of ``terms`` + (t,), given pattern ``u``
+        and columns ``cols`` of ``terms``; None when pruning and a column
+        mentions a reserved formula-tag head.
+
+        Walks (pattern subterm, new subterm) pairs.  A variable of the
+        new pattern is keyed by its pair: two positions have equal
+        columns exactly when their pairs are equal.  Its column is the
+        old variable's column, or the instances of the pattern subterm,
+        plus the new subterm.
+        """
+        prune = self.prune
+        alphas = self.alphas
+        var_index = self.var_index
+        fresh: dict[tuple[Term, Term], int] = {}
+        new_cols: list[tuple[Term, ...]] = []
+        path: list[int] = []
+
+        def walk(p: Term, s: Term) -> Optional[Term]:
+            if p is s:
+                return p
+            j = var_index.get(p) if p.__class__ is Var else None
+            if (
+                j is None
+                and p.__class__ is App
+                and s.__class__ is App
+                and p.head == s.head
+                and len(p.args) == len(s.args)
+            ):
+                pargs, sargs = p.args, s.args
+                out = None
+                for i in range(len(pargs)):
+                    path.append(i)
+                    c = walk(pargs[i], sargs[i])
+                    path.pop()
+                    if c is None:
+                        return None
+                    if out is not None:
+                        out.append(c)
+                    elif c is not pargs[i]:
+                        out = list(pargs[:i])
+                        out.append(c)
+                return p if out is None else App(p.head, tuple(out))
+            pair = (p, s)
+            n = fresh.get(pair)
+            if n is None:
+                # A pattern subterm's instances are tagged when it is:
+                # the old columns are clean whenever we prune.
+                if prune and (p.tagged or s.tagged):
+                    return None
+                if j is None:
+                    col = tuple(_subterm_at(x, path) for x in terms)
+                else:
+                    col = cols[j]
+                n = len(new_cols)
+                fresh[pair] = n
+                new_cols.append(col + (s,))
+                if n == len(alphas):
+                    v = alpha(n + 1)
+                    alphas.append(v)
+                    var_index[v] = n
+            return alphas[n]
+
+        v = walk(u, t)
+        if v is None:
+            return None
+        return v, new_cols
+
+
 def delta_g(terms: Sequence[Term]) -> SimpleDecomposition:
     """Anti-unify a nonempty term list.
 
     Positions where the terms disagree (and cannot be descended into
     because the heads differ) become variables; columns of identical
     disagreement are shared, numbered by first occurrence in the
-    pattern.
+    pattern.  The pattern grows one term at a time, exactly as in the
+    Δ-table's subset enumeration.
     """
-    ts = tuple(terms)
+    au = _AntiUnifier(prune=False)
+    ts = tuple(map(au.share, terms))
     if not ts:
         raise ValueError("delta_g needs at least one term")
-    columns: list[tuple[Term, ...]] = []
-    seen: dict[tuple[Term, ...], int] = {}
-
-    def gen(col: tuple[Term, ...]) -> Term:
-        first = col[0]
-        if all(t == first for t in col):
-            return first
-        if isinstance(first, App) and all(
-            isinstance(t, App)
-            and t.head == first.head
-            and len(t.args) == len(first.args)
-            for t in col
-        ):
-            return App(
-                first.head,
-                tuple(
-                    gen(tuple(t.args[j] for t in col))
-                    for j in range(len(first.args))
-                ),
-            )
-        idx = seen.get(col)
-        if idx is None:
-            idx = len(columns)
-            seen[col] = idx
-            columns.append(col)
-        return alpha(idx + 1)
-
-    u = gen(ts)
-    rows = tuple(
-        tuple(col[i] for col in columns) for i in range(len(ts))
-    )
+    u, cols = ts[0], []
+    for k in range(1, len(ts)):
+        u, cols = au.extend(u, cols, ts[:k], ts[k])
+    rows = tuple(zip(*cols)) if cols else ((),) * len(ts)
     return SimpleDecomposition(u, rows)
 
 
@@ -134,9 +229,12 @@ def _pattern_var_indices(u: Term) -> set[int]:
     return {alpha_index(v) for v in term_vars(u)}
 
 
-def _row_is_clean(row: Row) -> bool:
+def _key_is_clean(key: Key) -> bool:
     """True when no coordinate mentions a reserved formula-tag head."""
-    return not any(t.tagged for t in row)
+    return not any(map(_tagged, chain.from_iterable(key)))
+
+
+_tagged = attrgetter("tagged")
 
 
 Pair = tuple  # (pattern term, frozenset of covered terms)
@@ -144,7 +242,8 @@ Pair = tuple  # (pattern term, frozenset of covered terms)
 
 @dataclass(frozen=True)
 class DeltaTable:
-    """Anti-unification results of all subsets, indexed by witness key."""
+    """Anti-unification results of the subsets with clean keys, indexed
+    by witness key."""
 
     entries: dict  # Key -> frozenset[Pair]
     termset: frozenset
@@ -164,20 +263,61 @@ def _inject_pattern(u: Term, injection: Sequence[int]) -> Term:
     return subst_term(u, mapping)
 
 
+def _clean_subsets(
+    terms: Sequence[Term],
+    top: int,
+    cancel: Optional[Callable[[], None]] = None,
+) -> Iterator[tuple[Key, Term, tuple]]:
+    """(key, pattern, subset) for each subset of at most ``top`` terms
+    whose key is clean, depth first; each subset lists its terms in the
+    order of ``terms``.  The pattern is ``delta_g`` of the subset.
+
+    ``cancel`` runs once per subset visited, including those found
+    unclean (which are not extended).
+    """
+    au = _AntiUnifier(prune=True)
+    terms = tuple(map(au.share, terms))
+    n = len(terms)
+    # (index of the last term, pattern, columns, subset)
+    stack = [(-1, None, None, ())] if top > 0 else []
+    while stack:
+        last, u, cols, subset = stack.pop()
+        for j in range(last + 1, n):
+            if cancel is not None:
+                cancel()
+            t = terms[j]
+            if subset:
+                grown = au.extend(u, cols, subset, t)
+                if grown is None:
+                    continue
+                v, new_cols = grown
+            else:
+                v, new_cols = t, []
+            child = subset + (t,)
+            yield (
+                frozenset(zip(*new_cols)) if new_cols else _NO_COLUMNS,
+                v,
+                child,
+            )
+            if len(child) < top and j + 1 < n:
+                stack.append((j, v, new_cols, child))
+
+
 def build_delta_table(
     t: TermSet | Iterable[Term],
     max_subset: Optional[int] = None,
     limit: int = DEFAULT_TERMSET_LIMIT,
     cancel: Optional[Callable[[], None]] = None,
 ) -> DeltaTable:
-    """Anti-unify every subset of the term set and index by witness key.
+    """Anti-unify the subsets of the term set and index by witness key.
 
-    After the subset pass the table is closed under lifting: a pair
-    found at a key of arity m₀ is copied to every key of arity m > m₀
-    that projects onto it injectively (coordinate selection keeping all
-    rows distinct), with the pattern variables renamed to the selected
-    coordinates.  Lifting only raises arity; it never permutes a key
-    onto itself.
+    Only subsets with clean keys are stored; the enumeration never
+    extends a subset whose key is unclean.  After the subset pass the
+    table is closed under lifting: a pair found at a key of arity m₀ is
+    copied to every key of arity m > m₀ that projects onto it
+    injectively (coordinate selection keeping all rows distinct), with
+    the pattern variables renamed to the selected coordinates.  Lifting
+    only raises arity; it never permutes a key onto itself.
     """
     terms = sorted(t.terms if isinstance(t, TermSet) else t, key=term_key)
     if len(terms) > limit:
@@ -185,22 +325,21 @@ def build_delta_table(
     top = len(terms) if max_subset is None else min(max_subset, len(terms))
 
     table: dict[Key, set[Pair]] = {}
-    for r in range(1, top + 1):
-        for combo in combinations(terms, r):
-            if cancel is not None:
-                cancel()
-            sd = delta_g(combo)
-            table.setdefault(sd.key, set()).add(
-                (sd.u, frozenset(combo))
-            )
+    for key, u, subset in _clean_subsets(terms, top, cancel):
+        pair = (u, frozenset(subset))
+        pairs = table.get(key)
+        if pairs is None:
+            table[key] = {pair}
+        else:
+            pairs.add(pair)
 
     # Lift only the pairs found by the subset pass, never lifted copies.
     native = {k: tuple(v) for k, v in table.items()}
-    for key in list(table):
+    for key in native:
         m = _key_arity(key)
         if m < 2:
             continue
-        rows = sorted(key, key=tuple_key)
+        rows = list(key)
         for m0 in range(1, m):
             for inj in permutations(range(m), m0):
                 if cancel is not None:
@@ -282,6 +421,29 @@ def validate_decomposition(
     return d.expand() == target
 
 
+def _fold_order(entries: dict) -> list[Key]:
+    """The keys the fold scans, in scan order.
+
+    Keys of arity zero and unclean keys are left out.  The others sort by
+    arity, then size, then their rows sorted by ``tuple_key``.  Each
+    witness term is ranked by ``term_key`` once, so rows compare as
+    tuples of ranks, in the same order.
+    """
+    keys = [k for k in entries if _key_arity(k) and _key_is_clean(k)]
+    witnesses = {x for k in keys for row in k for x in row}
+    rank = {x: i for i, x in enumerate(sorted(witnesses, key=term_key))}.get
+
+    def order(k: Key) -> tuple:
+        return (
+            _key_arity(k),
+            len(k),
+            tuple(sorted(tuple(map(rank, row)) for row in k)),
+        )
+
+    keys.sort(key=order)
+    return keys
+
+
 def fold_delta_table(
     dt: DeltaTable,
     t: TermSet | Iterable[Term],
@@ -297,40 +459,54 @@ def fold_delta_table(
     under the projected key).  Results are sorted by (|W|, patterns,
     vectors) and deduplicated; only sizes equal to the global minimum
     survive.
+
+    Covered subsets are bitmasks over the table's terms, bit i standing
+    for the i-th term in ``term_key`` order.  Keys are scanned by
+    ``_fold_order``, groups in the order of their sorted terms, and the
+    search branches on the uncovered term in the fewest groups, the
+    first in ``term_key`` order on a tie.
     """
     target = frozenset(t.terms if isinstance(t, TermSet) else t)
+    index = {x: i for i, x in enumerate(sorted(dt.termset, key=term_key))}
+    if not target.issubset(index):
+        return []  # no group covers a term outside the table
+    full = 0
+    for x in target:
+        full |= 1 << index[x]
     best: list[float] = [math.inf]
     found: set[Decomposition] = set()
 
-    for key in sorted(dt.entries, key=_key_sort):
+    for key in _fold_order(dt.entries):
         m = _key_arity(key)
-        if m == 0:
-            continue
-        if not all(_row_is_clean(row) for row in key):
-            continue
         groups: dict[frozenset, list[Term]] = {}
         for u, covered in dt.entries[key]:
             groups.setdefault(covered, []).append(u)
-        if set().union(*groups) != target:
+        glist = []
+        union = 0
+        for cov, us in groups.items():
+            bits = sorted(map(index.__getitem__, cov))
+            mask = 0
+            for i in bits:
+                mask |= 1 << i
+            union |= mask
+            glist.append((bits, mask, us))
+        if union != full:
             continue
-        glist = sorted(
-            ((cov, tuple(sorted(us, key=term_key))) for cov, us in groups.items()),
-            key=lambda g: tuple(sorted(term_key(x) for x in g[0])),
-        )
-        by_term: dict[Term, list[int]] = {x: [] for x in target}
-        for gi, (cov, _) in enumerate(glist):
-            for x in cov:
-                by_term[x].append(gi)
+        glist.sort(key=itemgetter(0))
+        by_term: list[list[int]] = [[] for _ in index]
+        for gi, (bits, _, _) in enumerate(glist):
+            for i in bits:
+                by_term[i].append(gi)
 
         base_cost = len(key)
         chosen: list[int] = []
 
-        def search(uncovered: frozenset, n_patterns: int) -> None:
+        def search(uncovered: int, n_patterns: int) -> None:
             if cancel is not None:
                 cancel()
             if not uncovered:
                 u_set = frozenset(
-                    u for gi in chosen for u in glist[gi][1]
+                    u for gi in chosen for u in glist[gi][2]
                 )
                 used = set()
                 for u in u_set:
@@ -345,32 +521,28 @@ def fold_delta_table(
                     found.clear()
                 found.add(Decomposition(u=u_set, w=key))
                 return
-            lower = n_patterns + math.ceil(len(uncovered) / len(key))
+            lower = n_patterns + math.ceil(uncovered.bit_count() / base_cost)
             if lower + base_cost > best[0]:
                 return
-            pivot = min(
-                uncovered,
-                key=lambda x: (len(by_term[x]), term_key(x)),
-            )
+            pivot = -1
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                if pivot < 0 or len(by_term[i]) < len(by_term[pivot]):
+                    pivot = i
+                rest ^= low
             for gi in by_term[pivot]:
-                cov, us = glist[gi]
+                _, mask, us = glist[gi]
                 chosen.append(gi)
-                search(uncovered - cov, n_patterns + len(us))
+                search(uncovered & ~mask, n_patterns + len(us))
                 chosen.pop()
 
-        search(target, 0)
+        search(full, 0)
 
     results = [d for d in found if d.size == best[0]]
     results.sort(key=Decomposition.sort_key)
     return results
-
-
-def _key_sort(key: Key) -> tuple:
-    return (
-        _key_arity(key),
-        len(key),
-        tuple(sorted(tuple_key(r) for r in key)),
-    )
 
 
 def restrict_ci1(dt: DeltaTable) -> DeltaTable:

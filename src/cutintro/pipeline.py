@@ -81,6 +81,10 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None for no limit)")
+        if self.max_subset is not None and self.max_subset < 1:
+            raise ValueError(
+                "max_subset must be at least 1 (or None for no limit)"
+            )
         if self.termset_limit < 1:
             raise ValueError("termset_limit must be at least 1")
         if self.oracle_spec != "internal" and not self.oracle_spec.startswith(

@@ -12,7 +12,15 @@ from typing import Optional
 from cutintro.formulas import And, Atom, Eq, Formula, Imp, Not, Or, conj
 from cutintro.herbrand import HerbrandStructure
 from cutintro.sequents import PrenexFormula, Sequent, Sigma1Sequent
-from cutintro.terms import App, Term, Var, alpha, subst_term, term_key
+from cutintro.terms import (
+    App,
+    Term,
+    Var,
+    alpha,
+    subst_term,
+    tag_head,
+    term_key,
+)
 
 # ---------------------------------------------------------------------------
 # ground terms and term sets
@@ -106,6 +114,65 @@ def random_term_set(rng: random.Random, max_size: int = 8) -> frozenset:
         terms.add(random_ground_term(rng, funcs, consts, 3))
     while len(terms) > size:
         terms.discard(max(terms, key=term_key))
+    return frozenset(terms)
+
+
+def random_tagged_term_set(rng: random.Random, max_size: int = 9) -> frozenset:
+    """An encoded term set over 2–3 formula tags: every term is
+    #fᵢ(t₁, .., t_k) with ground arguments, k ∈ {1, 2} fixed per tag.
+
+    Half the draws instantiate a few tagged patterns with one shared set
+    of vectors, as the term set of a compressible proof does; the rest is
+    noise.  Every tag keeps at least one term.
+    """
+    funcs = [("f", 1), ("g", 2), ("h", 1)][: rng.randint(1, 3)]
+    consts = ["a", "b"][: rng.randint(1, 2)]
+    q = rng.randint(2, 3)
+    width = [rng.randint(1, 2) for _ in range(q)]
+    size = rng.randint(q, max(q, max_size))
+
+    def noise(i: int) -> Term:
+        return App(
+            tag_head(i + 1),
+            tuple(
+                random_ground_term(rng, funcs, consts, 2)
+                for _ in range(width[i])
+            ),
+        )
+
+    terms: set[Term] = {noise(i) for i in range(q)}
+    if rng.random() < 0.5:
+        m = rng.randint(1, 2)
+        rows = [
+            tuple(
+                random_ground_term(rng, funcs, consts, 1) for _ in range(m)
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(q)
+            u = App(
+                tag_head(i + 1),
+                tuple(
+                    _random_pattern(rng, funcs, consts, m, 2)
+                    for _ in range(width[i])
+                ),
+            )
+            for row in rows:
+                mapping = {alpha(j + 1).name: row[j] for j in range(m)}
+                terms.add(subst_term(u, mapping))
+    for _ in range(200):
+        if len(terms) >= size:
+            break
+        terms.add(noise(rng.randrange(q)))
+    while len(terms) > size:
+        # Drop the largest term of a tag that has more than one.
+        per_tag: dict[str, int] = {}
+        for t in terms:
+            per_tag[t.head] = per_tag.get(t.head, 0) + 1
+        terms.discard(
+            max((t for t in terms if per_tag[t.head] > 1), key=term_key)
+        )
     return frozenset(terms)
 
 

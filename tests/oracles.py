@@ -3,8 +3,10 @@
 These are deliberately naive: a recursive term order, truth-table
 enumeration plus fixpoint congruence saturation for validity, the
 oracle's first restart-DPLL lazy loop for clause sets, a two-pass
-anti-unifier, and an exhaustive cover search for minimal decompositions.  They share no code
-with the implementations under test.
+anti-unifier, the all-subsets Δ-table with its fold over term sets, and
+an exhaustive cover search for minimal decompositions.  They share no
+code with the implementations under test; the Δ-table references only
+build the package's ``DeltaTable`` and ``Decomposition`` records.
 """
 
 from __future__ import annotations
@@ -543,3 +545,140 @@ def brute_min_decompositions(terms: Iterable[Term]):
                 if entry not in best:
                     best.append(entry)
     return best_size, best
+
+
+# --------------------------------------------------------------------------
+# The all-subsets Δ-table and its fold
+# --------------------------------------------------------------------------
+
+
+def _reference_inject(u: Term, injection: Sequence[int]) -> Term:
+    from cutintro.terms import alpha
+
+    if isinstance(u, Var):
+        return alpha(injection[alpha_index(u.name) - 1] + 1)
+    if not u.args:
+        return u
+    return App(u.head, tuple(_reference_inject(a, injection) for a in u.args))
+
+
+def reference_build_delta_table(terms: Iterable[Term], max_subset=None):
+    """The Δ-table built the slow way: ``antiunify`` on every subset of
+    at most ``max_subset`` terms, unclean keys included, then every native
+    pair lifted into each larger key that projects onto its key
+    injectively.  Returns a ``DeltaTable``."""
+    from cutintro.decomposition import DeltaTable
+
+    tlist = sorted(terms, key=term_key)
+    top = len(tlist) if max_subset is None else min(max_subset, len(tlist))
+    table: dict[frozenset, set] = {}
+    for r in range(1, top + 1):
+        for combo in itertools.combinations(tlist, r):
+            u, rows = antiunify(combo)
+            table.setdefault(frozenset(rows), set()).add((u, frozenset(combo)))
+
+    native = {k: tuple(v) for k, v in table.items()}
+    for key in list(table):
+        m = len(next(iter(key)))
+        if m < 2:
+            continue
+        rows = sorted(key, key=lambda row: tuple(term_key(t) for t in row))
+        for m0 in range(1, m):
+            for inj in itertools.permutations(range(m), m0):
+                projected = [tuple(row[i] for i in inj) for row in rows]
+                if len(set(projected)) != len(rows):
+                    continue
+                for u0, covered in native.get(frozenset(projected), ()):
+                    table[key].add((_reference_inject(u0, inj), covered))
+
+    return DeltaTable(
+        entries={k: frozenset(v) for k, v in table.items()},
+        termset=frozenset(tlist),
+        max_subset=max_subset,
+    )
+
+
+def reference_clean_entries(table) -> dict:
+    """The entries of a Δ-table whose keys mention no reserved tag head."""
+    return {
+        k: v
+        for k, v in table.entries.items()
+        if all(_row_is_clean(row) for row in k)
+    }
+
+
+def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> list:
+    """Minimum decompositions from a Δ-table by branch and bound over
+    covered term sets, scanning keys by (arity, size, sorted rows),
+    groups by their sorted terms, and branching on the uncovered term in
+    the fewest groups.  Returns ``Decomposition``s sorted by their
+    ``sort_key``.  ``cancel`` runs once per search node."""
+    import math
+
+    from cutintro.decomposition import Decomposition
+
+    def row_key(row):
+        return tuple(term_key(t) for t in row)
+
+    def key_order(key):
+        return (len(next(iter(key))), len(key), tuple(sorted(map(row_key, key))))
+
+    target = frozenset(terms)
+    best: list[float] = [math.inf]
+    found: set = set()
+
+    for key in sorted(table.entries, key=key_order):
+        m = len(next(iter(key)))
+        if m == 0:
+            continue
+        if not all(_row_is_clean(row) for row in key):
+            continue
+        groups: dict[frozenset, list[Term]] = {}
+        for u, covered in table.entries[key]:
+            groups.setdefault(covered, []).append(u)
+        if set().union(*groups) != target:
+            continue
+        glist = sorted(
+            groups.items(),
+            key=lambda g: tuple(sorted(term_key(x) for x in g[0])),
+        )
+        by_term: dict[Term, list[int]] = {x: [] for x in target}
+        for gi, (cov, _) in enumerate(glist):
+            for x in cov:
+                by_term[x].append(gi)
+
+        chosen: list[int] = []
+
+        def search(uncovered: frozenset, n_patterns: int) -> None:
+            if cancel is not None:
+                cancel()
+            if not uncovered:
+                u_set = frozenset(u for gi in chosen for u in glist[gi][1])
+                used = set()
+                for u in u_set:
+                    used |= _pattern_vars(u)
+                if used != set(range(1, m + 1)):
+                    return
+                size = len(u_set) + len(key)
+                if size > best[0]:
+                    return
+                if size < best[0]:
+                    best[0] = size
+                    found.clear()
+                found.add(Decomposition(u=u_set, w=key))
+                return
+            lower = n_patterns + math.ceil(len(uncovered) / len(key))
+            if lower + len(key) > best[0]:
+                return
+            pivot = min(uncovered, key=lambda x: (len(by_term[x]), term_key(x)))
+            for gi in by_term[pivot]:
+                cov, us = glist[gi]
+                chosen.append(gi)
+                search(uncovered - cov, n_patterns + len(us))
+                chosen.pop()
+
+        search(target, 0)
+
+    results = [d for d in found if d.size == best[0]]
+    results.sort(key=Decomposition.sort_key)
+    return results

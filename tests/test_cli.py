@@ -98,6 +98,55 @@ class TestCorpus:
         assert "error" in capsys.readouterr().err
 
 
+_BAD_OPTIONS = [
+    ["--termset-limit", "0"],
+    ["--timeout", "-1"],
+    ["--max-subset", "0"],
+    ["--max-subset", "-3"],
+]
+
+
+class TestInvalidOptionValues:
+    @pytest.mark.parametrize("option", _BAD_OPTIONS)
+    def test_run_exits_two_with_one_line(self, golden_file, option, capsys):
+        assert main(["run", str(golden_file), *option]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cutintro run: error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("option", _BAD_OPTIONS)
+    def test_corpus_exits_two_with_one_line(
+        self, golden_file, option, capsys
+    ):
+        code = main(["corpus", str(golden_file.parent), *option])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cutintro corpus: error: ")
+        assert err.count("\n") == 1
+
+    def test_no_traceback_from_the_console_script(self, golden_file):
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "cutintro.cli",
+                "run",
+                str(golden_file),
+                "--termset-limit",
+                "0",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr == (
+            "cutintro run: error: termset_limit must be at least 1\n"
+        )
+
+
 class TestCheck:
     def test_valid_proof(self, golden_file, tmp_path, capsys):
         out = tmp_path / "artifacts"

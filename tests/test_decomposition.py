@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from cutintro.decomposition import (
     DEFAULT_TERMSET_LIMIT,
     Decomposition,
     TermSetTooLarge,
+    _clean_subsets,
     build_delta_table,
     delta_g,
     fold_delta_table,
@@ -40,6 +44,30 @@ def f(t):
 
 def s(t):
     return App("s", (t,))
+
+
+def _power(fn, t, n):
+    for _ in range(n):
+        t = fn(t)
+    return t
+
+
+def _chain_termset(n):
+    """The term set of P(c), ∀x (P(x) → P(f x)) ⊢ P(fⁿc): one tag."""
+    return frozenset(App("#f2", (_power(f, const("c"), k),)) for k in range(n))
+
+
+def _random_term_list(rng):
+    """A shuffled list drawn from a tagged or an untagged term set, with
+    a repeated term now and then."""
+    if rng.random() < 0.5:
+        ts = list(gen.random_tagged_term_set(rng, max_size=6))
+    else:
+        ts = list(gen.random_term_set(rng, max_size=6))
+    if rng.random() < 0.2:
+        ts.append(rng.choice(ts))
+    rng.shuffle(ts)
+    return ts
 
 
 def _expand(u, rows):
@@ -103,6 +131,29 @@ class TestDeltaG:
             assert g.u == u2, f"seed {seed}"
             assert g.rows == rows2, f"seed {seed}"
 
+    def test_matches_independent_antiunifier_tagged_and_in_any_order(self):
+        for seed in range(300):
+            ts = _random_term_list(random.Random(seed))
+            g = delta_g(ts)
+            u2, rows2 = oracles.antiunify(ts)
+            assert g.u == u2, f"seed {seed}"
+            assert g.rows == rows2, f"seed {seed}"
+
+    def test_frames_per_nesting_level(self):
+        # Anti-unifying terms nested d deep may take at most two frames
+        # per level, as the recursive column generalizer it replaced did.
+        d = 300
+        ts = [_power(f, a, d), _power(f, b, d)]
+        here = len(inspect.stack(0))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(here + 2 * d + 50)
+        try:
+            g = delta_g(ts)
+        finally:
+            sys.setrecursionlimit(old)
+        assert g.u == _power(f, alpha(1), d)
+        assert g.rows == ((a,), (b,))
+
     def test_expansion_reproduces_input(self):
         for seed in range(200):
             rng = random.Random(seed)
@@ -126,8 +177,93 @@ class TestDeltaG:
 
 
 class TestDeltaTable:
-    def test_golden_key_count(self, golden_table):
-        assert len(golden_table.entries) == 4023
+    def test_golden_key_count(self, golden_table, golden_termset):
+        # Only clean keys are stored: all 2¹² - 1 subsets give 4023 keys,
+        # of which 198 mention no tag head in their vectors.
+        assert len(golden_table.entries) == 198
+        reference = oracles.reference_build_delta_table(golden_termset.terms)
+        assert len(reference.entries) == 4023
+        assert len(oracles.reference_clean_entries(reference)) == 198
+
+    def test_enumeration_stores_delta_g_of_each_clean_subset(
+        self, golden_termset
+    ):
+        sets = [golden_termset.terms, _chain_termset(6)]
+        for s in range(40):
+            sets.append(gen.random_tagged_term_set(random.Random(s)))
+            sets.append(gen.random_term_set(random.Random(s)))
+        # Tagged and untagged terms mixed: a tagged pattern meets an
+        # untagged term.
+        sets += [
+            gen.random_tagged_term_set(random.Random(s), max_size=4)
+            | gen.random_term_set(random.Random(s), max_size=3)
+            for s in range(40)
+        ]
+        for ts in sets:
+            terms = sorted(ts, key=term_key)
+            stored = set()
+            for key, u, subset in _clean_subsets(terms, len(terms)):
+                sd = delta_g(subset)
+                assert (u, key) == (sd.u, sd.key)
+                assert list(subset) == sorted(subset, key=term_key)
+                stored.add(subset)
+            clean = {
+                combo
+                for r in range(1, len(terms) + 1)
+                for combo in itertools.combinations(terms, r)
+                if not any(
+                    x.tagged for x in itertools.chain(*delta_g(combo).rows)
+                )
+            }
+            assert stored == clean
+
+    def test_unclean_subsets_are_visited_but_not_extended(self):
+        ts = [App("#f1", (a,)), App("#f2", (a,)), App("#f2", (b,))]
+        polls = []
+        got = list(_clean_subsets(ts, 3, lambda: polls.append(1)))
+        assert {subset for _, _, subset in got} == {
+            (ts[0],), (ts[1],), (ts[2],), (ts[1], ts[2])
+        }
+        # Three singletons and three pairs are visited.  Both pairs with
+        # #f1(a) have a tagged column, so the triple is never visited.
+        assert len(polls) == 6
+
+    def test_equals_reference_table_and_fold(self, golden_termset):
+        sets = [golden_termset.terms]
+        sets += [_chain_termset(n) for n in range(7, 12)]
+        sets += [gen.random_term_set(random.Random(s)) for s in range(200)]
+        sets += [
+            gen.random_tagged_term_set(random.Random(s)) for s in range(300)
+        ]
+        for i, ts in enumerate(sets):
+            ref = oracles.reference_build_delta_table(ts)
+            table = build_delta_table(ts)
+            assert table.entries == oracles.reference_clean_entries(ref), i
+            ref_polls, polls = [], []
+            expected = oracles.reference_fold_delta_table(
+                ref, ts, cancel=lambda: ref_polls.append(1)
+            )
+            assert fold_delta_table(
+                table, ts, cancel=lambda: polls.append(1)
+            ) == expected, i
+            # The same search nodes, in the bitmask fold and the old one.
+            assert len(polls) == len(ref_polls), i
+
+    @pytest.mark.parametrize("seed", [180, 624, 1095])
+    def test_fold_visits_the_reference_nodes(self, seed):
+        # Eleven-term sets on which scanning a key's groups in another
+        # order (by bitmask value, say) changes the number of nodes.
+        ts = gen.random_tagged_term_set(random.Random(seed), max_size=11)
+        ref = oracles.reference_build_delta_table(ts)
+        ref_polls, polls = [], []
+        expected = oracles.reference_fold_delta_table(
+            ref, ts, cancel=lambda: ref_polls.append(1)
+        )
+        got = fold_delta_table(
+            build_delta_table(ts), ts, cancel=lambda: polls.append(1)
+        )
+        assert got == expected
+        assert len(polls) == len(ref_polls)
 
     def test_every_pair_expands_to_its_cover(self, golden_table):
         checked = 0
@@ -159,6 +295,11 @@ class TestDeltaTable:
         full = build_delta_table(golden_termset)
         assert len(small.entries) <= len(full.entries)
         assert small.max_subset == 2
+        for m in (1, 2, 3):
+            ref = oracles.reference_build_delta_table(golden_termset.terms, m)
+            assert build_delta_table(
+                golden_termset, max_subset=m
+            ).entries == oracles.reference_clean_entries(ref)
 
     def test_termset_limit(self):
         ts = frozenset(

@@ -41,6 +41,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(timeout=0)
 
+    @pytest.mark.parametrize("max_subset", [0, -1])
+    def test_rejects_max_subset_below_one(self, max_subset):
+        # Subsets of no term give an empty table, which would report a
+        # compressible input as uncompressible.
+        with pytest.raises(ValueError, match="max_subset"):
+            RunConfig(max_subset=max_subset)
+
+    def test_accepts_max_subset_one(self):
+        assert RunConfig(max_subset=1).max_subset == 1
+
     def test_rejects_unknown_oracle_spec(self):
         with pytest.raises(ValueError):
             RunConfig(oracle_spec="magic")
