@@ -21,7 +21,7 @@ results that still solve the schema.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cnf import (
     CNF,
@@ -300,15 +300,21 @@ def forget(cnf: CNF) -> list[CNF]:
     general in the entailment order, which is what lets the improvement
     loop shrink solutions.
     """
-    return [succ for succ, _ in forget_steps(cnf)]
+    return [succ for succ, _ in _forget_moves(cnf)]
 
 
 def forget_steps(cnf: CNF) -> list[tuple[CNF, str]]:
+    """``forget`` with each successor's provenance string."""
+    return [(succ, _step_text(*move)) for succ, move in _forget_moves(cnf)]
+
+
+def _forget_moves(cnf: CNF) -> Iterator[tuple[CNF, tuple]]:
+    """Each distinct successor once, with the (clause, clause, result)
+    step that first reached it; the step is rendered only on demand."""
     clauses = sorted(
         cnf, key=lambda c: tuple(sorted(literal_key(l) for l in c))
     )
     seen: set[CNF] = set()
-    out: list[tuple[CNF, str]] = []
     for i in range(len(clauses)):
         for j in range(i + 1, len(clauses)):
             rest = frozenset(clauses) - {clauses[i], clauses[j]}
@@ -317,13 +323,15 @@ def forget_steps(cnf: CNF) -> list[tuple[CNF, str]]:
                 if succ in seen:
                     continue
                 seen.add(succ)
-                step = (
-                    f"[{render_formula(clause_formula(clauses[i]))}] + "
-                    f"[{render_formula(clause_formula(clauses[j]))}] => "
-                    f"[{render_formula(clause_formula(new))}]"
-                )
-                out.append((succ, step))
-    return out
+                yield succ, (clauses[i], clauses[j], new)
+
+
+def _step_text(ci: Clause, cj: Clause, new: Clause) -> str:
+    return (
+        f"[{render_formula(clause_formula(ci))}] + "
+        f"[{render_formula(clause_formula(cj))}] => "
+        f"[{render_formula(clause_formula(new))}]"
+    )
 
 
 def _prune_alpha_free(cnf: CNF) -> CNF:
@@ -402,13 +410,13 @@ def sf_improve(
         if visited >= node_cap:
             capped = True
             break
-        for succ, step in forget_steps(node):
+        for succ, move in _forget_moves(node):
             succ = _prune_alpha_free(succ)
             if succ in seen:
                 continue
             seen.add(succ)
             if guard_holds(succ):
-                stack.append((succ, prov + (step,)))
+                stack.append((succ, prov + (_step_text(*move),)))
     return SFResult(candidates=results, visited=visited, capped=capped)
 
 

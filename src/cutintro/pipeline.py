@@ -56,7 +56,7 @@ from .proofs import (
     proof_to_json,
     render_proof,
 )
-from .serialize import term_to_json
+from .serialize import dumps_indented, term_to_json
 from .terms import tuple_key
 
 
@@ -85,8 +85,9 @@ class RunConfig:
             raise ValueError(
                 "max_subset must be at least 1 (or None for no limit)"
             )
-        if self.termset_limit < 1:
-            raise ValueError("termset_limit must be at least 1")
+        for name in ("termset_limit", "sf_cap", "step_cap", "cnf_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.oracle_spec != "internal" and not self.oracle_spec.startswith(
             "cmd:"
         ):
@@ -226,13 +227,13 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
         outcome = _try_decomposition(dec, seq, cfg, oracle, cancel, failures)
         if outcome is None:
             continue
-        ehs, best, proof, sf = outcome
+        ehs, canonical, best, proof, sf = outcome
         ok, msg = check_proof_report(proof, oracle)
         if not ok:
             failures.append(f"constructed proof failed its recheck: {msg}")
             continue
         report.decomposition = _decomposition_json(dec, seq.q)
-        report.canonical_size = formula_size(canonical_solution(ehs).formula)
+        report.canonical_size = formula_size(canonical.formula)
         report.improved_size = formula_size(best.formula)
         report.comq = metrics(proof)["comq"]
         report.cut_formula = render_formula(best.formula)
@@ -241,7 +242,7 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
         report.status = "compressed"
         report.strictly_compressed = dec.size < len(termset)
         if cfg.out_dir:
-            _write_artifacts(cfg.out_dir, ehs, best, proof, sf)
+            _write_artifacts(cfg.out_dir, ehs, canonical, best, proof, sf)
         return
     report.status = "error"
     report.messages.extend(
@@ -273,7 +274,7 @@ def _try_decomposition(
         except ProofBuildError as err:
             failures.append(str(err))
             continue
-        return ehs, candidate, proof, sf
+        return ehs, cand, candidate, proof, sf
     return None
 
 
@@ -299,13 +300,13 @@ def _write_report(report: RunReport, out_dir: str) -> None:
 def _write_artifacts(
     out_dir: str,
     ehs: SchematicEHS,
+    canonical: SolutionCandidate,
     best: SolutionCandidate,
     proof,
     sf,
 ) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    canonical = canonical_solution(ehs)
     lines = [
         "canonical solution:",
         "  " + render_formula(canonical.formula),
@@ -319,7 +320,7 @@ def _write_artifacts(
     (out / "solution.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "proof.txt").write_text(render_proof(proof) + "\n", encoding="utf-8")
     (out / "proof.json").write_text(
-        json.dumps(proof_to_json(proof), indent=2) + "\n", encoding="utf-8"
+        dumps_indented(proof_to_json(proof)) + "\n", encoding="utf-8"
     )
     dec_json = {
         "w": [[term_to_json(t) for t in row] for row in ehs.w],

@@ -545,25 +545,45 @@ def render_proof(p: Proof) -> str:
 
 
 def proof_to_json(p: Proof) -> Any:
-    d: dict = {
-        "rule": _RULE_NAMES[type(p)],
-        "conclusion": sequent_to_json(p.conclusion),
-    }
-    if isinstance(p, (ForallLeftBlock, ExistsRightBlock)):
-        d["quantified"] = formula_to_json(p.quantified)
-        d["terms"] = [term_to_json(t) for t in p.terms]
-        d["premise"] = proof_to_json(p.premise)
-    elif isinstance(p, ForallRightBlock):
-        d["quantified"] = formula_to_json(p.quantified)
-        d["eigen"] = list(p.eigen)
-        d["premise"] = proof_to_json(p.premise)
-    elif isinstance(p, CutNode):
-        d["cut_formula"] = formula_to_json(p.cut_formula)
-        d["left"] = proof_to_json(p.left)
-        d["right"] = proof_to_json(p.right)
-    elif isinstance(p, (ContractNode, WeakenNode)):
-        d["premise"] = proof_to_json(p.premise)
-    return d
+    """The proof as plain dicts and lists, as ``proof.json`` holds it.
+
+    Each distinct formula object becomes one dict, shared wherever the
+    formula occurs (a node's conclusion mostly repeats its premise's
+    formulas), so the result is read-only: mutating one formula's dict
+    changes every place it appears.
+    """
+    # id -> (formula, dict): holding the formula keeps its id unique
+    # for the length of the call.
+    memo: dict[int, tuple[Formula, Any]] = {}
+
+    def formula(f: Formula) -> Any:
+        hit = memo.get(id(f))
+        if hit is None:
+            hit = memo[id(f)] = (f, formula_to_json(f))
+        return hit[1]
+
+    def node(p: Proof) -> dict:
+        d: dict = {
+            "rule": _RULE_NAMES[type(p)],
+            "conclusion": sequent_to_json(p.conclusion, formula),
+        }
+        if isinstance(p, (ForallLeftBlock, ExistsRightBlock)):
+            d["quantified"] = formula(p.quantified)
+            d["terms"] = [term_to_json(t) for t in p.terms]
+            d["premise"] = node(p.premise)
+        elif isinstance(p, ForallRightBlock):
+            d["quantified"] = formula(p.quantified)
+            d["eigen"] = list(p.eigen)
+            d["premise"] = node(p.premise)
+        elif isinstance(p, CutNode):
+            d["cut_formula"] = formula(p.cut_formula)
+            d["left"] = node(p.left)
+            d["right"] = node(p.right)
+        elif isinstance(p, (ContractNode, WeakenNode)):
+            d["premise"] = node(p.premise)
+        return d
+
+    return node(p)
 
 
 def proof_from_json(d: Any) -> Proof:

@@ -103,6 +103,8 @@ _BAD_OPTIONS = [
     ["--timeout", "-1"],
     ["--max-subset", "0"],
     ["--max-subset", "-3"],
+    ["--sf-cap", "0"],
+    ["--sf-cap", "-1"],
 ]
 
 

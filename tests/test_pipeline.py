@@ -51,6 +51,18 @@ class TestRunConfig:
     def test_accepts_max_subset_one(self):
         assert RunConfig(max_subset=1).max_subset == 1
 
+    @pytest.mark.parametrize("cap", ["sf_cap", "step_cap", "cnf_cap"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_caps_below_one(self, cap, value):
+        # A cap below one would silently cut its search off: --sf-cap -1
+        # used to report a size-27 cut formula instead of size 4.
+        with pytest.raises(ValueError, match=cap):
+            RunConfig(**{cap: value})
+
+    @pytest.mark.parametrize("cap", ["sf_cap", "step_cap", "cnf_cap"])
+    def test_accepts_caps_of_one(self, cap):
+        assert getattr(RunConfig(**{cap: 1}), cap) == 1
+
     def test_rejects_unknown_oracle_spec(self):
         with pytest.raises(ValueError):
             RunConfig(oracle_spec="magic")
