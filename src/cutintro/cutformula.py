@@ -11,21 +11,34 @@ is valid modulo equality, where Γ'/Δ' are the instantiated sides.  Any
 solution can serve as the matrix of a single quantified cut ∀x̄.A whose
 proof reproduces the original Herbrand sequent.
 
-The canonical solution ⋀Γ' ∧ ¬⋁Δ' always works and is a least element
-of the solution space under entailment; ``sf_improve`` then searches for
-smaller solutions by forgetful inference: replacing two clauses of the
-clause form by one of their resolvents or paramodulants and keeping the
-results that still solve the schema.
+That sequent is never built: it holds iff both of its halves do, and
+each half is decided on clause sets, with the free ᾱ read as constants.
+Write S for the side clauses, the clause form of Γ' ∧ ¬⋁Δ':
+
+  (i)  Γ' ⊢ Δ', A — every clause C of A's clause form follows from S,
+       one refutation of S ∪ {¬l : l ∈ C} per clause C not in S;
+  (ii) A(w̄₁), .., A(w̄_k), Γ' ⊢ Δ' — the guard, a refutation of
+       S ∪ ⋃_{w̄ ∈ W} A[w̄].
+
+The canonical solution ⋀Γ' ∧ ¬⋁Δ' always works (its clause form is S,
+so (i) asks nothing) and is a least element of the solution space under
+entailment; ``sf_improve`` then searches for smaller solutions by
+forgetful inference: replacing two clauses of the clause form by one of
+their resolvents or paramodulants and keeping the results that still
+pass the guard.  They keep (i) because they follow from the canonical
+clauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .cnf import (
     CNF,
     Clause,
+    CnfBlowup,
     cnf_of_formulas,
     clause_formula,
     formula_of_cnf,
@@ -39,7 +52,6 @@ from .formulas import (
     Atom,
     Eq,
     Formula,
-    Imp,
     Not,
     Top,
     apply_subst,
@@ -49,7 +61,7 @@ from .formulas import (
     formula_vars,
     render_formula,
 )
-from .sequents import Sequent, Sigma1Sequent
+from .sequents import Sigma1Sequent
 from .terms import (
     Term,
     alpha,
@@ -86,8 +98,10 @@ class SchematicEHS:
     def size(self) -> int:
         return len(self.w) + sum(len(ui) for ui in self.u)
 
-    def instance_sequent(self) -> Sequent:
-        return Sequent(self.gamma, self.delta)
+    @cached_property
+    def side_clauses(self) -> CNF:
+        """Clause form of Γ' ∧ ¬⋁Δ'; raises CnfBlowup past the cap."""
+        return cnf_of_formulas(self.gamma, self.delta)
 
 
 def _subst_for_row(row: tuple) -> dict:
@@ -176,28 +190,28 @@ def canonical_solution(e: SchematicEHS) -> SolutionCandidate:
         parts.append(Not(disj(list(e.delta))))
     f: Formula = conj(parts) if parts else Top()
     return SolutionCandidate(
-        formula=f, clauses=to_cnf(f), provenance=("canonical",)
+        formula=f, clauses=e.side_clauses, provenance=("canonical",)
     )
 
 
-def solution_sequent(e: SchematicEHS, a: Formula) -> Sequent:
-    """The validity query that defines solutionhood."""
-    stepped = conj(
-        [apply_subst(a, _subst_for_row(row)) for row in e.w]
-    )
-    return Sequent((Imp(a, stepped),) + e.gamma, e.delta)
+def guard_clauses(e: SchematicEHS, clauses: CNF) -> CNF:
+    """A(w̄₁), .., A(w̄_k), Γ' ⊢ Δ' as a clause set to refute, where
+    ``clauses`` is the clause form of A(ᾱ)."""
+    out = set(e.side_clauses)
+    for row in e.w:
+        out |= subst_clauses(clauses, _subst_for_row(row))
+    return frozenset(out)
+
+
+def _negated(c: Clause) -> CNF:
+    """¬C as unit clauses."""
+    return frozenset(frozenset([(not sign, atom)]) for sign, atom in c)
 
 
 def check_solution(
     e: SchematicEHS, a: Formula, oracle: Oracle
 ) -> bool:
     """True iff A(ᾱ) solves the schema; UNKNOWN counts as failure."""
-    return check_solution_verdict(e, a, oracle) is Verdict.VALID
-
-
-def check_solution_verdict(
-    e: SchematicEHS, a: Formula, oracle: Oracle
-) -> Verdict:
     bad = [
         v
         for v in formula_vars(a)
@@ -207,15 +221,13 @@ def check_solution_verdict(
         raise SchemaError(
             f"candidate mentions variable {sorted(bad)[0]} outside α₁..α_{e.arity}"
         )
-    return oracle.validity(solution_sequent(e, a))
-
-
-def guard_sequent(e: SchematicEHS, a: Formula) -> Sequent:
-    """A(w̄₁), .., A(w̄_k), Γ' ⊢ Δ' — the step part of solutionhood."""
-    steps = tuple(
-        apply_subst(a, _subst_for_row(row)) for row in e.w
-    )
-    return Sequent(steps + e.gamma, e.delta)
+    try:
+        side, clauses = e.side_clauses, to_cnf(a)
+    except CnfBlowup:
+        return False
+    queries = [side | _negated(c) for c in clauses - side]
+    queries.append(guard_clauses(e, clauses))
+    return all(oracle.refutation(q) is Verdict.VALID for q in queries)
 
 
 def _subst_atom(atom, mapping: dict):
@@ -303,11 +315,6 @@ def forget(cnf: CNF) -> list[CNF]:
     return [succ for succ, _ in _forget_moves(cnf)]
 
 
-def forget_steps(cnf: CNF) -> list[tuple[CNF, str]]:
-    """``forget`` with each successor's provenance string."""
-    return [(succ, _step_text(*move)) for succ, move in _forget_moves(cnf)]
-
-
 def _forget_moves(cnf: CNF) -> Iterator[tuple[CNF, tuple]]:
     """Each distinct successor once, with the (clause, clause, result)
     step that first reached it; the step is rendered only on demand."""
@@ -382,15 +389,6 @@ def sf_improve(
     every node.  Nodes whose every successor fails the guard are leaves;
     the minimal candidates over all visited nodes are returned.
     """
-    side_clauses = cnf_of_formulas(e.gamma, e.delta)
-    row_substs = [_subst_for_row(row) for row in e.w]
-
-    def guard_holds(node: CNF) -> bool:
-        clauses = set(side_clauses)
-        for mapping in row_substs:
-            clauses |= subst_clauses(node, mapping)
-        return oracle.refutation(frozenset(clauses)) is Verdict.VALID
-
     entry = _prune_alpha_free(simplify_clauses(cand.clauses))
     seen: set[CNF] = {entry}
     stack: list[tuple[CNF, tuple]] = [(entry, cand.provenance)]
@@ -415,7 +413,7 @@ def sf_improve(
             if succ in seen:
                 continue
             seen.add(succ)
-            if guard_holds(succ):
+            if oracle.refutation(guard_clauses(e, succ)) is Verdict.VALID:
                 stack.append((succ, prov + (_step_text(*move),)))
     return SFResult(candidates=results, visited=visited, capped=capped)
 

@@ -33,6 +33,7 @@ from .cnf import (
     CnfBlowup,
     DEFAULT_CNF_CAP,
     cnf_of_formulas,
+    formula_of_cnf,
     simplify_clauses,
 )
 from .formulas import Atom, Eq, Not, formula_key, is_quantifier_free
@@ -452,7 +453,6 @@ def _theory_conflict(
 def _decide_clauses(
     cnf: CNF,
     *,
-    theory: bool,
     budget: _Budget,
     cancel: Optional[Callable[[], None]] = None,
 ) -> Verdict:
@@ -471,8 +471,6 @@ def _decide_clauses(
         model = search.next_model()
         if model is None:
             return Verdict.VALID
-        if not theory:
-            return Verdict.INVALID
         if graph is None:
             graph = _intern_atoms(atoms)
         blocking = _theory_conflict(*graph, model)
@@ -480,13 +478,6 @@ def _decide_clauses(
             return Verdict.INVALID
         budget.spend(len(blocking))
         search.block(blocking)
-
-
-def _refutation_cnf(seq: Sequent, cap: int) -> CNF:
-    for f in tuple(seq.ante) + tuple(seq.succ):
-        if not is_quantifier_free(f):
-            raise ValueError(f"sequent is not quantifier-free: {f!r}")
-    return cnf_of_formulas(seq.ante, seq.succ, cap)
 
 
 def decide_validity(
@@ -497,56 +488,52 @@ def decide_validity(
     cancel: Optional[Callable[[], None]] = None,
 ) -> Verdict:
     """Three-valued validity of a ground sequent modulo equality."""
+    for f in tuple(seq.ante) + tuple(seq.succ):
+        if not is_quantifier_free(f):
+            raise ValueError(f"sequent is not quantifier-free: {f!r}")
     try:
-        cnf = _refutation_cnf(seq, cap=cnf_cap)
-        return _decide_clauses(
-            cnf, theory=True, budget=_Budget(step_cap), cancel=cancel
-        )
+        cnf = cnf_of_formulas(seq.ante, seq.succ, cnf_cap)
+        return _decide_clauses(cnf, budget=_Budget(step_cap), cancel=cancel)
     except (CnfBlowup, OracleLimit):
         return Verdict.UNKNOWN
 
 
-def decide_tautology(
-    seq: Sequent,
-    *,
-    step_cap: int = DEFAULT_STEP_CAP,
-    cnf_cap: int = DEFAULT_CNF_CAP,
-    cancel: Optional[Callable[[], None]] = None,
-) -> Verdict:
-    """Propositional validity; equations are opaque atoms."""
-    try:
-        cnf = _refutation_cnf(seq, cap=cnf_cap)
-        return _decide_clauses(
-            cnf, theory=False, budget=_Budget(step_cap), cancel=cancel
-        )
-    except (CnfBlowup, OracleLimit):
-        return Verdict.UNKNOWN
-
-
-def is_quasi_tautology(seq: Sequent, **kw) -> bool:
-    """True iff provably valid modulo equality; UNKNOWN maps to False."""
-    return decide_validity(seq, **kw) is Verdict.VALID
-
-
-def is_tautology(seq: Sequent, **kw) -> bool:
-    """True iff propositionally valid; UNKNOWN maps to False."""
-    return decide_tautology(seq, **kw) is Verdict.VALID
-
-
+@dataclass(eq=False)
 class Oracle:
-    """Decision backend for validity modulo equality."""
+    """Decision backend for validity modulo equality.
+
+    Verdicts are cached per query: a sequent under its (antecedent,
+    succedent) pair, a clause set under itself.  ``calls`` counts the
+    queries that reached the backend, which implements only the
+    uncached ``_decide_validity`` (and ``_decide_refutation``, when it
+    decides clause sets without a formula round trip).
+    """
+
+    calls: int = field(default=0, kw_only=True)
+    _memo: dict = field(default_factory=dict, kw_only=True, repr=False)
 
     def validity(self, seq: Sequent) -> Verdict:
-        raise NotImplementedError
+        key = (tuple(seq.ante), tuple(seq.succ))
+        return self._cached(key, self._decide_validity, seq)
 
     def refutation(self, clauses: CNF) -> Verdict:
         """VALID iff the clause set is unsatisfiable modulo equality."""
-        from .cnf import formula_of_cnf
+        return self._cached(clauses, self._decide_refutation, clauses)
 
-        return self.validity(Sequent((), (Not(formula_of_cnf(clauses)),)))
+    def _cached(self, key, decide: Callable, query) -> Verdict:
+        hit = self._memo.get(key)
+        if hit is None:
+            self.calls += 1
+            hit = self._memo[key] = decide(query)
+        return hit
 
-    def close(self) -> None:
-        pass
+    def _decide_validity(self, seq: Sequent) -> Verdict:
+        raise NotImplementedError
+
+    def _decide_refutation(self, clauses: CNF) -> Verdict:
+        return self._decide_validity(
+            Sequent((), (Not(formula_of_cnf(clauses)),))
+        )
 
 
 @dataclass
@@ -554,35 +541,19 @@ class InternalOracle(Oracle):
     step_cap: int = DEFAULT_STEP_CAP
     cnf_cap: int = DEFAULT_CNF_CAP
     cancel: Optional[Callable[[], None]] = None
-    calls: int = 0
-    _memo: dict = field(default_factory=dict)
 
-    def validity(self, seq: Sequent) -> Verdict:
-        key = (tuple(seq.ante), tuple(seq.succ))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self.calls += 1
-        v = decide_validity(
+    def _decide_validity(self, seq: Sequent) -> Verdict:
+        return decide_validity(
             seq, step_cap=self.step_cap, cnf_cap=self.cnf_cap,
             cancel=self.cancel,
         )
-        self._memo[key] = v
-        return v
 
-    def refutation(self, clauses: CNF) -> Verdict:
-        hit = self._memo.get(clauses)
-        if hit is not None:
-            return hit
-        self.calls += 1
+    def _decide_refutation(self, clauses: CNF) -> Verdict:
         try:
-            v = _decide_clauses(
+            return _decide_clauses(
                 simplify_clauses(clauses),
-                theory=True,
                 budget=_Budget(self.step_cap),
                 cancel=self.cancel,
             )
         except OracleLimit:
-            v = Verdict.UNKNOWN
-        self._memo[clauses] = v
-        return v
+            return Verdict.UNKNOWN

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .cnf import DEFAULT_CNF_CAP
+from .cnf import DEFAULT_CNF_CAP, CnfBlowup
 from .cutformula import (
     SchematicEHS,
     SolutionCandidate,
@@ -259,7 +259,14 @@ def _try_decomposition(
     except ValueError as err:
         failures.append(str(err))
         return None
-    cand = canonical_solution(ehs)
+    try:
+        cand = canonical_solution(ehs)
+    except CnfBlowup as err:
+        failures.append(
+            f"canonical solution for {dec.render()} passes the "
+            f"clause-form cap: {err}"
+        )
+        return None
     if not check_solution(ehs, cand.formula, oracle):
         failures.append(
             "canonical solution could not be certified for "

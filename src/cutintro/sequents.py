@@ -91,9 +91,3 @@ class Sequent:
         left = ", ".join(render_formula(f) for f in self.ante)
         right = ", ".join(render_formula(f) for f in self.succ)
         return f"{left} |- {right}"
-
-
-def render_sigma1(s: Sigma1Sequent) -> str:
-    left = ", ".join(render_formula(pf.to_formula("all")) for pf in s.ante)
-    right = ", ".join(render_formula(pf.to_formula("ex")) for pf in s.succ)
-    return f"{left} |- {right}"

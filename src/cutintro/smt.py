@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .euf import Oracle, Verdict
@@ -138,18 +138,9 @@ class CommandOracle(Oracle):
 
     template: str
     timeout: float = 30.0
-    calls: int = 0
-    _memo: dict = field(default_factory=dict)
 
-    def validity(self, seq: Sequent) -> Verdict:
-        key = (tuple(seq.ante), tuple(seq.succ))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self.calls += 1
-        v = self._run(export_smt2(seq))
-        self._memo[key] = v
-        return v
+    def _decide_validity(self, seq: Sequent) -> Verdict:
+        return self._run(export_smt2(seq))
 
     def _run(self, script: str) -> Verdict:
         with tempfile.NamedTemporaryFile(

@@ -380,3 +380,56 @@ def random_solvable_instance(
         )
     h.validate(seq)
     return seq, h
+
+
+# ---------------------------------------------------------------------------
+# .cis texts of fixed inputs
+
+
+def _nest(f: str, t: str, n: int) -> str:
+    for _ in range(n):
+        t = f"{f}({t})"
+    return t
+
+
+def lemma_input(r: int, side_chains: int) -> str:
+    """The running example with f(x) = sʳ(x), plus ground side hypotheses
+    d_j0 = d_j1 = d_j2 = d_j3 for each j below ``side_chains``; r = 2
+    without side chains is the bundled file."""
+    f4a, ffa, half = _nest("f", "a", 4), _nest("f", "a", 2), 2 * r
+    lines = [
+        f"ante P({f4a}, a).",
+        f"ante all x: f(x) = {_nest('s', 'x', r)}.",
+        "ante all x y: P(s(x), y) -> P(x, s(y)).",
+    ]
+    for j in range(side_chains):
+        eqs = (f"d{j}x{i} = d{j}x{i + 1}" for i in range(3))
+        lines.append("ante " + " & ".join(eqs) + ".")
+    lines.append(f"succ P(a, {f4a}).")
+    lines.append(
+        "inst 2: " + "; ".join(_nest("f", "a", i) for i in range(4)) + "."
+    )
+    # f⁴a = s²ʳ(f²a) and f²a = s²ʳ(a): walk P across each half in 2r steps.
+    steps = [
+        f"({_nest('s', x, half - 1 - i)}, {_nest('s', y, i)})"
+        for x, y in ((ffa, "a"), ("a", ffa))
+        for i in range(half)
+    ]
+    lines.append("inst 3: " + "; ".join(steps) + ".")
+    return "\n".join(lines) + "\n"
+
+
+def wide_disjunction_input(width: int = 6) -> str:
+    """∀x y D(x, y) ⊢ ⋀ D(s, t) over all pairs s, t of {a, b, c}, where D
+    is a disjunction of ``width`` two-atom conjunctions.  The negated
+    succedent's clause form multiplies out to width⁹ clauses."""
+
+    def d(x: str, y: str) -> str:
+        return " | ".join(
+            f"(P{i}({x}, {y}) & Q{i}({x}, {y}))" for i in range(width)
+        )
+
+    pairs = [(s, t) for s in "abc" for t in "abc"]
+    succ = " & ".join(f"({d(s, t)})" for s, t in pairs)
+    inst = "; ".join(f"({s}, {t})" for s, t in pairs)
+    return f"ante all x y: {d('x', 'y')}.\nsucc {succ}.\ninst 1: {inst}.\n"

@@ -2,11 +2,14 @@
 
 These are deliberately naive: a recursive term order, truth-table
 enumeration plus fixpoint congruence saturation for validity, the
-oracle's first restart-DPLL lazy loop for clause sets, a two-pass
-anti-unifier, the all-subsets Δ-table with its fold over term sets, and
-an exhaustive cover search for minimal decompositions.  They share no
-code with the implementations under test; the Δ-table references only
-build the package's ``DeltaTable`` and ``Decomposition`` records.
+oracle's first restart-DPLL lazy loop for clause sets, solutionhood as
+one implication sequent, a two-pass anti-unifier, the all-subsets
+Δ-table with its fold over term sets, and an exhaustive cover search
+for minimal decompositions.  They share no code with the implementations
+under test, with two exceptions: the Δ-table references build the
+package's ``DeltaTable`` and ``Decomposition`` records, and the solution
+reference hands its sequent to ``decide_validity``, which is checked
+against the saturation reference on its own.
 """
 
 from __future__ import annotations
@@ -14,12 +17,26 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from cutintro.formulas import And, Atom, Bottom, Eq, Formula, Imp, Not, Or, Top
+from cutintro.euf import Verdict, decide_validity
+from cutintro.formulas import (
+    And,
+    Atom,
+    Bottom,
+    Eq,
+    Formula,
+    Imp,
+    Not,
+    Or,
+    Top,
+    apply_subst,
+    conj,
+)
 from cutintro.sequents import Sequent
 from cutintro.terms import (
     App,
     Term,
     Var,
+    alpha,
     alpha_index,
     is_alpha,
     is_tag_head,
@@ -170,20 +187,6 @@ def naive_evalid(seq: Sequent) -> bool:
                     consistent = False
                     break
         if consistent:
-            return False
-    return True
-
-
-def naive_tautology(seq: Sequent) -> bool:
-    """Propositional validity; equations are opaque atoms."""
-    atoms: list = []
-    for f in seq.ante + seq.succ:
-        _collect_atoms(f, atoms)
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        asg = dict(zip(atoms, bits))
-        if all(_eval(f, asg) for f in seq.ante) and not any(
-            _eval(f, asg) for f in seq.succ
-        ):
             return False
     return True
 
@@ -373,6 +376,27 @@ def reference_decide_clauses(cnf, *, theory: bool = True) -> bool:
                 + [(-index[a] if s else index[a]) for s, a in clash]
             )
         )
+
+
+# --------------------------------------------------------------------------
+# Solutions of a schematic sequent, as one implication sequent
+# --------------------------------------------------------------------------
+
+
+def reference_check_solution(e, a: Formula, cnf_cap: int = 10**6) -> bool:
+    """True iff (A → ⋀_{w̄ ∈ W} A(w̄)), Γ' ⊢ Δ' is valid: the definition
+    of a solution, sent whole to the validity check, whose distributive
+    clause form gets a raised cap.  A verdict it cannot reach fails."""
+    steps = conj(
+        [
+            apply_subst(a, {alpha(i + 1).name: t for i, t in enumerate(row)})
+            for row in e.w
+        ]
+    )
+    seq = Sequent((Imp(a, steps),) + tuple(e.gamma), tuple(e.delta))
+    verdict = decide_validity(seq, cnf_cap=cnf_cap)
+    assert verdict is not Verdict.UNKNOWN, "raise the reference's cnf_cap"
+    return verdict is Verdict.VALID
 
 
 # --------------------------------------------------------------------------

@@ -209,6 +209,21 @@ class TestConsoleScript:
         assert "Traceback" not in done.stderr
         assert json.loads(done.stdout)["status"] == "error"
 
+    def test_clause_form_blowup_exits_two_without_traceback(self, tmp_path):
+        p = tmp_path / "wide.cis"
+        p.write_text(gen.wide_disjunction_input())
+        done = subprocess.run(
+            [sys.executable, "-m", "cutintro.cli", "run", str(p)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        report = json.loads(done.stdout)
+        assert report["status"] == "error"
+        assert report["termset_size"] == 9
+
     def test_help_lists_subcommands(self):
         done = subprocess.run(
             [sys.executable, "-m", "cutintro.cli", "--help"],

@@ -12,13 +12,10 @@ from cutintro.cutformula import (
     build_schematic_ehs,
     canonical_solution,
     check_solution,
-    check_solution_verdict,
     forget,
-    forget_steps,
-    guard_sequent,
+    guard_clauses,
     select_best,
     sf_improve,
-    solution_sequent,
     subst_clauses,
 )
 from cutintro.decomposition import (
@@ -27,22 +24,25 @@ from cutintro.decomposition import (
     fold_delta_table,
     to_structure_decomposition,
 )
-from cutintro.euf import InternalOracle, Verdict
+from cutintro.cnf import cnf_of_formulas, to_cnf
+from cutintro.euf import InternalOracle, Verdict, decide_validity
 from cutintro.formulas import (
+    And,
     Atom,
     Eq,
-    Imp,
+    Formula,
     Not,
     Or,
-    formula_size,
     render_formula,
 )
 from cutintro.herbrand import encode_termset
 from cutintro.parser import parse_input
 from cutintro.proofs import build_proof_with_cut
+from cutintro.sequents import Sequent
 from cutintro.terms import App, Var, alpha, const
 
 import gen
+import oracles
 
 a, b = const("a"), const("b")
 
@@ -101,10 +101,12 @@ class TestBuildSchematicEHS:
         ffa = f(f(a))
         assert golden_ehs.w == ((a, ffa), (ffa, a))
 
-    def test_instance_sequent_combines_gamma_delta(self, golden_ehs):
-        s = golden_ehs.instance_sequent()
-        assert s.ante == golden_ehs.gamma
-        assert s.succ == golden_ehs.delta
+    def test_side_clauses_are_the_canonical_clause_form(self, golden_ehs):
+        assert golden_ehs.side_clauses == cnf_of_formulas(
+            golden_ehs.gamma, golden_ehs.delta
+        )
+        can = canonical_solution(golden_ehs)
+        assert can.clauses == golden_ehs.side_clauses == to_cnf(can.formula)
 
     def test_shape_mismatch_rejected(self):
         seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
@@ -149,19 +151,21 @@ class TestCheckSolution:
                 golden_ehs, Atom("P", (Var("x"), a)), golden_oracle
             )
 
-    def test_verdict_form(self, golden_ehs, golden_oracle):
-        can = canonical_solution(golden_ehs)
-        assert (
-            check_solution_verdict(golden_ehs, can.formula, golden_oracle)
-            is Verdict.VALID
-        )
-
     def test_mini_sequent_shapes(self, oracle):
         e = _mini_ehs()
         A = Atom("P", (alpha(1),))
-        assert solution_sequent(e, A).render() == "P(α1) -> P(a), P(α1) |- P(a)"
-        assert guard_sequent(e, A).render() == "P(a), P(α1) |- P(a)"
+        unit = lambda sign, t: frozenset({(sign, Atom("P", (t,)))})
+        assert e.side_clauses == {unit(True, alpha(1)), unit(False, a)}
+        guard = guard_clauses(e, frozenset({unit(True, alpha(1))}))
+        assert guard == e.side_clauses | {unit(True, a)}
         assert check_solution(e, A, oracle)
+
+    def test_canonical_check_is_one_query(self, golden_ehs):
+        oracle = InternalOracle()
+        assert check_solution(
+            golden_ehs, canonical_solution(golden_ehs).formula, oracle
+        )
+        assert oracle.calls == 1
 
     def test_canonical_solves_random_instances(self, oracle):
         solved = 0
@@ -201,13 +205,6 @@ class TestForget:
         P, Q = Atom("P", ()), Atom("Q", ())
         cnf = frozenset({frozenset({(True, P)}), frozenset({(True, Q)})})
         assert forget(cnf) == []
-
-    def test_step_strings_name_both_parents(self):
-        P = lambda t: Atom("P", (t,))
-        c1 = frozenset({(True, P(a))})
-        c2 = frozenset({(False, P(a)), (True, P(b))})
-        steps = [s for _, s in forget_steps(frozenset({c1, c2}))]
-        assert any("=>" in s and "P(a)" in s and "P(b)" in s for s in steps)
 
     def test_tautologous_results_are_dropped(self):
         P, Q = Atom("P", ()), Atom("Q", ())
@@ -325,3 +322,82 @@ class TestSFImprove:
                 assert check_solution(e, cand.formula, oracle), f"seed {seed}"
             checked += 1
         assert checked >= 5
+
+
+def _random_alpha_formula(rng: random.Random, atoms: list) -> Formula:
+    def go(depth: int) -> Formula:
+        if depth == 0 or rng.random() < 0.3:
+            atom = rng.choice(atoms)
+            return atom if rng.random() < 0.5 else Not(atom)
+        return rng.choice((And, Or))(go(depth - 1), go(depth - 1))
+
+    return go(2)
+
+
+class TestCheckSolutionAgainstReference:
+    """The clause-level check, Γ' ⊢ Δ', A per clause of A plus the guard,
+    decides as the implication sequent A → ⋀A(w̄), Γ' ⊢ Δ' does."""
+
+    @staticmethod
+    def _agree(e, a: Formula, oracle) -> bool:
+        got = check_solution(e, a, oracle)
+        assert got == oracles.reference_check_solution(e, a), render_formula(a)
+        return got
+
+    def test_golden_formulas(self, golden_ehs, golden_oracle):
+        small = Or(
+            Atom("P", (alpha(1), f(f(alpha(2))))),
+            Not(Atom("P", (f(f(alpha(1))), alpha(2)))),
+        )
+        for a, want in (
+            (canonical_solution(golden_ehs).formula, True),
+            (small, True),
+            (Atom("P", (alpha(1), alpha(2))), False),
+        ):
+            assert self._agree(golden_ehs, a, golden_oracle) is want
+
+    def test_golden_sf_candidates(self, golden_ehs, golden_sf, golden_oracle):
+        for cand in golden_sf.candidates:
+            assert self._agree(golden_ehs, cand.formula, golden_oracle)
+
+    def test_random_instances(self):
+        checked = 0
+        for seed in range(12):
+            e = _solved_random_instance(seed)
+            if e is None:
+                continue
+            oracle = InternalOracle()
+            can = canonical_solution(e)
+            assert self._agree(e, can.formula, oracle), f"seed {seed}"
+            res = sf_improve(e, can, oracle, node_cap=300)
+            for cand in res.candidates[:25]:
+                assert self._agree(e, cand.formula, oracle), f"seed {seed}"
+            checked += 1
+        assert checked >= 5
+
+    def test_formulas_the_sides_do_not_entail(self, golden_ehs):
+        # Γ' ⊬ Δ', A fails half (i) of the check.  Strengthening the
+        # canonical solution, or a contradiction, keeps the guard (ii),
+        # so only (i) rejects those.
+        e, rng = golden_ehs, random.Random(7)
+        can = canonical_solution(e).formula
+        atoms = sorted(
+            {atom for c in e.side_clauses for _, atom in c}, key=repr
+        )
+        oracle = InternalOracle()
+        rejected = guard_only = 0
+        for i in range(60):
+            x = _random_alpha_formula(rng, atoms)
+            a = (x, And(can, x), And(x, Not(x)))[i % 3]
+            entailed = decide_validity(
+                Sequent(e.gamma, (*e.delta, a)), cnf_cap=10**6
+            )
+            assert entailed is not Verdict.UNKNOWN
+            if entailed is Verdict.VALID:
+                continue
+            assert not self._agree(e, a, oracle), render_formula(a)
+            rejected += 1
+            if oracle.refutation(guard_clauses(e, to_cnf(a))) is Verdict.VALID:
+                guard_only += 1
+        assert rejected >= 30
+        assert guard_only >= 20

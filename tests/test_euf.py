@@ -16,10 +16,7 @@ from cutintro.euf import (
     InternalOracle,
     Oracle,
     Verdict,
-    decide_tautology,
     decide_validity,
-    is_quasi_tautology,
-    is_tautology,
 )
 from cutintro.formulas import And, Atom, Eq, Imp, Not, Or
 from cutintro.sequents import Sequent
@@ -209,14 +206,12 @@ class TestAgainstReferenceSolver:
         return found
 
     @staticmethod
-    def _agree(cnf, blocking, theory=True):
+    def _agree(cnf, blocking):
         blocking.clear()
-        got = euf._decide_clauses(
-            cnf, theory=theory, budget=euf._Budget(DEFAULT_STEP_CAP)
-        )
+        got = euf._decide_clauses(cnf, budget=euf._Budget(DEFAULT_STEP_CAP))
         assert got is not Verdict.UNKNOWN
         assert len(set(blocking)) == len(blocking)
-        want = oracles.reference_decide_clauses(cnf, theory=theory)
+        want = oracles.reference_decide_clauses(cnf)
         assert (got is Verdict.VALID) == want
         return want
 
@@ -237,11 +232,9 @@ class TestAgainstReferenceSolver:
             cnf = gen.random_ground_clauses(random.Random(seed))
             atoms = {atom for clause in cnf for _, atom in clause}
             assert 10 <= len(atoms) <= 30
-            for theory in (True, False):
-                valid = self._agree(cnf, blocking, theory)
-                outcomes.add((theory, valid))
-                conflicts += len(blocking)
-        assert outcomes == {(t, v) for t in (True, False) for v in (True, False)}
+            outcomes.add(self._agree(cnf, blocking))
+            conflicts += len(blocking)
+        assert outcomes == {True, False}
         assert conflicts >= 200
 
 
@@ -297,28 +290,6 @@ class TestDecideValidity:
             assert (got is Verdict.VALID) == want, f"seed {seed}: {seq}"
 
 
-class TestDecideTautology:
-    def test_equations_are_opaque(self):
-        seq = Sequent((Eq(a, b), Atom("P", (a,))), (Atom("P", (b,)),))
-        assert decide_tautology(seq) is Verdict.INVALID
-        assert decide_validity(seq) is Verdict.VALID
-
-    def test_matches_naive_oracle(self):
-        for seed in range(60):
-            rng = random.Random(1000 + seed)
-            seq = gen.random_ground_sequent(rng)
-            got = decide_tautology(seq)
-            want = oracles.naive_tautology(seq)
-            assert (got is Verdict.VALID) == want, f"seed {seed}"
-
-    def test_boolean_wrappers(self):
-        P = Atom("P", ())
-        assert is_tautology(Sequent((P,), (P,)))
-        seq = Sequent((Eq(a, b),), (Eq(b, a),))
-        assert is_quasi_tautology(seq)
-        assert not is_tautology(seq)
-
-
 class TestResourceLimits:
     def test_tiny_step_cap_returns_unknown(self):
         ante = tuple(Eq(_iter(f, a, i), _iter(f, a, i + 1)) for i in range(12))
@@ -367,6 +338,33 @@ class TestInternalOracle:
         assert o.validity(seq) is Verdict.VALID
         assert o.validity(seq) is Verdict.VALID
         assert o.calls == 1
+
+    def test_refutation_memoizes_beside_validity(self):
+        o = InternalOracle()
+        P = Atom("P", (a,))
+        clauses = frozenset({frozenset({(True, P)}), frozenset({(False, P)})})
+        assert o.refutation(clauses) is Verdict.VALID
+        assert o.refutation(clauses) is Verdict.VALID
+        assert o.validity(Sequent((P,), (P,))) is Verdict.VALID
+        assert o.calls == 2
+
+    def test_backend_decides_each_query_once(self):
+        class Counting(Oracle):
+            def __init__(self) -> None:
+                super().__init__()
+                self.decided: list = []
+
+            def _decide_validity(self, seq):
+                self.decided.append(seq)
+                return Verdict.INVALID
+
+        o = Counting()
+        P = Atom("P", ())
+        clauses = frozenset({frozenset({(True, P)})})
+        for _ in range(2):
+            assert o.validity(Sequent((), (P,))) is Verdict.INVALID
+            assert o.refutation(clauses) is Verdict.INVALID
+        assert o.calls == len(o.decided) == 2
 
     def test_refutation_of_contradictory_clauses(self):
         o = InternalOracle()

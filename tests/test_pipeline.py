@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cutintro.corpus import emit_stats, run_corpus, write_corpus_outputs
-from cutintro.parser import render_input
+from cutintro.parser import parse_input, render_input
 from cutintro.pipeline import RunConfig, RunReport, run_pipeline
 
 import gen
@@ -202,6 +202,14 @@ class TestFailureStatuses:
         assert rep.status == "uncompressible"
         assert rep.termset_size == 1
 
+    def test_canonical_clause_form_past_the_cap_is_an_error(self, tmp_path):
+        p = tmp_path / "wide.cis"
+        p.write_text(gen.wide_disjunction_input())
+        rep = run_pipeline(p, RunConfig())
+        assert rep.status == "error"
+        assert rep.termset_size == 9
+        assert any("clause-form cap" in m for m in rep.messages)
+
     def test_term_nested_beyond_the_recursion_limit_is_an_error(
         self, tmp_path
     ):
@@ -210,6 +218,25 @@ class TestFailureStatuses:
         rep = run_pipeline(p, RunConfig())
         assert rep.status == "error"
         assert any("nest 10001 deep" in m for m in rep.messages)
+
+
+class TestLemmaWithSideChains:
+    """The running example at r = 2 with ground side hypotheses: the
+    implication sequent of its canonical check has no clause form within
+    the default cap, but the check never builds that sequent."""
+
+    @pytest.mark.parametrize("side_chains", [4, 6])
+    def test_compresses(self, tmp_path, side_chains):
+        p = tmp_path / f"lemma-{side_chains}.cis"
+        p.write_text(gen.lemma_input(2, side_chains))
+        rep = run_pipeline(p, RunConfig())
+        assert rep.status == "compressed", rep.messages
+        assert rep.cut_formula == "P(α1, f(f(α2))) | ~P(f(f(α1)), α2)"
+        assert rep.improved_size == 4
+        assert rep.comq == 10
+
+    def test_without_side_chains_is_the_bundled_example(self, golden_text):
+        assert parse_input(gen.lemma_input(2, 0)) == parse_input(golden_text)
 
 
 class TestCorpus:
@@ -274,6 +301,14 @@ class TestCorpus:
         by_name = {Path(r.input).name: r for r in reports}
         assert by_name["zz_broken.cis"].status == "error"
         assert sum(1 for r in reports if r.status != "error") == 2
+
+    def test_clause_form_blowup_keeps_its_row(self, tmp_path):
+        (tmp_path / "wide.cis").write_text(gen.wide_disjunction_input())
+        (rep,) = run_corpus(tmp_path, RunConfig(), workers=1)
+        assert rep.status == "error"
+        assert rep.termset_size == 9
+        assert rep.wall_time > 0
+        assert not any("unexpected failure" in m for m in rep.messages)
 
     def test_too_deep_file_gets_its_own_row(self, tmp_path):
         (tmp_path / "ok.cis").write_text(
