@@ -13,12 +13,14 @@ from importlib.resources import files
 
 from cutintro import (
     InternalOracle,
+    TermSet,
     build_delta_table,
     build_proof_with_cut,
     build_schematic_ehs,
     canonical_solution,
     check_proof,
     check_solution,
+    decode_termset,
     encode_termset,
     fold_delta_table,
     metrics,
@@ -28,7 +30,6 @@ from cutintro import (
     render_term,
     select_best,
     sf_improve,
-    to_structure_decomposition,
 )
 from cutintro.terms import term_key
 
@@ -48,8 +49,8 @@ banner("1. parse")
 seq, hs = parse_input(text)
 print(f"{seq.p} antecedent formulas, {seq.q - seq.p} succedent formula(s)")
 for i in range(1, seq.q + 1):
-    role = "ante" if i <= seq.p else "succ"
-    print(f"  {role} {i}: {render_formula(seq.formula(i).to_formula(seq.kind(i)))}")
+    role, kind = ("ante", "all") if i <= seq.p else ("succ", "ex")
+    print(f"  {role} {i}: {render_formula(seq.formula(i).to_formula(kind))}")
 print(f"instance lists carry {hs.size} instantiation vectors in total")
 
 # ---------------------------------------------------------------------
@@ -78,10 +79,12 @@ print("  " + decs[0].render())
 # ---------------------------------------------------------------------
 banner("4. schematic sequent")
 # The decomposition fixes the shape of a proof with one quantified cut;
-# what is still unknown is the cut formula itself.  The schematic
-# sequent collects the instances the candidate must satisfy.
-sd = to_structure_decomposition(decs[0], seq.q)
-e = build_schematic_ehs(seq, sd)
+# what is still unknown is the cut formula itself.  Its patterns split
+# by tag, as the term set does, into instance tuples over α1, α2, and
+# the schematic sequent is their Herbrand sequent: the instances the
+# candidate must satisfy.
+u = decode_termset(TermSet(decs[0].u, seq.q))
+e = build_schematic_ehs(seq, u, decs[0].w)
 print(f"cut formula arity: {e.arity}   sequent size: {e.size}")
 print(f"known side: {len(e.gamma)} antecedent / {len(e.delta)} succedent "
       f"instance formulas")

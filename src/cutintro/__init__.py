@@ -7,7 +7,7 @@ from it, and rebuilds a checkable proof whose quantifier complexity is
 the decomposition size.
 """
 
-from .cnf import CnfBlowup, formula_of_cnf, simplify_clauses, to_cnf
+from .cnf import CnfBlowup
 from .corpus import emit_stats, run_corpus, write_corpus_outputs
 from .cutformula import (
     SchematicEHS,
@@ -17,7 +17,6 @@ from .cutformula import (
     build_schematic_ehs,
     canonical_solution,
     check_solution,
-    forget,
     select_best,
     sf_improve,
 )
@@ -25,23 +24,14 @@ from .decomposition import (
     Decomposition,
     DeltaTable,
     SimpleDecomposition,
-    StructureDecomposition,
     TermSetTooLarge,
     build_delta_table,
     delta_g,
     fold_delta_table,
     restrict_ci1,
-    to_structure_decomposition,
     validate_decomposition,
 )
-from .euf import (
-    CongruenceClosure,
-    InternalOracle,
-    Oracle,
-    OracleLimit,
-    Verdict,
-    decide_validity,
-)
+from .euf import InternalOracle, Oracle, Verdict, decide_validity
 from .formulas import (
     And,
     Atom,
@@ -53,10 +43,7 @@ from .formulas import (
     Or,
     QuantBlock,
     Top,
-    apply_subst,
     formula_size,
-    formula_vars,
-    is_quantifier_free,
     render_formula,
 )
 from .herbrand import (
@@ -65,10 +52,9 @@ from .herbrand import (
     decode_termset,
     encode_termset,
     herbrand_sequent,
-    instance_formulas,
 )
-from .parser import InputError, parse_input, render_input
-from .pipeline import PipelineTimeout, RunConfig, RunReport, run_pipeline
+from .parser import InputError, parse_input
+from .pipeline import RunConfig, RunReport, run_pipeline
 from .proofs import (
     ProofBuildError,
     ProofCheckError,
@@ -82,7 +68,7 @@ from .proofs import (
 )
 from .sequents import PrenexFormula, Sequent, Sigma1Sequent
 from .smt import CommandOracle, export_smt2
-from .terms import App, Term, Var, render_term, subst_term
+from .terms import App, Term, Var, render_term
 
 __version__ = "1.0.0"
 
@@ -93,7 +79,6 @@ __all__ = [
     "Bottom",
     "CnfBlowup",
     "CommandOracle",
-    "CongruenceClosure",
     "Decomposition",
     "DeltaTable",
     "Eq",
@@ -105,8 +90,6 @@ __all__ = [
     "Not",
     "Or",
     "Oracle",
-    "OracleLimit",
-    "PipelineTimeout",
     "PrenexFormula",
     "ProofBuildError",
     "ProofCheckError",
@@ -120,14 +103,12 @@ __all__ = [
     "Sigma1Sequent",
     "SimpleDecomposition",
     "SolutionCandidate",
-    "StructureDecomposition",
     "Term",
     "TermSet",
     "TermSetTooLarge",
     "Top",
     "Var",
     "Verdict",
-    "apply_subst",
     "build_delta_table",
     "build_proof_with_cut",
     "build_schematic_ehs",
@@ -142,19 +123,13 @@ __all__ = [
     "encode_termset",
     "export_smt2",
     "fold_delta_table",
-    "forget",
-    "formula_of_cnf",
     "formula_size",
-    "formula_vars",
     "herbrand_sequent",
-    "instance_formulas",
-    "is_quantifier_free",
     "metrics",
     "parse_input",
     "proof_from_json",
     "proof_to_json",
     "render_formula",
-    "render_input",
     "render_proof",
     "render_term",
     "restrict_ci1",
@@ -162,10 +137,6 @@ __all__ = [
     "run_pipeline",
     "select_best",
     "sf_improve",
-    "simplify_clauses",
-    "subst_term",
-    "to_cnf",
-    "to_structure_decomposition",
     "validate_decomposition",
     "write_corpus_outputs",
 ]

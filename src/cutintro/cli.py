@@ -9,7 +9,7 @@ uncompressible), 2 on bad input, an invalid option value or a pipeline
 error, 3 on timeout or a term set over the subset-table limit.
 ``corpus`` also exits 2 on an invalid option value.  ``check`` exits 0
 for a valid proof, 1 for an invalid one, 2 when the artifact cannot be
-read.
+read or nests too deeply to check.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .corpus import emit_stats, run_corpus, write_corpus_outputs
 from .euf import InternalOracle
-from .pipeline import RunConfig, RunReport, run_pipeline
+from .pipeline import RunConfig, run_pipeline
 from .proofs import check_proof_report, proof_from_json
 
 _EXIT_BY_STATUS = {
@@ -44,9 +44,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--timeout",
         type=float,
-        default=60.0,
+        default=RunConfig.timeout,
         metavar="SECONDS",
-        help="wall-clock budget per input (0 disables; default 60)",
+        help="wall-clock budget per input (0 disables; default %(default)s)",
     )
     p.add_argument(
         "--max-subset",
@@ -58,16 +58,17 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--termset-limit",
         type=int,
-        default=22,
+        default=RunConfig.termset_limit,
         metavar="N",
-        help="refuse term sets larger than this (default 22)",
+        help="refuse term sets larger than this (default %(default)s)",
     )
     p.add_argument(
         "--sf-cap",
         type=int,
-        default=10_000,
+        default=RunConfig.sf_cap,
         metavar="N",
-        help="node budget for the solution-improvement search",
+        help="node budget for the solution-improvement search "
+        "(default %(default)s)",
     )
     p.add_argument(
         "--oracle",
@@ -108,6 +109,9 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except ValueError as err:
+        print(f"cutintro corpus: error: {err}", file=sys.stderr)
+        return 2
     if args.out:
         stats = write_corpus_outputs(reports, args.out)
     else:
@@ -118,12 +122,20 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        data = json.loads(Path(args.proof).read_text(encoding="utf-8"))
-        proof = proof_from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"error: cannot read proof: {err}", file=sys.stderr)
+        try:
+            data = json.loads(Path(args.proof).read_text(encoding="utf-8"))
+            proof = proof_from_json(data)
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            print(f"error: cannot read proof: {err}", file=sys.stderr)
+            return 2
+        ok, msg = check_proof_report(proof, InternalOracle())
+    except RecursionError:
+        print(
+            "error: cannot check proof: it nests deeper than the Python "
+            f"recursion limit ({sys.getrecursionlimit()}) allows",
+            file=sys.stderr,
+        )
         return 2
-    ok, msg = check_proof_report(proof, InternalOracle())
     print("valid" if ok else f"invalid: {msg}")
     return 0 if ok else 1
 

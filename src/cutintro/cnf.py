@@ -98,13 +98,13 @@ def _distribute(f: Formula, cap: int) -> set[Clause]:
     return go(f)
 
 
-def _is_tautological(c: Clause) -> bool:
+def is_tautological(c: Clause) -> bool:
     return any((not sign, atom) in c for sign, atom in c)
 
 
 def simplify_clauses(clauses: Iterable[Clause]) -> CNF:
     """Drop tautological and strictly subsumed clauses."""
-    kept = [c for c in set(clauses) if not _is_tautological(c)]
+    kept = [c for c in set(clauses) if not is_tautological(c)]
     kept.sort(key=len)
     out: list[Clause] = []
     for c in kept:
@@ -135,11 +135,14 @@ def literal_key(lit: Literal) -> tuple:
     return (formula_key(lit[1]), lit[0])
 
 
+def clause_key(c: Clause) -> tuple:
+    return tuple(sorted(literal_key(l) for l in c))
+
+
 def clause_formula(c: Clause) -> Formula:
     lits = sorted(c, key=literal_key)
     return disj([a if sign else Not(a) for sign, a in lits])
 
 
 def formula_of_cnf(cnf: CNF) -> Formula:
-    clauses = sorted(cnf, key=lambda c: tuple(sorted(literal_key(l) for l in c)))
-    return conj([clause_formula(c) for c in clauses])
+    return conj([clause_formula(c) for c in sorted(cnf, key=clause_key)])

@@ -14,7 +14,7 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .pipeline import RunConfig, RunReport, run_pipeline
 
@@ -53,6 +53,8 @@ def run_corpus(
     workers: Optional[int] = None,
 ) -> list[RunReport]:
     """Run the pipeline over every .cis file under a directory."""
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1")
     cfg = cfg or RunConfig()
     root = Path(directory)
     files = sorted(root.rglob("*.cis"))

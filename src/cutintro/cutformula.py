@@ -1,9 +1,12 @@
 """Cut-formula synthesis over a schematic extended Herbrand sequent.
 
-A structure decomposition (U₁..U_q, W) of the instance term set induces
-a schematic sequent: the quantified formulas are instantiated with the
-pattern tuples from the Uᵢ (which mention the variables α₁..α_m), and a
-formula A(ᾱ) solves the schema when
+A decomposition U∘W of the instance term set induces a schematic
+sequent.  Its patterns U split by tag, as ``herbrand.decode_termset``
+splits the term set itself, into a Herbrand structure over the
+variables α₁..α_m, and the schematic sequent Γ' ⊢ Δ' is the Herbrand
+sequent of that structure (``herbrand.herbrand_sequent``): the same
+instantiation, with pattern tuples in place of ground ones.  A formula
+A(ᾱ) solves the schema when
 
     A(ᾱ) → ⋀_{w̄ ∈ W} A(w̄),  Γ'  ⊢  Δ'
 
@@ -41,12 +44,12 @@ from .cnf import (
     CnfBlowup,
     cnf_of_formulas,
     clause_formula,
+    clause_key,
     formula_of_cnf,
-    literal_key,
+    is_tautological,
     simplify_clauses,
     to_cnf,
 )
-from .decomposition import StructureDecomposition
 from .euf import Oracle, Verdict
 from .formulas import (
     Atom,
@@ -54,13 +57,13 @@ from .formulas import (
     Formula,
     Not,
     Top,
-    apply_subst,
     conj,
     disj,
     formula_size,
     formula_vars,
     render_formula,
 )
+from .herbrand import HerbrandStructure, herbrand_sequent
 from .sequents import Sigma1Sequent
 from .terms import (
     Term,
@@ -85,7 +88,7 @@ class SchematicEHS:
     """Schematic extended Herbrand sequent for one quantified cut."""
 
     base: Sigma1Sequent
-    u: tuple  # per-formula frozensets of instantiation tuples (over ᾱ)
+    u: HerbrandStructure  # the patterns' tuples, over ᾱ
     w: tuple  # of ground rows, sorted
     gamma: tuple  # instantiated antecedent formulas, fixed order
     delta: tuple  # instantiated succedent formulas, fixed order
@@ -96,7 +99,7 @@ class SchematicEHS:
 
     @property
     def size(self) -> int:
-        return len(self.w) + sum(len(ui) for ui in self.u)
+        return len(self.w) + self.u.size
 
     @cached_property
     def side_clauses(self) -> CNF:
@@ -109,59 +112,45 @@ def _subst_for_row(row: tuple) -> dict:
 
 
 def build_schematic_ehs(
-    s: Sigma1Sequent, d: StructureDecomposition
+    s: Sigma1Sequent, u: HerbrandStructure, w: Iterable[tuple]
 ) -> SchematicEHS:
-    """Instantiate the sequent's matrices with the decomposition tuples."""
-    if len(d.u) != s.q:
+    """The Herbrand sequent of the pattern structure U, with the rows W."""
+    if len(u.instances) != s.q:
         raise SchemaError(
-            f"decomposition has {len(d.u)} instance sets, "
+            f"decomposition has {len(u.instances)} instance sets, "
             f"sequent has {s.q} formulas"
         )
-    m = d.arity
-    if m == 0:
+    rows = tuple(sorted(w, key=tuple_key))
+    if not rows or not rows[0]:
         raise SchemaError("decomposition must bind at least one variable")
-    for row in d.w:
+    for row in rows:
         for x in row:
             if term_vars(x):
                 raise SchemaError(
                     f"instantiation vector {render_term(x)} is not ground"
                 )
-    gamma: list[Formula] = []
-    delta: list[Formula] = []
-    for i in range(1, s.q + 1):
-        pf = s.formula(i)
-        ui = d.u[i - 1]
-        side = gamma if i <= s.p else delta
-        if pf.k == 0:
-            if ui:
-                raise SchemaError(
-                    f"formula {i} has no quantifier prefix but "
-                    f"{len(ui)} instance tuples"
-                )
-            side.append(pf.matrix)
-            continue
+    for i, ui in enumerate(u.instances, start=1):
+        k = s.k(i)
+        if k == 0 and ui:
+            raise SchemaError(
+                f"formula {i} has no quantifier prefix but "
+                f"{len(ui)} instance tuples"
+            )
         for tup in ui:
-            if len(tup) != pf.k:
+            if len(tup) != k:
                 raise SchemaError(
-                    f"formula {i} expects {pf.k}-tuples, got {len(tup)}"
+                    f"formula {i} expects {k}-tuples, got {len(tup)}"
                 )
             for x in tup:
                 bad = [v for v in term_vars(x) if not is_alpha(v)]
                 if bad:
                     raise SchemaError(
                         f"instance tuple mentions non-schema variable "
-                        f"{bad[0].name}"
+                        f"{min(bad)}"
                     )
-        for tup in sorted(ui, key=tuple_key):
-            side.append(
-                apply_subst(
-                    pf.matrix,
-                    {v: t for v, t in zip(pf.vars, tup)},
-                )
-            )
-    rows = tuple(sorted(d.w, key=tuple_key))
+    hseq = herbrand_sequent(s, u)
     return SchematicEHS(
-        base=s, u=d.u, w=rows, gamma=tuple(gamma), delta=tuple(delta)
+        base=s, u=u, w=rows, gamma=hseq.ante, delta=hseq.succ
     )
 
 
@@ -296,31 +285,20 @@ def _pair_successors(ci: Clause, cj: Clause) -> list[Clause]:
 
 def _normalize(clauses: Iterable[Clause]) -> CNF:
     """Deduplicate and drop tautological clauses (no subsumption)."""
-    out = set()
-    for c in clauses:
-        if any((not s, a) in c for s, a in c):
-            continue
-        out.add(c)
-    return frozenset(out)
+    return frozenset(c for c in clauses if not is_tautological(c))
 
 
-def forget(cnf: CNF) -> list[CNF]:
-    """Every clause set reachable by one forgetful inference step.
+def _forget_moves(cnf: CNF) -> Iterator[tuple[CNF, tuple]]:
+    """Every clause set reachable by one forgetful inference step, each
+    distinct successor once, with the (clause, clause, result) step that
+    first reached it; the step is rendered only on demand.
 
     One step picks two clauses, replaces both by a single resolvent or
     ground paramodulant, and normalizes.  The result is strictly less
     general in the entailment order, which is what lets the improvement
     loop shrink solutions.
     """
-    return [succ for succ, _ in _forget_moves(cnf)]
-
-
-def _forget_moves(cnf: CNF) -> Iterator[tuple[CNF, tuple]]:
-    """Each distinct successor once, with the (clause, clause, result)
-    step that first reached it; the step is rendered only on demand."""
-    clauses = sorted(
-        cnf, key=lambda c: tuple(sorted(literal_key(l) for l in c))
-    )
+    clauses = sorted(cnf, key=clause_key)
     seen: set[CNF] = set()
     for i in range(len(clauses)):
         for j in range(i + 1, len(clauses)):
@@ -347,24 +325,11 @@ def _prune_alpha_free(cnf: CNF) -> CNF:
     Such clauses follow from Γ' (they were instantiated from it), so
     removing them preserves solutionhood while shrinking the formula.
     """
-    kept = [
+    return frozenset(
         c
         for c in cnf
-        if any(
-            any(is_alpha(v) for v in _literal_vars(lit)) for lit in c
-        )
-    ]
-    return frozenset(kept)
-
-
-def _literal_vars(lit):
-    _, atom = lit
-    if isinstance(atom, Eq):
-        return term_vars(atom.lhs) | term_vars(atom.rhs)
-    vs = set()
-    for t in atom.args:
-        vs |= term_vars(t)
-    return vs
+        if any(any(is_alpha(v) for v in formula_vars(a)) for _, a in c)
+    )
 
 
 @dataclass

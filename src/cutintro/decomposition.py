@@ -43,10 +43,8 @@ from .terms import (
     Var,
     alpha,
     alpha_index,
-    is_tag_head,
     render_term,
     subst_term,
-    tag_index,
     term_key,
     term_vars,
     tuple_key,
@@ -553,46 +551,4 @@ def restrict_ci1(dt: DeltaTable) -> DeltaTable:
         },
         termset=dt.termset,
         max_subset=dt.max_subset,
-    )
-
-
-@dataclass(frozen=True)
-class StructureDecomposition:
-    """A termset decomposition split back into per-formula instance sets.
-
-    ``u[i]`` holds the kᵢ₊₁-tuples for the (i+1)-th quantified formula;
-    formulas with an empty prefix contribute nothing.
-    """
-
-    u: tuple  # of frozenset[tuple[Term, ...]]
-    w: Key
-
-    @property
-    def arity(self) -> int:
-        return _key_arity(self.w) if self.w else 0
-
-    @property
-    def size(self) -> int:
-        return sum(len(ui) for ui in self.u) + len(self.w)
-
-
-def to_structure_decomposition(
-    d: Decomposition, q: int
-) -> StructureDecomposition:
-    """Split tagged patterns f_i(ū) into per-formula tuple sets."""
-    per: list[set] = [set() for _ in range(q)]
-    for u in d.u:
-        if not isinstance(u, App) or not is_tag_head(u.head):
-            raise ValueError(
-                f"pattern {render_term(u)} is not a tagged formula instance"
-            )
-        i = tag_index(u.head)
-        if not 1 <= i <= q:
-            raise ValueError(
-                f"pattern {render_term(u)} tags formula {i}, "
-                f"but the sequent has {q}"
-            )
-        per[i - 1].add(u.args)
-    return StructureDecomposition(
-        u=tuple(frozenset(s) for s in per), w=d.w
     )

@@ -538,21 +538,16 @@ class Oracle:
 
 @dataclass
 class InternalOracle(Oracle):
-    step_cap: int = DEFAULT_STEP_CAP
-    cnf_cap: int = DEFAULT_CNF_CAP
     cancel: Optional[Callable[[], None]] = None
 
     def _decide_validity(self, seq: Sequent) -> Verdict:
-        return decide_validity(
-            seq, step_cap=self.step_cap, cnf_cap=self.cnf_cap,
-            cancel=self.cancel,
-        )
+        return decide_validity(seq, cancel=self.cancel)
 
     def _decide_refutation(self, clauses: CNF) -> Verdict:
         try:
             return _decide_clauses(
                 simplify_clauses(clauses),
-                budget=_Budget(self.step_cap),
+                budget=_Budget(DEFAULT_STEP_CAP),
                 cancel=self.cancel,
             )
         except OracleLimit:

@@ -9,7 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
-from .terms import Term, render_term, subst_term, term_key, term_vars
+from .terms import (
+    App,
+    Term,
+    Var,
+    render_term,
+    subst_term,
+    term_key,
+    term_vars,
+)
 
 
 @dataclass(frozen=True)
@@ -119,16 +127,37 @@ def formula_vars(f: Formula) -> set[str]:
     return formula_vars(f.body) - set(f.vars)
 
 
-def atoms_of(f: Formula) -> Iterator[Union[Atom, Eq]]:
-    if isinstance(f, (Atom, Eq)):
-        yield f
-    elif isinstance(f, Not):
-        yield from atoms_of(f.body)
-    elif isinstance(f, (And, Or, Imp)):
-        yield from atoms_of(f.lhs)
-        yield from atoms_of(f.rhs)
-    elif isinstance(f, QuantBlock):
-        yield from atoms_of(f.body)
+def symbols(
+    items: Iterable[Union[Formula, Term]]
+) -> Iterator[tuple[str, str, int]]:
+    """Every symbol occurrence in the formulas and terms, in pre-order, as
+    (kind, name, arity): kind "pred" for a predicate, "fun" for a
+    function symbol or constant, "var" for a variable or a name that a
+    quantifier block binds.  Top and Bottom yield nothing.  Iterative, so
+    nesting depth is unbounded."""
+    stack = list(items)
+    stack.reverse()
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is App:
+            yield "fun", x.head, len(x.args)
+            stack.extend(reversed(x.args))
+        elif cls is Var:
+            yield "var", x.name, 0
+        elif cls is Atom:
+            yield "pred", x.pred, len(x.args)
+            stack.extend(reversed(x.args))
+        elif cls is Eq:
+            stack += (x.rhs, x.lhs)
+        elif cls is Not:
+            stack.append(x.body)
+        elif cls is QuantBlock:
+            for v in x.vars:
+                yield "var", v, 0
+            stack.append(x.body)
+        elif cls is And or cls is Or or cls is Imp:
+            stack += (x.rhs, x.lhs)
 
 
 def apply_subst(f: Formula, sub: Mapping[str, Term]) -> Formula:

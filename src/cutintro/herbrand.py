@@ -5,6 +5,11 @@ ground instantiation tuples (empty for formulas without a prefix).  It is
 flattened into a single set of ground terms by wrapping each tuple of H_i
 in a reserved head symbol tagging the formula position i; those heads
 cannot appear in input files, so they never collide with user symbols.
+
+A decomposition's patterns are tagged the same way, over the variables
+α₁..α_m instead of ground terms, so ``decode_termset`` splits them into
+a structure too, and ``herbrand_sequent`` of that structure is the
+schematic sequent of ``cutformula``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .terms import (
     Term,
     is_ground,
     is_tag_head,
+    render_term,
     tag_head,
     tag_index,
     tuple_key,
@@ -75,13 +81,20 @@ def encode_termset(h: HerbrandStructure) -> TermSet:
 
 
 def decode_termset(ts: TermSet) -> HerbrandStructure:
+    """Split tagged terms back into per-formula tuple sets.  The terms may
+    mention variables below the tag (a decomposition's patterns do)."""
     out: list[set[tuple[Term, ...]]] = [set() for _ in range(ts.q)]
     for t in ts.terms:
-        if not is_tag_head(t.head):
-            raise ValueError(f"foreign head symbol {t.head!r} in term set")
+        if t.__class__ is not App or not is_tag_head(t.head):
+            raise ValueError(
+                f"term {render_term(t)} is not a tagged formula instance"
+            )
         i = tag_index(t.head)
         if not 1 <= i <= ts.q:
-            raise ValueError(f"tag index {i} out of range 1..{ts.q}")
+            raise ValueError(
+                f"term {render_term(t)} tags formula {i}, "
+                f"but the sequent has {ts.q}"
+            )
         out[i - 1].add(t.args)
     return HerbrandStructure(tuple(frozenset(s) for s in out))
 

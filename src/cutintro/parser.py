@@ -24,10 +24,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .formulas import And, Atom, Eq, Formula, Imp, Not, Or, render_formula
+from .formulas import And, Atom, Eq, Formula, Imp, Not, Or, symbols
 from .herbrand import HerbrandStructure
 from .sequents import PrenexFormula, Sigma1Sequent
-from .terms import App, Term, Var, is_alpha, render_term, render_tuple
+from .terms import App, Term, Var, is_alpha, render_tuple
 
 
 class InputError(ValueError):
@@ -265,47 +265,19 @@ class _Parser:
 
 def _check_signature(seq: Sigma1Sequent, structure: HerbrandStructure) -> None:
     """Arity consistency for functions and predicates across the input."""
-    fun_arity: dict[str, int] = {}
-    pred_arity: dict[str, int] = {}
-
-    def see_term(t: Term) -> None:
-        if isinstance(t, Var):
-            return
-        old = fun_arity.setdefault(t.head, len(t.args))
-        if old != len(t.args):
-            raise InputError(
-                f"function symbol {t.head!r} used with arity {len(t.args)}"
-                f" and {old}"
-            )
-        for a in t.args:
-            see_term(a)
-
-    def see_formula(f: Formula) -> None:
-        if isinstance(f, Atom):
-            old = pred_arity.setdefault(f.pred, len(f.args))
-            if old != len(f.args):
-                raise InputError(
-                    f"predicate {f.pred!r} used with arity {len(f.args)}"
-                    f" and {old}"
-                )
-            for a in f.args:
-                see_term(a)
-        elif isinstance(f, Eq):
-            see_term(f.lhs)
-            see_term(f.rhs)
-        elif isinstance(f, Not):
-            see_formula(f.body)
-        elif isinstance(f, (And, Or, Imp)):
-            see_formula(f.lhs)
-            see_formula(f.rhs)
-
-    for i in range(1, seq.q + 1):
-        see_formula(seq.formula(i).matrix)
+    arity: dict[str, dict[str, int]] = {"fun": {}, "pred": {}}
+    items: list = [seq.formula(i).matrix for i in range(1, seq.q + 1)]
     for h in structure.instances:
         for tup in h:
-            for t in tup:
-                see_term(t)
-    clash = set(fun_arity) & set(pred_arity)
+            items.extend(tup)
+    for kind, name, n in symbols(items):
+        if kind == "var":
+            continue
+        old = arity[kind].setdefault(name, n)
+        if old != n:
+            what = "function symbol" if kind == "fun" else "predicate"
+            raise InputError(f"{what} {name!r} used with arity {n} and {old}")
+    clash = set(arity["fun"]) & set(arity["pred"])
     if clash:
         raise InputError(
             f"symbols used both as function and predicate: {sorted(clash)}"
@@ -346,26 +318,3 @@ def parse_input(text: str) -> tuple[Sigma1Sequent, HerbrandStructure]:
     structure = HerbrandStructure(tuple(frozenset(s) for s in collected))
     _check_signature(seq, structure)
     return seq, structure
-
-
-def render_input(seq: Sigma1Sequent, structure: HerbrandStructure) -> str:
-    """Inverse of parse_input, up to declaration order and whitespace."""
-    from .terms import tuple_key
-
-    lines: list[str] = []
-    for pf in seq.ante:
-        lines.append(f"ante {render_formula(pf.to_formula('all'))}.")
-    for pf in seq.succ:
-        lines.append(f"succ {render_formula(pf.to_formula('ex'))}.")
-    for i in range(1, seq.q + 1):
-        h = structure.instances[i - 1]
-        if not h:
-            continue
-        rendered = []
-        for tup in sorted(h, key=tuple_key):
-            if len(tup) == 1:
-                rendered.append(render_term(tup[0]))
-            else:
-                rendered.append(render_tuple(tup))
-        lines.append(f"inst {i}: {'; '.join(rendered)}.")
-    return "\n".join(lines) + "\n"

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .cnf import DEFAULT_CNF_CAP, CnfBlowup
+from .cnf import CnfBlowup
 from .cutformula import (
     SchematicEHS,
     SolutionCandidate,
     build_schematic_ehs,
     canonical_solution,
     check_solution,
-    select_best,
     sf_improve,
 )
 from .decomposition import (
@@ -42,11 +41,15 @@ from .decomposition import (
     build_delta_table,
     fold_delta_table,
     restrict_ci1,
-    to_structure_decomposition,
 )
-from .euf import DEFAULT_STEP_CAP, InternalOracle, Oracle, Verdict
+from .euf import InternalOracle, Oracle, Verdict
 from .formulas import formula_size, render_formula
-from .herbrand import encode_termset, herbrand_sequent
+from .herbrand import (
+    TermSet,
+    decode_termset,
+    encode_termset,
+    herbrand_sequent,
+)
 from .parser import InputError, parse_input
 from .proofs import (
     ProofBuildError,
@@ -71,8 +74,6 @@ class RunConfig:
     max_subset: Optional[int] = None
     termset_limit: int = DEFAULT_TERMSET_LIMIT
     sf_cap: int = 10_000
-    step_cap: int = DEFAULT_STEP_CAP
-    cnf_cap: int = DEFAULT_CNF_CAP
     oracle_spec: str = "internal"  # or "cmd:<template with {file}>"
     out_dir: Optional[str] = None
 
@@ -85,7 +86,7 @@ class RunConfig:
             raise ValueError(
                 "max_subset must be at least 1 (or None for no limit)"
             )
-        for name in ("termset_limit", "sf_cap", "step_cap", "cnf_cap"):
+        for name in ("termset_limit", "sf_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.oracle_spec != "internal" and not self.oracle_spec.startswith(
@@ -117,9 +118,7 @@ class RunReport:
 
 def _make_oracle(cfg: RunConfig, cancel) -> Oracle:
     if cfg.oracle_spec == "internal":
-        return InternalOracle(
-            step_cap=cfg.step_cap, cnf_cap=cfg.cnf_cap, cancel=cancel
-        )
+        return InternalOracle(cancel=cancel)
     from .smt import CommandOracle
 
     return CommandOracle(template=cfg.oracle_spec[len("cmd:"):])
@@ -254,8 +253,8 @@ def _try_decomposition(
     dec: Decomposition, seq, cfg: RunConfig, oracle, cancel, failures: list
 ):
     try:
-        sd = to_structure_decomposition(dec, seq.q)
-        ehs = build_schematic_ehs(seq, sd)
+        u = decode_termset(TermSet(dec.u, seq.q))
+        ehs = build_schematic_ehs(seq, u, dec.w)
     except ValueError as err:
         failures.append(str(err))
         return None
@@ -286,9 +285,9 @@ def _try_decomposition(
 
 
 def _decomposition_json(dec: Decomposition, q: int) -> dict:
-    sd = to_structure_decomposition(dec, q)
+    u = decode_termset(TermSet(dec.u, q))
     return {
-        "u_sizes": [len(ui) for ui in sd.u],
+        "u_sizes": [len(ui) for ui in u.instances],
         "w_size": len(dec.w),
         "size": dec.size,
         "arity": dec.arity,
@@ -336,7 +335,7 @@ def _write_artifacts(
                 [term_to_json(t) for t in tup]
                 for tup in sorted(ui, key=tuple_key)
             ]
-            for ui in ehs.u
+            for ui in ehs.u.instances
         ],
     }
     (out / "decomposition.json").write_text(

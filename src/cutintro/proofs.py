@@ -16,25 +16,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from .cutformula import SchematicEHS, _subst_for_row
 from .euf import Oracle, Verdict
 from .formulas import (
-    And,
-    Atom,
-    Bottom,
-    Eq,
     Formula,
-    Imp,
-    Not,
-    Or,
     QuantBlock,
-    Top,
     apply_subst,
     formula_vars,
     is_quantifier_free,
     render_formula,
+    symbols,
 )
 from .sequents import Sequent
 from .serialize import (
@@ -45,7 +38,7 @@ from .serialize import (
     term_from_json,
     term_to_json,
 )
-from .terms import Term, Var, alpha, render_term, tuple_key
+from .terms import Var, alpha, render_term, tuple_key
 
 
 class ProofBuildError(Exception):
@@ -134,40 +127,9 @@ def _fresh_bound_names(m: int, taken: set) -> tuple:
 
 
 def _used_names(e: SchematicEHS, a: Formula) -> set:
-    names: set = set()
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Var):
-            names.add(t.name)
-        else:
-            names.add(t.head)
-            for x in t.args:
-                walk_term(x)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            names.add(f.pred)
-            for t in f.args:
-                walk_term(t)
-        elif isinstance(f, Eq):
-            walk_term(f.lhs)
-            walk_term(f.rhs)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or, Imp)):
-            walk(f.lhs)
-            walk(f.rhs)
-        elif isinstance(f, QuantBlock):
-            names.update(f.vars)
-            walk(f.body)
-
-    walk(a)
     s = e.base
-    for i in range(1, s.q + 1):
-        pf = s.formula(i)
-        names.update(pf.vars)
-        walk(pf.matrix)
-    return names
+    quantified = (s.formula(i).to_formula("all") for i in range(1, s.q + 1))
+    return {name for _, name, _ in symbols((a, *quantified))}
 
 
 def build_proof_with_cut(
@@ -224,7 +186,7 @@ def build_proof_with_cut(
             pos += 1
             continue
         quantified = pf.to_formula("all" if i <= s.p else "ex")
-        for tup in sorted(e.u[i - 1], key=tuple_key):
+        for tup in sorted(e.u.instances[i - 1], key=tuple_key):
             side[pos] = quantified
             conclusion = Sequent(tuple(ante), tuple(succ))
             proof = block(

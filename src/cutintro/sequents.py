@@ -63,9 +63,6 @@ class Sigma1Sequent:
     def k(self, i: int) -> int:
         return self.formula(i).k
 
-    def kind(self, i: int) -> str:
-        return "all" if i <= self.p else "ex"
-
     def validate(self) -> None:
         for i in range(1, self.q + 1):
             pf = self.formula(i)

@@ -26,9 +26,10 @@ from .formulas import (
     Or,
     Top,
     is_quantifier_free,
+    symbols,
 )
 from .sequents import Sequent
-from .terms import App, Term, Var
+from .terms import Term, Var
 
 _PLAIN = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][A-Za-z0-9~!@$%^&*_\-+=<>.?/]*\Z")
 
@@ -73,33 +74,12 @@ def _formula_sexp(f: Formula) -> str:
 
 
 def _signature(seq: Sequent) -> tuple[dict[str, int], dict[str, int]]:
+    """Function and predicate arities; a variable is declared as a
+    constant."""
     funcs: dict[str, int] = {}
     preds: dict[str, int] = {}
-
-    def walk_term(t: Term) -> None:
-        if isinstance(t, Var):
-            funcs.setdefault(t.name, 0)
-            return
-        funcs.setdefault(t.head, len(t.args))
-        for a in t.args:
-            walk_term(a)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            preds.setdefault(f.pred, len(f.args))
-            for a in f.args:
-                walk_term(a)
-        elif isinstance(f, Eq):
-            walk_term(f.lhs)
-            walk_term(f.rhs)
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, (And, Or, Imp)):
-            walk(f.lhs)
-            walk(f.rhs)
-
-    for f in tuple(seq.ante) + tuple(seq.succ):
-        walk(f)
+    for kind, name, arity in symbols((*seq.ante, *seq.succ)):
+        (preds if kind == "pred" else funcs).setdefault(name, arity)
     return funcs, preds
 
 

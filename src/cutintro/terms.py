@@ -26,7 +26,7 @@ hash already makes unequal comparisons and dictionary lookups cheap.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 # Names starting with this prefix are the generated cut variables alpha_1,
 # alpha_2, ...; the input parser rejects them so user symbols never collide.
@@ -175,30 +175,12 @@ def term_vars(t: Term) -> set[str]:
     return out
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms including t itself, pre-order."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
-
-
-def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
-
-
 def subst_term(t: Term, sub: Mapping[str, Term]) -> Term:
     if isinstance(t, Var):
         return sub.get(t.name, t)
     if not t.args:
         return t
     return App(t.head, tuple(subst_term(a, sub) for a in t.args))
-
-
-def contains_subterm(t: Term, s: Term) -> bool:
-    return any(x == s for x in subterms(t))
 
 
 def replace_at(t: Term, pos: tuple[int, ...], repl: Term) -> Term:

@@ -6,15 +6,14 @@ from importlib.resources import files
 
 import pytest
 
-from cutintro.cutformula import canonical_solution, sf_improve
-from cutintro.decomposition import (
-    build_delta_table,
-    fold_delta_table,
-    to_structure_decomposition,
+from cutintro.cutformula import (
+    build_schematic_ehs,
+    canonical_solution,
+    sf_improve,
 )
-from cutintro.cutformula import build_schematic_ehs
+from cutintro.decomposition import build_delta_table, fold_delta_table
 from cutintro.euf import InternalOracle
-from cutintro.herbrand import encode_termset
+from cutintro.herbrand import TermSet, decode_termset, encode_termset
 from cutintro.parser import parse_input
 
 
@@ -49,8 +48,9 @@ def golden_decompositions(golden_table, golden_termset):
 @pytest.fixture(scope="session")
 def golden_ehs(golden, golden_decompositions):
     seq, _ = golden
-    sd = to_structure_decomposition(golden_decompositions[0], seq.q)
-    return build_schematic_ehs(seq, sd)
+    dec = golden_decompositions[0]
+    u = decode_termset(TermSet(dec.u, seq.q))
+    return build_schematic_ehs(seq, u, dec.w)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,17 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from cutintro.formulas import And, Atom, Eq, Formula, Imp, Not, Or, conj
+from cutintro.formulas import (
+    And,
+    Atom,
+    Eq,
+    Formula,
+    Imp,
+    Not,
+    Or,
+    conj,
+    render_formula,
+)
 from cutintro.herbrand import HerbrandStructure
 from cutintro.sequents import PrenexFormula, Sequent, Sigma1Sequent
 from cutintro.terms import (
@@ -17,9 +27,12 @@ from cutintro.terms import (
     Term,
     Var,
     alpha,
+    render_term,
+    render_tuple,
     subst_term,
     tag_head,
     term_key,
+    tuple_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -70,16 +83,17 @@ def _random_pattern(
 
     for _ in range(20):
         t = go(depth)
-        if any(isinstance(s, Var) for s in _walk(t)):
+        if any(isinstance(s, Var) for s in subterms(t)):
             return t
     return alpha(1)
 
 
-def _walk(t: Term):
+def subterms(t: Term):
+    """All subterms including t itself, pre-order."""
     yield t
     if isinstance(t, App):
         for a in t.args:
-            yield from _walk(a)
+            yield from subterms(a)
 
 
 def random_term_set(rng: random.Random, max_size: int = 8) -> frozenset:
@@ -433,3 +447,25 @@ def wide_disjunction_input(width: int = 6) -> str:
     succ = " & ".join(f"({d(s, t)})" for s, t in pairs)
     inst = "; ".join(f"({s}, {t})" for s, t in pairs)
     return f"ante all x y: {d('x', 'y')}.\nsucc {succ}.\ninst 1: {inst}.\n"
+
+
+def render_input(seq: Sigma1Sequent, structure: HerbrandStructure) -> str:
+    """Input text for a sequent and its instance lists: the inverse of
+    ``parse_input``, up to declaration order and whitespace."""
+    lines: list[str] = []
+    for pf in seq.ante:
+        lines.append(f"ante {render_formula(pf.to_formula('all'))}.")
+    for pf in seq.succ:
+        lines.append(f"succ {render_formula(pf.to_formula('ex'))}.")
+    for i in range(1, seq.q + 1):
+        h = structure.instances[i - 1]
+        if not h:
+            continue
+        rendered = []
+        for tup in sorted(h, key=tuple_key):
+            if len(tup) == 1:
+                rendered.append(render_term(tup[0]))
+            else:
+                rendered.append(render_tuple(tup))
+        lines.append(f"inst {i}: {'; '.join(rendered)}.")
+    return "\n".join(lines) + "\n"

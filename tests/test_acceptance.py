@@ -25,13 +25,11 @@ from cutintro.decomposition import (
     build_delta_table,
     delta_g,
     fold_delta_table,
-    to_structure_decomposition,
     validate_decomposition,
 )
 from cutintro.euf import InternalOracle, Verdict, decide_validity
 from cutintro.formulas import And, Atom, Eq, Not, Or, render_formula
-from cutintro.herbrand import encode_termset
-from cutintro.parser import render_input
+from cutintro.herbrand import TermSet, decode_termset, encode_termset
 from cutintro.pipeline import RunConfig, run_pipeline
 from cutintro.proofs import (
     ForallLeftBlock,
@@ -47,6 +45,7 @@ from cutintro.terms import App, alpha, const, render_term, subst_term
 
 import gen
 import oracles
+from gen import render_input
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -83,11 +82,11 @@ def test_criterion_1_golden_end_to_end(golden, golden_oracle):
         failures.append(f"expected one minimal decomposition of size 10, got "
                         f"{[d.size for d in decs]}")
     d = decs[0]
-    sd = to_structure_decomposition(d, seq.q)
-    if [len(x) for x in sd.u] != [0, 4, 4, 0] or len(sd.w) != 2:
+    split = decode_termset(TermSet(d.u, seq.q))
+    u_sizes = [len(x) for x in split.instances]
+    if u_sizes != [0, 4, 4, 0] or len(d.w) != 2:
         failures.append(
-            f"expected |U1|=4, |U2|=4, |W|=2; got u={[len(x) for x in sd.u]} "
-            f"w={len(sd.w)}"
+            f"expected |U1|=4, |U2|=4, |W|=2; got u={u_sizes} w={len(d.w)}"
         )
     a = const("a")
     f = lambda t: App("f", (t,))
@@ -103,7 +102,7 @@ def test_criterion_1_golden_end_to_end(golden, golden_oracle):
     if {render_term(u) for u in d.u} != want_u:
         failures.append("pattern set differs from the expected one")
 
-    e = build_schematic_ehs(seq, sd)
+    e = build_schematic_ehs(seq, split, d.w)
     if e.size != 10:
         failures.append(f"schematic sequent size {e.size} != 10")
 
@@ -257,7 +256,8 @@ def test_criterion_4_solution_space():
             continue
         if not decs:
             continue
-        e = build_schematic_ehs(s, to_structure_decomposition(decs[0], s.q))
+        u = decode_termset(TermSet(decs[0].u, s.q))
+        e = build_schematic_ehs(s, u, decs[0].w)
         oracle = InternalOracle()
         can = canonical_solution(e)
         if not check_solution(e, can.formula, oracle):

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from cutintro.cli import main
-from cutintro.parser import render_input
 
 import gen
+from gen import render_input
 
 
 @pytest.fixture()
@@ -96,6 +96,14 @@ class TestCorpus:
     def test_empty_directory_exits_two(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_two(self, tmp_path, workers, capsys):
+        self._write_corpus(tmp_path)
+        assert main(["corpus", str(tmp_path), "--workers", workers]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "cutintro corpus: error: workers must be at least 1\n"
 
 
 _BAD_OPTIONS = [
@@ -183,6 +191,38 @@ class TestCheck:
     def test_missing_proof_exits_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
+
+    @staticmethod
+    def _deep_formula_proof(golden_file, tmp_path) -> str:
+        out = tmp_path / "artifacts"
+        main(["run", str(golden_file), "--out", str(out)])
+        packed = json.loads((out / "proof.json").read_text())
+        f = {"atom": "P", "args": []}
+        for _ in range(700):
+            f = {"not": f}
+        packed["conclusion"]["ante"][0] = f
+        return json.dumps(packed)
+
+    @pytest.mark.parametrize("nesting", ["brackets", "formula"])
+    def test_too_deep_proof_exits_two_without_traceback(
+        self, golden_file, tmp_path, nesting, capsys
+    ):
+        p = tmp_path / "deep.json"
+        if nesting == "brackets":
+            p.write_text("[" * 100_000)
+        else:
+            p.write_text(self._deep_formula_proof(golden_file, tmp_path))
+        capsys.readouterr()
+        done = subprocess.run(
+            [sys.executable, "-m", "cutintro.cli", "check", str(p)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: cannot check proof: it nests")
+        assert done.stderr.count("\n") == 1
 
 
 class TestConsoleScript:

@@ -8,22 +8,17 @@ import pytest
 
 from cutintro.cutformula import (
     SchemaError,
-    SchematicEHS,
+    _forget_moves,
+    _subst_for_row,
     build_schematic_ehs,
     canonical_solution,
     check_solution,
-    forget,
     guard_clauses,
     select_best,
     sf_improve,
     subst_clauses,
 )
-from cutintro.decomposition import (
-    StructureDecomposition,
-    build_delta_table,
-    fold_delta_table,
-    to_structure_decomposition,
-)
+from cutintro.decomposition import build_delta_table, fold_delta_table
 from cutintro.cnf import cnf_of_formulas, to_cnf
 from cutintro.euf import InternalOracle, Verdict, decide_validity
 from cutintro.formulas import (
@@ -33,9 +28,16 @@ from cutintro.formulas import (
     Formula,
     Not,
     Or,
+    apply_subst,
     render_formula,
 )
-from cutintro.herbrand import encode_termset
+from cutintro.herbrand import (
+    HerbrandStructure,
+    TermSet,
+    decode_termset,
+    encode_termset,
+    herbrand_sequent,
+)
 from cutintro.parser import parse_input
 from cutintro.proofs import build_proof_with_cut
 from cutintro.sequents import Sequent
@@ -51,13 +53,15 @@ def f(t):
     return App("f", (t,))
 
 
+def forget(cnf):
+    """Every clause set one forgetful inference step reaches."""
+    return [succ for succ, _ in _forget_moves(cnf)]
+
+
 def _mini_ehs():
     seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
-    sd = StructureDecomposition(
-        u=(frozenset({(alpha(1),)}), frozenset()),
-        w=frozenset({(a,)}),
-    )
-    return build_schematic_ehs(seq, sd)
+    u = HerbrandStructure((frozenset({(alpha(1),)}), frozenset()))
+    return build_schematic_ehs(seq, u, {(a,)})
 
 
 def _solved_random_instance(seed: int):
@@ -72,8 +76,8 @@ def _solved_random_instance(seed: int):
     decs = fold_delta_table(dt, ts)
     if not decs:
         return None
-    sd = to_structure_decomposition(decs[0], seq.q)
-    return build_schematic_ehs(seq, sd)
+    u = decode_termset(TermSet(decs[0].u, seq.q))
+    return build_schematic_ehs(seq, u, decs[0].w)
 
 
 class TestBuildSchematicEHS:
@@ -112,11 +116,49 @@ class TestBuildSchematicEHS:
         seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
         with pytest.raises(SchemaError):
             build_schematic_ehs(
-                seq,
-                StructureDecomposition(
-                    u=(frozenset(),) * 3, w=frozenset({(a,)})
-                ),
+                seq, HerbrandStructure((frozenset(),) * 3), {(a,)}
             )
+
+    @pytest.mark.parametrize(
+        "u1, w, message",
+        [
+            ({(alpha(1),)}, set(), "must bind at least one variable"),
+            ({(alpha(1),)}, {(Var("x"),)}, "vector x is not ground"),
+            ({(alpha(1), a)}, {(a,)}, "formula 1 expects 1-tuples, got 2"),
+            ({(Var("x"),)}, {(a,)}, "non-schema variable x"),
+        ],
+    )
+    def test_schema_checks_name_the_fault(self, u1, w, message):
+        seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
+        u = HerbrandStructure((frozenset(u1), frozenset()))
+        with pytest.raises(SchemaError, match=message):
+            build_schematic_ehs(seq, u, w)
+
+    def test_prefix_free_formula_takes_no_tuples(self):
+        seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
+        u = HerbrandStructure((frozenset(), frozenset({(alpha(1),)})))
+        with pytest.raises(SchemaError, match="formula 2 has no quantifier"):
+            build_schematic_ehs(seq, u, {(a,)})
+
+    def test_rows_instantiate_to_the_herbrand_sequent(self):
+        # Expansion: U∘W is the term set, so W's rows turn the sequent of
+        # the patterns into the sequent of the instances.
+        checked = 0
+        for seed in range(30):
+            e = _solved_random_instance(seed)
+            if e is None:
+                continue
+            seq, hs = gen.random_solvable_instance(random.Random(seed))
+            want = herbrand_sequent(seq, hs)
+            for side, target in ((e.gamma, want.ante), (e.delta, want.succ)):
+                got = {
+                    apply_subst(g, _subst_for_row(row))
+                    for g in side
+                    for row in e.w
+                }
+                assert got == set(target), f"seed {seed}"
+            checked += 1
+        assert checked >= 15
 
 
 class TestCheckSolution:

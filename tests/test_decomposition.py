@@ -18,9 +18,9 @@ from cutintro.decomposition import (
     delta_g,
     fold_delta_table,
     restrict_ci1,
-    to_structure_decomposition,
     validate_decomposition,
 )
+from cutintro.herbrand import TermSet, decode_termset
 from cutintro.terms import (
     App,
     alpha,
@@ -462,10 +462,11 @@ class TestRestrictAndSplit:
 
     def test_structure_split_by_tag(self, golden, golden_decompositions):
         seq, _ = golden
-        sd = to_structure_decomposition(golden_decompositions[0], seq.q)
-        assert [len(x) for x in sd.u] == [0, 4, 4, 0]
-        assert len(sd.w) == 2
+        dec = golden_decompositions[0]
+        u = decode_termset(TermSet(dec.u, seq.q))
+        assert [len(x) for x in u.instances] == [0, 4, 4, 0]
+        assert len(dec.w) == 2
         # Tag heads are stripped: the split rows are bare argument tuples.
-        for i, patterns in enumerate(sd.u, start=1):
+        for i, patterns in enumerate(u.instances, start=1):
             for args in patterns:
                 assert isinstance(args, tuple)

@@ -15,7 +15,6 @@ from cutintro.formulas import (
     QuantBlock,
     Top,
     apply_subst,
-    atoms_of,
     conj,
     disj,
     formula_key,
@@ -23,6 +22,7 @@ from cutintro.formulas import (
     formula_vars,
     is_quantifier_free,
     render_formula,
+    symbols,
 )
 from cutintro.terms import App, Var, const
 
@@ -102,11 +102,38 @@ class TestTraversals:
         assert formula_vars(QuantBlock("all", ("x",), body)) == {"y"}
         assert formula_vars(QuantBlock("ex", ("x", "y"), body)) == set()
 
-    def test_atoms_of_yields_atoms_and_equations(self):
-        f = Imp(Atom("P", ()), Not(Eq(const("a"), const("b"))))
-        got = list(atoms_of(f))
-        assert Atom("P", ()) in got
-        assert Eq(const("a"), const("b")) in got
+    def test_symbols_in_preorder_with_kinds(self):
+        fx = App("f", (Var("x"),))
+        f = QuantBlock(
+            "all",
+            ("x", "y"),
+            Imp(And(Atom("P", (fx, const("a"))), Top()), Not(Eq(fx, Var("y")))),
+        )
+        assert list(symbols([f, App("g", (const("b"),))])) == [
+            ("var", "x", 0),
+            ("var", "y", 0),
+            ("pred", "P", 2),
+            ("fun", "f", 1),
+            ("var", "x", 0),
+            ("fun", "a", 0),
+            ("fun", "f", 1),
+            ("var", "x", 0),
+            ("var", "y", 0),
+            ("fun", "g", 1),
+            ("fun", "b", 0),
+        ]
+        assert list(symbols([Bottom(), Atom("Q", ())])) == [("pred", "Q", 0)]
+
+    def test_symbols_walk_is_not_recursive(self):
+        t = const("a")
+        for _ in range(10_000):
+            t = App("f", (t,))
+        f: object = Atom("P", (t,))
+        for _ in range(10_000):
+            f = Not(f)
+        got = list(symbols([f]))
+        assert len(got) == 10_002
+        assert got[0] == ("pred", "P", 1) and got[-1] == ("fun", "a", 0)
 
     def test_formula_size_counts_connectives_and_atoms(self):
         a = Atom("P", (const("a"),))
@@ -121,14 +148,8 @@ class TestTraversals:
 
     @given(formulas_strategy())
     def test_vars_subset_of_atom_vars(self, f):
-        from cutintro.terms import term_vars
-
-        atom_vars: set[str] = set()
-        for a in atoms_of(f):
-            args = a.args if isinstance(a, Atom) else (a.lhs, a.rhs)
-            for t in args:
-                atom_vars |= term_vars(t)
-        assert formula_vars(f) <= atom_vars
+        walked = {name for kind, name, _ in symbols([f]) if kind == "var"}
+        assert formula_vars(f) <= walked
 
 
 class TestSubstitution:

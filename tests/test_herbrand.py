@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from cutintro.formulas import Atom, Eq, Imp, atoms_of
+from cutintro.formulas import Atom, Eq
 from cutintro.herbrand import (
+    TermSet,
     decode_termset,
     encode_termset,
     herbrand_sequent,
@@ -15,9 +16,10 @@ from cutintro.herbrand import (
 )
 from cutintro.euf import Verdict, decide_validity
 from cutintro.parser import parse_input
-from cutintro.terms import App, const, is_tag_head, subterms
+from cutintro.terms import App, Var, alpha, const, is_tag_head, tag_head
 
 import gen
+from gen import subterms
 
 
 class TestEncoding:
@@ -65,6 +67,26 @@ class TestEncoding:
         ts = encode_termset(hs)
         assert ts.terms == frozenset()
         assert decode_termset(ts) == hs
+
+    def test_decode_keeps_pattern_variables(self):
+        ts = TermSet(frozenset({App(tag_head(1), (alpha(1),))}), 2)
+        assert decode_termset(ts).instances == (
+            frozenset({(alpha(1),)}),
+            frozenset(),
+        )
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            (Var("x"), "term x is not a tagged formula instance"),
+            (App("f", (const("a"),)), "term f\\(a\\) is not a tagged"),
+            (App(tag_head(3), (const("a"),)), "tags formula 3, but the "),
+            (App(tag_head(0), ()), "tags formula 0, but the sequent has 2"),
+        ],
+    )
+    def test_decode_rejects_untagged_and_out_of_range(self, term, message):
+        with pytest.raises(ValueError, match=message):
+            decode_termset(TermSet(frozenset({term}), 2))
 
 
 class TestInstanceFormulas:

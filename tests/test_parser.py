@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from cutintro.parser import InputError, parse_input, render_input
+from cutintro.parser import InputError, parse_input
 from cutintro.formulas import Atom, Eq, Imp
 from cutintro.terms import App, Var, const
 
 import gen
+from gen import render_input
 
 
 class TestGoldenInput:
@@ -19,7 +20,6 @@ class TestGoldenInput:
         assert seq.p == 3
         assert seq.q == 4
         assert [seq.k(i) for i in range(1, 5)] == [0, 1, 2, 0]
-        assert [seq.kind(i) for i in range(1, 5)] == ["all", "all", "all", "ex"]
         assert hs.size == 12
 
     def test_matrix_of_equation_formula(self, golden):

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from cutintro.corpus import emit_stats, run_corpus, write_corpus_outputs
-from cutintro.parser import parse_input, render_input
+from cutintro.parser import parse_input
 from cutintro.pipeline import RunConfig, RunReport, run_pipeline
 
 import gen
+from gen import render_input
 
 GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "running_example"
 
@@ -51,7 +52,7 @@ class TestRunConfig:
     def test_accepts_max_subset_one(self):
         assert RunConfig(max_subset=1).max_subset == 1
 
-    @pytest.mark.parametrize("cap", ["sf_cap", "step_cap", "cnf_cap"])
+    @pytest.mark.parametrize("cap", ["sf_cap"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_caps_below_one(self, cap, value):
         # A cap below one would silently cut its search off: --sf-cap -1
@@ -59,7 +60,7 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=cap):
             RunConfig(**{cap: value})
 
-    @pytest.mark.parametrize("cap", ["sf_cap", "step_cap", "cnf_cap"])
+    @pytest.mark.parametrize("cap", ["sf_cap"])
     def test_accepts_caps_of_one(self, cap):
         assert getattr(RunConfig(**{cap: 1}), cap) == 1
 

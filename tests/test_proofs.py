@@ -12,7 +12,7 @@ from cutintro.cutformula import (
     canonical_solution,
     select_best,
 )
-from cutintro.decomposition import StructureDecomposition
+from cutintro.herbrand import HerbrandStructure
 from cutintro.formulas import (
     And,
     Atom,
@@ -183,15 +183,13 @@ class TestBuildErrors:
 
         seq, _ = parse_input("ante P(a).\nsucc P(a).")
         # The schematic-sequent builder refuses variable-free shapes...
-        sd = StructureDecomposition(
-            u=(frozenset(), frozenset()), w=frozenset()
-        )
+        u = HerbrandStructure((frozenset(), frozenset()))
         with pytest.raises(SchemaError):
-            build_schematic_ehs(seq, sd)
+            build_schematic_ehs(seq, u, frozenset())
         # ...and the proof builder independently refuses a hand-made one.
         e = SchematicEHS(
             base=seq,
-            u=(frozenset(), frozenset()),
+            u=u,
             w=(),
             gamma=(Atom("P", (a,)),),
             delta=(Atom("P", (a,)),),
@@ -201,11 +199,8 @@ class TestBuildErrors:
 
     def test_single_row_proof_builds(self, oracle):
         seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
-        sd = StructureDecomposition(
-            u=(frozenset({(alpha(1),)}), frozenset()),
-            w=frozenset({(a,)}),
-        )
-        e = build_schematic_ehs(seq, sd)
+        u = HerbrandStructure((frozenset({(alpha(1),)}), frozenset()))
+        e = build_schematic_ehs(seq, u, {(a,)})
         p = build_proof_with_cut(e, Atom("P", (alpha(1),)), oracle)
         assert check_proof(p, oracle)
         assert metrics(p)["comq"] == 2

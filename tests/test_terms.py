@@ -11,13 +11,13 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from cutintro.formulas import symbols
 from cutintro.terms import (
     App,
     Var,
     alpha,
     alpha_index,
     const,
-    contains_subterm,
     is_alpha,
     is_ground,
     is_tag_head,
@@ -26,16 +26,15 @@ from cutintro.terms import (
     render_tuple,
     replace_at,
     subst_term,
-    subterms,
     tag_head,
     tag_index,
     term_key,
-    term_size,
     term_vars,
     tuple_key,
 )
 
 import gen
+from gen import subterms
 from oracles import reference_term_key
 
 
@@ -121,11 +120,6 @@ class TestAlphaAndTags:
 
 
 class TestTraversals:
-    def test_term_size_counts_nodes(self):
-        assert term_size(const("a")) == 1
-        assert term_size(App("f", (const("a"),))) == 2
-        assert term_size(App("g", (App("f", (const("a"),)), const("b")))) == 4
-
     def test_term_vars_returns_names(self):
         t = App("g", (Var("x"), App("f", (alpha(1),))))
         assert term_vars(t) == {"x", "α1"}
@@ -143,7 +137,8 @@ class TestTraversals:
 
     @given(terms_strategy())
     def test_size_equals_number_of_subterm_occurrences(self, t):
-        assert term_size(t) == len(list(subterms(t)))
+        # One symbol occurrence per node: the walk counts the term's size.
+        assert len(list(symbols([t]))) == len(list(subterms(t)))
 
     @given(terms_strategy())
     def test_vars_are_exactly_the_var_subterms(self, t):
@@ -201,11 +196,6 @@ class TestPositions:
             for pos in positions_of(t, needle):
                 swapped = replace_at(t, pos, const("c"))
                 assert replace_at(swapped, pos, needle) == t
-
-    def test_contains_subterm(self):
-        t = App("g", (App("f", (const("a"),)), const("b")))
-        assert contains_subterm(t, App("f", (const("a"),)))
-        assert not contains_subterm(t, App("f", (const("b"),)))
 
 
 class TestRenderingAndOrdering:
