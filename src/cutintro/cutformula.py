@@ -57,6 +57,7 @@ from .formulas import (
     Formula,
     Not,
     Top,
+    apply_subst,
     conj,
     disj,
     formula_size,
@@ -67,13 +68,12 @@ from .herbrand import HerbrandStructure, herbrand_sequent
 from .sequents import Sigma1Sequent
 from .terms import (
     Term,
-    alpha,
     alpha_index,
+    alpha_subst,
     is_alpha,
     positions_of,
     render_term,
     replace_at,
-    subst_term,
     term_vars,
     tuple_key,
 )
@@ -105,10 +105,6 @@ class SchematicEHS:
     def side_clauses(self) -> CNF:
         """Clause form of Γ' ∧ ¬⋁Δ'; raises CnfBlowup past the cap."""
         return cnf_of_formulas(self.gamma, self.delta)
-
-
-def _subst_for_row(row: tuple) -> dict:
-    return {alpha(i + 1).name: row[i] for i in range(len(row))}
 
 
 def build_schematic_ehs(
@@ -188,7 +184,7 @@ def guard_clauses(e: SchematicEHS, clauses: CNF) -> CNF:
     ``clauses`` is the clause form of A(ᾱ)."""
     out = set(e.side_clauses)
     for row in e.w:
-        out |= subst_clauses(clauses, _subst_for_row(row))
+        out |= subst_clauses(clauses, alpha_subst(row))
     return frozenset(out)
 
 
@@ -219,15 +215,9 @@ def check_solution(
     return all(oracle.refutation(q) is Verdict.VALID for q in queries)
 
 
-def _subst_atom(atom, mapping: dict):
-    if isinstance(atom, Eq):
-        return Eq(subst_term(atom.lhs, mapping), subst_term(atom.rhs, mapping))
-    return Atom(atom.pred, tuple(subst_term(t, mapping) for t in atom.args))
-
-
 def subst_clauses(cnf: CNF, mapping: dict) -> CNF:
     return frozenset(
-        frozenset((sign, _subst_atom(a, mapping)) for sign, a in c)
+        frozenset((sign, apply_subst(a, mapping)) for sign, a in c)
         for c in cnf
     )
 
@@ -334,7 +324,7 @@ def _prune_alpha_free(cnf: CNF) -> CNF:
 
 @dataclass
 class SFResult:
-    candidates: list  # of SolutionCandidate, minimal ones found
+    candidates: list  # of SolutionCandidate, one per visited node
     visited: int
     capped: bool
 
@@ -351,8 +341,9 @@ def sf_improve(
     Maintains a stack of clause-set nodes known to solve the schema
     (validated via the step guard A(w̄₁)..A(w̄_k), Γ' ⊢ Δ', which the
     successors of a solution inherit).  α-free clauses are pruned at
-    every node.  Nodes whose every successor fails the guard are leaves;
-    the minimal candidates over all visited nodes are returned.
+    every node.  Nodes whose every successor fails the guard are leaves.
+    Every visited node is returned as a candidate, in visiting order;
+    ``select_best`` picks the smallest.
     """
     entry = _prune_alpha_free(simplify_clauses(cand.clauses))
     seen: set[CNF] = {entry}

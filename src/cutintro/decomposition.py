@@ -43,6 +43,7 @@ from .terms import (
     Var,
     alpha,
     alpha_index,
+    alpha_subst,
     render_term,
     subst_term,
     term_key,
@@ -374,12 +375,9 @@ class Decomposition:
 
     def expand(self) -> frozenset:
         out = set()
-        for u in self.u:
-            for row in self.w:
-                mapping = {
-                    alpha(i + 1).name: row[i] for i in range(len(row))
-                }
-                out.add(subst_term(u, mapping))
+        for row in self.w:
+            mapping = alpha_subst(row)
+            out.update(subst_term(u, mapping) for u in self.u)
         return frozenset(out)
 
     def sort_key(self) -> tuple:

@@ -506,10 +506,13 @@ class Oracle:
     succedent) pair, a clause set under itself.  ``calls`` counts the
     queries that reached the backend, which implements only the
     uncached ``_decide_validity`` (and ``_decide_refutation``, when it
-    decides clause sets without a formula round trip).
+    decides clause sets without a formula round trip).  ``cancel``, when
+    given, is called before each query that reaches the backend and
+    raises to abandon the run, so a deadline holds for every backend.
     """
 
     calls: int = field(default=0, kw_only=True)
+    cancel: Optional[Callable[[], None]] = field(default=None, kw_only=True)
     _memo: dict = field(default_factory=dict, kw_only=True, repr=False)
 
     def validity(self, seq: Sequent) -> Verdict:
@@ -523,6 +526,8 @@ class Oracle:
     def _cached(self, key, decide: Callable, query) -> Verdict:
         hit = self._memo.get(key)
         if hit is None:
+            if self.cancel is not None:
+                self.cancel()
             self.calls += 1
             hit = self._memo[key] = decide(query)
         return hit
@@ -538,8 +543,6 @@ class Oracle:
 
 @dataclass
 class InternalOracle(Oracle):
-    cancel: Optional[Callable[[], None]] = None
-
     def _decide_validity(self, seq: Sequent) -> Verdict:
         return decide_validity(seq, cancel=self.cancel)
 

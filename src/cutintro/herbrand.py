@@ -21,7 +21,6 @@ from .sequents import Sequent, Sigma1Sequent
 from .terms import (
     App,
     Term,
-    is_ground,
     is_tag_head,
     render_term,
     tag_head,
@@ -39,24 +38,6 @@ class HerbrandStructure:
     @property
     def size(self) -> int:
         return sum(len(h) for h in self.instances)
-
-    def validate(self, seq: Sigma1Sequent) -> None:
-        if len(self.instances) != seq.q:
-            raise ValueError(
-                f"structure has {len(self.instances)} components,"
-                f" sequent has {seq.q} formulas"
-            )
-        for i in range(1, seq.q + 1):
-            k = seq.k(i)
-            for tup in self.instances[i - 1]:
-                if k == 0:
-                    raise ValueError(f"formula {i} admits no instances")
-                if len(tup) != k:
-                    raise ValueError(
-                        f"formula {i}: instance arity {len(tup)} != {k}"
-                    )
-                if not all(is_ground(t) for t in tup):
-                    raise ValueError(f"formula {i}: non-ground instance")
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def _make_oracle(cfg: RunConfig, cancel) -> Oracle:
         return InternalOracle(cancel=cancel)
     from .smt import CommandOracle
 
-    return CommandOracle(template=cfg.oracle_spec[len("cmd:"):])
+    return CommandOracle(template=cfg.oracle_spec[len("cmd:"):], cancel=cancel)
 
 
 def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport:

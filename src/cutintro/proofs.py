@@ -1,12 +1,20 @@
 """Sequent proofs with one quantified cut.
 
-Proof trees are built from a handful of node kinds: oracle-certified
-quantifier-free leaves, weak quantifier blocks (∀ left / ∃ right on a
-whole prefix at once), a strong ∀-right block with eigenvariables, cut,
-contraction, and weakening.  ``build_proof_with_cut`` assembles the
-standard two-branch shape around a solution of a schematic extended
-Herbrand sequent; ``check_proof`` re-verifies every inference from
-scratch, consulting the validity oracle only at the leaves.
+A proof is a tree of ``Inference`` records, one record type for every
+rule: the rule's name, its conclusion, its premises, the formula it
+introduces and a quantifier block's terms.  ``_RULES`` states each rule
+once: the names of its premises, and for the three quantifier-block
+rules the quantifier and the sequent side the block acts on.  A block
+replaces one instance of its quantified formula by the formula itself:
+∀ left and ∃ right instantiate a whole prefix with terms (the weak
+blocks, whose count is ``comq``), ∀ right with eigenvariables, which
+must not occur free in its conclusion.  The other rules are the
+oracle-certified quantifier-free leaf, cut, contraction and weakening.
+
+``build_proof_with_cut`` assembles the standard two-branch shape around
+a solution of a schematic extended Herbrand sequent; ``check_proof``
+re-verifies every inference from scratch, consulting the validity
+oracle only at the leaves.
 
 Sides of a sequent are compared as multisets throughout: the inference
 rules never depend on formula order.
@@ -15,10 +23,10 @@ rules never depend on formula order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Union
+from dataclasses import dataclass, replace
+from typing import Any, NamedTuple, Optional
 
-from .cutformula import SchematicEHS, _subst_for_row
+from .cutformula import SchematicEHS
 from .euf import Oracle, Verdict
 from .formulas import (
     Formula,
@@ -33,12 +41,13 @@ from .sequents import Sequent
 from .serialize import (
     formula_from_json,
     formula_to_json,
+    name_from_json,
     sequent_from_json,
     sequent_to_json,
     term_from_json,
     term_to_json,
 )
-from .terms import Var, alpha, render_term, tuple_key
+from .terms import Var, alpha, alpha_subst, render_term, tuple_key
 
 
 class ProofBuildError(Exception):
@@ -49,64 +58,33 @@ class ProofCheckError(Exception):
     """An inference failed; the message locates the first failure."""
 
 
-@dataclass(frozen=True)
-class OracleLeaf:
-    conclusion: Sequent
+class _Rule(NamedTuple):
+    premises: tuple  # premise names: proof.json keys and check-path steps
+    formula: str = ""  # proof.json key of the introduced formula, if any
+    kind: str = ""  # a block's quantifier, "all" or "ex"
+    side: str = ""  # the Sequent field a block acts on, "ante" or "succ"
+
+
+_RULES = {
+    "oracle": _Rule(()),
+    "forall_l": _Rule(("premise",), "quantified", "all", "ante"),
+    "exists_r": _Rule(("premise",), "quantified", "ex", "succ"),
+    "forall_r": _Rule(("premise",), "quantified", "all", "succ"),
+    "cut": _Rule(("left", "right"), "cut_formula"),
+    "contract": _Rule(("premise",)),
+    "weaken": _Rule(("premise",)),
+}
 
 
 @dataclass(frozen=True)
-class ForallLeftBlock:
-    premise: "Proof"
+class Inference:
+    """One inference and, through its premises, the proof above it."""
+
+    rule: str  # a key of _RULES, as proof.json names it
     conclusion: Sequent
-    quantified: Formula  # the ∀-block formula appearing in the conclusion
-    terms: tuple  # instantiation, one term per prefix variable
-
-
-@dataclass(frozen=True)
-class ExistsRightBlock:
-    premise: "Proof"
-    conclusion: Sequent
-    quantified: Formula
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class ForallRightBlock:
-    premise: "Proof"
-    conclusion: Sequent
-    quantified: Formula
-    eigen: tuple  # variable names, fresh for the conclusion
-
-
-@dataclass(frozen=True)
-class CutNode:
-    left: "Proof"
-    right: "Proof"
-    conclusion: Sequent
-    cut_formula: Formula
-
-
-@dataclass(frozen=True)
-class ContractNode:
-    premise: "Proof"
-    conclusion: Sequent
-
-
-@dataclass(frozen=True)
-class WeakenNode:
-    premise: "Proof"
-    conclusion: Sequent
-
-
-Proof = Union[
-    OracleLeaf,
-    ForallLeftBlock,
-    ExistsRightBlock,
-    ForallRightBlock,
-    CutNode,
-    ContractNode,
-    WeakenNode,
-]
+    premises: tuple = ()  # one per name of the rule's premises, in order
+    formula: Optional[Formula] = None  # a block's formula, or the cut formula
+    terms: tuple = ()  # a block's terms; for forall_r its eigenvariables (Var)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +110,48 @@ def _used_names(e: SchematicEHS, a: Formula) -> set:
     return {name for _, name, _ in symbols((a, *quantified))}
 
 
+def _leaf(seq: Sequent, oracle: Oracle, failure: str) -> Inference:
+    """An oracle leaf; ``failure`` formats the verdict and the sequent."""
+    verdict = oracle.validity(seq)
+    if verdict is not Verdict.VALID:
+        raise ProofBuildError(failure.format(verdict.value, seq.render()))
+    return Inference("oracle", seq)
+
+
+def _block(
+    premise: Inference, rule: str, formula: Formula, terms: tuple, pos: int
+) -> Inference:
+    """The block rule replacing the instance at ``pos`` of its side of the
+    premise's conclusion by ``formula``."""
+    side = _RULES[rule].side
+    formulas = list(getattr(premise.conclusion, side))
+    formulas[pos] = formula
+    conclusion = replace(premise.conclusion, **{side: tuple(formulas)})
+    return Inference(rule, conclusion, (premise,), formula, tuple(terms))
+
+
+def _weaken(
+    p: Inference, ante: tuple, succ: tuple, keep_last: int = 0
+) -> Inference:
+    """Weaken by the formulas of ante ⊢ succ that p's conclusion lacks,
+    appended to each side; the last ``keep_last`` succedent formulas stay
+    last."""
+    c = p.conclusion
+    more_ante = tuple(f for f in ante if f not in c.ante)
+    more_succ = tuple(f for f in succ if f not in c.succ)
+    if not more_ante and not more_succ:
+        return p
+    at = len(c.succ) - keep_last
+    return Inference(
+        "weaken",
+        Sequent(c.ante + more_ante, c.succ[:at] + more_succ + c.succ[at:]),
+        (p,),
+    )
+
+
 def build_proof_with_cut(
     e: SchematicEHS, a: Formula, oracle: Oracle
-) -> Proof:
+) -> Inference:
     """Assemble the proof of the base sequent with cut formula ∀x̄.A.
 
     Left branch: certify Γ' ⊢ Δ', A(ᾱ), fold every instantiated formula
@@ -153,9 +170,7 @@ def build_proof_with_cut(
         raise ProofBuildError("decomposition has no instantiation vectors")
     names = _fresh_bound_names(m, _used_names(e, a))
     cut_formula = QuantBlock(
-        "all",
-        names,
-        apply_subst(a, {alpha(i + 1).name: Var(names[i]) for i in range(m)}),
+        "all", names, apply_subst(a, alpha_subst([Var(x) for x in names]))
     )
     base_ante = tuple(s.formula(i).to_formula("all") for i in range(1, s.p + 1))
     base_succ = tuple(
@@ -163,222 +178,148 @@ def build_proof_with_cut(
     )
 
     # ---- left branch -----------------------------------------------------
-    left_leaf_seq = Sequent(e.gamma, e.delta + (a,))
-    verdict = oracle.validity(left_leaf_seq)
-    if verdict is not Verdict.VALID:
-        raise ProofBuildError(
-            f"left leaf is not certified ({verdict.value}): "
-            f"{left_leaf_seq.render()}"
-        )
-    proof: Proof = OracleLeaf(left_leaf_seq)
-    ante = list(e.gamma)
-    succ = list(e.delta) + [a]
-
+    proof = _leaf(
+        Sequent(e.gamma, e.delta + (a,)),
+        oracle,
+        "left leaf is not certified ({}): {}",
+    )
     pos = 0
     for i in range(1, s.q + 1):
         pf = s.formula(i)
-        side, block = (
-            (ante, ForallLeftBlock) if i <= s.p else (succ, ExistsRightBlock)
-        )
         if i == s.p + 1:
             pos = 0
         if pf.k == 0:
             pos += 1
             continue
-        quantified = pf.to_formula("all" if i <= s.p else "ex")
+        rule = "forall_l" if i <= s.p else "exists_r"
+        quantified = pf.to_formula(_RULES[rule].kind)
         for tup in sorted(e.u.instances[i - 1], key=tuple_key):
-            side[pos] = quantified
-            conclusion = Sequent(tuple(ante), tuple(succ))
-            proof = block(
-                premise=proof,
-                conclusion=conclusion,
-                quantified=quantified,
-                terms=tup,
-            )
+            proof = _block(proof, rule, quantified, tup, pos)
             pos += 1
-
-    succ[-1] = cut_formula
-    proof = ForallRightBlock(
-        premise=proof,
-        conclusion=Sequent(tuple(ante), tuple(succ)),
-        quantified=cut_formula,
-        eigen=tuple(alpha(i + 1).name for i in range(m)),
-    )
-    missing_ante = [
-        f for f in base_ante if f not in ante
-    ]
-    missing_succ = [f for f in base_succ if f not in succ]
-    if missing_ante or missing_succ:
-        ante += missing_ante
-        succ = succ[:-1] + missing_succ + [cut_formula]
-        proof = WeakenNode(
-            premise=proof, conclusion=Sequent(tuple(ante), tuple(succ))
-        )
-    left = proof
+    eigen = tuple(alpha(i + 1) for i in range(m))
+    proof = _block(proof, "forall_r", cut_formula, eigen, len(e.delta))
+    left = _weaken(proof, base_ante, base_succ, keep_last=1)
 
     # ---- right branch ----------------------------------------------------
-    steps = [apply_subst(a, _subst_for_row(row)) for row in e.w]
-    zero_ante = [
+    steps = tuple(apply_subst(a, alpha_subst(row)) for row in e.w)
+    zero_ante = tuple(
         s.formula(i).matrix for i in range(1, s.p + 1) if s.k(i) == 0
-    ]
-    zero_succ = [
-        s.formula(i).matrix
-        for i in range(s.p + 1, s.q + 1)
-        if s.k(i) == 0
-    ]
-    right_leaf_seq = Sequent(tuple(steps) + tuple(zero_ante), tuple(zero_succ))
-    verdict = oracle.validity(right_leaf_seq)
-    if verdict is not Verdict.VALID:
-        raise ProofBuildError(
-            f"right leaf is not certified ({verdict.value}) — the solution "
-            f"does not support the instantiated cut: {right_leaf_seq.render()}"
-        )
-    proof = OracleLeaf(right_leaf_seq)
-    ante = list(steps) + list(zero_ante)
-    succ = list(zero_succ)
+    )
+    zero_succ = tuple(
+        s.formula(i).matrix for i in range(s.p + 1, s.q + 1) if s.k(i) == 0
+    )
+    proof = _leaf(
+        Sequent(steps + zero_ante, zero_succ),
+        oracle,
+        "right leaf is not certified ({}) — the solution does not support "
+        "the instantiated cut: {}",
+    )
     for j, row in enumerate(e.w):
-        ante[j] = cut_formula
-        proof = ForallLeftBlock(
-            premise=proof,
-            conclusion=Sequent(tuple(ante), tuple(succ)),
-            quantified=cut_formula,
-            terms=tuple(row),
-        )
+        proof = _block(proof, "forall_l", cut_formula, row, j)
     if k > 1:
-        ante = [cut_formula] + ante[k:]
-        proof = ContractNode(
-            premise=proof, conclusion=Sequent(tuple(ante), tuple(succ))
+        c = proof.conclusion
+        proof = Inference(
+            "contract", Sequent((cut_formula,) + c.ante[k:], c.succ), (proof,)
         )
-    weak_ante = [f for f in base_ante if f not in ante]
-    weak_succ = [f for f in base_succ if f not in succ]
-    if weak_ante or weak_succ:
-        ante += weak_ante
-        succ += weak_succ
-        proof = WeakenNode(
-            premise=proof, conclusion=Sequent(tuple(ante), tuple(succ))
-        )
-    right = proof
+    right = _weaken(proof, base_ante, base_succ)
 
     # ---- cut and final contraction ---------------------------------------
-    l_ante = list(left.conclusion.ante)
     l_succ = list(left.conclusion.succ)
     r_ante = list(right.conclusion.ante)
-    r_succ = list(right.conclusion.succ)
     l_succ.remove(cut_formula)
     r_ante.remove(cut_formula)
-    cut = CutNode(
-        left=left,
-        right=right,
-        conclusion=Sequent(tuple(l_ante + r_ante), tuple(l_succ + r_succ)),
-        cut_formula=cut_formula,
+    cut = Inference(
+        "cut",
+        Sequent(
+            left.conclusion.ante + tuple(r_ante),
+            tuple(l_succ) + right.conclusion.succ,
+        ),
+        (left, right),
+        cut_formula,
     )
-    return ContractNode(
-        premise=cut, conclusion=Sequent(base_ante, base_succ)
-    )
+    return Inference("contract", Sequent(base_ante, base_succ), (cut,))
 
 
 # ---------------------------------------------------------------------------
 # checking
 
 
-def _check(node: Proof, oracle: Oracle, path: str) -> None:
-    if isinstance(node, OracleLeaf):
-        for f in tuple(node.conclusion.ante) + tuple(node.conclusion.succ):
+def _check(node: Inference, oracle: Oracle, path: str) -> None:
+    rule = _RULES.get(node.rule)
+    if rule is None:
+        raise ProofCheckError(f"{path}: unknown rule {node.rule!r}")
+    if len(node.premises) != len(rule.premises):
+        raise ProofCheckError(
+            f"{path}: {node.rule} takes {len(rule.premises)} premises, "
+            f"not {len(node.premises)}"
+        )
+    for name, premise in zip(rule.premises, node.premises):
+        _check(premise, oracle, f"{path}.{name}")
+    c = node.conclusion
+
+    if node.rule == "oracle":
+        for f in tuple(c.ante) + tuple(c.succ):
             if not is_quantifier_free(f):
                 raise ProofCheckError(
                     f"{path}: leaf contains a quantifier: {render_formula(f)}"
                 )
-        v = oracle.validity(node.conclusion)
+        v = oracle.validity(c)
         if v is Verdict.INVALID:
-            raise ProofCheckError(
-                f"{path}: leaf is not valid: {node.conclusion.render()}"
-            )
+            raise ProofCheckError(f"{path}: leaf is not valid: {c.render()}")
         if v is Verdict.UNKNOWN:
             raise ProofCheckError(
-                f"{path}: leaf could not be certified: "
-                f"{node.conclusion.render()}"
+                f"{path}: leaf could not be certified: {c.render()}"
             )
         return
 
-    if isinstance(node, (ForallLeftBlock, ExistsRightBlock)):
-        _check(node.premise, oracle, path + ".premise")
-        q = node.quantified
-        want_kind = "all" if isinstance(node, ForallLeftBlock) else "ex"
-        if not isinstance(q, QuantBlock) or q.kind != want_kind:
+    if rule.kind:
+        q = node.formula
+        if not isinstance(q, QuantBlock) or q.kind != rule.kind:
             raise ProofCheckError(
                 f"{path}: {render_formula(q)} is not a "
-                f"{'∀' if want_kind == 'all' else '∃'} block"
+                f"{'∀' if rule.kind == 'all' else '∃'} block"
             )
         if len(q.vars) != len(node.terms):
             raise ProofCheckError(
                 f"{path}: block instantiates {len(q.vars)} variables "
                 f"with {len(node.terms)} terms"
             )
-        instance = apply_subst(q.body, dict(zip(q.vars, node.terms)))
-        p, c = node.premise.conclusion, node.conclusion
-        if isinstance(node, ForallLeftBlock):
-            changed, same = (p.ante, c.ante), (p.succ, c.succ)
-        else:
-            changed, same = (p.succ, c.succ), (p.ante, c.ante)
-        if Counter(same[0]) != Counter(same[1]):
+        if node.rule == "forall_r":
+            eigen = {t.name for t in node.terms if isinstance(t, Var)}
+            if len(eigen) != len(node.terms):
+                raise ProofCheckError(f"{path}: malformed eigenvariable list")
+            for f in tuple(c.ante) + tuple(c.succ):
+                stale = formula_vars(f) & eigen
+                if stale:
+                    raise ProofCheckError(
+                        f"{path}: eigenvariable {min(stale)} occurs in "
+                        f"the conclusion"
+                    )
+        try:
+            instance = apply_subst(q.body, dict(zip(q.vars, node.terms)))
+        except ValueError as err:  # a term would be captured
+            raise ProofCheckError(f"{path}: {err}") from None
+        p = node.premises[0].conclusion
+        passive = "succ" if rule.side == "ante" else "ante"
+        if Counter(getattr(p, passive)) != Counter(getattr(c, passive)):
             raise ProofCheckError(f"{path}: passive side changed")
-        before, after = Counter(changed[0]), Counter(changed[1])
+        before = Counter(getattr(p, rule.side))
         if before[instance] < 1:
             raise ProofCheckError(
                 f"{path}: premise lacks instance {render_formula(instance)}"
             )
         before[instance] -= 1
         before[q] += 1
-        if before != after:
+        if before != Counter(getattr(c, rule.side)):
             raise ProofCheckError(
                 f"{path}: conclusion does not replace the instance by "
                 f"{render_formula(q)}"
             )
         return
 
-    if isinstance(node, ForallRightBlock):
-        _check(node.premise, oracle, path + ".premise")
-        q = node.quantified
-        if not isinstance(q, QuantBlock) or q.kind != "all":
-            raise ProofCheckError(
-                f"{path}: {render_formula(q)} is not a ∀ block"
-            )
-        if len(set(node.eigen)) != len(node.eigen) or len(node.eigen) != len(
-            q.vars
-        ):
-            raise ProofCheckError(f"{path}: malformed eigenvariable list")
-        for f in tuple(node.conclusion.ante) + tuple(node.conclusion.succ):
-            free = {v.name for v in formula_vars(f)}
-            stale = free.intersection(node.eigen)
-            if stale:
-                raise ProofCheckError(
-                    f"{path}: eigenvariable {sorted(stale)[0]} occurs in "
-                    f"the conclusion"
-                )
-        instance = apply_subst(
-            q.body, {x: Var(y) for x, y in zip(q.vars, node.eigen)}
-        )
-        p, c = node.premise.conclusion, node.conclusion
-        if Counter(p.ante) != Counter(c.ante):
-            raise ProofCheckError(f"{path}: antecedent changed")
-        before, after = Counter(p.succ), Counter(c.succ)
-        if before[instance] < 1:
-            raise ProofCheckError(
-                f"{path}: premise lacks instance {render_formula(instance)}"
-            )
-        before[instance] -= 1
-        before[q] += 1
-        if before != after:
-            raise ProofCheckError(
-                f"{path}: conclusion does not generalize the instance"
-            )
-        return
-
-    if isinstance(node, CutNode):
-        _check(node.left, oracle, path + ".left")
-        _check(node.right, oracle, path + ".right")
-        cf = node.cut_formula
-        l, r, c = node.left.conclusion, node.right.conclusion, node.conclusion
+    if node.rule == "cut":
+        cf = node.formula
+        l, r = node.premises[0].conclusion, node.premises[1].conclusion
         ls, ra = Counter(l.succ), Counter(r.ante)
         if ls[cf] < 1:
             raise ProofCheckError(
@@ -396,47 +337,33 @@ def _check(node: Proof, oracle: Oracle, path: str) -> None:
             raise ProofCheckError(f"{path}: succedents do not join")
         return
 
-    if isinstance(node, ContractNode):
-        _check(node.premise, oracle, path + ".premise")
-        p, c = node.premise.conclusion, node.conclusion
-        for pside, cside, label in (
-            (p.ante, c.ante, "antecedent"),
-            (p.succ, c.succ, "succedent"),
-        ):
-            pc, cc = Counter(pside), Counter(cside)
-            if set(pc) != set(cc):
-                raise ProofCheckError(
-                    f"{path}: contraction changes the {label} support"
-                )
-            if any(cc[f] > pc[f] for f in cc):
-                raise ProofCheckError(
-                    f"{path}: contraction increases a {label} count"
-                )
-        return
-
-    if isinstance(node, WeakenNode):
-        _check(node.premise, oracle, path + ".premise")
-        p, c = node.premise.conclusion, node.conclusion
-        for pside, cside, label in (
-            (p.ante, c.ante, "antecedent"),
-            (p.succ, c.succ, "succedent"),
-        ):
-            pc, cc = Counter(pside), Counter(cside)
+    p = node.premises[0].conclusion
+    for pside, cside, label in (
+        (p.ante, c.ante, "antecedent"),
+        (p.succ, c.succ, "succedent"),
+    ):
+        pc, cc = Counter(pside), Counter(cside)
+        if node.rule == "weaken":
             if any(pc[f] > cc[f] for f in pc):
                 raise ProofCheckError(
                     f"{path}: weakening drops a {label} formula"
                 )
-        return
+        elif set(pc) != set(cc):
+            raise ProofCheckError(
+                f"{path}: contraction changes the {label} support"
+            )
+        elif any(cc[f] > pc[f] for f in cc):
+            raise ProofCheckError(
+                f"{path}: contraction increases a {label} count"
+            )
 
-    raise ProofCheckError(f"{path}: unknown node {type(node).__name__}")
 
-
-def check_proof(p: Proof, oracle: Oracle) -> bool:
+def check_proof(p: Inference, oracle: Oracle) -> bool:
     ok, _ = check_proof_report(p, oracle)
     return ok
 
 
-def check_proof_report(p: Proof, oracle: Oracle) -> tuple[bool, str]:
+def check_proof_report(p: Inference, oracle: Oracle) -> tuple[bool, str]:
     """(True, "ok") or (False, message locating the first bad inference)."""
     try:
         _check(p, oracle, "root")
@@ -445,7 +372,7 @@ def check_proof_report(p: Proof, oracle: Oracle) -> tuple[bool, str]:
     return True, "ok"
 
 
-def metrics(p: Proof) -> dict:
+def metrics(p: Inference) -> dict:
     """Proof length (inference count) and quantifier complexity.
 
     ``comq`` counts the weak quantifier-block inferences (∀ left and
@@ -457,13 +384,9 @@ def metrics(p: Proof) -> dict:
     while stack:
         node = stack.pop()
         length += 1
-        if isinstance(node, (ForallLeftBlock, ExistsRightBlock)):
+        if node.rule in ("forall_l", "exists_r"):
             comq += 1
-        if isinstance(node, CutNode):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif not isinstance(node, OracleLeaf):
-            stack.append(node.premise)
+        stack.extend(node.premises)
     return {"length": length, "comq": comq}
 
 
@@ -471,42 +394,26 @@ def metrics(p: Proof) -> dict:
 # rendering and serialization
 
 
-_RULE_NAMES = {
-    OracleLeaf: "oracle",
-    ForallLeftBlock: "forall_l",
-    ExistsRightBlock: "exists_r",
-    ForallRightBlock: "forall_r",
-    CutNode: "cut",
-    ContractNode: "contract",
-    WeakenNode: "weaken",
-}
-
-
-def render_proof(p: Proof) -> str:
+def render_proof(p: Inference) -> str:
     lines: list[str] = []
 
-    def go(node: Proof, depth: int) -> None:
-        pad = "  " * depth
-        name = _RULE_NAMES[type(node)]
+    def go(node: Inference, depth: int) -> None:
         extra = ""
-        if isinstance(node, (ForallLeftBlock, ExistsRightBlock)):
+        if _RULES[node.rule].kind:
             extra = " [" + ", ".join(render_term(t) for t in node.terms) + "]"
-        elif isinstance(node, ForallRightBlock):
-            extra = " [" + ", ".join(node.eigen) + "]"
-        elif isinstance(node, CutNode):
-            extra = " on " + render_formula(node.cut_formula)
-        lines.append(f"{pad}{name}{extra}: {node.conclusion.render()}")
-        if isinstance(node, CutNode):
-            go(node.left, depth + 1)
-            go(node.right, depth + 1)
-        elif not isinstance(node, OracleLeaf):
-            go(node.premise, depth + 1)
+        elif node.rule == "cut":
+            extra = " on " + render_formula(node.formula)
+        lines.append(
+            f"{'  ' * depth}{node.rule}{extra}: {node.conclusion.render()}"
+        )
+        for premise in node.premises:
+            go(premise, depth + 1)
 
     go(p, 0)
     return "\n".join(lines)
 
 
-def proof_to_json(p: Proof) -> Any:
+def proof_to_json(p: Inference) -> Any:
     """The proof as plain dicts and lists, as ``proof.json`` holds it.
 
     Each distinct formula object becomes one dict, shared wherever the
@@ -524,61 +431,39 @@ def proof_to_json(p: Proof) -> Any:
             hit = memo[id(f)] = (f, formula_to_json(f))
         return hit[1]
 
-    def node(p: Proof) -> dict:
+    def node(p: Inference) -> dict:
+        rule = _RULES[p.rule]
         d: dict = {
-            "rule": _RULE_NAMES[type(p)],
+            "rule": p.rule,
             "conclusion": sequent_to_json(p.conclusion, formula),
         }
-        if isinstance(p, (ForallLeftBlock, ExistsRightBlock)):
-            d["quantified"] = formula(p.quantified)
+        if rule.formula:
+            d[rule.formula] = formula(p.formula)
+        if p.rule == "forall_r":
+            d["eigen"] = [t.name for t in p.terms]
+        elif rule.kind:
             d["terms"] = [term_to_json(t) for t in p.terms]
-            d["premise"] = node(p.premise)
-        elif isinstance(p, ForallRightBlock):
-            d["quantified"] = formula(p.quantified)
-            d["eigen"] = list(p.eigen)
-            d["premise"] = node(p.premise)
-        elif isinstance(p, CutNode):
-            d["cut_formula"] = formula(p.cut_formula)
-            d["left"] = node(p.left)
-            d["right"] = node(p.right)
-        elif isinstance(p, (ContractNode, WeakenNode)):
-            d["premise"] = node(p.premise)
+        for name, premise in zip(rule.premises, p.premises):
+            d[name] = node(premise)
         return d
 
     return node(p)
 
 
-def proof_from_json(d: Any) -> Proof:
+def proof_from_json(d: Any) -> Inference:
     if not isinstance(d, dict) or "rule" not in d:
         raise ValueError(f"bad proof encoding: {d!r}")
-    rule = d["rule"]
+    name = d["rule"]
+    rule = _RULES.get(name) if isinstance(name, str) else None
+    if rule is None:
+        raise ValueError(f"unknown proof rule: {name!r}")
     conclusion = sequent_from_json(d["conclusion"])
-    if rule == "oracle":
-        return OracleLeaf(conclusion)
-    if rule in ("forall_l", "exists_r"):
-        cls = ForallLeftBlock if rule == "forall_l" else ExistsRightBlock
-        return cls(
-            premise=proof_from_json(d["premise"]),
-            conclusion=conclusion,
-            quantified=formula_from_json(d["quantified"]),
-            terms=tuple(term_from_json(t) for t in d["terms"]),
-        )
-    if rule == "forall_r":
-        return ForallRightBlock(
-            premise=proof_from_json(d["premise"]),
-            conclusion=conclusion,
-            quantified=formula_from_json(d["quantified"]),
-            eigen=tuple(d["eigen"]),
-        )
-    if rule == "cut":
-        return CutNode(
-            left=proof_from_json(d["left"]),
-            right=proof_from_json(d["right"]),
-            conclusion=conclusion,
-            cut_formula=formula_from_json(d["cut_formula"]),
-        )
-    if rule == "contract":
-        return ContractNode(proof_from_json(d["premise"]), conclusion)
-    if rule == "weaken":
-        return WeakenNode(proof_from_json(d["premise"]), conclusion)
-    raise ValueError(f"unknown proof rule: {rule!r}")
+    premises = tuple(proof_from_json(d[key]) for key in rule.premises)
+    formula = formula_from_json(d[rule.formula]) if rule.formula else None
+    if name == "forall_r":
+        terms = tuple(Var(name_from_json(x)) for x in d["eigen"])
+    elif rule.kind:
+        terms = tuple(term_from_json(t) for t in d["terms"])
+    else:
+        terms = ()
+    return Inference(name, conclusion, premises, formula, terms)

@@ -33,13 +33,23 @@ def term_to_json(t: Term) -> Any:
     return {"app": t.head, "args": [term_to_json(a) for a in t.args]}
 
 
+def name_from_json(x: Any) -> str:
+    """A variable, function, predicate or bound-variable name."""
+    if not isinstance(x, str):
+        raise ValueError(f"bad name encoding: {x!r}")
+    return x
+
+
 def term_from_json(d: Any) -> Term:
     if not isinstance(d, dict):
         raise ValueError(f"bad term encoding: {d!r}")
     if "var" in d:
-        return Var(d["var"])
+        return Var(name_from_json(d["var"]))
     if "app" in d:
-        return App(d["app"], tuple(term_from_json(a) for a in d["args"]))
+        return App(
+            name_from_json(d["app"]),
+            tuple(term_from_json(a) for a in d["args"]),
+        )
     raise ValueError(f"bad term encoding: {d!r}")
 
 
@@ -73,7 +83,10 @@ def formula_from_json(d: Any) -> Formula:
     if not isinstance(d, dict):
         raise ValueError(f"bad formula encoding: {d!r}")
     if "atom" in d:
-        return Atom(d["atom"], tuple(term_from_json(t) for t in d["args"]))
+        return Atom(
+            name_from_json(d["atom"]),
+            tuple(term_from_json(t) for t in d["args"]),
+        )
     if "eq" in d:
         l, r = d["eq"]
         return Eq(term_from_json(l), term_from_json(r))
@@ -94,7 +107,9 @@ def formula_from_json(d: Any) -> Formula:
         return Imp(formula_from_json(l), formula_from_json(r))
     if "quant" in d:
         return QuantBlock(
-            d["quant"], tuple(d["vars"]), formula_from_json(d["body"])
+            d["quant"],
+            tuple(name_from_json(x) for x in d["vars"]),
+            formula_from_json(d["body"]),
         )
     raise ValueError(f"bad formula encoding: {d!r}")
 

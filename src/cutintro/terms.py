@@ -147,6 +147,11 @@ def alpha_index(name: str) -> int:
     return int(name[len(ALPHA_PREFIX):])
 
 
+def alpha_subst(row) -> dict[str, Term]:
+    """The substitution α_i ↦ row[i-1]."""
+    return {f"{ALPHA_PREFIX}{i}": t for i, t in enumerate(row, start=1)}
+
+
 def tag_head(i: int) -> str:
     """Reserved head symbol for formula position i (1-based)."""
     return f"{TAG_PREFIX}{i}"

@@ -17,16 +17,19 @@ from cutintro.formulas import (
     Imp,
     Not,
     Or,
+    QuantBlock,
     conj,
     render_formula,
 )
 from cutintro.herbrand import HerbrandStructure
+from cutintro.proofs import Inference
 from cutintro.sequents import PrenexFormula, Sequent, Sigma1Sequent
 from cutintro.terms import (
     App,
     Term,
     Var,
     alpha,
+    is_ground,
     render_term,
     render_tuple,
     subst_term,
@@ -281,6 +284,27 @@ def _iterate(f, t: Term, n: int) -> Term:
     return t
 
 
+def validate_structure(h: HerbrandStructure, seq: Sigma1Sequent) -> None:
+    """Raise ValueError unless h gives each formula of seq ground tuples
+    of its prefix length."""
+    if len(h.instances) != seq.q:
+        raise ValueError(
+            f"structure has {len(h.instances)} components,"
+            f" sequent has {seq.q} formulas"
+        )
+    for i in range(1, seq.q + 1):
+        k = seq.k(i)
+        for tup in h.instances[i - 1]:
+            if k == 0:
+                raise ValueError(f"formula {i} admits no instances")
+            if len(tup) != k:
+                raise ValueError(
+                    f"formula {i}: instance arity {len(tup)} != {k}"
+                )
+            if not all(is_ground(t) for t in tup):
+                raise ValueError(f"formula {i}: non-ground instance")
+
+
 def random_solvable_instance(
     rng: random.Random,
 ) -> tuple[Sigma1Sequent, HerbrandStructure]:
@@ -392,7 +416,7 @@ def random_solvable_instance(
                 frozenset(),
             )
         )
-    h.validate(seq)
+    validate_structure(h, seq)
     return seq, h
 
 
@@ -469,3 +493,16 @@ def render_input(seq: Sigma1Sequent, structure: HerbrandStructure) -> str:
                 rendered.append(render_tuple(tup))
         lines.append(f"inst {i}: {'; '.join(rendered)}.")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# hand-made proofs
+
+
+def unsound_forall_r() -> Inference:
+    """∀ right from the leaf P(α1) ⊢ P(α1) to P(α1) ⊢ ∀x P(x): the
+    eigenvariable α1 stays free in the conclusion, so the step is unsound."""
+    p = Atom("P", (alpha(1),))
+    leaf = Inference("oracle", Sequent((p,), (p,)))
+    q = QuantBlock("all", ("x",), Atom("P", (Var("x"),)))
+    return Inference("forall_r", Sequent((p,), (q,)), (leaf,), q, (alpha(1),))

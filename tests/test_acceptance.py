@@ -32,9 +32,6 @@ from cutintro.formulas import And, Atom, Eq, Not, Or, render_formula
 from cutintro.herbrand import TermSet, decode_termset, encode_termset
 from cutintro.pipeline import RunConfig, run_pipeline
 from cutintro.proofs import (
-    ForallLeftBlock,
-    ForallRightBlock,
-    OracleLeaf,
     build_proof_with_cut,
     check_proof,
     metrics,
@@ -352,26 +349,26 @@ def test_criterion_5_equality_oracle():
 
 
 def _splice_out_block(proof, rng):
-    blocks = _collect(proof, ForallLeftBlock)
+    blocks = _collect(proof, "forall_l")
     victim = rng.choice(blocks)
-    return _swap(proof, victim, victim.premise)
+    return _swap(proof, victim, victim.premises[0])
 
 
 def _corrupt_eigen(proof, rng):
-    strong = _collect(proof, ForallRightBlock)
+    strong = _collect(proof, "forall_r")
     victim = rng.choice(strong)
-    names = list(victim.eigen)
+    names = list(victim.terms)
     if len(names) > 1 and rng.random() < 0.5:
         names[0], names[1] = names[1], names[0]
     elif len(names) > 1:
         names[1] = names[0]
     else:
-        names[0] = "α99"
-    return _swap(proof, victim, dataclasses.replace(victim, eigen=tuple(names)))
+        names[0] = alpha(99)
+    return _swap(proof, victim, dataclasses.replace(victim, terms=tuple(names)))
 
 
 def _corrupt_leaf(proof, rng):
-    leaves = _collect(proof, OracleLeaf)
+    leaves = _collect(proof, "oracle")
     victim = rng.choice(leaves)
     conc = victim.conclusion
     choice = rng.randrange(3)
@@ -390,16 +387,14 @@ def _corrupt_leaf(proof, rng):
     return _swap(proof, victim, dataclasses.replace(victim, conclusion=new))
 
 
-def _collect(proof, cls):
+def _collect(proof, rule):
     out = []
 
     def walk(n):
-        if isinstance(n, cls):
+        if n.rule == rule:
             out.append(n)
-        for name in ("premise", "left", "right"):
-            child = getattr(n, name, None)
-            if child is not None:
-                walk(child)
+        for child in n.premises:
+            walk(child)
 
     walk(proof)
     return out
@@ -408,15 +403,10 @@ def _collect(proof, cls):
 def _swap(proof, old, new):
     if proof is old:
         return new
-    kwargs = {}
-    changed = False
-    for name in ("premise", "left", "right"):
-        child = getattr(proof, name, None)
-        if child is not None:
-            built = _swap(child, old, new)
-            kwargs[name] = built
-            changed = changed or built is not child
-    return dataclasses.replace(proof, **kwargs) if changed else proof
+    premises = tuple(_swap(child, old, new) for child in proof.premises)
+    if all(x is y for x, y in zip(premises, proof.premises)):
+        return proof
+    return dataclasses.replace(proof, premises=premises)
 
 
 def test_criterion_6_mutations_rejected(golden_ehs, golden_sf, golden_oracle):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cutintro.cli import main
+from cutintro.proofs import proof_to_json
 
 import gen
 from gen import render_input
@@ -191,6 +192,40 @@ class TestCheck:
     def test_missing_proof_exits_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
+
+    def test_unsound_forall_right_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "proof.json"
+        p.write_text(json.dumps(proof_to_json(gen.unsound_forall_r())))
+        assert main(["check", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == (
+            "invalid: root: eigenvariable α1 occurs in the conclusion\n"
+        )
+        assert err == ""
+
+    @pytest.mark.parametrize("field", ["var", "app", "atom", "vars", "eigen"])
+    def test_non_string_name_exits_two(self, tmp_path, field, capsys):
+        # Plain dicts, none shared: P(α1) ⊢ ∀x P(x) over the leaf
+        # P(α1) ⊢ P(α1).
+        packed = json.loads(json.dumps(proof_to_json(gen.unsound_forall_r())))
+        ante = packed["conclusion"]["ante"]
+        if field == "var":
+            ante[0]["args"][0] = {"var": 5}
+        elif field == "app":
+            ante[0]["args"][0] = {"app": 7, "args": []}
+        elif field == "atom":
+            ante.append({"atom": 5, "args": []})
+        elif field == "vars":
+            packed["quantified"]["vars"] = [5]
+        else:
+            packed["eigen"] = [5]
+        p = tmp_path / "proof.json"
+        p.write_text(json.dumps(packed))
+        assert main(["check", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read proof: bad name encoding")
+        assert err.count("\n") == 1
 
     @staticmethod
     def _deep_formula_proof(golden_file, tmp_path) -> str:

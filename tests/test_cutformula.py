@@ -9,7 +9,6 @@ import pytest
 from cutintro.cutformula import (
     SchemaError,
     _forget_moves,
-    _subst_for_row,
     build_schematic_ehs,
     canonical_solution,
     check_solution,
@@ -41,7 +40,7 @@ from cutintro.herbrand import (
 from cutintro.parser import parse_input
 from cutintro.proofs import build_proof_with_cut
 from cutintro.sequents import Sequent
-from cutintro.terms import App, Var, alpha, const
+from cutintro.terms import App, Var, alpha, alpha_subst, const
 
 import gen
 import oracles
@@ -152,7 +151,7 @@ class TestBuildSchematicEHS:
             want = herbrand_sequent(seq, hs)
             for side, target in ((e.gamma, want.ante), (e.delta, want.succ)):
                 got = {
-                    apply_subst(g, _subst_for_row(row))
+                    apply_subst(g, alpha_subst(row))
                     for g in side
                     for row in e.w
                 }

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,14 +25,8 @@ from cutintro.formulas import (
 )
 from cutintro.parser import parse_input
 from cutintro.proofs import (
-    ContractNode,
-    CutNode,
-    ExistsRightBlock,
-    ForallLeftBlock,
-    ForallRightBlock,
-    OracleLeaf,
+    Inference,
     ProofBuildError,
-    WeakenNode,
     build_proof_with_cut,
     check_proof,
     check_proof_report,
@@ -39,7 +35,11 @@ from cutintro.proofs import (
     proof_to_json,
     render_proof,
 )
+from cutintro.sequents import Sequent
+from cutintro.serialize import dumps_indented
 from cutintro.terms import App, Var, alpha, const
+
+import gen
 
 a = const("a")
 
@@ -59,10 +59,8 @@ def _nodes(p) -> list:
 
     def walk(n):
         out.append(n)
-        for name in ("premise", "left", "right"):
-            child = getattr(n, name, None)
-            if child is not None:
-                walk(child)
+        for child in n.premises:
+            walk(child)
 
     walk(p)
     return out
@@ -72,17 +70,10 @@ def _replace_node(p, old, new):
     """Rebuild the proof with `old` (by identity) swapped for `new`."""
     if p is old:
         return new
-    kwargs = {}
-    changed = False
-    for name in ("premise", "left", "right"):
-        child = getattr(p, name, None)
-        if child is not None:
-            rebuilt = _replace_node(child, old, new)
-            kwargs[name] = rebuilt
-            changed = changed or rebuilt is not child
-    if not changed:
+    premises = tuple(_replace_node(child, old, new) for child in p.premises)
+    if all(x is y for x, y in zip(premises, p.premises)):
         return p
-    return dataclasses.replace(p, **kwargs)
+    return dataclasses.replace(p, premises=premises)
 
 
 class TestGoldenProof:
@@ -105,19 +96,19 @@ class TestGoldenProof:
         assert tuple(golden_proof.conclusion.succ) == want_succ
 
     def test_exactly_one_cut(self, golden_proof):
-        cuts = [n for n in _nodes(golden_proof) if isinstance(n, CutNode)]
+        cuts = [n for n in _nodes(golden_proof) if n.rule == "cut"]
         assert len(cuts) == 1
         cut = cuts[0]
-        assert isinstance(cut.cut_formula, QuantBlock)
-        assert cut.cut_formula.kind == "all"
-        assert len(cut.cut_formula.vars) == 2
+        assert isinstance(cut.formula, QuantBlock)
+        assert cut.formula.kind == "all"
+        assert len(cut.formula.vars) == 2
 
     def test_cut_formula_matches_solution(self, golden_proof, golden_sf):
         best = select_best(golden_sf.candidates)
         cut = next(
-            n for n in _nodes(golden_proof) if isinstance(n, CutNode)
+            n for n in _nodes(golden_proof) if n.rule == "cut"
         )
-        body = cut.cut_formula.body
+        body = cut.formula.body
         # Body is the solution with α's renamed to bound variables.
         assert render_formula(body).count("P(") == render_formula(
             best.formula
@@ -125,24 +116,24 @@ class TestGoldenProof:
 
     def test_left_branch_has_the_strong_block(self, golden_proof):
         cut = next(
-            n for n in _nodes(golden_proof) if isinstance(n, CutNode)
+            n for n in _nodes(golden_proof) if n.rule == "cut"
         )
         strong = [
             n
-            for n in _nodes(cut.left)
-            if isinstance(n, ForallRightBlock)
+            for n in _nodes(cut.premises[0])
+            if n.rule == "forall_r"
         ]
         assert len(strong) == 1
-        assert strong[0].eigen == ("α1", "α2")
+        assert strong[0].terms == (alpha(1), alpha(2))
 
     def test_right_branch_instantiates_per_witness_row(self, golden_proof):
         cut = next(
-            n for n in _nodes(golden_proof) if isinstance(n, CutNode)
+            n for n in _nodes(golden_proof) if n.rule == "cut"
         )
         blocks = [
             n
-            for n in _nodes(cut.right)
-            if isinstance(n, ForallLeftBlock)
+            for n in _nodes(cut.premises[1])
+            if n.rule == "forall_l"
         ]
         assert len(blocks) == 2
         ffa = f(f(a))
@@ -152,7 +143,7 @@ class TestGoldenProof:
         weak = [
             n
             for n in _nodes(golden_proof)
-            if isinstance(n, (ForallLeftBlock, ExistsRightBlock))
+            if n.rule in ("forall_l", "exists_r")
         ]
         assert len(weak) == metrics(golden_proof)["comq"] == 10
 
@@ -213,9 +204,9 @@ class TestMutations:
         block = next(
             n
             for n in _nodes(golden_proof)
-            if isinstance(n, ForallLeftBlock)
+            if n.rule == "forall_l"
         )
-        spliced = _replace_node(golden_proof, block, block.premise)
+        spliced = _replace_node(golden_proof, block, block.premises[0])
         ok, msg = check_proof_report(spliced, golden_oracle)
         assert not ok and msg
 
@@ -223,10 +214,10 @@ class TestMutations:
         strong = next(
             n
             for n in _nodes(golden_proof)
-            if isinstance(n, ForallRightBlock)
+            if n.rule == "forall_r"
         )
         mutated = dataclasses.replace(
-            strong, eigen=(strong.eigen[1], strong.eigen[0])
+            strong, terms=(strong.terms[1], strong.terms[0])
         )
         bad = _replace_node(golden_proof, strong, mutated)
         ok, msg = check_proof_report(bad, golden_oracle)
@@ -236,17 +227,17 @@ class TestMutations:
         strong = next(
             n
             for n in _nodes(golden_proof)
-            if isinstance(n, ForallRightBlock)
+            if n.rule == "forall_r"
         )
         mutated = dataclasses.replace(
-            strong, eigen=(strong.eigen[0], strong.eigen[0])
+            strong, terms=(strong.terms[0], strong.terms[0])
         )
         bad = _replace_node(golden_proof, strong, mutated)
         assert not check_proof(bad, golden_oracle)
 
     def test_altered_leaf(self, golden_proof, golden_oracle):
         leaf = next(
-            n for n in _nodes(golden_proof) if isinstance(n, OracleLeaf)
+            n for n in _nodes(golden_proof) if n.rule == "oracle"
         )
         broken = dataclasses.replace(
             leaf,
@@ -259,7 +250,7 @@ class TestMutations:
 
     def test_invalid_leaf_sequent(self, golden_proof, golden_oracle):
         leaf = next(
-            n for n in _nodes(golden_proof) if isinstance(n, OracleLeaf)
+            n for n in _nodes(golden_proof) if n.rule == "oracle"
         )
         # Keep the tree consistent but claim an unprovable leaf: negate
         # the whole antecedent away.
@@ -272,14 +263,14 @@ class TestMutations:
 
     def test_altered_cut_formula(self, golden_proof, golden_oracle):
         cut = next(
-            n for n in _nodes(golden_proof) if isinstance(n, CutNode)
+            n for n in _nodes(golden_proof) if n.rule == "cut"
         )
         mutated = dataclasses.replace(
             cut,
-            cut_formula=QuantBlock(
+            formula=QuantBlock(
                 "all",
-                cut.cut_formula.vars,
-                Not(cut.cut_formula.body),
+                cut.formula.vars,
+                Not(cut.formula.body),
             ),
         )
         bad = _replace_node(golden_proof, cut, mutated)
@@ -287,9 +278,9 @@ class TestMutations:
 
     def test_swapped_cut_branches(self, golden_proof, golden_oracle):
         cut = next(
-            n for n in _nodes(golden_proof) if isinstance(n, CutNode)
+            n for n in _nodes(golden_proof) if n.rule == "cut"
         )
-        mutated = dataclasses.replace(cut, left=cut.right, right=cut.left)
+        mutated = dataclasses.replace(cut, premises=cut.premises[::-1])
         bad = _replace_node(golden_proof, cut, mutated)
         assert not check_proof(bad, golden_oracle)
 
@@ -297,7 +288,7 @@ class TestMutations:
         block = next(
             n
             for n in _nodes(golden_proof)
-            if isinstance(n, ForallLeftBlock)
+            if n.rule == "forall_l"
         )
         terms = tuple(f(t) for t in block.terms)
         mutated = dataclasses.replace(block, terms=terms)
@@ -308,7 +299,7 @@ class TestMutations:
         block = next(
             n
             for n in _nodes(golden_proof)
-            if isinstance(n, ForallLeftBlock)
+            if n.rule == "forall_l"
         )
         mutated = dataclasses.replace(
             block, terms=tuple(f(t) for t in block.terms)
@@ -330,7 +321,7 @@ class TestJsonErrors:
         block = next(
             n
             for n in _nodes(golden_proof)
-            if isinstance(n, ForallLeftBlock)
+            if n.rule == "forall_l"
         )
         mutated = dataclasses.replace(
             block, terms=tuple(f(t) for t in block.terms)
@@ -338,3 +329,37 @@ class TestJsonErrors:
         bad = _replace_node(golden_proof, block, mutated)
         again = proof_from_json(proof_to_json(bad))
         assert not check_proof(again, golden_oracle)
+
+
+class TestUnsoundBlocks:
+    def test_eigenvariable_free_in_the_conclusion_rejected(self, oracle):
+        ok, msg = check_proof_report(gen.unsound_forall_r(), oracle)
+        assert not ok
+        assert msg == "root: eigenvariable α1 occurs in the conclusion"
+
+    def test_capturing_instantiation_rejected(self, oracle):
+        # ∀x ∀y P(x, y) instantiated with x := y.
+        pa = Atom("P", (a,))
+        inner = QuantBlock("all", ("y",), Atom("P", (Var("x"), Var("y"))))
+        q = QuantBlock("all", ("x",), inner)
+        leaf = Inference("oracle", Sequent((pa,), (pa,)))
+        p = Inference(
+            "forall_l", Sequent((q, pa), (pa,)), (leaf,), q, (Var("y"),)
+        )
+        ok, msg = check_proof_report(p, oracle)
+        assert not ok
+        assert msg == "root: substitution would capture a bound variable"
+
+
+class TestCommittedProofJson:
+    """proof.json as an earlier version wrote it reads, re-checks and
+    re-encodes to the same bytes."""
+
+    PATH = Path(__file__).parent / "data" / "running_example" / "proof.json"
+
+    def test_reads_checks_and_reencodes_byte_for_byte(self, oracle):
+        text = self.PATH.read_text(encoding="utf-8")
+        p = proof_from_json(json.loads(text))
+        ok, msg = check_proof_report(p, oracle)
+        assert ok, msg
+        assert dumps_indented(proof_to_json(p)) + "\n" == text

@@ -12,6 +12,7 @@ import pytest
 
 from cutintro.euf import Verdict, decide_validity
 from cutintro.formulas import Atom, Eq, Imp, Not
+from cutintro.pipeline import RunConfig, run_pipeline
 from cutintro.sequents import Sequent
 from cutintro.smt import CommandOracle, export_smt2
 from cutintro.terms import App, const
@@ -118,6 +119,17 @@ class TestCommandOracle:
         seq = Sequent((Eq(f(a), a),), (Eq(a, f(a)),))
         o.validity(seq)
         assert copy.read_text() == export_smt2(seq)
+
+    def test_run_keeps_its_deadline(self, tmp_path, golden_text):
+        # Every query takes 0.2 s: the forgetful-inference search alone
+        # asks enough of them to outlast the 1 s budget several times.
+        src = tmp_path / "running_example.cis"
+        src.write_text(golden_text)
+        stub = self._stub(tmp_path, "sleep 0.2; echo unsat")
+        cfg = RunConfig(timeout=1, oracle_spec="cmd:" + stub)
+        report = run_pipeline(src, cfg)
+        assert report.status == "timeout"
+        assert report.wall_time < 1 + 1
 
 
 @pytest.mark.skipif(
