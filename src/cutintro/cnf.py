@@ -3,8 +3,10 @@
 Literals are (sign, atom) pairs where the atom is a predicate application
 or an equation; no definitional atoms are ever introduced, so clause sets
 stay in the signature of the input formula (the solution-improvement
-search depends on that).  Conversion is negation normal form followed by
-distribution, guarded by a literal-count cap.
+search depends on that).  ``cnf_of_formulas`` is the one conversion:
+negation normal form followed by distribution, guarded by a
+literal-count cap.  A clause set is what the equality oracle decides, so
+a quantifier met here raises ValueError for every caller.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _nnf(f: Formula, positive: bool) -> Formula:
         if positive:
             return Or(_nnf(f.lhs, False), _nnf(f.rhs, True))
         return And(_nnf(f.lhs, True), _nnf(f.rhs, False))
-    raise TypeError(f"not quantifier-free: {f!r}")
+    raise ValueError(f"not quantifier-free: {f!r}")
 
 
 TOP_ = Top()
@@ -111,10 +113,6 @@ def simplify_clauses(clauses: Iterable[Clause]) -> CNF:
         if not any(d <= c for d in out):
             out.append(c)
     return frozenset(out)
-
-
-def to_cnf(f: Formula, cap: int = DEFAULT_CNF_CAP) -> CNF:
-    return simplify_clauses(_distribute(_nnf(f, True), cap))
 
 
 def cnf_of_formulas(

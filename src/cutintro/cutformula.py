@@ -48,7 +48,6 @@ from .cnf import (
     formula_of_cnf,
     is_tautological,
     simplify_clauses,
-    to_cnf,
 )
 from .euf import Oracle, Verdict
 from .formulas import (
@@ -207,7 +206,7 @@ def check_solution(
             f"candidate mentions variable {sorted(bad)[0]} outside α₁..α_{e.arity}"
         )
     try:
-        side, clauses = e.side_clauses, to_cnf(a)
+        side, clauses = e.side_clauses, cnf_of_formulas((a,), ())
     except CnfBlowup:
         return False
     queries = [side | _negated(c) for c in clauses - side]

@@ -246,7 +246,6 @@ class DeltaTable:
 
     entries: dict  # Key -> frozenset[Pair]
     termset: frozenset
-    max_subset: Optional[int]
 
 
 def _key_arity(key: Key) -> int:
@@ -353,9 +352,7 @@ def build_delta_table(
                     table[key].add((_inject_pattern(u0, inj), covered))
 
     frozen = {k: frozenset(v) for k, v in table.items()}
-    return DeltaTable(
-        entries=frozen, termset=frozenset(terms), max_subset=max_subset
-    )
+    return DeltaTable(entries=frozen, termset=frozenset(terms))
 
 
 @dataclass(frozen=True)
@@ -548,5 +545,4 @@ def restrict_ci1(dt: DeltaTable) -> DeltaTable:
             k: v for k, v in dt.entries.items() if _key_arity(k) == 1
         },
         termset=dt.termset,
-        max_subset=dt.max_subset,
     )

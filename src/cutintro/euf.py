@@ -1,9 +1,11 @@
 """Ground validity modulo equality.
 
-A sequent of quantifier-free formulas is valid in all structures iff its
-refutation clause set has no model in which the equations behave as a
-congruence.  The decision procedure here is the classic lazy loop: a DPLL
-search enumerates propositional models of the clause skeleton, a
+Every question this module answers is one: is a set of ground clauses
+unsatisfiable in all structures where the equations behave as a
+congruence?  A sequent of quantifier-free formulas is valid iff its
+clause form (``cnf.cnf_of_formulas``) is, so validity is that question
+asked of the clause form.  The decision procedure is the classic lazy
+loop: a DPLL search enumerates propositional models of the clauses, a
 congruence closure checks each model, and a conflict core becomes a
 blocking clause.  Free variables are treated as uninterpreted constants.
 
@@ -18,8 +20,9 @@ per clause (Eén and Sörensson, MiniSat, 2003): it keeps its assignments
 across blocking clauses, which join the watched clauses, and resumes
 after backjumping below the clause's highest decision level.
 
-All entry points return a three-valued Verdict; resource exhaustion is
-reported as UNKNOWN, never as a silent "invalid".
+All entry points return a three-valued Verdict; resource exhaustion (a
+clause form past its literal cap, or the step budget) is reported as
+UNKNOWN, never as a silent "invalid".
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .cnf import (
     CnfBlowup,
     DEFAULT_CNF_CAP,
     cnf_of_formulas,
-    formula_of_cnf,
     simplify_clauses,
 )
-from .formulas import Atom, Eq, Not, formula_key, is_quantifier_free
+from .formulas import Atom, Eq, formula_key
 from .sequents import Sequent
 from .terms import Term, Var
 
@@ -480,6 +482,21 @@ def _decide_clauses(
         search.block(blocking)
 
 
+def _refute(
+    clauses: CNF,
+    *,
+    step_cap: int = DEFAULT_STEP_CAP,
+    cancel: Optional[Callable[[], None]] = None,
+) -> Verdict:
+    """VALID iff the clause set is unsatisfiable modulo equality."""
+    try:
+        return _decide_clauses(
+            simplify_clauses(clauses), budget=_Budget(step_cap), cancel=cancel
+        )
+    except OracleLimit:
+        return Verdict.UNKNOWN
+
+
 def decide_validity(
     seq: Sequent,
     *,
@@ -487,27 +504,26 @@ def decide_validity(
     cnf_cap: int = DEFAULT_CNF_CAP,
     cancel: Optional[Callable[[], None]] = None,
 ) -> Verdict:
-    """Three-valued validity of a ground sequent modulo equality."""
-    for f in tuple(seq.ante) + tuple(seq.succ):
-        if not is_quantifier_free(f):
-            raise ValueError(f"sequent is not quantifier-free: {f!r}")
+    """Three-valued validity of a ground sequent modulo equality: the
+    refutation of its clause form, UNKNOWN past the clause-form cap."""
     try:
-        cnf = cnf_of_formulas(seq.ante, seq.succ, cnf_cap)
-        return _decide_clauses(cnf, budget=_Budget(step_cap), cancel=cancel)
-    except (CnfBlowup, OracleLimit):
+        clauses = cnf_of_formulas(seq.ante, seq.succ, cnf_cap)
+    except CnfBlowup:
         return Verdict.UNKNOWN
+    return _refute(clauses, step_cap=step_cap, cancel=cancel)
 
 
 @dataclass(eq=False)
 class Oracle:
-    """Decision backend for validity modulo equality.
+    """Decision backend for ground unsatisfiability modulo equality.
 
-    Verdicts are cached per query: a sequent under its (antecedent,
-    succedent) pair, a clause set under itself.  ``calls`` counts the
-    queries that reached the backend, which implements only the
-    uncached ``_decide_validity`` (and ``_decide_refutation``, when it
-    decides clause sets without a formula round trip).  ``cancel``, when
-    given, is called before each query that reaches the backend and
+    The one question is ``refutation(clauses)``, cached under the clause
+    set.  ``validity(seq)`` asks it of the sequent's clause form, so a
+    sequent and a clause set with one clause form share a verdict; a
+    clause form past ``DEFAULT_CNF_CAP`` literals is UNKNOWN and reaches
+    no backend.  ``calls`` counts the clause sets that reached the
+    backend, which implements only the uncached ``_decide``.
+    ``cancel``, when given, is called before each such clause set and
     raises to abandon the run, so a deadline holds for every backend.
     """
 
@@ -516,42 +532,27 @@ class Oracle:
     _memo: dict = field(default_factory=dict, kw_only=True, repr=False)
 
     def validity(self, seq: Sequent) -> Verdict:
-        key = (tuple(seq.ante), tuple(seq.succ))
-        return self._cached(key, self._decide_validity, seq)
+        try:
+            clauses = cnf_of_formulas(seq.ante, seq.succ)
+        except CnfBlowup:
+            return Verdict.UNKNOWN
+        return self.refutation(clauses)
 
     def refutation(self, clauses: CNF) -> Verdict:
         """VALID iff the clause set is unsatisfiable modulo equality."""
-        return self._cached(clauses, self._decide_refutation, clauses)
-
-    def _cached(self, key, decide: Callable, query) -> Verdict:
-        hit = self._memo.get(key)
+        hit = self._memo.get(clauses)
         if hit is None:
             if self.cancel is not None:
                 self.cancel()
             self.calls += 1
-            hit = self._memo[key] = decide(query)
+            hit = self._memo[clauses] = self._decide(clauses)
         return hit
 
-    def _decide_validity(self, seq: Sequent) -> Verdict:
+    def _decide(self, clauses: CNF) -> Verdict:
         raise NotImplementedError
-
-    def _decide_refutation(self, clauses: CNF) -> Verdict:
-        return self._decide_validity(
-            Sequent((), (Not(formula_of_cnf(clauses)),))
-        )
 
 
 @dataclass
 class InternalOracle(Oracle):
-    def _decide_validity(self, seq: Sequent) -> Verdict:
-        return decide_validity(seq, cancel=self.cancel)
-
-    def _decide_refutation(self, clauses: CNF) -> Verdict:
-        try:
-            return _decide_clauses(
-                simplify_clauses(clauses),
-                budget=_Budget(DEFAULT_STEP_CAP),
-                cancel=self.cancel,
-            )
-        except OracleLimit:
-            return Verdict.UNKNOWN
+    def _decide(self, clauses: CNF) -> Verdict:
+        return _refute(clauses, cancel=self.cancel)

@@ -1,9 +1,12 @@
 """SMT-LIB export and an external-solver oracle.
 
-Ground validity modulo equality maps to QF_UF: declare one uninterpreted
-sort, assert the antecedent and the negated succedent, and ask for
-satisfiability — unsat means the sequent is valid.  Any solver speaking
-SMT-LIB 2 on files works as a drop-in oracle backend.
+The oracle's one question, unsatisfiability of a ground clause set
+modulo equality, maps to QF_UF: declare one uninterpreted sort and the
+symbols, assert each clause, and ask for satisfiability — unsat means
+VALID.  A free variable is a constant of its own, never the constant
+that shares its name, so it is declared under a reserved ``#v`` name
+('#' is no token character, so no parsed symbol starts with it).  Any
+solver speaking SMT-LIB 2 on files works as a drop-in oracle backend.
 """
 
 from __future__ import annotations
@@ -14,21 +17,9 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from .cnf import CNF, Clause, Literal, clause_key, literal_key
 from .euf import Oracle, Verdict
-from .formulas import (
-    And,
-    Atom,
-    Bottom,
-    Eq,
-    Formula,
-    Imp,
-    Not,
-    Or,
-    Top,
-    is_quantifier_free,
-    symbols,
-)
-from .sequents import Sequent
+from .formulas import Eq, symbols
 from .terms import Term, Var
 
 _PLAIN = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][A-Za-z0-9~!@$%^&*_\-+=<>.?/]*\Z")
@@ -41,86 +32,74 @@ def _sym(name: str) -> str:
     return f"|{escaped}|"
 
 
+def _var_sym(name: str) -> str:
+    return _sym("#v" + name)
+
+
+def _app_sexp(head: str, args: tuple) -> str:
+    if not args:
+        return _sym(head)
+    return "(" + " ".join([_sym(head)] + [_term_sexp(a) for a in args]) + ")"
+
+
 def _term_sexp(t: Term) -> str:
     if isinstance(t, Var):
-        return _sym(t.name)
-    if not t.args:
-        return _sym(t.head)
-    return "(" + " ".join([_sym(t.head)] + [_term_sexp(a) for a in t.args]) + ")"
+        return _var_sym(t.name)
+    return _app_sexp(t.head, t.args)
 
 
-def _formula_sexp(f: Formula) -> str:
-    if isinstance(f, Atom):
-        if not f.args:
-            return _sym(f.pred)
-        return (
-            "(" + " ".join([_sym(f.pred)] + [_term_sexp(a) for a in f.args]) + ")"
-        )
-    if isinstance(f, Eq):
-        return f"(= {_term_sexp(f.lhs)} {_term_sexp(f.rhs)})"
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
+def _literal_sexp(lit: Literal) -> str:
+    sign, atom = lit
+    if isinstance(atom, Eq):
+        s = f"(= {_term_sexp(atom.lhs)} {_term_sexp(atom.rhs)})"
+    else:
+        s = _app_sexp(atom.pred, atom.args)
+    return s if sign else f"(not {s})"
+
+
+def _clause_sexp(c: Clause) -> str:
+    lits = [_literal_sexp(lit) for lit in sorted(c, key=literal_key)]
+    if not lits:
         return "false"
-    if isinstance(f, Not):
-        return f"(not {_formula_sexp(f.body)})"
-    if isinstance(f, And):
-        return f"(and {_formula_sexp(f.lhs)} {_formula_sexp(f.rhs)})"
-    if isinstance(f, Or):
-        return f"(or {_formula_sexp(f.lhs)} {_formula_sexp(f.rhs)})"
-    if isinstance(f, Imp):
-        return f"(=> {_formula_sexp(f.lhs)} {_formula_sexp(f.rhs)})"
-    raise TypeError(f"cannot export quantified formula: {f!r}")
+    return lits[0] if len(lits) == 1 else "(or " + " ".join(lits) + ")"
 
 
-def _signature(seq: Sequent) -> tuple[dict[str, int], dict[str, int]]:
-    """Function and predicate arities; a variable is declared as a
-    constant."""
-    funcs: dict[str, int] = {}
-    preds: dict[str, int] = {}
-    for kind, name, arity in symbols((*seq.ante, *seq.succ)):
-        (preds if kind == "pred" else funcs).setdefault(name, arity)
-    return funcs, preds
-
-
-def export_smt2(seq: Sequent, logic: str = "QF_UF") -> str:
-    """SMT-LIB 2 script that is unsat iff the sequent is valid."""
-    for f in tuple(seq.ante) + tuple(seq.succ):
-        if not is_quantifier_free(f):
-            raise ValueError(f"sequent is not quantifier-free: {f!r}")
-    funcs, preds = _signature(seq)
+def export_smt2(clauses: CNF, logic: str = "QF_UF") -> str:
+    """SMT-LIB 2 script that is unsat iff the clause set is unsatisfiable
+    modulo equality."""
+    decls: dict[str, str] = {}
+    atoms = {atom for c in clauses for _, atom in c}
+    for kind, name, arity in symbols(atoms):
+        sym = _var_sym(name) if kind == "var" else _sym(name)
+        dom = " ".join(["U"] * arity)
+        decls.setdefault(sym, f"({dom}) {'Bool' if kind == 'pred' else 'U'}")
     lines = [f"(set-logic {logic})", "(declare-sort U 0)"]
-    for name in sorted(funcs):
-        arity = funcs[name]
-        dom = " ".join(["U"] * arity)
-        lines.append(f"(declare-fun {_sym(name)} ({dom}) U)")
-    for name in sorted(preds):
-        arity = preds[name]
-        dom = " ".join(["U"] * arity)
-        lines.append(f"(declare-fun {_sym(name)} ({dom}) Bool)")
-    for f in seq.ante:
-        lines.append(f"(assert {_formula_sexp(f)})")
-    for f in seq.succ:
-        lines.append(f"(assert (not {_formula_sexp(f)}))")
+    lines += [f"(declare-fun {sym} {decls[sym]})" for sym in sorted(decls)]
+    lines += [
+        f"(assert {_clause_sexp(c)})" for c in sorted(clauses, key=clause_key)
+    ]
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
 
 @dataclass
 class CommandOracle(Oracle):
-    """Runs an external SMT solver per query.
+    """Runs an external SMT solver per clause set.
 
     ``template`` is a shell-free command line with a ``{file}``
     placeholder, e.g. ``z3 -smt2 {file}`` or ``veriT {file}``.  The
-    first stdout line containing ``unsat`` or ``sat`` decides; anything
-    else (including solver errors and timeouts) is UNKNOWN.
+    solver receives ``export_smt2`` of the clause set; a sequent reaches
+    it as its clause form, so one past the cap is UNKNOWN without a
+    solver run, as for the internal oracle.  The first stdout line
+    reading ``unsat`` or ``sat`` decides; anything else (including
+    solver errors and timeouts) is UNKNOWN.
     """
 
     template: str
     timeout: float = 30.0
 
-    def _decide_validity(self, seq: Sequent) -> Verdict:
-        return self._run(export_smt2(seq))
+    def _decide(self, clauses: CNF) -> Verdict:
+        return self._run(export_smt2(clauses))
 
     def _run(self, script: str) -> Verdict:
         with tempfile.NamedTemporaryFile(

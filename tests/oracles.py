@@ -618,7 +618,6 @@ def reference_build_delta_table(terms: Iterable[Term], max_subset=None):
     return DeltaTable(
         entries={k: frozenset(v) for k, v in table.items()},
         termset=frozenset(tlist),
-        max_subset=max_subset,
     )
 
 

@@ -13,7 +13,6 @@ from cutintro.cnf import (
     cnf_of_formulas,
     formula_of_cnf,
     simplify_clauses,
-    to_cnf,
 )
 from cutintro.formulas import (
     And,
@@ -23,9 +22,10 @@ from cutintro.formulas import (
     Imp,
     Not,
     Or,
+    QuantBlock,
     Top,
 )
-from cutintro.terms import const
+from cutintro.terms import Var, const
 
 from oracles import _collect_atoms, _eval
 from test_formulas import formulas_strategy
@@ -49,16 +49,20 @@ R = Atom("R", ())
 
 
 class TestToCnf:
+    """The clause form of one asserted formula."""
+
     def test_literal(self):
-        assert to_cnf(P) == frozenset({frozenset({(True, P)})})
-        assert to_cnf(Not(P)) == frozenset({frozenset({(False, P)})})
+        assert cnf_of_formulas([P], []) == frozenset({frozenset({(True, P)})})
+        assert cnf_of_formulas([Not(P)], []) == frozenset(
+            {frozenset({(False, P)})}
+        )
 
     def test_implication(self):
-        got = to_cnf(Imp(P, Q))
+        got = cnf_of_formulas([Imp(P, Q)], [])
         assert got == frozenset({frozenset({(False, P), (True, Q)})})
 
     def test_distribution(self):
-        got = to_cnf(Or(And(P, Q), R))
+        got = cnf_of_formulas([Or(And(P, Q), R)], [])
         assert got == frozenset(
             {
                 frozenset({(True, P), (True, R)}),
@@ -67,29 +71,29 @@ class TestToCnf:
         )
 
     def test_top_produces_no_clauses(self):
-        assert to_cnf(Top()) == frozenset()
+        assert cnf_of_formulas([Top()], []) == frozenset()
 
     def test_bottom_produces_empty_clause(self):
-        assert frozenset() in to_cnf(Bottom())
+        assert frozenset() in cnf_of_formulas([Bottom()], [])
 
     def test_tautologous_clauses_removed(self):
-        assert to_cnf(Or(P, Not(P))) == frozenset()
+        assert cnf_of_formulas([Or(P, Not(P))], []) == frozenset()
 
     def test_subsumed_clauses_removed(self):
-        got = to_cnf(And(P, Or(P, Q)))
+        got = cnf_of_formulas([And(P, Or(P, Q))], [])
         assert got == frozenset({frozenset({(True, P)})})
 
     @settings(max_examples=150)
     @given(formulas_strategy())
     def test_equivalent_to_input(self, f):
-        cnf = to_cnf(f)
+        cnf = cnf_of_formulas([f], [])
         assert _models_agree(f, formula_of_cnf(cnf))
 
     @settings(max_examples=100)
     @given(formulas_strategy())
     def test_round_trip_is_fixpoint(self, f):
-        cnf = to_cnf(f)
-        assert to_cnf(formula_of_cnf(cnf)) == cnf
+        cnf = cnf_of_formulas([f], [])
+        assert cnf_of_formulas([formula_of_cnf(cnf)], []) == cnf
 
 
 class TestCap:
@@ -103,13 +107,18 @@ class TestCap:
         for p in parts[1:]:
             f = Or(f, p)
         with pytest.raises(CnfBlowup):
-            to_cnf(f, cap=1000)
+            cnf_of_formulas([f], [], cap=1000)
+
+    def test_quantifier_raises_value_error(self):
+        f = QuantBlock("all", ("x",), Atom("P", (Var("x"),)))
+        with pytest.raises(ValueError, match="not quantifier-free"):
+            cnf_of_formulas([P], [f])
 
     def test_cap_allows_formulas_at_the_limit(self):
         # Distributes to {P,R} and {Q,R}: four literals exactly.
-        assert len(to_cnf(Or(And(P, Q), R), cap=4)) == 2
+        assert len(cnf_of_formulas([Or(And(P, Q), R)], [], cap=4)) == 2
         with pytest.raises(CnfBlowup):
-            to_cnf(Or(And(P, Q), R), cap=3)
+            cnf_of_formulas([Or(And(P, Q), R)], [], cap=3)
 
 
 class TestSimplify:
@@ -145,7 +154,7 @@ class TestRefutationClauses:
     @given(formulas_strategy(), formulas_strategy())
     def test_matches_direct_cnf_of_conjunction(self, f, g):
         combined = cnf_of_formulas([f], [g])
-        direct = to_cnf(And(f, Not(g)))
+        direct = cnf_of_formulas([And(f, Not(g))], [])
         assert _models_agree(
             formula_of_cnf(combined), formula_of_cnf(direct)
         )

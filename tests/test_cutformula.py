@@ -18,7 +18,7 @@ from cutintro.cutformula import (
     subst_clauses,
 )
 from cutintro.decomposition import build_delta_table, fold_delta_table
-from cutintro.cnf import cnf_of_formulas, to_cnf
+from cutintro.cnf import cnf_of_formulas
 from cutintro.euf import InternalOracle, Verdict, decide_validity
 from cutintro.formulas import (
     And,
@@ -109,7 +109,9 @@ class TestBuildSchematicEHS:
             golden_ehs.gamma, golden_ehs.delta
         )
         can = canonical_solution(golden_ehs)
-        assert can.clauses == golden_ehs.side_clauses == to_cnf(can.formula)
+        assert can.clauses == golden_ehs.side_clauses == cnf_of_formulas(
+            [can.formula], []
+        )
 
     def test_shape_mismatch_rejected(self):
         seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
@@ -438,7 +440,8 @@ class TestCheckSolutionAgainstReference:
                 continue
             assert not self._agree(e, a, oracle), render_formula(a)
             rejected += 1
-            if oracle.refutation(guard_clauses(e, to_cnf(a))) is Verdict.VALID:
+            guard = guard_clauses(e, cnf_of_formulas([a], []))
+            if oracle.refutation(guard) is Verdict.VALID:
                 guard_only += 1
         assert rejected >= 30
         assert guard_only >= 20

@@ -46,6 +46,16 @@ def _iter(fn, t, n):
     return t
 
 
+def wide_sequent(n: int) -> Sequent:
+    """(P1 & Q1) | ... | (Pn & Qn) ⊢ R: asserting the disjunction
+    distributes it into 2ⁿ clauses of n literals each."""
+    parts = [And(Atom(f"P{i}", ()), Atom(f"Q{i}", ())) for i in range(n)]
+    fml = parts[0]
+    for p in parts[1:]:
+        fml = Or(fml, p)
+    return Sequent((fml,), (Atom("R", ()),))
+
+
 class TestCongruenceClosure:
     def test_reflexive(self):
         cc = CongruenceClosure()
@@ -298,15 +308,7 @@ class TestResourceLimits:
         assert decide_validity(seq) is Verdict.VALID
 
     def test_tiny_cnf_cap_returns_unknown(self):
-        # Asserting a wide disjunction of conjunctions forces distribution.
-        parts = [
-            And(Atom(f"P{i}", ()), Atom(f"Q{i}", ())) for i in range(14)
-        ]
-        fml = parts[0]
-        for p in parts[1:]:
-            fml = Or(fml, p)
-        seq = Sequent((fml,), (Atom("R", ()),))
-        assert decide_validity(seq, cnf_cap=50) is Verdict.UNKNOWN
+        assert decide_validity(wide_sequent(14), cnf_cap=50) is Verdict.UNKNOWN
 
     def test_unknown_is_never_reported_as_invalid(self):
         # A valid sequent under a squeeze of caps must never flip to INVALID.
@@ -339,14 +341,18 @@ class TestInternalOracle:
         assert o.validity(seq) is Verdict.VALID
         assert o.calls == 1
 
-    def test_refutation_memoizes_beside_validity(self):
-        o = InternalOracle()
+    def test_validity_shares_the_refutation_cache(self):
+        # A sequent is decided as its clause form, under the same key as
+        # that clause set: whichever comes first, the backend runs once.
         P = Atom("P", (a,))
         clauses = frozenset({frozenset({(True, P)}), frozenset({(False, P)})})
-        assert o.refutation(clauses) is Verdict.VALID
-        assert o.refutation(clauses) is Verdict.VALID
-        assert o.validity(Sequent((P,), (P,))) is Verdict.VALID
-        assert o.calls == 2
+        for first_sequent in (True, False):
+            o = InternalOracle()
+            queries = [Sequent((P,), (P,)), clauses]
+            for q in queries if first_sequent else reversed(queries):
+                ask = o.validity if isinstance(q, Sequent) else o.refutation
+                assert ask(q) is Verdict.VALID
+            assert o.calls == 1
 
     def test_backend_decides_each_query_once(self):
         class Counting(Oracle):
@@ -354,17 +360,27 @@ class TestInternalOracle:
                 super().__init__()
                 self.decided: list = []
 
-            def _decide_validity(self, seq):
-                self.decided.append(seq)
+            def _decide(self, clauses):
+                self.decided.append(clauses)
                 return Verdict.INVALID
 
         o = Counting()
-        P = Atom("P", ())
+        P, Q = Atom("P", ()), Atom("Q", ())
         clauses = frozenset({frozenset({(True, P)})})
         for _ in range(2):
-            assert o.validity(Sequent((), (P,))) is Verdict.INVALID
+            assert o.validity(Sequent((), (Q,))) is Verdict.INVALID
             assert o.refutation(clauses) is Verdict.INVALID
         assert o.calls == len(o.decided) == 2
+        assert o.decided == [frozenset({frozenset({(False, Q)})}), clauses]
+
+    def test_clause_form_past_the_cap_reaches_no_backend(self):
+        class Refusing(Oracle):
+            def _decide(self, clauses):
+                raise AssertionError("backend asked")
+
+        o = Refusing()
+        assert o.validity(wide_sequent(14)) is Verdict.UNKNOWN
+        assert o.calls == 0
 
     def test_refutation_of_contradictory_clauses(self):
         o = InternalOracle()

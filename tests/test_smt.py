@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
-import os
 import random
+import re
 import shutil
 import stat
-import textwrap
 
 import pytest
 
-from cutintro.euf import Verdict, decide_validity
-from cutintro.formulas import Atom, Eq, Imp, Not
+from cutintro.cnf import cnf_of_formulas
+from cutintro.cutformula import canonical_solution, sf_improve
+from cutintro.euf import InternalOracle, Verdict, decide_validity
+from cutintro.formulas import Atom, Eq
 from cutintro.pipeline import RunConfig, run_pipeline
 from cutintro.sequents import Sequent
 from cutintro.smt import CommandOracle, export_smt2
-from cutintro.terms import App, const
+from cutintro.terms import App, Var, const
 
 import gen
+from test_euf import wide_sequent
 
 a, b = const("a"), const("b")
 
@@ -36,49 +38,119 @@ def _available_solver():
     return None
 
 
+def _read_back(script: str) -> frozenset:
+    """The clause set asserted by an exported script, read with a small
+    s-expression reader: a check of the writer that needs no solver."""
+    tokens = re.findall(r"\(|\)|\|[^|]*\||[^\s()|]+", script)
+
+    def sexp(i):
+        if tokens[i] != "(":
+            return tokens[i].strip("|"), i + 1
+        items, i = [], i + 1
+        while tokens[i] != ")":
+            item, i = sexp(i)
+            items.append(item)
+        return items, i + 1
+
+    def term(x):
+        if isinstance(x, list):
+            return App(x[0], tuple(term(y) for y in x[1:]))
+        return Var(x[2:]) if x.startswith("#v") else const(x)
+
+    def literal(x):
+        if isinstance(x, list) and x[0] == "not":
+            return (False, literal(x[1])[1])
+        if isinstance(x, list) and x[0] == "=":
+            return (True, Eq(term(x[1]), term(x[2])))
+        if isinstance(x, list):
+            return (True, Atom(x[0], tuple(term(y) for y in x[1:])))
+        return (True, Atom(x, ()))
+
+    clauses, i = set(), 0
+    while i < len(tokens):
+        x, i = sexp(i)
+        if x[0] != "assert":
+            continue
+        body = x[1]
+        if body == "false":
+            clauses.add(frozenset())
+        elif isinstance(body, list) and body[0] == "or":
+            clauses.add(frozenset(literal(y) for y in body[1:]))
+        else:
+            clauses.add(frozenset([literal(body)]))
+    return frozenset(clauses)
+
+
+def _export(ante, succ) -> str:
+    return export_smt2(cnf_of_formulas(ante, succ))
+
+
 class TestExport:
     def test_declares_sort_and_symbols_once(self):
-        seq = Sequent((Eq(f(a), a), Atom("P", (f(a),))), (Atom("P", (a,)),))
-        script = export_smt2(seq)
+        script = _export((Eq(f(a), a), Atom("P", (f(a),))), (Atom("P", (a,)),))
         assert script.count("(declare-sort U 0)") == 1
         assert script.count("(declare-fun a () U)") == 1
         assert script.count("(declare-fun f (U) U)") == 1
         assert script.count("(declare-fun P (U) Bool)") == 1
 
     def test_succedent_is_negated(self):
-        seq = Sequent((), (Atom("P", (a,)),))
-        script = export_smt2(seq)
-        assert "(assert (not (P a)))" in script
+        # The clause form of ⊢ P(a) is the unit clause ¬P(a).
+        assert "(assert (not (P a)))" in _export((), (Atom("P", (a,)),))
+
+    def test_unit_clause_is_its_literal(self):
+        assert "(assert (= a b))" in _export((Eq(a, b),), ())
+
+    def test_clause_is_a_disjunction(self):
+        clause = frozenset({(True, Atom("P", (a,))), (False, Atom("Q", (b,)))})
+        script = export_smt2(frozenset({clause}))
+        assert "(assert (or (P a) (not (Q b))))" in script
+
+    def test_empty_clause_is_false(self):
+        script = export_smt2(frozenset({frozenset()}))
+        assert "(assert false)" in script
 
     def test_check_sat_is_last(self):
-        seq = Sequent((Atom("P", (a,)),), (Atom("P", (a,)),))
-        assert export_smt2(seq).rstrip().endswith("(check-sat)")
+        assert _export((Atom("P", (a,)),), (Atom("P", (a,)),)).rstrip().endswith(
+            "(check-sat)"
+        )
 
     def test_logic_line(self):
-        seq = Sequent((), (Eq(a, a),))
-        assert export_smt2(seq).startswith("(set-logic QF_UF)")
-        assert export_smt2(seq, logic="QF_UFLIA").startswith(
+        clauses = frozenset({frozenset({(True, Eq(a, b))})})
+        assert export_smt2(clauses).startswith("(set-logic QF_UF)")
+        assert export_smt2(clauses, logic="QF_UFLIA").startswith(
             "(set-logic QF_UFLIA)"
         )
 
-    def test_connectives_and_nesting(self):
-        seq = Sequent((Imp(Atom("P", (a,)), Not(Atom("Q", (b,)))),), (Atom("R", ()),))
-        script = export_smt2(seq)
-        assert "(assert (=> (P a) (not (Q b))))" in script
-        assert "(declare-fun R () Bool)" in script
-
     def test_nonalnum_symbols_are_quoted(self):
-        seq = Sequent((Atom("P", (App("#f1", (a,)),)),), (Atom("P", (a,)),))
-        script = export_smt2(seq)
-        assert "|#f1|" in script
+        script = _export((Atom("P", (App("#f1", (a,)),)),), (Atom("P", (a,)),))
+        assert "(declare-fun |#f1| (U) U)" in script
+
+    def test_variable_is_not_the_constant_of_its_name(self):
+        # ⊢ a = a with a variable on one side is invalid: a free variable
+        # is a constant of its own.  Written with one symbol for both,
+        # every solver would answer unsat, i.e. VALID.
+        script = _export((), (Eq(Var("a"), a),))
+        assert script.count("(declare-fun a () U)") == 1
+        assert script.count("(declare-fun |#va| () U)") == 1
+        assert "(not (= a a))" not in script
 
     def test_export_random_sequents_is_wellformed(self):
         for seed in range(20):
             rng = random.Random(seed)
             seq = gen.random_ground_sequent(rng)
-            script = export_smt2(seq)
+            script = _export(seq.ante, seq.succ)
             assert script.count("(") == script.count(")")
             assert script.count("(check-sat)") == 1
+
+    def test_script_reads_back_as_the_clause_set(self):
+        x = Var("x")
+        for seed in range(40):
+            rng = random.Random(seed)
+            seq = gen.random_ground_sequent(rng)
+            clauses = cnf_of_formulas(seq.ante, (*seq.succ, Eq(x, f(a))))
+            assert _read_back(export_smt2(clauses)) == clauses, f"seed {seed}"
+        empty = frozenset({frozenset()})
+        assert _read_back(export_smt2(empty)) == empty
 
 
 class TestCommandOracle:
@@ -118,7 +190,14 @@ class TestCommandOracle:
         o = CommandOracle(self._stub(tmp_path, f'cp "$1" {copy}; echo unsat'))
         seq = Sequent((Eq(f(a), a),), (Eq(a, f(a)),))
         o.validity(seq)
-        assert copy.read_text() == export_smt2(seq)
+        assert copy.read_text() == _export(seq.ante, seq.succ)
+
+    def test_clause_form_past_the_cap_never_starts_the_solver(self, tmp_path):
+        marker = tmp_path / "started"
+        o = CommandOracle(self._stub(tmp_path, f"touch {marker}; echo unsat"))
+        assert o.validity(wide_sequent(14)) is Verdict.UNKNOWN
+        assert o.calls == 0
+        assert not marker.exists()
 
     def test_run_keeps_its_deadline(self, tmp_path, golden_text):
         # Every query takes 0.2 s: the forgetful-inference search alone
@@ -145,3 +224,20 @@ class TestExternalAgreement:
             external = o.validity(seq)
             if external is not Verdict.UNKNOWN:
                 assert external == internal, f"seed {seed}"
+
+    def test_agrees_on_the_guard_clause_sets(self, golden_ehs):
+        # Every clause set forgetful inference asks about on the bundled
+        # example: the guards of its candidates.
+        internal = InternalOracle()
+        sf_improve(golden_ehs, canonical_solution(golden_ehs), internal)
+        o = CommandOracle(_available_solver())
+        assert internal._memo
+        for clauses, verdict in internal._memo.items():
+            external = o.refutation(clauses)
+            if external is not Verdict.UNKNOWN:
+                assert external == verdict, export_smt2(clauses)
+
+    def test_variable_is_not_the_constant_of_its_name(self):
+        seq = Sequent((), (Eq(Var("a"), a),))
+        assert decide_validity(seq) is Verdict.INVALID
+        assert CommandOracle(_available_solver()).validity(seq) is Verdict.INVALID
