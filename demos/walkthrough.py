@@ -70,7 +70,7 @@ banner("3. decomposition search")
 # whose patterns jointly regenerate the whole set.  A subset whose rows
 # would mention a formula tag is dropped, with all of its supersets.
 table = build_delta_table(ts)
-print(f"table holds {len(table.entries)} distinct clean witness keys")
+print(f"table holds {len(table.pairs)} distinct clean witness keys")
 decs = fold_delta_table(table, ts)
 print(f"{len(decs)} minimal decomposition(s), size {decs[0].size} "
       f"(vs {len(ts.terms)} terms uncompressed)")

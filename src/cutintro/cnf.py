@@ -11,7 +11,7 @@ a quantifier met here raises ValueError for every caller.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .formulas import (
     And,
@@ -104,12 +104,26 @@ def is_tautological(c: Clause) -> bool:
     return any((not sign, atom) in c for sign, atom in c)
 
 
-def simplify_clauses(clauses: Iterable[Clause]) -> CNF:
-    """Drop tautological and strictly subsumed clauses."""
+# Clauses checked for subsumption between two calls of ``cancel``.
+_POLL_EVERY = 256
+
+
+def simplify_clauses(
+    clauses: Iterable[Clause],
+    cancel: Optional[Callable[[], None]] = None,
+) -> CNF:
+    """Drop tautological and strictly subsumed clauses.
+
+    Each clause is checked against every kept one, so this is quadratic;
+    ``cancel``, when given, runs every ``_POLL_EVERY`` clauses and raises
+    to abandon the run.
+    """
     kept = [c for c in set(clauses) if not is_tautological(c)]
     kept.sort(key=len)
     out: list[Clause] = []
-    for c in kept:
+    for i, c in enumerate(kept):
+        if cancel is not None and i % _POLL_EVERY == 0:
+            cancel()
         if not any(d <= c for d in out):
             out.append(c)
     return frozenset(out)
@@ -119,14 +133,16 @@ def cnf_of_formulas(
     asserted: Iterable[Formula],
     denied: Iterable[Formula],
     cap: int = DEFAULT_CNF_CAP,
+    cancel: Optional[Callable[[], None]] = None,
 ) -> CNF:
-    """Clauses equivalent to (all asserted true and all denied false)."""
+    """Clauses equivalent to (all asserted true and all denied false).
+    ``cancel`` is passed to ``simplify_clauses``."""
     clauses: set[Clause] = set()
     for f in asserted:
         clauses |= _distribute(_nnf(f, True), cap)
     for f in denied:
         clauses |= _distribute(_nnf(f, False), cap)
-    return simplify_clauses(clauses)
+    return simplify_clauses(clauses, cancel)
 
 
 def literal_key(lit: Literal) -> tuple:

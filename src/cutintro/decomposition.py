@@ -13,15 +13,19 @@ The search works in three stages:
    folds the one-term extension of ``_AntiUnifier`` over the list.
 2. ``build_delta_table`` enumerates the subsets of T depth first, in
    ``term_key`` order, extending each subset's pattern by its last term,
-   and indexes the results by witness-vector set.  A subset whose key
+   and indexes the results by witness-vector set.  From the enumeration
+   on, a subset (the pattern's cover) is an ``int`` bitmask, bit j
+   standing for the j-th term in ``term_key`` order.  A subset whose key
    is unclean (see below) is neither stored nor extended: every superset
    generalizes it, so its key is unclean too.  The table is then closed
    under arity-raising coordinate injections so that patterns found at a
-   smaller arity are also visible at every compatible larger key.
+   smaller arity are also visible at every compatible larger key; a
+   lifted pair keeps its cover's mask.
 3. ``fold_delta_table`` scans each key and solves a set-cover problem:
-   pick pattern groups whose covered subsets tile T.  Selection is by
-   covered subset — a chosen subset contributes every pattern the table
-   associates with it — which keeps the expansion property exact.
+   pick pattern groups whose covers tile T.  Selection is by cover — a
+   chosen mask contributes every pattern the table associates with it —
+   which keeps the expansion property exact.  The groups are the pairs
+   of a key grouped by mask, so the fold looks up no cover's terms.
 
 Keys whose vectors mention the reserved formula-tag heads are unclean
 and never used: a tag head inside W would smuggle formula structure into
@@ -236,16 +240,52 @@ def _key_is_clean(key: Key) -> bool:
 _tagged = attrgetter("tagged")
 
 
-Pair = tuple  # (pattern term, frozenset of covered terms)
+Pair = tuple  # (pattern term, cover bitmask)
 
 
 @dataclass(frozen=True)
 class DeltaTable:
     """Anti-unification results of the subsets with clean keys, indexed
-    by witness key."""
+    by witness key.
 
-    entries: dict  # Key -> frozenset[Pair]
-    termset: frozenset
+    ``pairs`` maps each key to its (pattern, cover) pairs, a cover being
+    a bitmask over ``terms``: bit j stands for ``terms[j]``, the term
+    set in ``term_key`` order.
+    """
+
+    pairs: dict  # Key -> frozenset[Pair]
+    terms: tuple  # of Term, in term_key order
+
+    @property
+    def entries(self) -> dict:
+        """The table with each cover as the frozenset of its terms:
+        {key: frozenset of (pattern, frozenset of terms)}.  A view built
+        anew on every access, for readers that compare tables."""
+        terms = self.terms
+        covers: dict[int, frozenset] = {}
+
+        def cover(mask: int) -> frozenset:
+            c = covers.get(mask)
+            if c is None:
+                c = covers[mask] = frozenset(
+                    terms[i] for i in _bits(mask)
+                )
+            return c
+
+        return {
+            k: frozenset((u, cover(mask)) for u, mask in v)
+            for k, v in self.pairs.items()
+        }
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _key_arity(key: Key) -> int:
@@ -265,10 +305,11 @@ def _clean_subsets(
     terms: Sequence[Term],
     top: int,
     cancel: Optional[Callable[[], None]] = None,
-) -> Iterator[tuple[Key, Term, tuple]]:
-    """(key, pattern, subset) for each subset of at most ``top`` terms
-    whose key is clean, depth first; each subset lists its terms in the
-    order of ``terms``.  The pattern is ``delta_g`` of the subset.
+) -> Iterator[tuple[Key, Term, int]]:
+    """(key, pattern, mask) for each subset of at most ``top`` terms
+    whose key is clean, depth first.  Bit j of the mask stands for
+    ``terms[j]``.  The pattern is ``delta_g`` of the subset's terms in
+    the order of ``terms``.
 
     ``cancel`` runs once per subset visited, including those found
     unclean (which are not extended).
@@ -276,10 +317,11 @@ def _clean_subsets(
     au = _AntiUnifier(prune=True)
     terms = tuple(map(au.share, terms))
     n = len(terms)
-    # (index of the last term, pattern, columns, subset)
-    stack = [(-1, None, None, ())] if top > 0 else []
+    # (index of the last term, pattern, columns, subset, mask); the
+    # subset's terms are what ``extend`` reads the new columns from.
+    stack = [(-1, None, None, (), 0)] if top > 0 else []
     while stack:
-        last, u, cols, subset = stack.pop()
+        last, u, cols, subset, mask = stack.pop()
         for j in range(last + 1, n):
             if cancel is not None:
                 cancel()
@@ -291,14 +333,14 @@ def _clean_subsets(
                 v, new_cols = grown
             else:
                 v, new_cols = t, []
-            child = subset + (t,)
+            child = mask | 1 << j
             yield (
                 frozenset(zip(*new_cols)) if new_cols else _NO_COLUMNS,
                 v,
                 child,
             )
-            if len(child) < top and j + 1 < n:
-                stack.append((j, v, new_cols, child))
+            if len(subset) + 1 < top and j + 1 < n:
+                stack.append((j, v, new_cols, subset + (t,), child))
 
 
 def build_delta_table(
@@ -317,23 +359,26 @@ def build_delta_table(
     the pattern variables renamed to the selected coordinates.  Lifting
     only raises arity; it never permutes a key onto itself.
     """
-    terms = sorted(t.terms if isinstance(t, TermSet) else t, key=term_key)
+    terms = sorted(
+        set(t.terms if isinstance(t, TermSet) else t), key=term_key
+    )
     if len(terms) > limit:
         raise TermSetTooLarge(len(terms), limit)
     top = len(terms) if max_subset is None else min(max_subset, len(terms))
 
     table: dict[Key, set[Pair]] = {}
-    for key, u, subset in _clean_subsets(terms, top, cancel):
-        pair = (u, frozenset(subset))
+    for key, u, mask in _clean_subsets(terms, top, cancel):
+        pair = (u, mask)
         pairs = table.get(key)
         if pairs is None:
             table[key] = {pair}
         else:
             pairs.add(pair)
 
-    # Lift only the pairs found by the subset pass, never lifted copies.
-    native = {k: tuple(v) for k, v in table.items()}
-    for key in native:
+    # Lift only the pairs found by the subset pass, never lifted copies:
+    # the lifted pairs join the table after the pass.
+    lifted: list[tuple[Key, Pair]] = []
+    for key in table:
         m = _key_arity(key)
         if m < 2:
             continue
@@ -345,14 +390,17 @@ def build_delta_table(
                 projected = [tuple(row[i] for i in inj) for row in rows]
                 if len(set(projected)) != len(rows):
                     continue
-                src = native.get(frozenset(projected))
+                src = table.get(frozenset(projected))
                 if not src:
                     continue
-                for u0, covered in src:
-                    table[key].add((_inject_pattern(u0, inj), covered))
+                for u0, mask in src:
+                    lifted.append((key, (_inject_pattern(u0, inj), mask)))
+    for key, pair in lifted:
+        table[key].add(pair)
 
-    frozen = {k: frozenset(v) for k, v in table.items()}
-    return DeltaTable(entries=frozen, termset=frozenset(terms))
+    for key, pairs in table.items():
+        table[key] = frozenset(pairs)
+    return DeltaTable(pairs=table, terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -414,24 +462,28 @@ def validate_decomposition(
     return d.expand() == target
 
 
-def _fold_order(entries: dict) -> list[Key]:
+def _fold_order(pairs: dict) -> list[Key]:
     """The keys the fold scans, in scan order.
 
     Keys of arity zero and unclean keys are left out.  The others sort by
     arity, then size, then their rows sorted by ``tuple_key``.  Each
-    witness term is ranked by ``term_key`` once, so rows compare as
-    tuples of ranks, in the same order.
+    witness term is ranked by ``term_key`` once, and a row is coded as
+    the number whose digits in base ``len(rank)`` are its ranks; rows of
+    one arity compare as their codes, in the same order.
     """
-    keys = [k for k in entries if _key_arity(k) and _key_is_clean(k)]
+    keys = [k for k in pairs if _key_arity(k) and _key_is_clean(k)]
     witnesses = {x for k in keys for row in k for x in row}
-    rank = {x: i for i, x in enumerate(sorted(witnesses, key=term_key))}.get
+    rank = {x: i for i, x in enumerate(sorted(witnesses, key=term_key))}
+    base = len(rank)
+
+    def code(row: Row) -> int:
+        c = 0
+        for x in row:
+            c = c * base + rank[x]
+        return c
 
     def order(k: Key) -> tuple:
-        return (
-            _key_arity(k),
-            len(k),
-            tuple(sorted(tuple(map(rank, row)) for row in k)),
-        )
+        return (_key_arity(k), len(k), tuple(sorted(map(code, k))))
 
     keys.sort(key=order)
     return keys
@@ -444,23 +496,23 @@ def fold_delta_table(
 ) -> list[Decomposition]:
     """All minimum-size decompositions recoverable from the table.
 
-    For each key W the pairs are grouped by covered subset; a branch and
-    bound search picks groups that tile T.  Picking a group means taking
-    every pattern associated with that covered subset, so |U| counts all
-    of them.  Covers that leave some coordinate of W unused in every
-    chosen pattern are discarded (the same decomposition already appears
-    under the projected key).  Results are sorted by (|W|, patterns,
-    vectors) and deduplicated; only sizes equal to the global minimum
-    survive.
+    For each key W the pairs are grouped by cover; a branch and bound
+    search picks groups that tile T.  Picking a group means taking every
+    pattern associated with that cover, so |U| counts all of them.
+    Covers that leave some coordinate of W unused in every chosen
+    pattern are discarded (the same decomposition already appears under
+    the projected key).  Results are sorted by (|W|, patterns, vectors)
+    and deduplicated; only sizes equal to the global minimum survive.
 
-    Covered subsets are bitmasks over the table's terms, bit i standing
-    for the i-th term in ``term_key`` order.  Keys are scanned by
-    ``_fold_order``, groups in the order of their sorted terms, and the
-    search branches on the uncovered term in the fewest groups, the
-    first in ``term_key`` order on a tie.
+    The covers are the table's bitmasks over ``dt.terms``, so ``t`` is
+    looked up in the table's terms once, and never a cover.  Keys are
+    scanned by ``_fold_order``, groups in the order of their sorted
+    terms (ascending bit lists), and the search branches on the
+    uncovered term in the fewest groups, the first in ``term_key`` order
+    on a tie.
     """
     target = frozenset(t.terms if isinstance(t, TermSet) else t)
-    index = {x: i for i, x in enumerate(sorted(dt.termset, key=term_key))}
+    index = {x: i for i, x in enumerate(dt.terms)}
     if not target.issubset(index):
         return []  # no group covers a term outside the table
     full = 0
@@ -469,24 +521,19 @@ def fold_delta_table(
     best: list[float] = [math.inf]
     found: set[Decomposition] = set()
 
-    for key in _fold_order(dt.entries):
+    for key in _fold_order(dt.pairs):
         m = _key_arity(key)
-        groups: dict[frozenset, list[Term]] = {}
-        for u, covered in dt.entries[key]:
-            groups.setdefault(covered, []).append(u)
-        glist = []
+        groups: dict[int, list[Term]] = {}
+        for u, mask in dt.pairs[key]:
+            groups.setdefault(mask, []).append(u)
         union = 0
-        for cov, us in groups.items():
-            bits = sorted(map(index.__getitem__, cov))
-            mask = 0
-            for i in bits:
-                mask |= 1 << i
+        for mask in groups:
             union |= mask
-            glist.append((bits, mask, us))
         if union != full:
             continue
+        glist = [(_bits(mask), mask, us) for mask, us in groups.items()]
         glist.sort(key=itemgetter(0))
-        by_term: list[list[int]] = [[] for _ in index]
+        by_term: list[list[int]] = [[] for _ in dt.terms]
         for gi, (bits, _, _) in enumerate(glist):
             for i in bits:
                 by_term[i].append(gi)
@@ -541,8 +588,6 @@ def fold_delta_table(
 def restrict_ci1(dt: DeltaTable) -> DeltaTable:
     """Keep only keys of vector arity one (single-variable search)."""
     return DeltaTable(
-        entries={
-            k: v for k, v in dt.entries.items() if _key_arity(k) == 1
-        },
-        termset=dt.termset,
+        pairs={k: v for k, v in dt.pairs.items() if _key_arity(k) == 1},
+        terms=dt.terms,
     )

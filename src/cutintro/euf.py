@@ -491,7 +491,9 @@ def _refute(
     """VALID iff the clause set is unsatisfiable modulo equality."""
     try:
         return _decide_clauses(
-            simplify_clauses(clauses), budget=_Budget(step_cap), cancel=cancel
+            simplify_clauses(clauses, cancel),
+            budget=_Budget(step_cap),
+            cancel=cancel,
         )
     except OracleLimit:
         return Verdict.UNKNOWN
@@ -507,7 +509,7 @@ def decide_validity(
     """Three-valued validity of a ground sequent modulo equality: the
     refutation of its clause form, UNKNOWN past the clause-form cap."""
     try:
-        clauses = cnf_of_formulas(seq.ante, seq.succ, cnf_cap)
+        clauses = cnf_of_formulas(seq.ante, seq.succ, cnf_cap, cancel)
     except CnfBlowup:
         return Verdict.UNKNOWN
     return _refute(clauses, step_cap=step_cap, cancel=cancel)
@@ -524,7 +526,8 @@ class Oracle:
     no backend.  ``calls`` counts the clause sets that reached the
     backend, which implements only the uncached ``_decide``.
     ``cancel``, when given, is called before each such clause set and
-    raises to abandon the run, so a deadline holds for every backend.
+    while a sequent's clause form is simplified, and raises to abandon
+    the run, so a deadline holds for every backend.
     """
 
     calls: int = field(default=0, kw_only=True)
@@ -533,7 +536,7 @@ class Oracle:
 
     def validity(self, seq: Sequent) -> Verdict:
         try:
-            clauses = cnf_of_formulas(seq.ante, seq.succ)
+            clauses = cnf_of_formulas(seq.ante, seq.succ, cancel=self.cancel)
         except CnfBlowup:
             return Verdict.UNKNOWN
         return self.refutation(clauses)

@@ -20,8 +20,12 @@ stop the recursion at once.
 
 There is deliberately no intern table.  Interning would make equal terms
 identical, but the table would be process-wide mutable state that
-outlives one pipeline run and grows across a corpus batch; the cached
-hash already makes unequal comparisons and dictionary lookups cheap.
+outlives one pipeline run and grows across a corpus batch.  The cached
+hash makes unequal comparisons cheap, and lookups of the very object
+that is stored.  A lookup of an equal but distinct term still compares
+the two structurally, down to the full depth where they share no
+subterm; so the decomposition search keeps term sets as bitmasks over
+one sorted list rather than looking terms up.
 """
 
 from __future__ import annotations

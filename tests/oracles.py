@@ -590,7 +590,8 @@ def reference_build_delta_table(terms: Iterable[Term], max_subset=None):
     """The Δ-table built the slow way: ``antiunify`` on every subset of
     at most ``max_subset`` terms, unclean keys included, then every native
     pair lifted into each larger key that projects onto its key
-    injectively.  Returns a ``DeltaTable``."""
+    injectively.  Returns a ``DeltaTable``; its covers are built as
+    term sets and stored as the table's bitmasks over the sorted terms."""
     from cutintro.decomposition import DeltaTable
 
     tlist = sorted(terms, key=term_key)
@@ -615,9 +616,13 @@ def reference_build_delta_table(terms: Iterable[Term], max_subset=None):
                 for u0, covered in native.get(frozenset(projected), ()):
                     table[key].add((_reference_inject(u0, inj), covered))
 
+    bit = {x: 1 << i for i, x in enumerate(tlist)}
     return DeltaTable(
-        entries={k: frozenset(v) for k, v in table.items()},
-        termset=frozenset(tlist),
+        pairs={
+            k: frozenset((u, sum(map(bit.__getitem__, cov))) for u, cov in v)
+            for k, v in table.items()
+        },
+        terms=tuple(tlist),
     )
 
 
@@ -650,14 +655,15 @@ def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> lis
     best: list[float] = [math.inf]
     found: set = set()
 
-    for key in sorted(table.entries, key=key_order):
+    entries = table.entries  # a view built on every access
+    for key in sorted(entries, key=key_order):
         m = len(next(iter(key)))
         if m == 0:
             continue
         if not all(_row_is_clean(row) for row in key):
             continue
         groups: dict[frozenset, list[Term]] = {}
-        for u, covered in table.entries[key]:
+        for u, covered in entries[key]:
             groups.setdefault(covered, []).append(u)
         if set().union(*groups) != target:
             continue

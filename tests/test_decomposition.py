@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -57,6 +58,14 @@ def _chain_termset(n):
     return frozenset(App("#f2", (_power(f, const("c"), k),)) for k in range(n))
 
 
+def _deep_chain(n=12, depth=40):
+    """#f2(fᵏc) for k = depth .. depth + n - 1, each term built from its
+    own objects, so two calls give equal but distinct terms."""
+    return [
+        App("#f2", (_power(f, const("c"), depth + k),)) for k in range(n)
+    ]
+
+
 def _random_term_list(rng):
     """A shuffled list drawn from a tagged or an untagged term set, with
     a repeated term now and then."""
@@ -76,6 +85,11 @@ def _expand(u, rows):
     for row in rows:
         out.add(subst_term(u, {alpha(i + 1).name: row[i] for i in range(len(row))}))
     return out
+
+
+def _subset(terms, mask):
+    """The terms a cover bitmask stands for, bit j being ``terms[j]``."""
+    return tuple(t for j, t in enumerate(terms) if mask >> j & 1)
 
 
 class TestDeltaG:
@@ -202,10 +216,11 @@ class TestDeltaTable:
         for ts in sets:
             terms = sorted(ts, key=term_key)
             stored = set()
-            for key, u, subset in _clean_subsets(terms, len(terms)):
+            for key, u, mask in _clean_subsets(terms, len(terms)):
+                assert 0 < mask < 1 << len(terms)
+                subset = _subset(terms, mask)
                 sd = delta_g(subset)
                 assert (u, key) == (sd.u, sd.key)
-                assert list(subset) == sorted(subset, key=term_key)
                 stored.add(subset)
             clean = {
                 combo
@@ -221,7 +236,7 @@ class TestDeltaTable:
         ts = [App("#f1", (a,)), App("#f2", (a,)), App("#f2", (b,))]
         polls = []
         got = list(_clean_subsets(ts, 3, lambda: polls.append(1)))
-        assert {subset for _, _, subset in got} == {
+        assert {_subset(ts, mask) for _, _, mask in got} == {
             (ts[0],), (ts[1],), (ts[2],), (ts[1], ts[2])
         }
         # Three singletons and three pairs are visited.  Both pairs with
@@ -389,6 +404,44 @@ class TestFold:
             for d in fold_delta_table(dt, ts):
                 assert validate_decomposition(d, ts), f"seed {seed}"
 
+    def test_fold_does_not_depend_on_term_identity(self):
+        # The covers hold the anti-unifier's shared copies of the terms;
+        # the fold is asked about equal terms made of other objects, in
+        # another order.
+        terms = _deep_chain()
+        table = build_delta_table(terms)
+        expected = oracles.reference_fold_delta_table(table, terms)
+        assert expected
+        copy = _deep_chain()
+        assert not any(x is y for x in terms for y in copy)
+        shuffled = list(copy)
+        random.Random(3).shuffle(shuffled)
+        assert fold_delta_table(table, copy) == expected
+        assert fold_delta_table(table, shuffled) == expected
+        # Each term twice, as two objects: the table is of the term set.
+        twice = build_delta_table(terms + copy)
+        assert twice.terms == table.terms
+        assert fold_delta_table(twice, terms) == expected
+
+    def test_build_and_fold_peak_memory(self):
+        # Covers are bitmasks from the enumeration on.  With a frozenset
+        # of terms per pair the peak here was 7.4 MB, with bitmasks 4.0 MB
+        # (Python 3.11).
+        terms, copy = _deep_chain(), _deep_chain()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            decs = fold_delta_table(build_delta_table(terms), copy)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert decs
+        assert peak < 5_000_000
+
     def test_singleton_set_has_no_decomposition(self):
         ts = frozenset({App("#f1", (a,))})
         dt = build_delta_table(ts)
@@ -447,6 +500,20 @@ class TestRestrictAndSplit:
             len(next(iter(key))) == 1 for key in narrowed.entries
         )
         assert fold_delta_table(narrowed, golden_termset) == []
+
+    def test_restriction_filters_the_entries(self, golden_table):
+        tables = [golden_table] + [
+            build_delta_table(gen.random_tagged_term_set(random.Random(s)))
+            for s in range(20)
+        ]
+        for dt in tables:
+            narrowed = restrict_ci1(dt)
+            assert narrowed.terms == dt.terms
+            assert narrowed.entries == {
+                k: v
+                for k, v in dt.entries.items()
+                if len(next(iter(k))) == 1
+            }
 
     def test_single_variable_set_still_folds(self):
         ts = frozenset(

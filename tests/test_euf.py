@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,8 @@ from cutintro.euf import (
     decide_validity,
 )
 from cutintro.formulas import And, Atom, Eq, Imp, Not, Or
+from cutintro.herbrand import herbrand_sequent
+from cutintro.parser import parse_input
 from cutintro.sequents import Sequent
 from cutintro.terms import App, Var, const
 
@@ -331,6 +334,24 @@ class TestResourceLimits:
         seq = Sequent(ante, (Eq(a, _iter(f, a, 8)),))
         with pytest.raises(Stop):
             decide_validity(seq, cancel=cancel)
+
+    def test_cancel_is_polled_during_subsumption(self):
+        # The clause form has 3⁹ clauses; checking them for subsumption
+        # alone takes about 40 s, so a cancel that only ran before the
+        # search would fire far too late.
+        class Stop(Exception):
+            pass
+
+        seq = herbrand_sequent(*parse_input(gen.wide_disjunction_input(3)))
+        start = time.perf_counter()
+
+        def cancel():
+            if time.perf_counter() - start > 1:
+                raise Stop()
+
+        with pytest.raises(Stop):
+            decide_validity(seq, cnf_cap=10**6, cancel=cancel)
+        assert time.perf_counter() - start < 2
 
 
 class TestInternalOracle:
