@@ -13,6 +13,7 @@ from importlib.resources import files
 
 from cutintro import (
     InternalOracle,
+    SolutionCandidate,
     TermSet,
     build_delta_table,
     build_proof_with_cut,
@@ -28,7 +29,6 @@ from cutintro import (
     render_formula,
     render_proof,
     render_term,
-    select_best,
     sf_improve,
 )
 from cutintro.terms import term_key
@@ -105,7 +105,7 @@ banner("6. improvement by forgetful inference")
 # a clause pair by a resolvent or paramodulant as long as the result
 # still solves the schema, and keep the smallest survivors.
 res = sf_improve(e, can, oracle)
-best = select_best(res.candidates)
+best = min(res.candidates, key=SolutionCandidate.sort_key)
 print(f"visited {res.visited} clause-set nodes, "
       f"kept {len(res.candidates)} solutions")
 print(f"best size {best.size}: {render_formula(best.formula)}")

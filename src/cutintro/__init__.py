@@ -17,7 +17,6 @@ from .cutformula import (
     build_schematic_ehs,
     canonical_solution,
     check_solution,
-    select_best,
     sf_improve,
 )
 from .decomposition import (
@@ -135,7 +134,6 @@ __all__ = [
     "restrict_ci1",
     "run_corpus",
     "run_pipeline",
-    "select_best",
     "sf_improve",
     "validate_decomposition",
     "write_corpus_outputs",

@@ -342,7 +342,8 @@ def sf_improve(
     successors of a solution inherit).  α-free clauses are pruned at
     every node.  Nodes whose every successor fails the guard are leaves.
     Every visited node is returned as a candidate, in visiting order;
-    ``select_best`` picks the smallest.
+    the pipeline tries them in ``SolutionCandidate.sort_key`` order,
+    smallest first.
     """
     entry = _prune_alpha_free(simplify_clauses(cand.clauses))
     seen: set[CNF] = {entry}
@@ -372,10 +373,3 @@ def sf_improve(
                 stack.append((succ, prov + (_step_text(*move),)))
     return SFResult(candidates=results, visited=visited, capped=capped)
 
-
-def select_best(cands: Iterable[SolutionCandidate]) -> SolutionCandidate:
-    """Smallest candidate by formula size, ties by rendering."""
-    pool = list(cands)
-    if not pool:
-        raise ValueError("no candidates to select from")
-    return min(pool, key=SolutionCandidate.sort_key)

@@ -111,11 +111,9 @@ class _AntiUnifier:
     positions where the terms disagree become variables, numbered by
     first occurrence in pre-order, and equal columns share a variable.
 
-    Terms passed to ``extend`` must come from ``share``, which makes
-    equal subterms one object through a table local to this instance;
-    identity then decides equality.  The variables are the objects in
-    ``alphas``, so a pattern subterm that does not change is returned as
-    the same object.
+    Equal terms are one object (see ``terms``), so the walk tells a
+    position where the terms agree by identity, and a pattern subterm
+    that does not change is returned as the same object.
     """
 
     def __init__(self, prune: bool) -> None:
@@ -123,19 +121,6 @@ class _AntiUnifier:
         self.prune = prune
         self.alphas: list[Var] = []
         self.var_index: dict[Var, int] = {}
-        self.shared: dict[Term, Term] = {}
-
-    def share(self, t: Term) -> Term:
-        if t.__class__ is App and t.args:
-            args = []
-            changed = False
-            for a in t.args:
-                b = self.share(a)
-                args.append(b)
-                changed = changed or b is not a
-            if changed:
-                t = App(t.head, tuple(args))
-        return self.shared.setdefault(t, t)
 
     def extend(
         self, u: Term, cols: list, terms: tuple, t: Term
@@ -218,7 +203,7 @@ def delta_g(terms: Sequence[Term]) -> SimpleDecomposition:
     Δ-table's subset enumeration.
     """
     au = _AntiUnifier(prune=False)
-    ts = tuple(map(au.share, terms))
+    ts = tuple(terms)
     if not ts:
         raise ValueError("delta_g needs at least one term")
     u, cols = ts[0], []
@@ -315,7 +300,6 @@ def _clean_subsets(
     unclean (which are not extended).
     """
     au = _AntiUnifier(prune=True)
-    terms = tuple(map(au.share, terms))
     n = len(terms)
     # (index of the last term, pattern, columns, subset, mask); the
     # subset's terms are what ``extend`` reads the new columns from.

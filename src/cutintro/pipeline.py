@@ -150,7 +150,8 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
         report.status = "error"
         report.messages.append(str(err))
     except RecursionError:
-        # Parsing, term comparison and the oracle recurse on term depth.
+        # The parser and the term and formula walkers recurse once per
+        # nesting level; term equality is identity and does not.
         report.status = "error"
         report.messages.append(
             f"input nested too deeply: its parentheses nest "

@@ -1,35 +1,38 @@
 """First-order terms: variables and applications, substitution, ordering.
 
-Terms are immutable values with structural equality, so they can serve as
-dictionary keys and set members throughout the decomposition machinery.
-Constants are zero-argument applications.
+Terms are immutable and hash-consed: equal terms are one object.  ``Var``
+and ``App`` look each new term up in one module-level table, keyed by its
+name or by its head and arguments, and return the stored object when
+there is one.  Since the arguments are themselves unique, that lookup
+compares them by identity, and ``==`` on terms is identity; no
+comparison ever walks a term.  Terms serve as dictionary keys and set
+members throughout the decomposition machinery.  Constants are
+zero-argument applications.
 
-Each term computes three values once, at construction, from the values
-its children already hold, so no later use walks the term again:
+The table holds its terms weakly: an entry dies with the last reference
+to its term.  So the table holds only terms in use; it does not outlive
+the terms of a pipeline run, nor grow across a corpus batch.
+Construction assumes one thread, as the package runs; corpus workers
+are processes, each with a table of its own.
 
-- its hash, combined from the head or name and the children's hashes;
+Each term computes three values once, when it is first built, from the
+values its children already hold, so no later use walks the term again:
+
+- its hash, combined from the head or name and the children's hashes.
+  It is structural rather than an address, so the iteration order of
+  term sets and dicts, and with it every output, is the same in every
+  run;
 - ``key``, the total-order sort key that ``term_key`` returns (variables
   before applications, then by name and arguments);
 - ``tagged``, whether some subterm has a reserved formula-tag head.
 
-Equality is structural: two terms are equal exactly when they have the
-same class, head (or name) and equal arguments.  ``==`` tests identity
-first, then the cached hashes, and only then compares heads and
-arguments, so unequal terms almost never recurse and shared subterms
-stop the recursion at once.
-
-There is deliberately no intern table.  Interning would make equal terms
-identical, but the table would be process-wide mutable state that
-outlives one pipeline run and grows across a corpus batch.  The cached
-hash makes unequal comparisons cheap, and lookups of the very object
-that is stored.  A lookup of an equal but distinct term still compares
-the two structurally, down to the full depth where they share no
-subterm; so the decomposition search keeps term sets as bitmasks over
-one sorted list rather than looking terms up.
+See Filliâtre and Conchon, "Type-safe modular hash-consing" (ML Workshop
+2006).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping, Union
 
 # Names starting with this prefix are the generated cut variables alpha_1,
@@ -43,10 +46,15 @@ TAG_PREFIX = "#f"
 
 _set = object.__setattr__
 
+# Every live term, keyed by (None, name) for a variable and by
+# (head, args) for an application.
+_table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 class _Frozen:
     """Refuses attribute assignment.  Subclasses pickle through their
-    constructor (``__reduce__``), which also recomputes the cached hash:
+    constructor (``__reduce__``), so an unpickled term joins the
+    receiving process's table, and its cached hash is recomputed there:
     string hashes differ between processes, such as corpus workers."""
 
     __slots__ = ()
@@ -59,20 +67,20 @@ class _Frozen:
 
 
 class Var(_Frozen):
-    __slots__ = ("name", "key", "tagged", "_hash")
+    __slots__ = ("name", "key", "tagged", "_hash", "__weakref__")
 
-    def __init__(self, name: str) -> None:
+    def __new__(cls, name: str) -> "Var":
+        ident = (None, name)
+        self = _table.get(ident)
+        if self is not None:
+            return self
+        self = object.__new__(cls)
         _set(self, "name", name)
         _set(self, "key", (0, _name_key(name)))
         _set(self, "tagged", False)
         _set(self, "_hash", hash((name, None)))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.name == other.name
+        _table[ident] = self
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -85,9 +93,13 @@ class Var(_Frozen):
 
 
 class App(_Frozen):
-    __slots__ = ("head", "args", "key", "tagged", "_hash")
+    __slots__ = ("head", "args", "key", "tagged", "_hash", "__weakref__")
 
-    def __init__(self, head: str, args: tuple["Term", ...] = ()) -> None:
+    def __new__(cls, head: str, args: tuple["Term", ...] = ()) -> "App":
+        ident = (head, args)
+        self = _table.get(ident)
+        if self is not None:
+            return self
         tagged = is_tag_head(head)
         if args:
             keys = []
@@ -102,22 +114,14 @@ class App(_Frozen):
         else:
             key = (1, _name_key(head), ())
             h = hash((head,))
+        self = object.__new__(cls)
         _set(self, "head", head)
         _set(self, "args", args)
         _set(self, "key", key)
         _set(self, "tagged", tagged)
         _set(self, "_hash", h)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not App:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.head == other.head
-            and self.args == other.args
-        )
+        _table[ident] = self
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -167,12 +171,6 @@ def is_tag_head(head: str) -> bool:
 
 def tag_index(head: str) -> int:
     return int(head[len(TAG_PREFIX):])
-
-
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
 
 
 def term_vars(t: Term) -> set[str]:

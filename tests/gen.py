@@ -29,7 +29,6 @@ from cutintro.terms import (
     Term,
     Var,
     alpha,
-    is_ground,
     render_term,
     render_tuple,
     subst_term,
@@ -89,6 +88,12 @@ def _random_pattern(
         if any(isinstance(s, Var) for s in subterms(t)):
             return t
     return alpha(1)
+
+
+def is_ground(t: Term) -> bool:
+    if isinstance(t, Var):
+        return False
+    return all(is_ground(a) for a in t.args)
 
 
 def subterms(t: Term):

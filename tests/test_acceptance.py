@@ -14,10 +14,10 @@ import time
 
 from cutintro.corpus import emit_stats, run_corpus, write_corpus_outputs
 from cutintro.cutformula import (
+    SolutionCandidate,
     build_schematic_ehs,
     canonical_solution,
     check_solution,
-    select_best,
     sf_improve,
 )
 from cutintro.decomposition import (
@@ -141,7 +141,7 @@ def test_criterion_1_golden_end_to_end(golden, golden_oracle):
             "two-step formula"
         )
 
-    best = select_best(res.candidates)
+    best = min(res.candidates, key=SolutionCandidate.sort_key)
     proof = build_proof_with_cut(e, best.formula, golden_oracle)
     if not check_proof(proof, golden_oracle):
         failures.append("constructed proof rejected by the checker")
@@ -410,7 +410,7 @@ def _swap(proof, old, new):
 
 
 def test_criterion_6_mutations_rejected(golden_ehs, golden_sf, golden_oracle):
-    best = select_best(golden_sf.candidates)
+    best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
     proof = build_proof_with_cut(golden_ehs, best.formula, golden_oracle)
     assert check_proof(proof, golden_oracle)
 

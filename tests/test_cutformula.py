@@ -8,12 +8,12 @@ import pytest
 
 from cutintro.cutformula import (
     SchemaError,
+    SolutionCandidate,
     _forget_moves,
     build_schematic_ehs,
     canonical_solution,
     check_solution,
     guard_clauses,
-    select_best,
     sf_improve,
     subst_clauses,
 )
@@ -284,7 +284,7 @@ class TestSFImprove:
         assert len(golden_sf.candidates) == golden_sf.visited
 
     def test_golden_best_candidate(self, golden_sf):
-        best = select_best(golden_sf.candidates)
+        best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
         assert best.size == 4
         assert render_formula(best.formula) == (
             "P(α1, f(f(α2))) | ~P(f(f(α1)), α2)"
@@ -326,8 +326,8 @@ class TestSFImprove:
         assert res.capped
         assert res.visited <= 10
 
-    def test_select_best_prefers_smaller(self, golden_sf):
-        best = select_best(golden_sf.candidates)
+    def test_sort_key_prefers_smaller(self, golden_sf):
+        best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
         assert all(best.size <= c.size for c in golden_sf.candidates)
 
     def test_every_candidate_builds_a_proof(
@@ -359,7 +359,7 @@ class TestSFImprove:
             if e is None:
                 continue
             res = sf_improve(e, canonical_solution(e), oracle, node_cap=300)
-            best = select_best(res.candidates)
+            best = min(res.candidates, key=SolutionCandidate.sort_key)
             assert best.size <= canonical_solution(e).size
             for cand in res.candidates[:25]:
                 assert check_solution(e, cand.formula, oracle), f"seed {seed}"

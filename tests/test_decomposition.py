@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import inspect
 import itertools
 import random
@@ -24,9 +25,9 @@ from cutintro.decomposition import (
 from cutintro.herbrand import TermSet, decode_termset
 from cutintro.terms import (
     App,
+    _table,
     alpha,
     const,
-    is_ground,
     render_term,
     subst_term,
     term_key,
@@ -59,8 +60,7 @@ def _chain_termset(n):
 
 
 def _deep_chain(n=12, depth=40):
-    """#f2(fᵏc) for k = depth .. depth + n - 1, each term built from its
-    own objects, so two calls give equal but distinct terms."""
+    """#f2(fᵏc) for k = depth .. depth + n - 1."""
     return [
         App("#f2", (_power(f, const("c"), depth + k),)) for k in range(n)
     ]
@@ -405,23 +405,32 @@ class TestFold:
                 assert validate_decomposition(d, ts), f"seed {seed}"
 
     def test_fold_does_not_depend_on_term_identity(self):
-        # The covers hold the anti-unifier's shared copies of the terms;
-        # the fold is asked about equal terms made of other objects, in
-        # another order.
+        # The fold is asked about the terms built again, in another order.
         terms = _deep_chain()
         table = build_delta_table(terms)
         expected = oracles.reference_fold_delta_table(table, terms)
         assert expected
         copy = _deep_chain()
-        assert not any(x is y for x in terms for y in copy)
         shuffled = list(copy)
         random.Random(3).shuffle(shuffled)
         assert fold_delta_table(table, copy) == expected
         assert fold_delta_table(table, shuffled) == expected
-        # Each term twice, as two objects: the table is of the term set.
+        # Each term twice: the table is of the term set.
         twice = build_delta_table(terms + copy)
         assert twice.terms == table.terms
         assert fold_delta_table(twice, terms) == expected
+
+    def test_dead_terms_leave_the_term_table(self):
+        # The patterns and columns the search built die with its results.
+        gc.collect()
+        before = len(_table)
+        terms = _deep_chain()
+        table = build_delta_table(terms)
+        decs = fold_delta_table(table, terms)
+        assert decs and len(_table) > before
+        del terms, table, decs
+        gc.collect()
+        assert len(_table) == before
 
     def test_build_and_fold_peak_memory(self):
         # Covers are bitmasks from the enumeration on.  With a frozenset

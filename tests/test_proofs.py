@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from cutintro.cutformula import (
+    SolutionCandidate,
     build_schematic_ehs,
     canonical_solution,
-    select_best,
 )
 from cutintro.herbrand import HerbrandStructure
 from cutintro.formulas import (
@@ -50,7 +50,7 @@ def f(t):
 
 @pytest.fixture(scope="module")
 def golden_proof(golden_ehs, golden_sf, golden_oracle):
-    best = select_best(golden_sf.candidates)
+    best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
     return build_proof_with_cut(golden_ehs, best.formula, golden_oracle)
 
 
@@ -104,7 +104,7 @@ class TestGoldenProof:
         assert len(cut.formula.vars) == 2
 
     def test_cut_formula_matches_solution(self, golden_proof, golden_sf):
-        best = select_best(golden_sf.candidates)
+        best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
         cut = next(
             n for n in _nodes(golden_proof) if n.rule == "cut"
         )

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cutintro.cutformula import canonical_solution, select_best, sf_improve
+from cutintro.cutformula import (
+    SolutionCandidate,
+    canonical_solution,
+    sf_improve,
+)
 from cutintro.euf import InternalOracle
 from cutintro.formulas import Atom, Eq, Imp, Not, QuantBlock
 from cutintro.proofs import (
@@ -159,7 +163,7 @@ def _assert_proof_written_unchanged(proof) -> None:
 
 @pytest.fixture(scope="module")
 def golden_proof(golden_ehs, golden_sf, golden_oracle):
-    best = select_best(golden_sf.candidates)
+    best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
     return build_proof_with_cut(golden_ehs, best.formula, golden_oracle)
 
 
@@ -186,7 +190,7 @@ class TestProofJson:
                 continue
             oracle = InternalOracle()
             res = sf_improve(e, canonical_solution(e), oracle, node_cap=50)
-            best = select_best(res.candidates)
+            best = min(res.candidates, key=SolutionCandidate.sort_key)
             _assert_proof_written_unchanged(
                 build_proof_with_cut(e, best.formula, oracle)
             )

@@ -19,7 +19,6 @@ from cutintro.terms import (
     alpha_index,
     const,
     is_alpha,
-    is_ground,
     is_tag_head,
     positions_of,
     render_term,
@@ -34,7 +33,7 @@ from cutintro.terms import (
 )
 
 import gen
-from gen import subterms
+from gen import is_ground, subterms
 from oracles import reference_term_key
 
 
@@ -74,7 +73,7 @@ def tagged_terms_strategy():
 
 
 def rebuild(t):
-    """A structurally equal copy that shares no node with t."""
+    """t built again, node by node, from names, heads and arguments."""
     if isinstance(t, Var):
         return Var(t.name)
     return App(t.head, tuple(rebuild(a) for a in t.args))
@@ -228,6 +227,31 @@ class TestRenderingAndOrdering:
         assert tuple_key((a, a)) < tuple_key((a, b)) < tuple_key((b, a))
 
 
+class TestBank:
+    """Equal terms are one object: construction returns the live term
+    of that name, or of that head and arguments, when there is one."""
+
+    def test_equal_terms_are_one_object(self):
+        args = (App("f", (const("a"),)), Var("x"))
+        assert App("g", args) is App("g", tuple(list(args)))
+        assert Var("x") is Var("x")
+        assert alpha(2) is Var("α2")
+        assert const("a") is App("a")
+
+    def test_equality_and_hashing_do_not_walk_the_term(self):
+        def chain(n):
+            t = const("a")
+            for _ in range(n):
+                t = App("f", (t,))
+            return t
+
+        depth = 5 * sys.getrecursionlimit()
+        s, t = chain(depth), chain(depth)
+        assert s is t and s == t
+        assert {s: 1}[t] == 1
+        assert s != chain(depth - 1)
+
+
 class TestCachedValues:
     """The hash, sort key and tag flag cached at construction agree with
     the values a walk over the term computes."""
@@ -250,27 +274,24 @@ class TestCachedValues:
 
     @given(tagged_terms_strategy())
     def test_copy_sharing_no_node_is_equal(self, t):
+        # There is no such copy: building t again finds t itself.
         c = rebuild(t)
-        assert c is not t
-        assert c == t and hash(c) == hash(t)
+        assert c is t
         assert {t: 1}[c] == 1
 
     def test_variable_and_constant_of_one_name_differ(self):
+        assert Var("a") is not const("a")
         assert Var("a") != const("a")
         assert len({Var("a"), const("a")}) == 2
 
     @given(tagged_terms_strategy())
     def test_pickle_round_trip(self, t):
-        u = pickle.loads(pickle.dumps(t))
-        assert type(u) is type(t)
-        assert u == t and hash(u) == hash(t)
-        assert term_key(u) == term_key(t)
-        assert u.tagged == t.tagged
-        assert repr(u) == repr(t)
+        assert pickle.loads(pickle.dumps(t)) is t
 
     def test_pickle_from_a_process_with_other_string_hashes(self):
         # Corpus workers send terms between processes; a hash cached in the
-        # sender would not match this process's string hashing.
+        # sender would not match this process's string hashing.  The
+        # unpickled term is the one this process already holds.
         code = (
             "import pickle, sys\n"
             "from cutintro.terms import App, Var, const\n"
@@ -285,10 +306,8 @@ class TestCachedValues:
             timeout=60,
             check=True,
         )
-        u = pickle.loads(done.stdout)
         t = App("g", (App("f", (const("a"),)), Var("x")))
-        assert hash(u) == hash(t)
-        assert u in {t}
+        assert pickle.loads(done.stdout) is t
 
     @given(tagged_terms_strategy())
     def test_attributes_cannot_be_assigned(self, t):
