@@ -14,6 +14,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Union
 
 from .formulas import (
+    BOTTOM,
+    TOP,
     And,
     Atom,
     Bottom,
@@ -43,9 +45,9 @@ def _nnf(f: Formula, positive: bool) -> Formula:
     if isinstance(f, (Atom, Eq)):
         return f if positive else Not(f)
     if isinstance(f, Top):
-        return TOP_ if positive else BOT_
+        return TOP if positive else BOTTOM
     if isinstance(f, Bottom):
-        return BOT_ if positive else TOP_
+        return BOTTOM if positive else TOP
     if isinstance(f, Not):
         return _nnf(f.body, not positive)
     if isinstance(f, And):
@@ -59,10 +61,6 @@ def _nnf(f: Formula, positive: bool) -> Formula:
             return Or(_nnf(f.lhs, False), _nnf(f.rhs, True))
         return And(_nnf(f.lhs, True), _nnf(f.rhs, False))
     raise ValueError(f"not quantifier-free: {f!r}")
-
-
-TOP_ = Top()
-BOT_ = Bottom()
 
 
 def _distribute(f: Formula, cap: int) -> set[Clause]:

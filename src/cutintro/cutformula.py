@@ -55,7 +55,6 @@ from .formulas import (
     Eq,
     Formula,
     Not,
-    Top,
     apply_subst,
     conj,
     disj,
@@ -172,9 +171,8 @@ def canonical_solution(e: SchematicEHS) -> SolutionCandidate:
         parts.append(conj(list(e.gamma)))
     if e.delta:
         parts.append(Not(disj(list(e.delta))))
-    f: Formula = conj(parts) if parts else Top()
     return SolutionCandidate(
-        formula=f, clauses=e.side_clauses, provenance=("canonical",)
+        formula=conj(parts), clauses=e.side_clauses, provenance=("canonical",)
     )
 
 

@@ -220,25 +220,35 @@ class _Parser:
     # --- terms ----------------------------------------------------------
 
     def parse_term(self, bound: frozenset[str]) -> Term:
-        t = self.peek()
-        if t.kind != "IDENT":
-            raise self.err(f"expected a term, found {t.text or 'end of input'!r}")
-        name = self.next().text
-        if self.at("("):
-            if name in bound:
+        # An explicit stack of the applications still open, each with
+        # the arguments read so far, so nesting depth costs no frames.
+        stack: list[tuple[str, list[Term]]] = []
+        while True:
+            t = self.peek()
+            if t.kind != "IDENT":
                 raise self.err(
-                    f"quantified variable {name!r} used as a function symbol"
+                    f"expected a term, found {t.text or 'end of input'!r}"
                 )
-            self.next()
-            args = [self.parse_term(bound)]
-            while self.at(","):
+            name = self.next().text
+            if self.at("("):
+                if name in bound:
+                    raise self.err(
+                        f"quantified variable {name!r} used as a function symbol"
+                    )
                 self.next()
-                args.append(self.parse_term(bound))
-            self.expect(")")
-            return App(name, tuple(args))
-        if name in bound:
-            return Var(name)
-        return App(name, ())
+                stack.append((name, []))
+                continue
+            term: Term = Var(name) if name in bound else App(name, ())
+            while stack:
+                stack[-1][1].append(term)
+                if self.at(","):
+                    self.next()
+                    break
+                self.expect(")")
+                head, args = stack.pop()
+                term = App(head, tuple(args))
+            if not stack:
+                return term
 
     # --- instance tuples ----------------------------------------------
 

@@ -59,7 +59,7 @@ from .proofs import (
     proof_to_json,
     render_proof,
 )
-from .serialize import dumps_indented, term_to_json
+from .serialize import term_to_json
 from .terms import tuple_key
 
 
@@ -140,7 +140,7 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
     except PipelineTimeout:
         report.status = "timeout"
         report.messages.append(
-            f"deadline of {cfg.timeout:.0f}s struck during the search"
+            f"deadline of {cfg.timeout:g}s struck during the search"
         )
     except TermSetTooLarge as err:
         report.status = "too_large"
@@ -150,8 +150,8 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
         report.status = "error"
         report.messages.append(str(err))
     except RecursionError:
-        # The parser and the term and formula walkers recurse once per
-        # nesting level; term equality is identity and does not.
+        # The formula parser and most formula and term walkers recurse
+        # once per nesting level; the term parser and term equality do not.
         report.status = "error"
         report.messages.append(
             f"input nested too deeply: its parentheses nest "
@@ -327,7 +327,7 @@ def _write_artifacts(
     (out / "solution.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "proof.txt").write_text(render_proof(proof) + "\n", encoding="utf-8")
     (out / "proof.json").write_text(
-        dumps_indented(proof_to_json(proof)) + "\n", encoding="utf-8"
+        json.dumps(proof_to_json(proof)) + "\n", encoding="utf-8"
     )
     dec_json = {
         "w": [[term_to_json(t) for t in row] for row in ehs.w],

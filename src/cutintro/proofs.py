@@ -414,40 +414,18 @@ def render_proof(p: Inference) -> str:
 
 
 def proof_to_json(p: Inference) -> Any:
-    """The proof as plain dicts and lists, as ``proof.json`` holds it.
-
-    Each distinct formula object becomes one dict, shared wherever the
-    formula occurs (a node's conclusion mostly repeats its premise's
-    formulas), so the result is read-only: mutating one formula's dict
-    changes every place it appears.
-    """
-    # id -> (formula, dict): holding the formula keeps its id unique
-    # for the length of the call.
-    memo: dict[int, tuple[Formula, Any]] = {}
-
-    def formula(f: Formula) -> Any:
-        hit = memo.get(id(f))
-        if hit is None:
-            hit = memo[id(f)] = (f, formula_to_json(f))
-        return hit[1]
-
-    def node(p: Inference) -> dict:
-        rule = _RULES[p.rule]
-        d: dict = {
-            "rule": p.rule,
-            "conclusion": sequent_to_json(p.conclusion, formula),
-        }
-        if rule.formula:
-            d[rule.formula] = formula(p.formula)
-        if p.rule == "forall_r":
-            d["eigen"] = [t.name for t in p.terms]
-        elif rule.kind:
-            d["terms"] = [term_to_json(t) for t in p.terms]
-        for name, premise in zip(rule.premises, p.premises):
-            d[name] = node(premise)
-        return d
-
-    return node(p)
+    """The proof as plain dicts and lists, as ``proof.json`` holds it."""
+    rule = _RULES[p.rule]
+    d: dict = {"rule": p.rule, "conclusion": sequent_to_json(p.conclusion)}
+    if rule.formula:
+        d[rule.formula] = formula_to_json(p.formula)
+    if p.rule == "forall_r":
+        d["eigen"] = [t.name for t in p.terms]
+    elif rule.kind:
+        d["terms"] = [term_to_json(t) for t in p.terms]
+    for name, premise in zip(rule.premises, p.premises):
+        d[name] = proof_to_json(premise)
+    return d
 
 
 def proof_from_json(d: Any) -> Inference:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,9 @@ from .cnf import CNF, Clause, Literal, clause_key, literal_key
 from .euf import Oracle, Verdict
 from .formulas import Eq, symbols
 from .terms import Term, Var
+
+# How long a solver run goes between two calls of ``Oracle.cancel``.
+_SLICE_S = 0.05
 
 _PLAIN = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][A-Za-z0-9~!@$%^&*_\-+=<>.?/]*\Z")
 
@@ -92,7 +96,8 @@ class CommandOracle(Oracle):
     it as its clause form, so one past the cap is UNKNOWN without a
     solver run, as for the internal oracle.  The first stdout line
     reading ``unsat`` or ``sat`` decides; anything else (including
-    solver errors and timeouts) is UNKNOWN.
+    solver errors and timeouts) is UNKNOWN.  ``cancel`` is also called
+    while the solver runs, so a deadline stops a slow solver call.
     """
 
     template: str
@@ -107,25 +112,41 @@ class CommandOracle(Oracle):
         ) as fh:
             fh.write(script)
             path = fh.name
+        argv = [part.replace("{file}", path) for part in self.template.split()]
         try:
-            argv = [
-                part.replace("{file}", path)
-                for part in self.template.split()
-            ]
-            done = subprocess.run(
+            with subprocess.Popen(
                 argv,
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
                 text=True,
-                timeout=self.timeout,
-            )
-        except (subprocess.TimeoutExpired, OSError):
+            ) as proc:
+                stdout = self._wait(proc)
+        except OSError:
             return Verdict.UNKNOWN
         finally:
             Path(path).unlink(missing_ok=True)
-        for line in done.stdout.splitlines():
+        for line in stdout.splitlines():
             word = line.strip()
             if word == "unsat":
                 return Verdict.VALID
             if word == "sat":
                 return Verdict.INVALID
         return Verdict.UNKNOWN
+
+    def _wait(self, proc: subprocess.Popen) -> str:
+        """The solver's stdout, or "" once ``timeout`` passes; calls
+        ``cancel`` every ``_SLICE_S`` meanwhile and kills the solver
+        when it raises."""
+        end = time.monotonic() + self.timeout
+        try:
+            while True:
+                try:
+                    return proc.communicate(timeout=_SLICE_S)[0]
+                except subprocess.TimeoutExpired:
+                    if time.monotonic() > end:
+                        return ""
+                    if self.cancel is not None:
+                        self.cancel()
+        finally:
+            if proc.poll() is None:
+                proc.kill()

@@ -174,11 +174,14 @@ def tag_index(head: str) -> int:
 
 
 def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
     out: set[str] = set()
-    for a in t.args:
-        out |= term_vars(a)
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            out.add(x.name)
+        else:
+            stack.extend(x.args)
     return out
 
 

@@ -66,6 +66,14 @@ def nested_input(depth: int) -> str:
     return f"ante all x: P(x).\nsucc P({t}).\ninst 1: {t}.\n"
 
 
+def parenthesized_input(depth: int) -> str:
+    """A valid .cis input whose succedent formula P(a) is wrapped in
+    ``depth`` pairs of parentheses; the formula parser recurses once per
+    pair, so a depth past the recursion limit ends in ``error``."""
+    f = "(" * depth + "P(a)" + ")" * depth
+    return f"ante all x: P(x).\nsucc {f}.\ninst 1: a.\n"
+
+
 def _random_pattern(
     rng: random.Random,
     funcs: list[tuple[str, int]],

@@ -273,7 +273,7 @@ class TestConsoleScript:
 
     def test_too_deep_input_exits_two_without_traceback(self, tmp_path):
         p = tmp_path / "deep.cis"
-        p.write_text(gen.nested_input(10_000))
+        p.write_text(gen.parenthesized_input(10_000))
         done = subprocess.run(
             [sys.executable, "-m", "cutintro.cli", "run", str(p)],
             capture_output=True,

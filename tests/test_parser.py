@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -116,6 +117,51 @@ class TestValidation:
         with pytest.raises(InputError) as exc:
             parse_input("ante P(a).\nsucc Q(a).\nbogus R(a).")
         assert "line 3" in str(exc.value)
+
+
+class TestNestedTerms:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "ante all x: P(x).\nsucc P(f(a,)).\ninst 1: a.",
+                "expected a term, found ')' at line 2, column 12",
+            ),
+            (
+                "ante all x: P(x).\nsucc P(f(g(a)).\ninst 1: a.",
+                "expected ')', found '.' at line 2, column 15",
+            ),
+            (
+                "ante all x: P(x).\nsucc P(f(a b)).\ninst 1: a.",
+                "expected ')', found 'b' at line 2, column 12",
+            ),
+            (
+                "ante all x: P(x(a)).\nsucc P(a).\ninst 1: a.",
+                "quantified variable 'x' used as a function symbol"
+                " at line 1, column 16",
+            ),
+            (
+                "ante all x: P(x).\nsucc P(a).\ninst 1: f(g(.",
+                "expected a term, found '.' at line 3, column 13",
+            ),
+            (
+                "ante all x: P(x).\nsucc P(a).\ninst 1: (f(a), g(b, h(c)), k(.",
+                "expected a term, found '.' at line 3, column 30",
+            ),
+        ],
+    )
+    def test_error_message_and_position(self, text, message):
+        with pytest.raises(InputError) as exc:
+            parse_input(text)
+        assert str(exc.value) == message
+
+    def test_nesting_past_the_recursion_limit(self):
+        depth = 5 * sys.getrecursionlimit()
+        _, hs = parse_input(gen.nested_input(depth))
+        expected = const("a")
+        for _ in range(depth):
+            expected = App("f", (expected,))
+        assert hs.instances[0] == frozenset({(expected,)})
 
 
 class TestRoundTripRandom:

@@ -180,6 +180,7 @@ class TestFailureStatuses:
     def test_timeout(self, golden_file):
         rep = run_pipeline(golden_file, RunConfig(timeout=1e-6))
         assert rep.status == "timeout"
+        assert rep.messages == ["deadline of 1e-06s struck during the search"]
 
     def test_termset_limit(self, golden_file):
         rep = run_pipeline(golden_file, RunConfig(termset_limit=5))
@@ -196,9 +197,8 @@ class TestFailureStatuses:
         rep = run_pipeline(p, RunConfig())
         assert rep.status == "uncompressible"
 
-    # The parser sets the depth limit, near 980 levels at the top level
-    # of a process; pytest's own frames use part of it.
-    @pytest.mark.parametrize("depth", [300, 340, 600])
+    # No stage recurses once per term nesting level on this input.
+    @pytest.mark.parametrize("depth", [300, 340, 600, 10_000])
     def test_term_nested_deep_is_processed(self, tmp_path, depth):
         p = tmp_path / "deep.cis"
         p.write_text(gen.nested_input(depth))
@@ -218,7 +218,7 @@ class TestFailureStatuses:
         self, tmp_path
     ):
         p = tmp_path / "deeper.cis"
-        p.write_text(gen.nested_input(10_000))
+        p.write_text(gen.parenthesized_input(10_000))
         rep = run_pipeline(p, RunConfig())
         assert rep.status == "error"
         assert any("nest 10001 deep" in m for m in rep.messages)
@@ -318,7 +318,7 @@ class TestCorpus:
         (tmp_path / "ok.cis").write_text(
             "ante all x: P(x).\nsucc P(a) & P(f(a)).\ninst 1: a; f(a)."
         )
-        (tmp_path / "deep.cis").write_text(gen.nested_input(10_000))
+        (tmp_path / "deep.cis").write_text(gen.parenthesized_input(10_000))
         reports = run_corpus(tmp_path, RunConfig(), workers=1)
         by_name = {Path(r.input).name: r for r in reports}
         assert by_name["ok.cis"].status == "uncompressible"

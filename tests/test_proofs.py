@@ -36,7 +36,6 @@ from cutintro.proofs import (
     render_proof,
 )
 from cutintro.sequents import Sequent
-from cutintro.serialize import dumps_indented
 from cutintro.terms import App, Var, alpha, const
 
 import gen
@@ -352,14 +351,25 @@ class TestUnsoundBlocks:
 
 
 class TestCommittedProofJson:
-    """proof.json as an earlier version wrote it reads, re-checks and
-    re-encodes to the same bytes."""
+    """The committed proof.json reads, re-checks and re-encodes to the
+    same bytes; the indented file an earlier version wrote still reads,
+    re-checks and decodes to the same proof."""
 
-    PATH = Path(__file__).parent / "data" / "running_example" / "proof.json"
+    DATA = Path(__file__).parent / "data"
+    GOLDEN = DATA / "running_example" / "proof.json"
+    INDENTED = DATA / "proof_indented.json"
 
     def test_reads_checks_and_reencodes_byte_for_byte(self, oracle):
-        text = self.PATH.read_text(encoding="utf-8")
+        text = self.GOLDEN.read_text(encoding="utf-8")
         p = proof_from_json(json.loads(text))
         ok, msg = check_proof_report(p, oracle)
         assert ok, msg
-        assert dumps_indented(proof_to_json(p)) + "\n" == text
+        assert json.dumps(proof_to_json(p)) + "\n" == text
+
+    def test_indented_file_reads_and_checks(self, oracle):
+        text = self.INDENTED.read_text(encoding="utf-8")
+        p = proof_from_json(json.loads(text))
+        ok, msg = check_proof_report(p, oracle)
+        assert ok, msg
+        golden = json.loads(self.GOLDEN.read_text(encoding="utf-8"))
+        assert p == proof_from_json(golden)

@@ -6,6 +6,7 @@ import random
 import re
 import shutil
 import stat
+import time
 
 import pytest
 
@@ -209,6 +210,23 @@ class TestCommandOracle:
         report = run_pipeline(src, cfg)
         assert report.status == "timeout"
         assert report.wall_time < 1 + 1
+
+    def test_deadline_stops_a_slow_solver_call(self, tmp_path, golden_text):
+        # One query outlasts the whole budget: the deadline is polled
+        # while the solver runs, not only between calls.
+        src = tmp_path / "running_example.cis"
+        src.write_text(golden_text)
+        stub = self._stub(tmp_path, "sleep 3; echo unsat")
+        cfg = RunConfig(timeout=1, oracle_spec="cmd:" + stub)
+        report = run_pipeline(src, cfg)
+        assert report.status == "timeout"
+        assert report.wall_time < 1.5
+
+    def test_solver_past_its_own_timeout_means_unknown(self, tmp_path):
+        o = CommandOracle(self._stub(tmp_path, "sleep 3; echo unsat"), 0.2)
+        start = time.monotonic()
+        assert o.validity(Sequent((), ())) is Verdict.UNKNOWN
+        assert time.monotonic() - start < 1.5
 
 
 @pytest.mark.skipif(

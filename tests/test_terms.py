@@ -251,6 +251,12 @@ class TestBank:
         assert {s: 1}[t] == 1
         assert s != chain(depth - 1)
 
+    def test_term_vars_does_not_recurse(self):
+        t = Var("x")
+        for _ in range(5 * sys.getrecursionlimit()):
+            t = App("f", (t, const("a")))
+        assert term_vars(t) == {"x"}
+
 
 class TestCachedValues:
     """The hash, sort key and tag flag cached at construction agree with
