@@ -49,8 +49,8 @@ banner("1. parse")
 seq, hs = parse_input(text)
 print(f"{seq.p} antecedent formulas, {seq.q - seq.p} succedent formula(s)")
 for i in range(1, seq.q + 1):
-    role, kind = ("ante", "all") if i <= seq.p else ("succ", "ex")
-    print(f"  {role} {i}: {render_formula(seq.formula(i).to_formula(kind))}")
+    role = "ante" if i <= seq.p else "succ"
+    print(f"  {role} {i}: {render_formula(seq.formula(i))}")
 print(f"instance lists carry {hs.size} instantiation vectors in total")
 
 # ---------------------------------------------------------------------

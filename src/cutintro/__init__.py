@@ -65,7 +65,7 @@ from .proofs import (
     proof_to_json,
     render_proof,
 )
-from .sequents import PrenexFormula, Sequent, Sigma1Sequent
+from .sequents import Sequent
 from .smt import CommandOracle, export_smt2
 from .terms import App, Term, Var, render_term
 
@@ -89,7 +89,6 @@ __all__ = [
     "Not",
     "Or",
     "Oracle",
-    "PrenexFormula",
     "ProofBuildError",
     "ProofCheckError",
     "QuantBlock",
@@ -99,7 +98,6 @@ __all__ = [
     "SchemaError",
     "SchematicEHS",
     "Sequent",
-    "Sigma1Sequent",
     "SimpleDecomposition",
     "SolutionCandidate",
     "Term",

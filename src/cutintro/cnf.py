@@ -4,9 +4,9 @@ Literals are (sign, atom) pairs where the atom is a predicate application
 or an equation; no definitional atoms are ever introduced, so clause sets
 stay in the signature of the input formula (the solution-improvement
 search depends on that).  ``cnf_of_formulas`` is the one conversion:
-negation normal form followed by distribution, guarded by a
-literal-count cap.  A clause set is what the equality oracle decides, so
-a quantifier met here raises ValueError for every caller.
+one walk that pushes negations down and distributes as it goes, guarded
+by a literal-count cap.  A clause set is what the equality oracle
+decides, so a quantifier met here raises ValueError for every caller.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Union
 
 from .formulas import (
-    BOTTOM,
-    TOP,
     And,
     Atom,
     Bottom,
@@ -41,61 +39,40 @@ class CnfBlowup(Exception):
     """Distribution exceeded the configured literal budget."""
 
 
-def _nnf(f: Formula, positive: bool) -> Formula:
-    if isinstance(f, (Atom, Eq)):
-        return f if positive else Not(f)
-    if isinstance(f, Top):
-        return TOP if positive else BOTTOM
-    if isinstance(f, Bottom):
-        return BOTTOM if positive else TOP
-    if isinstance(f, Not):
-        return _nnf(f.body, not positive)
-    if isinstance(f, And):
-        cls = And if positive else Or
-        return cls(_nnf(f.lhs, positive), _nnf(f.rhs, positive))
-    if isinstance(f, Or):
-        cls = Or if positive else And
-        return cls(_nnf(f.lhs, positive), _nnf(f.rhs, positive))
-    if isinstance(f, Imp):
-        if positive:
-            return Or(_nnf(f.lhs, False), _nnf(f.rhs, True))
-        return And(_nnf(f.lhs, True), _nnf(f.rhs, False))
-    raise ValueError(f"not quantifier-free: {f!r}")
-
-
-def _distribute(f: Formula, cap: int) -> set[Clause]:
-    """NNF formula to a set of clauses; raises CnfBlowup past the cap."""
+def _clause_form(f: Formula, positive: bool, cap: int) -> set[Clause]:
+    """The clauses of f, or of ¬f when not ``positive``, in one walk that
+    carries the polarity, so no negation normal form is built.  A side
+    that is a conjunction in its polarity (∧⁺, ∨⁻, →⁻) unions the clauses
+    of its parts, a disjunction (∨⁺, ∧⁻, →⁺) multiplies them out; raises
+    CnfBlowup once the products spend more than ``cap`` literals."""
     budget = [cap]
 
-    def go(g: Formula) -> set[Clause]:
+    def go(g: Formula, pos: bool) -> set[Clause]:
         if isinstance(g, (Atom, Eq)):
-            return {frozenset([(True, g)])}
+            return {frozenset([(pos, g)])}
         if isinstance(g, Not):
-            return {frozenset([(False, g.body)])}
-        if isinstance(g, Top):
+            return go(g.body, not pos)
+        if isinstance(g, (Top, Bottom)):
+            return set() if isinstance(g, Top) == pos else {frozenset()}
+        if not isinstance(g, (And, Or, Imp)):
+            raise ValueError(f"not quantifier-free: {g!r}")
+        left = go(g.lhs, pos != isinstance(g, Imp))
+        right = go(g.rhs, pos)
+        if isinstance(g, And) == pos:
+            return left | right
+        if not left or not right:  # one side is true
             return set()
-        if isinstance(g, Bottom):
-            return {frozenset()}
-        if isinstance(g, And):
-            return go(g.lhs) | go(g.rhs)
-        if isinstance(g, Or):
-            left, right = go(g.lhs), go(g.rhs)
-            if not left or not right:  # one side is Top
-                return set()
-            out: set[Clause] = set()
-            for c in left:
-                for d in right:
-                    e = c | d
-                    budget[0] -= len(e)
-                    if budget[0] < 0:
-                        raise CnfBlowup(
-                            f"clause form exceeds {cap} literals"
-                        )
-                    out.add(e)
-            return out
-        raise TypeError(f"unexpected connective in NNF: {g!r}")
+        out: set[Clause] = set()
+        for c in left:
+            for d in right:
+                e = c | d
+                budget[0] -= len(e)
+                if budget[0] < 0:
+                    raise CnfBlowup(f"clause form exceeds {cap} literals")
+                out.add(e)
+        return out
 
-    return go(f)
+    return go(f, positive)
 
 
 def is_tautological(c: Clause) -> bool:
@@ -137,9 +114,9 @@ def cnf_of_formulas(
     ``cancel`` is passed to ``simplify_clauses``."""
     clauses: set[Clause] = set()
     for f in asserted:
-        clauses |= _distribute(_nnf(f, True), cap)
+        clauses |= _clause_form(f, True, cap)
     for f in denied:
-        clauses |= _distribute(_nnf(f, False), cap)
+        clauses |= _clause_form(f, False, cap)
     return simplify_clauses(clauses, cancel)
 
 

@@ -12,7 +12,9 @@ A(ᾱ) solves the schema when
 
 is valid modulo equality, where Γ'/Δ' are the instantiated sides.  Any
 solution can serve as the matrix of a single quantified cut ∀x̄.A whose
-proof reproduces the original Herbrand sequent.
+proof reproduces the original Herbrand sequent; the proof's end-sequent
+is the input ``Sequent`` itself (``SchematicEHS.base``), whose
+quantifier blocks it instantiates.
 
 That sequent is never built: it holds iff both of its halves do, and
 each half is decided on clause sets, with the free ᾱ read as constants.
@@ -63,7 +65,7 @@ from .formulas import (
     render_formula,
 )
 from .herbrand import HerbrandStructure, herbrand_sequent
-from .sequents import Sigma1Sequent
+from .sequents import Sequent
 from .terms import (
     Term,
     alpha_index,
@@ -85,7 +87,7 @@ class SchemaError(ValueError):
 class SchematicEHS:
     """Schematic extended Herbrand sequent for one quantified cut."""
 
-    base: Sigma1Sequent
+    base: Sequent  # the input sequent, of prenex formulas
     u: HerbrandStructure  # the patterns' tuples, over ᾱ
     w: tuple  # of ground rows, sorted
     gamma: tuple  # instantiated antecedent formulas, fixed order
@@ -106,7 +108,7 @@ class SchematicEHS:
 
 
 def build_schematic_ehs(
-    s: Sigma1Sequent, u: HerbrandStructure, w: Iterable[tuple]
+    s: Sequent, u: HerbrandStructure, w: Iterable[tuple]
 ) -> SchematicEHS:
     """The Herbrand sequent of the pattern structure U, with the rows W."""
     if len(u.instances) != s.q:

@@ -141,13 +141,6 @@ class CongruenceClosure:
             parent[i], i = root, parent[i]
         return root
 
-    def merge_terms(self, s: Term, t: Term) -> None:
-        """Assert s = t; ``explain`` reports it as the pair (s, t)."""
-        self.merge(self.intern(s), self.intern(t), (s, t))
-
-    def equal(self, s: Term, t: Term) -> bool:
-        return self.find(self.intern(s)) == self.find(self.intern(t))
-
     def merge(self, i: int, j: int, label: object) -> None:
         """Assert that the terms with ids i and j are equal."""
         queue = [(i, j, label)]

@@ -1,7 +1,9 @@
 """Herbrand structures, instance sequents, and the term-set encoding.
 
-A Herbrand structure assigns each formula of the input sequent a set of
-ground instantiation tuples (empty for formulas without a prefix).  It is
+A Herbrand structure assigns each formula of the input sequent, a
+``Sequent`` of prenex formulas, a set of ground instantiation tuples
+(empty for formulas without a prefix); an instance is the formula's
+matrix (``sequents.prefix``) under one tuple.  The structure is
 flattened into a single set of ground terms by wrapping each tuple of H_i
 in a reserved head symbol tagging the formula position i; those heads
 cannot appear in input files, so they never collide with user symbols.
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import Formula, apply_subst
-from .sequents import Sequent, Sigma1Sequent
+from .sequents import Sequent, prefix
 from .terms import (
     App,
     Term,
@@ -80,19 +82,19 @@ def decode_termset(ts: TermSet) -> HerbrandStructure:
     return HerbrandStructure(tuple(frozenset(s) for s in out))
 
 
-def instance_formulas(seq: Sigma1Sequent, h: HerbrandStructure, i: int) -> tuple[Formula, ...]:
+def instance_formulas(
+    seq: Sequent, h: HerbrandStructure, i: int
+) -> tuple[Formula, ...]:
     """The instances of formula i: the matrix under each tuple of H_i if the
     formula is quantified, else the matrix itself.  Deterministic order."""
-    pf = seq.formula(i)
-    if pf.k == 0:
-        return (pf.matrix,)
+    names, matrix = prefix(seq.formula(i))
+    if not names:
+        return (matrix,)
     tuples = sorted(h.instances[i - 1], key=tuple_key)
-    return tuple(
-        apply_subst(pf.matrix, dict(zip(pf.vars, tup))) for tup in tuples
-    )
+    return tuple(apply_subst(matrix, dict(zip(names, tup))) for tup in tuples)
 
 
-def herbrand_sequent(seq: Sigma1Sequent, h: HerbrandStructure) -> Sequent:
+def herbrand_sequent(seq: Sequent, h: HerbrandStructure) -> Sequent:
     """The quantifier-free instance sequent.  Its size (for compression
     bookkeeping) is the structure size: only instantiated formulas count."""
     ante: list[Formula] = []

@@ -24,9 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .formulas import And, Atom, Eq, Formula, Imp, Not, Or, symbols
+from .formulas import And, Atom, Eq, Formula, Imp, Not, Or, QuantBlock, symbols
 from .herbrand import HerbrandStructure
-from .sequents import PrenexFormula, Sigma1Sequent
+from .sequents import Sequent
 from .terms import App, Term, Var, is_alpha, render_tuple
 
 
@@ -121,8 +121,8 @@ class _Parser:
     # --- declarations -------------------------------------------------
 
     def parse_file(self):
-        ante: list[PrenexFormula] = []
-        succ: list[PrenexFormula] = []
+        ante: list[Formula] = []
+        succ: list[Formula] = []
         # (formula number, tuples, position) resolved after all formulas.
         insts: list[tuple[int, list[tuple[Term, ...]], _Tok]] = []
         while self.peek().kind != "EOF":
@@ -148,7 +148,7 @@ class _Parser:
             self.expect(".")
         return ante, succ, insts
 
-    def parse_prenex(self, kind: str) -> PrenexFormula:
+    def parse_prenex(self, kind: str) -> Formula:
         t = self.peek()
         if t.text in ("all", "ex"):
             if t.text != kind:
@@ -166,8 +166,8 @@ class _Parser:
                 raise self.err("repeated bound variable in prefix")
             self.expect(":")
             matrix = self.parse_imp(frozenset(names))
-            return PrenexFormula(tuple(names), matrix)
-        return PrenexFormula((), self.parse_imp(frozenset()))
+            return QuantBlock(kind, tuple(names), matrix)
+        return self.parse_imp(frozenset())
 
     # --- formulas -----------------------------------------------------
 
@@ -273,10 +273,10 @@ class _Parser:
         return (self.parse_term(frozenset()),)
 
 
-def _check_signature(seq: Sigma1Sequent, structure: HerbrandStructure) -> None:
+def _check_signature(seq: Sequent, structure: HerbrandStructure) -> None:
     """Arity consistency for functions and predicates across the input."""
     arity: dict[str, dict[str, int]] = {"fun": {}, "pred": {}}
-    items: list = [seq.formula(i).matrix for i in range(1, seq.q + 1)]
+    items: list = [*seq.ante, *seq.succ]
     for h in structure.instances:
         for tup in h:
             items.extend(tup)
@@ -294,13 +294,9 @@ def _check_signature(seq: Sigma1Sequent, structure: HerbrandStructure) -> None:
         )
 
 
-def parse_input(text: str) -> tuple[Sigma1Sequent, HerbrandStructure]:
+def parse_input(text: str) -> tuple[Sequent, HerbrandStructure]:
     ante, succ, insts = _Parser(text).parse_file()
-    seq = Sigma1Sequent(tuple(ante), tuple(succ))
-    try:
-        seq.validate()
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    seq = Sequent(tuple(ante), tuple(succ))
     collected: list[set[tuple[Term, ...]]] = [set() for _ in range(seq.q)]
     for n, tuples, tok in insts:
         if not 1 <= n <= seq.q:

@@ -37,7 +37,7 @@ from .formulas import (
     render_formula,
     symbols,
 )
-from .sequents import Sequent
+from .sequents import Sequent, prefix
 from .serialize import (
     formula_from_json,
     formula_to_json,
@@ -105,9 +105,7 @@ def _fresh_bound_names(m: int, taken: set) -> tuple:
 
 
 def _used_names(e: SchematicEHS, a: Formula) -> set:
-    s = e.base
-    quantified = (s.formula(i).to_formula("all") for i in range(1, s.q + 1))
-    return {name for _, name, _ in symbols((a, *quantified))}
+    return {name for _, name, _ in symbols((a, *e.base.ante, *e.base.succ))}
 
 
 def _leaf(seq: Sequent, oracle: Oracle, failure: str) -> Inference:
@@ -172,10 +170,6 @@ def build_proof_with_cut(
     cut_formula = QuantBlock(
         "all", names, apply_subst(a, alpha_subst([Var(x) for x in names]))
     )
-    base_ante = tuple(s.formula(i).to_formula("all") for i in range(1, s.p + 1))
-    base_succ = tuple(
-        s.formula(i).to_formula("ex") for i in range(s.p + 1, s.q + 1)
-    )
 
     # ---- left branch -----------------------------------------------------
     proof = _leaf(
@@ -185,29 +179,23 @@ def build_proof_with_cut(
     )
     pos = 0
     for i in range(1, s.q + 1):
-        pf = s.formula(i)
         if i == s.p + 1:
             pos = 0
-        if pf.k == 0:
+        if s.k(i) == 0:
             pos += 1
             continue
         rule = "forall_l" if i <= s.p else "exists_r"
-        quantified = pf.to_formula(_RULES[rule].kind)
         for tup in sorted(e.u.instances[i - 1], key=tuple_key):
-            proof = _block(proof, rule, quantified, tup, pos)
+            proof = _block(proof, rule, s.formula(i), tup, pos)
             pos += 1
     eigen = tuple(alpha(i + 1) for i in range(m))
     proof = _block(proof, "forall_r", cut_formula, eigen, len(e.delta))
-    left = _weaken(proof, base_ante, base_succ, keep_last=1)
+    left = _weaken(proof, s.ante, s.succ, keep_last=1)
 
     # ---- right branch ----------------------------------------------------
     steps = tuple(apply_subst(a, alpha_subst(row)) for row in e.w)
-    zero_ante = tuple(
-        s.formula(i).matrix for i in range(1, s.p + 1) if s.k(i) == 0
-    )
-    zero_succ = tuple(
-        s.formula(i).matrix for i in range(s.p + 1, s.q + 1) if s.k(i) == 0
-    )
+    zero_ante = tuple(f for f in s.ante if not prefix(f)[0])
+    zero_succ = tuple(f for f in s.succ if not prefix(f)[0])
     proof = _leaf(
         Sequent(steps + zero_ante, zero_succ),
         oracle,
@@ -221,7 +209,7 @@ def build_proof_with_cut(
         proof = Inference(
             "contract", Sequent((cut_formula,) + c.ante[k:], c.succ), (proof,)
         )
-    right = _weaken(proof, base_ante, base_succ)
+    right = _weaken(proof, s.ante, s.succ)
 
     # ---- cut and final contraction ---------------------------------------
     l_succ = list(left.conclusion.succ)
@@ -237,7 +225,7 @@ def build_proof_with_cut(
         (left, right),
         cut_formula,
     )
-    return Inference("contract", Sequent(base_ante, base_succ), (cut,))
+    return Inference("contract", s, (cut,))
 
 
 # ---------------------------------------------------------------------------

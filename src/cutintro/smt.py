@@ -11,7 +11,9 @@ solver speaking SMT-LIB 2 on files works as a drop-in oracle backend.
 
 from __future__ import annotations
 
+import os
 import re
+import signal
 import subprocess
 import tempfile
 import time
@@ -119,6 +121,7 @@ class CommandOracle(Oracle):
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
                 text=True,
+                start_new_session=True,
             ) as proc:
                 stdout = self._wait(proc)
         except OSError:
@@ -135,8 +138,9 @@ class CommandOracle(Oracle):
 
     def _wait(self, proc: subprocess.Popen) -> str:
         """The solver's stdout, or "" once ``timeout`` passes; calls
-        ``cancel`` every ``_SLICE_S`` meanwhile and kills the solver
-        when it raises."""
+        ``cancel`` every ``_SLICE_S`` meanwhile.  A solver stopped early
+        is killed with its process group, so the processes it started
+        die too; its pid, not yet reaped, cannot name another group."""
         end = time.monotonic() + self.timeout
         try:
             while True:
@@ -148,5 +152,5 @@ class CommandOracle(Oracle):
                     if self.cancel is not None:
                         self.cancel()
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)

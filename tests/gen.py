@@ -23,7 +23,7 @@ from cutintro.formulas import (
 )
 from cutintro.herbrand import HerbrandStructure
 from cutintro.proofs import Inference
-from cutintro.sequents import PrenexFormula, Sequent, Sigma1Sequent
+from cutintro.sequents import Sequent
 from cutintro.terms import (
     App,
     Term,
@@ -297,7 +297,7 @@ def _iterate(f, t: Term, n: int) -> Term:
     return t
 
 
-def validate_structure(h: HerbrandStructure, seq: Sigma1Sequent) -> None:
+def validate_structure(h: HerbrandStructure, seq: Sequent) -> None:
     """Raise ValueError unless h gives each formula of seq ground tuples
     of its prefix length."""
     if len(h.instances) != seq.q:
@@ -320,7 +320,7 @@ def validate_structure(h: HerbrandStructure, seq: Sigma1Sequent) -> None:
 
 def random_solvable_instance(
     rng: random.Random,
-) -> tuple[Sigma1Sequent, HerbrandStructure]:
+) -> tuple[Sequent, HerbrandStructure]:
     """A valid instantiated sequent drawn from four scalable families."""
     pred = rng.choice(["P", "Q", "R"])
     fn = rng.choice(["f", "g", "h"])
@@ -335,14 +335,14 @@ def random_solvable_instance(
         # induction chain: N(c), ∀x (N(x) → N(f x)) ⊢ N(f^n c)
         n = rng.randint(3, 8)
         x = Var("x")
-        seq = Sigma1Sequent(
+        seq = Sequent(
             ante=(
-                PrenexFormula((), Atom(pred, (c,))),
-                PrenexFormula(
-                    ("x",), Imp(Atom(pred, (x,)), Atom(pred, (f(x),)))
+                Atom(pred, (c,)),
+                QuantBlock(
+                    "all", ("x",), Imp(Atom(pred, (x,)), Atom(pred, (f(x),)))
                 ),
             ),
-            succ=(PrenexFormula((), Atom(pred, (_iterate(f, c, n),))),),
+            succ=(Atom(pred, (_iterate(f, c, n),)),),
         )
         h = HerbrandStructure(
             (
@@ -361,11 +361,12 @@ def random_solvable_instance(
         m = rng.choice([2, 4])
         x, y = Var("x"), Var("y")
         hm = _iterate(f, c, m)
-        seq = Sigma1Sequent(
+        seq = Sequent(
             ante=(
-                PrenexFormula((), Atom(pred, (hm, c))),
-                PrenexFormula(("x",), Eq(f(x), s(s(x)))),
-                PrenexFormula(
+                Atom(pred, (hm, c)),
+                QuantBlock("all", ("x",), Eq(f(x), s(s(x)))),
+                QuantBlock(
+                    "all",
                     ("x", "y"),
                     Imp(
                         Atom(pred, (s(x), y)),
@@ -373,7 +374,7 @@ def random_solvable_instance(
                     ),
                 ),
             ),
-            succ=(PrenexFormula((), Atom(pred, (c, hm))),),
+            succ=(Atom(pred, (c, hm)),),
         )
         steps = 2 * m
         h = HerbrandStructure(
@@ -396,18 +397,14 @@ def random_solvable_instance(
             if t not in terms:
                 terms.append(t)
         x = Var("x")
-        seq = Sigma1Sequent(
+        seq = Sequent(
             ante=(
-                PrenexFormula(("x",), Atom(pred, (x,))),
-                PrenexFormula(
-                    ("x",), Imp(Atom(pred, (x,)), Atom(q2, (x,)))
+                QuantBlock("all", ("x",), Atom(pred, (x,))),
+                QuantBlock(
+                    "all", ("x",), Imp(Atom(pred, (x,)), Atom(q2, (x,)))
                 ),
             ),
-            succ=(
-                PrenexFormula(
-                    (), conj([Atom(q2, (t,)) for t in terms])
-                ),
-            ),
+            succ=(conj([Atom(q2, (t,)) for t in terms]),),
         )
         tuples = frozenset((t,) for t in terms)
         h = HerbrandStructure((tuples, tuples, frozenset()))
@@ -415,12 +412,12 @@ def random_solvable_instance(
         # collapsing function: ∀x k(x)=x, P(c) ⊢ P(k^r c)
         r = rng.randint(3, 6)
         x = Var("x")
-        seq = Sigma1Sequent(
+        seq = Sequent(
             ante=(
-                PrenexFormula(("x",), Eq(f(x), x)),
-                PrenexFormula((), Atom(pred, (c,))),
+                QuantBlock("all", ("x",), Eq(f(x), x)),
+                Atom(pred, (c,)),
             ),
-            succ=(PrenexFormula((), Atom(pred, (_iterate(f, c, r),))),),
+            succ=(Atom(pred, (_iterate(f, c, r),)),),
         )
         h = HerbrandStructure(
             (
@@ -486,14 +483,14 @@ def wide_disjunction_input(width: int = 6) -> str:
     return f"ante all x y: {d('x', 'y')}.\nsucc {succ}.\ninst 1: {inst}.\n"
 
 
-def render_input(seq: Sigma1Sequent, structure: HerbrandStructure) -> str:
+def render_input(seq: Sequent, structure: HerbrandStructure) -> str:
     """Input text for a sequent and its instance lists: the inverse of
     ``parse_input``, up to declaration order and whitespace."""
     lines: list[str] = []
-    for pf in seq.ante:
-        lines.append(f"ante {render_formula(pf.to_formula('all'))}.")
-    for pf in seq.succ:
-        lines.append(f"succ {render_formula(pf.to_formula('ex'))}.")
+    for f in seq.ante:
+        lines.append(f"ante {render_formula(f)}.")
+    for f in seq.succ:
+        lines.append(f"succ {render_formula(f)}.")
     for i in range(1, seq.q + 1):
         h = structure.instances[i - 1]
         if not h:

@@ -4,8 +4,9 @@ These are deliberately naive: a recursive term order, truth-table
 enumeration plus fixpoint congruence saturation for validity, the
 oracle's first restart-DPLL lazy loop for clause sets, solutionhood as
 one implication sequent, a two-pass anti-unifier, the all-subsets
-Δ-table with its fold over term sets, and an exhaustive cover search
-for minimal decompositions.  They share no code with the implementations
+Δ-table with its fold over term sets, an exhaustive cover search
+for minimal decompositions, and the clause form as negation normal form
+followed by distribution.  They share no code with the implementations
 under test, with two exceptions: the Δ-table references build the
 package's ``DeltaTable`` and ``Decomposition`` records, and the solution
 reference hands its sequent to ``decide_validity``, which is checked
@@ -376,6 +377,73 @@ def reference_decide_clauses(cnf, *, theory: bool = True) -> bool:
                 + [(-index[a] if s else index[a]) for s, a in clash]
             )
         )
+
+
+# --------------------------------------------------------------------------
+# Clause form in two passes: negation normal form, then distribution
+# --------------------------------------------------------------------------
+
+
+def _reference_nnf(f: Formula, positive: bool) -> Formula:
+    nnf = _reference_nnf
+    if isinstance(f, (Atom, Eq)):
+        return f if positive else Not(f)
+    if isinstance(f, Top):
+        return Top() if positive else Bottom()
+    if isinstance(f, Bottom):
+        return Bottom() if positive else Top()
+    if isinstance(f, Not):
+        return nnf(f.body, not positive)
+    if isinstance(f, And):
+        cls = And if positive else Or
+        return cls(nnf(f.lhs, positive), nnf(f.rhs, positive))
+    if isinstance(f, Or):
+        cls = Or if positive else And
+        return cls(nnf(f.lhs, positive), nnf(f.rhs, positive))
+    if isinstance(f, Imp):
+        if positive:
+            return Or(nnf(f.lhs, False), nnf(f.rhs, True))
+        return And(nnf(f.lhs, True), nnf(f.rhs, False))
+    raise ValueError(f"not quantifier-free: {f!r}")
+
+
+def _reference_distribute(f: Formula, budget: list) -> set:
+    """Clauses of an NNF formula; every literal of a product clause is
+    charged to ``budget[0]``."""
+    if isinstance(f, (Atom, Eq)):
+        return {frozenset([(True, f)])}
+    if isinstance(f, Not):
+        return {frozenset([(False, f.body)])}
+    if isinstance(f, Top):
+        return set()
+    if isinstance(f, Bottom):
+        return {frozenset()}
+    left = _reference_distribute(f.lhs, budget)
+    right = _reference_distribute(f.rhs, budget)
+    if isinstance(f, And):
+        return left | right
+    if not left or not right:
+        return set()
+    out = set()
+    for c in left:
+        for d in right:
+            budget[0] -= len(c | d)
+            out.add(c | d)
+    return out
+
+
+def reference_clauses(asserted: list, denied: list, cap: int):
+    """The clause set, unsimplified, of all ``asserted`` true and all
+    ``denied`` false, or None when the distribution of one formula
+    spends more than ``cap`` literals."""
+    out: set = set()
+    signed = [(f, True) for f in asserted] + [(f, False) for f in denied]
+    for f, positive in signed:
+        budget = [cap]
+        out |= _reference_distribute(_reference_nnf(f, positive), budget)
+        if budget[0] < 0:
+            return None
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutintro.cnf import (
     CnfBlowup,
@@ -27,7 +28,7 @@ from cutintro.formulas import (
 )
 from cutintro.terms import Var, const
 
-from oracles import _collect_atoms, _eval
+from oracles import _collect_atoms, _eval, reference_clauses
 from test_formulas import formulas_strategy
 
 
@@ -113,6 +114,26 @@ class TestCap:
         f = QuantBlock("all", ("x",), Atom("P", (Var("x"),)))
         with pytest.raises(ValueError, match="not quantifier-free"):
             cnf_of_formulas([P], [f])
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(formulas_strategy(), max_size=2),
+        st.lists(formulas_strategy(), max_size=2),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_one_walk_matches_the_two_pass_reference(
+        self, asserted, denied, cap
+    ):
+        # The same clause set, or CnfBlowup exactly where negation normal
+        # form followed by distribution spends more than the cap.
+        want = reference_clauses(asserted, denied, cap)
+        if want is None:
+            with pytest.raises(CnfBlowup):
+                cnf_of_formulas(asserted, denied, cap)
+        else:
+            assert cnf_of_formulas(asserted, denied, cap) == (
+                simplify_clauses(want)
+            )
 
     def test_cap_allows_formulas_at_the_limit(self):
         # Distributes to {P,R} and {Q,R}: four literals exactly.

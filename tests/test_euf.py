@@ -59,44 +59,53 @@ def wide_sequent(n: int) -> Sequent:
     return Sequent((fml,), (Atom("R", ()),))
 
 
+def merge_terms(cc: CongruenceClosure, s, t) -> None:
+    """Assert s = t; ``explain`` reports it as the pair (s, t)."""
+    cc.merge(cc.intern(s), cc.intern(t), (s, t))
+
+
+def equal(cc: CongruenceClosure, s, t) -> bool:
+    return cc.find(cc.intern(s)) == cc.find(cc.intern(t))
+
+
 class TestCongruenceClosure:
     def test_reflexive(self):
         cc = CongruenceClosure()
-        assert cc.equal(f(a), f(a))
+        assert equal(cc, f(a), f(a))
 
     def test_merge_is_symmetric(self):
         cc = CongruenceClosure()
-        cc.merge_terms(a, b)
-        assert cc.equal(b, a)
+        merge_terms(cc, a, b)
+        assert equal(cc, b, a)
 
     def test_transitive(self):
         cc = CongruenceClosure()
-        cc.merge_terms(a, b)
-        cc.merge_terms(b, c)
-        assert cc.equal(a, c)
+        merge_terms(cc, a, b)
+        merge_terms(cc, b, c)
+        assert equal(cc, a, c)
 
     def test_congruence_propagates_up(self):
         cc = CongruenceClosure()
-        cc.merge_terms(a, b)
-        assert cc.equal(f(a), f(b))
-        assert cc.equal(g(f(a), c), g(f(b), c))
+        merge_terms(cc, a, b)
+        assert equal(cc, f(a), f(b))
+        assert equal(cc, g(f(a), c), g(f(b), c))
 
     def test_congruence_is_not_injectivity(self):
         cc = CongruenceClosure()
-        cc.merge_terms(f(a), f(b))
-        assert not cc.equal(a, b)
+        merge_terms(cc, f(a), f(b))
+        assert not equal(cc, a, b)
 
     def test_distinct_heads_stay_apart(self):
         cc = CongruenceClosure()
-        cc.merge_terms(a, b)
-        assert not cc.equal(f(a), s(a))
+        merge_terms(cc, a, b)
+        assert not equal(cc, f(a), s(a))
 
     def test_nested_chain(self):
         cc = CongruenceClosure()
         for i in range(4):
-            cc.merge_terms(f(_iter(f, a, i)), s(s(_iter(f, a, i))))
-        assert cc.equal(_iter(f, a, 4), _iter(s, a, 8))
-        assert not cc.equal(_iter(f, a, 4), _iter(s, a, 7))
+            merge_terms(cc, f(_iter(f, a, i)), s(s(_iter(f, a, i))))
+        assert equal(cc, _iter(f, a, 4), _iter(s, a, 8))
+        assert not equal(cc, _iter(f, a, 4), _iter(s, a, 7))
 
 
 class TestExplanations:
@@ -109,8 +118,8 @@ class TestExplanations:
         """The indices of the equations that explain s = t."""
         cc = CongruenceClosure()
         for lhs, rhs in eqs:
-            cc.merge_terms(lhs, rhs)
-        assert cc.equal(s, t)
+            merge_terms(cc, lhs, rhs)
+        assert equal(cc, s, t)
         core = cc.explain(cc.intern(s), cc.intern(t))
         assert set(core) <= set(eqs)
         fresh = oracles.ReferenceClosure()
@@ -148,15 +157,15 @@ class TestExplanations:
     def test_terms_interned_after_the_merge(self):
         # The congruence f(a) = f(b) is found when f(b) is interned.
         cc = CongruenceClosure()
-        cc.merge_terms(a, b)
+        merge_terms(cc, a, b)
         assert cc.explain(cc.intern(f(a)), cc.intern(f(b))) == [(a, b)]
 
     def test_reset_forgets_merges_but_keeps_ids(self):
         cc = CongruenceClosure()
-        cc.merge_terms(a, b)
+        merge_terms(cc, a, b)
         ids = cc.intern(f(a)), cc.intern(f(b))
         cc.reset()
-        assert not cc.equal(f(a), f(b))
+        assert not equal(cc, f(a), f(b))
         assert (cc.intern(f(a)), cc.intern(f(b))) == ids
         cc.merge(cc.intern(a), cc.intern(b), "again")
         assert cc.explain(*ids) == ["again"]
@@ -176,9 +185,9 @@ class TestExplanations:
             ]
             cc = CongruenceClosure()
             for lhs, rhs in eqs:
-                cc.merge_terms(lhs, rhs)
+                merge_terms(cc, lhs, rhs)
             for s_, t_ in itertools.combinations(pool, 2):
-                if s_ != t_ and cc.equal(s_, t_):
+                if s_ != t_ and equal(cc, s_, t_):
                     self._core(eqs, s_, t_)
                     pairs += 1
         assert pairs >= 200

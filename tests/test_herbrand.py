@@ -93,7 +93,7 @@ class TestInstanceFormulas:
     def test_quantifier_free_formula_passes_through(self, golden):
         seq, hs = golden
         got = instance_formulas(seq, hs, 1)
-        assert got == (seq.formula(1).matrix,)
+        assert got == (seq.formula(1),)
 
     def test_each_tuple_yields_one_instance(self, golden):
         seq, hs = golden

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from cutintro.parser import InputError, parse_input
-from cutintro.formulas import Atom, Eq, Imp
+from cutintro.formulas import Atom, Eq, Imp, QuantBlock
 from cutintro.terms import App, Var, const
 
 import gen
@@ -25,11 +25,10 @@ class TestGoldenInput:
 
     def test_matrix_of_equation_formula(self, golden):
         seq, _ = golden
-        pf = seq.formula(2)
-        assert pf.vars == ("x",)
-        a = const("a")
-        assert pf.matrix == Eq(
-            App("f", (Var("x"),)), App("s", (App("s", (Var("x"),)),))
+        assert seq.formula(2) == QuantBlock(
+            "all",
+            ("x",),
+            Eq(App("f", (Var("x"),)), App("s", (App("s", (Var("x"),)),))),
         )
 
     def test_quantifier_free_formulas_have_no_instances(self, golden):
@@ -56,7 +55,7 @@ class TestSyntax:
     def test_multiline_formula(self):
         seq, _ = parse_input("ante all x y:\n  P(x, y) ->\n  Q(y).\nsucc Q(a).\ninst 1: (a, b).")
         assert seq.formula(1).vars == ("x", "y")
-        assert isinstance(seq.formula(1).matrix, Imp)
+        assert isinstance(seq.formula(1).body, Imp)
 
     def test_singleton_instance_needs_no_parens(self):
         _, hs = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a; f(a).")
@@ -66,12 +65,11 @@ class TestSyntax:
 
     def test_connective_precedence_in_matrix(self):
         seq, _ = parse_input("succ P(a) & Q(a) -> R(a).")
-        m = seq.formula(1).matrix
-        assert isinstance(m, Imp)
+        assert isinstance(seq.formula(1), Imp)
 
     def test_equality_atom(self):
         seq, _ = parse_input("succ f(a) = a.")
-        assert seq.formula(1).matrix == Eq(App("f", (const("a"),)), const("a"))
+        assert seq.formula(1) == Eq(App("f", (const("a"),)), const("a"))
 
     def test_duplicate_inst_lines_merge(self):
         _, hs = parse_input(
@@ -95,6 +93,12 @@ class TestValidation:
                 "top-level prefix",
             ),
             (
+                "ante P(a) & all x: P(x).\nsucc P(a).",
+                "top-level prefix",
+            ),
+            ("ante all x x: P(x).\nsucc P(a).", "repeated bound variable"),
+            ("ante all : P(a).\nsucc P(a).", "at least one bound variable"),
+            (
                 "ante P(a).\nsucc P(a).\ninst 1: a.",
                 "no quantifier prefix",
             ),
@@ -112,6 +116,10 @@ class TestValidation:
             parse_input(text)
         assert fragment in str(exc.value)
         assert "line" in str(exc.value) and "column" in str(exc.value)
+
+    def test_name_outside_the_prefix_is_a_constant(self):
+        seq, _ = parse_input("ante all x: P(x, y).\nsucc P(a, y).\ninst 1: a.")
+        assert seq.formula(1).body == Atom("P", (Var("x"), const("y")))
 
     def test_error_line_number_is_accurate(self):
         with pytest.raises(InputError) as exc:

@@ -87,12 +87,10 @@ class TestGoldenProof:
         self, golden_proof, golden
     ):
         seq, _ = golden
-        want_ante = tuple(pf.to_formula("all") for pf in seq.ante)
-        want_succ = tuple(pf.to_formula("ex") for pf in seq.succ)
         assert sorted(map(render_formula, golden_proof.conclusion.ante)) == (
-            sorted(map(render_formula, want_ante))
+            sorted(map(render_formula, seq.ante))
         )
-        assert tuple(golden_proof.conclusion.succ) == want_succ
+        assert tuple(golden_proof.conclusion.succ) == seq.succ
 
     def test_exactly_one_cut(self, golden_proof):
         cuts = [n for n in _nodes(golden_proof) if n.rule == "cut"]

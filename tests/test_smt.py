@@ -7,6 +7,7 @@ import re
 import shutil
 import stat
 import time
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +155,15 @@ class TestExport:
         assert _read_back(export_smt2(empty)) == empty
 
 
+def _running(pid: int) -> bool:
+    """Whether the process is alive; a zombie that nobody reaps is not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestCommandOracle:
     def _stub(self, tmp_path, body: str) -> str:
         path = tmp_path / "fakesolver"
@@ -221,6 +231,29 @@ class TestCommandOracle:
         report = run_pipeline(src, cfg)
         assert report.status == "timeout"
         assert report.wall_time < 1.5
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="needs /proc"
+    )
+    @pytest.mark.parametrize("stop", ["deadline", "own_timeout"])
+    def test_processes_the_solver_started_die_with_it(
+        self, tmp_path, golden_text, stop
+    ):
+        pid_file = tmp_path / "child.pid"
+        stub = self._stub(tmp_path, f"sleep 5 & echo $! > {pid_file}; wait")
+        if stop == "deadline":
+            src = tmp_path / "running_example.cis"
+            src.write_text(golden_text)
+            cfg = RunConfig(timeout=1, oracle_spec="cmd:" + stub)
+            assert run_pipeline(src, cfg).status == "timeout"
+        else:
+            o = CommandOracle(stub, 0.2)
+            assert o.validity(Sequent((), ())) is Verdict.UNKNOWN
+        pid = int(pid_file.read_text())
+        end = time.monotonic() + 1
+        while _running(pid) and time.monotonic() < end:
+            time.sleep(0.02)
+        assert not _running(pid)
 
     def test_solver_past_its_own_timeout_means_unknown(self, tmp_path):
         o = CommandOracle(self._stub(tmp_path, "sleep 3; echo unsat"), 0.2)
