@@ -30,7 +30,7 @@ from .decomposition import (
     restrict_ci1,
     validate_decomposition,
 )
-from .euf import InternalOracle, Oracle, Verdict, decide_validity
+from .euf import InternalOracle, Oracle, Verdict
 from .formulas import (
     And,
     Atom,
@@ -113,7 +113,6 @@ __all__ = [
     "check_proof",
     "check_proof_report",
     "check_solution",
-    "decide_validity",
     "decode_termset",
     "delta_g",
     "emit_stats",

@@ -25,7 +25,6 @@ from .formulas import (
     Top,
     conj,
     disj,
-    formula_key,
 )
 
 Literal = tuple[bool, Union[Atom, Eq]]
@@ -121,7 +120,7 @@ def cnf_of_formulas(
 
 
 def literal_key(lit: Literal) -> tuple:
-    return (formula_key(lit[1]), lit[0])
+    return (lit[1].key, lit[0])
 
 
 def clause_key(c: Clause) -> tuple:

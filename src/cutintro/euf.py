@@ -34,11 +34,10 @@ from typing import Callable, Optional
 from .cnf import (
     CNF,
     CnfBlowup,
-    DEFAULT_CNF_CAP,
     cnf_of_formulas,
     simplify_clauses,
 )
-from .formulas import Atom, Eq, formula_key
+from .formulas import Atom, Eq
 from .sequents import Sequent
 from .terms import Term, Var
 
@@ -452,7 +451,9 @@ def _decide_clauses(
     cancel: Optional[Callable[[], None]] = None,
 ) -> Verdict:
     """VALID iff the clause set is unsatisfiable (modulo equality)."""
-    atoms = sorted({atom for c in cnf for _, atom in c}, key=formula_key)
+    atoms = sorted(
+        {atom for c in cnf for _, atom in c}, key=lambda atom: atom.key
+    )
     index = {atom: i + 1 for i, atom in enumerate(atoms)}
     clauses = sorted(
         sorted((index[a] if s else -index[a] for s, a in c), key=abs)
@@ -490,22 +491,6 @@ def _refute(
         )
     except OracleLimit:
         return Verdict.UNKNOWN
-
-
-def decide_validity(
-    seq: Sequent,
-    *,
-    step_cap: int = DEFAULT_STEP_CAP,
-    cnf_cap: int = DEFAULT_CNF_CAP,
-    cancel: Optional[Callable[[], None]] = None,
-) -> Verdict:
-    """Three-valued validity of a ground sequent modulo equality: the
-    refutation of its clause form, UNKNOWN past the clause-form cap."""
-    try:
-        clauses = cnf_of_formulas(seq.ante, seq.succ, cnf_cap, cancel)
-    except CnfBlowup:
-        return Verdict.UNKNOWN
-    return _refute(clauses, step_cap=step_cap, cancel=cancel)
 
 
 @dataclass(eq=False)

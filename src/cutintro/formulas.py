@@ -2,74 +2,90 @@
 
 Atoms are predicate applications or equations; Top/Bottom exist for
 degenerate constructions (they cannot be written in input files).
+
+Formulas are nodes of the term bank (``terms.Node``): equal formulas are
+one object, so ``==`` is identity, and each formula's hash and sort key
+``key`` are computed once, from its children's, when it is first built.
+The hash is the one a frozen dataclass of the same fields would have.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 from .terms import (
     App,
+    Node,
     Term,
     Var,
     render_term,
     subst_term,
-    term_key,
     term_vars,
 )
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...] = ()
+class Atom(Node):
+    __slots__ = _fields = ("pred", "args")
+    _defaults = ((),)
+
+    def _key(self) -> tuple:
+        return (0, self.pred, tuple(t.key for t in self.args))
 
 
-@dataclass(frozen=True)
-class Eq:
-    lhs: Term
-    rhs: Term
+class Eq(Node):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def _key(self) -> tuple:
+        return (1, self.lhs.key, self.rhs.key)
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Top(Node):
+    __slots__ = _fields = ()
+
+    def _key(self) -> tuple:
+        return (2,)
 
 
-@dataclass(frozen=True)
-class Bottom:
-    pass
+class Bottom(Node):
+    __slots__ = _fields = ()
+
+    def _key(self) -> tuple:
+        return (3,)
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Node):
+    __slots__ = _fields = ("body",)
+
+    def _key(self) -> tuple:
+        return (4, self.body.key)
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "Formula"
-    rhs: "Formula"
+class And(Node):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def _key(self) -> tuple:
+        return (5, self.lhs.key, self.rhs.key)
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
+class Or(Node):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def _key(self) -> tuple:
+        return (6, self.lhs.key, self.rhs.key)
 
 
-@dataclass(frozen=True)
-class Imp:
-    lhs: "Formula"
-    rhs: "Formula"
+class Imp(Node):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def _key(self) -> tuple:
+        return (7, self.lhs.key, self.rhs.key)
 
 
-@dataclass(frozen=True)
-class QuantBlock:
-    kind: str  # "all" or "ex"
-    vars: tuple[str, ...]
-    body: "Formula"
+class QuantBlock(Node):
+    __slots__ = _fields = ("kind", "vars", "body")  # kind "all" or "ex"
+
+    def _key(self) -> tuple:
+        return (8, self.kind, self.vars, self.body.key)
 
 
 Formula = Union[Atom, Eq, Top, Bottom, Not, And, Or, Imp, QuantBlock]
@@ -222,24 +238,3 @@ def _render(f: Formula, ctx: int) -> str:
     # unparenthesized); left operand must bind strictly tighter.
     s = _render(f.lhs, prec + 1) + op + _render(f.rhs, prec)
     return f"({s})" if ctx >= prec + 1 else s
-
-
-def formula_key(f: Formula) -> tuple:
-    """Deterministic structural order on formulas."""
-    if isinstance(f, Atom):
-        return (0, f.pred, tuple(term_key(t) for t in f.args))
-    if isinstance(f, Eq):
-        return (1, term_key(f.lhs), term_key(f.rhs))
-    if isinstance(f, Top):
-        return (2,)
-    if isinstance(f, Bottom):
-        return (3,)
-    if isinstance(f, Not):
-        return (4, formula_key(f.body))
-    if isinstance(f, And):
-        return (5, formula_key(f.lhs), formula_key(f.rhs))
-    if isinstance(f, Or):
-        return (6, formula_key(f.lhs), formula_key(f.rhs))
-    if isinstance(f, Imp):
-        return (7, formula_key(f.lhs), formula_key(f.rhs))
-    return (8, f.kind, f.vars, formula_key(f.body))

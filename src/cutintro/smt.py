@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import re
+import select
 import signal
 import subprocess
 import tempfile
@@ -27,6 +28,11 @@ from .terms import Term, Var
 
 # How long a solver run goes between two calls of ``Oracle.cancel``.
 _SLICE_S = 0.05
+
+# The solver's answer lines, and ``waitid`` flags that see an exit
+# without reaping the process.
+_ANSWERS = {b"unsat": Verdict.VALID, b"sat": Verdict.INVALID}
+_EXITED = os.WEXITED | os.WNOHANG | os.WNOWAIT
 
 _PLAIN = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][A-Za-z0-9~!@$%^&*_\-+=<>.?/]*\Z")
 
@@ -120,37 +126,42 @@ class CommandOracle(Oracle):
                 argv,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
                 start_new_session=True,
             ) as proc:
-                stdout = self._wait(proc)
+                return self._wait(proc)
         except OSError:
             return Verdict.UNKNOWN
         finally:
             Path(path).unlink(missing_ok=True)
-        for line in stdout.splitlines():
-            word = line.strip()
-            if word == "unsat":
-                return Verdict.VALID
-            if word == "sat":
-                return Verdict.INVALID
-        return Verdict.UNKNOWN
 
-    def _wait(self, proc: subprocess.Popen) -> str:
-        """The solver's stdout, or "" once ``timeout`` passes; calls
-        ``cancel`` every ``_SLICE_S`` meanwhile.  A solver stopped early
-        is killed with its process group, so the processes it started
-        die too; its pid, not yet reaped, cannot name another group."""
+    def _wait(self, proc: subprocess.Popen) -> Verdict:
+        """The verdict of the solver's first ``sat``/``unsat`` line, read
+        as it comes: UNKNOWN once the solver exits or closes its output
+        without one, or once ``timeout`` passes.  Calls ``cancel`` every
+        ``_SLICE_S`` meanwhile.  The solver is then killed with its
+        process group, so the processes it started die too, even one
+        that still holds its output.  Its exit is seen without reaping
+        it, so its pid cannot name another group yet."""
         end = time.monotonic() + self.timeout
+        fd = proc.stdout.fileno()
+        out = b""
         try:
-            while True:
-                try:
-                    return proc.communicate(timeout=_SLICE_S)[0]
-                except subprocess.TimeoutExpired:
-                    if time.monotonic() > end:
-                        return ""
-                    if self.cancel is not None:
-                        self.cancel()
+            while time.monotonic() <= end:
+                exited = os.waitid(os.P_PID, proc.pid, _EXITED) is not None
+                ready = select.select([fd], [], [], 0 if exited else _SLICE_S)[0]
+                chunk = os.read(fd, 4096) if ready else b""
+                out += chunk
+                # Whole lines decide; the last one too once no more comes.
+                more = bool(chunk) or not (ready or exited)
+                lines = out.split(b"\n")
+                for line in lines[:-1] if more else lines:
+                    verdict = _ANSWERS.get(line.strip())
+                    if verdict is not None:
+                        return verdict
+                if not more:
+                    return Verdict.UNKNOWN
+                if self.cancel is not None:
+                    self.cancel()
+            return Verdict.UNKNOWN
         finally:
-            if proc.returncode is None:
-                os.killpg(proc.pid, signal.SIGKILL)
+            os.killpg(proc.pid, signal.SIGKILL)

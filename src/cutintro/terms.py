@@ -1,30 +1,28 @@
 """First-order terms: variables and applications, substitution, ordering.
 
-Terms are immutable and hash-consed: equal terms are one object.  ``Var``
-and ``App`` look each new term up in one module-level table, keyed by its
-name or by its head and arguments, and return the stored object when
-there is one.  Since the arguments are themselves unique, that lookup
-compares them by identity, and ``==`` on terms is identity; no
-comparison ever walks a term.  Terms serve as dictionary keys and set
-members throughout the decomposition machinery.  Constants are
-zero-argument applications.
+Terms and formulas (``formulas``) are nodes of one hash-consed bank, on
+one base class ``Node``: equal nodes are one object.  Constructing a
+node looks it up in one module-level table, keyed by its class and field
+values, and returns the stored node when there is one.  Since the
+children are themselves unique, that lookup compares them by identity,
+and ``==`` on nodes is identity; no comparison ever walks a node.
+Constants are zero-argument applications.
 
-The table holds its terms weakly: an entry dies with the last reference
-to its term.  So the table holds only terms in use; it does not outlive
-the terms of a pipeline run, nor grow across a corpus batch.
-Construction assumes one thread, as the package runs; corpus workers
-are processes, each with a table of its own.
+The table holds its nodes weakly: an entry dies with the last reference
+to its node, so the table neither outlives a pipeline run nor grows
+across a corpus batch.  Construction assumes one thread, as the package
+runs; corpus workers are processes, each with a table of its own.
 
-Each term computes three values once, when it is first built, from the
-values its children already hold, so no later use walks the term again:
+Each node computes once, when it is first built, from the values its
+children already hold, so no later use walks it again:
 
-- its hash, combined from the head or name and the children's hashes.
-  It is structural rather than an address, so the iteration order of
-  term sets and dicts, and with it every output, is the same in every
-  run;
-- ``key``, the total-order sort key that ``term_key`` returns (variables
-  before applications, then by name and arguments);
-- ``tagged``, whether some subterm has a reserved formula-tag head.
+- its hash.  It is structural rather than an address, so the iteration
+  order of node sets and dicts, and with it every output, is the same
+  in every run;
+- ``key``, its total-order sort key.  For a term it is what ``term_key``
+  returns (variables before applications, then by name and arguments);
+- for a term, ``tagged``: whether some subterm has a reserved
+  formula-tag head.
 
 See Filliâtre and Conchon, "Type-safe modular hash-consing" (ML Workshop
 2006).
@@ -46,18 +44,68 @@ TAG_PREFIX = "#f"
 
 _set = object.__setattr__
 
-# Every live term, keyed by (None, name) for a variable and by
-# (head, args) for an application.
+# Every live node, keyed by its class and field values.  Lookups read the
+# table's dict of weak references, ``_refs``, without the Python-level
+# ``_table.get``; a missing key yields ``_no_ref``, which returns None.
 _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_refs = _table.data
+_no_ref = type(None)
 
 
-class _Frozen:
-    """Refuses attribute assignment.  Subclasses pickle through their
-    constructor (``__reduce__``), so an unpickled term joins the
-    receiving process's table, and its cached hash is recomputed there:
-    string hashes differ between processes, such as corpus workers."""
+class Node:
+    """An immutable, hash-consed node.  A subclass names its fields in
+    ``_fields``, gives the values of trailing optional ones in
+    ``_defaults``, and derives ``key`` in ``_key``; its constructor takes
+    the field values positionally.  The hash is that of the tuple of
+    field values, as a frozen dataclass's; a subclass may derive its
+    cached values otherwise by overriding ``_derive``.  A node pickles
+    through its constructor (``__reduce__``), so an unpickled node joins
+    the receiving process's table, and its cached hash is recomputed
+    there: string hashes differ between processes, such as corpus
+    workers."""
 
-    __slots__ = ()
+    __slots__ = ("key", "_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __new__(cls, *values):
+        ident = (cls, *values)
+        self = _refs.get(ident, _no_ref)()
+        if self is not None:
+            return self
+        missing = len(cls._fields) - len(values)
+        if missing:
+            if 0 < missing <= len(cls._defaults):
+                return cls(*values, *cls._defaults[-missing:])
+            raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _set(self, name, value)
+        self._derive(values)
+        _table[ident] = self
+        return self
+
+    def _derive(self, values: tuple) -> None:
+        """Cache the hash and ``key``; runs once, when the node is built."""
+        _set(self, "_hash", hash(values))
+        _set(self, "key", self._key())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __repr__(self) -> str:
+        values = self._values()
+        # Trailing fields at their defaults are left out: App('a').
+        n = len(self._defaults)
+        if n and values[-n:] == self._defaults:
+            values = values[:-n]
+        return f"{type(self).__name__}({', '.join(map(repr, values))})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -66,73 +114,33 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Var(_Frozen):
-    __slots__ = ("name", "key", "tagged", "_hash", "__weakref__")
+class Var(Node):
+    __slots__ = _fields = ("name",)
+    tagged = False
 
-    def __new__(cls, name: str) -> "Var":
-        ident = (None, name)
-        self = _table.get(ident)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
-        _set(self, "name", name)
-        _set(self, "key", (0, _name_key(name)))
-        _set(self, "tagged", False)
-        _set(self, "_hash", hash((name, None)))
-        _table[ident] = self
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Var, (self.name,))
-
-    def __repr__(self) -> str:
-        return f"Var({self.name!r})"
+    def _derive(self, values: tuple) -> None:
+        _set(self, "_hash", hash((self.name, None)))
+        _set(self, "key", (0, _name_key(self.name)))
 
 
-class App(_Frozen):
-    __slots__ = ("head", "args", "key", "tagged", "_hash", "__weakref__")
+class App(Node):
+    __slots__ = ("head", "args", "tagged")
+    _fields = ("head", "args")
+    _defaults = ((),)
 
-    def __new__(cls, head: str, args: tuple["Term", ...] = ()) -> "App":
-        ident = (head, args)
-        self = _table.get(ident)
-        if self is not None:
-            return self
+    def _derive(self, values: tuple) -> None:
+        head, args = values
         tagged = is_tag_head(head)
-        if args:
-            keys = []
-            hashes = [head]
-            for a in args:
-                keys.append(a.key)
-                hashes.append(a._hash)
-                if a.tagged:
-                    tagged = True
-            key = (1, _name_key(head), tuple(keys))
-            h = hash(tuple(hashes))
-        else:
-            key = (1, _name_key(head), ())
-            h = hash((head,))
-        self = object.__new__(cls)
-        _set(self, "head", head)
-        _set(self, "args", args)
-        _set(self, "key", key)
+        keys = []
+        hashes = [head]
+        for a in args:
+            keys.append(a.key)
+            hashes.append(a._hash)
+            if a.tagged:
+                tagged = True
+        _set(self, "_hash", hash(tuple(hashes)))
+        _set(self, "key", (1, _name_key(head), tuple(keys)))
         _set(self, "tagged", tagged)
-        _set(self, "_hash", h)
-        _table[ident] = self
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (App, (self.head, self.args))
-
-    def __repr__(self) -> str:
-        if not self.args:
-            return f"App({self.head!r})"
-        return f"App({self.head!r}, {self.args!r})"
 
 
 Term = Union[Var, App]

@@ -11,14 +11,19 @@ under test, with two exceptions: the Δ-table references build the
 package's ``DeltaTable`` and ``Decomposition`` records, and the solution
 reference hands its sequent to ``decide_validity``, which is checked
 against the saturation reference on its own.
+
+``decide_validity`` lives here too: the package's clause form and
+refutation with both caps exposed, the sequent-level question the
+tests ask of the decision procedure.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from cutintro.euf import Verdict, decide_validity
+from cutintro.cnf import DEFAULT_CNF_CAP, CnfBlowup, cnf_of_formulas
+from cutintro.euf import DEFAULT_STEP_CAP, Verdict, _refute
 from cutintro.formulas import (
     And,
     Atom,
@@ -28,6 +33,7 @@ from cutintro.formulas import (
     Imp,
     Not,
     Or,
+    QuantBlock,
     Top,
     apply_subst,
     conj,
@@ -67,6 +73,28 @@ def reference_term_key(t: Term) -> tuple:
         _reference_name_key(t.head),
         tuple(reference_term_key(a) for a in t.args),
     )
+
+
+def reference_formula_key(f: Formula) -> tuple:
+    """The sort key that ``f.key`` caches, rebuilt by a walk."""
+    if isinstance(f, Atom):
+        return (0, f.pred, tuple(reference_term_key(t) for t in f.args))
+    if isinstance(f, Eq):
+        return (1, reference_term_key(f.lhs), reference_term_key(f.rhs))
+    if isinstance(f, Top):
+        return (2,)
+    if isinstance(f, Bottom):
+        return (3,)
+    if isinstance(f, Not):
+        return (4, reference_formula_key(f.body))
+    if isinstance(f, And):
+        return (5, reference_formula_key(f.lhs), reference_formula_key(f.rhs))
+    if isinstance(f, Or):
+        return (6, reference_formula_key(f.lhs), reference_formula_key(f.rhs))
+    if isinstance(f, Imp):
+        return (7, reference_formula_key(f.lhs), reference_formula_key(f.rhs))
+    assert isinstance(f, QuantBlock)
+    return (8, f.kind, f.vars, reference_formula_key(f.body))
 
 
 # --------------------------------------------------------------------------
@@ -444,6 +472,27 @@ def reference_clauses(asserted: list, denied: list, cap: int):
         if budget[0] < 0:
             return None
     return out
+
+
+# --------------------------------------------------------------------------
+# Validity of a sequent, through the package's decision procedure
+# --------------------------------------------------------------------------
+
+
+def decide_validity(
+    seq: Sequent,
+    *,
+    step_cap: int = DEFAULT_STEP_CAP,
+    cnf_cap: int = DEFAULT_CNF_CAP,
+    cancel: Optional[Callable[[], None]] = None,
+) -> Verdict:
+    """Three-valued validity of a ground sequent modulo equality: the
+    refutation of its clause form, UNKNOWN past the clause-form cap."""
+    try:
+        clauses = cnf_of_formulas(seq.ante, seq.succ, cnf_cap, cancel)
+    except CnfBlowup:
+        return Verdict.UNKNOWN
+    return _refute(clauses, step_cap=step_cap, cancel=cancel)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from cutintro.decomposition import (
     fold_delta_table,
     validate_decomposition,
 )
-from cutintro.euf import InternalOracle, Verdict, decide_validity
+from cutintro.euf import InternalOracle, Verdict
 from cutintro.formulas import And, Atom, Eq, Not, Or, render_formula
 from cutintro.herbrand import TermSet, decode_termset, encode_termset
 from cutintro.pipeline import RunConfig, run_pipeline
@@ -43,6 +43,7 @@ from cutintro.terms import App, alpha, const, render_term, subst_term
 import gen
 import oracles
 from gen import render_input
+from oracles import decide_validity
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:

@@ -228,36 +228,52 @@ class TestCheck:
         assert err.count("\n") == 1
 
     @staticmethod
-    def _deep_formula_proof(golden_file, tmp_path) -> str:
+    def _deep_formula_proof(golden_file, tmp_path, depth: int) -> str:
+        # The deep formula is spliced in as text: the json module's own
+        # encoder raises RecursionError on 10^4 nested objects.
         out = tmp_path / "artifacts"
         main(["run", str(golden_file), "--out", str(out)])
         packed = json.loads((out / "proof.json").read_text())
-        f = {"atom": "P", "args": []}
-        for _ in range(700):
-            f = {"not": f}
-        packed["conclusion"]["ante"][0] = f
-        return json.dumps(packed)
+        packed["conclusion"]["ante"][0] = "DEEP"
+        deep = '{"not": ' * depth + '{"atom": "P", "args": []}' + "}" * depth
+        return json.dumps(packed).replace('"DEEP"', deep)
 
-    @pytest.mark.parametrize("nesting", ["brackets", "formula"])
-    def test_too_deep_proof_exits_two_without_traceback(
-        self, golden_file, tmp_path, nesting, capsys
-    ):
-        p = tmp_path / "deep.json"
-        if nesting == "brackets":
-            p.write_text("[" * 100_000)
-        else:
-            p.write_text(self._deep_formula_proof(golden_file, tmp_path))
-        capsys.readouterr()
-        done = subprocess.run(
+    @staticmethod
+    def _check(p):
+        return subprocess.run(
             [sys.executable, "-m", "cutintro.cli", "check", str(p)],
             capture_output=True,
             text=True,
             timeout=120,
         )
+
+    @pytest.mark.parametrize("nesting", ["brackets", "formula"])
+    def test_too_deep_proof_exits_two_without_traceback(
+        self, golden_file, tmp_path, nesting, capsys
+    ):
+        # 10^4 levels: the json module's decoder raises RecursionError.
+        p = tmp_path / "deep.json"
+        if nesting == "brackets":
+            p.write_text("[" * 100_000)
+        else:
+            p.write_text(self._deep_formula_proof(golden_file, tmp_path, 10**4))
+        capsys.readouterr()
+        done = self._check(p)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: cannot check proof: it nests")
         assert done.stderr.count("\n") == 1
+
+    def test_deep_formula_gets_a_verdict(self, golden_file, tmp_path, capsys):
+        # 700 levels: formula equality and hashing are by identity, so
+        # the proof check compares the formula without walking it.
+        p = tmp_path / "deep.json"
+        p.write_text(self._deep_formula_proof(golden_file, tmp_path, 700))
+        capsys.readouterr()
+        done = self._check(p)
+        assert done.returncode == 1
+        assert done.stdout.startswith("invalid: ")
+        assert done.stderr == ""
 
 
 class TestConsoleScript:

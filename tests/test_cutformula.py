@@ -19,7 +19,7 @@ from cutintro.cutformula import (
 )
 from cutintro.decomposition import build_delta_table, fold_delta_table
 from cutintro.cnf import cnf_of_formulas
-from cutintro.euf import InternalOracle, Verdict, decide_validity
+from cutintro.euf import InternalOracle, Verdict
 from cutintro.formulas import (
     And,
     Atom,
@@ -44,6 +44,7 @@ from cutintro.terms import App, Var, alpha, alpha_subst, const
 
 import gen
 import oracles
+from oracles import decide_validity
 
 a, b = const("a"), const("b")
 

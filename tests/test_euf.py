@@ -17,7 +17,6 @@ from cutintro.euf import (
     InternalOracle,
     Oracle,
     Verdict,
-    decide_validity,
 )
 from cutintro.formulas import And, Atom, Eq, Imp, Not, Or
 from cutintro.herbrand import herbrand_sequent
@@ -27,6 +26,7 @@ from cutintro.terms import App, Var, const
 
 import gen
 import oracles
+from oracles import decide_validity
 
 a, b, c, d = const("a"), const("b"), const("c"), const("d")
 

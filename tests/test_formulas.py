@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import pickle
+import sys
+
+import pytest
 from hypothesis import given, strategies as st
 
 from cutintro.formulas import (
+    BOTTOM,
+    TOP,
     And,
     Atom,
     Bottom,
@@ -17,14 +25,15 @@ from cutintro.formulas import (
     apply_subst,
     conj,
     disj,
-    formula_key,
     formula_size,
     formula_vars,
     is_quantifier_free,
     render_formula,
     symbols,
 )
-from cutintro.terms import App, Var, const
+from cutintro.terms import App, Var, _table, const
+
+from oracles import reference_formula_key
 
 
 def _terms():
@@ -55,6 +64,110 @@ def formulas_strategy():
         ),
         max_leaves=10,
     )
+
+
+def quantified_formulas_strategy():
+    """Formulas of every class, a quantifier block on top or not."""
+    return st.one_of(
+        formulas_strategy(),
+        st.builds(
+            QuantBlock,
+            st.sampled_from(["all", "ex"]),
+            st.sampled_from([("x",), ("x", "y")]),
+            formulas_strategy(),
+        ),
+    )
+
+
+# Each formula class as the frozen dataclass it used to be, with its
+# fields in order: the reference for the hash a formula caches.
+_DATACLASSES = {
+    cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    for cls, fields in [
+        (Atom, ["pred", "args"]),
+        (Eq, ["lhs", "rhs"]),
+        (Top, []),
+        (Bottom, []),
+        (Not, ["body"]),
+        (And, ["lhs", "rhs"]),
+        (Or, ["lhs", "rhs"]),
+        (Imp, ["lhs", "rhs"]),
+        (QuantBlock, ["kind", "vars", "body"]),
+    ]
+}
+
+
+def as_dataclass(f):
+    """A copy of f built from the dataclasses above; terms are kept."""
+    if f.__class__ not in _DATACLASSES:
+        return f
+    cls = _DATACLASSES[f.__class__]
+    fields = [x.name for x in dataclasses.fields(cls)]
+    return cls(*(as_dataclass(getattr(f, name)) for name in fields))
+
+
+def _not_chain(n: int):
+    f = Atom("P", (const("a"),))
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+class TestBank:
+    """Formulas are nodes of the term bank: construction returns the
+    live formula of that class and those fields, when there is one."""
+
+    def test_equal_formulas_are_one_object(self):
+        a = const("a")
+        assert Not(Atom("P", (a,))) is Not(Atom("P", (a,)))
+        assert Top() is TOP and Bottom() is BOTTOM
+        assert Atom("Q") is Atom("Q", ())
+        assert And(TOP, BOTTOM) is not Or(TOP, BOTTOM)
+
+    @given(quantified_formulas_strategy())
+    def test_hash_is_the_dataclass_hash(self, f):
+        assert hash(f) == hash(as_dataclass(f))
+
+    def test_hash_is_the_dataclass_hash_for_each_class(self):
+        p = Atom("P", (Var("x"), const("a")))
+        fs = [p, Eq(Var("x"), const("a")), TOP, BOTTOM, Not(p), And(p, TOP)]
+        fs += [Or(p, BOTTOM), Imp(p, p), QuantBlock("all", ("x",), p)]
+        assert {f.__class__ for f in fs} == set(_DATACLASSES)
+        for f in fs:
+            assert hash(f) == hash(as_dataclass(f))
+
+    @given(quantified_formulas_strategy())
+    def test_key_matches_reference(self, f):
+        assert f.key == reference_formula_key(f)
+
+    @given(quantified_formulas_strategy())
+    def test_pickle_round_trip(self, f):
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    @given(quantified_formulas_strategy())
+    def test_attributes_cannot_be_assigned(self, f):
+        for name in ["key", "_hash", "body", "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+
+    def test_equality_and_hashing_do_not_walk_the_formula(self):
+        depth = 5 * sys.getrecursionlimit()
+        f, g = _not_chain(depth), _not_chain(depth)
+        assert f is g and f == g
+        assert {f: 1}[g] == 1
+        assert f != _not_chain(depth - 1)
+
+    def test_dead_formulas_leave_the_table(self):
+        gc.collect()
+        before = len(_table)
+        c = App("fresh", ())
+        f = And(Atom("Fresh", (c,)), Not(Eq(Var("fresh"), c)))
+        assert len(_table) == before + 6
+        del c, f
+        gc.collect()
+        assert len(_table) == before
 
 
 class TestConstructors:
@@ -203,7 +316,7 @@ class TestRendering:
 
     @given(formulas_strategy(), formulas_strategy())
     def test_formula_key_separates_distinct_formulas(self, f, g):
-        assert (formula_key(f) == formula_key(g)) == (f == g)
+        assert (f.key == g.key) == (f == g)
 
     @given(formulas_strategy())
     def test_render_is_deterministic(self, f):

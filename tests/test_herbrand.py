@@ -14,12 +14,13 @@ from cutintro.herbrand import (
     herbrand_sequent,
     instance_formulas,
 )
-from cutintro.euf import Verdict, decide_validity
+from cutintro.euf import Verdict
 from cutintro.parser import parse_input
 from cutintro.terms import App, Var, alpha, const, is_tag_head, tag_head
 
 import gen
 from gen import subterms
+from oracles import decide_validity
 
 
 class TestEncoding:

@@ -13,7 +13,7 @@ import pytest
 
 from cutintro.cnf import cnf_of_formulas
 from cutintro.cutformula import canonical_solution, sf_improve
-from cutintro.euf import InternalOracle, Verdict, decide_validity
+from cutintro.euf import InternalOracle, Verdict
 from cutintro.formulas import Atom, Eq
 from cutintro.pipeline import RunConfig, run_pipeline
 from cutintro.sequents import Sequent
@@ -21,6 +21,7 @@ from cutintro.smt import CommandOracle, export_smt2
 from cutintro.terms import App, Var, const
 
 import gen
+from oracles import decide_validity
 from test_euf import wide_sequent
 
 a, b = const("a"), const("b")
@@ -249,6 +250,30 @@ class TestCommandOracle:
         else:
             o = CommandOracle(stub, 0.2)
             assert o.validity(Sequent((), ())) is Verdict.UNKNOWN
+        pid = int(pid_file.read_text())
+        end = time.monotonic() + 1
+        while _running(pid) and time.monotonic() < end:
+            time.sleep(0.02)
+        assert not _running(pid)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="needs /proc"
+    )
+    @pytest.mark.parametrize(
+        "answer, verdict", [("unsat", Verdict.VALID), ("flurble", Verdict.UNKNOWN)]
+    )
+    def test_answer_counts_while_a_child_holds_the_output(
+        self, tmp_path, answer, verdict
+    ):
+        # The solver answers and exits, but a process it started still
+        # holds its stdout, so end of file does not come for 2 s.
+        pid_file = tmp_path / "child.pid"
+        stub = self._stub(
+            tmp_path, f"sleep 2 & echo $! > {pid_file}; echo {answer}"
+        )
+        start = time.monotonic()
+        assert CommandOracle(stub, 1.0).validity(Sequent((), ())) is verdict
+        assert time.monotonic() - start < 0.5
         pid = int(pid_file.read_text())
         end = time.monotonic() + 1
         while _running(pid) and time.monotonic() < end:
