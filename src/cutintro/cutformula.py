@@ -106,6 +106,12 @@ class SchematicEHS:
         """Clause form of Γ' ∧ ¬⋁Δ'; raises CnfBlowup past the cap."""
         return cnf_of_formulas(self.gamma, self.delta)
 
+    @cached_property
+    def _instances(self) -> dict:
+        """Each clause's instances under the rows W, kept as long as this
+        sequent once ``guard_clauses`` has met the clause."""
+        return {}
+
 
 def build_schematic_ehs(
     s: Sequent, u: HerbrandStructure, w: Iterable[tuple]
@@ -156,7 +162,16 @@ class SolutionCandidate:
 
     formula: Formula
     clauses: CNF
-    provenance: tuple  # of str
+    steps: tuple = ()  # forgetful steps (clause, clause, result) taken
+
+    @property
+    def provenance(self) -> tuple[str, ...]:
+        """"canonical", then each step as "[ci] + [cj] => [new]"."""
+        show = lambda c: render_formula(clause_formula(c))
+        return ("canonical",) + tuple(
+            f"[{show(ci)}] + [{show(cj)}] => [{show(new)}]"
+            for ci, cj, new in self.steps
+        )
 
     @property
     def size(self) -> int:
@@ -173,18 +188,18 @@ def canonical_solution(e: SchematicEHS) -> SolutionCandidate:
         parts.append(conj(list(e.gamma)))
     if e.delta:
         parts.append(Not(disj(list(e.delta))))
-    return SolutionCandidate(
-        formula=conj(parts), clauses=e.side_clauses, provenance=("canonical",)
-    )
+    return SolutionCandidate(formula=conj(parts), clauses=e.side_clauses)
 
 
 def guard_clauses(e: SchematicEHS, clauses: CNF) -> CNF:
     """A(w̄₁), .., A(w̄_k), Γ' ⊢ Δ' as a clause set to refute, where
     ``clauses`` is the clause form of A(ᾱ)."""
-    out = set(e.side_clauses)
-    for row in e.w:
-        out |= subst_clauses(clauses, alpha_subst(row))
-    return frozenset(out)
+    known = e._instances
+    for c in clauses - known.keys():
+        known[c] = frozenset().union(
+            *(subst_clauses([c], alpha_subst(row)) for row in e.w)
+        )
+    return e.side_clauses.union(*[known[c] for c in clauses])
 
 
 def _negated(c: Clause) -> CNF:
@@ -291,7 +306,7 @@ def _forget_moves(cnf: CNF) -> Iterator[tuple[CNF, tuple]]:
     seen: set[CNF] = set()
     for i in range(len(clauses)):
         for j in range(i + 1, len(clauses)):
-            rest = frozenset(clauses) - {clauses[i], clauses[j]}
+            rest = cnf - {clauses[i], clauses[j]}
             for new in _pair_successors(clauses[i], clauses[j]):
                 succ = _normalize(rest | {new})
                 if succ in seen:
@@ -300,25 +315,16 @@ def _forget_moves(cnf: CNF) -> Iterator[tuple[CNF, tuple]]:
                 yield succ, (clauses[i], clauses[j], new)
 
 
-def _step_text(ci: Clause, cj: Clause, new: Clause) -> str:
-    return (
-        f"[{render_formula(clause_formula(ci))}] + "
-        f"[{render_formula(clause_formula(cj))}] => "
-        f"[{render_formula(clause_formula(new))}]"
-    )
-
-
-def _prune_alpha_free(cnf: CNF) -> CNF:
-    """Drop clauses with no schema variable.
+def _prune_alpha_free(cnf: CNF, known: dict) -> CNF:
+    """Drop clauses with no schema variable; ``known`` keeps, per clause,
+    whether it mentions one.
 
     Such clauses follow from Γ' (they were instantiated from it), so
     removing them preserves solutionhood while shrinking the formula.
     """
-    return frozenset(
-        c
-        for c in cnf
-        if any(any(is_alpha(v) for v in formula_vars(a)) for _, a in c)
-    )
+    for c in cnf - known.keys():
+        known[c] = any(any(is_alpha(v) for v in formula_vars(a)) for _, a in c)
+    return frozenset(c for c in cnf if known[c])
 
 
 @dataclass
@@ -345,31 +351,32 @@ def sf_improve(
     the pipeline tries them in ``SolutionCandidate.sort_key`` order,
     smallest first.
     """
-    entry = _prune_alpha_free(simplify_clauses(cand.clauses))
+    mentions_alpha: dict = {}
+    entry = _prune_alpha_free(simplify_clauses(cand.clauses), mentions_alpha)
     seen: set[CNF] = {entry}
-    stack: list[tuple[CNF, tuple]] = [(entry, cand.provenance)]
+    stack: list[tuple[CNF, tuple]] = [(entry, cand.steps)]
     results: list[SolutionCandidate] = []
     visited = 0
     capped = False
     while stack:
         if cancel is not None:
             cancel()
-        node, prov = stack.pop()
+        node, steps = stack.pop()
         visited += 1
         results.append(
             SolutionCandidate(
-                formula=formula_of_cnf(node), clauses=node, provenance=prov
+                formula=formula_of_cnf(node), clauses=node, steps=steps
             )
         )
         if visited >= node_cap:
             capped = True
             break
         for succ, move in _forget_moves(node):
-            succ = _prune_alpha_free(succ)
+            succ = _prune_alpha_free(succ, mentions_alpha)
             if succ in seen:
                 continue
             seen.add(succ)
             if oracle.refutation(guard_clauses(e, succ)) is Verdict.VALID:
-                stack.append((succ, prov + (_step_text(*move),)))
+                stack.append((succ, steps + (move,)))
     return SFResult(candidates=results, visited=visited, capped=capped)
 

@@ -9,16 +9,19 @@ loop: a DPLL search enumerates propositional models of the clauses, a
 congruence closure checks each model, and a conflict core becomes a
 blocking clause.  Free variables are treated as uninterpreted constants.
 
-Each query interns its ground terms into the closure once; checking a
-model resets the union-find and merges the model's true equations.  The
-closure records why it merged two classes (an asserted equation, or the
-congruence of two applications) as an edge of a proof forest, and the
-conflict core is read off the forest's path between the clashing terms
-(Nieuwenhuis and Oliveras, "Fast congruence closure and extensions",
-2007).  The search is iterative, with a trail and two watched literals
-per clause (Eén and Sörensson, MiniSat, 2003): it keeps its assignments
-across blocking clauses, which join the watched clauses, and resumes
-after backjumping below the clause's highest decision level.
+The internal oracle keeps one term table and closure per run, which
+interns each ground term once; checking a model resets the union-find
+and merges the model's true equations.  Terms of earlier queries may
+join classes, but congruence among a query's own terms, and so its
+verdict, stays the same.  The closure records why it merged two classes
+(an asserted equation, or the congruence of two applications) as an
+edge of a proof forest, and the conflict core is read off the forest's
+path between the clashing terms (Nieuwenhuis and Oliveras, "Fast
+congruence closure and extensions", 2007).  The search is iterative,
+with a trail and two watched literals per clause (Eén and Sörensson,
+MiniSat, 2003): it keeps its assignments across blocking clauses, which
+join the watched clauses, and resumes after backjumping below the
+clause's highest decision level.
 
 All entry points return a three-valued Verdict; resource exhaustion (a
 clause form past its literal cap, or the step budget) is reported as
@@ -37,7 +40,7 @@ from .cnf import (
     cnf_of_formulas,
     simplify_clauses,
 )
-from .formulas import Atom, Eq
+from .formulas import Eq
 from .sequents import Sequent
 from .terms import Term, Var
 
@@ -76,59 +79,70 @@ class CongruenceClosure:
     congruence of two applications.  ``explain`` reads off that forest
     the labels of the asserted equations that entail an equality.
     ``reset`` forgets the merges but keeps the interned terms, so one
-    closure serves every model of a query.
+    closure serves every model of every query of a run.
     """
 
     def __init__(self) -> None:
         self._ids: dict[Term, int] = {}
+        self._atoms: dict = {}
         self._node: list[tuple[object, tuple[int, ...]]] = []
-        self._parent: list[int] = []
-        self._size: list[int] = []
-        self._use: list[list[int]] = []  # apps that mention a representative
-        self._sig: dict[tuple[object, tuple[int, ...]], int] = {}
-        self._edge: list[int] = []  # proof forest: neighbour towards the root
-        self._why: list[object] = []  # reason of the edge to that neighbour
+        self.reset()
+
+    def atom(self, atom) -> tuple:
+        """(lhs id, rhs id) of an equation, (predicate, argument ids) of a
+        predicate atom; the atom's terms are interned on its first call."""
+        ids = self._atoms.get(atom)
+        if ids is None:
+            if isinstance(atom, Eq):
+                ids = (self.intern(atom.lhs), self.intern(atom.rhs))
+            else:
+                ids = (atom.pred, tuple([self.intern(t) for t in atom.args]))
+            self._atoms[atom] = ids
+        return ids
 
     def intern(self, t: Term) -> int:
-        known = self._ids.get(t)
-        if known is not None:
-            return known
-        if isinstance(t, Var):
-            # Its own head: a free variable is a constant of its own,
+        """The id of t; its subterms are interned first."""
+        ids, stack = self._ids, [t]
+        while stack:
+            x = stack.pop()
+            if x in ids:
+                continue
+            # A free variable is its own head: a constant of its own,
             # never the constant that shares its name.
-            head, args = t, ()
-        else:
-            head, args = t.head, tuple([self.intern(a) for a in t.args])
-        i = len(self._node)
-        self._ids[t] = i
-        self._node.append((head, args))
-        self._parent.append(i)
-        self._size.append(1)
-        self._use.append([])
-        self._edge.append(-1)
-        self._why.append(None)
-        roots = tuple(self.find(a) for a in args)
-        twin = self._sig.get((head, roots))
-        if twin is None:
-            self._sig[(head, roots)] = i
-        for a in roots:
-            self._use[a].append(i)
-        if twin is not None and self.find(twin) != i:
-            self.merge(i, twin, _Congruence(i, twin))
-        return i
+            head, args = (x, ()) if isinstance(x, Var) else (x.head, x.args)
+            todo = [a for a in args if a not in ids]
+            if todo:
+                stack += [x, *todo]
+                continue
+            i = ids[x] = len(self._node)
+            args = tuple([ids[a] for a in args])
+            self._node.append((head, args))
+            self._parent.append(i)
+            self._size.append(1)
+            self._use.append([])
+            self._edge.append(-1)
+            self._why.append(None)
+            roots = tuple(self.find(a) for a in args)
+            twin = self._sig.get((head, roots))
+            if twin is None:
+                self._sig[(head, roots)] = i
+            for a in roots:
+                self._use[a].append(i)
+            if twin is not None and self.find(twin) != i:
+                self.merge(i, twin, _Congruence(i, twin))
+        return ids[t]
 
     def reset(self) -> None:
         """Forget every merge; the interned terms stay."""
         n = len(self._node)
         self._parent = list(range(n))
         self._size = [1] * n
-        self._use = [[] for _ in range(n)]
-        self._sig = {}
-        self._edge = [-1] * n
-        self._why = [None] * n
-        for i, node in enumerate(self._node):
-            self._sig[node] = i
-            for a in node[1]:
+        self._use = [[] for _ in range(n)]  # apps mentioning a representative
+        self._sig = dict(zip(self._node, range(n)))
+        self._edge = [-1] * n  # proof forest: neighbour towards the root
+        self._why = [None] * n  # reason of the edge to that neighbour
+        for i, (_, args) in enumerate(self._node):
+            for a in args:
                 self._use[a].append(i)
 
     def find(self, i: int) -> int:
@@ -389,22 +403,6 @@ class _Search:
         return None
 
 
-def _intern_atoms(atoms: list) -> tuple:
-    """A closure over the atoms' terms, with the atoms as id tuples."""
-    cc = CongruenceClosure()
-    eqs = [
-        (v, cc.intern(a.lhs), cc.intern(a.rhs))
-        for v, a in enumerate(atoms, 1)
-        if isinstance(a, Eq)
-    ]
-    preds = [
-        (v, a.pred, tuple([cc.intern(t) for t in a.args]))
-        for v, a in enumerate(atoms, 1)
-        if isinstance(a, Atom)
-    ]
-    return cc, eqs, preds
-
-
 def _theory_conflict(
     cc: CongruenceClosure,
     eqs: list[tuple[int, int, int]],
@@ -444,53 +442,42 @@ def _theory_conflict(
     return None
 
 
-def _decide_clauses(
-    cnf: CNF,
-    *,
-    budget: _Budget,
-    cancel: Optional[Callable[[], None]] = None,
-) -> Verdict:
-    """VALID iff the clause set is unsatisfiable (modulo equality)."""
-    atoms = sorted(
-        {atom for c in cnf for _, atom in c}, key=lambda atom: atom.key
-    )
-    index = {atom: i + 1 for i, atom in enumerate(atoms)}
-    clauses = sorted(
-        sorted((index[a] if s else -index[a] for s, a in c), key=abs)
-        for c in cnf
-    )
-    if any(not c for c in clauses):
-        return Verdict.VALID
-    search = _Search(clauses, len(atoms), budget, cancel)
-    graph = None
-    while True:
-        model = search.next_model()
-        if model is None:
-            return Verdict.VALID
-        if graph is None:
-            graph = _intern_atoms(atoms)
-        blocking = _theory_conflict(*graph, model)
-        if blocking is None:
-            return Verdict.INVALID
-        budget.spend(len(blocking))
-        search.block(blocking)
-
-
 def _refute(
     clauses: CNF,
+    closure: CongruenceClosure,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
     cancel: Optional[Callable[[], None]] = None,
 ) -> Verdict:
-    """VALID iff the clause set is unsatisfiable modulo equality."""
+    """VALID iff the clause set is unsatisfiable modulo equality, UNKNOWN
+    past the step cap; models are checked in ``closure``."""
+    cnf = simplify_clauses(clauses, cancel)
+    atoms = sorted({a for c in cnf for _, a in c}, key=lambda a: a.key)
+    index = {atom: i + 1 for i, atom in enumerate(atoms)}
+    ints = sorted(
+        sorted((index[a] if s else -index[a] for s, a in c), key=abs)
+        for c in cnf
+    )
+    if any(not c for c in ints):
+        return Verdict.VALID
+    budget = _Budget(step_cap)
+    eqs = preds = None
     try:
-        return _decide_clauses(
-            simplify_clauses(clauses, cancel),
-            budget=_Budget(step_cap),
-            cancel=cancel,
-        )
+        search = _Search(ints, len(atoms), budget, cancel)
+        while (model := search.next_model()) is not None:
+            if eqs is None:
+                eqs, preds = [], []
+                for v, atom in enumerate(atoms, 1):
+                    ids = closure.atom(atom)
+                    (eqs if isinstance(atom, Eq) else preds).append((v, *ids))
+            blocking = _theory_conflict(closure, eqs, preds, model)
+            if blocking is None:
+                return Verdict.INVALID
+            budget.spend(len(blocking))
+            search.block(blocking)
     except OracleLimit:
         return Verdict.UNKNOWN
+    return Verdict.VALID
 
 
 @dataclass(eq=False)
@@ -535,5 +522,11 @@ class Oracle:
 
 @dataclass
 class InternalOracle(Oracle):
+    """The loop of this module, with one term table and closure per run."""
+
+    _closure: CongruenceClosure = field(
+        default_factory=CongruenceClosure, init=False, repr=False
+    )
+
     def _decide(self, clauses: CNF) -> Verdict:
-        return _refute(clauses, cancel=self.cancel)
+        return _refute(clauses, self._closure, cancel=self.cancel)

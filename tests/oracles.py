@@ -23,7 +23,7 @@ import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 from cutintro.cnf import DEFAULT_CNF_CAP, CnfBlowup, cnf_of_formulas
-from cutintro.euf import DEFAULT_STEP_CAP, Verdict, _refute
+from cutintro.euf import DEFAULT_STEP_CAP, CongruenceClosure, Verdict, _refute
 from cutintro.formulas import (
     And,
     Atom,
@@ -492,7 +492,9 @@ def decide_validity(
         clauses = cnf_of_formulas(seq.ante, seq.succ, cnf_cap, cancel)
     except CnfBlowup:
         return Verdict.UNKNOWN
-    return _refute(clauses, step_cap=step_cap, cancel=cancel)
+    return _refute(
+        clauses, CongruenceClosure(), step_cap=step_cap, cancel=cancel
+    )
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import cutintro.cutformula as cutformula
 from cutintro.cutformula import (
     SchemaError,
     SolutionCandidate,
@@ -28,6 +29,7 @@ from cutintro.formulas import (
     Not,
     Or,
     apply_subst,
+    formula_vars,
     render_formula,
 )
 from cutintro.herbrand import (
@@ -40,7 +42,7 @@ from cutintro.herbrand import (
 from cutintro.parser import parse_input
 from cutintro.proofs import build_proof_with_cut
 from cutintro.sequents import Sequent
-from cutintro.terms import App, Var, alpha, alpha_subst, const
+from cutintro.terms import App, Var, alpha, alpha_subst, const, is_alpha
 
 import gen
 import oracles
@@ -283,6 +285,41 @@ class TestSFImprove:
         assert golden_sf.visited == 192
         assert not golden_sf.capped
         assert len(golden_sf.candidates) == golden_sf.visited
+
+    def test_memos_match_their_definitions(self, golden_ehs, monkeypatch):
+        # Every guard the bundled search asks is read from the sequent's
+        # instance memo, and every pruning from the search's α memo; each
+        # equals the definition it stands for.
+        guards, prunes = [], []
+        guard, prune = cutformula.guard_clauses, cutformula._prune_alpha_free
+
+        def recording_guard(e, clauses):
+            got = guard(e, clauses)
+            guards.append((clauses, got))
+            return got
+
+        def recording_prune(cnf, memo):
+            got = prune(cnf, memo)
+            prunes.append((cnf, got))
+            return got
+
+        monkeypatch.setattr(cutformula, "guard_clauses", recording_guard)
+        monkeypatch.setattr(cutformula, "_prune_alpha_free", recording_prune)
+        res = sf_improve(
+            golden_ehs, canonical_solution(golden_ehs), InternalOracle()
+        )
+        assert res.visited == 192 and len(guards) >= 350
+        substs = [alpha_subst(row) for row in golden_ehs.w]
+        for clauses, got in guards:
+            assert got == golden_ehs.side_clauses.union(
+                *(subst_clauses(clauses, m) for m in substs)
+            )
+        for cnf, got in prunes:
+            assert got == frozenset(
+                c
+                for c in cnf
+                if any(any(is_alpha(v) for v in formula_vars(x)) for _, x in c)
+            )
 
     def test_golden_best_candidate(self, golden_sf):
         best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)

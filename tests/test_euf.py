@@ -12,7 +12,6 @@ import cutintro.euf as euf
 from cutintro.cnf import simplify_clauses
 from cutintro.cutformula import canonical_solution, sf_improve
 from cutintro.euf import (
-    DEFAULT_STEP_CAP,
     CongruenceClosure,
     InternalOracle,
     Oracle,
@@ -213,6 +212,28 @@ class TestAgainstReferenceSolver:
     as the restart search with deletion-minimized cores did, and never
     finds the same blocking clause twice in one query."""
 
+    @pytest.fixture(scope="class")
+    def bundled(self, golden_ehs):
+        """The clause sets sf_improve asks on the bundled example."""
+        rec = _Recording(InternalOracle())
+        sf_improve(golden_ehs, canonical_solution(golden_ehs), rec)
+        assert len(rec.clause_sets) >= 350
+        return rec.clause_sets
+
+    @pytest.fixture(scope="class")
+    def random_sets(self):
+        return [
+            gen.random_ground_clauses(random.Random(seed)) for seed in range(150)
+        ]
+
+    @pytest.fixture(scope="class")
+    def reference(self, bundled, random_sets):
+        """Each clause set's reference verdict: True iff unsatisfiable."""
+        return {
+            cnf: oracles.reference_decide_clauses(simplify_clauses(cnf))
+            for cnf in bundled + random_sets
+        }
+
     @pytest.fixture
     def blocking(self, monkeypatch):
         found: list = []
@@ -228,36 +249,48 @@ class TestAgainstReferenceSolver:
         return found
 
     @staticmethod
-    def _agree(cnf, blocking):
+    def _agree(cnf, closure, blocking, want):
         blocking.clear()
-        got = euf._decide_clauses(cnf, budget=euf._Budget(DEFAULT_STEP_CAP))
+        got = euf._refute(cnf, closure)
         assert got is not Verdict.UNKNOWN
         assert len(set(blocking)) == len(blocking)
-        want = oracles.reference_decide_clauses(cnf)
         assert (got is Verdict.VALID) == want
         return want
 
-    def test_bundled_example_queries(self, golden_ehs, blocking):
-        rec = _Recording(InternalOracle())
-        sf_improve(golden_ehs, canonical_solution(golden_ehs), rec)
-        assert len(rec.clause_sets) >= 350
+    def test_bundled_example_queries(self, bundled, reference, blocking):
+        closure = CongruenceClosure()
         outcomes = {
-            self._agree(simplify_clauses(cnf), blocking)
-            for cnf in rec.clause_sets
+            self._agree(cnf, closure, blocking, reference[cnf])
+            for cnf in bundled
         }
         assert outcomes == {True, False}
 
-    def test_random_clause_sets(self, blocking):
+    def test_random_clause_sets(self, random_sets, reference, blocking):
+        closure = CongruenceClosure()
         outcomes = set()
         conflicts = 0
-        for seed in range(150):
-            cnf = gen.random_ground_clauses(random.Random(seed))
+        for cnf in random_sets:
             atoms = {atom for clause in cnf for _, atom in clause}
             assert 10 <= len(atoms) <= 30
-            outcomes.add(self._agree(cnf, blocking))
+            outcomes.add(self._agree(cnf, closure, blocking, reference[cnf]))
             conflicts += len(blocking)
         assert outcomes == {True, False}
         assert conflicts >= 200
+
+    def test_one_oracle_answers_a_sequence_as_fresh_ones(
+        self, bundled, random_sets, reference
+    ):
+        # One oracle keeps its closure and atom table across queries;
+        # whatever an earlier query left there, in either order, no
+        # verdict differs from a fresh oracle's or the reference's.
+        sequence = bundled + random_sets
+        fresh = {cnf: InternalOracle().refutation(cnf) for cnf in sequence}
+        for order in (sequence, sequence[::-1]):
+            one = InternalOracle()
+            for cnf in order:
+                got = one.refutation(cnf)
+                assert got is fresh[cnf]
+                assert (got is Verdict.VALID) == reference[cnf]
 
 
 class TestDecideValidity:
@@ -419,6 +452,19 @@ class TestInternalOracle:
             {frozenset({(True, P)}), frozenset({(False, P)})}
         )
         assert o.refutation(clauses) is Verdict.VALID
+
+    def test_terms_are_interned_at_the_first_theory_check(self):
+        # Refuted without a model: the closure stays empty.  The first
+        # model to check interns the atoms' terms, each once.
+        o = InternalOracle()
+        E = Eq(f(a), b)
+        closure = o._closure
+        o.refutation(frozenset({frozenset({(True, E)}), frozenset({(False, E)})}))
+        assert closure._node == []
+        o.refutation(frozenset({frozenset({(True, E)})}))
+        assert len(closure._node) == 3
+        o.refutation(frozenset({frozenset({(True, Eq(f(a), c))})}))
+        assert len(closure._node) == 4
 
     def test_refutation_of_satisfiable_clauses(self):
         o = InternalOracle()
