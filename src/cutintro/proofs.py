@@ -14,7 +14,9 @@ oracle-certified quantifier-free leaf, cut, contraction and weakening.
 ``build_proof_with_cut`` assembles the standard two-branch shape around
 a solution of a schematic extended Herbrand sequent; ``check_proof``
 re-verifies every inference from scratch, consulting the validity
-oracle only at the leaves.
+oracle only at the leaves.  ``proof_to_json`` writes ``proof.json``,
+a flat table, and ``proof_from_json`` reads it.  Writing, reading and
+checking keep their own stacks, so a proof may have any number of steps.
 
 Sides of a sequent are compared as multisets throughout: the inference
 rules never depend on formula order.
@@ -39,13 +41,14 @@ from .formulas import (
 )
 from .sequents import Sequent, prefix
 from .serialize import (
-    formula_from_json,
-    formula_to_json,
-    name_from_json,
-    sequent_from_json,
-    sequent_to_json,
-    term_from_json,
-    term_to_json,
+    entries_from_json,
+    index_from_json,
+    names_from_json,
+    node_from_json,
+    node_to_json,
+    slot_from_json,
+    slots_from_json,
+    tree_size,
 )
 from .terms import Var, alpha, alpha_subst, render_term, tuple_key
 
@@ -232,75 +235,92 @@ def build_proof_with_cut(
 # checking
 
 
-def _check(node: Inference, oracle: Oracle, path: str) -> None:
-    rule = _RULES.get(node.rule)
-    if rule is None:
-        raise ProofCheckError(f"{path}: unknown rule {node.rule!r}")
-    if len(node.premises) != len(rule.premises):
-        raise ProofCheckError(
-            f"{path}: {node.rule} takes {len(rule.premises)} premises, "
-            f"not {len(node.premises)}"
-        )
-    for name, premise in zip(rule.premises, node.premises):
-        _check(premise, oracle, f"{path}.{name}")
+def _check(root: Inference, oracle: Oracle) -> None:
+    """Check every inference, each after its premises in rule order; the
+    first failure raises, located by its path from the root."""
+    # (inference, its premise name, premises checked?): the checked ones
+    # on the stack are the ancestors of the inference at hand.
+    stack: list = [(root, "root", False)]
+    while stack:
+        node, name, ready = stack.pop()
+        try:
+            if ready:
+                _check_inference(node, oracle)
+                continue
+            rule = _RULES.get(node.rule)
+            if rule is None:
+                raise ProofCheckError(f"unknown rule {node.rule!r}")
+            if len(node.premises) != len(rule.premises):
+                raise ProofCheckError(
+                    f"{node.rule} takes {len(rule.premises)} premises, "
+                    f"not {len(node.premises)}"
+                )
+        except ProofCheckError as err:
+            path = [n for _, n, up in stack if up] + [name]
+            raise ProofCheckError(f"{'.'.join(path)}: {err}") from None
+        stack.append((node, name, True))
+        named = tuple(zip(rule.premises, node.premises))
+        stack.extend((q, n, False) for n, q in reversed(named))
+
+
+def _check_inference(node: Inference, oracle: Oracle) -> None:
+    """Check one inference whose premises are well formed."""
+    rule = _RULES[node.rule]
     c = node.conclusion
 
     if node.rule == "oracle":
         for f in tuple(c.ante) + tuple(c.succ):
             if not is_quantifier_free(f):
                 raise ProofCheckError(
-                    f"{path}: leaf contains a quantifier: {render_formula(f)}"
+                    f"leaf contains a quantifier: {render_formula(f)}"
                 )
         v = oracle.validity(c)
         if v is Verdict.INVALID:
-            raise ProofCheckError(f"{path}: leaf is not valid: {c.render()}")
+            raise ProofCheckError(f"leaf is not valid: {c.render()}")
         if v is Verdict.UNKNOWN:
-            raise ProofCheckError(
-                f"{path}: leaf could not be certified: {c.render()}"
-            )
+            raise ProofCheckError(f"leaf could not be certified: {c.render()}")
         return
 
     if rule.kind:
         q = node.formula
         if not isinstance(q, QuantBlock) or q.kind != rule.kind:
             raise ProofCheckError(
-                f"{path}: {render_formula(q)} is not a "
+                f"{render_formula(q)} is not a "
                 f"{'∀' if rule.kind == 'all' else '∃'} block"
             )
         if len(q.vars) != len(node.terms):
             raise ProofCheckError(
-                f"{path}: block instantiates {len(q.vars)} variables "
+                f"block instantiates {len(q.vars)} variables "
                 f"with {len(node.terms)} terms"
             )
         if node.rule == "forall_r":
             eigen = {t.name for t in node.terms if isinstance(t, Var)}
             if len(eigen) != len(node.terms):
-                raise ProofCheckError(f"{path}: malformed eigenvariable list")
+                raise ProofCheckError("malformed eigenvariable list")
             for f in tuple(c.ante) + tuple(c.succ):
                 stale = formula_vars(f) & eigen
                 if stale:
                     raise ProofCheckError(
-                        f"{path}: eigenvariable {min(stale)} occurs in "
-                        f"the conclusion"
+                        f"eigenvariable {min(stale)} occurs in the conclusion"
                     )
         try:
             instance = apply_subst(q.body, dict(zip(q.vars, node.terms)))
         except ValueError as err:  # a term would be captured
-            raise ProofCheckError(f"{path}: {err}") from None
+            raise ProofCheckError(str(err)) from None
         p = node.premises[0].conclusion
         passive = "succ" if rule.side == "ante" else "ante"
         if Counter(getattr(p, passive)) != Counter(getattr(c, passive)):
-            raise ProofCheckError(f"{path}: passive side changed")
+            raise ProofCheckError("passive side changed")
         before = Counter(getattr(p, rule.side))
         if before[instance] < 1:
             raise ProofCheckError(
-                f"{path}: premise lacks instance {render_formula(instance)}"
+                f"premise lacks instance {render_formula(instance)}"
             )
         before[instance] -= 1
         before[q] += 1
         if before != Counter(getattr(c, rule.side)):
             raise ProofCheckError(
-                f"{path}: conclusion does not replace the instance by "
+                "conclusion does not replace the instance by "
                 f"{render_formula(q)}"
             )
         return
@@ -311,18 +331,18 @@ def _check(node: Inference, oracle: Oracle, path: str) -> None:
         ls, ra = Counter(l.succ), Counter(r.ante)
         if ls[cf] < 1:
             raise ProofCheckError(
-                f"{path}: cut formula missing from the left succedent"
+                "cut formula missing from the left succedent"
             )
         if ra[cf] < 1:
             raise ProofCheckError(
-                f"{path}: cut formula missing from the right antecedent"
+                "cut formula missing from the right antecedent"
             )
         ls[cf] -= 1
         ra[cf] -= 1
         if Counter(c.ante) != Counter(l.ante) + ra:
-            raise ProofCheckError(f"{path}: antecedents do not join")
+            raise ProofCheckError("antecedents do not join")
         if Counter(c.succ) != ls + Counter(r.succ):
-            raise ProofCheckError(f"{path}: succedents do not join")
+            raise ProofCheckError("succedents do not join")
         return
 
     p = node.premises[0].conclusion
@@ -333,17 +353,11 @@ def _check(node: Inference, oracle: Oracle, path: str) -> None:
         pc, cc = Counter(pside), Counter(cside)
         if node.rule == "weaken":
             if any(pc[f] > cc[f] for f in pc):
-                raise ProofCheckError(
-                    f"{path}: weakening drops a {label} formula"
-                )
+                raise ProofCheckError(f"weakening drops a {label} formula")
         elif set(pc) != set(cc):
-            raise ProofCheckError(
-                f"{path}: contraction changes the {label} support"
-            )
+            raise ProofCheckError(f"contraction changes the {label} support")
         elif any(cc[f] > pc[f] for f in cc):
-            raise ProofCheckError(
-                f"{path}: contraction increases a {label} count"
-            )
+            raise ProofCheckError(f"contraction increases a {label} count")
 
 
 def check_proof(p: Inference, oracle: Oracle) -> bool:
@@ -354,7 +368,7 @@ def check_proof(p: Inference, oracle: Oracle) -> bool:
 def check_proof_report(p: Inference, oracle: Oracle) -> tuple[bool, str]:
     """(True, "ok") or (False, message locating the first bad inference)."""
     try:
-        _check(p, oracle, "root")
+        _check(p, oracle)
     except ProofCheckError as err:
         return False, str(err)
     return True, "ok"
@@ -402,34 +416,113 @@ def render_proof(p: Inference) -> str:
 
 
 def proof_to_json(p: Inference) -> Any:
-    """The proof as plain dicts and lists, as ``proof.json`` holds it."""
-    rule = _RULES[p.rule]
-    d: dict = {"rule": p.rule, "conclusion": sequent_to_json(p.conclusion)}
-    if rule.formula:
-        d[rule.formula] = formula_to_json(p.formula)
-    if p.rule == "forall_r":
-        d["eigen"] = [t.name for t in p.terms]
-    elif rule.kind:
-        d["terms"] = [term_to_json(t) for t in p.terms]
-    for name, premise in zip(rule.premises, p.premises):
-        d[name] = proof_to_json(premise)
-    return d
+    """The proof as ``proof.json`` holds it: ``nodes``, the node table of
+    its formulas and terms (``serialize``), and ``proof``, its steps in
+    post-order, so the root is last.  A step has the keys that name the
+    rule and its parts in ``_RULES``, with node indexes for formulas and
+    terms and the indexes of earlier steps for premises."""
+    order, stack = [], [p]  # the steps in reverse post-order
+    while stack:
+        order.append(stack.pop())
+        stack.extend(order[-1].premises)
+    index: dict = {}
+    nodes: list = []
+    steps: list = []
+    done: list = []  # the indexes of the steps no step names yet
+    for inf in reversed(order):
+        rule = _RULES[inf.rule]
+        ante, succ = (
+            [node_to_json(f, index, nodes) for f in side]
+            for side in (inf.conclusion.ante, inf.conclusion.succ)
+        )
+        d = {"rule": inf.rule, "conclusion": {"ante": ante, "succ": succ}}
+        if rule.formula:
+            d[rule.formula] = node_to_json(inf.formula, index, nodes)
+        if inf.rule == "forall_r":
+            d["eigen"] = [t.name for t in inf.terms]
+        elif rule.kind:
+            d["terms"] = [node_to_json(t, index, nodes) for t in inf.terms]
+        if rule.premises:
+            n = len(rule.premises)
+            d.update(zip(rule.premises, done[-n:]))
+            del done[-n:]
+        done.append(len(steps))
+        steps.append(d)
+    return {"nodes": nodes, "proof": steps}
+
+
+# The most term and formula nodes a proof.json may hold once each step's
+# formulas and terms are written out as trees, as the nested format of
+# earlier versions wrote them.  The checker walks those trees, and a
+# table of n entries, each naming the one before twice, holds a formula
+# of 2^n nodes.
+MAX_TREE_NODES = 10**7
 
 
 def proof_from_json(d: Any) -> Inference:
-    if not isinstance(d, dict) or "rule" not in d:
-        raise ValueError(f"bad proof encoding: {d!r}")
-    name = d["rule"]
-    rule = _RULES.get(name) if isinstance(name, str) else None
-    if rule is None:
-        raise ValueError(f"unknown proof rule: {name!r}")
-    conclusion = sequent_from_json(d["conclusion"])
-    premises = tuple(proof_from_json(d[key]) for key in rule.premises)
-    formula = formula_from_json(d[rule.formula]) if rule.formula else None
-    if name == "forall_r":
-        terms = tuple(Var(name_from_json(x)) for x in d["eigen"])
-    elif rule.kind:
-        terms = tuple(term_from_json(t) for t in d["terms"])
-    else:
-        terms = ()
-    return Inference(name, conclusion, premises, formula, terms)
+    """The proof a ``proof.json`` holds: the table ``proof_to_json``
+    writes, or the nested object of earlier versions, read as one inline
+    root step.  Each step of a table but the root must be the premise of
+    exactly one later step."""
+    if not isinstance(d, dict):
+        raise ValueError(f"bad proof encoding: {type(d).__name__}")
+    nested = "rule" in d
+    nodes = [] if nested else entries_from_json(
+        d.get("nodes"), "nodes", node_from_json
+    )
+    used: set = set()  # the steps already named as premises
+    sizes: dict = {}
+    total = 0
+
+    def step(e: Any, steps: list) -> Inference:
+        """One step or inline step, over the steps read so far."""
+        nonlocal total
+        if not isinstance(e, dict):
+            raise ValueError(f"bad proof step: {type(e).__name__}")
+        name = e.get("rule")
+        rule = _RULES.get(name) if isinstance(name, str) else None
+        if rule is None:
+            raise ValueError(f"unknown proof rule: {name!r}")
+        c = e["conclusion"]
+        ante = slots_from_json(c["ante"], nodes, False)
+        succ = slots_from_json(c["succ"], nodes, False)
+        premises = []
+        for key in rule.premises:
+            x = e[key]
+            if isinstance(x, dict):
+                premises.append(step(x, steps))
+                continue
+            i = index_from_json(x, len(steps))
+            if i in used:
+                raise ValueError(f"step {i} is a premise twice")
+            used.add(i)
+            premises.append(steps[i])
+        formula = None
+        if rule.formula:
+            formula = slot_from_json(e[rule.formula], nodes, False)
+        if name == "forall_r":
+            terms = tuple(Var(x) for x in names_from_json(e["eigen"]))
+        elif rule.kind:
+            terms = slots_from_json(e["terms"], nodes, True)
+        else:
+            terms = ()
+        for f in (*ante, *succ, *terms, formula):
+            if f is not None:
+                total += tree_size(f, sizes)
+        if total > MAX_TREE_NODES:
+            raise ValueError(
+                f"the formulas and terms written out as trees pass "
+                f"{MAX_TREE_NODES} nodes"
+            )
+        conclusion = Sequent(ante, succ)
+        return Inference(name, conclusion, tuple(premises), formula, terms)
+
+    if nested:
+        return step(d, [])
+    steps = entries_from_json(d.get("proof"), "proof", step)
+    if not steps:
+        raise ValueError("the proof has no steps")
+    for i in range(len(steps) - 1):
+        if i not in used:
+            raise ValueError(f"proof[{i}]: a premise of no later step")
+    return steps[-1]

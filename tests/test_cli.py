@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cutintro.cli import main
-from cutintro.proofs import proof_to_json
+from cutintro.proofs import proof_from_json, proof_to_json
 
 import gen
 from gen import render_input
@@ -173,10 +173,8 @@ class TestCheck:
         capsys.readouterr()
         packed = json.loads((out / "proof.json").read_text())
         # Swap the final conclusion's sides: no rule concludes this.
-        packed["conclusion"]["ante"], packed["conclusion"]["succ"] = (
-            packed["conclusion"]["succ"],
-            packed["conclusion"]["ante"],
-        )
+        root = packed["proof"][-1]["conclusion"]
+        root["ante"], root["succ"] = root["succ"], root["ante"]
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(packed))
         code = main(["check", str(broken)])
@@ -203,37 +201,208 @@ class TestCheck:
         )
         assert err == ""
 
-    @pytest.mark.parametrize("field", ["var", "app", "atom", "vars", "eigen"])
+    # P(α1) ⊢ ∀x P(x) over the leaf P(α1) ⊢ P(α1), nested as earlier
+    # versions wrote it.
+    NESTED = {
+        "rule": "forall_r",
+        "conclusion": {
+            "ante": [{"atom": "P", "args": [{"var": "α1"}]}],
+            "succ": [
+                {
+                    "quant": "all",
+                    "vars": ["x"],
+                    "body": {"atom": "P", "args": [{"var": "x"}]},
+                }
+            ],
+        },
+        "quantified": {
+            "quant": "all",
+            "vars": ["x"],
+            "body": {"atom": "P", "args": [{"var": "x"}]},
+        },
+        "eigen": ["α1"],
+        "premise": {
+            "rule": "oracle",
+            "conclusion": {
+                "ante": [{"atom": "P", "args": [{"var": "α1"}]}],
+                "succ": [{"atom": "P", "args": [{"var": "α1"}]}],
+            },
+        },
+    }
+
+    def test_nested_file_of_earlier_versions_checks(self, tmp_path, capsys):
+        p = tmp_path / "proof.json"
+        p.write_text(json.dumps(self.NESTED))
+        assert main(["check", str(p)]) == 1
+        assert capsys.readouterr().out == (
+            "invalid: root: eigenvariable α1 occurs in the conclusion\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field", ["var", "app", "atom", "vars", "eigen", "nested"]
+    )
     def test_non_string_name_exits_two(self, tmp_path, field, capsys):
-        # Plain dicts, none shared: P(α1) ⊢ ∀x P(x) over the leaf
-        # P(α1) ⊢ P(α1).
-        packed = json.loads(json.dumps(proof_to_json(gen.unsound_forall_r())))
-        ante = packed["conclusion"]["ante"]
+        packed = proof_to_json(gen.unsound_forall_r())
+        # The table: α1, P(α1), x, P(x), ∀x P(x).
+        nodes = packed["nodes"]
+        assert [next(iter(d)) for d in nodes] == [
+            "var", "atom", "var", "atom", "quant"
+        ]
         if field == "var":
-            ante[0]["args"][0] = {"var": 5}
+            nodes[0]["var"] = 5
         elif field == "app":
-            ante[0]["args"][0] = {"app": 7, "args": []}
+            nodes[0] = {"app": 7, "args": []}
         elif field == "atom":
-            ante.append({"atom": 5, "args": []})
+            nodes[1]["atom"] = 5
         elif field == "vars":
-            packed["quantified"]["vars"] = [5]
+            nodes[4]["vars"] = [5]
+        elif field == "eigen":
+            packed["proof"][-1]["eigen"] = [5]
         else:
-            packed["eigen"] = [5]
+            packed = json.loads(json.dumps(self.NESTED))
+            packed["conclusion"]["ante"][0]["args"][0] = {"var": 5}
         p = tmp_path / "proof.json"
         p.write_text(json.dumps(packed))
         assert main(["check", str(p)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: cannot read proof: bad name encoding")
+        assert err.startswith("error: cannot read proof: ")
+        assert "bad name encoding: " in err
         assert err.count("\n") == 1
 
+    # A small table: the leaf P(a) ⊢ P(a), weakened to P(a), Q ⊢ P(a).
+    TABLE = {
+        "nodes": [
+            {"app": "a", "args": []},
+            {"atom": "P", "args": [0]},
+            {"atom": "Q", "args": []},
+        ],
+        "proof": [
+            {"rule": "oracle", "conclusion": {"ante": [1], "succ": [1]}},
+            {
+                "rule": "weaken",
+                "conclusion": {"ante": [1, 2], "succ": [1]},
+                "premise": 0,
+            },
+        ],
+    }
+
     @staticmethod
-    def _deep_formula_proof(golden_file, tmp_path, depth: int) -> str:
-        # The deep formula is spliced in as text: the json module's own
-        # encoder raises RecursionError on 10^4 nested objects.
-        out = tmp_path / "artifacts"
-        main(["run", str(golden_file), "--out", str(out)])
-        packed = json.loads((out / "proof.json").read_text())
+    def _malformed(case: str):
+        packed = json.loads(json.dumps(TestCheck.TABLE))
+        nodes, steps = packed["nodes"], packed["proof"]
+        if case == "forward":
+            nodes[1]["args"] = [2]
+        elif case == "self":
+            nodes[1]["args"] = [1]
+        elif case == "out_of_range":
+            steps[0]["conclusion"]["ante"] = [3]
+        elif case == "negative":
+            steps[1]["premise"] = -1
+        elif case == "true":
+            nodes[1]["args"] = [True]
+        elif case == "formula_in_args":
+            nodes[2]["args"] = [1]
+        elif case == "term_in_not":
+            nodes.append({"not": 0})
+        elif case == "premise_twice":
+            steps.append(
+                {
+                    "rule": "cut",
+                    "conclusion": {"ante": [1], "succ": [1]},
+                    "cut_formula": 1,
+                    "left": 0,
+                    "right": 0,
+                }
+            )
+            steps[1] = steps.pop()
+        elif case == "unused_step":
+            steps.insert(0, dict(steps[0]))
+            steps[2]["premise"] = 1
+        elif case == "exponential":
+            # Each entry names the one before twice: 2^60 nodes as a tree.
+            for i in range(2, 62):
+                nodes.append({"and": [i, i]})
+            steps[0]["conclusion"]["ante"] = [len(nodes) - 1]
+        elif case == "nodes_not_a_list":
+            packed["nodes"] = {"0": nodes[0]}
+        elif case == "proof_not_a_list":
+            packed["proof"] = steps[-1]
+        return packed
+
+    EARLIER = "does not name an earlier entry"
+    # Each malformed table and the one line `check` prints for it.
+    MALFORMED = {
+        "forward": f"nodes[1]: index 2 {EARLIER}",
+        "self": f"nodes[1]: index 1 {EARLIER}",
+        "out_of_range": f"proof[0]: index 3 {EARLIER}",
+        "negative": f"proof[1]: index -1 {EARLIER}",
+        "true": "nodes[1]: bad index: True",
+        "formula_in_args": "nodes[2]: a formula in a term slot",
+        "term_in_not": "nodes[3]: a term in a formula slot",
+        "premise_twice": "proof[1]: step 0 is a premise twice",
+        "unused_step": "proof[0]: a premise of no later step",
+        "exponential": "proof[0]: the formulas and terms written out as "
+        "trees pass 10000000 nodes",
+        "nodes_not_a_list": "'nodes' is not a list",
+        "proof_not_a_list": "'proof' is not a list",
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_table_exits_two(self, tmp_path, case, capsys):
+        p = tmp_path / "proof.json"
+        p.write_text(json.dumps(self.TABLE))
+        assert main(["check", str(p)]) == 0
+        p.write_text(json.dumps(self._malformed(case)))
+        capsys.readouterr()
+        assert main(["check", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot read proof: {self.MALFORMED[case]}\n"
+
+    def test_fuzzed_golden_never_escapes(self, tmp_path, capsys):
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "running_example" / "proof.json")
+            .read_text(encoding="utf-8")
+        )
+        n = len(golden["nodes"])
+        rng = random.Random(17)
+        pool = [None, True, False, -1, 0, 1, n - 1, n, 10**9, 2.5, "x", [], {}]
+        p = tmp_path / "proof.json"
+        codes = set()
+        for _ in range(300):
+            packed = json.loads(json.dumps(golden))
+            # Walk to a random container and change one of its slots.
+            parent, key = packed, rng.choice(list(packed))
+            while isinstance(parent[key], (dict, list)) and parent[key]:
+                if rng.random() < 0.3:
+                    break
+                parent = parent[key]
+                if isinstance(parent, dict):
+                    key = rng.choice(list(parent))
+                else:
+                    key = rng.randrange(len(parent))
+            how = rng.random()
+            if how < 0.15 and isinstance(parent, dict):
+                del parent[key]
+            elif how < 0.5 and type(parent[key]) is int:
+                parent[key] += rng.choice([-2, -1, 1, 2])
+            else:
+                parent[key] = rng.choice(pool + [rng.choice(golden["nodes"])])
+            p.write_text(json.dumps(packed))
+            code = main(["check", str(p)])
+            assert code in (0, 1, 2)
+            codes.add(code)
+        capsys.readouterr()
+        assert codes >= {1, 2}
+
+    @staticmethod
+    def _deep_nested_proof(depth: int) -> str:
+        # A nested file as earlier versions wrote it, with a deep formula
+        # spliced in as text: the json module's own encoder raises
+        # RecursionError on 10^4 nested objects.
+        data = Path(__file__).parent / "data" / "proof_indented.json"
+        packed = json.loads(data.read_text(encoding="utf-8"))
         packed["conclusion"]["ante"][0] = "DEEP"
         deep = '{"not": ' * depth + '{"atom": "P", "args": []}' + "}" * depth
         return json.dumps(packed).replace('"DEEP"', deep)
@@ -249,31 +418,55 @@ class TestCheck:
 
     @pytest.mark.parametrize("nesting", ["brackets", "formula"])
     def test_too_deep_proof_exits_two_without_traceback(
-        self, golden_file, tmp_path, nesting, capsys
+        self, tmp_path, nesting
     ):
         # 10^4 levels: the json module's decoder raises RecursionError.
         p = tmp_path / "deep.json"
         if nesting == "brackets":
             p.write_text("[" * 100_000)
         else:
-            p.write_text(self._deep_formula_proof(golden_file, tmp_path, 10**4))
-        capsys.readouterr()
+            p.write_text(self._deep_nested_proof(10**4))
         done = self._check(p)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: cannot check proof: it nests")
         assert done.stderr.count("\n") == 1
 
-    def test_deep_formula_gets_a_verdict(self, golden_file, tmp_path, capsys):
-        # 700 levels: formula equality and hashing are by identity, so
-        # the proof check compares the formula without walking it.
+    def test_deep_formula_gets_a_verdict(self, golden_file, tmp_path):
+        # A table holds the formula ~~...~P, 10^4 deep, one entry a level.
+        # Formula equality and hashing are by identity, so the proof check
+        # compares it without walking it.
+        out = tmp_path / "artifacts"
+        main(["run", str(golden_file), "--out", str(out)])
+        packed = json.loads((out / "proof.json").read_text())
+        nodes = packed["nodes"]
+        nodes.append({"atom": "P", "args": []})
+        for _ in range(10**4):
+            nodes.append({"not": len(nodes) - 1})
+        packed["proof"][-1]["conclusion"]["ante"][0] = len(nodes) - 1
         p = tmp_path / "deep.json"
-        p.write_text(self._deep_formula_proof(golden_file, tmp_path, 700))
-        capsys.readouterr()
+        p.write_text(json.dumps(packed))
         done = self._check(p)
         assert done.returncode == 1
         assert done.stdout.startswith("invalid: ")
         assert done.stderr == ""
+
+    def test_ten_thousand_step_proof_is_valid(self, tmp_path, capsys):
+        # The leaf P(a) ⊢ P(a) under 10^4 weakenings that add nothing.
+        packed = json.loads(json.dumps(self.TABLE))
+        packed["nodes"].pop()
+        leaf = packed["proof"][0]
+        packed["proof"] = [leaf] + [
+            {"rule": "weaken", "conclusion": leaf["conclusion"], "premise": i}
+            for i in range(10**4)
+        ]
+        p = tmp_path / "proof.json"
+        p.write_text(json.dumps(packed))
+        assert main(["check", str(p)]) == 0
+        assert capsys.readouterr() == ("valid\n", "")
+        proof = proof_from_json(json.loads(p.read_text()))
+        # Inference equality recurses once per step; compare the text.
+        assert json.dumps(proof_to_json(proof)) == p.read_text()
 
 
 class TestConsoleScript:

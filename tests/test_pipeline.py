@@ -107,7 +107,7 @@ class TestGoldenRun:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "compressed"
         proof = json.loads((out / "proof.json").read_text())
-        assert proof["rule"] == "contract"
+        assert proof["proof"][-1]["rule"] == "contract"
         solution = (out / "solution.txt").read_text()
         assert "P(α1, f(f(α2))) | ~P(f(f(α1)), α2)" in solution
         assert "canonical" in solution

@@ -1,4 +1,5 @@
-"""JSON encoding of terms, formulas, and sequents."""
+"""JSON encoding of terms, formulas, sequents and proofs: the node table
+of proof.json, and the nested term form of decomposition.json."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ import json
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from cutintro.cutformula import (
     SolutionCandidate,
@@ -16,19 +16,13 @@ from cutintro.cutformula import (
 from cutintro.euf import InternalOracle
 from cutintro.formulas import Atom, Eq, Imp, Not, QuantBlock
 from cutintro.proofs import (
+    Inference,
     build_proof_with_cut,
     proof_from_json,
     proof_to_json,
 )
 from cutintro.sequents import Sequent
-from cutintro.serialize import (
-    formula_from_json,
-    formula_to_json,
-    sequent_from_json,
-    sequent_to_json,
-    term_from_json,
-    term_to_json,
-)
+from cutintro.serialize import term_to_json, tree_size
 from cutintro.terms import App, Var, const
 
 from test_cutformula import _solved_random_instance
@@ -36,10 +30,31 @@ from test_formulas import formulas_strategy
 from test_terms import terms_strategy
 
 
+def _leaf(ante=(), succ=()) -> Inference:
+    return Inference("oracle", Sequent(tuple(ante), tuple(succ)))
+
+
+def _written(proof) -> str:
+    """The text the pipeline writes to proof.json."""
+    return json.dumps(proof_to_json(proof)) + "\n"
+
+
+def _read(text: str) -> Inference:
+    return proof_from_json(json.loads(text))
+
+
+def _table(*nodes) -> dict:
+    """A one-leaf table whose last node is the leaf's antecedent."""
+    ante = [len(nodes) - 1]
+    leaf = {"rule": "oracle", "conclusion": {"ante": ante, "succ": []}}
+    return {"nodes": list(nodes), "proof": [leaf]}
+
+
 class TestTerms:
     @given(terms_strategy())
     def test_round_trip(self, t):
-        assert term_from_json(term_to_json(t)) == t
+        (atom,) = _read(_written(_leaf([Atom("P", (t,))]))).conclusion.ante
+        assert atom.args == (t,)
 
     @given(terms_strategy())
     def test_payload_is_plain_json(self, t):
@@ -53,28 +68,39 @@ class TestTerms:
         assert packed == {"app": "f", "args": [{"app": "a", "args": []}]}
 
     def test_bad_payload_rejected(self):
-        with pytest.raises(Exception):
-            term_from_json({"neither": "fish"})
+        bad = _table({"neither": "fish"}, {"atom": "P", "args": [0]})
+        with pytest.raises(ValueError, match=r"^nodes\[0\]: bad node"):
+            proof_from_json(bad)
 
 
 class TestFormulas:
     @given(formulas_strategy())
     def test_round_trip(self, f):
-        assert formula_from_json(formula_to_json(f)) == f
+        assert _read(_written(_leaf([f]))).conclusion.ante == (f,)
 
     def test_quantifier_block(self):
         f = QuantBlock("all", ("x", "y"), Atom("P", (Var("x"),)))
-        assert formula_from_json(formula_to_json(f)) == f
+        packed = proof_to_json(_leaf([f]))
+        assert packed["nodes"] == [
+            {"var": "x"},
+            {"atom": "P", "args": [0]},
+            {"quant": "all", "vars": ["x", "y"], "body": 1},
+        ]
+        assert proof_from_json(packed).conclusion.ante == (f,)
 
     def test_nested_connectives(self):
         f = Imp(Not(Atom("P", ())), Eq(const("a"), const("b")))
-        packed = formula_to_json(f)
+        packed = proof_to_json(_leaf([f], [f]))
         assert json.loads(json.dumps(packed)) == packed
-        assert formula_from_json(packed) == f
+        assert packed["proof"] == [
+            {"rule": "oracle", "conclusion": {"ante": [5], "succ": [5]}}
+        ]
+        assert proof_from_json(packed).conclusion.succ == (f,)
 
     def test_bad_payload_rejected(self):
-        with pytest.raises(Exception):
-            formula_from_json({"xor": []})
+        bad = _table({"atom": "P", "args": []}, {"xor": [0, 0]})
+        with pytest.raises(ValueError, match=r"^nodes\[1\]: bad node"):
+            proof_from_json(bad)
 
 
 class TestSequents:
@@ -83,17 +109,16 @@ class TestSequents:
             (Atom("P", (const("a"),)), Eq(const("a"), const("b"))),
             (Atom("Q", ()),),
         )
-        assert sequent_from_json(sequent_to_json(s)) == s
+        assert _read(_written(Inference("oracle", s))).conclusion == s
 
     def test_empty_sequent(self):
         s = Sequent((), ())
-        assert sequent_from_json(sequent_to_json(s)) == s
+        assert _read(_written(Inference("oracle", s))).conclusion == s
 
 
 def _assert_proof_written_unchanged(proof) -> None:
     """The text the pipeline writes to proof.json reads back to proof."""
-    text = json.dumps(proof_to_json(proof)) + "\n"
-    assert proof_from_json(json.loads(text)) == proof
+    assert _read(_written(proof)) == proof
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +145,57 @@ class TestProofJson:
             )
             written += 1
         assert written >= 15
+
+    def test_each_node_written_once(self, golden_proof):
+        nodes = proof_to_json(golden_proof)["nodes"]
+        assert len({json.dumps(d) for d in nodes}) == len(nodes)
+
+    def test_steps_in_post_order_name_their_premises(self, golden_proof):
+        steps = proof_to_json(golden_proof)["proof"]
+        named = [
+            (i, d[k])
+            for i, d in enumerate(steps)
+            for k in ("premise", "left", "right")
+            if k in d
+        ]
+        assert all(p < i for i, p in named)
+        assert sorted(p for _, p in named) == list(range(len(steps) - 1))
+        assert steps[-1]["rule"] == "contract"
+
+    def test_ten_thousand_deep_formula(self):
+        f = Atom("P", ())
+        for _ in range(10**4):
+            f = Not(f)
+        text = _written(_leaf([f]))
+        assert _read(text).conclusion.ante[0] is f
+
+    def test_ten_thousand_step_chain(self):
+        pa = Atom("P", (const("a"),))
+        p = _leaf([pa], [pa])
+        for _ in range(10**4):
+            p = Inference("weaken", p.conclusion, (p,))
+        text = _written(p)
+        # Inference equality recurses once per step; compare the text.
+        assert _written(_read(text)) == text
+
+    def test_tree_size_counts_a_shared_node_each_time(self):
+        fa = App("f", (const("a"),))
+        sizes: dict = {}
+        assert tree_size(Not(Eq(fa, fa)), sizes) == 6
+        assert sizes[fa] == 2
+
+    def test_nested_format_of_earlier_versions_reads(self):
+        pa = {"atom": "P", "args": [{"app": "a", "args": []}]}
+        nested = {
+            "rule": "weaken",
+            "conclusion": {"ante": [pa, pa], "succ": [pa]},
+            "premise": {
+                "rule": "oracle",
+                "conclusion": {"ante": [pa], "succ": [pa]},
+            },
+        }
+        a = Atom("P", (const("a"),))
+        leaf = _leaf([a], [a])
+        assert proof_from_json(nested) == Inference(
+            "weaken", Sequent((a, a), (a,)), (leaf,)
+        )
