@@ -292,22 +292,32 @@ def _normalize(clauses: Iterable[Clause]) -> CNF:
     return frozenset(c for c in clauses if not is_tautological(c))
 
 
-def _forget_moves(cnf: CNF) -> Iterator[tuple[CNF, tuple]]:
+def _forget_moves(
+    cnf: CNF, pairs: Optional[dict] = None
+) -> Iterator[tuple[CNF, tuple]]:
     """Every clause set reachable by one forgetful inference step, each
     distinct successor once, with the (clause, clause, result) step that
-    first reached it; the step is rendered only on demand.
+    first reached it; the step is rendered only on demand.  ``pairs``,
+    when given, keeps each ordered clause pair's ``_pair_successors``
+    across calls.
 
     One step picks two clauses, replaces both by a single resolvent or
     ground paramodulant, and normalizes.  The result is strictly less
     general in the entailment order, which is what lets the improvement
     loop shrink solutions.
     """
+    if pairs is None:
+        pairs = {}
     clauses = sorted(cnf, key=clause_key)
     seen: set[CNF] = set()
     for i in range(len(clauses)):
         for j in range(i + 1, len(clauses)):
+            pair = (clauses[i], clauses[j])
+            news = pairs.get(pair)
+            if news is None:
+                news = pairs[pair] = _pair_successors(*pair)
             rest = cnf - {clauses[i], clauses[j]}
-            for new in _pair_successors(clauses[i], clauses[j]):
+            for new in news:
                 succ = _normalize(rest | {new})
                 if succ in seen:
                     continue
@@ -352,6 +362,7 @@ def sf_improve(
     smallest first.
     """
     mentions_alpha: dict = {}
+    pairs: dict = {}
     entry = _prune_alpha_free(simplify_clauses(cand.clauses), mentions_alpha)
     seen: set[CNF] = {entry}
     stack: list[tuple[CNF, tuple]] = [(entry, cand.steps)]
@@ -371,7 +382,7 @@ def sf_improve(
         if visited >= node_cap:
             capped = True
             break
-        for succ, move in _forget_moves(node):
+        for succ, move in _forget_moves(node, pairs):
             succ = _prune_alpha_free(succ, mentions_alpha)
             if succ in seen:
                 continue

@@ -13,15 +13,20 @@ The internal oracle keeps one term table and closure per run, which
 interns each ground term once; checking a model resets the union-find
 and merges the model's true equations.  Terms of earlier queries may
 join classes, but congruence among a query's own terms, and so its
-verdict, stays the same.  The closure records why it merged two classes
-(an asserted equation, or the congruence of two applications) as an
-edge of a proof forest, and the conflict core is read off the forest's
-path between the clashing terms (Nieuwenhuis and Oliveras, "Fast
-congruence closure and extensions", 2007).  The search is iterative,
-with a trail and two watched literals per clause (Eén and Sörensson,
-MiniSat, 2003): it keeps its assignments across blocking clauses, which
-join the watched clauses, and resumes after backjumping below the
-clause's highest decision level.
+verdict, stays the same.  It also keeps one lemma store per run: every
+blocking clause is valid in every congruence, so a later query whose
+atoms include all of a lemma's starts with it and need not rediscover it
+(Nieuwenhuis, Oliveras and Tinelli, "Solving SAT and SAT Modulo
+Theories", JACM 2006).  A query is not simplified by subsumption: only
+its tautologies are dropped.  The closure records why it merged two
+classes (an asserted equation, or the congruence of two applications) as
+an edge of a proof forest, and the conflict core is read off the
+forest's path between the clashing terms (Nieuwenhuis and Oliveras,
+"Fast congruence closure and extensions", 2007).  The search is
+iterative, with a trail and two watched literals per clause (Eén and
+Sörensson, MiniSat, 2003): it keeps its assignments across blocking
+clauses, which join the watched clauses, and resumes after backjumping
+below the clause's highest decision level.
 
 All entry points return a three-valued Verdict; resource exhaustion (a
 clause form past its literal cap, or the step budget) is reported as
@@ -34,12 +39,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .cnf import (
-    CNF,
-    CnfBlowup,
-    cnf_of_formulas,
-    simplify_clauses,
-)
+from .cnf import CNF, CnfBlowup, cnf_of_formulas, is_tautological
 from .formulas import Eq
 from .sequents import Sequent
 from .terms import Term, Var
@@ -414,7 +414,8 @@ def _theory_conflict(
     ``eqs`` holds (variable, lhs id, rhs id) for the equation atoms and
     ``preds`` holds (variable, predicate, argument ids) for the others.
     The clause negates the asserted equations that explain the clash
-    together with the clashing literals; None means the assignment is a
+    together with the clashing literals; its one positive literal, the
+    atom assigned false, comes last.  None means the assignment is a
     genuine countermodel.
     """
     cc.reset()
@@ -446,13 +447,27 @@ def _refute(
     clauses: CNF,
     closure: CongruenceClosure,
     *,
+    learned: Optional[dict] = None,
     step_cap: int = DEFAULT_STEP_CAP,
     cancel: Optional[Callable[[], None]] = None,
 ) -> Verdict:
     """VALID iff the clause set is unsatisfiable modulo equality, UNKNOWN
-    past the step cap; models are checked in ``closure``."""
-    cnf = simplify_clauses(clauses, cancel)
-    atoms = sorted({a for c in cnf for _, a in c}, key=lambda a: a.key)
+    past the step cap; models are checked in ``closure``.
+
+    ``learned``, when given, is a lemma store that outlives the query:
+    each blocking clause found is filed there under the atom of its one
+    positive literal, mapped to its atoms, and a stored lemma joins the
+    query when all its atoms occur in it, so it adds no variable.
+    """
+    cnf = {c for c in clauses if not is_tautological(c)}
+    present = {a for c in cnf for _, a in c}
+    if learned is None:
+        learned = {}
+    for a in present:
+        for clause, needs in learned.get(a, {}).items():
+            if needs <= present:
+                cnf.add(clause)
+    atoms = sorted(present, key=lambda a: a.key)
     index = {atom: i + 1 for i, atom in enumerate(atoms)}
     ints = sorted(
         sorted((index[a] if s else -index[a] for s, a in c), key=abs)
@@ -473,6 +488,10 @@ def _refute(
             blocking = _theory_conflict(closure, eqs, preds, model)
             if blocking is None:
                 return Verdict.INVALID
+            lemma = frozenset((u > 0, atoms[abs(u) - 1]) for u in blocking)
+            learned.setdefault(atoms[blocking[-1] - 1], {})[lemma] = frozenset(
+                a for _, a in lemma
+            )
             budget.spend(len(blocking))
             search.block(blocking)
     except OracleLimit:
@@ -489,7 +508,9 @@ class Oracle:
     sequent and a clause set with one clause form share a verdict; a
     clause form past ``DEFAULT_CNF_CAP`` literals is UNKNOWN and reaches
     no backend.  ``calls`` counts the clause sets that reached the
-    backend, which implements only the uncached ``_decide``.
+    backend, which implements only the uncached ``_decide``; a backend
+    may keep state across them for the length of a run, as
+    ``InternalOracle`` keeps one closure and one lemma store.
     ``cancel``, when given, is called before each such clause set and
     while a sequent's clause form is simplified, and raises to abandon
     the run, so a deadline holds for every backend.
@@ -522,11 +543,15 @@ class Oracle:
 
 @dataclass
 class InternalOracle(Oracle):
-    """The loop of this module, with one term table and closure per run."""
+    """The loop of this module, with one term table and closure and one
+    lemma store per run; a query is not simplified by subsumption."""
 
     _closure: CongruenceClosure = field(
         default_factory=CongruenceClosure, init=False, repr=False
     )
+    _lemmas: dict = field(default_factory=dict, init=False, repr=False)
 
     def _decide(self, clauses: CNF) -> Verdict:
-        return _refute(clauses, self._closure, cancel=self.cancel)
+        return _refute(
+            clauses, self._closure, learned=self._lemmas, cancel=self.cancel
+        )

@@ -397,9 +397,11 @@ def metrics(p: Inference) -> dict:
 
 
 def render_proof(p: Inference) -> str:
+    """One line per step in pre-order, indented two spaces per level."""
     lines: list[str] = []
-
-    def go(node: Inference, depth: int) -> None:
+    stack = [(p, 0)]
+    while stack:
+        node, depth = stack.pop()
         extra = ""
         if _RULES[node.rule].kind:
             extra = " [" + ", ".join(render_term(t) for t in node.terms) + "]"
@@ -408,10 +410,7 @@ def render_proof(p: Inference) -> str:
         lines.append(
             f"{'  ' * depth}{node.rule}{extra}: {node.conclusion.render()}"
         )
-        for premise in node.premises:
-            go(premise, depth + 1)
-
-    go(p, 0)
+        stack.extend((q, depth + 1) for q in reversed(node.premises))
     return "\n".join(lines)
 
 

@@ -213,17 +213,17 @@ def replace_at(t: Term, pos: tuple[int, ...], repl: Term) -> Term:
 
 
 def positions_of(t: Term, s: Term) -> list[tuple[int, ...]]:
-    """All positions where s occurs as a subterm of t."""
+    """All positions where s occurs as a subterm of t, in pre-order, left
+    to right."""
     out: list[tuple[int, ...]] = []
-
-    def walk(x: Term, pos: tuple[int, ...]) -> None:
+    stack: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
+    while stack:
+        x, pos = stack.pop()
         if x == s:
             out.append(pos)
         if isinstance(x, App):
-            for i, a in enumerate(x.args):
-                walk(a, pos + (i,))
-
-    walk(t, ())
+            for i in reversed(range(len(x.args))):
+                stack.append((x.args[i], pos + (i,)))
     return out
 
 

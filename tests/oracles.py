@@ -1,16 +1,16 @@
 """Independent reference implementations used to cross-check the package.
 
-These are deliberately naive: a recursive term order, truth-table
-enumeration plus fixpoint congruence saturation for validity, the
-oracle's first restart-DPLL lazy loop for clause sets, solutionhood as
-one implication sequent, a two-pass anti-unifier, the all-subsets
-Δ-table with its fold over term sets, an exhaustive cover search
-for minimal decompositions, and the clause form as negation normal form
-followed by distribution.  They share no code with the implementations
-under test, with two exceptions: the Δ-table references build the
-package's ``DeltaTable`` and ``Decomposition`` records, and the solution
-reference hands its sequent to ``decide_validity``, which is checked
-against the saturation reference on its own.
+These are deliberately naive: a recursive term order and subterm search,
+truth-table enumeration plus fixpoint congruence saturation for
+validity, the oracle's first restart-DPLL lazy loop for clause sets,
+solutionhood as one implication sequent, a two-pass anti-unifier, the
+all-subsets Δ-table with its fold over term sets, an exhaustive cover
+search for minimal decompositions, and the clause form as negation
+normal form followed by distribution.  They share no code with the
+implementations under test, with two exceptions: the Δ-table references
+build the package's ``DeltaTable`` and ``Decomposition`` records, and
+the solution reference hands its sequent to ``decide_validity``, which
+is checked against the saturation reference on its own.
 
 ``decide_validity`` lives here too: the package's clause form and
 refutation with both caps exposed, the sequent-level question the
@@ -95,6 +95,26 @@ def reference_formula_key(f: Formula) -> tuple:
         return (7, reference_formula_key(f.lhs), reference_formula_key(f.rhs))
     assert isinstance(f, QuantBlock)
     return (8, f.kind, f.vars, reference_formula_key(f.body))
+
+
+def reference_positions_of(t: Term, s: Term) -> list[tuple[int, ...]]:
+    """The positions of s in t, found by a recursive pre-order walk.  The
+    walk keeps its path in one list, so a term n deep holds n frames but
+    no tuple per frame."""
+    out: list[tuple[int, ...]] = []
+    path: list[int] = []
+
+    def walk(x: Term) -> None:
+        if x == s:
+            out.append(tuple(path))
+        if isinstance(x, App):
+            for i, a in enumerate(x.args):
+                path.append(i)
+                walk(a)
+                path.pop()
+
+    walk(t)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -273,6 +273,18 @@ class TestForget:
         for succ in forget(cnf):
             assert len(succ) < len(cnf)
 
+    def test_shared_pair_memo_changes_no_move(self, golden_sf):
+        # One memo across every node of the bundled search, as sf_improve
+        # keeps it: each node's moves come out as without it, in order.
+        pairs: dict = {}
+        asked = 0
+        for cand in golden_sf.candidates:
+            node = cand.clauses
+            shared = list(_forget_moves(node, pairs))
+            assert shared == list(_forget_moves(node))
+            asked += len(node) * (len(node) - 1) // 2
+        assert 0 < len(pairs) < asked / 2
+
     def test_subst_clauses_grounds_variables(self):
         P = lambda t: Atom("P", (t,))
         cnf = frozenset({frozenset({(True, P(alpha(1)))})})

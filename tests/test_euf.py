@@ -293,6 +293,58 @@ class TestAgainstReferenceSolver:
                 assert (got is Verdict.VALID) == reference[cnf]
 
 
+class TestLemmaStore:
+    """The internal oracle keeps every blocking clause it finds for the
+    run, and a later query over the clause's atoms starts with it."""
+
+    @pytest.fixture
+    def searched(self, golden_ehs):
+        """An oracle after sf_improve on the bundled example, and the
+        distinct clause sets it was asked."""
+        rec = _Recording(InternalOracle())
+        sf_improve(golden_ehs, canonical_solution(golden_ehs), rec)
+        return rec.inner, list(dict.fromkeys(rec.clause_sets))
+
+    @pytest.fixture
+    def theory_checks(self, monkeypatch):
+        checks: list = []
+        conflict = euf._theory_conflict
+
+        def counting(*args):
+            checks.append(None)
+            return conflict(*args)
+
+        monkeypatch.setattr(euf, "_theory_conflict", counting)
+        return checks
+
+    def test_every_stored_lemma_is_valid(self, searched):
+        # Filed under the atom of its one positive literal, with its atoms.
+        oracle, _ = searched
+        assert sum(map(len, oracle._lemmas.values())) >= 30
+        for atom, bucket in oracle._lemmas.items():
+            for clause, atoms in bucket.items():
+                assert [a for s, a in clause if s] == [atom]
+                assert atoms == {a for _, a in clause}
+                negation = [frozenset([(not s, a)]) for s, a in clause]
+                assert oracles.reference_decide_clauses(negation)
+
+    def test_second_pass_of_valid_sets_needs_no_theory_check(
+        self, searched, theory_checks
+    ):
+        # Each VALID set's own blocking clauses are in the store, so its
+        # clauses and those lemmas have no propositional model.
+        oracle, clause_sets = searched
+        valid = [c for c in clause_sets if oracle._memo[c] is Verdict.VALID]
+        assert len(valid) >= 100
+        fresh = InternalOracle()
+        assert all(fresh.refutation(c) is Verdict.VALID for c in valid)
+        assert theory_checks
+        theory_checks.clear()
+        oracle._memo.clear()
+        assert all(oracle.refutation(c) is Verdict.VALID for c in valid)
+        assert theory_checks == []
+
+
 class TestDecideValidity:
     def test_axiom(self):
         assert decide_validity(Sequent((Atom("P", (a,)),), (Atom("P", (a,)),))) is Verdict.VALID

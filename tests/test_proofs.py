@@ -149,6 +149,28 @@ class TestGoldenProof:
         for rule in ("cut on", "forall_r", "forall_l", "contract", "weaken", "oracle:"):
             assert rule in text
 
+    def test_render_matches_a_recursive_walk(self, golden_proof):
+        # Each step's own line, then its premises one level deeper.
+        def walk(p, depth):
+            own = render_proof(dataclasses.replace(p, premises=()))
+            yield "  " * depth + own
+            for q in p.premises:
+                yield from walk(q, depth + 1)
+
+        assert render_proof(golden_proof) == "\n".join(walk(golden_proof, 0))
+
+    def test_render_ten_thousand_step_chain(self, oracle):
+        # The leaf P(a) ⊢ P(a) under 10^4 weakenings that add nothing.
+        seq = Sequent((Atom("P", (a,)),), (Atom("P", (a,)),))
+        p = Inference("oracle", seq)
+        for _ in range(10**4):
+            p = Inference("weaken", seq, (p,))
+        assert check_proof(p, oracle)
+        lines = render_proof(p).split("\n")
+        assert len(lines) == 10**4 + 1
+        assert lines[0] == "weaken: " + seq.render()
+        assert lines[-1] == "  " * 10**4 + "oracle: " + seq.render()
+
     def test_json_round_trip(self, golden_proof):
         packed = proof_to_json(golden_proof)
         assert proof_from_json(packed) == golden_proof

@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +35,7 @@ from cutintro.terms import (
 
 import gen
 from gen import is_ground, subterms
-from oracles import reference_term_key
+from oracles import reference_positions_of, reference_term_key
 
 
 def terms_strategy(with_vars: bool = True):
@@ -188,6 +189,41 @@ class TestPositions:
 
     def test_replace_root(self):
         assert replace_at(const("a"), (), const("b")) == const("b")
+
+    @given(terms_strategy())
+    def test_matches_recursive_reference(self, t):
+        for needle in {*subterms(t), const("c")}:
+            want = reference_positions_of(t, needle)
+            assert positions_of(t, needle) == want
+
+    def test_deep_term_matches_recursive_reference(self):
+        # f(f(...f(a)...)), 10^4 deep.  The reference needs a frame per
+        # level: a raised recursion limit, and a thread with a stack
+        # large enough for interpreters whose Python calls use C stack.
+        depth = 10**4
+        t = const("a")
+        for _ in range(depth):
+            t = App("f", (t,))
+        needles = (const("a"), App("f", (const("a"),)), t, const("b"))
+        got = [positions_of(t, n) for n in needles]
+        assert got[0] == [(0,) * depth]
+        want: list = []
+        limit, size = sys.getrecursionlimit(), threading.stack_size()
+        sys.setrecursionlimit(limit + depth)
+        threading.stack_size(64 << 20)
+        try:
+            worker = threading.Thread(
+                target=lambda: want.extend(
+                    reference_positions_of(t, n) for n in needles
+                )
+            )
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            threading.stack_size(size)
+            sys.setrecursionlimit(limit)
+        assert not worker.is_alive()
+        assert got == want
 
     @given(terms_strategy(with_vars=False))
     def test_replace_round_trip(self, t):
