@@ -38,40 +38,40 @@ class CnfBlowup(Exception):
     """Distribution exceeded the configured literal budget."""
 
 
-def _clause_form(f: Formula, positive: bool, cap: int) -> set[Clause]:
-    """The clauses of f, or of ¬f when not ``positive``, in one walk that
+def _clause_form(
+    g: Formula, pos: bool, cap: int, budget: list
+) -> set[Clause]:
+    """The clauses of g, or of ¬g when not ``pos``, in one walk that
     carries the polarity, so no negation normal form is built.  A side
     that is a conjunction in its polarity (∧⁺, ∨⁻, →⁻) unions the clauses
-    of its parts, a disjunction (∨⁺, ∧⁻, →⁺) multiplies them out; raises
-    CnfBlowup once the products spend more than ``cap`` literals."""
-    budget = [cap]
-
-    def go(g: Formula, pos: bool) -> set[Clause]:
-        if isinstance(g, (Atom, Eq)):
-            return {frozenset([(pos, g)])}
-        if isinstance(g, Not):
-            return go(g.body, not pos)
-        if isinstance(g, (Top, Bottom)):
-            return set() if isinstance(g, Top) == pos else {frozenset()}
-        if not isinstance(g, (And, Or, Imp)):
-            raise ValueError(f"not quantifier-free: {g!r}")
-        left = go(g.lhs, pos != isinstance(g, Imp))
-        right = go(g.rhs, pos)
-        if isinstance(g, And) == pos:
-            return left | right
-        if not left or not right:  # one side is true
-            return set()
-        out: set[Clause] = set()
-        for c in left:
-            for d in right:
-                e = c | d
-                budget[0] -= len(e)
-                if budget[0] < 0:
-                    raise CnfBlowup(f"clause form exceeds {cap} literals")
-                out.add(e)
-        return out
-
-    return go(f, positive)
+    of its parts, a disjunction (∨⁺, ∧⁻, →⁺) multiplies them out.
+    ``budget[0]`` is the count of literals the products may still spend;
+    raises CnfBlowup once they spend more than ``cap``.  The state is
+    passed as arguments, not held in a closure, so a call leaves no
+    reference cycle behind."""
+    if isinstance(g, (Atom, Eq)):
+        return {frozenset([(pos, g)])}
+    if isinstance(g, Not):
+        return _clause_form(g.body, not pos, cap, budget)
+    if isinstance(g, (Top, Bottom)):
+        return set() if isinstance(g, Top) == pos else {frozenset()}
+    if not isinstance(g, (And, Or, Imp)):
+        raise ValueError(f"not quantifier-free: {g!r}")
+    left = _clause_form(g.lhs, pos != isinstance(g, Imp), cap, budget)
+    right = _clause_form(g.rhs, pos, cap, budget)
+    if isinstance(g, And) == pos:
+        return left | right
+    if not left or not right:  # one side is true
+        return set()
+    out: set[Clause] = set()
+    for c in left:
+        for d in right:
+            e = c | d
+            budget[0] -= len(e)
+            if budget[0] < 0:
+                raise CnfBlowup(f"clause form exceeds {cap} literals")
+            out.add(e)
+    return out
 
 
 def is_tautological(c: Clause) -> bool:
@@ -113,9 +113,9 @@ def cnf_of_formulas(
     ``cancel`` is passed to ``simplify_clauses``."""
     clauses: set[Clause] = set()
     for f in asserted:
-        clauses |= _clause_form(f, True, cap)
+        clauses |= _clause_form(f, True, cap, [cap])
     for f in denied:
-        clauses |= _clause_form(f, False, cap)
+        clauses |= _clause_form(f, False, cap, [cap])
     return simplify_clauses(clauses, cancel)
 
 

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .cnf import (
@@ -179,6 +181,22 @@ class SolutionCandidate:
 
     def sort_key(self) -> tuple:
         return (self.size, render_formula(self.formula))
+
+
+def candidates_by_sort_key(
+    candidates: Iterable[SolutionCandidate],
+) -> Iterator[SolutionCandidate]:
+    """The candidates in ``SolutionCandidate.sort_key`` order, the order
+    of a stable sort.  The size alone orders candidates of different
+    sizes; a group of equal size is rendered and sorted only when the
+    iteration reaches it, so a caller that stops at the first candidate
+    that works renders no larger one."""
+    by_size = sorted(((c.size, c) for c in candidates), key=itemgetter(0))
+    for _, group in groupby(by_size, key=itemgetter(0)):
+        tied = [c for _, c in group]
+        if len(tied) > 1:
+            tied.sort(key=SolutionCandidate.sort_key)
+        yield from tied
 
 
 def canonical_solution(e: SchematicEHS) -> SolutionCandidate:
@@ -358,8 +376,8 @@ def sf_improve(
     successors of a solution inherit).  α-free clauses are pruned at
     every node.  Nodes whose every successor fails the guard are leaves.
     Every visited node is returned as a candidate, in visiting order;
-    the pipeline tries them in ``SolutionCandidate.sort_key`` order,
-    smallest first.
+    the pipeline tries them in ``SolutionCandidate.sort_key`` order
+    (``candidates_by_sort_key``), smallest first.
     """
     mentions_alpha: dict = {}
     pairs: dict = {}

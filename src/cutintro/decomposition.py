@@ -21,11 +21,19 @@ The search works in three stages:
    under arity-raising coordinate injections so that patterns found at a
    smaller arity are also visible at every compatible larger key; a
    lifted pair keeps its cover's mask.
-3. ``fold_delta_table`` scans each key and solves a set-cover problem:
-   pick pattern groups whose covers tile T.  Selection is by cover — a
-   chosen mask contributes every pattern the table associates with it —
-   which keeps the expansion property exact.  The groups are the pairs
-   of a key grouped by mask, so the fold looks up no cover's terms.
+3. ``fold_delta_table`` scans the keys whose covers together cover T,
+   the only ones that can tile it; it skips the others before sorting
+   the keys into scan order.  For each key scanned it solves a
+   set-cover problem: pick pattern groups whose covers tile T.
+   Selection is by cover — a chosen mask contributes every pattern the
+   table associates with it — which keeps the expansion property exact.
+   The groups are the pairs of a key grouped by mask, so the fold looks
+   up no cover's terms.
+
+The walks of the anti-unifier and of the fold's search keep their
+state in arguments and explicit stacks, not in self-referencing
+closures, so a search leaves no reference cycles for the cyclic garbage
+collector: what it allocates is freed by reference counting.
 
 Keys whose vectors mention the reserved formula-tag heads are unclean
 and never used: a tag head inside W would smuggle formula structure into
@@ -128,69 +136,80 @@ class _AntiUnifier:
         """The pattern and columns of ``terms`` + (t,), given pattern ``u``
         and columns ``cols`` of ``terms``; None when pruning and a column
         mentions a reserved formula-tag head.
-
-        Walks (pattern subterm, new subterm) pairs.  A variable of the
-        new pattern is keyed by its pair: two positions have equal
-        columns exactly when their pairs are equal.  Its column is the
-        old variable's column, or the instances of the pattern subterm,
-        plus the new subterm.
         """
-        prune = self.prune
-        alphas = self.alphas
-        var_index = self.var_index
-        fresh: dict[tuple[Term, Term], int] = {}
         new_cols: list[tuple[Term, ...]] = []
-        path: list[int] = []
-
-        def walk(p: Term, s: Term) -> Optional[Term]:
-            if p is s:
-                return p
-            j = var_index.get(p) if p.__class__ is Var else None
-            if (
-                j is None
-                and p.__class__ is App
-                and s.__class__ is App
-                and p.head == s.head
-                and len(p.args) == len(s.args)
-            ):
-                pargs, sargs = p.args, s.args
-                out = None
-                for i in range(len(pargs)):
-                    path.append(i)
-                    c = walk(pargs[i], sargs[i])
-                    path.pop()
-                    if c is None:
-                        return None
-                    if out is not None:
-                        out.append(c)
-                    elif c is not pargs[i]:
-                        out = list(pargs[:i])
-                        out.append(c)
-                return p if out is None else App(p.head, tuple(out))
-            pair = (p, s)
-            n = fresh.get(pair)
-            if n is None:
-                # A pattern subterm's instances are tagged when it is:
-                # the old columns are clean whenever we prune.
-                if prune and (p.tagged or s.tagged):
-                    return None
-                if j is None:
-                    col = tuple(_subterm_at(x, path) for x in terms)
-                else:
-                    col = cols[j]
-                n = len(new_cols)
-                fresh[pair] = n
-                new_cols.append(col + (s,))
-                if n == len(alphas):
-                    v = alpha(n + 1)
-                    alphas.append(v)
-                    var_index[v] = n
-            return alphas[n]
-
-        v = walk(u, t)
+        v = self._walk(u, t, terms, cols, [], {}, new_cols)
         if v is None:
             return None
         return v, new_cols
+
+    def _walk(
+        self,
+        p: Term,
+        s: Term,
+        terms: tuple,
+        cols: list,
+        path: list,
+        fresh: dict,
+        new_cols: list,
+    ) -> Optional[Term]:
+        """The new pattern at ``path``, from pattern subterm ``p`` and new
+        subterm ``s``; None when pruning and a column is tagged.
+
+        A variable of the new pattern is keyed in ``fresh`` by its
+        (pattern subterm, new subterm) pair: two positions have equal
+        columns exactly when their pairs are equal.  Its column, appended
+        to ``new_cols``, is the old variable's column, or the instances
+        of the pattern subterm, plus the new subterm.  The state travels
+        as arguments: a closure calling itself would leave a reference
+        cycle per call.
+        """
+        if p is s:
+            return p
+        j = self.var_index.get(p) if p.__class__ is Var else None
+        if (
+            j is None
+            and p.__class__ is App
+            and s.__class__ is App
+            and p.head == s.head
+            and len(p.args) == len(s.args)
+        ):
+            pargs, sargs = p.args, s.args
+            out = None
+            for i in range(len(pargs)):
+                path.append(i)
+                c = self._walk(
+                    pargs[i], sargs[i], terms, cols, path, fresh, new_cols
+                )
+                path.pop()
+                if c is None:
+                    return None
+                if out is not None:
+                    out.append(c)
+                elif c is not pargs[i]:
+                    out = list(pargs[:i])
+                    out.append(c)
+            return p if out is None else App(p.head, tuple(out))
+        pair = (p, s)
+        n = fresh.get(pair)
+        if n is None:
+            # A pattern subterm's instances are tagged when it is: the
+            # old columns are clean whenever we prune.
+            if self.prune and (p.tagged or s.tagged):
+                return None
+            if j is None:
+                col = tuple(_subterm_at(x, path) for x in terms)
+            else:
+                col = cols[j]
+            n = len(new_cols)
+            fresh[pair] = n
+            new_cols.append(col + (s,))
+            alphas = self.alphas
+            if n == len(alphas):
+                v = alpha(n + 1)
+                alphas.append(v)
+                self.var_index[v] = n
+        return self.alphas[n]
 
 
 def delta_g(terms: Sequence[Term]) -> SimpleDecomposition:
@@ -350,14 +369,15 @@ def build_delta_table(
         raise TermSetTooLarge(len(terms), limit)
     top = len(terms) if max_subset is None else min(max_subset, len(terms))
 
-    table: dict[Key, set[Pair]] = {}
+    # Every subset has a mask of its own, so no pair repeats, and a list
+    # per key does; each is frozen once, at the end.
+    table: dict[Key, list[Pair]] = {}
     for key, u, mask in _clean_subsets(terms, top, cancel):
-        pair = (u, mask)
         pairs = table.get(key)
         if pairs is None:
-            table[key] = {pair}
+            table[key] = [(u, mask)]
         else:
-            pairs.add(pair)
+            pairs.append((u, mask))
 
     # Lift only the pairs found by the subset pass, never lifted copies:
     # the lifted pairs join the table after the pass.
@@ -380,7 +400,7 @@ def build_delta_table(
                 for u0, mask in src:
                     lifted.append((key, (_inject_pattern(u0, inj), mask)))
     for key, pair in lifted:
-        table[key].add(pair)
+        table[key].append(pair)
 
     for key, pairs in table.items():
         table[key] = frozenset(pairs)
@@ -446,16 +466,14 @@ def validate_decomposition(
     return d.expand() == target
 
 
-def _fold_order(pairs: dict) -> list[Key]:
-    """The keys the fold scans, in scan order.
-
-    Keys of arity zero and unclean keys are left out.  The others sort by
-    arity, then size, then their rows sorted by ``tuple_key``.  Each
-    witness term is ranked by ``term_key`` once, and a row is coded as
-    the number whose digits in base ``len(rank)`` are its ranks; rows of
-    one arity compare as their codes, in the same order.
+def _fold_order(keys: list[Key]) -> list[Key]:
+    """``keys`` in scan order: by arity, then size, then their rows sorted
+    by ``tuple_key``.  Each witness term is ranked by ``term_key`` once,
+    and a row is coded as the number whose digits in base ``len(rank)``
+    are its ranks; rows of one arity compare as their codes, in the same
+    order.  The order is total, so sorting a subset of the keys gives
+    that subset in the order of the whole.
     """
-    keys = [k for k in pairs if _key_arity(k) and _key_is_clean(k)]
     witnesses = {x for k in keys for row in k for x in row}
     rank = {x: i for i, x in enumerate(sorted(witnesses, key=term_key))}
     base = len(rank)
@@ -469,8 +487,7 @@ def _fold_order(pairs: dict) -> list[Key]:
     def order(k: Key) -> tuple:
         return (_key_arity(k), len(k), tuple(sorted(map(code, k))))
 
-    keys.sort(key=order)
-    return keys
+    return sorted(keys, key=order)
 
 
 def fold_delta_table(
@@ -480,20 +497,22 @@ def fold_delta_table(
 ) -> list[Decomposition]:
     """All minimum-size decompositions recoverable from the table.
 
-    For each key W the pairs are grouped by cover; a branch and bound
-    search picks groups that tile T.  Picking a group means taking every
-    pattern associated with that cover, so |U| counts all of them.
-    Covers that leave some coordinate of W unused in every chosen
-    pattern are discarded (the same decomposition already appears under
-    the projected key).  Results are sorted by (|W|, patterns, vectors)
-    and deduplicated; only sizes equal to the global minimum survive.
+    Only the keys that can tile T are scanned: those of nonzero arity,
+    clean, whose covers together cover T.  For each such key W the
+    pairs are grouped by cover; a branch and bound search picks groups
+    that tile T.  Picking a group means taking every pattern associated
+    with that cover, so |U| counts all of them.  Covers that leave some
+    coordinate of W unused in every chosen pattern are discarded (the
+    same decomposition already appears under the projected key).
+    Results are sorted by (|W|, patterns, vectors) and deduplicated;
+    only sizes equal to the global minimum survive.
 
     The covers are the table's bitmasks over ``dt.terms``, so ``t`` is
-    looked up in the table's terms once, and never a cover.  Keys are
-    scanned by ``_fold_order``, groups in the order of their sorted
-    terms (ascending bit lists), and the search branches on the
-    uncovered term in the fewest groups, the first in ``term_key`` order
-    on a tie.
+    looked up in the table's terms once, and never a cover.  The keys
+    that cover T are scanned in ``_fold_order``, groups in the order of
+    their sorted terms (ascending bit lists), and the search branches on
+    the uncovered term in the fewest groups, the first in ``term_key``
+    order on a tie.
     """
     target = frozenset(t.terms if isinstance(t, TermSet) else t)
     index = {x: i for i, x in enumerate(dt.terms)}
@@ -502,19 +521,22 @@ def fold_delta_table(
     full = 0
     for x in target:
         full |= 1 << index[x]
-    best: list[float] = [math.inf]
-    found: set[Decomposition] = set()
 
-    for key in _fold_order(dt.pairs):
+    covering = []
+    for key, pairs in dt.pairs.items():
+        union = 0
+        for _, mask in pairs:
+            union |= mask
+        if union == full and _key_arity(key) and _key_is_clean(key):
+            covering.append(key)
+
+    best: float = math.inf
+    found: set[Decomposition] = set()
+    for key in _fold_order(covering):
         m = _key_arity(key)
         groups: dict[int, list[Term]] = {}
         for u, mask in dt.pairs[key]:
             groups.setdefault(mask, []).append(u)
-        union = 0
-        for mask in groups:
-            union |= mask
-        if union != full:
-            continue
         glist = [(_bits(mask), mask, us) for mask, us in groups.items()]
         glist.sort(key=itemgetter(0))
         by_term: list[list[int]] = [[] for _ in dt.terms]
@@ -522,32 +544,39 @@ def fold_delta_table(
             for i in bits:
                 by_term[i].append(gi)
 
+        # Depth first with an explicit stack.  A node is (uncovered mask,
+        # patterns chosen, depth, group chosen last), and chosen[:depth]
+        # holds the groups chosen on the way to it.  Children are pushed
+        # in reverse, so nodes are visited, and ``cancel`` runs, in the
+        # order of a recursive search.
         base_cost = len(key)
         chosen: list[int] = []
-
-        def search(uncovered: int, n_patterns: int) -> None:
+        stack = [(full, 0, 0, -1)]
+        while stack:
+            uncovered, n_patterns, depth, gi = stack.pop()
+            del chosen[depth:]
+            if gi >= 0:
+                chosen.append(gi)
             if cancel is not None:
                 cancel()
             if not uncovered:
-                u_set = frozenset(
-                    u for gi in chosen for u in glist[gi][2]
-                )
+                u_set = frozenset(u for gi in chosen for u in glist[gi][2])
                 used = set()
                 for u in u_set:
                     used |= _pattern_var_indices(u)
                 if used != set(range(1, m + 1)):
-                    return
+                    continue
                 size = len(u_set) + base_cost
-                if size > best[0]:
-                    return
-                if size < best[0]:
-                    best[0] = size
+                if size > best:
+                    continue
+                if size < best:
+                    best = size
                     found.clear()
                 found.add(Decomposition(u=u_set, w=key))
-                return
+                continue
             lower = n_patterns + math.ceil(uncovered.bit_count() / base_cost)
-            if lower + base_cost > best[0]:
-                return
+            if lower + base_cost > best:
+                continue
             pivot = -1
             rest = uncovered
             while rest:
@@ -556,15 +585,14 @@ def fold_delta_table(
                 if pivot < 0 or len(by_term[i]) < len(by_term[pivot]):
                     pivot = i
                 rest ^= low
-            for gi in by_term[pivot]:
+            depth = len(chosen)
+            for gi in reversed(by_term[pivot]):
                 _, mask, us = glist[gi]
-                chosen.append(gi)
-                search(uncovered & ~mask, n_patterns + len(us))
-                chosen.pop()
+                stack.append(
+                    (uncovered & ~mask, n_patterns + len(us), depth, gi)
+                )
 
-        search(full, 0)
-
-    results = [d for d in found if d.size == best[0]]
+    results = [d for d in found if d.size == best]
     results.sort(key=Decomposition.sort_key)
     return results
 

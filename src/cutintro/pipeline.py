@@ -30,6 +30,7 @@ from .cutformula import (
     SchematicEHS,
     SolutionCandidate,
     build_schematic_ehs,
+    candidates_by_sort_key,
     canonical_solution,
     check_solution,
     sf_improve,
@@ -274,7 +275,7 @@ def _try_decomposition(
         )
         return None
     sf = sf_improve(ehs, cand, oracle, node_cap=cfg.sf_cap, cancel=cancel)
-    for candidate in sorted(sf.candidates, key=SolutionCandidate.sort_key):
+    for candidate in candidates_by_sort_key(sf.candidates):
         cancel()
         try:
             proof = build_proof_with_cut(ehs, candidate.formula, oracle)

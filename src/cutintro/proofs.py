@@ -465,23 +465,40 @@ def proof_from_json(d: Any) -> Inference:
     exactly one later step."""
     if not isinstance(d, dict):
         raise ValueError(f"bad proof encoding: {type(d).__name__}")
-    nested = "rule" in d
-    nodes = [] if nested else entries_from_json(
-        d.get("nodes"), "nodes", node_from_json
+    if "rule" in d:
+        return _StepReader([]).step(d, [])
+    reader = _StepReader(
+        entries_from_json(d.get("nodes"), "nodes", node_from_json)
     )
-    used: set = set()  # the steps already named as premises
-    sizes: dict = {}
-    total = 0
+    steps = entries_from_json(d.get("proof"), "proof", reader.step)
+    if not steps:
+        raise ValueError("the proof has no steps")
+    for i in range(len(steps) - 1):
+        if i not in reader.used:
+            raise ValueError(f"proof[{i}]: a premise of no later step")
+    return steps[-1]
 
-    def step(e: Any, steps: list) -> Inference:
+
+class _StepReader:
+    """Reads the steps of one ``proof.json`` over its node table.  The
+    state is on the reader, not in a closure, so reading leaves no
+    reference cycle behind."""
+
+    def __init__(self, nodes: list) -> None:
+        self.nodes = nodes
+        self.used: set = set()  # the steps already named as premises
+        self.sizes: dict = {}
+        self.total = 0
+
+    def step(self, e: Any, steps: list) -> Inference:
         """One step or inline step, over the steps read so far."""
-        nonlocal total
         if not isinstance(e, dict):
             raise ValueError(f"bad proof step: {type(e).__name__}")
         name = e.get("rule")
         rule = _RULES.get(name) if isinstance(name, str) else None
         if rule is None:
             raise ValueError(f"unknown proof rule: {name!r}")
+        nodes, used = self.nodes, self.used
         c = e["conclusion"]
         ante = slots_from_json(c["ante"], nodes, False)
         succ = slots_from_json(c["succ"], nodes, False)
@@ -489,7 +506,7 @@ def proof_from_json(d: Any) -> Inference:
         for key in rule.premises:
             x = e[key]
             if isinstance(x, dict):
-                premises.append(step(x, steps))
+                premises.append(self.step(x, steps))
                 continue
             i = index_from_json(x, len(steps))
             if i in used:
@@ -507,21 +524,11 @@ def proof_from_json(d: Any) -> Inference:
             terms = ()
         for f in (*ante, *succ, *terms, formula):
             if f is not None:
-                total += tree_size(f, sizes)
-        if total > MAX_TREE_NODES:
+                self.total += tree_size(f, self.sizes)
+        if self.total > MAX_TREE_NODES:
             raise ValueError(
                 f"the formulas and terms written out as trees pass "
                 f"{MAX_TREE_NODES} nodes"
             )
         conclusion = Sequent(ante, succ)
         return Inference(name, conclusion, tuple(premises), formula, terms)
-
-    if nested:
-        return step(d, [])
-    steps = entries_from_json(d.get("proof"), "proof", step)
-    if not steps:
-        raise ValueError("the proof has no steps")
-    for i in range(len(steps) - 1):
-        if i not in used:
-            raise ValueError(f"proof[{i}]: a premise of no later step")
-    return steps[-1]

@@ -16,9 +16,10 @@ runs; corpus workers are processes, each with a table of its own.
 Each node computes once, when it is first built, from the values its
 children already hold, so no later use walks it again:
 
-- its hash.  It is structural rather than an address, so the iteration
-  order of node sets and dicts, and with it every output, is the same
-  in every run;
+- its hash.  It is structural rather than an address, but it starts
+  from string hashes, which are salted per process, so the iteration
+  order of node sets and dicts differs between runs.  Outputs do not
+  depend on that order: every output is sorted before it is written;
 - ``key``, its total-order sort key.  For a term it is what ``term_key``
   returns (variables before applications, then by name and arguments);
 - for a term, ``tagged``: whether some subterm has a reserved
@@ -214,16 +215,24 @@ def replace_at(t: Term, pos: tuple[int, ...], repl: Term) -> Term:
 
 def positions_of(t: Term, s: Term) -> list[tuple[int, ...]]:
     """All positions where s occurs as a subterm of t, in pre-order, left
-    to right."""
+    to right.  One list holds the path to the node visited, and a
+    position tuple is built only at a match, so the walk is linear in
+    the size of t."""
     out: list[tuple[int, ...]] = []
-    stack: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
+    path: list[int] = []
+    # (subterm, its depth, its index among its siblings)
+    stack: list[tuple[Term, int, int]] = [(t, 0, 0)]
     while stack:
-        x, pos = stack.pop()
-        if x == s:
-            out.append(pos)
-        if isinstance(x, App):
-            for i in reversed(range(len(x.args))):
-                stack.append((x.args[i], pos + (i,)))
+        x, depth, i = stack.pop()
+        if depth:
+            del path[depth - 1:]
+            path.append(i)
+        if x is s:
+            out.append(tuple(path))
+        if x.__class__ is App:
+            args = x.args
+            for j in range(len(args) - 1, -1, -1):
+                stack.append((args[j], depth + 1, j))
     return out
 
 

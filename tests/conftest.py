@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from importlib.resources import files
 
 import pytest
@@ -68,3 +69,23 @@ def golden_sf(golden_ehs, golden_oracle):
 @pytest.fixture
 def oracle():
     return InternalOracle()
+
+
+@pytest.fixture
+def leaves_no_cycles():
+    """A checker that calls a function with the cyclic garbage collector
+    off, asserts that a collection afterwards finds no unreachable
+    object, and returns the function's result: whatever the call
+    allocated and dropped was freed by reference counting alone."""
+
+    def check(call):
+        gc.collect()
+        gc.disable()
+        try:
+            result = call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        return result
+
+    return check

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -518,3 +520,58 @@ class TestConsoleScript:
         assert done.returncode == 0
         for word in ("run", "corpus", "check"):
             assert word in done.stdout
+
+
+def _chain_input(n: int) -> str:
+    """P(c), ∀x (P(x) → P(f x)) ⊢ P(fⁿc), with its n instances."""
+    terms = ["c"]
+    for _ in range(n):
+        terms.append(f"f({terms[-1]})")
+    return (
+        "ante P(c).\n"
+        "ante all x: P(x) -> P(f(x)).\n"
+        f"succ P({terms[n]}).\n"
+        f"inst 2: {'; '.join(terms[:n])}.\n"
+    )
+
+
+class TestHashSeed:
+    """String hashes are salted per process, so the iteration order of
+    term sets and dicts differs between runs; every output is sorted
+    before it is written, so no byte of it does."""
+
+    ARTIFACTS = (
+        "proof.json",
+        "proof.txt",
+        "decomposition.json",
+        "solution.txt",
+    )
+
+    @pytest.mark.parametrize("name", ["running_example", "chain8"])
+    def test_outputs_do_not_depend_on_the_hash_seed(self, name, tmp_path):
+        if name == "chain8":
+            src = tmp_path / "chain8.cis"
+            src.write_text(_chain_input(8))
+        else:
+            src = files("cutintro").joinpath("data/running_example.cis")
+        outs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed{seed}"
+            done = subprocess.run(
+                [sys.executable, "-m", "cutintro.cli", "run", str(src)]
+                + ["--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(out)
+        for artifact in self.ARTIFACTS:
+            first, second = (o / artifact for o in outs)
+            assert first.read_bytes() == second.read_bytes(), artifact
+        reports = [json.loads((o / "report.json").read_text()) for o in outs]
+        for report in reports:
+            del report["wall_time"]
+        assert reports[0] == reports[1]
+        assert reports[0]["status"] == "compressed"

@@ -26,6 +26,7 @@ from cutintro.formulas import (
     QuantBlock,
     Top,
 )
+from cutintro.herbrand import herbrand_sequent
 from cutintro.terms import Var, const
 
 from oracles import _collect_atoms, _eval, reference_clauses
@@ -140,6 +141,15 @@ class TestCap:
         assert len(cnf_of_formulas([Or(And(P, Q), R)], [], cap=4)) == 2
         with pytest.raises(CnfBlowup):
             cnf_of_formulas([Or(And(P, Q), R)], [], cap=3)
+
+    def test_leaves_no_reference_cycles(self, golden, leaves_no_cycles):
+        # The walk passes its budget as an argument; as a closure calling
+        # itself it left one reference cycle per clause form.
+        hseq = herbrand_sequent(*golden)
+        cnf = leaves_no_cycles(
+            lambda: cnf_of_formulas(hseq.ante, hseq.succ)
+        )
+        assert cnf
 
 
 class TestSimplify:

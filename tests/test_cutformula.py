@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from cutintro.cutformula import (
     SolutionCandidate,
     _forget_moves,
     build_schematic_ehs,
+    candidates_by_sort_key,
     canonical_solution,
     check_solution,
     guard_clauses,
@@ -379,6 +381,42 @@ class TestSFImprove:
     def test_sort_key_prefers_smaller(self, golden_sf):
         best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
         assert all(best.size <= c.size for c in golden_sf.candidates)
+
+    def test_candidates_by_sort_key_is_the_sorted_order(self, golden_sf):
+        lists = [golden_sf.candidates]
+        for seed in range(200):
+            rng = random.Random(seed)
+            formulas = []
+            for _ in range(rng.randint(0, 4)):
+                seq = gen.random_ground_sequent(rng)
+                formulas += [*seq.ante, *seq.succ]
+            # Equal formulas too: ties on the whole key keep their order.
+            lists.append(
+                [SolutionCandidate(f, frozenset()) for f in formulas]
+            )
+        for cands in lists:
+            want = sorted(cands, key=SolutionCandidate.sort_key)
+            got = list(candidates_by_sort_key(cands))
+            assert list(map(id, got)) == list(map(id, want))
+
+    def test_candidates_by_sort_key_renders_only_size_ties_reached(
+        self, golden_sf, monkeypatch
+    ):
+        rendered = []
+        render = cutformula.render_formula
+        monkeypatch.setattr(
+            cutformula,
+            "render_formula",
+            lambda f: rendered.append(f) or render(f),
+        )
+        sizes = Counter(c.size for c in golden_sf.candidates)
+        assert max(sizes.values()) > 1 and min(sizes.values()) == 1
+        order = candidates_by_sort_key(golden_sf.candidates)
+        first = next(order)
+        smallest = sizes[first.size]
+        assert len(rendered) == (smallest if smallest > 1 else 0)
+        list(order)
+        assert len(rendered) == sum(n for n in sizes.values() if n > 1)
 
     def test_every_candidate_builds_a_proof(
         self, golden_ehs, golden_sf, golden_oracle

@@ -457,6 +457,34 @@ class TestFold:
         assert fold_delta_table(dt, ts) == []
 
 
+class TestNoReferenceCycles:
+    """The anti-unifier's walk and the fold's search keep their state in
+    arguments and explicit stacks, so no call leaves a reference cycle
+    (each left one per subset or key, which only a collection frees)."""
+
+    def test_build_and_fold_one_tag(self, leaves_no_cycles):
+        ts = _chain_termset(10)
+        decs = leaves_no_cycles(
+            lambda: fold_delta_table(build_delta_table(ts), ts)
+        )
+        assert decs
+
+    def test_build_and_fold_multi_tag_arity_two(
+        self, golden_termset, leaves_no_cycles
+    ):
+        table = leaves_no_cycles(lambda: build_delta_table(golden_termset))
+        assert len({t.head for t in table.terms}) > 1
+        assert any(len(next(iter(k))) == 2 for k in table.pairs)
+        decs = leaves_no_cycles(
+            lambda: fold_delta_table(table, golden_termset)
+        )
+        assert [d.arity for d in decs] == [2]
+
+    def test_delta_g(self, leaves_no_cycles):
+        d = leaves_no_cycles(lambda: delta_g(_deep_chain()))
+        assert d.arity == 1
+
+
 class TestValidate:
     def test_rejects_wrong_expansion(self, golden_termset):
         bogus = Decomposition(

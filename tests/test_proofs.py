@@ -386,6 +386,10 @@ class TestCommittedProofJson:
         assert ok, msg
         assert json.dumps(proof_to_json(p)) + "\n" == text
 
+    def test_reading_leaves_no_reference_cycles(self, leaves_no_cycles):
+        d = json.loads(self.GOLDEN.read_text(encoding="utf-8"))
+        assert leaves_no_cycles(lambda: proof_from_json(d)).premises
+
     def test_indented_file_reads_and_checks(self, oracle):
         text = self.INDENTED.read_text(encoding="utf-8")
         p = proof_from_json(json.loads(text))
