@@ -17,12 +17,17 @@ antecedent-then-succedent order.  Identifiers bound in a prefix are
 variables inside that formula's matrix; everything else is a function
 symbol or constant.  Names in the generated-variable namespace are
 rejected.
+
+The tokenizer is one pass of a regular expression; a token is its kind,
+text and offset, and an error works out its line and column from the
+offset.  Terms and matrices are parsed in loops over explicit stacks, so
+no parse step recurses once per nesting level.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from pathlib import Path
 
 from .formulas import And, Atom, Eq, Formula, Imp, Not, Or, QuantBlock, symbols
 from .herbrand import HerbrandStructure
@@ -39,175 +44,182 @@ class InputError(ValueError):
         super().__init__(f"{msg}{where}")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # IDENT NAT PUNCT EOF
-    text: str
-    line: int
-    col: int
-
-
+# Whitespace and comments match no group; ``bad`` is any other character
+# that starts no token.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
+      \s+ | %[^\n]*
     | (?P<ident>[^\W\d]\w*'*)
     | (?P<nat>\d+)
     | (?P<punct>->|[().,:;=~&|])
+    | (?P<bad>.)
     """,
-    re.VERBOSE | re.UNICODE,
+    re.VERBOSE | re.DOTALL,
 )
 
+# How tightly each binary connective binds ("(" least, so it stays on
+# the operator stack until its ")"), and the node it builds.
+_BINDS = {"(": 0, "->": 1, "|": 2, "&": 3}
+_BINARY = {"->": Imp, "|": Or, "&": And}
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise InputError(f"unexpected character {text[i]!r}", line, col)
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_input(path) -> str:
+    """The text of an input file: UTF-8, with line ends read as text
+    mode reads them.  A byte that is not UTF-8 is an ``InputError`` at
+    its line and column."""
+    data = Path(path).read_bytes()
+    try:
+        return _universal_newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        head = _universal_newlines(data[: err.start].decode("utf-8"))
+        raise InputError(
+            f"byte {data[err.start]:#04x} is not UTF-8",
+            *_position(head, len(head)),
+        ) from None
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    toks: list[tuple[str, str, int]] = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind is None:
+            continue
         s = m.group()
-        if kind == "ident":
-            if is_alpha(s):
-                raise InputError(
-                    f"identifier {s!r} is in the reserved variable namespace",
-                    line,
-                    col,
-                )
-            toks.append(_Tok("IDENT", s, line, col))
-        elif kind == "nat":
-            toks.append(_Tok("NAT", s, line, col))
-        elif kind == "punct":
-            toks.append(_Tok("PUNCT", s, line, col))
-        nl = s.count("\n")
-        if nl:
-            line += nl
-            col = len(s) - s.rfind("\n")
-        else:
-            col += len(s)
-        i = m.end()
-    toks.append(_Tok("EOF", "", line, col))
+        if kind == "bad":
+            raise InputError(
+                f"unexpected character {s!r}", *_position(text, m.start())
+            )
+        if kind == "ident" and is_alpha(s):
+            raise InputError(
+                f"identifier {s!r} is in the reserved variable namespace",
+                *_position(text, m.start()),
+            )
+        toks.append((kind, s, m.start()))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def kind(self) -> str:
+        return self.toks[self.pos][0]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
+    def peek(self) -> str:
+        """The text of the next token; "" at the end of the input."""
+        return self.toks[self.pos][1]
+
+    def next(self) -> str:
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1][1]
 
     def err(self, msg: str) -> InputError:
-        t = self.peek()
-        return InputError(msg, t.line, t.col)
+        return InputError(msg, *_position(self.text, self.toks[self.pos][2]))
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text or t.kind == "EOF":
-            raise self.err(f"expected {text!r}, found {t.text or 'end of input'!r}")
-        return self.next()
-
-    def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind != "EOF" and t.text == text
+    def expect(self, text: str) -> None:
+        if self.peek() != text:
+            raise self.err(
+                f"expected {text!r}, found {self.peek() or 'end of input'!r}"
+            )
+        self.pos += 1
 
     # --- declarations -------------------------------------------------
 
     def parse_file(self):
         ante: list[Formula] = []
         succ: list[Formula] = []
-        # (formula number, tuples, position) resolved after all formulas.
-        insts: list[tuple[int, list[tuple[Term, ...]], _Tok]] = []
-        while self.peek().kind != "EOF":
+        # (formula number, tuples, offset) resolved after all formulas.
+        insts: list[tuple[int, list[tuple[Term, ...]], int]] = []
+        while self.kind() != "eof":
             t = self.peek()
-            if t.text == "ante":
+            if t == "ante":
                 self.next()
                 ante.append(self.parse_prenex("all"))
-            elif t.text == "succ":
+            elif t == "succ":
                 self.next()
                 succ.append(self.parse_prenex("ex"))
-            elif t.text == "inst":
+            elif t == "inst":
                 self.next()
-                at = self.peek()
-                if at.kind != "NAT":
+                if self.kind() != "nat":
                     raise self.err("expected a formula number after 'inst'")
-                n = int(self.next().text)
+                at = self.toks[self.pos][2]
+                n = int(self.next())
                 self.expect(":")
                 insts.append((n, self.parse_instlist(), at))
             else:
-                raise self.err(
-                    f"expected 'ante', 'succ' or 'inst', found {t.text!r}"
-                )
+                raise self.err(f"expected 'ante', 'succ' or 'inst', found {t!r}")
             self.expect(".")
         return ante, succ, insts
 
     def parse_prenex(self, kind: str) -> Formula:
         t = self.peek()
-        if t.text in ("all", "ex"):
-            if t.text != kind:
-                side = "antecedent" if kind == "all" else "succedent"
-                raise self.err(
-                    f"{t.text!r} prefix is a strong quantifier in the {side}"
-                )
-            self.next()
-            names: list[str] = []
-            while self.peek().kind == "IDENT" and not self.at(":"):
-                names.append(self.next().text)
-            if not names:
-                raise self.err("expected at least one bound variable")
-            if len(set(names)) != len(names):
-                raise self.err("repeated bound variable in prefix")
-            self.expect(":")
-            matrix = self.parse_imp(frozenset(names))
-            return QuantBlock(kind, tuple(names), matrix)
-        return self.parse_imp(frozenset())
+        if t not in ("all", "ex"):
+            return self.parse_matrix(frozenset())
+        if t != kind:
+            side = "antecedent" if kind == "all" else "succedent"
+            raise self.err(f"{t!r} prefix is a strong quantifier in the {side}")
+        self.next()
+        names: list[str] = []
+        while self.kind() == "ident":
+            names.append(self.next())
+        if not names:
+            raise self.err("expected at least one bound variable")
+        if len(set(names)) != len(names):
+            raise self.err("repeated bound variable in prefix")
+        self.expect(":")
+        return QuantBlock(kind, tuple(names), self.parse_matrix(frozenset(names)))
 
     # --- formulas -----------------------------------------------------
 
-    def parse_imp(self, bound: frozenset[str]) -> Formula:
-        lhs = self.parse_or(bound)
-        if self.at("->"):
-            self.next()
-            return Imp(lhs, self.parse_imp(bound))
-        return lhs
-
-    def parse_or(self, bound: frozenset[str]) -> Formula:
-        lhs = self.parse_and(bound)
-        if self.at("|"):
-            self.next()
-            return Or(lhs, self.parse_or(bound))
-        return lhs
-
-    def parse_and(self, bound: frozenset[str]) -> Formula:
-        lhs = self.parse_unary(bound)
-        if self.at("&"):
-            self.next()
-            return And(lhs, self.parse_and(bound))
-        return lhs
-
-    def parse_unary(self, bound: frozenset[str]) -> Formula:
-        if self.at("~"):
-            self.next()
-            return Not(self.parse_unary(bound))
-        if self.at("("):
-            self.next()
-            f = self.parse_imp(bound)
-            self.expect(")")
-            return f
-        if self.peek().text in ("all", "ex"):
-            raise self.err("quantifiers are only allowed as a top-level prefix")
-        return self.parse_atom(bound)
+    def parse_matrix(self, bound: frozenset[str]) -> Formula:
+        # Shunting-yard: ``ops`` holds the "~", "(" and connectives still
+        # open, ``lhs`` the left operand of each open connective.  A "~"
+        # applies as soon as its operand is complete; a connective first
+        # closes the ones on the stack that bind tighter, so equal ones
+        # nest to the right.
+        ops: list[str] = []
+        lhs: list[Formula] = []
+        while True:
+            while self.peek() in ("~", "("):
+                ops.append(self.next())
+            if self.peek() in ("all", "ex"):
+                raise self.err("quantifiers are only allowed as a top-level prefix")
+            f = self.parse_atom(bound)
+            while True:
+                while ops and ops[-1] == "~":
+                    ops.pop()
+                    f = Not(f)
+                op = self.peek()
+                if op in _BINARY:
+                    self.next()
+                    while ops and _BINDS[ops[-1]] > _BINDS[op]:
+                        f = _BINARY[ops.pop()](lhs.pop(), f)
+                    ops.append(op)
+                    lhs.append(f)
+                    break
+                while ops and ops[-1] != "(":
+                    f = _BINARY[ops.pop()](lhs.pop(), f)
+                if not ops:
+                    return f
+                # The group its ")" closes is an operand of what encloses it.
+                self.expect(")")
+                ops.pop()
 
     def parse_atom(self, bound: frozenset[str]) -> Formula:
         t = self.parse_term(bound)
-        if self.at("="):
+        if self.peek() == "=":
             self.next()
             return Eq(t, self.parse_term(bound))
         # Not an equation: reinterpret the application as a predicate atom.
@@ -224,13 +236,12 @@ class _Parser:
         # the arguments read so far, so nesting depth costs no frames.
         stack: list[tuple[str, list[Term]]] = []
         while True:
-            t = self.peek()
-            if t.kind != "IDENT":
+            if self.kind() != "ident":
                 raise self.err(
-                    f"expected a term, found {t.text or 'end of input'!r}"
+                    f"expected a term, found {self.peek() or 'end of input'!r}"
                 )
-            name = self.next().text
-            if self.at("("):
+            name = self.next()
+            if self.peek() == "(":
                 if name in bound:
                     raise self.err(
                         f"quantified variable {name!r} used as a function symbol"
@@ -241,7 +252,7 @@ class _Parser:
             term: Term = Var(name) if name in bound else App(name, ())
             while stack:
                 stack[-1][1].append(term)
-                if self.at(","):
+                if self.peek() == ",":
                     self.next()
                     break
                 self.expect(")")
@@ -253,24 +264,24 @@ class _Parser:
     # --- instance tuples ----------------------------------------------
 
     def parse_instlist(self) -> list[tuple[Term, ...]]:
-        if self.at("."):
+        if self.peek() == ".":
             return []
         tuples = [self.parse_tuple()]
-        while self.at(";"):
+        while self.peek() == ";":
             self.next()
             tuples.append(self.parse_tuple())
         return tuples
 
     def parse_tuple(self) -> tuple[Term, ...]:
-        if self.at("("):
+        if self.peek() != "(":
+            return (self.parse_term(frozenset()),)
+        self.next()
+        ts = [self.parse_term(frozenset())]
+        while self.peek() == ",":
             self.next()
-            ts = [self.parse_term(frozenset())]
-            while self.at(","):
-                self.next()
-                ts.append(self.parse_term(frozenset()))
-            self.expect(")")
-            return tuple(ts)
-        return (self.parse_term(frozenset()),)
+            ts.append(self.parse_term(frozenset()))
+        self.expect(")")
+        return tuple(ts)
 
 
 def _check_signature(seq: Sequent, structure: HerbrandStructure) -> None:
@@ -298,27 +309,24 @@ def parse_input(text: str) -> tuple[Sequent, HerbrandStructure]:
     ante, succ, insts = _Parser(text).parse_file()
     seq = Sequent(tuple(ante), tuple(succ))
     collected: list[set[tuple[Term, ...]]] = [set() for _ in range(seq.q)]
-    for n, tuples, tok in insts:
+    for n, tuples, at in insts:
         if not 1 <= n <= seq.q:
             raise InputError(
                 f"inst refers to formula {n}, but there are only {seq.q}",
-                tok.line,
-                tok.col,
+                *_position(text, at),
             )
         k = seq.k(n)
         if k == 0:
             raise InputError(
                 f"formula {n} has no quantifier prefix, instances not allowed",
-                tok.line,
-                tok.col,
+                *_position(text, at),
             )
         for tup in tuples:
             if len(tup) != k:
                 raise InputError(
                     f"instance {render_tuple(tup)} for formula {n} has arity"
                     f" {len(tup)}, expected {k}",
-                    tok.line,
-                    tok.col,
+                    *_position(text, at),
                 )
         collected[n - 1].update(tuples)
     structure = HerbrandStructure(tuple(frozenset(s) for s in collected))

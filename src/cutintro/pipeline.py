@@ -51,7 +51,7 @@ from .herbrand import (
     encode_termset,
     herbrand_sequent,
 )
-from .parser import InputError, parse_input
+from .parser import InputError, parse_input, read_input
 from .proofs import (
     ProofBuildError,
     build_proof_with_cut,
@@ -151,13 +151,14 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
         report.status = "error"
         report.messages.append(str(err))
     except RecursionError:
-        # The formula parser and most formula and term walkers recurse
-        # once per nesting level; the term parser and term equality do not.
+        # Parsing and term equality take no frame per nesting level, but
+        # some later stages do: the formula walkers, the comparison of the
+        # nested sort keys of deep terms, and the writer of the nested
+        # term form of decomposition.json.
         report.status = "error"
         report.messages.append(
-            f"input nested too deeply: its parentheses nest "
-            f"{_nesting_depth(path)} deep, and a recursive stage exceeded "
-            f"the Python recursion limit ({sys.getrecursionlimit()})"
+            "input nested too deeply: a recursive stage exceeded the "
+            f"Python recursion limit ({sys.getrecursionlimit()})"
         )
     report.wall_time = time.monotonic() - start
     if cfg.out_dir:
@@ -165,20 +166,8 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
     return report
 
 
-def _nesting_depth(path) -> int:
-    depth = deepest = 0
-    for ch in Path(path).read_text(encoding="utf-8"):
-        if ch == "(":
-            depth += 1
-            deepest = max(deepest, depth)
-        elif ch == ")":
-            depth -= 1
-    return deepest
-
-
 def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
-    text = Path(path).read_text(encoding="utf-8")
-    seq, hs = parse_input(text)
+    seq, hs = parse_input(read_input(path))
 
     hseq = herbrand_sequent(seq, hs)
     verdict = oracle.validity(hseq)

@@ -68,10 +68,18 @@ def nested_input(depth: int) -> str:
 
 def parenthesized_input(depth: int) -> str:
     """A valid .cis input whose succedent formula P(a) is wrapped in
-    ``depth`` pairs of parentheses; the formula parser recurses once per
-    pair, so a depth past the recursion limit ends in ``error``."""
+    ``depth`` pairs of parentheses; the parentheses leave no trace in the
+    parsed formula, so any depth parses and compresses like P(a)."""
     f = "(" * depth + "P(a)" + ")" * depth
     return f"ante all x: P(x).\nsucc {f}.\ninst 1: a.\n"
+
+
+def negated_input(depth: int) -> str:
+    """A .cis input whose succedent formula is P(a) under ``depth``
+    negations (valid for an even depth).  It parses at any depth, but the
+    formula walkers of later stages recurse once per negation, so a depth
+    past the recursion limit ends in ``error``."""
+    return f"ante all x: P(x).\nsucc {'~' * depth}P(a).\ninst 1: a.\n"
 
 
 def _random_pattern(

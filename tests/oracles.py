@@ -5,12 +5,14 @@ truth-table enumeration plus fixpoint congruence saturation for
 validity, the oracle's first restart-DPLL lazy loop for clause sets,
 solutionhood as one implication sequent, a two-pass anti-unifier, the
 all-subsets Δ-table with its fold over term sets, an exhaustive cover
-search for minimal decompositions, and the clause form as negation
-normal form followed by distribution.  They share no code with the
-implementations under test, with two exceptions: the Δ-table references
-build the package's ``DeltaTable`` and ``Decomposition`` records, and
-the solution reference hands its sequent to ``decide_validity``, which
-is checked against the saturation reference on its own.
+search for minimal decompositions, the clause form as negation
+normal form followed by distribution, and the input format by a
+recursive-descent parser.  They share no code with the implementations
+under test, with three exceptions: the Δ-table references build the
+package's ``DeltaTable`` and ``Decomposition`` records, the solution
+reference hands its sequent to ``decide_validity``, which is checked
+against the saturation reference on its own, and the parser reference
+raises the package's ``InputError`` and ends with its signature check.
 
 ``decide_validity`` lives here too: the package's clause form and
 refutation with both caps exposed, the sequent-level question the
@@ -20,6 +22,8 @@ tests ask of the decision procedure.
 from __future__ import annotations
 
 import itertools
+import re
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from cutintro.cnf import DEFAULT_CNF_CAP, CnfBlowup, cnf_of_formulas
@@ -38,6 +42,8 @@ from cutintro.formulas import (
     apply_subst,
     conj,
 )
+from cutintro.herbrand import HerbrandStructure
+from cutintro.parser import InputError, _check_signature
 from cutintro.sequents import Sequent
 from cutintro.terms import (
     App,
@@ -47,6 +53,7 @@ from cutintro.terms import (
     alpha_index,
     is_alpha,
     is_tag_head,
+    render_tuple,
     term_key,
 )
 
@@ -850,3 +857,268 @@ def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> lis
     results = [d for d in found if d.size == best[0]]
     results.sort(key=Decomposition.sort_key)
     return results
+
+
+# --------------------------------------------------------------------------
+# The .cis input format: a tokenizer that builds a record per token and
+# tracks line and column as it goes, and a recursive-descent parser with
+# one function per precedence level
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Tok:
+    kind: str  # IDENT NAT PUNCT EOF
+    text: str
+    line: int
+    col: int
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>%[^\n]*)
+    | (?P<ident>[^\W\d]\w*'*)
+    | (?P<nat>\d+)
+    | (?P<punct>->|[().,:;=~&|])
+    """,
+    re.VERBOSE | re.UNICODE,
+)
+
+
+def _reference_tokenize(text: str) -> list[_Tok]:
+    toks: list[_Tok] = []
+    line, col, i = 1, 1, 0
+    while i < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, i)
+        if m is None:
+            raise InputError(f"unexpected character {text[i]!r}", line, col)
+        kind = m.lastgroup
+        s = m.group()
+        if kind == "ident":
+            if is_alpha(s):
+                raise InputError(
+                    f"identifier {s!r} is in the reserved variable namespace",
+                    line,
+                    col,
+                )
+            toks.append(_Tok("IDENT", s, line, col))
+        elif kind == "nat":
+            toks.append(_Tok("NAT", s, line, col))
+        elif kind == "punct":
+            toks.append(_Tok("PUNCT", s, line, col))
+        nl = s.count("\n")
+        if nl:
+            line += nl
+            col = len(s) - s.rfind("\n")
+        else:
+            col += len(s)
+        i = m.end()
+    toks.append(_Tok("EOF", "", line, col))
+    return toks
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.toks = _reference_tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _Tok:
+        return self.toks[self.pos]
+
+    def next(self) -> _Tok:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def err(self, msg: str) -> InputError:
+        t = self.peek()
+        return InputError(msg, t.line, t.col)
+
+    def expect(self, text: str) -> _Tok:
+        t = self.peek()
+        if t.text != text or t.kind == "EOF":
+            raise self.err(f"expected {text!r}, found {t.text or 'end of input'!r}")
+        return self.next()
+
+    def at(self, text: str) -> bool:
+        t = self.peek()
+        return t.kind != "EOF" and t.text == text
+
+    def parse_file(self):
+        ante: list[Formula] = []
+        succ: list[Formula] = []
+        insts: list[tuple[int, list[tuple[Term, ...]], _Tok]] = []
+        while self.peek().kind != "EOF":
+            t = self.peek()
+            if t.text == "ante":
+                self.next()
+                ante.append(self.parse_prenex("all"))
+            elif t.text == "succ":
+                self.next()
+                succ.append(self.parse_prenex("ex"))
+            elif t.text == "inst":
+                self.next()
+                at = self.peek()
+                if at.kind != "NAT":
+                    raise self.err("expected a formula number after 'inst'")
+                n = int(self.next().text)
+                self.expect(":")
+                insts.append((n, self.parse_instlist(), at))
+            else:
+                raise self.err(
+                    f"expected 'ante', 'succ' or 'inst', found {t.text!r}"
+                )
+            self.expect(".")
+        return ante, succ, insts
+
+    def parse_prenex(self, kind: str) -> Formula:
+        t = self.peek()
+        if t.text in ("all", "ex"):
+            if t.text != kind:
+                side = "antecedent" if kind == "all" else "succedent"
+                raise self.err(
+                    f"{t.text!r} prefix is a strong quantifier in the {side}"
+                )
+            self.next()
+            names: list[str] = []
+            while self.peek().kind == "IDENT" and not self.at(":"):
+                names.append(self.next().text)
+            if not names:
+                raise self.err("expected at least one bound variable")
+            if len(set(names)) != len(names):
+                raise self.err("repeated bound variable in prefix")
+            self.expect(":")
+            matrix = self.parse_imp(frozenset(names))
+            return QuantBlock(kind, tuple(names), matrix)
+        return self.parse_imp(frozenset())
+
+    def parse_imp(self, bound: frozenset[str]) -> Formula:
+        lhs = self.parse_or(bound)
+        if self.at("->"):
+            self.next()
+            return Imp(lhs, self.parse_imp(bound))
+        return lhs
+
+    def parse_or(self, bound: frozenset[str]) -> Formula:
+        lhs = self.parse_and(bound)
+        if self.at("|"):
+            self.next()
+            return Or(lhs, self.parse_or(bound))
+        return lhs
+
+    def parse_and(self, bound: frozenset[str]) -> Formula:
+        lhs = self.parse_unary(bound)
+        if self.at("&"):
+            self.next()
+            return And(lhs, self.parse_and(bound))
+        return lhs
+
+    def parse_unary(self, bound: frozenset[str]) -> Formula:
+        if self.at("~"):
+            self.next()
+            return Not(self.parse_unary(bound))
+        if self.at("("):
+            self.next()
+            f = self.parse_imp(bound)
+            self.expect(")")
+            return f
+        if self.peek().text in ("all", "ex"):
+            raise self.err("quantifiers are only allowed as a top-level prefix")
+        return self.parse_atom(bound)
+
+    def parse_atom(self, bound: frozenset[str]) -> Formula:
+        t = self.parse_term(bound)
+        if self.at("="):
+            self.next()
+            return Eq(t, self.parse_term(bound))
+        if isinstance(t, Var):
+            raise self.err(
+                f"bound variable {t.name!r} cannot stand alone as an atom"
+            )
+        return Atom(t.head, t.args)
+
+    def parse_term(self, bound: frozenset[str]) -> Term:
+        stack: list[tuple[str, list[Term]]] = []
+        while True:
+            t = self.peek()
+            if t.kind != "IDENT":
+                raise self.err(
+                    f"expected a term, found {t.text or 'end of input'!r}"
+                )
+            name = self.next().text
+            if self.at("("):
+                if name in bound:
+                    raise self.err(
+                        f"quantified variable {name!r} used as a function symbol"
+                    )
+                self.next()
+                stack.append((name, []))
+                continue
+            term: Term = Var(name) if name in bound else App(name, ())
+            while stack:
+                stack[-1][1].append(term)
+                if self.at(","):
+                    self.next()
+                    break
+                self.expect(")")
+                head, args = stack.pop()
+                term = App(head, tuple(args))
+            if not stack:
+                return term
+
+    def parse_instlist(self) -> list[tuple[Term, ...]]:
+        if self.at("."):
+            return []
+        tuples = [self.parse_tuple()]
+        while self.at(";"):
+            self.next()
+            tuples.append(self.parse_tuple())
+        return tuples
+
+    def parse_tuple(self) -> tuple[Term, ...]:
+        if self.at("("):
+            self.next()
+            ts = [self.parse_term(frozenset())]
+            while self.at(","):
+                self.next()
+                ts.append(self.parse_term(frozenset()))
+            self.expect(")")
+            return tuple(ts)
+        return (self.parse_term(frozenset()),)
+
+
+def reference_parse_input(text: str) -> tuple[Sequent, HerbrandStructure]:
+    """``parse_input`` as a per-token record tokenizer and a parser with
+    one recursive function per precedence level (``->``, ``|``, ``&``,
+    then ``~``, parentheses and atoms); it recurses once per nesting
+    level of a formula."""
+    ante, succ, insts = _ReferenceParser(text).parse_file()
+    seq = Sequent(tuple(ante), tuple(succ))
+    collected: list[set[tuple[Term, ...]]] = [set() for _ in range(seq.q)]
+    for n, tuples, tok in insts:
+        if not 1 <= n <= seq.q:
+            raise InputError(
+                f"inst refers to formula {n}, but there are only {seq.q}",
+                tok.line,
+                tok.col,
+            )
+        k = seq.k(n)
+        if k == 0:
+            raise InputError(
+                f"formula {n} has no quantifier prefix, instances not allowed",
+                tok.line,
+                tok.col,
+            )
+        for tup in tuples:
+            if len(tup) != k:
+                raise InputError(
+                    f"instance {render_tuple(tup)} for formula {n} has arity"
+                    f" {len(tup)}, expected {k}",
+                    tok.line,
+                    tok.col,
+                )
+        collected[n - 1].update(tuples)
+    structure = HerbrandStructure(tuple(frozenset(s) for s in collected))
+    _check_signature(seq, structure)
+    return seq, structure

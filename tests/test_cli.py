@@ -47,6 +47,31 @@ class TestRun:
         assert main(["run", str(p)]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "error"
 
+    def test_non_utf8_input_exits_two_and_writes_the_report(
+        self, tmp_path, capsys
+    ):
+        p = tmp_path / "latin1.cis"
+        p.write_bytes(b"ante P(a).\nsucc P(\xff).\n")
+        out = tmp_path / "artifacts"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["status"] == "error"
+        assert printed["messages"] == [
+            "byte 0xff is not UTF-8 at line 2, column 8"
+        ]
+        written = json.loads((out / "report.json").read_text())
+        assert written["messages"] == printed["messages"]
+
+    def test_formula_in_ten_thousand_parentheses_exits_zero(
+        self, tmp_path, capsys
+    ):
+        p = tmp_path / "parenthesized.cis"
+        p.write_text(gen.parenthesized_input(10_000))
+        assert main(["run", str(p)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "uncompressible"
+        assert report["termset_size"] == 1
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "ghost.cis")]) == 2
 
@@ -484,7 +509,7 @@ class TestConsoleScript:
 
     def test_too_deep_input_exits_two_without_traceback(self, tmp_path):
         p = tmp_path / "deep.cis"
-        p.write_text(gen.parenthesized_input(10_000))
+        p.write_text(gen.negated_input(20_000))
         done = subprocess.run(
             [sys.executable, "-m", "cutintro.cli", "run", str(p)],
             capture_output=True,
@@ -493,7 +518,12 @@ class TestConsoleScript:
         )
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
-        assert json.loads(done.stdout)["status"] == "error"
+        report = json.loads(done.stdout)
+        assert report["status"] == "error"
+        assert report["messages"] == [
+            "input nested too deeply: a recursive stage exceeded the "
+            "Python recursion limit (1000)"
+        ]
 
     def test_clause_form_blowup_exits_two_without_traceback(self, tmp_path):
         p = tmp_path / "wide.cis"

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 
 import pytest
 
 from cutintro.parser import InputError, parse_input
-from cutintro.formulas import Atom, Eq, Imp, QuantBlock
+from cutintro.formulas import And, Atom, Eq, Imp, Not, QuantBlock
 from cutintro.terms import App, Var, const
 
 import gen
 from gen import render_input
+from oracles import reference_parse_input
 
 
 class TestGoldenInput:
@@ -180,3 +182,124 @@ class TestRoundTripRandom:
             text = render_input(seq, hs)
             seq2, hs2 = parse_input(text)
             assert (seq2, hs2) == (seq, hs), f"seed {seed}"
+
+
+class TestDeepMatrices:
+    """Matrices nested past the recursion limit parse without a frame per
+    level."""
+
+    DEPTH = 5 * sys.getrecursionlimit()
+    P = Atom("P", (const("a"),))
+
+    def _succedent(self, matrix: str):
+        seq, _ = parse_input(f"succ {matrix}.")
+        return seq.succ[0]
+
+    def test_parentheses(self):
+        d = self.DEPTH
+        assert self._succedent("(" * d + "P(a)" + ")" * d) is self.P
+
+    def test_negations(self):
+        expected = self.P
+        for _ in range(self.DEPTH):
+            expected = Not(expected)
+        assert self._succedent("~" * self.DEPTH + "P(a)") is expected
+
+    def test_right_nested_conjunction(self):
+        expected = self.P
+        for _ in range(self.DEPTH):
+            expected = And(self.P, expected)
+        assert self._succedent("P(a) & " * self.DEPTH + "P(a)") is expected
+
+
+# Lexemes of an input: the units a mutation deletes, repeats, swaps or
+# replaces.  Any character that starts no token is a lexeme of its own.
+_LEXEME_RE = re.compile(r"\s+|%[^\n]*|[^\W\d]\w*'*|\d+|->|.", re.DOTALL)
+_VOCABULARY = (
+    "~ ( ) & | -> = . , ; : all ex ante succ inst x y a f P Q 1 2 7".split()
+    + [" ", "\n", "% note\n", "$", "-", "'", "α1", "é"]
+)
+
+
+def _random_matrix(rng: random.Random, depth: int) -> str:
+    """A matrix over the bound x, y in which negation, parentheses and
+    the three connectives mix without regard to precedence."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["P(x)", "Q(a, y)", "x = f(y)", "R", "f(a) = a"])
+    pick = rng.random()
+    if pick < 0.2:
+        return "~" + _random_matrix(rng, depth - 1)
+    if pick < 0.35:
+        return f"({_random_matrix(rng, depth - 1)})"
+    op = rng.choice(["&", "|", "->"])
+    return f"{_random_matrix(rng, depth - 1)} {op} {_random_matrix(rng, depth - 1)}"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    lex = _LEXEME_RE.findall(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lex))
+        op = rng.randrange(5)
+        if op == 0 and len(lex) > 1:
+            del lex[i]
+        elif op == 1:
+            lex.insert(i, lex[i])
+        elif op == 2 and i + 1 < len(lex):
+            lex[i], lex[i + 1] = lex[i + 1], lex[i]
+        elif op == 3:
+            lex[i] = rng.choice(_VOCABULARY)
+        else:
+            lex.insert(i, rng.choice(_VOCABULARY))
+    return "".join(lex)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except InputError as err:
+        return ("InputError", err.msg, err.line, err.col)
+
+
+class TestAgainstReference:
+    """The parser against the recursive-descent one it replaced
+    (``oracles.reference_parse_input``): the same sequent and instance
+    lists, node for node, or the same error at the same position."""
+
+    MUTANTS_PER_INPUT = 160
+
+    @staticmethod
+    def _inputs(golden_text: str) -> list[str]:
+        texts = [
+            golden_text,
+            gen.lemma_input(1, 2),
+            gen.lemma_input(3, 0),
+            gen.wide_disjunction_input(3),
+        ]
+        for seed in range(12):
+            rng = random.Random(seed)
+            texts.append(render_input(*gen.random_solvable_instance(rng)))
+        rng = random.Random(0)
+        for _ in range(20):
+            texts.append(
+                f"ante all x y: {_random_matrix(rng, 4)}.\n"
+                f"succ {_random_matrix(rng, 3).replace('x', 'b')}.\n"
+                "inst 1: (a, b); (f(a), a).\n"
+            )
+        return texts
+
+    def test_same_result_on_inputs_and_their_mutants(self, golden_text):
+        rng = random.Random(20)
+        inputs = self._inputs(golden_text)
+        mutants = [
+            _mutate(rng, text)
+            for text in inputs
+            for _ in range(self.MUTANTS_PER_INPUT)
+        ]
+        assert len(mutants) >= 5000
+        outcomes = {"parsed": 0, "InputError": 0}
+        for text in inputs + mutants:
+            got = _outcome(parse_input, text)
+            assert got == _outcome(reference_parse_input, text), text
+            outcomes["InputError" if got[0] == "InputError" else "parsed"] += 1
+        # Both kinds of outcome are exercised in number.
+        assert min(outcomes.values()) > 500, outcomes

@@ -6,6 +6,7 @@ import csv
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,10 @@ import gen
 from gen import render_input
 
 GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "running_example"
+DEEP_MESSAGE = (
+    "input nested too deeply: a recursive stage exceeded the Python "
+    f"recursion limit ({sys.getrecursionlimit()})"
+)
 
 
 @pytest.fixture()
@@ -218,10 +223,18 @@ class TestFailureStatuses:
         self, tmp_path
     ):
         p = tmp_path / "deeper.cis"
-        p.write_text(gen.parenthesized_input(10_000))
+        p.write_text(gen.negated_input(20_000))
         rep = run_pipeline(p, RunConfig())
         assert rep.status == "error"
-        assert any("nest 10001 deep" in m for m in rep.messages)
+        assert rep.messages == [DEEP_MESSAGE]
+
+    def test_non_utf8_input_is_an_error_at_its_byte(self, tmp_path):
+        p = tmp_path / "latin1.cis"
+        p.write_bytes(b"ante all x: P(x).\r\nsucc P(\xe9).\ninst 1: a.\n")
+        rep = run_pipeline(p, RunConfig())
+        assert rep.status == "error"
+        # Line ends count as text mode reads them: "\r\n" is one.
+        assert rep.messages == ["byte 0xe9 is not UTF-8 at line 2, column 8"]
 
 
 class TestLemmaWithSideChains:
@@ -318,11 +331,22 @@ class TestCorpus:
         (tmp_path / "ok.cis").write_text(
             "ante all x: P(x).\nsucc P(a) & P(f(a)).\ninst 1: a; f(a)."
         )
-        (tmp_path / "deep.cis").write_text(gen.parenthesized_input(10_000))
+        (tmp_path / "deep.cis").write_text(gen.negated_input(20_000))
         reports = run_corpus(tmp_path, RunConfig(), workers=1)
         by_name = {Path(r.input).name: r for r in reports}
         assert by_name["ok.cis"].status == "uncompressible"
         assert by_name["deep.cis"].status == "error"
-        assert any(
-            "nest 10001 deep" in m for m in by_name["deep.cis"].messages
+        assert by_name["deep.cis"].messages == [DEEP_MESSAGE]
+
+    def test_non_utf8_file_gets_its_own_row(self, tmp_path):
+        (tmp_path / "ok.cis").write_text(
+            "ante all x: P(x).\nsucc P(a) & P(f(a)).\ninst 1: a; f(a)."
         )
+        (tmp_path / "latin1.cis").write_bytes(b"\xff")
+        reports = run_corpus(tmp_path, RunConfig(), workers=1)
+        by_name = {Path(r.input).name: r for r in reports}
+        assert by_name["ok.cis"].status == "uncompressible"
+        rep = by_name["latin1.cis"]
+        assert rep.status == "error"
+        assert rep.messages == ["byte 0xff is not UTF-8 at line 1, column 1"]
+        assert rep.wall_time > 0
