@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,6 +62,10 @@ def run_corpus(
     jobs = [(str(f), _job_config(cfg, f)) for f in files]
     if workers == 1 or len(jobs) == 1:
         return [_run_one(job) for job in jobs]
+    # Imported here: it costs tens of milliseconds of every start-up,
+    # and only a corpus run with several workers uses it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, jobs))
 

@@ -305,11 +305,6 @@ def _pair_successors(ci: Clause, cj: Clause) -> list[Clause]:
     return out
 
 
-def _normalize(clauses: Iterable[Clause]) -> CNF:
-    """Deduplicate and drop tautological clauses (no subsumption)."""
-    return frozenset(c for c in clauses if not is_tautological(c))
-
-
 def _forget_moves(
     cnf: CNF, pairs: Optional[dict] = None
 ) -> Iterator[tuple[CNF, tuple]]:
@@ -319,10 +314,11 @@ def _forget_moves(
     when given, keeps each ordered clause pair's ``_pair_successors``
     across calls.
 
-    One step picks two clauses, replaces both by a single resolvent or
-    ground paramodulant, and normalizes.  The result is strictly less
-    general in the entailment order, which is what lets the improvement
-    loop shrink solutions.
+    One step picks two clauses and replaces both by a single resolvent
+    or ground paramodulant, which is dropped when it is a tautology; the
+    node itself holds none.  The result is strictly less general in the
+    entailment order, which is what lets the improvement loop shrink
+    solutions.
     """
     if pairs is None:
         pairs = {}
@@ -336,7 +332,7 @@ def _forget_moves(
                 news = pairs[pair] = _pair_successors(*pair)
             rest = cnf - {clauses[i], clauses[j]}
             for new in news:
-                succ = _normalize(rest | {new})
+                succ = rest if is_tautological(new) else rest | {new}
                 if succ in seen:
                     continue
                 seen.add(succ)

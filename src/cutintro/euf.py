@@ -9,16 +9,21 @@ loop: a DPLL search enumerates propositional models of the clauses, a
 congruence closure checks each model, and a conflict core becomes a
 blocking clause.  Free variables are treated as uninterpreted constants.
 
-The internal oracle keeps one term table and closure per run, which
-interns each ground term once; checking a model resets the union-find
-and merges the model's true equations.  Terms of earlier queries may
-join classes, but congruence among a query's own terms, and so its
-verdict, stays the same.  It also keeps one lemma store per run: every
-blocking clause is valid in every congruence, so a later query whose
-atoms include all of a lemma's starts with it and need not rediscover it
-(Nieuwenhuis, Oliveras and Tinelli, "Solving SAT and SAT Modulo
-Theories", JACM 2006).  A query is not simplified by subsumption: only
-its tautologies are dropped.  The closure records why it merged two
+The internal oracle keeps one atom table per run, the one vocabulary
+of a DPLL(T) solver (Nieuwenhuis, Oliveras and Tinelli, "Solving SAT
+and SAT Modulo Theories", JACM 2006): each atom is a Boolean variable,
+a positive int issued on first sight, and each clause is encoded once
+per run, as a sorted int tuple or as a tautology.  A query looks up its
+clauses' codes, drops the tautologies and joins its lemmas; it is not
+simplified by subsumption.  The table also holds one term table and
+closure, which interns each ground term once, at the first theory check
+of a query that mentions it; checking a model resets the union-find and
+merges the model's true equations.  Terms of earlier queries may join
+classes, but congruence among a query's own terms, and so its verdict,
+stays the same.  The oracle keeps one lemma store per run, in the
+table's variables: every blocking clause is valid in every congruence,
+so a later query whose variables include all of a lemma's starts with
+it and need not rediscover it.  The closure records why it merged two
 classes (an asserted equation, or the congruence of two applications) as
 an edge of a proof forest, and the conflict core is read off the
 forest's path between the clashing terms (Nieuwenhuis and Oliveras,
@@ -36,10 +41,12 @@ UNKNOWN, never as a silent "invalid".
 from __future__ import annotations
 
 import enum
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
-from .cnf import CNF, CnfBlowup, cnf_of_formulas, is_tautological
+from .cnf import CNF, Clause, CnfBlowup, cnf_of_formulas
 from .formulas import Eq
 from .sequents import Sequent
 from .terms import Term, Var
@@ -84,21 +91,8 @@ class CongruenceClosure:
 
     def __init__(self) -> None:
         self._ids: dict[Term, int] = {}
-        self._atoms: dict = {}
         self._node: list[tuple[object, tuple[int, ...]]] = []
         self.reset()
-
-    def atom(self, atom) -> tuple:
-        """(lhs id, rhs id) of an equation, (predicate, argument ids) of a
-        predicate atom; the atom's terms are interned on its first call."""
-        ids = self._atoms.get(atom)
-        if ids is None:
-            if isinstance(atom, Eq):
-                ids = (self.intern(atom.lhs), self.intern(atom.rhs))
-            else:
-                ids = (atom.pred, tuple([self.intern(t) for t in atom.args]))
-            self._atoms[atom] = ids
-        return ids
 
     def intern(self, t: Term) -> int:
         """The id of t; its subterms are interned first."""
@@ -246,9 +240,11 @@ class _Budget:
 class _Search:
     """Iterative DPLL with a trail and two watched literals per clause.
 
-    Variables are 1..n and a literal is ±v.  ``_val[l]`` is the truth of
-    literal l (negative literals index from the end of the list).  The
-    first two literals of a clause are watched.  ``next_model`` returns
+    Variables are among 1..n and a literal is ±v.  ``_val[l]`` is the
+    truth of literal l (negative literals index from the end of the
+    list).  The variables of the clauses are decided most frequent
+    first, ties by number.  The first two literals of a clause are
+    watched.  ``next_model`` returns
     a total assignment satisfying every clause, or None; ``block`` adds
     a clause that the last model falsifies, after which ``next_model``
     resumes from the assignments the clause leaves standing.
@@ -262,7 +258,7 @@ class _Search:
 
     def __init__(
         self,
-        clauses: list[list[int]],
+        clauses: Sequence[Sequence[int]],
         n_vars: int,
         budget: _Budget,
         cancel: Optional[Callable[[], None]],
@@ -271,28 +267,29 @@ class _Search:
         self._cancel = cancel
         self._val: list[Optional[bool]] = [None] * (2 * n_vars + 1)
         self._level = [0] * (n_vars + 1)
-        self._watches: list[list[list[int]]] = [
-            [] for _ in range(2 * n_vars + 1)
-        ]
+        # Only the literals of the clauses get a list, not all of 1..n.
+        self._watches: defaultdict[int, list[list[int]]] = defaultdict(list)
         self._trail: list[int] = []
         self._head = 0  # trail literals before it are propagated
         self._starts: list[int] = []  # trail length when each level began
         self._flipped: list[bool] = []  # per level
         self._pos: list[int] = []  # per level: decision's place in _order
-        count = [0] * (n_vars + 1)
-        for c in clauses:
-            for lit in c:
-                count[abs(lit)] += 1
-        self._order = sorted(range(1, n_vars + 1), key=lambda v: -count[v])
+        count = Counter(map(abs, chain.from_iterable(clauses)))
+        # A reversed sort is stable: equal counts keep increasing order.
+        self._order = sorted(
+            sorted(count), key=count.__getitem__, reverse=True
+        )
         self._unsat = False
+        budget.spend(len(clauses))
+        watches, val = self._watches, self._val
         for c in clauses:
-            budget.spend()
             if len(c) > 1:
-                self._watches[c[0]].append(c)
-                self._watches[c[1]].append(c)
-            elif self._val[c[0]] is None:
+                c = list(c)  # the watches reorder it
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+            elif val[c[0]] is None:
                 self._assign(c[0])
-            elif self._val[c[0]] is False:
+            elif val[c[0]] is False:
                 self._unsat = True
 
     def _assign(self, lit: int) -> None:
@@ -443,60 +440,70 @@ def _theory_conflict(
     return None
 
 
-def _refute(
-    clauses: CNF,
-    closure: CongruenceClosure,
-    *,
-    learned: Optional[dict] = None,
-    step_cap: int = DEFAULT_STEP_CAP,
-    cancel: Optional[Callable[[], None]] = None,
-) -> Verdict:
-    """VALID iff the clause set is unsatisfiable modulo equality, UNKNOWN
-    past the step cap; models are checked in ``closure``.
+class _AtomTable:
+    """The run-wide Boolean variables of one InternalOracle.
 
-    ``learned``, when given, is a lemma store that outlives the query:
-    each blocking clause found is filed there under the atom of its one
-    positive literal, mapped to its atoms, and a stored lemma joins the
-    query when all its atoms occur in it, so it adds no variable.
+    Each atom gets a positive int on first sight; the fresh atoms of one
+    query are numbered in ``key`` order, so the numbering follows the
+    sequence of queries and not set iteration order.  Each clause is
+    encoded once, as its literals ±v sorted by variable, or None for a
+    tautology.  An atom's closure ids are interned at the first theory
+    check of a query that has it, in ``closure``.
     """
-    cnf = {c for c in clauses if not is_tautological(c)}
-    present = {a for c in cnf for _, a in c}
-    if learned is None:
-        learned = {}
-    for a in present:
-        for clause, needs in learned.get(a, {}).items():
-            if needs <= present:
-                cnf.add(clause)
-    atoms = sorted(present, key=lambda a: a.key)
-    index = {atom: i + 1 for i, atom in enumerate(atoms)}
-    ints = sorted(
-        sorted((index[a] if s else -index[a] for s, a in c), key=abs)
-        for c in cnf
-    )
-    if any(not c for c in ints):
-        return Verdict.VALID
-    budget = _Budget(step_cap)
-    eqs = preds = None
-    try:
-        search = _Search(ints, len(atoms), budget, cancel)
-        while (model := search.next_model()) is not None:
-            if eqs is None:
-                eqs, preds = [], []
-                for v, atom in enumerate(atoms, 1):
-                    ids = closure.atom(atom)
-                    (eqs if isinstance(atom, Eq) else preds).append((v, *ids))
-            blocking = _theory_conflict(closure, eqs, preds, model)
-            if blocking is None:
-                return Verdict.INVALID
-            lemma = frozenset((u > 0, atoms[abs(u) - 1]) for u in blocking)
-            learned.setdefault(atoms[blocking[-1] - 1], {})[lemma] = frozenset(
-                a for _, a in lemma
-            )
-            budget.spend(len(blocking))
-            search.block(blocking)
-    except OracleLimit:
-        return Verdict.UNKNOWN
-    return Verdict.VALID
+
+    def __init__(self) -> None:
+        self.closure = CongruenceClosure()
+        self._ids: dict = {}
+        self.atoms: list = [None]  # by id; id 0 is no atom
+        self._is_eq: list[bool] = [False]
+        self._theory: list[Optional[tuple]] = [None]
+        self._codes: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.atoms) - 1
+
+    def encode(self, clauses: CNF) -> set[tuple[int, ...]]:
+        """The int tuples of the clauses that are not tautologies."""
+        codes = self._codes
+        fresh = [c for c in clauses if c not in codes]
+        if fresh:
+            self._add(fresh)
+        out = {codes[c] for c in clauses}
+        out.discard(None)
+        return out
+
+    def _add(self, clauses: list[Clause]) -> None:
+        ids = self._ids
+        new = {a for c in clauses for _, a in c if a not in ids}
+        for atom in sorted(new, key=lambda a: a.key):
+            ids[atom] = len(self.atoms)
+            self.atoms.append(atom)
+            self._is_eq.append(isinstance(atom, Eq))
+            self._theory.append(None)
+        for c in clauses:
+            code = sorted([ids[a] if s else -ids[a] for s, a in c], key=abs)
+            # A clause holds no literal twice, so a repeated variable
+            # occurs with both signs.
+            tautology = len({abs(u) for u in code}) < len(code)
+            self._codes[c] = None if tautology else tuple(code)
+
+    def theory_atoms(self, variables: Iterable[int]) -> tuple[list, list]:
+        """The ``eqs`` and ``preds`` of ``_theory_conflict`` for the
+        given variables, in increasing order."""
+        eqs: list = []
+        preds: list = []
+        theory, intern = self._theory, self.closure.intern
+        for v in sorted(variables):
+            ids = theory[v]
+            if ids is None:
+                atom = self.atoms[v]
+                if self._is_eq[v]:
+                    ids = (v, intern(atom.lhs), intern(atom.rhs))
+                else:
+                    ids = (v, atom.pred, tuple([intern(t) for t in atom.args]))
+                theory[v] = ids
+            (eqs if self._is_eq[v] else preds).append(ids)
+        return eqs, preds
 
 
 @dataclass(eq=False)
@@ -510,7 +517,7 @@ class Oracle:
     no backend.  ``calls`` counts the clause sets that reached the
     backend, which implements only the uncached ``_decide``; a backend
     may keep state across them for the length of a run, as
-    ``InternalOracle`` keeps one closure and one lemma store.
+    ``InternalOracle`` keeps one atom table and one lemma store.
     ``cancel``, when given, is called before each such clause set and
     while a sequent's clause form is simplified, and raises to abandon
     the run, so a deadline holds for every backend.
@@ -543,15 +550,49 @@ class Oracle:
 
 @dataclass
 class InternalOracle(Oracle):
-    """The loop of this module, with one term table and closure and one
-    lemma store per run; a query is not simplified by subsumption."""
+    """The loop of this module, with one atom table (and in it one term
+    table and closure) and one lemma store per run; a query is not
+    simplified by subsumption.
 
-    _closure: CongruenceClosure = field(
-        default_factory=CongruenceClosure, init=False, repr=False
+    The lemma store files each blocking clause, as an int tuple, under
+    the variable of its one positive literal, with the variables it
+    needs; a stored lemma joins a query when all of them occur in it, so
+    it adds no variable.
+    """
+
+    _atoms: _AtomTable = field(
+        default_factory=_AtomTable, init=False, repr=False
     )
     _lemmas: dict = field(default_factory=dict, init=False, repr=False)
 
     def _decide(self, clauses: CNF) -> Verdict:
-        return _refute(
-            clauses, self._closure, learned=self._lemmas, cancel=self.cancel
-        )
+        table, lemmas = self._atoms, self._lemmas
+        cnf = table.encode(clauses)
+        present = {abs(u) for c in cnf for u in c}
+        for v in present:
+            bucket = lemmas.get(v)
+            if bucket:
+                for lemma, needs in bucket.items():
+                    if needs <= present:
+                        cnf.add(lemma)
+        ints = sorted(cnf)
+        if ints and not ints[0]:
+            return Verdict.VALID
+        budget = _Budget(DEFAULT_STEP_CAP)
+        eqs = preds = None
+        try:
+            search = _Search(ints, len(table), budget, self.cancel)
+            while (model := search.next_model()) is not None:
+                if eqs is None:
+                    eqs, preds = table.theory_atoms(present)
+                blocking = _theory_conflict(table.closure, eqs, preds, model)
+                if blocking is None:
+                    return Verdict.INVALID
+                lemmas.setdefault(blocking[-1], {})[
+                    tuple(sorted(blocking, key=abs))
+                ] = frozenset(map(abs, blocking))
+                budget.spend(len(blocking))
+                search.block(blocking)
+        except OracleLimit:
+            return Verdict.UNKNOWN
+        return Verdict.VALID

@@ -16,10 +16,13 @@ runs; corpus workers are processes, each with a table of its own.
 Each node computes once, when it is first built, from the values its
 children already hold, so no later use walks it again:
 
-- its hash.  It is structural rather than an address, but it starts
-  from string hashes, which are salted per process, so the iteration
-  order of node sets and dicts differs between runs.  Outputs do not
-  depend on that order: every output is sorted before it is written;
+- its hash.  It is structural rather than an address, and it starts
+  from string hashes alone: a variable hashes its name with the empty
+  tuple, not with None, whose hash is its address before Python 3.12.
+  String hashes are salted per process, so the iteration order of node
+  sets and dicts differs between runs, but repeats at one
+  ``PYTHONHASHSEED``.  Outputs do not depend on that order: every output
+  is sorted before it is written;
 - ``key``, its total-order sort key.  For a term it is what ``term_key``
   returns (variables before applications, then by name and arguments);
 - for a term, ``tagged``: whether some subterm has a reserved
@@ -120,7 +123,10 @@ class Var(Node):
     tagged = False
 
     def _derive(self, values: tuple) -> None:
-        _set(self, "_hash", hash((self.name, None)))
+        # () marks a variable apart from the constant of its name, whose
+        # hash is that of (name,); its hash, unlike None's, is the same
+        # in every process.
+        _set(self, "_hash", hash((self.name, ())))
         _set(self, "key", (0, _name_key(self.name)))
 
 

@@ -16,7 +16,10 @@ raises the package's ``InputError`` and ends with its signature check.
 
 ``decide_validity`` lives here too: the package's clause form and
 refutation with both caps exposed, the sequent-level question the
-tests ask of the decision procedure.
+tests ask of the decision procedure.  Its refutation is
+``reference_refute``, the internal oracle's query as it was before the
+run-wide atom table (it numbers and encodes each query afresh), on the
+package's search and theory check.
 """
 
 from __future__ import annotations
@@ -26,8 +29,21 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from cutintro.cnf import DEFAULT_CNF_CAP, CnfBlowup, cnf_of_formulas
-from cutintro.euf import DEFAULT_STEP_CAP, CongruenceClosure, Verdict, _refute
+from cutintro.cnf import (
+    DEFAULT_CNF_CAP,
+    CnfBlowup,
+    cnf_of_formulas,
+    is_tautological,
+)
+from cutintro.euf import (
+    DEFAULT_STEP_CAP,
+    CongruenceClosure,
+    OracleLimit,
+    Verdict,
+    _Budget,
+    _Search,
+    _theory_conflict,
+)
 from cutintro.formulas import (
     And,
     Atom,
@@ -506,6 +522,69 @@ def reference_clauses(asserted: list, denied: list, cap: int):
 # --------------------------------------------------------------------------
 
 
+def reference_refute(
+    clauses,
+    closure: CongruenceClosure,
+    *,
+    learned: Optional[dict] = None,
+    step_cap: int = DEFAULT_STEP_CAP,
+    cancel: Optional[Callable[[], None]] = None,
+) -> Verdict:
+    """The internal oracle's query as it was before its run-wide atom
+    table: VALID iff the clause set is unsatisfiable modulo equality,
+    UNKNOWN past the step cap; models are checked in ``closure``.
+
+    Each query drops its tautologies, numbers its own atoms 1..n in
+    ``key`` order and encodes its clauses afresh.  ``learned``, when
+    given, is a lemma store that outlives the query: each blocking
+    clause found is filed there under the atom of its one positive
+    literal, mapped to its atoms, and a stored lemma joins the query
+    when all its atoms occur in it, so it adds no variable.
+    """
+    cnf = {c for c in clauses if not is_tautological(c)}
+    present = {a for c in cnf for _, a in c}
+    if learned is None:
+        learned = {}
+    for a in present:
+        for clause, needs in learned.get(a, {}).items():
+            if needs <= present:
+                cnf.add(clause)
+    atoms = sorted(present, key=lambda a: a.key)
+    index = {atom: i + 1 for i, atom in enumerate(atoms)}
+    ints = sorted(
+        sorted((index[a] if s else -index[a] for s, a in c), key=abs)
+        for c in cnf
+    )
+    if any(not c for c in ints):
+        return Verdict.VALID
+    budget = _Budget(step_cap)
+    eqs = preds = None
+    try:
+        search = _Search(ints, len(atoms), budget, cancel)
+        while (model := search.next_model()) is not None:
+            if eqs is None:
+                eqs, preds = [], []
+                for v, atom in enumerate(atoms, 1):
+                    if isinstance(atom, Eq):
+                        lhs = closure.intern(atom.lhs)
+                        eqs.append((v, lhs, closure.intern(atom.rhs)))
+                    else:
+                        args = tuple([closure.intern(t) for t in atom.args])
+                        preds.append((v, atom.pred, args))
+            blocking = _theory_conflict(closure, eqs, preds, model)
+            if blocking is None:
+                return Verdict.INVALID
+            lemma = frozenset((u > 0, atoms[abs(u) - 1]) for u in blocking)
+            learned.setdefault(atoms[blocking[-1] - 1], {})[lemma] = frozenset(
+                a for _, a in lemma
+            )
+            budget.spend(len(blocking))
+            search.block(blocking)
+    except OracleLimit:
+        return Verdict.UNKNOWN
+    return Verdict.VALID
+
+
 def decide_validity(
     seq: Sequent,
     *,
@@ -519,7 +598,7 @@ def decide_validity(
         clauses = cnf_of_formulas(seq.ante, seq.succ, cnf_cap, cancel)
     except CnfBlowup:
         return Verdict.UNKNOWN
-    return _refute(
+    return reference_refute(
         clauses, CongruenceClosure(), step_cap=step_cap, cancel=cancel
     )
 

@@ -46,6 +46,7 @@ from cutintro.proofs import build_proof_with_cut
 from cutintro.sequents import Sequent
 from cutintro.terms import App, Var, alpha, alpha_subst, const, is_alpha
 
+import bundled_search
 import gen
 import oracles
 from oracles import decide_validity
@@ -377,6 +378,15 @@ class TestSFImprove:
         )
         assert res.capped
         assert res.visited <= 10
+
+    def test_visiting_order_is_reproducible_at_one_hash_seed(self):
+        # Term hashes derive from string hashes alone, so two processes
+        # at one PYTHONHASHSEED iterate sets and dicts of terms alike and
+        # visit the nodes in one order.
+        first, second = (bundled_search.run("0") for _ in range(2))
+        assert first["var_hash"] == second["var_hash"]
+        assert len(first["visited"]) == 192
+        assert first["visited"] == second["visited"]
 
     def test_sort_key_prefers_smaller(self, golden_sf):
         best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)

@@ -23,6 +23,7 @@ from cutintro.parser import parse_input
 from cutintro.sequents import Sequent
 from cutintro.terms import App, Var, const
 
+import bundled_search
 import gen
 import oracles
 from oracles import decide_validity
@@ -210,7 +211,9 @@ class _Recording(Oracle):
 class TestAgainstReferenceSolver:
     """The resuming search with explanation cores decides every clause set
     as the restart search with deletion-minimized cores did, and never
-    finds the same blocking clause twice in one query."""
+    finds the same blocking clause twice in one query; the oracle with
+    its run-wide atom table decides each as the query that numbers and
+    encodes every clause set afresh (``oracles.reference_refute``)."""
 
     @pytest.fixture(scope="class")
     def bundled(self, golden_ehs):
@@ -249,30 +252,30 @@ class TestAgainstReferenceSolver:
         return found
 
     @staticmethod
-    def _agree(cnf, closure, blocking, want):
+    def _agree(cnf, oracle, blocking, want):
         blocking.clear()
-        got = euf._refute(cnf, closure)
+        got = oracle._decide(cnf)
         assert got is not Verdict.UNKNOWN
         assert len(set(blocking)) == len(blocking)
         assert (got is Verdict.VALID) == want
         return want
 
     def test_bundled_example_queries(self, bundled, reference, blocking):
-        closure = CongruenceClosure()
+        oracle = InternalOracle()
         outcomes = {
-            self._agree(cnf, closure, blocking, reference[cnf])
+            self._agree(cnf, oracle, blocking, reference[cnf])
             for cnf in bundled
         }
         assert outcomes == {True, False}
 
     def test_random_clause_sets(self, random_sets, reference, blocking):
-        closure = CongruenceClosure()
+        oracle = InternalOracle()
         outcomes = set()
         conflicts = 0
         for cnf in random_sets:
             atoms = {atom for clause in cnf for _, atom in clause}
             assert 10 <= len(atoms) <= 30
-            outcomes.add(self._agree(cnf, closure, blocking, reference[cnf]))
+            outcomes.add(self._agree(cnf, oracle, blocking, reference[cnf]))
             conflicts += len(blocking)
         assert outcomes == {True, False}
         assert conflicts >= 200
@@ -280,16 +283,23 @@ class TestAgainstReferenceSolver:
     def test_one_oracle_answers_a_sequence_as_fresh_ones(
         self, bundled, random_sets, reference
     ):
-        # One oracle keeps its closure and atom table across queries;
-        # whatever an earlier query left there, in either order, no
-        # verdict differs from a fresh oracle's or the reference's.
+        # One oracle keeps its atom table, closure and lemma store across
+        # queries; whatever an earlier query left there, in either order,
+        # no verdict differs from a fresh oracle's, from the per-query
+        # encoding's with one closure and lemma store of its own, or from
+        # the reference's.
         sequence = bundled + random_sets
+        assert len(bundled) >= 350 and len(random_sets) == 150
         fresh = {cnf: InternalOracle().refutation(cnf) for cnf in sequence}
         for order in (sequence, sequence[::-1]):
             one = InternalOracle()
+            closure, learned = CongruenceClosure(), {}
             for cnf in order:
                 got = one.refutation(cnf)
                 assert got is fresh[cnf]
+                assert got is oracles.reference_refute(
+                    cnf, closure, learned=learned
+                )
                 assert (got is Verdict.VALID) == reference[cnf]
 
 
@@ -318,15 +328,19 @@ class TestLemmaStore:
         return checks
 
     def test_every_stored_lemma_is_valid(self, searched):
-        # Filed under the atom of its one positive literal, with its atoms.
+        # Filed under the variable of its one positive literal, with its
+        # variables, as a clause is encoded: sorted by variable.
         oracle, _ = searched
         assert sum(map(len, oracle._lemmas.values())) >= 30
-        for atom, bucket in oracle._lemmas.items():
-            for clause, atoms in bucket.items():
-                assert [a for s, a in clause if s] == [atom]
-                assert atoms == {a for _, a in clause}
-                negation = [frozenset([(not s, a)]) for s, a in clause]
-                assert oracles.reference_decide_clauses(negation)
+        for v, bucket in oracle._lemmas.items():
+            for lemma, needs in bucket.items():
+                assert [u for u in lemma if u > 0] == [v]
+                assert needs == {abs(u) for u in lemma}
+                assert list(lemma) == sorted(lemma, key=abs)
+        for atom, clause in bundled_search.decoded_lemmas(oracle):
+            assert [a for s, a in clause if s] == [atom]
+            negation = [frozenset([(not s, a)]) for s, a in clause]
+            assert oracles.reference_decide_clauses(negation)
 
     def test_second_pass_of_valid_sets_needs_no_theory_check(
         self, searched, theory_checks
@@ -343,6 +357,18 @@ class TestLemmaStore:
         oracle._memo.clear()
         assert all(oracle.refutation(c) is Verdict.VALID for c in valid)
         assert theory_checks == []
+
+    def test_same_lemmas_under_every_hash_seed(self):
+        # String hashes differ between the two processes, and with them
+        # the order in which the search visits its nodes.  Fresh atoms
+        # are numbered in key order and lemmas are compared decoded, so
+        # both runs make as many theory checks and learn the same lemmas.
+        first, second = (
+            {k: run[k] for k in ("theory_checks", "lemmas")}
+            for run in map(bundled_search.run, ("0", "1"))
+        )
+        assert first["theory_checks"] > 0 and len(first["lemmas"]) >= 30
+        assert first == second
 
 
 class TestDecideValidity:
@@ -510,7 +536,7 @@ class TestInternalOracle:
         # model to check interns the atoms' terms, each once.
         o = InternalOracle()
         E = Eq(f(a), b)
-        closure = o._closure
+        closure = o._atoms.closure
         o.refutation(frozenset({frozenset({(True, E)}), frozenset({(False, E)})}))
         assert closure._node == []
         o.refutation(frozenset({frozenset({(True, E)})}))

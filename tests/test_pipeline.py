@@ -6,6 +6,7 @@ import csv
 import json
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -278,6 +279,20 @@ class TestCorpus:
         parallel = run_corpus(tmp_path, RunConfig(timeout=30), workers=2)
         assert [r.status for r in serial] == [r.status for r in parallel]
         assert [r.comq for r in serial] == [r.comq for r in parallel]
+
+    def test_process_pool_is_imported_only_by_a_parallel_run(self):
+        # concurrent.futures.process costs tens of milliseconds of start-up.
+        code = (
+            "import sys, cutintro\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
