@@ -7,9 +7,10 @@
 Exit codes for ``run``: 0 when the pipeline finished (compressed or
 uncompressible), 2 on bad input, an invalid option value or a pipeline
 error, 3 on timeout or a term set over the subset-table limit.
-``corpus`` also exits 2 on an invalid option value.  ``check`` exits 0
-for a valid proof, 1 for an invalid one, 2 when the artifact cannot be
-read or nests too deeply to check.
+``corpus`` also exits 2 on an invalid option value or when it cannot
+write its outputs.  ``check`` exits 0 for a valid proof, 1 for an
+invalid one, 2 when the artifact cannot be read or nests too deeply to
+check.
 """
 
 from __future__ import annotations
@@ -106,16 +107,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_corpus(args: argparse.Namespace) -> int:
     try:
         reports = run_corpus(args.directory, args.config, workers=args.workers)
+        if args.out:
+            stats = write_corpus_outputs(reports, args.out)
+        else:
+            stats = emit_stats(reports)
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"cutintro corpus: error: {err}", file=sys.stderr)
         return 2
-    if args.out:
-        stats = write_corpus_outputs(reports, args.out)
-    else:
-        stats = emit_stats(reports)
     print(json.dumps(stats, indent=2))
     return 0
 

@@ -59,7 +59,7 @@ def run_corpus(
     files = sorted(root.rglob("*.cis"))
     if not files:
         raise FileNotFoundError(f"no .cis files under {root}")
-    jobs = [(str(f), _job_config(cfg, f)) for f in files]
+    jobs = [(str(f), _job_config(cfg, f.relative_to(root))) for f in files]
     if workers == 1 or len(jobs) == 1:
         return [_run_one(job) for job in jobs]
     # Imported here: it costs tens of milliseconds of every start-up,
@@ -70,10 +70,12 @@ def run_corpus(
         return list(pool.map(_run_one, jobs))
 
 
-def _job_config(cfg: RunConfig, path: Path) -> RunConfig:
+def _job_config(cfg: RunConfig, rel: Path) -> RunConfig:
+    """Outputs go to ``<out>/<rel without its suffix>``, so that inputs
+    of one name in two directories keep theirs apart."""
     if not cfg.out_dir:
         return cfg
-    per_file = Path(cfg.out_dir) / path.stem
+    per_file = Path(cfg.out_dir) / rel.with_suffix("")
     return dataclasses.replace(cfg, out_dir=str(per_file))
 
 

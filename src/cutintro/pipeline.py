@@ -12,7 +12,8 @@ the report carries one of five statuses:
 - ``too_large``       the term set exceeds the subset-table limit
 - ``timeout``         the deadline struck mid-search
 - ``error``           bad input (including terms nested too deeply to
-                      process) or no certifiable solution
+                      process), no certifiable solution, or outputs
+                      that cannot be written
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from typing import Optional
 
 from .cnf import CnfBlowup
 from .cutformula import (
-    SchematicEHS,
-    SolutionCandidate,
     build_schematic_ehs,
     candidates_by_sort_key,
     canonical_solution,
@@ -60,7 +59,7 @@ from .proofs import (
     proof_to_json,
     render_proof,
 )
-from .serialize import term_to_json
+from .serialize import node_to_json
 from .terms import tuple_key
 
 
@@ -81,7 +80,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("cistar", "ci1"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive (or None for no limit)")
         if self.max_subset is not None and self.max_subset < 1:
             raise ValueError(
@@ -90,10 +89,12 @@ class RunConfig:
         for name in ("termset_limit", "sf_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.oracle_spec != "internal" and not self.oracle_spec.startswith(
-            "cmd:"
-        ):
+        if self.oracle_spec == "internal":
+            return
+        if not self.oracle_spec.startswith("cmd:"):
             raise ValueError(f"unknown oracle {self.oracle_spec!r}")
+        if not self.oracle_spec[len("cmd:"):].split():
+            raise ValueError(f"oracle {self.oracle_spec!r} names no command")
 
 
 @dataclass
@@ -136,8 +137,11 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
 
     report = RunReport(input=str(path), mode=cfg.mode, status="error")
     oracle = _make_oracle(cfg, cancel)
+    files = {}
     try:
-        _run(path, cfg, oracle, cancel, report)
+        found = _run(path, cfg, oracle, cancel, report)
+        if found and cfg.out_dir:
+            files = _artifact_files(*found)
     except PipelineTimeout:
         report.status = "timeout"
         report.messages.append(
@@ -151,10 +155,10 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
         report.status = "error"
         report.messages.append(str(err))
     except RecursionError:
-        # Parsing and term equality take no frame per nesting level, but
-        # some later stages do: the formula walkers, the comparison of the
-        # nested sort keys of deep terms, and the writer of the nested
-        # term form of decomposition.json.
+        # Parsing, term equality and the node table take no frame per
+        # nesting level, but some later stages do: the formula walkers
+        # (rendering included) and the comparison of the nested sort
+        # keys of deep terms.
         report.status = "error"
         report.messages.append(
             "input nested too deeply: a recursive stage exceeded the "
@@ -162,11 +166,13 @@ def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport
         )
     report.wall_time = time.monotonic() - start
     if cfg.out_dir:
-        _write_report(report, cfg.out_dir)
+        _write_outputs(Path(cfg.out_dir), files, report, start)
     return report
 
 
 def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
+    """Fill in ``report``; a compressed run also returns its schematic
+    sequent, canonical and selected solutions, proof and sf search."""
     seq, hs = parse_input(read_input(path))
 
     hseq = herbrand_sequent(seq, hs)
@@ -231,9 +237,7 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
         report.sf_capped = sf.capped
         report.status = "compressed"
         report.strictly_compressed = dec.size < len(termset)
-        if cfg.out_dir:
-            _write_artifacts(cfg.out_dir, ehs, canonical, best, proof, sf)
-        return
+        return ehs, canonical, best, proof, sf
     report.status = "error"
     report.messages.extend(
         failures or ["no decomposition yielded a certifiable proof"]
@@ -286,24 +290,10 @@ def _decomposition_json(dec: Decomposition, q: int) -> dict:
     }
 
 
-def _write_report(report: RunReport, out_dir: str) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _write_artifacts(
-    out_dir: str,
-    ehs: SchematicEHS,
-    canonical: SolutionCandidate,
-    best: SolutionCandidate,
-    proof,
-    sf,
-) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _artifact_files(ehs, canonical, best, proof, sf) -> dict:
+    """A compressed run's artifacts, file name -> text, from what ``_run``
+    returns.  ``decomposition.json`` gives W's rows and each Uᵢ's tuples
+    (in ``tuple_key`` order) as indexes into its node table."""
     lines = [
         "canonical solution:",
         "  " + render_formula(canonical.formula),
@@ -314,21 +304,35 @@ def _write_artifacts(
         "derivation:",
     ]
     lines += [f"  {step}" for step in best.provenance]
-    (out / "solution.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "proof.txt").write_text(render_proof(proof) + "\n", encoding="utf-8")
-    (out / "proof.json").write_text(
-        json.dumps(proof_to_json(proof)) + "\n", encoding="utf-8"
-    )
-    dec_json = {
-        "w": [[term_to_json(t) for t in row] for row in ehs.w],
-        "u": [
-            [
-                [term_to_json(t) for t in tup]
-                for tup in sorted(ui, key=tuple_key)
-            ]
-            for ui in ehs.u.instances
-        ],
+    index, nodes = {}, []
+
+    def row(ts) -> list:
+        return [node_to_json(t, index, nodes) for t in ts]
+
+    w = [row(r) for r in ehs.w]
+    u = [[row(r) for r in sorted(ui, key=tuple_key)] for ui in ehs.u.instances]
+    return {
+        "solution.txt": "\n".join(lines) + "\n",
+        "proof.txt": render_proof(proof) + "\n",
+        "proof.json": json.dumps(proof_to_json(proof)) + "\n",
+        "decomposition.json": json.dumps({"nodes": nodes, "w": w, "u": u})
+        + "\n",
     }
-    (out / "decomposition.json").write_text(
-        json.dumps(dec_json, indent=2) + "\n", encoding="utf-8"
-    )
+
+
+def _write_outputs(out: Path, files: dict, report: RunReport, start) -> None:
+    """Create ``out`` and write ``files`` into it, then ``report.json``.
+    The wall time of a run with artifacts covers writing them.  A file
+    that cannot be written ends the run ``error``."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+        if files:
+            report.wall_time = time.monotonic() - start
+        (out / "report.json").write_text(
+            json.dumps(report.to_json(), indent=2) + "\n", encoding="utf-8"
+        )
+    except OSError as err:
+        report.status = "error"
+        report.messages.append(f"cannot write the outputs to {out}: {err}")

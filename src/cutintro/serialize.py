@@ -1,12 +1,12 @@
-"""JSON forms of terms and formulas: the node table of ``proof.json``.
+"""JSON forms of terms and formulas: the node table of ``proof.json``
+and ``decomposition.json``.
 
 The table lists each term and formula once, children first.  An entry
 has the keys of its class and gives each child as the index of an
 earlier entry: ``{"app": "f", "args": [0]}``, ``{"eq": [1, 2]}``,
-``{"not": 3}``, ``{"quant": "all", "vars": ["x"], "body": 5}``.  Where
-an entry gives an index, the reader also takes an inline object: the
-nested form of earlier versions, which ``term_to_json`` still writes
-for ``decomposition.json``.
+``{"not": 3}``, ``{"quant": "all", "vars": ["x"], "body": 5}``.  Only
+tables are written; where an entry gives an index, the reader also
+takes an inline object, the nested form of earlier versions.
 """
 
 from __future__ import annotations
@@ -26,15 +26,9 @@ from .formulas import (
     QuantBlock,
     Top,
 )
-from .terms import App, Term, Var
+from .terms import App, Var
 
 _PAIRS = {Eq: "eq", And: "and", Or: "or", Imp: "imp"}
-
-
-def term_to_json(t: Term) -> Any:
-    if isinstance(t, Var):
-        return {"var": t.name}
-    return {"app": t.head, "args": [term_to_json(a) for a in t.args]}
 
 
 def _children(f) -> tuple:

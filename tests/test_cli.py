@@ -141,6 +141,9 @@ _BAD_OPTIONS = [
     ["--max-subset", "-3"],
     ["--sf-cap", "0"],
     ["--sf-cap", "-1"],
+    ["--timeout", "nan"],
+    ["--oracle", "cmd:"],
+    ["--oracle", "cmd:  "],
 ]
 
 
@@ -183,6 +186,46 @@ class TestInvalidOptionValues:
         assert done.stderr == (
             "cutintro run: error: termset_limit must be at least 1\n"
         )
+
+
+class TestUnwritableOut:
+    """An --out path under a regular file: the run ends ``error`` with a
+    message naming the path, and no command ends in a traceback."""
+
+    @pytest.fixture()
+    def out(self, tmp_path) -> Path:
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return blocker / "out"
+
+    def test_run_reports_an_error(self, golden_file, out, capsys):
+        assert main(["run", str(golden_file), "--out", str(out)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert report["messages"][-1].startswith(
+            f"cannot write the outputs to {out}: "
+        )
+
+    def test_corpus_exits_two_with_one_line(self, golden_file, out, capsys):
+        code = main(["corpus", str(golden_file.parent), "--out", str(out)])
+        assert code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("cutintro corpus: error: ")
+        assert err.count("\n") == 1
+
+    def test_no_traceback_from_the_console_script(self, golden_file, out):
+        done = subprocess.run(
+            [sys.executable, "-m", "cutintro.cli", "corpus"]
+            + [str(golden_file.parent), "--workers", "1", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("cutintro corpus: error: ")
+        assert "Traceback" not in done.stderr
 
 
 class TestCheck:

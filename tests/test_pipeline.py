@@ -12,9 +12,13 @@ from pathlib import Path
 
 import pytest
 
+import cutintro.pipeline as pipeline
 from cutintro.corpus import emit_stats, run_corpus, write_corpus_outputs
+from cutintro.euf import InternalOracle
 from cutintro.parser import parse_input
 from cutintro.pipeline import RunConfig, RunReport, run_pipeline
+from cutintro.serialize import entries_from_json, node_from_json
+from cutintro.terms import tuple_key
 
 import gen
 from gen import render_input
@@ -48,6 +52,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(timeout=0)
 
+    def test_rejects_nan_timeout(self):
+        # A NaN deadline is never passed: the run would have no limit.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            RunConfig(timeout=float("nan"))
+
     @pytest.mark.parametrize("max_subset", [0, -1])
     def test_rejects_max_subset_below_one(self, max_subset):
         # Subsets of no term give an empty table, which would report a
@@ -76,6 +85,11 @@ class TestRunConfig:
 
     def test_accepts_command_oracle_spec(self):
         assert RunConfig(oracle_spec="cmd:z3 -smt2 {file}")
+
+    @pytest.mark.parametrize("spec", ["cmd:", "cmd:  "])
+    def test_rejects_command_oracle_spec_without_a_command(self, spec):
+        with pytest.raises(ValueError, match="names no command"):
+            RunConfig(oracle_spec=spec)
 
 
 class TestGoldenRun:
@@ -127,6 +141,42 @@ class TestGoldenRun:
         p = proof_from_json(json.loads((out / "proof.json").read_text()))
         assert check_proof(p, InternalOracle())
 
+    def test_run_that_does_not_compress_writes_only_the_report(
+        self, golden_file, tmp_path
+    ):
+        out = tmp_path / "out"
+        rep = run_pipeline(golden_file, RunConfig(mode="ci1", out_dir=out))
+        assert rep.status == "uncompressible"
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        assert json.loads((out / "report.json").read_text()) == rep.to_json()
+
+    def test_unwritable_out_dir_is_an_error(self, golden_file, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out"
+        rep = run_pipeline(golden_file, RunConfig(out_dir=out))
+        assert rep.status == "error"
+        assert rep.messages[-1].startswith(
+            f"cannot write the outputs to {out}: "
+        )
+        assert rep.wall_time > 0
+
+    def test_artifact_too_deep_to_render_is_an_error(
+        self, golden_file, tmp_path, monkeypatch
+    ):
+        def too_deep(proof):
+            raise RecursionError
+
+        monkeypatch.setattr(pipeline, "render_proof", too_deep)
+        out = tmp_path / "out"
+        rep = run_pipeline(golden_file, RunConfig(out_dir=out))
+        assert rep.status == "error"
+        assert rep.messages == [DEEP_MESSAGE]
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        assert json.loads((out / "report.json").read_text())["status"] == (
+            "error"
+        )
+
     def test_single_variable_mode_finds_nothing(self, golden_file):
         rep = run_pipeline(golden_file, RunConfig(mode="ci1"))
         assert rep.status == "uncompressible"
@@ -154,6 +204,22 @@ class TestGoldenArtifacts:
         assert (out / name).read_bytes() == (
             GOLDEN_ARTIFACTS / name
         ).read_bytes()
+
+    def test_decomposition_reads_back_to_the_runs_w_and_u(self, golden_file):
+        report = RunReport(input=str(golden_file), mode="cistar", status="")
+        ehs = pipeline._run(
+            golden_file, RunConfig(), InternalOracle(), lambda: None, report
+        )[0]
+        data = json.loads((GOLDEN_ARTIFACTS / "decomposition.json").read_text())
+        nodes = entries_from_json(data["nodes"], "nodes", node_from_json)
+
+        def row(indexes) -> tuple:
+            return tuple(nodes[i] for i in indexes)
+
+        assert [row(r) for r in data["w"]] == list(ehs.w)
+        assert [[row(r) for r in ui] for ui in data["u"]] == [
+            sorted(ui, key=tuple_key) for ui in ehs.u.instances
+        ]
 
     def test_report_matches_apart_from_wall_time(self, out):
         text = (out / "report.json").read_text(encoding="utf-8")
@@ -325,6 +391,41 @@ class TestCorpus:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert {"input", "status", "termset_size", "comq"} <= set(rows[0])
+
+    def test_inputs_of_one_name_in_two_directories_keep_their_outputs(
+        self, tmp_path
+    ):
+        inputs = tmp_path / "in"
+        for sub in ("a", "b"):
+            (inputs / sub).mkdir(parents=True)
+        golden = gen.lemma_input(2, 0)
+        (inputs / "a" / "x.cis").write_text(golden)
+        (inputs / "b" / "x.cis").write_text(
+            "ante all x: P(x).\nsucc P(a) & P(f(a)).\ninst 1: a; f(a)."
+        )
+        (inputs / "top.cis").write_text(golden)
+        out = tmp_path / "out"
+        reports = run_corpus(inputs, RunConfig(out_dir=out), workers=1)
+        assert [r.status for r in reports] == [
+            "compressed",
+            "uncompressible",
+            "compressed",
+        ]
+        for rel, rep in zip(("a/x", "b/x", "top"), reports):
+            written = json.loads((out / rel / "report.json").read_text())
+            assert written["input"] == rep.input
+        assert (out / "a" / "x" / "proof.json").exists()
+        assert [p.name for p in (out / "b" / "x").iterdir()] == ["report.json"]
+        assert (out / "top" / "proof.json").exists()
+
+    def test_unwritable_out_dir_is_an_error_row(self, tmp_path):
+        self._write_corpus(tmp_path, n=2)
+        (tmp_path / "blocker").write_text("")
+        cfg = RunConfig(timeout=30, out_dir=tmp_path / "blocker" / "out")
+        reports = run_corpus(tmp_path, cfg, workers=1)
+        assert [r.status for r in reports] == ["error", "error"]
+        for r in reports:
+            assert r.messages[-1].startswith("cannot write the outputs to ")
 
     def test_broken_file_isolated(self, tmp_path):
         self._write_corpus(tmp_path, n=2)
