@@ -10,14 +10,24 @@ The search works in three stages:
 
 1. ``delta_g`` anti-unifies a list of terms into the least general
    pattern together with the witness vectors (one per input term).  It
-   folds the one-term extension of ``_AntiUnifier`` over the list.
+   folds ``_AntiUnifier.step``, the one anti-unification step of a
+   pattern with one more term, over the list, then reads each term's
+   vector off it at the first-occurrence paths of the pattern's
+   variables.
 2. ``build_delta_table`` enumerates the subsets of T depth first, in
    ``term_key`` order, extending each subset's pattern by its last term,
-   and indexes the results by witness-vector set.  From the enumeration
-   on, a subset (the pattern's cover) is an ``int`` bitmask, bit j
-   standing for the j-th term in ``term_key`` order.  A subset whose key
-   is unclean (see below) is neither stored nor extended: every superset
-   generalizes it, so its key is unclean too.  The table is then closed
+   and indexes the results by witness-vector set (the key).  From the
+   enumeration on, a subset (the pattern's cover) is an ``int`` bitmask,
+   bit j standing for the j-th term in ``term_key`` order.  A subset
+   carries its pattern, mask and key, not its columns: many subsets
+   share a pattern, so each (pattern, term) step is made once per build
+   and remembered.  When the step keeps the pattern, the variables and
+   so the columns stay as they are, and the child's key is the parent's
+   grown by the new term's row; only when it generalizes the pattern is
+   the key read off the subset's terms at the new variable paths.  A
+   subset whose key is unclean (see below) is neither stored nor
+   extended: every superset generalizes it, so its key is unclean too.
+   The table is then closed
    under arity-raising coordinate injections so that patterns found at a
    smaller arity are also visible at every compatible larger key; a
    lifted pair keeps its cover's mask.
@@ -44,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, permutations
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -56,6 +67,7 @@ from .terms import (
     alpha,
     alpha_index,
     alpha_subst,
+    positions_of,
     render_term,
     subst_term,
     term_key,
@@ -105,7 +117,7 @@ class SimpleDecomposition:
         return len(self.rows[0]) if self.rows else 0
 
 
-def _subterm_at(t: Term, path: list[int]) -> Term:
+def _subterm_at(t: Term, path: tuple) -> Term:
     for i in path:
         t = t.args[i]
     return t
@@ -114,10 +126,10 @@ def _subterm_at(t: Term, path: list[int]) -> Term:
 class _AntiUnifier:
     """Anti-unification of a pattern with one more term.
 
-    The pattern of a term list t₁..t_k comes with its columns: column j
-    lists the instances of αⱼ₊₁ in t₁..t_k.  As in ``delta_g``, the
-    positions where the terms disagree become variables, numbered by
-    first occurrence in pre-order, and equal columns share a variable.
+    As in ``delta_g``, the positions where the pattern and the term
+    disagree become variables, numbered by first occurrence in
+    pre-order, and positions with equal columns share a variable.  The
+    pattern's variables are the ones this anti-unifier made.
 
     Equal terms are one object (see ``terms``), so the walk tells a
     position where the terms agree by identity, and a pattern subterm
@@ -125,51 +137,40 @@ class _AntiUnifier:
     """
 
     def __init__(self, prune: bool) -> None:
-        # With ``prune``, ``extend`` gives up on a tagged column.
+        # With ``prune``, ``step`` gives up on a tagged column.
         self.prune = prune
         self.alphas: list[Var] = []
-        self.var_index: dict[Var, int] = {}
+        self.paths: dict[Term, tuple] = {}
 
-    def extend(
-        self, u: Term, cols: list, terms: tuple, t: Term
-    ) -> Optional[tuple[Term, list]]:
-        """The pattern and columns of ``terms`` + (t,), given pattern ``u``
-        and columns ``cols`` of ``terms``; None when pruning and a column
-        mentions a reserved formula-tag head.
+    def step(self, u: Term, t: Term) -> Optional[tuple[Term, Optional[Row]]]:
+        """(v, row) for the pattern v of u's terms and t: ``row`` is t's
+        witness row when v is u, and None when v generalizes u.  None
+        when pruning and a column of v mentions a reserved formula-tag
+        head.
         """
-        new_cols: list[tuple[Term, ...]] = []
-        v = self._walk(u, t, terms, cols, [], {}, new_cols)
+        news: list[Term] = []
+        v = self._walk(u, t, {}, news)
         if v is None:
             return None
-        return v, new_cols
+        return v, (tuple(news) if v is u else None)
 
     def _walk(
-        self,
-        p: Term,
-        s: Term,
-        terms: tuple,
-        cols: list,
-        path: list,
-        fresh: dict,
-        new_cols: list,
+        self, p: Term, s: Term, fresh: dict, news: list
     ) -> Optional[Term]:
-        """The new pattern at ``path``, from pattern subterm ``p`` and new
-        subterm ``s``; None when pruning and a column is tagged.
+        """The new pattern at a position, from pattern subterm ``p`` and
+        new subterm ``s``; None when pruning and a column is tagged.
 
         A variable of the new pattern is keyed in ``fresh`` by its
         (pattern subterm, new subterm) pair: two positions have equal
-        columns exactly when their pairs are equal.  Its column, appended
-        to ``new_cols``, is the old variable's column, or the instances
-        of the pattern subterm, plus the new subterm.  The state travels
-        as arguments: a closure calling itself would leave a reference
+        columns exactly when their pairs are equal.  Its instance in the
+        new term, ``s``, is appended to ``news``.  The state travels as
+        arguments: a closure calling itself would leave a reference
         cycle per call.
         """
         if p is s:
             return p
-        j = self.var_index.get(p) if p.__class__ is Var else None
         if (
-            j is None
-            and p.__class__ is App
+            p.__class__ is App
             and s.__class__ is App
             and p.head == s.head
             and len(p.args) == len(s.args)
@@ -177,11 +178,7 @@ class _AntiUnifier:
             pargs, sargs = p.args, s.args
             out = None
             for i in range(len(pargs)):
-                path.append(i)
-                c = self._walk(
-                    pargs[i], sargs[i], terms, cols, path, fresh, new_cols
-                )
-                path.pop()
+                c = self._walk(pargs[i], sargs[i], fresh, news)
                 if c is None:
                     return None
                 if out is not None:
@@ -197,19 +194,29 @@ class _AntiUnifier:
             # old columns are clean whenever we prune.
             if self.prune and (p.tagged or s.tagged):
                 return None
-            if j is None:
-                col = tuple(_subterm_at(x, path) for x in terms)
-            else:
-                col = cols[j]
-            n = len(new_cols)
-            fresh[pair] = n
-            new_cols.append(col + (s,))
+            n = fresh[pair] = len(news)
+            news.append(s)
             alphas = self.alphas
             if n == len(alphas):
                 v = alpha(n + 1)
                 alphas.append(v)
-                self.var_index[v] = n
         return self.alphas[n]
+
+    def rows(self, v: Term, terms: Iterable[Term]) -> tuple[Row, ...]:
+        """The witness row of each of ``terms`` under pattern ``v``: its
+        subterms at the first occurrences of v's variables."""
+        paths = self.paths.get(v)
+        if paths is None:
+            # v's variables are the first ones made, numbered by first
+            # occurrence.
+            found = []
+            for x in self.alphas:
+                at = positions_of(v, x)
+                if not at:
+                    break
+                found.append(at[0])
+            paths = self.paths[v] = tuple(found)
+        return tuple(tuple(_subterm_at(x, p) for p in paths) for x in terms)
 
 
 def delta_g(terms: Sequence[Term]) -> SimpleDecomposition:
@@ -218,18 +225,18 @@ def delta_g(terms: Sequence[Term]) -> SimpleDecomposition:
     Positions where the terms disagree (and cannot be descended into
     because the heads differ) become variables; columns of identical
     disagreement are shared, numbered by first occurrence in the
-    pattern.  The pattern grows one term at a time, exactly as in the
-    Δ-table's subset enumeration.
+    pattern.  The pattern grows one term at a time, by the step of the
+    Δ-table's subset enumeration, and the rows are read off the terms
+    at the final pattern's variables.
     """
-    au = _AntiUnifier(prune=False)
     ts = tuple(terms)
     if not ts:
         raise ValueError("delta_g needs at least one term")
-    u, cols = ts[0], []
+    au = _AntiUnifier(prune=False)
+    u = ts[0]
     for k in range(1, len(ts)):
-        u, cols = au.extend(u, cols, ts[:k], ts[k])
-    rows = tuple(zip(*cols)) if cols else ((),) * len(ts)
-    return SimpleDecomposition(u, rows)
+        u = au.step(u, ts[k])[0]
+    return SimpleDecomposition(u, au.rows(u, ts))
 
 
 def _pattern_var_indices(u: Term) -> set[int]:
@@ -282,13 +289,23 @@ class DeltaTable:
         }
 
 
-def _bits(mask: int) -> list[int]:
+@cache
+def _byte_bits(k: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte value b, the indices of its set bits as byte k of a
+    mask, ascending."""
+    return tuple(
+        tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256)
+    )
+
+
+def _bits(mask: int) -> tuple[int, ...]:
     """The indices of the set bits of ``mask``, ascending."""
-    out = []
+    out: tuple[int, ...] = ()
+    k = 0
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        out += _byte_bits(k)[mask & 255]
+        mask >>= 8
+        k += 1
     return out
 
 
@@ -305,6 +322,10 @@ def _inject_pattern(u: Term, injection: Sequence[int]) -> Term:
     return subst_term(u, mapping)
 
 
+# A step of ``_clean_subsets`` not made yet (None is a pruned step).
+_UNMADE = object()
+
+
 def _clean_subsets(
     terms: Sequence[Term],
     top: int,
@@ -312,38 +333,55 @@ def _clean_subsets(
 ) -> Iterator[tuple[Key, Term, int]]:
     """(key, pattern, mask) for each subset of at most ``top`` terms
     whose key is clean, depth first.  Bit j of the mask stands for
-    ``terms[j]``.  The pattern is ``delta_g`` of the subset's terms in
-    the order of ``terms``.
+    ``terms[j]``, which are ground.  The pattern is ``delta_g`` of the
+    subset's terms in the order of ``terms``.
+
+    A subset is extended by one anti-unification step of its pattern
+    with the new term, made once per (pattern, term) pair: many subsets
+    share a pattern.  When the step keeps the pattern, the new term's
+    row joins the subset's key; the variables, and so the columns, are
+    those of the subset.  When it generalizes the pattern, the key is
+    read off the terms at the new pattern's variables.
 
     ``cancel`` runs once per subset visited, including those found
     unclean (which are not extended).
     """
     au = _AntiUnifier(prune=True)
     n = len(terms)
-    # (index of the last term, pattern, columns, subset, mask); the
-    # subset's terms are what ``extend`` reads the new columns from.
-    stack = [(-1, None, None, (), 0)] if top > 0 else []
+    # steps[u][j]: the step of pattern u with terms[j], once made.
+    steps: dict[Term, list] = {}
+    # (index of the last term, pattern, size, mask, key) of a subset
+    stack = [(-1, None, 0, 0, None)] if top > 0 else []
     while stack:
-        last, u, cols, subset, mask = stack.pop()
+        last, u, size, mask, key = stack.pop()
+        row_steps = None
+        if size:
+            row_steps = steps.get(u)
+            if row_steps is None:
+                row_steps = steps[u] = [_UNMADE] * n
         for j in range(last + 1, n):
             if cancel is not None:
                 cancel()
-            t = terms[j]
-            if subset:
-                grown = au.extend(u, cols, subset, t)
-                if grown is None:
-                    continue
-                v, new_cols = grown
-            else:
-                v, new_cols = t, []
             child = mask | 1 << j
-            yield (
-                frozenset(zip(*new_cols)) if new_cols else _NO_COLUMNS,
-                v,
-                child,
-            )
-            if len(subset) + 1 < top and j + 1 < n:
-                stack.append((j, v, new_cols, subset + (t,), child))
+            if row_steps is None:
+                v, child_key = terms[j], _NO_COLUMNS
+            else:
+                step = row_steps[j]
+                if step is _UNMADE:
+                    step = row_steps[j] = au.step(u, terms[j])
+                if step is None:
+                    continue
+                v, row = step
+                if row is not None:
+                    # The terms are distinct, so the row is new.
+                    child_key = key.union((row,))
+                else:
+                    child_key = frozenset(
+                        au.rows(v, [terms[i] for i in _bits(child)])
+                    )
+            yield child_key, v, child
+            if size + 1 < top and j + 1 < n:
+                stack.append((j, v, size + 1, child, child_key))
 
 
 def build_delta_table(

@@ -243,11 +243,35 @@ def positions_of(t: Term, s: Term) -> list[tuple[int, ...]]:
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, Var):
+    """``f(a, x)`` for a term, with an explicit stack, so a term of any
+    depth renders."""
+    if t.__class__ is Var:
         return t.name
     if not t.args:
         return t.head
-    return f"{t.head}({', '.join(render_term(a) for a in t.args)})"
+    out = [t.head, "("]
+    # The argument iterators of the applications open at this point.
+    open_args = [iter(t.args)]
+    sep = ""
+    while open_args:
+        for a in open_args[-1]:
+            out.append(sep)
+            if a.__class__ is Var:
+                out.append(a.name)
+            elif not a.args:
+                out.append(a.head)
+            else:
+                out.append(a.head)
+                out.append("(")
+                open_args.append(iter(a.args))
+                sep = ""
+                break
+            sep = ", "
+        else:
+            open_args.pop()
+            out.append(")")
+            sep = ", "
+    return "".join(out)
 
 
 def _name_key(name: str) -> tuple:

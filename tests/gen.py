@@ -475,6 +475,16 @@ def lemma_input(r: int, side_chains: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def deep_pair_input(depth: int) -> str:
+    """∀x y P(x, y) ⊢ the conjunction of P over {f^depth(a), b} × {c, d}:
+    a compressible input whose proof holds a term ``depth`` deep."""
+    deep = _nest("f", "a", depth)
+    pairs = [(x, y) for x in (deep, "b") for y in "cd"]
+    succ = " & ".join(f"P({x}, {y})" for x, y in pairs)
+    inst = "; ".join(f"({x}, {y})" for x, y in pairs)
+    return f"ante all x y: P(x, y).\nsucc {succ}.\ninst 1: {inst}.\n"
+
+
 def wide_disjunction_input(width: int = 6) -> str:
     """∀x y D(x, y) ⊢ ⋀ D(s, t) over all pairs s, t of {a, b, c}, where D
     is a disjunction of ``width`` two-atom conjunctions.  The negated

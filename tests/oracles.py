@@ -140,6 +140,16 @@ def reference_positions_of(t: Term, s: Term) -> list[tuple[int, ...]]:
     return out
 
 
+def reference_render_term(t: Term) -> str:
+    """A term written as ``f(a, x)``, by recursion: one Python frame per
+    level and a generator frame per argument list."""
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.head
+    return f"{t.head}({', '.join(reference_render_term(a) for a in t.args)})"
+
+
 # --------------------------------------------------------------------------
 # Validity with equality, by brute force
 # --------------------------------------------------------------------------

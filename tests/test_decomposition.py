@@ -15,6 +15,7 @@ from cutintro.decomposition import (
     DEFAULT_TERMSET_LIMIT,
     Decomposition,
     TermSetTooLarge,
+    _AntiUnifier,
     _clean_subsets,
     build_delta_table,
     delta_g,
@@ -37,7 +38,7 @@ from cutintro.terms import (
 import gen
 import oracles
 
-a, b = const("a"), const("b")
+a, b, c, d, e = (const(x) for x in "abcde")
 
 
 def f(t):
@@ -46,6 +47,14 @@ def f(t):
 
 def s(t):
     return App("s", (t,))
+
+
+def _g(x, y):
+    return App("g", (x, y))
+
+
+def _h(x, y):
+    return App("h", (x, y))
 
 
 def _power(fn, t, n):
@@ -337,6 +346,114 @@ class TestDeltaTable:
 
         with pytest.raises(Stop):
             build_delta_table(golden_termset, cancel=cancel)
+
+
+def _visited(terms, top):
+    """How many subsets the enumeration visits: those of at most ``top``
+    terms whose subset without its last term is empty or has a clean
+    key, by the independent anti-unifier."""
+    count = 0
+    for r in range(1, top + 1):
+        for combo in itertools.combinations(terms, r):
+            parent = combo[:-1]
+            if not parent or not any(
+                x.tagged for row in oracles.antiunify(parent)[1] for x in row
+            ):
+                count += 1
+    return count
+
+
+class TestSubsetWalk:
+    """The enumeration carries each subset's pattern, mask and key; a
+    step of a pattern with a term is made once per build, and a key is
+    the parent's grown by one row unless the step generalizes the
+    pattern.  Checked against the reference table, built by
+    anti-unifying every subset from scratch, and its fold."""
+
+    # h(f(x), c) for x = a, b, d, e, then h(g(a), c) and h(g(b), d):
+    # the pattern h(f(α1), c) is kept for three steps, and then
+    # generalized twice (to h(α1, c), then to h(α1, α2)).
+    STABLE_THEN_GENERALIZED = [
+        *(_h(f(x), c) for x in (a, b, d, e)),
+        _h(App("g", (a,)), c),
+        _h(App("g", (b,)), d),
+        _h(App("g", (d,)), e),
+    ]
+
+    # g(a, a), g(b, b) share one variable; g(a, b) splits it, g(c, c)
+    # is then a kept step whose row repeats a term.
+    REPEATED_COLUMNS = [_g(a, a), _g(b, b), _g(a, b), _g(c, c), _g(b, a)]
+
+    def _check(self, ts, max_subset=None):
+        ts = frozenset(ts)
+        terms = sorted(ts, key=term_key)
+        top = len(terms) if max_subset is None else min(max_subset, len(terms))
+        polls = []
+        for _ in _clean_subsets(terms, top, lambda: polls.append(1)):
+            pass
+        assert len(polls) == _visited(terms, top)
+        ref = oracles.reference_build_delta_table(ts, max_subset)
+        table = build_delta_table(ts, max_subset=max_subset)
+        assert table.entries == oracles.reference_clean_entries(ref)
+        ref_polls, fold_polls = [], []
+        expected = oracles.reference_fold_delta_table(
+            ref, ts, cancel=lambda: ref_polls.append(1)
+        )
+        got = fold_delta_table(table, ts, cancel=lambda: fold_polls.append(1))
+        assert got == expected
+        assert len(fold_polls) == len(ref_polls)
+        return got
+
+    def test_steps_keep_then_generalize_the_pattern(self):
+        ts = self.STABLE_THEN_GENERALIZED
+        au = _AntiUnifier(prune=True)
+        u, kept = ts[0], []
+        for t in ts[1:]:
+            v, row = au.step(u, t)
+            kept.append(row is not None)
+            if row is not None:
+                assert v is u
+                assert _expand(u, [row]) == {t}
+            u = v
+        assert kept == [False, True, True, False, False, True]
+        assert u == _h(alpha(1), alpha(2))
+        assert self._check(ts)
+
+    def test_repeated_columns(self):
+        ts = self.REPEATED_COLUMNS
+        g = delta_g(ts[:2])
+        assert (g.u, g.rows) == (_g(alpha(1), alpha(1)), ((a,), (b,)))
+        au = _AntiUnifier(prune=False)
+        v, row = au.step(g.u, ts[2])
+        assert v == _g(alpha(1), alpha(2)) and row is None
+        assert au.step(v, ts[3]) == (v, (c, c))
+        for k in range(1, len(ts) + 1):
+            g = delta_g(ts[:k])
+            assert (g.u, g.rows) == oracles.antiunify(ts[:k]), k
+        self._check(ts)
+
+    @pytest.mark.parametrize("max_subset", [1, 2, 3])
+    def test_max_subset(self, max_subset):
+        sets = [self.STABLE_THEN_GENERALIZED, self.REPEATED_COLUMNS]
+        sets += [gen.random_tagged_term_set(random.Random(s)) for s in range(30)]
+        sets += [gen.random_term_set(random.Random(s)) for s in range(30)]
+        for ts in sets:
+            self._check(ts, max_subset)
+
+    def test_tagged_columns_right_after_a_pruning_build(self):
+        # The build prunes subsets with a tagged column; delta_g does not.
+        # Each keeps steps of its own: the build's pruned steps do not
+        # leak into delta_g, nor delta_g's into the next build.
+        ts = [App("#f1", (a,)), App("#f2", (a,)), App("#f2", (b,))]
+        first = build_delta_table(ts)
+        assert all(not x.tagged for k in first.pairs for r in k for x in r)
+        for combo in itertools.permutations(ts, 2):
+            g = delta_g(combo)
+            assert (g.u, g.rows) == oracles.antiunify(combo)
+            if ts[0] in combo:
+                assert g.rows == tuple((x,) for x in combo)
+        assert build_delta_table(ts).entries == first.entries
+        self._check(ts)
 
 
 class TestFold:

@@ -278,6 +278,17 @@ class TestFailureStatuses:
         assert rep.status == "uncompressible"
         assert rep.termset_size == 1
 
+    # Writing the artifacts renders a term 330 deep, a third of the
+    # recursion limit: the status must not depend on whether they are
+    # written.
+    def test_deep_term_status_does_not_depend_on_out_dir(self, tmp_path):
+        p = tmp_path / "deep.cis"
+        p.write_text(gen.deep_pair_input(330))
+        bare = run_pipeline(p, RunConfig())
+        written = run_pipeline(p, RunConfig(out_dir=tmp_path / "out"))
+        assert bare.status == written.status == "compressed"
+        assert (tmp_path / "out" / "proof.txt").exists()
+
     def test_canonical_clause_form_past_the_cap_is_an_error(self, tmp_path):
         p = tmp_path / "wide.cis"
         p.write_text(gen.wide_disjunction_input())

@@ -35,7 +35,11 @@ from cutintro.terms import (
 
 import gen
 from gen import is_ground, subterms
-from oracles import reference_positions_of, reference_term_key
+from oracles import (
+    reference_positions_of,
+    reference_render_term,
+    reference_term_key,
+)
 
 
 def terms_strategy(with_vars: bool = True):
@@ -240,6 +244,38 @@ class TestRenderingAndOrdering:
 
     def test_render_constant_has_no_parens(self):
         assert render_term(const("a")) == "a"
+
+    @given(terms_strategy())
+    def test_render_matches_recursive_reference(self, t):
+        assert render_term(t) == reference_render_term(t)
+
+    def test_render_deep_term_matches_recursive_reference(self):
+        # g(f(f(...f(a)...)), b), 10^4 deep.  The reference needs a frame
+        # per level for itself and one for its generator: a raised
+        # recursion limit, and a thread with a stack large enough for
+        # interpreters whose Python calls use C stack.
+        depth = 10**4
+        t = const("a")
+        for _ in range(depth):
+            t = App("f", (t,))
+        t = App("g", (t, const("b")))
+        got = render_term(t)
+        assert got == "g(" + "f(" * depth + "a" + ")" * depth + ", b)"
+        want: list = []
+        limit, size = sys.getrecursionlimit(), threading.stack_size()
+        sys.setrecursionlimit(limit + 3 * depth)
+        threading.stack_size(64 << 20)
+        try:
+            worker = threading.Thread(
+                target=lambda: want.append(reference_render_term(t))
+            )
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            threading.stack_size(size)
+            sys.setrecursionlimit(limit)
+        assert not worker.is_alive()
+        assert want == [got]
 
     def test_render_tuple(self):
         assert render_tuple((const("a"), App("f", (const("b"),)))) == (
