@@ -7,7 +7,6 @@ from it, and rebuilds a checkable proof whose quantifier complexity is
 the decomposition size.
 """
 
-from .cnf import CnfBlowup
 from .corpus import emit_stats, run_corpus, write_corpus_outputs
 from .cutformula import (
     SchematicEHS,
@@ -23,7 +22,6 @@ from .decomposition import (
     Decomposition,
     DeltaTable,
     SimpleDecomposition,
-    TermSetTooLarge,
     build_delta_table,
     delta_g,
     fold_delta_table,
@@ -52,6 +50,7 @@ from .herbrand import (
     encode_termset,
     herbrand_sequent,
 )
+from .limits import Deadline, LimitReached
 from .parser import InputError, parse_input
 from .pipeline import RunConfig, RunReport, run_pipeline
 from .proofs import (
@@ -76,8 +75,8 @@ __all__ = [
     "App",
     "Atom",
     "Bottom",
-    "CnfBlowup",
     "CommandOracle",
+    "Deadline",
     "Decomposition",
     "DeltaTable",
     "Eq",
@@ -86,6 +85,7 @@ __all__ = [
     "Imp",
     "InputError",
     "InternalOracle",
+    "LimitReached",
     "Not",
     "Or",
     "Oracle",
@@ -102,7 +102,6 @@ __all__ = [
     "SolutionCandidate",
     "Term",
     "TermSet",
-    "TermSetTooLarge",
     "Top",
     "Var",
     "Verdict",

@@ -9,8 +9,8 @@ uncompressible), 2 on bad input, an invalid option value or a pipeline
 error, 3 on timeout or a term set over the subset-table limit.
 ``corpus`` also exits 2 on an invalid option value or when it cannot
 write its outputs.  ``check`` exits 0 for a valid proof, 1 for an
-invalid one, 2 when the artifact cannot be read or nests too deeply to
-check.
+invalid one, 2 when the artifact cannot be read, nests too deeply to
+check, or outlasts the default ``run`` deadline.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .corpus import emit_stats, run_corpus, write_corpus_outputs
 from .euf import InternalOracle
+from .limits import Deadline, LimitReached
 from .pipeline import RunConfig, run_pipeline
 from .proofs import check_proof_report, proof_from_json
 
@@ -122,6 +123,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    poll = Deadline(RunConfig.timeout).poll
     try:
         try:
             data = json.loads(Path(args.proof).read_text(encoding="utf-8"))
@@ -129,13 +131,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError, TypeError) as err:
             print(f"error: cannot read proof: {err}", file=sys.stderr)
             return 2
-        ok, msg = check_proof_report(proof, InternalOracle())
-    except RecursionError:
-        print(
-            "error: cannot check proof: it nests deeper than the Python "
-            f"recursion limit ({sys.getrecursionlimit()}) allows",
-            file=sys.stderr,
+        ok, msg = check_proof_report(proof, InternalOracle(cancel=poll))
+    except (LimitReached, RecursionError) as err:
+        why = str(err) if isinstance(err, LimitReached) else (
+            "it nests deeper than the Python recursion limit "
+            f"({sys.getrecursionlimit()}) allows"
         )
+        print(f"error: cannot check proof: {why}", file=sys.stderr)
         return 2
     print("valid" if ok else f"invalid: {msg}")
     return 0 if ok else 1

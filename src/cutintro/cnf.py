@@ -11,7 +11,7 @@ decides, so a quantifier met here raises ValueError for every caller.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 from .formulas import (
     And,
@@ -26,16 +26,13 @@ from .formulas import (
     conj,
     disj,
 )
+from .limits import NO_DEADLINE, LimitReached
 
 Literal = tuple[bool, Union[Atom, Eq]]
 Clause = frozenset  # of Literal
 CNF = frozenset  # of Clause
 
 DEFAULT_CNF_CAP = 10_000
-
-
-class CnfBlowup(Exception):
-    """Distribution exceeded the configured literal budget."""
 
 
 def _clause_form(
@@ -46,9 +43,9 @@ def _clause_form(
     that is a conjunction in its polarity (∧⁺, ∨⁻, →⁻) unions the clauses
     of its parts, a disjunction (∨⁺, ∧⁻, →⁺) multiplies them out.
     ``budget[0]`` is the count of literals the products may still spend;
-    raises CnfBlowup once they spend more than ``cap``.  The state is
-    passed as arguments, not held in a closure, so a call leaves no
-    reference cycle behind."""
+    raises LimitReached (``clause_form_literals``) once they spend more
+    than ``cap``.  The state is passed as arguments, not held in a
+    closure, so a call leaves no reference cycle behind."""
     if isinstance(g, (Atom, Eq)):
         return {frozenset([(pos, g)])}
     if isinstance(g, Not):
@@ -69,7 +66,8 @@ def _clause_form(
             e = c | d
             budget[0] -= len(e)
             if budget[0] < 0:
-                raise CnfBlowup(f"clause form exceeds {cap} literals")
+                message = f"clause form exceeds {cap} literals"
+                raise LimitReached("clause_form_literals", cap, message)
             out.add(e)
     return out
 
@@ -84,19 +82,18 @@ _POLL_EVERY = 256
 
 def simplify_clauses(
     clauses: Iterable[Clause],
-    cancel: Optional[Callable[[], None]] = None,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> CNF:
     """Drop tautological and strictly subsumed clauses.
 
     Each clause is checked against every kept one, so this is quadratic;
-    ``cancel``, when given, runs every ``_POLL_EVERY`` clauses and raises
-    to abandon the run.
+    ``cancel`` runs every ``_POLL_EVERY`` clauses.
     """
     kept = [c for c in set(clauses) if not is_tautological(c)]
     kept.sort(key=len)
     out: list[Clause] = []
     for i, c in enumerate(kept):
-        if cancel is not None and i % _POLL_EVERY == 0:
+        if i % _POLL_EVERY == 0:
             cancel()
         if not any(d <= c for d in out):
             out.append(c)
@@ -107,7 +104,7 @@ def cnf_of_formulas(
     asserted: Iterable[Formula],
     denied: Iterable[Formula],
     cap: int = DEFAULT_CNF_CAP,
-    cancel: Optional[Callable[[], None]] = None,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> CNF:
     """Clauses equivalent to (all asserted true and all denied false).
     ``cancel`` is passed to ``simplify_clauses``."""

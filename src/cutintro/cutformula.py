@@ -45,7 +45,6 @@ from typing import Callable, Iterable, Iterator, Optional
 from .cnf import (
     CNF,
     Clause,
-    CnfBlowup,
     cnf_of_formulas,
     clause_formula,
     clause_key,
@@ -67,6 +66,7 @@ from .formulas import (
     render_formula,
 )
 from .herbrand import HerbrandStructure, herbrand_sequent
+from .limits import NO_DEADLINE, LimitReached
 from .sequents import Sequent
 from .terms import (
     Term,
@@ -105,7 +105,7 @@ class SchematicEHS:
 
     @cached_property
     def side_clauses(self) -> CNF:
-        """Clause form of Γ' ∧ ¬⋁Δ'; raises CnfBlowup past the cap."""
+        """Clause form of Γ' ∧ ¬⋁Δ'; raises LimitReached past the cap."""
         return cnf_of_formulas(self.gamma, self.delta)
 
     @cached_property
@@ -240,7 +240,7 @@ def check_solution(
         )
     try:
         side, clauses = e.side_clauses, cnf_of_formulas((a,), ())
-    except CnfBlowup:
+    except LimitReached:  # clause_form_literals: no deadline is polled
         return False
     queries = [side | _negated(c) for c in clauses - side]
     queries.append(guard_clauses(e, clauses))
@@ -363,7 +363,7 @@ def sf_improve(
     cand: SolutionCandidate,
     oracle: Oracle,
     node_cap: int = 10_000,
-    cancel: Optional[Callable[[], None]] = None,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> SFResult:
     """Greedy-complete search over forgetful successors of a solution.
 
@@ -384,8 +384,7 @@ def sf_improve(
     visited = 0
     capped = False
     while stack:
-        if cancel is not None:
-            cancel()
+        cancel()
         node, steps = stack.pop()
         visited += 1
         results.append(

@@ -60,6 +60,7 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .herbrand import TermSet
+from .limits import NO_DEADLINE, LimitReached
 from .terms import (
     App,
     Term,
@@ -69,23 +70,12 @@ from .terms import (
     alpha_subst,
     positions_of,
     render_term,
+    render_tuple,
     subst_term,
     term_key,
     term_vars,
     tuple_key,
 )
-
-
-class TermSetTooLarge(Exception):
-    """The subset enumeration would be astronomically large."""
-
-    def __init__(self, size: int, limit: int):
-        super().__init__(
-            f"term set has {size} terms; the subset table is limited to "
-            f"{limit} (raise the limit explicitly to override)"
-        )
-        self.size = size
-        self.limit = limit
 
 
 DEFAULT_TERMSET_LIMIT = 22
@@ -259,12 +249,12 @@ class DeltaTable:
     """Anti-unification results of the subsets with clean keys, indexed
     by witness key.
 
-    ``pairs`` maps each key to its (pattern, cover) pairs, a cover being
-    a bitmask over ``terms``: bit j stands for ``terms[j]``, the term
-    set in ``term_key`` order.
+    ``pairs`` maps each key to a tuple of its distinct (pattern, cover)
+    pairs, a cover being a bitmask over ``terms``: bit j stands for
+    ``terms[j]``, the term set in ``term_key`` order.
     """
 
-    pairs: dict  # Key -> frozenset[Pair]
+    pairs: dict  # Key -> tuple[Pair, ...]
     terms: tuple  # of Term, in term_key order
 
     @property
@@ -329,7 +319,7 @@ _UNMADE = object()
 def _clean_subsets(
     terms: Sequence[Term],
     top: int,
-    cancel: Optional[Callable[[], None]] = None,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> Iterator[tuple[Key, Term, int]]:
     """(key, pattern, mask) for each subset of at most ``top`` terms
     whose key is clean, depth first.  Bit j of the mask stands for
@@ -360,8 +350,7 @@ def _clean_subsets(
             if row_steps is None:
                 row_steps = steps[u] = [_UNMADE] * n
         for j in range(last + 1, n):
-            if cancel is not None:
-                cancel()
+            cancel()
             child = mask | 1 << j
             if row_steps is None:
                 v, child_key = terms[j], _NO_COLUMNS
@@ -388,7 +377,7 @@ def build_delta_table(
     t: TermSet | Iterable[Term],
     max_subset: Optional[int] = None,
     limit: int = DEFAULT_TERMSET_LIMIT,
-    cancel: Optional[Callable[[], None]] = None,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> DeltaTable:
     """Anti-unify the subsets of the term set and index by witness key.
 
@@ -404,11 +393,13 @@ def build_delta_table(
         set(t.terms if isinstance(t, TermSet) else t), key=term_key
     )
     if len(terms) > limit:
-        raise TermSetTooLarge(len(terms), limit)
+        raise LimitReached("termset_limit", limit, (
+            f"term set has {len(terms)} terms; the subset table is limited "
+            f"to {limit} (raise the limit explicitly to override)"
+        ))
     top = len(terms) if max_subset is None else min(max_subset, len(terms))
 
-    # Every subset has a mask of its own, so no pair repeats, and a list
-    # per key does; each is frozen once, at the end.
+    # No pair repeats: each subset has a mask of its own, a lift an arity.
     table: dict[Key, list[Pair]] = {}
     for key, u, mask in _clean_subsets(terms, top, cancel):
         pairs = table.get(key)
@@ -427,8 +418,7 @@ def build_delta_table(
         rows = list(key)
         for m0 in range(1, m):
             for inj in permutations(range(m), m0):
-                if cancel is not None:
-                    cancel()
+                cancel()
                 projected = [tuple(row[i] for i in inj) for row in rows]
                 if len(set(projected)) != len(rows):
                     continue
@@ -441,7 +431,7 @@ def build_delta_table(
         table[key].append(pair)
 
     for key, pairs in table.items():
-        table[key] = frozenset(pairs)
+        table[key] = tuple(pairs)
     return DeltaTable(pairs=table, terms=tuple(terms))
 
 
@@ -476,10 +466,7 @@ class Decomposition:
 
     def render(self) -> str:
         us = ", ".join(render_term(u) for u in sorted(self.u, key=term_key))
-        ws = ", ".join(
-            "(" + ", ".join(render_term(x) for x in row) + ")"
-            for row in sorted(self.w, key=tuple_key)
-        )
+        ws = ", ".join(map(render_tuple, sorted(self.w, key=tuple_key)))
         return f"U = {{{us}}}  W = {{{ws}}}"
 
 
@@ -531,7 +518,7 @@ def _fold_order(keys: list[Key]) -> list[Key]:
 def fold_delta_table(
     dt: DeltaTable,
     t: TermSet | Iterable[Term],
-    cancel: Optional[Callable[[], None]] = None,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> list[Decomposition]:
     """All minimum-size decompositions recoverable from the table.
 
@@ -595,8 +582,7 @@ def fold_delta_table(
             del chosen[depth:]
             if gi >= 0:
                 chosen.append(gi)
-            if cancel is not None:
-                cancel()
+            cancel()
             if not uncovered:
                 u_set = frozenset(u for gi in chosen for u in glist[gi][2])
                 used = set()

@@ -33,9 +33,9 @@ Sörensson, MiniSat, 2003): it keeps its assignments across blocking
 clauses, which join the watched clauses, and resumes after backjumping
 below the clause's highest decision level.
 
-All entry points return a three-valued Verdict; resource exhaustion (a
-clause form past its literal cap, or the step budget) is reported as
-UNKNOWN, never as a silent "invalid".
+All entry points return a three-valued Verdict; a query past the
+clause-form cap or the step cap (``limits.LimitReached``) is UNKNOWN,
+never a silent "invalid", and a deadline that strikes passes through.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cnf import CNF, Clause, CnfBlowup, cnf_of_formulas
+from .cnf import CNF, Clause, cnf_of_formulas
 from .formulas import Eq
+from .limits import NO_DEADLINE, LimitReached
 from .sequents import Sequent
 from .terms import Term, Var
 
@@ -56,10 +57,6 @@ class Verdict(enum.Enum):
     VALID = "valid"
     INVALID = "invalid"
     UNKNOWN = "unknown"
-
-
-class OracleLimit(Exception):
-    """The decision procedure ran out of its step budget."""
 
 
 DEFAULT_STEP_CAP = 5_000_000
@@ -227,16 +224,6 @@ class CongruenceClosure:
 # DPLL over the propositional skeleton
 
 
-@dataclass
-class _Budget:
-    steps: int
-
-    def spend(self, n: int = 1) -> None:
-        self.steps -= n
-        if self.steps < 0:
-            raise OracleLimit("step budget exhausted")
-
-
 class _Search:
     """Iterative DPLL with a trail and two watched literals per clause.
 
@@ -253,17 +240,22 @@ class _Search:
     one literal sits at L, the search backjumps to the next level below
     and asserts that literal there.  Otherwise it backjumps to L and
     flips the deepest decision not yet flipped; a flipped decision
-    stands for the exhausted branch below it.
+    stands for the exhausted branch below it.  ``steps`` is what is left
+    of the query's ``cap``: a clause, watch visit or decision costs one.
     """
+
+    __slots__ = ("cap", "steps", "_cancel", "_val", "_level", "_watches",
+                 "_trail", "_head", "_starts", "_flipped", "_pos", "_order",
+                 "_unsat")
 
     def __init__(
         self,
         clauses: Sequence[Sequence[int]],
         n_vars: int,
-        budget: _Budget,
-        cancel: Optional[Callable[[], None]],
+        cap: int,
+        cancel: Callable[[], None],
     ) -> None:
-        self._budget = budget
+        self.cap = self.steps = cap
         self._cancel = cancel
         self._val: list[Optional[bool]] = [None] * (2 * n_vars + 1)
         self._level = [0] * (n_vars + 1)
@@ -280,7 +272,7 @@ class _Search:
             sorted(count), key=count.__getitem__, reverse=True
         )
         self._unsat = False
-        budget.spend(len(clauses))
+        self.charge(len(clauses))
         watches, val = self._watches, self._val
         for c in clauses:
             if len(c) > 1:
@@ -291,6 +283,11 @@ class _Search:
                 self._assign(c[0])
             elif val[c[0]] is False:
                 self._unsat = True
+
+    def charge(self, n: int) -> None:
+        self.steps -= n
+        if self.steps < 0:
+            raise LimitReached("oracle_steps", self.cap)
 
     def _assign(self, lit: int) -> None:
         self._val[lit], self._val[-lit] = True, False
@@ -318,14 +315,15 @@ class _Search:
     def _unit_propagate(self) -> Optional[list[int]]:
         """Unit propagation; returns a falsified clause, or None."""
         val, trail, watches = self._val, self._trail, self._watches
-        spend = self._budget.spend
         while self._head < len(trail):
             false_lit = -trail[self._head]
             self._head += 1
             ws = watches[false_lit]
             kept = 0
             for n, c in enumerate(ws):
-                spend()
+                self.steps -= 1
+                if self.steps < 0:
+                    self.charge(0)  # raises
                 if c[0] == false_lit:
                     c[0], c[1] = c[1], false_lit
                 other = c[0]
@@ -384,8 +382,7 @@ class _Search:
         """The next total assignment (indexed by variable), or None."""
         order, val, cancel = self._order, self._val, self._cancel
         while not self._unsat:
-            if cancel is not None:
-                cancel()
+            cancel()
             conflict = self._unit_propagate()
             if conflict is not None:
                 self._resolve(conflict)
@@ -395,7 +392,7 @@ class _Search:
                 pos += 1
             if pos == len(order):
                 return val
-            self._budget.spend()
+            self.charge(1)
             self._decide(order[pos], pos, False)
         return None
 
@@ -518,19 +515,21 @@ class Oracle:
     backend, which implements only the uncached ``_decide``; a backend
     may keep state across them for the length of a run, as
     ``InternalOracle`` keeps one atom table and one lemma store.
-    ``cancel``, when given, is called before each such clause set and
-    while a sequent's clause form is simplified, and raises to abandon
-    the run, so a deadline holds for every backend.
+    ``cancel``, the run's deadline poll, is called before each such
+    clause set and while a sequent's clause form is simplified, and
+    raises to abandon the run, so a deadline holds for every backend.
     """
 
     calls: int = field(default=0, kw_only=True)
-    cancel: Optional[Callable[[], None]] = field(default=None, kw_only=True)
+    cancel: Callable[[], None] = field(default=NO_DEADLINE.poll, kw_only=True)
     _memo: dict = field(default_factory=dict, kw_only=True, repr=False)
 
     def validity(self, seq: Sequent) -> Verdict:
         try:
             clauses = cnf_of_formulas(seq.ante, seq.succ, cancel=self.cancel)
-        except CnfBlowup:
+        except LimitReached as err:
+            if err.meter != "clause_form_literals":
+                raise
             return Verdict.UNKNOWN
         return self.refutation(clauses)
 
@@ -538,8 +537,7 @@ class Oracle:
         """VALID iff the clause set is unsatisfiable modulo equality."""
         hit = self._memo.get(clauses)
         if hit is None:
-            if self.cancel is not None:
-                self.cancel()
+            self.cancel()
             self.calls += 1
             hit = self._memo[clauses] = self._decide(clauses)
         return hit
@@ -578,10 +576,9 @@ class InternalOracle(Oracle):
         ints = sorted(cnf)
         if ints and not ints[0]:
             return Verdict.VALID
-        budget = _Budget(DEFAULT_STEP_CAP)
         eqs = preds = None
         try:
-            search = _Search(ints, len(table), budget, self.cancel)
+            search = _Search(ints, len(table), DEFAULT_STEP_CAP, self.cancel)
             while (model := search.next_model()) is not None:
                 if eqs is None:
                     eqs, preds = table.theory_atoms(present)
@@ -591,8 +588,10 @@ class InternalOracle(Oracle):
                 lemmas.setdefault(blocking[-1], {})[
                     tuple(sorted(blocking, key=abs))
                 ] = frozenset(map(abs, blocking))
-                budget.spend(len(blocking))
+                search.charge(len(blocking))
                 search.block(blocking)
-        except OracleLimit:
+        except LimitReached as err:
+            if err.meter != "oracle_steps":
+                raise
             return Verdict.UNKNOWN
         return Verdict.VALID

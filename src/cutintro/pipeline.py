@@ -3,8 +3,8 @@
 The stages: parse the sequent and its instance lists, encode the term
 set, search for a minimal decomposition, synthesize the canonical cut
 formula, improve it by forgetful inference, and assemble and recheck the
-proof with cut.  Every stage respects a cooperative wall-clock deadline;
-the report carries one of five statuses:
+proof with cut.  Every stage polls the run's ``limits.Deadline``; the
+report carries one of five statuses:
 
 - ``compressed``      a decomposition no larger than the term set was
                       found and turned into a checked proof
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .cnf import CnfBlowup
 from .cutformula import (
     build_schematic_ehs,
     candidates_by_sort_key,
@@ -37,7 +36,6 @@ from .cutformula import (
 from .decomposition import (
     DEFAULT_TERMSET_LIMIT,
     Decomposition,
-    TermSetTooLarge,
     build_delta_table,
     fold_delta_table,
     restrict_ci1,
@@ -50,6 +48,7 @@ from .herbrand import (
     encode_termset,
     herbrand_sequent,
 )
+from .limits import Deadline, LimitReached
 from .parser import InputError, parse_input, read_input
 from .proofs import (
     ProofBuildError,
@@ -61,10 +60,6 @@ from .proofs import (
 )
 from .serialize import node_to_json
 from .terms import tuple_key
-
-
-class PipelineTimeout(Exception):
-    pass
 
 
 @dataclass
@@ -129,27 +124,16 @@ def _make_oracle(cfg: RunConfig, cancel) -> Oracle:
 def run_pipeline(path: str | Path, cfg: Optional[RunConfig] = None) -> RunReport:
     cfg = cfg or RunConfig()
     start = time.monotonic()
-    deadline = start + cfg.timeout if cfg.timeout else None
-
-    def cancel() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise PipelineTimeout()
-
+    poll = Deadline(cfg.timeout).poll
     report = RunReport(input=str(path), mode=cfg.mode, status="error")
-    oracle = _make_oracle(cfg, cancel)
+    oracle = _make_oracle(cfg, poll)
     files = {}
     try:
-        found = _run(path, cfg, oracle, cancel, report)
+        found = _run(path, cfg, oracle, poll, report)
         if found and cfg.out_dir:
             files = _artifact_files(*found)
-    except PipelineTimeout:
-        report.status = "timeout"
-        report.messages.append(
-            f"deadline of {cfg.timeout:g}s struck during the search"
-        )
-    except TermSetTooLarge as err:
-        report.status = "too_large"
-        report.termset_size = err.size
+    except LimitReached as err:
+        report.status = "timeout" if err.meter == "deadline" else "too_large"
         report.messages.append(str(err))
     except (InputError, OSError) as err:
         report.status = "error"
@@ -255,7 +239,7 @@ def _try_decomposition(
         return None
     try:
         cand = canonical_solution(ehs)
-    except CnfBlowup as err:
+    except LimitReached as err:  # clause_form_literals, as in check_solution
         failures.append(
             f"canonical solution for {dec.render()} passes the "
             f"clause-form cap: {err}"

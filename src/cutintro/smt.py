@@ -160,8 +160,7 @@ class CommandOracle(Oracle):
                         return verdict
                 if not more:
                     return Verdict.UNKNOWN
-                if self.cancel is not None:
-                    self.cancel()
+                self.cancel()
             return Verdict.UNKNOWN
         finally:
             os.killpg(proc.pid, signal.SIGKILL)

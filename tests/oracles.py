@@ -31,16 +31,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from cutintro.cnf import (
     DEFAULT_CNF_CAP,
-    CnfBlowup,
     cnf_of_formulas,
     is_tautological,
 )
 from cutintro.euf import (
     DEFAULT_STEP_CAP,
     CongruenceClosure,
-    OracleLimit,
     Verdict,
-    _Budget,
     _Search,
     _theory_conflict,
 )
@@ -59,6 +56,7 @@ from cutintro.formulas import (
     conj,
 )
 from cutintro.herbrand import HerbrandStructure
+from cutintro.limits import NO_DEADLINE, LimitReached
 from cutintro.parser import InputError, _check_signature
 from cutintro.sequents import Sequent
 from cutintro.terms import (
@@ -538,7 +536,7 @@ def reference_refute(
     *,
     learned: Optional[dict] = None,
     step_cap: int = DEFAULT_STEP_CAP,
-    cancel: Optional[Callable[[], None]] = None,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> Verdict:
     """The internal oracle's query as it was before its run-wide atom
     table: VALID iff the clause set is unsatisfiable modulo equality,
@@ -567,10 +565,9 @@ def reference_refute(
     )
     if any(not c for c in ints):
         return Verdict.VALID
-    budget = _Budget(step_cap)
     eqs = preds = None
     try:
-        search = _Search(ints, len(atoms), budget, cancel)
+        search = _Search(ints, len(atoms), step_cap, cancel)
         while (model := search.next_model()) is not None:
             if eqs is None:
                 eqs, preds = [], []
@@ -588,9 +585,11 @@ def reference_refute(
             learned.setdefault(atoms[blocking[-1] - 1], {})[lemma] = frozenset(
                 a for _, a in lemma
             )
-            budget.spend(len(blocking))
+            search.charge(len(blocking))
             search.block(blocking)
-    except OracleLimit:
+    except LimitReached as err:
+        if err.meter != "oracle_steps":
+            raise
         return Verdict.UNKNOWN
     return Verdict.VALID
 
@@ -600,13 +599,15 @@ def decide_validity(
     *,
     step_cap: int = DEFAULT_STEP_CAP,
     cnf_cap: int = DEFAULT_CNF_CAP,
-    cancel: Optional[Callable[[], None]] = None,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> Verdict:
     """Three-valued validity of a ground sequent modulo equality: the
     refutation of its clause form, UNKNOWN past the clause-form cap."""
     try:
         clauses = cnf_of_formulas(seq.ante, seq.succ, cnf_cap, cancel)
-    except CnfBlowup:
+    except LimitReached as err:
+        if err.meter != "clause_form_literals":
+            raise
         return Verdict.UNKNOWN
     return reference_refute(
         clauses, CongruenceClosure(), step_cap=step_cap, cancel=cancel

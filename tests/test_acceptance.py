@@ -21,7 +21,6 @@ from cutintro.cutformula import (
     sf_improve,
 )
 from cutintro.decomposition import (
-    TermSetTooLarge,
     build_delta_table,
     delta_g,
     fold_delta_table,
@@ -30,6 +29,7 @@ from cutintro.decomposition import (
 from cutintro.euf import InternalOracle, Verdict
 from cutintro.formulas import And, Atom, Eq, Not, Or, render_formula
 from cutintro.herbrand import TermSet, decode_termset, encode_termset
+from cutintro.limits import LimitReached
 from cutintro.pipeline import RunConfig, run_pipeline
 from cutintro.proofs import (
     build_proof_with_cut,
@@ -250,7 +250,7 @@ def test_criterion_4_solution_space():
         ts = encode_termset(h)
         try:
             decs = fold_delta_table(build_delta_table(ts), ts)
-        except TermSetTooLarge:
+        except LimitReached:
             continue
         if not decs:
             continue

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutintro.cnf import (
-    CnfBlowup,
     clause_formula,
     cnf_of_formulas,
     formula_of_cnf,
@@ -27,6 +26,7 @@ from cutintro.formulas import (
     Top,
 )
 from cutintro.herbrand import herbrand_sequent
+from cutintro.limits import LimitReached
 from cutintro.terms import Var, const
 
 from oracles import _collect_atoms, _eval, reference_clauses
@@ -108,7 +108,7 @@ class TestCap:
         f = parts[0]
         for p in parts[1:]:
             f = Or(f, p)
-        with pytest.raises(CnfBlowup):
+        with pytest.raises(LimitReached):
             cnf_of_formulas([f], [], cap=1000)
 
     def test_quantifier_raises_value_error(self):
@@ -125,11 +125,11 @@ class TestCap:
     def test_one_walk_matches_the_two_pass_reference(
         self, asserted, denied, cap
     ):
-        # The same clause set, or CnfBlowup exactly where negation normal
+        # The same clause set, or LimitReached exactly where negation normal
         # form followed by distribution spends more than the cap.
         want = reference_clauses(asserted, denied, cap)
         if want is None:
-            with pytest.raises(CnfBlowup):
+            with pytest.raises(LimitReached):
                 cnf_of_formulas(asserted, denied, cap)
         else:
             assert cnf_of_formulas(asserted, denied, cap) == (
@@ -139,7 +139,7 @@ class TestCap:
     def test_cap_allows_formulas_at_the_limit(self):
         # Distributes to {P,R} and {Q,R}: four literals exactly.
         assert len(cnf_of_formulas([Or(And(P, Q), R)], [], cap=4)) == 2
-        with pytest.raises(CnfBlowup):
+        with pytest.raises(LimitReached):
             cnf_of_formulas([Or(And(P, Q), R)], [], cap=3)
 
     def test_leaves_no_reference_cycles(self, golden, leaves_no_cycles):

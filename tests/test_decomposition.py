@@ -14,7 +14,6 @@ import pytest
 from cutintro.decomposition import (
     DEFAULT_TERMSET_LIMIT,
     Decomposition,
-    TermSetTooLarge,
     _AntiUnifier,
     _clean_subsets,
     build_delta_table,
@@ -24,6 +23,7 @@ from cutintro.decomposition import (
     validate_decomposition,
 )
 from cutintro.herbrand import TermSet, decode_termset
+from cutintro.limits import LimitReached
 from cutintro.terms import (
     App,
     _table,
@@ -328,10 +328,13 @@ class TestDeltaTable:
         ts = frozenset(
             App("c%d" % i, ()) for i in range(DEFAULT_TERMSET_LIMIT + 1)
         )
-        with pytest.raises(TermSetTooLarge) as exc:
+        with pytest.raises(LimitReached) as exc:
             build_delta_table(ts)
-        assert exc.value.size == DEFAULT_TERMSET_LIMIT + 1
-        assert exc.value.limit == DEFAULT_TERMSET_LIMIT
+        assert exc.value.meter == "termset_limit"
+        assert exc.value.cap == DEFAULT_TERMSET_LIMIT
+        assert str(exc.value).startswith(
+            f"term set has {DEFAULT_TERMSET_LIMIT + 1} terms;"
+        )
 
     def test_cancel_hook_runs(self, golden_termset):
         class Stop(Exception):
