@@ -23,15 +23,19 @@ classes, but congruence among a query's own terms, and so its verdict,
 stays the same.  The oracle keeps one lemma store per run, in the
 table's variables: every blocking clause is valid in every congruence,
 so a later query whose variables include all of a lemma's starts with
-it and need not rediscover it.  The closure records why it merged two
-classes (an asserted equation, or the congruence of two applications) as
-an edge of a proof forest, and the conflict core is read off the
-forest's path between the clashing terms (Nieuwenhuis and Oliveras,
-"Fast congruence closure and extensions", 2007).  The search is
-iterative, with a trail and two watched literals per clause (Eén and
-Sörensson, MiniSat, 2003): it keeps its assignments across blocking
-clauses, which join the watched clauses, and resumes after backjumping
-below the clause's highest decision level.
+it and need not rediscover it.  It also keeps every countermodel it
+finds, as in KLEE's counterexample cache (Cadar, Dunbar and Engler,
+OSDI 2008): a model that passed the congruence check over all of its
+atoms is consistent with the theory, so a later query with one of its
+literals in every clause is INVALID without a search.  The closure
+records why it merged two classes (an asserted equation, or the
+congruence of two applications) as an edge of a proof forest, and the
+conflict core is read off the forest's path between the clashing terms
+(Nieuwenhuis and Oliveras, "Fast congruence closure and extensions",
+2007).  The search is iterative, with a trail and two watched literals
+per clause (Eén and Sörensson, MiniSat, 2003): it keeps its assignments
+across blocking clauses, which join the watched clauses, and resumes
+after backjumping below the clause's highest decision level.
 
 All entry points return a three-valued Verdict; a query past the
 clause-form cap or the step cap (``limits.LimitReached``) is UNKNOWN,
@@ -514,7 +518,8 @@ class Oracle:
     no backend.  ``calls`` counts the clause sets that reached the
     backend, which implements only the uncached ``_decide``; a backend
     may keep state across them for the length of a run, as
-    ``InternalOracle`` keeps one atom table and one lemma store.
+    ``InternalOracle`` keeps one atom table, one lemma store and one
+    countermodel index.
     ``cancel``, the run's deadline poll, is called before each such
     clause set and while a sequent's clause form is simplified, and
     raises to abandon the run, so a deadline holds for every backend.
@@ -549,23 +554,45 @@ class Oracle:
 @dataclass
 class InternalOracle(Oracle):
     """The loop of this module, with one atom table (and in it one term
-    table and closure) and one lemma store per run; a query is not
-    simplified by subsumption.
+    table and closure), one lemma store and one countermodel index per
+    run; a query is not simplified by subsumption.
 
     The lemma store files each blocking clause, as an int tuple, under
     the variable of its one positive literal, with the variables it
     needs; a stored lemma joins a query when all of them occur in it, so
     it adds no variable.
+
+    The countermodel index maps each literal ±v to the bitmask of the
+    stored models, over their queries' variables, that make it true.  A
+    query whose clauses each hold a literal of one stored model is
+    INVALID with no search and no steps charged, even where a search
+    would pass the step cap; an empty clause has mask 0.  A lookup is
+    one dict get per literal, so the index has no cap.  ``hits`` counts
+    these queries, which ``calls`` counts too.
     """
 
     _atoms: _AtomTable = field(
         default_factory=_AtomTable, init=False, repr=False
     )
     _lemmas: dict = field(default_factory=dict, init=False, repr=False)
+    _models: dict = field(default_factory=dict, init=False, repr=False)
+    _n_models: int = field(default=0, init=False, repr=False)
+    hits: int = field(default=0, init=False)
 
     def _decide(self, clauses: CNF) -> Verdict:
-        table, lemmas = self._atoms, self._lemmas
+        table, lemmas, models = self._atoms, self._lemmas, self._models
         cnf = table.encode(clauses)
+        found = (1 << self._n_models) - 1  # stored models that satisfy cnf
+        for c in cnf:
+            if not found:
+                break
+            mask = 0
+            for u in c:
+                mask |= models.get(u, 0)
+            found &= mask
+        if found:
+            self.hits += 1
+            return Verdict.INVALID
         present = {abs(u) for c in cnf for u in c}
         for v in present:
             bucket = lemmas.get(v)
@@ -584,6 +611,7 @@ class InternalOracle(Oracle):
                     eqs, preds = table.theory_atoms(present)
                 blocking = _theory_conflict(table.closure, eqs, preds, model)
                 if blocking is None:
+                    self._store(present, model)
                     return Verdict.INVALID
                 lemmas.setdefault(blocking[-1], {})[
                     tuple(sorted(blocking, key=abs))
@@ -595,3 +623,12 @@ class InternalOracle(Oracle):
                 raise
             return Verdict.UNKNOWN
         return Verdict.VALID
+
+    def _store(self, present: set[int], model: list[Optional[bool]]) -> None:
+        """File a countermodel: its bit joins the mask of each literal
+        over ``present`` that it makes true."""
+        bit, models = 1 << self._n_models, self._models
+        self._n_models += 1
+        for v in present:
+            lit = v if model[v] else -v
+            models[lit] = models.get(lit, 0) | bit

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Any, NamedTuple, Optional
 
 from .cutformula import SchematicEHS
@@ -397,7 +398,11 @@ def metrics(p: Inference) -> dict:
 
 
 def render_proof(p: Inference) -> str:
-    """One line per step in pre-order, indented two spaces per level."""
+    """One line per step in pre-order, indented two spaces per level.
+
+    Each distinct formula is rendered once per call: formulas are
+    hash-consed, and consecutive steps share most of theirs."""
+    text = cache(render_formula)
     lines: list[str] = []
     stack = [(p, 0)]
     while stack:
@@ -406,9 +411,9 @@ def render_proof(p: Inference) -> str:
         if _RULES[node.rule].kind:
             extra = " [" + ", ".join(render_term(t) for t in node.terms) + "]"
         elif node.rule == "cut":
-            extra = " on " + render_formula(node.formula)
+            extra = " on " + text(node.formula)
         lines.append(
-            f"{'  ' * depth}{node.rule}{extra}: {node.conclusion.render()}"
+            f"{'  ' * depth}{node.rule}{extra}: {node.conclusion.render(text)}"
         )
         stack.extend((q, depth + 1) for q in reversed(node.premises))
     return "\n".join(lines)

@@ -12,6 +12,7 @@ inferences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .formulas import Formula, QuantBlock, render_formula
 
@@ -50,7 +51,7 @@ class Sequent:
     def k(self, i: int) -> int:
         return len(prefix(self.formula(i))[0])
 
-    def render(self) -> str:
-        left = ", ".join(render_formula(f) for f in self.ante)
-        right = ", ".join(render_formula(f) for f in self.succ)
+    def render(self, show: Callable[[Formula], str] = render_formula) -> str:
+        left = ", ".join(map(show, self.ante))
+        right = ", ".join(map(show, self.succ))
         return f"{left} |- {right}"

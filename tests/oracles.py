@@ -54,10 +54,12 @@ from cutintro.formulas import (
     Top,
     apply_subst,
     conj,
+    render_formula,
 )
 from cutintro.herbrand import HerbrandStructure
 from cutintro.limits import NO_DEADLINE, LimitReached
 from cutintro.parser import InputError, _check_signature
+from cutintro.proofs import _RULES
 from cutintro.sequents import Sequent
 from cutintro.terms import (
     App,
@@ -67,6 +69,7 @@ from cutintro.terms import (
     alpha_index,
     is_alpha,
     is_tag_head,
+    render_term,
     render_tuple,
     term_key,
 )
@@ -146,6 +149,27 @@ def reference_render_term(t: Term) -> str:
     if not t.args:
         return t.head
     return f"{t.head}({', '.join(reference_render_term(a) for a in t.args)})"
+
+
+def reference_render_proof(p) -> str:
+    """``proofs.render_proof`` as it was before it kept each formula's
+    text: every step's formulas, and its whole conclusion, rendered
+    afresh."""
+    lines: list[str] = []
+    stack = [(p, 0)]
+    while stack:
+        node, depth = stack.pop()
+        extra = ""
+        if _RULES[node.rule].kind:
+            extra = " [" + ", ".join(render_term(t) for t in node.terms) + "]"
+        elif node.rule == "cut":
+            extra = " on " + render_formula(node.formula)
+        seq = node.conclusion
+        left = ", ".join(render_formula(f) for f in seq.ante)
+        right = ", ".join(render_formula(f) for f in seq.succ)
+        lines.append(f"{'  ' * depth}{node.rule}{extra}: {left} |- {right}")
+        stack.extend((q, depth + 1) for q in reversed(node.premises))
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------

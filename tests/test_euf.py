@@ -301,6 +301,7 @@ class TestAgainstReferenceSolver:
                     cnf, closure, learned=learned
                 )
                 assert (got is Verdict.VALID) == reference[cnf]
+            assert one.hits >= 1
 
 
 class TestLemmaStore:
@@ -369,6 +370,73 @@ class TestLemmaStore:
         )
         assert first["theory_checks"] > 0 and len(first["lemmas"]) >= 30
         assert first == second
+
+
+def decoded_models(oracle: InternalOracle) -> list[list]:
+    """The internal oracle's stored countermodels, each as the unit
+    clauses of its literals, decoded through the atom table."""
+    atoms = oracle._atoms.atoms
+    return [
+        [
+            frozenset([(u > 0, atoms[abs(u)])])
+            for u, mask in oracle._models.items()
+            if mask >> k & 1
+        ]
+        for k in range(oracle._n_models)
+    ]
+
+
+class TestCountermodelIndex:
+    """The internal oracle keeps every countermodel it finds for the
+    run; a later query that one of them satisfies is INVALID without a
+    search."""
+
+    @pytest.fixture(scope="class")
+    def filled(self, golden_ehs):
+        """Oracles after sf_improve on the bundled example and after 150
+        random clause sets."""
+        bundled = InternalOracle()
+        sf_improve(golden_ehs, canonical_solution(golden_ehs), bundled)
+        random_sets = InternalOracle()
+        for seed in range(150):
+            random_sets.refutation(
+                gen.random_ground_clauses(random.Random(seed))
+            )
+        return bundled, random_sets
+
+    def test_every_stored_model_is_a_countermodel(self, filled):
+        # A model is stored only after it passed the theory check over
+        # all of its atoms, so its literals are satisfiable together.
+        for oracle in filled:
+            models = decoded_models(oracle)
+            assert len(models) >= 20
+            for units in models:
+                assert not oracles.reference_decide_clauses(units)
+
+    def test_satisfied_query_is_invalid_under_any_step_cap(self, monkeypatch):
+        # The chain c0 = c1 = ... = c12, c0 ≠ c12 without its sixth link
+        # has a countermodel, which the first query stores.  Past the
+        # step cap a search is UNKNOWN, but the stored model still
+        # satisfies the chain without its first link; the chain whose
+        # sixth link is negated is satisfiable too, by no stored model.
+        c = [const(f"c{i}") for i in range(13)]
+        links = [Eq(c[i], c[i + 1]) for i in range(12)]
+        goal = frozenset([(False, Eq(c[0], c[12]))])
+
+        def chain(*clauses):
+            return frozenset([goal, *clauses])
+
+        short = [frozenset([(True, e)]) for e in links[:5] + links[6:]]
+        negated = chain(*short, frozenset([(False, links[5])]))
+        assert InternalOracle().refutation(negated) is Verdict.INVALID
+        o = InternalOracle()
+        assert o.refutation(chain(*short)) is Verdict.INVALID
+        assert o.hits == 0
+        monkeypatch.setattr(euf, "DEFAULT_STEP_CAP", 5)
+        assert o.refutation(chain(*short[1:])) is Verdict.INVALID
+        assert o.hits == 1
+        assert o.refutation(negated) is Verdict.UNKNOWN
+        assert o.hits == 1
 
 
 class TestDecideValidity:

@@ -14,7 +14,14 @@ from cutintro.cutformula import (
     build_schematic_ehs,
     canonical_solution,
 )
-from cutintro.herbrand import HerbrandStructure
+from cutintro.decomposition import build_delta_table, fold_delta_table
+from cutintro.euf import InternalOracle
+from cutintro.herbrand import (
+    HerbrandStructure,
+    TermSet,
+    decode_termset,
+    encode_termset,
+)
 from cutintro.formulas import (
     And,
     Atom,
@@ -39,6 +46,7 @@ from cutintro.sequents import Sequent
 from cutintro.terms import App, Var, alpha, const
 
 import gen
+import oracles
 
 a = const("a")
 
@@ -166,10 +174,35 @@ class TestGoldenProof:
         for _ in range(10**4):
             p = Inference("weaken", seq, (p,))
         assert check_proof(p, oracle)
-        lines = render_proof(p).split("\n")
+        text = render_proof(p)
+        lines = text.split("\n")
         assert len(lines) == 10**4 + 1
         assert lines[0] == "weaken: " + seq.render()
         assert lines[-1] == "  " * 10**4 + "oracle: " + seq.render()
+        assert text == oracles.reference_render_proof(p)
+
+    def test_render_is_the_reference_rendering(self, golden_proof):
+        # Each formula's text is kept for the call; the bytes are those
+        # of rendering every formula afresh, on the bundled proof and on
+        # the canonical-solution proofs of random solvable instances.
+        proofs = [golden_proof]
+        for seed in range(40):
+            seq, hs = gen.random_solvable_instance(random.Random(seed))
+            ts = encode_termset(hs)
+            if len(ts.terms) > 12:
+                continue
+            decs = fold_delta_table(build_delta_table(ts), ts)
+            if not decs:
+                continue
+            u = decode_termset(TermSet(decs[0].u, seq.q))
+            e = build_schematic_ehs(seq, u, decs[0].w)
+            oracle = InternalOracle()
+            proofs.append(
+                build_proof_with_cut(e, canonical_solution(e).formula, oracle)
+            )
+        assert len(proofs) >= 20
+        for p in proofs:
+            assert render_proof(p) == oracles.reference_render_proof(p)
 
     def test_json_round_trip(self, golden_proof):
         packed = proof_to_json(golden_proof)
