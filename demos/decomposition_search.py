@@ -12,13 +12,11 @@ Run with:  python3 demos/decomposition_search.py
 from cutintro import (
     App,
     build_delta_table,
-    delta_g,
     fold_delta_table,
     render_term,
     restrict_ci1,
-    validate_decomposition,
 )
-from cutintro.terms import const, term_key
+from cutintro.terms import alpha_subst, const, subst_term, term_key, tuple_key
 
 
 def s(t):
@@ -39,6 +37,27 @@ def power(fn, t, n):
     return t
 
 
+def anti_unify(terms):
+    """The least general pattern of the terms and their witness rows: the
+    Δ-table's pair whose cover is the whole list.  Lifted copies of it
+    sit under keys of higher arity, so the native pair is the one of
+    least arity."""
+    table = build_delta_table(terms)
+    whole = (1 << len(table.terms)) - 1
+    key, u = min(
+        ((key, u) for key, pairs in table.pairs.items()
+         for u, mask in pairs if mask == whole),
+        key=lambda pair: len(next(iter(pair[0]))),
+    )
+    return u, sorted(key, key=tuple_key)
+
+
+def rows_text(rows):
+    return ", ".join(
+        "(" + ", ".join(render_term(x) for x in row) + ")" for row in rows
+    )
+
+
 def show(title, terms):
     print()
     print(f"--- {title} " + "-" * max(0, 66 - len(title)))
@@ -50,15 +69,13 @@ a, b, c = const("a"), const("b"), const("c")
 # ---------------------------------------------------------------------
 # Anti-unification: the least general pattern of a term list.
 show("anti-unification", [f(s(a)), f(s(b)), f(c)])
-d = delta_g([f(s(a)), f(s(b)), f(c)])
-print(f"pattern  {render_term(d.u)}")
-for row in d.rows:
-    print("  row (" + ", ".join(render_term(x) for x in row) + ")")
+u, rows = anti_unify([f(s(a)), f(s(b)), f(c)])
+print(f"pattern  {render_term(u)}")
+print(f"  rows {rows_text(rows)}")
 # Positions that disagree become variables; equal disagreement columns
 # share one variable:
-d2 = delta_g([g(a, a), g(b, b)])
-print(f"equal columns share: {render_term(d2.u)}  rows "
-      + ", ".join("(" + ", ".join(render_term(x) for x in r) + ")" for r in d2.rows))
+u2, rows2 = anti_unify([g(a, a), g(b, b)])
+print(f"equal columns share: {render_term(u2)}  rows {rows_text(rows2)}")
 
 # ---------------------------------------------------------------------
 # A chain: nine iterates of one function compress to 3 + 3.
@@ -67,7 +84,10 @@ show("one-variable compression", chain)
 decs = fold_delta_table(build_delta_table(chain), chain)
 for dec in decs:
     print(f"size {dec.size}:  {dec.render()}")
-    print(f"  regenerates T exactly: {validate_decomposition(dec, chain)}")
+    regenerated = {
+        subst_term(u, alpha_subst(row)) for u in dec.u for row in dec.w
+    }
+    print(f"  regenerates T exactly: {regenerated == chain}")
 
 # ---------------------------------------------------------------------
 # Two moving parts: four pairs sliding in opposite directions, started

@@ -19,7 +19,7 @@ from cutintro import (
     build_proof_with_cut,
     build_schematic_ehs,
     canonical_solution,
-    check_proof,
+    check_proof_report,
     check_solution,
     decode_termset,
     encode_termset,
@@ -51,7 +51,6 @@ print(f"{seq.p} antecedent formulas, {seq.q - seq.p} succedent formula(s)")
 for i in range(1, seq.q + 1):
     role = "ante" if i <= seq.p else "succ"
     print(f"  {role} {i}: {render_formula(seq.formula(i))}")
-print(f"instance lists carry {hs.size} instantiation vectors in total")
 
 # ---------------------------------------------------------------------
 banner("2. one term set for all formulas")
@@ -59,7 +58,7 @@ banner("2. one term set for all formulas")
 # reserved head #f<i>, so one set covers every quantified formula at
 # once and the tags can never be confused with input function symbols.
 ts = encode_termset(hs)
-print(f"{len(ts.terms)} tagged terms:")
+print(f"{len(ts)} tagged terms, one per instantiation vector:")
 for t in sorted(ts.terms, key=term_key):
     print(f"  {render_term(t)}")
 
@@ -85,7 +84,7 @@ banner("4. schematic sequent")
 # candidate must satisfy.
 u = decode_termset(TermSet(decs[0].u, seq.q))
 e = build_schematic_ehs(seq, u, decs[0].w)
-print(f"cut formula arity: {e.arity}   sequent size: {e.size}")
+print(f"cut formula arity: {e.arity}   sequent size: {decs[0].size}")
 print(f"known side: {len(e.gamma)} antecedent / {len(e.delta)} succedent "
       f"instance formulas")
 print("witness vectors the cut formula must step through:")
@@ -116,6 +115,7 @@ banner("7. proof with cut")
 proof = build_proof_with_cut(e, best.formula, oracle)
 print(render_proof(proof))
 m = metrics(proof)
-print(f"checker verdict: {check_proof(proof, oracle)}")
+ok, msg = check_proof_report(proof, oracle)
+print(f"checker verdict: {'valid' if ok else msg}")
 print(f"proof length {m['length']}, quantifier-block complexity {m['comq']} "
-      f"(cut-free baseline: {hs.size})")
+      f"(cut-free baseline: {len(ts)})")

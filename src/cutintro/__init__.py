@@ -21,12 +21,9 @@ from .cutformula import (
 from .decomposition import (
     Decomposition,
     DeltaTable,
-    SimpleDecomposition,
     build_delta_table,
-    delta_g,
     fold_delta_table,
     restrict_ci1,
-    validate_decomposition,
 )
 from .euf import InternalOracle, Oracle, Verdict
 from .formulas import (
@@ -57,7 +54,6 @@ from .proofs import (
     ProofBuildError,
     ProofCheckError,
     build_proof_with_cut,
-    check_proof,
     check_proof_report,
     metrics,
     proof_from_json,
@@ -98,7 +94,6 @@ __all__ = [
     "SchemaError",
     "SchematicEHS",
     "Sequent",
-    "SimpleDecomposition",
     "SolutionCandidate",
     "Term",
     "TermSet",
@@ -109,11 +104,9 @@ __all__ = [
     "build_proof_with_cut",
     "build_schematic_ehs",
     "canonical_solution",
-    "check_proof",
     "check_proof_report",
     "check_solution",
     "decode_termset",
-    "delta_g",
     "emit_stats",
     "encode_termset",
     "export_smt2",
@@ -131,6 +124,5 @@ __all__ = [
     "run_corpus",
     "run_pipeline",
     "sf_improve",
-    "validate_decomposition",
     "write_corpus_outputs",
 ]

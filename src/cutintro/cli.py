@@ -112,9 +112,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             stats = write_corpus_outputs(reports, args.out)
         else:
             stats = emit_stats(reports)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as err:
         print(f"cutintro corpus: error: {err}", file=sys.stderr)
         return 2

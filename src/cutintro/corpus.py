@@ -1,10 +1,15 @@
 """Batch runs over a directory of input files.
 
-Each ``*.cis`` file is processed in its own worker process so that a
-pathological input cannot take the batch down with it.  The aggregate
-groups runs into term-set-size buckets of width five and records a
-scatter of term-set size against decomposition size for the compressed
-runs.
+Each ``*.cis`` file runs through ``run_pipeline`` in a pool of worker
+processes, or in this process when there is one worker or one file.  An
+exception that escapes one file's run becomes that file's ``error``
+row.  Nothing survives a worker that dies (killed, or out of memory):
+the pool breaks and ``run_corpus`` raises ``BrokenProcessPool`` with no
+rows at all, and run in this process such a file ends the batch.
+
+The aggregate groups runs into term-set-size buckets of width five and
+records a scatter of term-set size against decomposition size for the
+compressed runs.
 """
 
 from __future__ import annotations

@@ -99,10 +99,6 @@ class SchematicEHS:
     def arity(self) -> int:
         return len(self.w[0]) if self.w else 0
 
-    @property
-    def size(self) -> int:
-        return len(self.w) + self.u.size
-
     @cached_property
     def side_clauses(self) -> CNF:
         """Clause form of Γ' ∧ ¬⋁Δ'; raises LimitReached past the cap."""
@@ -339,7 +335,7 @@ def _forget_moves(
                 yield succ, (clauses[i], clauses[j], new)
 
 
-def _prune_alpha_free(cnf: CNF, known: dict) -> CNF:
+def _drop_alpha_free(cnf: CNF, known: dict) -> CNF:
     """Drop clauses with no schema variable; ``known`` keeps, per clause,
     whether it mentions one.
 
@@ -369,7 +365,7 @@ def sf_improve(
 
     Maintains a stack of clause-set nodes known to solve the schema
     (validated via the step guard A(w̄₁)..A(w̄_k), Γ' ⊢ Δ', which the
-    successors of a solution inherit).  α-free clauses are pruned at
+    successors of a solution inherit).  α-free clauses are dropped at
     every node.  Nodes whose every successor fails the guard are leaves.
     Every visited node is returned as a candidate, in visiting order;
     the pipeline tries them in ``SolutionCandidate.sort_key`` order
@@ -377,7 +373,7 @@ def sf_improve(
     """
     mentions_alpha: dict = {}
     pairs: dict = {}
-    entry = _prune_alpha_free(simplify_clauses(cand.clauses), mentions_alpha)
+    entry = _drop_alpha_free(simplify_clauses(cand.clauses), mentions_alpha)
     seen: set[CNF] = {entry}
     stack: list[tuple[CNF, tuple]] = [(entry, cand.steps)]
     results: list[SolutionCandidate] = []
@@ -396,7 +392,7 @@ def sf_improve(
             capped = True
             break
         for succ, move in _forget_moves(node, pairs):
-            succ = _prune_alpha_free(succ, mentions_alpha)
+            succ = _drop_alpha_free(succ, mentions_alpha)
             if succ in seen:
                 continue
             seen.add(succ)

@@ -8,12 +8,13 @@ combinatorial core of cut introduction.
 
 The search works in three stages:
 
-1. ``delta_g`` anti-unifies a list of terms into the least general
-   pattern together with the witness vectors (one per input term).  It
-   folds ``_AntiUnifier.step``, the one anti-unification step of a
-   pattern with one more term, over the list, then reads each term's
-   vector off it at the first-occurrence paths of the pattern's
-   variables.
+1. ``_AntiUnifier.step`` anti-unifies a pattern with one more term,
+   the step of Plotkin's least general generalization: positions that
+   disagree become variables, numbered by first occurrence in
+   pre-order, and equal columns share one.  A column that mentions a
+   reserved formula-tag head ends the step.  ``_AntiUnifier.rows``
+   reads each term's witness vector at the first-occurrence paths of
+   the pattern's variables.
 2. ``build_delta_table`` enumerates the subsets of T depth first, in
    ``term_key`` order, extending each subset's pattern by its last term,
    and indexes the results by witness-vector set (the key).  From the
@@ -67,7 +68,6 @@ from .terms import (
     Var,
     alpha,
     alpha_index,
-    alpha_subst,
     positions_of,
     render_term,
     render_tuple,
@@ -87,26 +87,6 @@ Key = frozenset  # of Row
 _NO_COLUMNS: Key = frozenset({()})
 
 
-@dataclass(frozen=True)
-class SimpleDecomposition:
-    """Least general pattern of a term list plus its witness vectors.
-
-    ``rows[i]`` instantiates the pattern back to the i-th input term;
-    variable αⱼ corresponds to coordinate j-1 of each row.
-    """
-
-    u: Term
-    rows: tuple[Row, ...]
-
-    @property
-    def key(self) -> Key:
-        return frozenset(self.rows)
-
-    @property
-    def arity(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
 def _subterm_at(t: Term, path: tuple) -> Term:
     for i in path:
         t = t.args[i]
@@ -116,27 +96,24 @@ def _subterm_at(t: Term, path: tuple) -> Term:
 class _AntiUnifier:
     """Anti-unification of a pattern with one more term.
 
-    As in ``delta_g``, the positions where the pattern and the term
-    disagree become variables, numbered by first occurrence in
-    pre-order, and positions with equal columns share a variable.  The
-    pattern's variables are the ones this anti-unifier made.
+    The positions where the pattern and the term disagree become
+    variables, numbered by first occurrence in pre-order, and positions
+    with equal columns share a variable.  The pattern's variables are
+    the ones this anti-unifier made, and its columns are clean.
 
     Equal terms are one object (see ``terms``), so the walk tells a
     position where the terms agree by identity, and a pattern subterm
     that does not change is returned as the same object.
     """
 
-    def __init__(self, prune: bool) -> None:
-        # With ``prune``, ``step`` gives up on a tagged column.
-        self.prune = prune
+    def __init__(self) -> None:
         self.alphas: list[Var] = []
         self.paths: dict[Term, tuple] = {}
 
     def step(self, u: Term, t: Term) -> Optional[tuple[Term, Optional[Row]]]:
         """(v, row) for the pattern v of u's terms and t: ``row`` is t's
         witness row when v is u, and None when v generalizes u.  None
-        when pruning and a column of v mentions a reserved formula-tag
-        head.
+        when a column of v mentions a reserved formula-tag head.
         """
         news: list[Term] = []
         v = self._walk(u, t, {}, news)
@@ -148,7 +125,7 @@ class _AntiUnifier:
         self, p: Term, s: Term, fresh: dict, news: list
     ) -> Optional[Term]:
         """The new pattern at a position, from pattern subterm ``p`` and
-        new subterm ``s``; None when pruning and a column is tagged.
+        new subterm ``s``; None when a column is tagged.
 
         A variable of the new pattern is keyed in ``fresh`` by its
         (pattern subterm, new subterm) pair: two positions have equal
@@ -181,8 +158,8 @@ class _AntiUnifier:
         n = fresh.get(pair)
         if n is None:
             # A pattern subterm's instances are tagged when it is: the
-            # old columns are clean whenever we prune.
-            if self.prune and (p.tagged or s.tagged):
+            # old columns are clean.
+            if p.tagged or s.tagged:
                 return None
             n = fresh[pair] = len(news)
             news.append(s)
@@ -207,26 +184,6 @@ class _AntiUnifier:
                 found.append(at[0])
             paths = self.paths[v] = tuple(found)
         return tuple(tuple(_subterm_at(x, p) for p in paths) for x in terms)
-
-
-def delta_g(terms: Sequence[Term]) -> SimpleDecomposition:
-    """Anti-unify a nonempty term list.
-
-    Positions where the terms disagree (and cannot be descended into
-    because the heads differ) become variables; columns of identical
-    disagreement are shared, numbered by first occurrence in the
-    pattern.  The pattern grows one term at a time, by the step of the
-    Δ-table's subset enumeration, and the rows are read off the terms
-    at the final pattern's variables.
-    """
-    ts = tuple(terms)
-    if not ts:
-        raise ValueError("delta_g needs at least one term")
-    au = _AntiUnifier(prune=False)
-    u = ts[0]
-    for k in range(1, len(ts)):
-        u = au.step(u, ts[k])[0]
-    return SimpleDecomposition(u, au.rows(u, ts))
 
 
 def _pattern_var_indices(u: Term) -> set[int]:
@@ -312,7 +269,8 @@ def _inject_pattern(u: Term, injection: Sequence[int]) -> Term:
     return subst_term(u, mapping)
 
 
-# A step of ``_clean_subsets`` not made yet (None is a pruned step).
+# A step of ``_clean_subsets`` not made yet (None is a step that met a
+# tagged column).
 _UNMADE = object()
 
 
@@ -323,8 +281,9 @@ def _clean_subsets(
 ) -> Iterator[tuple[Key, Term, int]]:
     """(key, pattern, mask) for each subset of at most ``top`` terms
     whose key is clean, depth first.  Bit j of the mask stands for
-    ``terms[j]``, which are ground.  The pattern is ``delta_g`` of the
-    subset's terms in the order of ``terms``.
+    ``terms[j]``, which are ground.  The pattern is the least general
+    generalization of the subset's terms, its variables numbered by
+    first occurrence, and the key holds their witness rows.
 
     A subset is extended by one anti-unification step of its pattern
     with the new term, made once per (pattern, term) pair: many subsets
@@ -336,7 +295,7 @@ def _clean_subsets(
     ``cancel`` runs once per subset visited, including those found
     unclean (which are not extended).
     """
-    au = _AntiUnifier(prune=True)
+    au = _AntiUnifier()
     n = len(terms)
     # steps[u][j]: the step of pattern u with terms[j], once made.
     steps: dict[Term, list] = {}
@@ -450,13 +409,6 @@ class Decomposition:
     def size(self) -> int:
         return len(self.u) + len(self.w)
 
-    def expand(self) -> frozenset:
-        out = set()
-        for row in self.w:
-            mapping = alpha_subst(row)
-            out.update(subst_term(u, mapping) for u in self.u)
-        return frozenset(out)
-
     def sort_key(self) -> tuple:
         return (
             len(self.w),
@@ -468,27 +420,6 @@ class Decomposition:
         us = ", ".join(render_term(u) for u in sorted(self.u, key=term_key))
         ws = ", ".join(map(render_tuple, sorted(self.w, key=tuple_key)))
         return f"U = {{{us}}}  W = {{{ws}}}"
-
-
-def validate_decomposition(
-    d: Decomposition, t: TermSet | Iterable[Term]
-) -> bool:
-    """Exact expansion check: U instantiated with W reproduces T."""
-    target = frozenset(t.terms if isinstance(t, TermSet) else t)
-    if not d.u or not d.w:
-        return False
-    arities = {len(row) for row in d.w}
-    if len(arities) != 1:
-        return False
-    (m,) = arities
-    for row in d.w:
-        for x in row:
-            if term_vars(x):
-                return False
-    for u in d.u:
-        if any(alpha_index(v) > m for v in term_vars(u)):
-            return False
-    return d.expand() == target
 
 
 def _fold_order(keys: list[Key]) -> list[Key]:

@@ -37,10 +37,6 @@ class HerbrandStructure:
 
     instances: tuple[frozenset[tuple[Term, ...]], ...]
 
-    @property
-    def size(self) -> int:
-        return sum(len(h) for h in self.instances)
-
 
 @dataclass(frozen=True)
 class TermSet:
@@ -95,8 +91,8 @@ def instance_formulas(
 
 
 def herbrand_sequent(seq: Sequent, h: HerbrandStructure) -> Sequent:
-    """The quantifier-free instance sequent.  Its size (for compression
-    bookkeeping) is the structure size: only instantiated formulas count."""
+    """The quantifier-free instance sequent: each formula's instances in
+    ``instance_formulas`` order, antecedents before succedents."""
     ante: list[Formula] = []
     succ: list[Formula] = []
     for i in range(1, seq.q + 1):

@@ -12,11 +12,12 @@ must not occur free in its conclusion.  The other rules are the
 oracle-certified quantifier-free leaf, cut, contraction and weakening.
 
 ``build_proof_with_cut`` assembles the standard two-branch shape around
-a solution of a schematic extended Herbrand sequent; ``check_proof``
-re-verifies every inference from scratch, consulting the validity
-oracle only at the leaves.  ``proof_to_json`` writes ``proof.json``,
-a flat table, and ``proof_from_json`` reads it.  Writing, reading and
-checking keep their own stacks, so a proof may have any number of steps.
+a solution of a schematic extended Herbrand sequent;
+``check_proof_report`` re-verifies every inference from scratch,
+consulting the validity oracle only at the leaves, and names the first
+bad inference.  ``proof_to_json`` writes ``proof.json``, a flat table,
+and ``proof_from_json`` reads it.  Writing, reading and checking keep
+their own stacks, so a proof may have any number of steps.
 
 Sides of a sequent are compared as multisets throughout: the inference
 rules never depend on formula order.
@@ -359,11 +360,6 @@ def _check_inference(node: Inference, oracle: Oracle) -> None:
             raise ProofCheckError(f"contraction changes the {label} support")
         elif any(cc[f] > pc[f] for f in cc):
             raise ProofCheckError(f"contraction increases a {label} count")
-
-
-def check_proof(p: Inference, oracle: Oracle) -> bool:
-    ok, _ = check_proof_report(p, oracle)
-    return ok
 
 
 def check_proof_report(p: Inference, oracle: Oracle) -> tuple[bool, str]:

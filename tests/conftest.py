@@ -12,7 +12,11 @@ from cutintro.cutformula import (
     canonical_solution,
     sf_improve,
 )
-from cutintro.decomposition import build_delta_table, fold_delta_table
+from cutintro.decomposition import (
+    _AntiUnifier,
+    build_delta_table,
+    fold_delta_table,
+)
 from cutintro.euf import InternalOracle
 from cutintro.herbrand import TermSet, decode_termset, encode_termset
 from cutintro.parser import parse_input
@@ -89,3 +93,23 @@ def leaves_no_cycles():
         return result
 
     return check
+
+
+@pytest.fixture
+def anti_unify():
+    """The package's anti-unifier over a nonempty term list, one step
+    per term: (pattern, rows) in the form of ``oracles.antiunify``, one
+    row per term, or None when a column mentions a reserved formula-tag
+    head."""
+
+    def run(terms):
+        au = _AntiUnifier()
+        u = terms[0]
+        for t in terms[1:]:
+            step = au.step(u, t)
+            if step is None:
+                return None
+            u = step[0]
+        return u, au.rows(u, terms)
+
+    return run

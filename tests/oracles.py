@@ -5,9 +5,9 @@ truth-table enumeration plus fixpoint congruence saturation for
 validity, the oracle's first restart-DPLL lazy loop for clause sets,
 solutionhood as one implication sequent, a two-pass anti-unifier, the
 all-subsets Δ-table with its fold over term sets, an exhaustive cover
-search for minimal decompositions, the clause form as negation
-normal form followed by distribution, and the input format by a
-recursive-descent parser.  They share no code with the implementations
+search for minimal decompositions, the expansion check of a
+decomposition, the clause form as negation normal form followed by
+distribution, and the input format by a recursive-descent parser.  They share no code with the implementations
 under test, with three exceptions: the Δ-table references build the
 package's ``DeltaTable`` and ``Decomposition`` records, the solution
 reference hands its sequent to ``decide_validity``, which is checked
@@ -971,6 +971,36 @@ def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> lis
     results = [d for d in found if d.size == best[0]]
     results.sort(key=Decomposition.sort_key)
     return results
+
+
+def _is_ground(t: Term) -> bool:
+    return not isinstance(t, Var) and all(_is_ground(a) for a in t.args)
+
+
+def _instantiate(u: Term, row: tuple[Term, ...]) -> Term:
+    if isinstance(u, Var):
+        return row[alpha_index(u.name) - 1] if is_alpha(u.name) else u
+    if not u.args:
+        return u
+    return App(u.head, tuple(_instantiate(a, row) for a in u.args))
+
+
+def validate_decomposition(d, terms: Iterable[Term]) -> bool:
+    """The exact expansion check of a decomposition (U, W): U and W are
+    nonempty, W's rows are ground and of one arity m, U mentions only
+    α₁..α_m, and every pattern under every row gives exactly ``terms``."""
+    if not d.u or not d.w:
+        return False
+    arities = {len(row) for row in d.w}
+    if len(arities) != 1:
+        return False
+    (m,) = arities
+    if not all(_is_ground(x) for row in d.w for x in row):
+        return False
+    if any(not _pattern_vars(u) <= set(range(1, m + 1)) for u in d.u):
+        return False
+    expansion = {_instantiate(u, row) for row in d.w for u in d.u}
+    return expansion == frozenset(terms)
 
 
 # --------------------------------------------------------------------------

@@ -20,12 +20,7 @@ from cutintro.cutformula import (
     check_solution,
     sf_improve,
 )
-from cutintro.decomposition import (
-    build_delta_table,
-    delta_g,
-    fold_delta_table,
-    validate_decomposition,
-)
+from cutintro.decomposition import build_delta_table, fold_delta_table
 from cutintro.euf import InternalOracle, Verdict
 from cutintro.formulas import And, Atom, Eq, Not, Or, render_formula
 from cutintro.herbrand import TermSet, decode_termset, encode_termset
@@ -33,7 +28,7 @@ from cutintro.limits import LimitReached
 from cutintro.pipeline import RunConfig, run_pipeline
 from cutintro.proofs import (
     build_proof_with_cut,
-    check_proof,
+    check_proof_report,
     metrics,
 )
 from cutintro.sequents import Sequent
@@ -101,8 +96,9 @@ def test_criterion_1_golden_end_to_end(golden, golden_oracle):
         failures.append("pattern set differs from the expected one")
 
     e = build_schematic_ehs(seq, split, d.w)
-    if e.size != 10:
-        failures.append(f"schematic sequent size {e.size} != 10")
+    e_size = sum(map(len, e.u.instances)) + len(e.w)
+    if e_size != 10:
+        failures.append(f"schematic sequent size {e_size} != 10")
 
     can = canonical_solution(e)
     if not check_solution(e, can.formula, golden_oracle):
@@ -144,7 +140,7 @@ def test_criterion_1_golden_end_to_end(golden, golden_oracle):
 
     best = min(res.candidates, key=SolutionCandidate.sort_key)
     proof = build_proof_with_cut(e, best.formula, golden_oracle)
-    if not check_proof(proof, golden_oracle):
+    if not check_proof_report(proof, golden_oracle)[0]:
         failures.append("constructed proof rejected by the checker")
     m = metrics(proof)
     if m["comq"] != 10:
@@ -192,7 +188,7 @@ def test_criterion_2_decomposition_minimality():
 # 3. soundness fuzz: anti-unification and decomposition validation
 
 
-def test_criterion_3_soundness_fuzz():
+def test_criterion_3_soundness_fuzz(anti_unify):
     failures: list[str] = []
     for seed in range(1000):
         rng = random.Random(20_000 + seed)
@@ -203,10 +199,10 @@ def test_criterion_3_soundness_fuzz():
             )
             for _ in range(n)
         ]
-        g = delta_g(terms)
-        for t, row in zip(terms, g.rows):
+        u, rows = anti_unify(terms)
+        for t, row in zip(terms, rows):
             mapping = {alpha(i + 1).name: row[i] for i in range(len(row))}
-            if subst_term(g.u, mapping) != t:
+            if subst_term(u, mapping) != t:
                 failures.append(f"anti-unification seed {seed} broken")
                 break
         if len(failures) >= 5:
@@ -219,7 +215,7 @@ def test_criterion_3_soundness_fuzz():
         seed += 1
         ts = gen.random_term_set(rng)
         for d in fold_delta_table(build_delta_table(ts), ts):
-            if not validate_decomposition(d, ts):
+            if not oracles.validate_decomposition(d, ts):
                 failures.append(f"set seed {seed}: returned decomposition invalid")
                 break
             validated += 1
@@ -413,7 +409,7 @@ def _swap(proof, old, new):
 def test_criterion_6_mutations_rejected(golden_ehs, golden_sf, golden_oracle):
     best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
     proof = build_proof_with_cut(golden_ehs, best.formula, golden_oracle)
-    assert check_proof(proof, golden_oracle)
+    assert check_proof_report(proof, golden_oracle)[0]
 
     operators = itertools.cycle(
         [_splice_out_block, _corrupt_eigen, _corrupt_leaf]
@@ -423,7 +419,7 @@ def test_criterion_6_mutations_rejected(golden_ehs, golden_sf, golden_oracle):
         rng = random.Random(seed)
         mutant = next(operators)(proof, rng)
         assert mutant != proof
-        if check_proof(mutant, golden_oracle):
+        if check_proof_report(mutant, golden_oracle)[0]:
             accepted += 1
     _verdict(
         "criterion 6: 100 mutated proofs all rejected",

@@ -123,7 +123,9 @@ class TestCorpus:
 
     def test_empty_directory_exits_two(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == 2
-        assert "error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"cutintro corpus: error: no .cis files under {tmp_path}\n"
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exit_two(self, tmp_path, workers, capsys):

@@ -88,7 +88,9 @@ def _solved_random_instance(seed: int):
 class TestBuildSchematicEHS:
     def test_golden_shape(self, golden_ehs):
         assert golden_ehs.arity == 2
-        assert golden_ehs.size == 10
+        # |U| + |W|: the decomposition's size.
+        u_size = sum(map(len, golden_ehs.u.instances))
+        assert u_size + len(golden_ehs.w) == 10
         assert len(golden_ehs.gamma) == 9
         assert len(golden_ehs.delta) == 1
         assert len(golden_ehs.w) == 2
@@ -303,23 +305,23 @@ class TestSFImprove:
 
     def test_memos_match_their_definitions(self, golden_ehs, monkeypatch):
         # Every guard the bundled search asks is read from the sequent's
-        # instance memo, and every pruning from the search's α memo; each
-        # equals the definition it stands for.
-        guards, prunes = [], []
-        guard, prune = cutformula.guard_clauses, cutformula._prune_alpha_free
+        # instance memo, and every α-free drop from the search's α memo;
+        # each equals the definition it stands for.
+        guards, drops = [], []
+        guard, drop = cutformula.guard_clauses, cutformula._drop_alpha_free
 
         def recording_guard(e, clauses):
             got = guard(e, clauses)
             guards.append((clauses, got))
             return got
 
-        def recording_prune(cnf, memo):
-            got = prune(cnf, memo)
-            prunes.append((cnf, got))
+        def recording_drop(cnf, memo):
+            got = drop(cnf, memo)
+            drops.append((cnf, got))
             return got
 
         monkeypatch.setattr(cutformula, "guard_clauses", recording_guard)
-        monkeypatch.setattr(cutformula, "_prune_alpha_free", recording_prune)
+        monkeypatch.setattr(cutformula, "_drop_alpha_free", recording_drop)
         res = sf_improve(
             golden_ehs, canonical_solution(golden_ehs), InternalOracle()
         )
@@ -329,7 +331,7 @@ class TestSFImprove:
             assert got == golden_ehs.side_clauses.union(
                 *(subst_clauses(clauses, m) for m in substs)
             )
-        for cnf, got in prunes:
+        for cnf, got in drops:
             assert got == frozenset(
                 c
                 for c in cnf

@@ -17,10 +17,8 @@ from cutintro.decomposition import (
     _AntiUnifier,
     _clean_subsets,
     build_delta_table,
-    delta_g,
     fold_delta_table,
     restrict_ci1,
-    validate_decomposition,
 )
 from cutintro.herbrand import TermSet, decode_termset
 from cutintro.limits import LimitReached
@@ -96,50 +94,51 @@ def _expand(u, rows):
     return out
 
 
+def _tagged_rows(rows):
+    """Whether a witness row mentions a reserved formula-tag head."""
+    return any(x.tagged for row in rows for x in row)
+
+
 def _subset(terms, mask):
     """The terms a cover bitmask stands for, bit j being ``terms[j]``."""
     return tuple(t for j, t in enumerate(terms) if mask >> j & 1)
 
 
 class TestDeltaG:
-    def test_identical_terms_give_ground_pattern(self):
-        g = delta_g([f(a), f(a)])
-        assert g.u == f(a)
-        assert g.rows == ((), ())
-        assert g.arity == 0
+    """Δ_G of a term list, its least general generalization and witness
+    rows, by the package's anti-unifier one step per term."""
 
-    def test_same_head_recurses(self):
-        g = delta_g([f(a), f(b)])
-        assert g.u == f(alpha(1))
-        assert g.rows == ((a,), (b,))
+    def test_identical_terms_give_ground_pattern(self, anti_unify):
+        assert anti_unify([f(a), f(a)]) == (f(a), ((), ()))
 
-    def test_head_clash_generalizes_whole_column(self):
-        g = delta_g([f(a), s(a)])
-        assert g.u == alpha(1)
-        assert g.rows == ((f(a),), (s(a),))
+    def test_same_head_recurses(self, anti_unify):
+        assert anti_unify([f(a), f(b)]) == (f(alpha(1)), ((a,), (b,)))
 
-    def test_equal_columns_share_a_variable(self):
+    def test_head_clash_generalizes_whole_column(self, anti_unify):
+        assert anti_unify([f(a), s(a)]) == (alpha(1), ((f(a),), (s(a),)))
+
+    def test_equal_columns_share_a_variable(self, anti_unify):
         t1 = App("g", (f(a), f(a)))
         t2 = App("g", (f(b), f(b)))
-        g = delta_g([t1, t2])
-        assert g.u == App("g", (f(alpha(1)), f(alpha(1))))
-        assert g.rows == ((a,), (b,))
+        u, rows = anti_unify([t1, t2])
+        assert u == App("g", (f(alpha(1)), f(alpha(1))))
+        assert rows == ((a,), (b,))
 
-    def test_distinct_columns_get_distinct_variables(self):
+    def test_distinct_columns_get_distinct_variables(self, anti_unify):
         t1 = App("g", (a, b))
         t2 = App("g", (b, a))
-        g = delta_g([t1, t2])
-        assert g.u == App("g", (alpha(1), alpha(2)))
-        assert g.rows == ((a, b), (b, a))
+        u, rows = anti_unify([t1, t2])
+        assert u == App("g", (alpha(1), alpha(2)))
+        assert rows == ((a, b), (b, a))
 
-    def test_variables_numbered_by_first_occurrence(self):
+    def test_variables_numbered_by_first_occurrence(self, anti_unify):
         t1 = App("#f3", (s(s(s(f(f(a))))), a))
         t2 = App("#f3", (s(s(f(f(a)))), s(a)))
-        g = delta_g([t1, t2])
-        assert render_term(g.u) == "#f3(s(s(α1)), α2)"
-        assert g.rows == ((s(f(f(a))), a), (f(f(a)), s(a)))
+        u, rows = anti_unify([t1, t2])
+        assert render_term(u) == "#f3(s(s(α1)), α2)"
+        assert rows == ((s(f(f(a))), a), (f(f(a)), s(a)))
 
-    def test_matches_independent_antiunifier(self):
+    def test_matches_independent_antiunifier(self, anti_unify):
         for seed in range(120):
             rng = random.Random(seed)
             n = rng.randint(2, 5)
@@ -149,20 +148,25 @@ class TestDeltaG:
                 )
                 for _ in range(n)
             ]
-            g = delta_g(ts)
-            u2, rows2 = oracles.antiunify(ts)
-            assert g.u == u2, f"seed {seed}"
-            assert g.rows == rows2, f"seed {seed}"
+            assert anti_unify(ts) == oracles.antiunify(ts), f"seed {seed}"
 
-    def test_matches_independent_antiunifier_tagged_and_in_any_order(self):
+    def test_matches_independent_antiunifier_tagged_and_in_any_order(
+        self, anti_unify
+    ):
+        gave_up = 0
         for seed in range(300):
             ts = _random_term_list(random.Random(seed))
-            g = delta_g(ts)
-            u2, rows2 = oracles.antiunify(ts)
-            assert g.u == u2, f"seed {seed}"
-            assert g.rows == rows2, f"seed {seed}"
+            got = anti_unify(ts)
+            want = oracles.antiunify(ts)
+            if got is None:
+                # Only on a tagged column of the reference.
+                assert _tagged_rows(want[1]), f"seed {seed}"
+                gave_up += 1
+            else:
+                assert got == want, f"seed {seed}"
+        assert 0 < gave_up < 300
 
-    def test_frames_per_nesting_level(self):
+    def test_frames_per_nesting_level(self, anti_unify):
         # Anti-unifying terms nested d deep may take at most two frames
         # per level, as the recursive column generalizer it replaced did.
         d = 300
@@ -171,13 +175,12 @@ class TestDeltaG:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(here + 2 * d + 50)
         try:
-            g = delta_g(ts)
+            got = anti_unify(ts)
         finally:
             sys.setrecursionlimit(old)
-        assert g.u == _power(f, alpha(1), d)
-        assert g.rows == ((a,), (b,))
+        assert got == (_power(f, alpha(1), d), ((a,), (b,)))
 
-    def test_expansion_reproduces_input(self):
+    def test_expansion_reproduces_input(self, anti_unify):
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(2, 6)
@@ -187,15 +190,15 @@ class TestDeltaG:
                 )
                 for _ in range(n)
             ]
-            g = delta_g(ts)
-            for t, row in zip(ts, g.rows):
+            u, rows = anti_unify(ts)
+            for t, row in zip(ts, rows):
                 mapping = {
                     alpha(i + 1).name: row[i] for i in range(len(row))
                 }
-                assert subst_term(g.u, mapping) == t, f"seed {seed}"
-            assert len(set(g.rows)) <= len(ts)
-            assert term_vars(g.u) == {
-                alpha(i + 1).name for i in range(g.arity)
+                assert subst_term(u, mapping) == t, f"seed {seed}"
+            assert len(set(rows)) <= len(ts)
+            assert term_vars(u) == {
+                alpha(i + 1).name for i in range(len(rows[0]))
             }
 
 
@@ -228,16 +231,14 @@ class TestDeltaTable:
             for key, u, mask in _clean_subsets(terms, len(terms)):
                 assert 0 < mask < 1 << len(terms)
                 subset = _subset(terms, mask)
-                sd = delta_g(subset)
-                assert (u, key) == (sd.u, sd.key)
+                ref_u, ref_rows = oracles.antiunify(subset)
+                assert (u, key) == (ref_u, frozenset(ref_rows))
                 stored.add(subset)
             clean = {
                 combo
                 for r in range(1, len(terms) + 1)
                 for combo in itertools.combinations(terms, r)
-                if not any(
-                    x.tagged for x in itertools.chain(*delta_g(combo).rows)
-                )
+                if not _tagged_rows(oracles.antiunify(combo)[1])
             }
             assert stored == clean
 
@@ -359,9 +360,7 @@ def _visited(terms, top):
     for r in range(1, top + 1):
         for combo in itertools.combinations(terms, r):
             parent = combo[:-1]
-            if not parent or not any(
-                x.tagged for row in oracles.antiunify(parent)[1] for x in row
-            ):
+            if not parent or not _tagged_rows(oracles.antiunify(parent)[1]):
                 count += 1
     return count
 
@@ -409,7 +408,7 @@ class TestSubsetWalk:
 
     def test_steps_keep_then_generalize_the_pattern(self):
         ts = self.STABLE_THEN_GENERALIZED
-        au = _AntiUnifier(prune=True)
+        au = _AntiUnifier()
         u, kept = ts[0], []
         for t in ts[1:]:
             v, row = au.step(u, t)
@@ -422,17 +421,17 @@ class TestSubsetWalk:
         assert u == _h(alpha(1), alpha(2))
         assert self._check(ts)
 
-    def test_repeated_columns(self):
+    def test_repeated_columns(self, anti_unify):
         ts = self.REPEATED_COLUMNS
-        g = delta_g(ts[:2])
-        assert (g.u, g.rows) == (_g(alpha(1), alpha(1)), ((a,), (b,)))
-        au = _AntiUnifier(prune=False)
-        v, row = au.step(g.u, ts[2])
+        au = _AntiUnifier()
+        u, row = au.step(ts[0], ts[1])
+        assert u == _g(alpha(1), alpha(1)) and row is None
+        assert au.rows(u, ts[:2]) == ((a,), (b,))
+        v, row = au.step(u, ts[2])
         assert v == _g(alpha(1), alpha(2)) and row is None
         assert au.step(v, ts[3]) == (v, (c, c))
         for k in range(1, len(ts) + 1):
-            g = delta_g(ts[:k])
-            assert (g.u, g.rows) == oracles.antiunify(ts[:k]), k
+            assert anti_unify(ts[:k]) == oracles.antiunify(ts[:k]), k
         self._check(ts)
 
     @pytest.mark.parametrize("max_subset", [1, 2, 3])
@@ -442,21 +441,6 @@ class TestSubsetWalk:
         sets += [gen.random_term_set(random.Random(s)) for s in range(30)]
         for ts in sets:
             self._check(ts, max_subset)
-
-    def test_tagged_columns_right_after_a_pruning_build(self):
-        # The build prunes subsets with a tagged column; delta_g does not.
-        # Each keeps steps of its own: the build's pruned steps do not
-        # leak into delta_g, nor delta_g's into the next build.
-        ts = [App("#f1", (a,)), App("#f2", (a,)), App("#f2", (b,))]
-        first = build_delta_table(ts)
-        assert all(not x.tagged for k in first.pairs for r in k for x in r)
-        for combo in itertools.permutations(ts, 2):
-            g = delta_g(combo)
-            assert (g.u, g.rows) == oracles.antiunify(combo)
-            if ts[0] in combo:
-                assert g.rows == tuple((x,) for x in combo)
-        assert build_delta_table(ts).entries == first.entries
-        self._check(ts)
 
 
 class TestFold:
@@ -476,8 +460,8 @@ class TestFold:
         assert d.w == frozenset({(a, ffa), (ffa, a)})
 
     def test_golden_validates(self, golden_decompositions, golden_termset):
-        assert validate_decomposition(
-            golden_decompositions[0], golden_termset
+        assert oracles.validate_decomposition(
+            golden_decompositions[0], golden_termset.terms
         )
 
     def test_golden_pattern_shapes(self, golden_decompositions):
@@ -522,7 +506,7 @@ class TestFold:
             ts = gen.random_term_set(rng)
             dt = build_delta_table(ts)
             for d in fold_delta_table(dt, ts):
-                assert validate_decomposition(d, ts), f"seed {seed}"
+                assert oracles.validate_decomposition(d, ts), f"seed {seed}"
 
     def test_fold_does_not_depend_on_term_identity(self):
         # The fold is asked about the terms built again, in another order.
@@ -601,8 +585,11 @@ class TestNoReferenceCycles:
         assert [d.arity for d in decs] == [2]
 
     def test_delta_g(self, leaves_no_cycles):
-        d = leaves_no_cycles(lambda: delta_g(_deep_chain()))
-        assert d.arity == 1
+        # The Δ-table of terms 40 to 51 deep holds Δ_G of the whole list.
+        table = leaves_no_cycles(lambda: build_delta_table(_deep_chain()))
+        whole = frozenset((_power(f, c, k),) for k in range(12))
+        pattern = App("#f2", (_power(f, alpha(1), 40),))
+        assert (pattern, (1 << 12) - 1) in table.pairs[whole]
 
 
 class TestValidate:
@@ -611,21 +598,21 @@ class TestValidate:
             u=frozenset({App("#f2", (alpha(1),))}),
             w=frozenset({(a,)}),
         )
-        assert not validate_decomposition(bogus, golden_termset)
+        assert not oracles.validate_decomposition(bogus, golden_termset.terms)
 
     def test_rejects_nonground_rows(self, golden_termset):
         d = Decomposition(
             u=frozenset({App("#f2", (alpha(1),))}),
             w=frozenset({(alpha(1),)}),
         )
-        assert not validate_decomposition(d, golden_termset)
+        assert not oracles.validate_decomposition(d, golden_termset.terms)
 
     def test_rejects_variable_index_out_of_range(self, golden_termset):
         d = Decomposition(
             u=frozenset({App("#f2", (alpha(3),))}),
             w=frozenset({(a,)}),
         )
-        assert not validate_decomposition(d, golden_termset)
+        assert not oracles.validate_decomposition(d, golden_termset.terms)
 
     def test_random_perturbations_rejected(self):
         rejected = 0
@@ -643,7 +630,7 @@ class TestValidate:
             smaller = Decomposition(
                 u=frozenset(u_list[1:]), w=d.w
             )
-            if not validate_decomposition(smaller, ts):
+            if not oracles.validate_decomposition(smaller, ts):
                 rejected += 1
         assert rejected > 10
 

@@ -23,7 +23,7 @@ class TestGoldenInput:
         assert seq.p == 3
         assert seq.q == 4
         assert [seq.k(i) for i in range(1, 5)] == [0, 1, 2, 0]
-        assert hs.size == 12
+        assert sum(map(len, hs.instances)) == 12
 
     def test_matrix_of_equation_formula(self, golden):
         seq, _ = golden

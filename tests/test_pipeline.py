@@ -134,12 +134,12 @@ class TestGoldenRun:
 
     def test_proof_json_artifact_rechecks(self, golden_file, tmp_path):
         from cutintro.euf import InternalOracle
-        from cutintro.proofs import check_proof, proof_from_json
+        from cutintro.proofs import check_proof_report, proof_from_json
 
         out = tmp_path / "out"
         run_pipeline(golden_file, RunConfig(out_dir=out))
         p = proof_from_json(json.loads((out / "proof.json").read_text()))
-        assert check_proof(p, InternalOracle())
+        assert check_proof_report(p, InternalOracle())[0]
 
     def test_run_that_does_not_compress_writes_only_the_report(
         self, golden_file, tmp_path

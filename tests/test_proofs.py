@@ -35,7 +35,6 @@ from cutintro.proofs import (
     Inference,
     ProofBuildError,
     build_proof_with_cut,
-    check_proof,
     check_proof_report,
     metrics,
     proof_from_json,
@@ -173,7 +172,7 @@ class TestGoldenProof:
         p = Inference("oracle", seq)
         for _ in range(10**4):
             p = Inference("weaken", seq, (p,))
-        assert check_proof(p, oracle)
+        assert check_proof_report(p, oracle)[0]
         text = render_proof(p)
         lines = text.split("\n")
         assert len(lines) == 10**4 + 1
@@ -245,7 +244,7 @@ class TestBuildErrors:
         u = HerbrandStructure((frozenset({(alpha(1),)}), frozenset()))
         e = build_schematic_ehs(seq, u, {(a,)})
         p = build_proof_with_cut(e, Atom("P", (alpha(1),)), oracle)
-        assert check_proof(p, oracle)
+        assert check_proof_report(p, oracle)[0]
         assert metrics(p)["comq"] == 2
 
 
@@ -285,7 +284,7 @@ class TestMutations:
             strong, terms=(strong.terms[0], strong.terms[0])
         )
         bad = _replace_node(golden_proof, strong, mutated)
-        assert not check_proof(bad, golden_oracle)
+        assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_altered_leaf(self, golden_proof, golden_oracle):
         leaf = next(
@@ -298,7 +297,7 @@ class TestMutations:
             ),
         )
         bad = _replace_node(golden_proof, leaf, broken)
-        assert not check_proof(bad, golden_oracle)
+        assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_invalid_leaf_sequent(self, golden_proof, golden_oracle):
         leaf = next(
@@ -311,7 +310,7 @@ class TestMutations:
             conclusion=dataclasses.replace(leaf.conclusion, ante=()),
         )
         bad = _replace_node(golden_proof, leaf, broken)
-        assert not check_proof(bad, golden_oracle)
+        assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_altered_cut_formula(self, golden_proof, golden_oracle):
         cut = next(
@@ -326,7 +325,7 @@ class TestMutations:
             ),
         )
         bad = _replace_node(golden_proof, cut, mutated)
-        assert not check_proof(bad, golden_oracle)
+        assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_swapped_cut_branches(self, golden_proof, golden_oracle):
         cut = next(
@@ -334,7 +333,7 @@ class TestMutations:
         )
         mutated = dataclasses.replace(cut, premises=cut.premises[::-1])
         bad = _replace_node(golden_proof, cut, mutated)
-        assert not check_proof(bad, golden_oracle)
+        assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_wrong_instantiation_term(self, golden_proof, golden_oracle):
         block = next(
@@ -345,7 +344,7 @@ class TestMutations:
         terms = tuple(f(t) for t in block.terms)
         mutated = dataclasses.replace(block, terms=terms)
         bad = _replace_node(golden_proof, block, mutated)
-        assert not check_proof(bad, golden_oracle)
+        assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_report_names_the_failing_rule(self, golden_proof, golden_oracle):
         block = next(
@@ -380,7 +379,7 @@ class TestJsonErrors:
         )
         bad = _replace_node(golden_proof, block, mutated)
         again = proof_from_json(proof_to_json(bad))
-        assert not check_proof(again, golden_oracle)
+        assert not check_proof_report(again, golden_oracle)[0]
 
 
 class TestUnsoundBlocks:
