@@ -15,31 +15,41 @@ The search works in three stages:
    reserved formula-tag head ends the step.  ``_AntiUnifier.rows``
    reads each term's witness vector at the first-occurrence paths of
    the pattern's variables.
-2. ``build_delta_table`` enumerates the subsets of T depth first, in
-   ``term_key`` order, extending each subset's pattern by its last term,
-   and indexes the results by witness-vector set (the key).  From the
-   enumeration on, a subset (the pattern's cover) is an ``int`` bitmask,
-   bit j standing for the j-th term in ``term_key`` order.  A subset
-   carries its pattern, mask and key, not its columns: many subsets
-   share a pattern, so each (pattern, term) step is made once per build
-   and remembered.  When the step keeps the pattern, the variables and
-   so the columns stay as they are, and the child's key is the parent's
-   grown by the new term's row; only when it generalizes the pattern is
-   the key read off the subset's terms at the new variable paths.  A
-   subset whose key is unclean (see below) is neither stored nor
-   extended: every superset generalizes it, so its key is unclean too.
-   The table is then closed
-   under arity-raising coordinate injections so that patterns found at a
+2. ``build_delta_table`` enumerates the subsets of T one size at a
+   time, in ``term_key`` order, extending each subset of the last size
+   by a later term, and indexes the results by witness-vector set (the
+   key).  From the enumeration on, a subset (the pattern's cover) is an
+   ``int`` bitmask, bit j standing for the j-th term in ``term_key``
+   order.  A subset carries its pattern, mask and key, not its columns:
+   many subsets share a pattern, so each (pattern, term) step is made
+   once per build and remembered.  When the step keeps the pattern, the
+   variables and so the columns stay as they are, and the child's key
+   is the parent's grown by the new term's row; only when it
+   generalizes the pattern is the key read off the subset's terms at
+   the new variable paths.  A subset whose key is unclean (see below)
+   is neither stored nor extended: every superset generalizes it, so
+   its key is unclean too.  Each size is closed under arity-raising
+   coordinate injections as it is added, so that patterns found at a
    smaller arity are also visible at every compatible larger key; a
-   lifted pair keeps its cover's mask.
+   lifted pair keeps its cover's mask, and its key has as many rows as
+   the source's.  The subsets of the last size built are kept as the
+   table's frontier, so a table built ``upto`` a size can grow.  A
+   table that would enumerate more than ``DELTA_ENTRIES_CAP`` subsets
+   ends with ``LimitReached("delta_entries")``.
 3. ``fold_delta_table`` scans the keys whose covers together cover T,
    the only ones that can tile it; it skips the others before sorting
-   the keys into scan order.  For each key scanned it solves a
-   set-cover problem: pick pattern groups whose covers tile T.
+   the keys into scan order.  Every pair under a key of k rows covers k
+   terms, so a decomposition on that key has size at least
+   k + ⌈|T|/k⌉; a key whose bound exceeds the best size found is
+   skipped before its pairs are grouped.  For each other key it solves
+   a set-cover problem: pick pattern groups whose covers tile T.
    Selection is by cover — a chosen mask contributes every pattern the
    table associates with it — which keeps the expansion property exact.
    The groups are the pairs of a key grouped by mask, so the fold looks
-   up no cover's terms.
+   up no cover's terms.  A table with a frontier is grown one size at a
+   time, and the new keys folded, while a larger size can still meet
+   that bound: branch and bound over the table's sizes, deepened one
+   size at a time.
 
 The walks of the anti-unifier and of the fold's search keep their
 state in arguments and explicit stacks, not in self-referencing
@@ -47,18 +57,19 @@ closures, so a search leaves no reference cycles for the cyclic garbage
 collector: what it allocates is freed by reference counting.
 
 Keys whose vectors mention the reserved formula-tag heads are unclean
-and never used: a tag head inside W would smuggle formula structure into
+and never stored: a tag head inside W would smuggle formula structure into
 the ground witnesses.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, permutations
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import permutations
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .herbrand import TermSet
 from .limits import NO_DEADLINE, LimitReached
@@ -190,14 +201,6 @@ def _pattern_var_indices(u: Term) -> set[int]:
     return {alpha_index(v) for v in term_vars(u)}
 
 
-def _key_is_clean(key: Key) -> bool:
-    """True when no coordinate mentions a reserved formula-tag head."""
-    return not any(map(_tagged, chain.from_iterable(key)))
-
-
-_tagged = attrgetter("tagged")
-
-
 Pair = tuple  # (pattern term, cover bitmask)
 
 
@@ -208,11 +211,17 @@ class DeltaTable:
 
     ``pairs`` maps each key to a tuple of its distinct (pattern, cover)
     pairs, a cover being a bitmask over ``terms``: bit j stands for
-    ``terms[j]``, the term set in ``term_key`` order.
+    ``terms[j]``, the term set in ``term_key`` order.  A table built
+    ``upto`` a size below its cap keeps the ``frontier`` it grows from,
+    and ``pairs`` holds the subsets of the sizes built so far; a whole
+    table has no frontier.
     """
 
     pairs: dict  # Key -> tuple[Pair, ...]
     terms: tuple  # of Term, in term_key order
+    frontier: Optional[_Frontier] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def entries(self) -> dict:
@@ -269,67 +278,175 @@ def _inject_pattern(u: Term, injection: Sequence[int]) -> Term:
     return subst_term(u, mapping)
 
 
-# A step of ``_clean_subsets`` not made yet (None is a step that met a
+# A step of ``_Frontier.extend`` not made yet (None is a step that met a
 # tagged column).
 _UNMADE = object()
 
+# The most subsets one Δ-table enumerates, clean or not, however far it
+# grows; one more ends the build with ``LimitReached("delta_entries")``.
+# A set of at most 18 terms has fewer subsets than this.
+DELTA_ENTRIES_CAP = 1 << 18
 
-def _clean_subsets(
-    terms: Sequence[Term],
-    top: int,
-    cancel: Callable[[], None] = NO_DEADLINE.poll,
-) -> Iterator[tuple[Key, Term, int]]:
-    """(key, pattern, mask) for each subset of at most ``top`` terms
-    whose key is clean, depth first.  Bit j of the mask stands for
-    ``terms[j]``, which are ground.  The pattern is the least general
-    generalization of the subset's terms, its variables numbered by
-    first occurrence, and the key holds their witness rows.
 
-    A subset is extended by one anti-unification step of its pattern
-    with the new term, made once per (pattern, term) pair: many subsets
-    share a pattern.  When the step keeps the pattern, the new term's
-    row joins the subset's key; the variables, and so the columns, are
-    those of the subset.  When it generalizes the pattern, the key is
-    read off the terms at the new pattern's variables.
+class _Frontier:
+    """The clean subsets of one size, from which a table grows by one
+    term at a time: the pattern, mask and key of each subset of
+    ``size`` terms, in three parallel lists (a tuple per subset would be
+    one more object for the cyclic collector to track).  Bit j of a
+    mask stands for ``terms[j]``, which are ground.  The frontier of
+    size 0 holds the empty subset.
 
-    ``cancel`` runs once per subset visited, including those found
-    unclean (which are not extended).
+    A subset's pattern is the least general generalization of its
+    terms, its variables numbered by first occurrence, and its key holds
+    their witness rows.  The anti-unifier and the (pattern, term) step
+    memo are kept for the life of the frontier, so each step is made
+    once per build, whatever the sizes it is grown to.  ``visited``
+    counts the subsets enumerated so far, against ``DELTA_ENTRIES_CAP``.
+    A frontier stops keeping subsets at ``top`` terms, the table's cap;
+    ``ci1`` is set on a frontier of a table that keeps arity-1 keys only.
     """
-    au = _AntiUnifier()
-    n = len(terms)
-    # steps[u][j]: the step of pattern u with terms[j], once made.
-    steps: dict[Term, list] = {}
-    # (index of the last term, pattern, size, mask, key) of a subset
-    stack = [(-1, None, 0, 0, None)] if top > 0 else []
-    while stack:
-        last, u, size, mask, key = stack.pop()
-        row_steps = None
-        if size:
-            row_steps = steps.get(u)
-            if row_steps is None:
-                row_steps = steps[u] = [_UNMADE] * n
-        for j in range(last + 1, n):
-            cancel()
-            child = mask | 1 << j
-            if row_steps is None:
-                v, child_key = terms[j], _NO_COLUMNS
-            else:
-                step = row_steps[j]
-                if step is _UNMADE:
-                    step = row_steps[j] = au.step(u, terms[j])
-                if step is None:
-                    continue
-                v, row = step
-                if row is not None:
-                    # The terms are distinct, so the row is new.
-                    child_key = key.union((row,))
+
+    def __init__(self, terms: Sequence[Term], top: int) -> None:
+        self.terms = terms
+        self.top = top
+        self.ci1 = False
+        self.size = 0
+        self.patterns: list = [None]
+        self.masks: list[int] = [0]
+        self.keys: list = [None]
+        self.visited = 0
+        self.au = _AntiUnifier()
+        # steps[u][j]: the step of pattern u with terms[j], once made.
+        self.steps: dict[Term, list] = {}
+
+    def extend(
+        self, cancel: Callable[[], None]
+    ) -> dict[Key, Sequence[Pair]]:
+        """The (pattern, mask) pair of each subset of ``size + 1`` terms
+        whose key is clean, by key, in lexicographic order of the
+        subsets' bit lists; the frontier then holds those subsets.  A
+        key's pairs are a tuple while it has one, and a list from the
+        second on: most keys of a large table have one pair, and a list
+        each, frozen later, would be twice the objects for the cyclic
+        collector to track.
+
+        A subset is extended by one anti-unification step of its
+        pattern with the new term.  When the step keeps the pattern, the
+        new term's row joins the subset's key; the variables, and so the
+        columns, are those of the subset.  When it generalizes the
+        pattern, the key is read off the terms at the new pattern's
+        variables.  A subset whose key is unclean is neither returned
+        nor kept: every superset generalizes it, so its key is unclean
+        too.  No pair repeats: each subset has a mask of its own.
+
+        ``cancel`` runs once per subset visited, including those found
+        unclean.
+        """
+        terms, au, steps = self.terms, self.au, self.steps
+        n = len(terms)
+        keep = self.size + 1 < self.top
+        out: dict[Key, Sequence[Pair]] = {}
+        patterns: list = []
+        masks: list[int] = []
+        keys: list = []
+        visited = self.visited
+        for u, mask, key in zip(self.patterns, self.masks, self.keys):
+            # The terms after the subset's last one.
+            first = mask.bit_length()
+            visited += n - first
+            if visited > DELTA_ENTRIES_CAP:
+                raise LimitReached("delta_entries", DELTA_ENTRIES_CAP, (
+                    f"delta_entries passed its cap of {DELTA_ENTRIES_CAP}: "
+                    f"the subset table of {n} terms would enumerate more "
+                    f"subsets than that"
+                ))
+            row_steps = None
+            if u is not None:
+                row_steps = steps.get(u)
+                if row_steps is None:
+                    row_steps = steps[u] = [_UNMADE] * n
+            for j in range(first, n):
+                cancel()
+                child = mask | 1 << j
+                if row_steps is None:
+                    v, child_key = terms[j], _NO_COLUMNS
                 else:
-                    child_key = frozenset(
-                        au.rows(v, [terms[i] for i in _bits(child)])
-                    )
-            yield child_key, v, child
-            if size + 1 < top and j + 1 < n:
-                stack.append((j, v, size + 1, child, child_key))
+                    step = row_steps[j]
+                    if step is _UNMADE:
+                        step = row_steps[j] = au.step(u, terms[j])
+                    if step is None:
+                        continue
+                    v, row = step
+                    if row is not None:
+                        # The terms are distinct, so the row is new.
+                        child_key = key.union((row,))
+                    else:
+                        child_key = frozenset(
+                            au.rows(v, [terms[i] for i in _bits(child)])
+                        )
+                found = out.get(child_key)
+                if found is None:
+                    out[child_key] = ((v, child),)
+                elif found.__class__ is tuple:
+                    out[child_key] = [*found, (v, child)]
+                else:
+                    found.append((v, child))
+                if keep and j + 1 < n:
+                    patterns.append(v)
+                    masks.append(child)
+                    keys.append(child_key)
+        self.visited = visited
+        self.size += 1
+        self.patterns, self.masks, self.keys = patterns, masks, keys
+        return out
+
+
+def _add_size(
+    pairs: dict, frontier: _Frontier, cancel: Callable[[], None]
+) -> list[Key]:
+    """Add to ``pairs`` the keys of the clean subsets one term larger
+    than the frontier's, closed under lifting; return those keys.
+
+    Every key of a size comes from subsets of that size, and lifting
+    keeps the number of rows, so a size is whole once it is added: it
+    takes no pair from a later size.  Only the pairs found by the subset
+    pass are lifted, never lifted copies; no lifted pair repeats, since
+    each lift has an arity of its own.
+    """
+    new = frontier.extend(cancel)
+    if frontier.ci1:
+        # Lifting adds pairs to keys of arity two or more only.
+        new = {k: v for k, v in new.items() if _key_arity(k) == 1}
+    else:
+        lifted: list[tuple[Key, Pair]] = []
+        for key in new:
+            m = _key_arity(key)
+            if m < 2:
+                continue
+            rows = list(key)
+            for m0 in range(1, m):
+                for inj in permutations(range(m), m0):
+                    cancel()
+                    projected = [tuple(row[i] for i in inj) for row in rows]
+                    if len(set(projected)) != len(rows):
+                        continue
+                    src = new.get(frozenset(projected))
+                    if not src:
+                        continue
+                    for u0, mask in src:
+                        lifted.append((key, (_inject_pattern(u0, inj), mask)))
+        for key, pair in lifted:
+            found = new[key]
+            if found.__class__ is tuple:
+                found = new[key] = list(found)
+            found.append(pair)
+
+    # Each list is freed as its tuple replaces it.
+    for key, found in new.items():
+        if found.__class__ is list:
+            new[key] = tuple(found)
+    pairs.update(new)
+    return list(new)
 
 
 def build_delta_table(
@@ -337,16 +454,22 @@ def build_delta_table(
     max_subset: Optional[int] = None,
     limit: int = DEFAULT_TERMSET_LIMIT,
     cancel: Callable[[], None] = NO_DEADLINE.poll,
+    upto: Optional[int] = None,
 ) -> DeltaTable:
     """Anti-unify the subsets of the term set and index by witness key.
 
-    Only subsets with clean keys are stored; the enumeration never
-    extends a subset whose key is unclean.  After the subset pass the
-    table is closed under lifting: a pair found at a key of arity m₀ is
+    The subsets are enumerated one size at a time, up to ``max_subset``
+    terms.  Only subsets with clean keys are stored; the enumeration
+    never extends a subset whose key is unclean.  Each size is closed
+    under lifting as it is added: a pair found at a key of arity m₀ is
     copied to every key of arity m > m₀ that projects onto it
     injectively (coordinate selection keeping all rows distinct), with
     the pattern variables renamed to the selected coordinates.  Lifting
     only raises arity; it never permutes a key onto itself.
+
+    With ``upto`` only the subsets of at most ``upto`` terms are built,
+    and the table keeps its frontier: ``fold_delta_table`` grows it by
+    the sizes that can still hold a minimal decomposition.
     """
     terms = sorted(
         set(t.terms if isinstance(t, TermSet) else t), key=term_key
@@ -357,41 +480,17 @@ def build_delta_table(
             f"to {limit} (raise the limit explicitly to override)"
         ))
     top = len(terms) if max_subset is None else min(max_subset, len(terms))
+    size = top if upto is None else min(upto, top)
 
-    # No pair repeats: each subset has a mask of its own, a lift an arity.
-    table: dict[Key, list[Pair]] = {}
-    for key, u, mask in _clean_subsets(terms, top, cancel):
-        pairs = table.get(key)
-        if pairs is None:
-            table[key] = [(u, mask)]
-        else:
-            pairs.append((u, mask))
-
-    # Lift only the pairs found by the subset pass, never lifted copies:
-    # the lifted pairs join the table after the pass.
-    lifted: list[tuple[Key, Pair]] = []
-    for key in table:
-        m = _key_arity(key)
-        if m < 2:
-            continue
-        rows = list(key)
-        for m0 in range(1, m):
-            for inj in permutations(range(m), m0):
-                cancel()
-                projected = [tuple(row[i] for i in inj) for row in rows]
-                if len(set(projected)) != len(rows):
-                    continue
-                src = table.get(frozenset(projected))
-                if not src:
-                    continue
-                for u0, mask in src:
-                    lifted.append((key, (_inject_pattern(u0, inj), mask)))
-    for key, pair in lifted:
-        table[key].append(pair)
-
-    for key, pairs in table.items():
-        table[key] = tuple(pairs)
-    return DeltaTable(pairs=table, terms=tuple(terms))
+    pairs: dict[Key, tuple[Pair, ...]] = {}
+    frontier = _Frontier(terms, top)
+    while frontier.size < size:
+        _add_size(pairs, frontier, cancel)
+    return DeltaTable(
+        pairs=pairs,
+        terms=tuple(terms),
+        frontier=frontier if frontier.size < top else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -446,6 +545,78 @@ def _fold_order(keys: list[Key]) -> list[Key]:
     return sorted(keys, key=order)
 
 
+def _search_key(
+    dt: DeltaTable,
+    key: Key,
+    full: int,
+    best: float,
+    found: set[Decomposition],
+    cancel: Callable[[], None],
+) -> float:
+    """Branch and bound over the groups of ``key``'s pairs for tilings
+    of the terms in mask ``full``.  Each decomposition on ``key`` no
+    larger than ``best`` joins ``found``, which is emptied first when
+    one is smaller; returns the best size."""
+    m = _key_arity(key)
+    base_cost = len(key)
+    groups: dict[int, list[Term]] = {}
+    for u, mask in dt.pairs[key]:
+        groups.setdefault(mask, []).append(u)
+    glist = [(_bits(mask), mask, us) for mask, us in groups.items()]
+    glist.sort(key=itemgetter(0))
+    by_term: list[list[int]] = [[] for _ in dt.terms]
+    for gi, (bits, _, _) in enumerate(glist):
+        for i in bits:
+            by_term[i].append(gi)
+
+    # Depth first with an explicit stack.  A node is (uncovered mask,
+    # patterns chosen, depth, group chosen last), and chosen[:depth]
+    # holds the groups chosen on the way to it.  Children are pushed
+    # in reverse, so nodes are visited, and ``cancel`` runs, in the
+    # order of a recursive search.
+    chosen: list[int] = []
+    stack = [(full, 0, 0, -1)]
+    while stack:
+        uncovered, n_patterns, depth, gi = stack.pop()
+        del chosen[depth:]
+        if gi >= 0:
+            chosen.append(gi)
+        cancel()
+        if not uncovered:
+            u_set = frozenset(u for gi in chosen for u in glist[gi][2])
+            used = set()
+            for u in u_set:
+                used |= _pattern_var_indices(u)
+            if used != set(range(1, m + 1)):
+                continue
+            size = len(u_set) + base_cost
+            if size > best:
+                continue
+            if size < best:
+                best = size
+                found.clear()
+            found.add(Decomposition(u=u_set, w=key))
+            continue
+        lower = n_patterns + math.ceil(uncovered.bit_count() / base_cost)
+        if lower + base_cost > best:
+            continue
+        pivot = -1
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            if pivot < 0 or len(by_term[i]) < len(by_term[pivot]):
+                pivot = i
+            rest ^= low
+        depth = len(chosen)
+        for gi in reversed(by_term[pivot]):
+            _, mask, us = glist[gi]
+            stack.append(
+                (uncovered & ~mask, n_patterns + len(us), depth, gi)
+            )
+    return best
+
+
 def fold_delta_table(
     dt: DeltaTable,
     t: TermSet | Iterable[Term],
@@ -453,8 +624,11 @@ def fold_delta_table(
 ) -> list[Decomposition]:
     """All minimum-size decompositions recoverable from the table.
 
-    Only the keys that can tile T are scanned: those of nonzero arity,
-    clean, whose covers together cover T.  For each such key W the
+    Only the keys that can tile T are scanned: those of nonzero arity
+    whose covers together cover T.  A key W of k rows gives a
+    decomposition of size at least k + ⌈|T|/k⌉, since each of its pairs
+    covers k terms; a key whose bound exceeds the best size found so far
+    is skipped before its pairs are grouped.  For every other key the
     pairs are grouped by cover; a branch and bound search picks groups
     that tile T.  Picking a group means taking every pattern associated
     with that cover, so |U| counts all of them.  Covers that leave some
@@ -463,12 +637,20 @@ def fold_delta_table(
     Results are sorted by (|W|, patterns, vectors) and deduplicated;
     only sizes equal to the global minimum survive.
 
+    A table with a frontier is grown after the keys it holds are folded:
+    by one subset size at a time, each folded in turn, while some size
+    up to its cap can still meet the bound of the best size found.  With
+    nothing found, it grows to its cap.  So the result is that of the
+    whole table.
+
     The covers are the table's bitmasks over ``dt.terms``, so ``t`` is
-    looked up in the table's terms once, and never a cover.  The keys
-    that cover T are scanned in ``_fold_order``, groups in the order of
-    their sorted terms (ascending bit lists), and the search branches on
-    the uncovered term in the fewest groups, the first in ``term_key``
-    order on a tie.
+    looked up in the table's terms once, and never a cover.  The keys of
+    each size step that cover T are scanned in ``_fold_order``, groups
+    in the order of their sorted terms (ascending bit lists), and the
+    search branches on the uncovered term in the fewest groups, the
+    first in ``term_key`` order on a tie.  ``cancel`` runs once per
+    search node, the root of a skipped key included, and once per subset
+    and lifting injection of the growth.
     """
     target = frozenset(t.terms if isinstance(t, TermSet) else t)
     index = {x: i for i, x in enumerate(dt.terms)}
@@ -477,75 +659,36 @@ def fold_delta_table(
     full = 0
     for x in target:
         full |= 1 << index[x]
-
-    covering = []
-    for key, pairs in dt.pairs.items():
-        union = 0
-        for _, mask in pairs:
-            union |= mask
-        if union == full and _key_arity(key) and _key_is_clean(key):
-            covering.append(key)
+    n = len(target)
 
     best: float = math.inf
     found: set[Decomposition] = set()
-    for key in _fold_order(covering):
-        m = _key_arity(key)
-        groups: dict[int, list[Term]] = {}
-        for u, mask in dt.pairs[key]:
-            groups.setdefault(mask, []).append(u)
-        glist = [(_bits(mask), mask, us) for mask, us in groups.items()]
-        glist.sort(key=itemgetter(0))
-        by_term: list[list[int]] = [[] for _ in dt.terms]
-        for gi, (bits, _, _) in enumerate(glist):
-            for i in bits:
-                by_term[i].append(gi)
+    keys: Optional[list[Key]] = list(dt.pairs)
+    frontier = dt.frontier
+    while keys is not None:
+        covering = []
+        for key in keys:
+            union = 0
+            for _, mask in dt.pairs[key]:
+                union |= mask
+            if union == full and _key_arity(key):
+                covering.append(key)
 
-        # Depth first with an explicit stack.  A node is (uncovered mask,
-        # patterns chosen, depth, group chosen last), and chosen[:depth]
-        # holds the groups chosen on the way to it.  Children are pushed
-        # in reverse, so nodes are visited, and ``cancel`` runs, in the
-        # order of a recursive search.
-        base_cost = len(key)
-        chosen: list[int] = []
-        stack = [(full, 0, 0, -1)]
-        while stack:
-            uncovered, n_patterns, depth, gi = stack.pop()
-            del chosen[depth:]
-            if gi >= 0:
-                chosen.append(gi)
-            cancel()
-            if not uncovered:
-                u_set = frozenset(u for gi in chosen for u in glist[gi][2])
-                used = set()
-                for u in u_set:
-                    used |= _pattern_var_indices(u)
-                if used != set(range(1, m + 1)):
-                    continue
-                size = len(u_set) + base_cost
-                if size > best:
-                    continue
-                if size < best:
-                    best = size
-                    found.clear()
-                found.add(Decomposition(u=u_set, w=key))
+        for key in _fold_order(covering):
+            if len(key) + math.ceil(n / len(key)) > best:
+                cancel()  # the root node, which the bound prunes
                 continue
-            lower = n_patterns + math.ceil(uncovered.bit_count() / base_cost)
-            if lower + base_cost > best:
-                continue
-            pivot = -1
-            rest = uncovered
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
-                if pivot < 0 or len(by_term[i]) < len(by_term[pivot]):
-                    pivot = i
-                rest ^= low
-            depth = len(chosen)
-            for gi in reversed(by_term[pivot]):
-                _, mask, us = glist[gi]
-                stack.append(
-                    (uncovered & ~mask, n_patterns + len(us), depth, gi)
-                )
+            best = _search_key(dt, key, full, best, found, cancel)
+
+        # Grow by one size while a larger one can still meet the bound:
+        # the keys it adds may lower ``best``, and with it the sizes
+        # worth building.
+        keys = None
+        if frontier is not None and any(
+            k + math.ceil(n / k) <= best
+            for k in range(frontier.size + 1, frontier.top + 1)
+        ):
+            keys = _add_size(dt.pairs, frontier, cancel)
 
     results = [d for d in found if d.size == best]
     results.sort(key=Decomposition.sort_key)
@@ -553,8 +696,16 @@ def fold_delta_table(
 
 
 def restrict_ci1(dt: DeltaTable) -> DeltaTable:
-    """Keep only keys of vector arity one (single-variable search)."""
+    """Keep only keys of vector arity one (single-variable search), in
+    the sizes built and in every size the table grows by.  The result
+    grows from a copy of ``dt``'s frontier, so neither table's growth
+    changes the other."""
+    frontier = dt.frontier
+    if frontier is not None:
+        frontier = copy.copy(frontier)
+        frontier.ci1 = True
     return DeltaTable(
         pairs={k: v for k, v in dt.pairs.items() if _key_arity(k) == 1},
         terms=dt.terms,
+        frontier=frontier,
     )

@@ -1,5 +1,6 @@
 """The run's limits.  ``LimitReached`` ends every meter past its cap:
-``deadline`` (a run's ``Deadline``), ``termset_limit``, ``oracle_steps``
+``deadline`` (a run's ``Deadline``), ``termset_limit``,
+``delta_entries`` (the subsets one Δ-table enumerates), ``oracle_steps``
 (per query) and ``clause_form_literals`` (per clause form).  A handler
 catches its own meter and lets any other pass, so a deadline that
 strikes inside an oracle query still ends the run.

@@ -9,7 +9,9 @@ report carries one of five statuses:
 - ``compressed``      a decomposition no larger than the term set was
                       found and turned into a checked proof
 - ``uncompressible``  the search found nothing that small
-- ``too_large``       the term set exceeds the subset-table limit
+- ``too_large``       the term set exceeds the subset-table limit, or
+                      the subset table would enumerate more subsets
+                      than its cap
 - ``timeout``         the deadline struck mid-search
 - ``error``           bad input (including terms nested too deeply to
                       process), no certifiable solution, or outputs
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -175,15 +178,21 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
     termset = encode_termset(hs)
     report.termset_size = len(termset)
 
+    # Every size up to ⌊√|T|⌋ + 1 first: the fold grows the table only by
+    # the sizes that can still meet the best decomposition it finds.
     table = build_delta_table(
         termset,
         max_subset=cfg.max_subset,
         limit=cfg.termset_limit,
         cancel=cancel,
+        upto=math.isqrt(len(termset)) + 1,
     )
     if cfg.mode == "ci1":
         table = restrict_ci1(table)
     decs = fold_delta_table(table, termset, cancel=cancel)
+    # Free the table and the frontier it grows from before the proof
+    # search: nothing reads them past the fold.
+    del table
     if not decs:
         report.status = "uncompressible"
         report.messages.append(

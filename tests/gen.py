@@ -475,6 +475,25 @@ def lemma_input(r: int, side_chains: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def chain_input(n: int) -> str:
+    """P(c), ∀x (P(x) → P(f x)) ⊢ P(fⁿc), with the instances c .. fⁿ⁻¹c:
+    n terms of one tag, the smallest decompositions of size about 2√n."""
+    inst = "; ".join(_nest("f", "c", i) for i in range(n))
+    return (
+        "ante P(c).\nante all x: P(x) -> P(f(x)).\n"
+        f"succ P({_nest('f', 'c', n)}).\ninst 2: {inst}.\n"
+    )
+
+
+def constants_input(n: int) -> str:
+    """∀x P(x) ⊢ P(c0) ∧ … ∧ P(cₙ₋₁): n terms that do not compress.  The
+    only key whose covers cover the term set is the whole set, so no
+    bound stops its subset table short of all n terms."""
+    cs = [f"c{i}" for i in range(n)]
+    succ = " & ".join(f"P({x})" for x in cs)
+    return f"ante all x: P(x).\nsucc {succ}.\ninst 1: {'; '.join(cs)}.\n"
+
+
 def deep_pair_input(depth: int) -> str:
     """∀x y P(x, y) ⊢ the conjunction of P over {f^depth(a), b} × {c, d}:
     a compressible input whose proof holds a term ``depth`` deep."""

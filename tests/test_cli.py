@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -585,6 +587,50 @@ class TestConsoleScript:
         assert report["status"] == "error"
         assert report["termset_size"] == 9
 
+    # The largest term sets the default --termset-limit admits, each in
+    # a child whose address space is capped at 600 MB.  chain22 needs
+    # subsets of at most 6 terms; the 22 constants compress under no key
+    # but the whole set, so their table would pass its subset cap.
+    @pytest.mark.parametrize(
+        "text, code, status",
+        [
+            (gen.chain_input(22), 0, "compressed"),
+            (gen.constants_input(22), 3, "too_large"),
+        ],
+        ids=["chain22", "constants22"],
+    )
+    def test_largest_term_sets_in_bounded_memory(
+        self, tmp_path, text, code, status
+    ):
+        p = tmp_path / "large.cis"
+        p.write_text(text)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "cutintro.cli", "run", str(p)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap_address_space,
+        )
+        # Well inside the default 60 s deadline.
+        assert time.monotonic() - start < 30
+        assert "Traceback" not in done.stderr
+        assert done.returncode == code, done.stderr
+        report = json.loads(done.stdout)
+        assert report["status"] == status
+        assert report["termset_size"] == 22
+        if status == "compressed":
+            assert report["decomposition"]["size"] == 10
+        else:
+            assert report["messages"] == [
+                "delta_entries passed its cap of 262144: the subset table "
+                "of 22 terms would enumerate more subsets than that"
+            ]
+
     def test_help_lists_subcommands(self):
         done = subprocess.run(
             [sys.executable, "-m", "cutintro.cli", "--help"],
@@ -595,19 +641,6 @@ class TestConsoleScript:
         assert done.returncode == 0
         for word in ("run", "corpus", "check"):
             assert word in done.stdout
-
-
-def _chain_input(n: int) -> str:
-    """P(c), ∀x (P(x) → P(f x)) ⊢ P(fⁿc), with its n instances."""
-    terms = ["c"]
-    for _ in range(n):
-        terms.append(f"f({terms[-1]})")
-    return (
-        "ante P(c).\n"
-        "ante all x: P(x) -> P(f(x)).\n"
-        f"succ P({terms[n]}).\n"
-        f"inst 2: {'; '.join(terms[:n])}.\n"
-    )
 
 
 class TestHashSeed:
@@ -626,7 +659,7 @@ class TestHashSeed:
     def test_outputs_do_not_depend_on_the_hash_seed(self, name, tmp_path):
         if name == "chain8":
             src = tmp_path / "chain8.cis"
-            src.write_text(_chain_input(8))
+            src.write_text(gen.chain_input(8))
         else:
             src = files("cutintro").joinpath("data/running_example.cis")
         outs = []

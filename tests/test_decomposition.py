@@ -5,17 +5,20 @@ from __future__ import annotations
 import gc
 import inspect
 import itertools
+import math
 import random
 import sys
 import tracemalloc
 
 import pytest
 
+import cutintro.decomposition as decomposition
 from cutintro.decomposition import (
     DEFAULT_TERMSET_LIMIT,
+    DELTA_ENTRIES_CAP,
     Decomposition,
     _AntiUnifier,
-    _clean_subsets,
+    _Frontier,
     build_delta_table,
     fold_delta_table,
     restrict_ci1,
@@ -97,6 +100,17 @@ def _expand(u, rows):
 def _tagged_rows(rows):
     """Whether a witness row mentions a reserved formula-tag head."""
     return any(x.tagged for row in rows for x in row)
+
+
+def _clean_subsets(terms, top, cancel=lambda: None):
+    """(key, pattern, mask) of each clean subset of at most ``top`` of
+    ``terms``, one size after another, from the frontier a table grows
+    from."""
+    frontier = _Frontier(terms, top)
+    while frontier.size < top:
+        for key, pairs in frontier.extend(cancel).items():
+            for u, mask in pairs:
+                yield key, u, mask
 
 
 def _subset(terms, mask):
@@ -337,6 +351,24 @@ class TestDeltaTable:
             f"term set has {DEFAULT_TERMSET_LIMIT + 1} terms;"
         )
 
+    def test_delta_entries_meter(self, monkeypatch):
+        # Constants: every subset is clean, so all 2⁸ - 1 are enumerated.
+        ts = frozenset(App("c%d" % i, ()) for i in range(8))
+        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 255)
+        assert len(build_delta_table(ts).pairs) == 255 - 8 + 1
+        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 254)
+        with pytest.raises(LimitReached) as exc:
+            build_delta_table(ts)
+        assert (exc.value.meter, exc.value.cap) == ("delta_entries", 254)
+        # A grown table counts the subsets of every size it adds.
+        grown = build_delta_table(ts, upto=3)
+        with pytest.raises(LimitReached) as exc:
+            fold_delta_table(grown, ts)
+        assert exc.value.meter == "delta_entries"
+
+    def test_delta_entries_cap_admits_eighteen_terms(self):
+        assert (1 << 18) - 1 <= DELTA_ENTRIES_CAP < (1 << 19) - 1
+
     def test_cancel_hook_runs(self, golden_termset):
         class Stop(Exception):
             pass
@@ -536,10 +568,9 @@ class TestFold:
         gc.collect()
         assert len(_table) == before
 
-    def test_build_and_fold_peak_memory(self):
-        # Covers are bitmasks from the enumeration on.  With a frozenset
-        # of terms per pair the peak here was 7.4 MB, with bitmasks 4.0 MB
-        # (Python 3.11).
+    @staticmethod
+    def _peak(upto):
+        """Traced peak bytes of a build and fold of ``_deep_chain()``."""
         terms, copy = _deep_chain(), _deep_chain()
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -547,13 +578,25 @@ class TestFold:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            decs = fold_delta_table(build_delta_table(terms), copy)
+            decs = fold_delta_table(build_delta_table(terms, upto=upto), copy)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert decs
-        assert peak < 5_000_000
+        return peak
+
+    def test_build_and_fold_peak_memory(self):
+        # Covers are bitmasks from the enumeration on.  With a frozenset
+        # of terms per pair the peak here was 7.4 MB, with bitmasks 4.0 MB
+        # (Python 3.11).
+        assert self._peak(None) < 5_000_000
+
+    def test_grown_build_and_fold_peak_memory(self):
+        # Built to 4 terms, as the pipeline builds 12; the fold grows it
+        # no further, since the minimum is 7 and 5 + ⌈12/5⌉ = 8.  0.2 MB
+        # here, against 1.7 MB for the whole table (Python 3.11).
+        assert self._peak(4) < 500_000
 
     def test_singleton_set_has_no_decomposition(self):
         ts = frozenset({App("#f1", (a,))})
@@ -584,12 +627,122 @@ class TestNoReferenceCycles:
         )
         assert [d.arity for d in decs] == [2]
 
+    def test_grown_table(self, leaves_no_cycles):
+        ts = _chain_termset(12)
+        table = leaves_no_cycles(lambda: build_delta_table(ts, upto=2))
+        decs = leaves_no_cycles(lambda: fold_delta_table(table, ts))
+        # Size 7, met by keys of 3 and 4 rows only.
+        assert decs[0].size == 7
+        assert max(map(len, table.pairs)) == 4
+
     def test_delta_g(self, leaves_no_cycles):
         # The Δ-table of terms 40 to 51 deep holds Δ_G of the whole list.
         table = leaves_no_cycles(lambda: build_delta_table(_deep_chain()))
         whole = frozenset((_power(f, c, k),) for k in range(12))
         pattern = App("#f2", (_power(f, alpha(1), 40),))
         assert (pattern, (1 << 12) - 1) in table.pairs[whole]
+
+
+def _folds(ts, max_subset=None, ci1=False, upto=None):
+    """The fold of the whole table and of one built to ``upto`` terms
+    (⌊√|T|⌋ + 1, as the pipeline builds it, by default) and grown by
+    the fold; and the grown table."""
+    if upto is None:
+        upto = math.isqrt(len(ts)) + 1
+    full = build_delta_table(ts, max_subset=max_subset)
+    grown = build_delta_table(ts, max_subset=max_subset, upto=upto)
+    if ci1:
+        full, grown = restrict_ci1(full), restrict_ci1(grown)
+    return fold_delta_table(full, ts), fold_delta_table(grown, ts), grown
+
+
+class TestBoundedFold:
+    """A table built to a few terms per subset and grown by the fold,
+    only by the sizes k with k + ⌈|T|/k⌉ no more than the best size
+    found, gives the decompositions of the whole table."""
+
+    def test_bundled_example(self, golden_termset, golden_decompositions):
+        full, grown, table = _folds(golden_termset)
+        assert full == grown == golden_decompositions
+        # Size 10, and k + ⌈12/k⌉ ≤ 10 holds up to k = 8.
+        assert max(map(len, table.pairs)) == 8
+        for max_subset in (None, 1, 2, 3):
+            full, grown, _ = _folds(golden_termset, max_subset, ci1=True)
+            assert full == grown == [], max_subset
+            full, grown, _ = _folds(golden_termset, max_subset)
+            assert full == grown, max_subset
+
+    def test_chains(self):
+        for n in range(7, 19):
+            full, grown, table = _folds(_chain_termset(n))
+            assert full and grown == full, n
+            assert table.frontier.size < n, n
+
+    def test_chain16_grows_no_further_than_its_bound(self):
+        ts = _chain_termset(16)
+        table = build_delta_table(ts, upto=5)
+        decs = fold_delta_table(table, ts)
+        # Size 8, and 5 + ⌈16/5⌉ = 9.
+        assert decs[0].size == 8
+        assert max(map(len, table.pairs)) == 5
+        assert table.frontier.size == 5
+
+    def test_random_sets(self):
+        found = 0
+        for seed in range(600):
+            rng = random.Random(seed)
+            ts = (
+                gen.random_tagged_term_set(rng)
+                if seed % 2
+                else gen.random_term_set(rng)
+            )
+            found += bool(fold_delta_table(build_delta_table(ts), ts))
+            # Also from below ⌊√|T|⌋, where the bound still falls as k
+            # grows.
+            for upto in (None, seed % 3):
+                for max_subset in (None, 1, 2, 3):
+                    for ci1 in (False, True):
+                        full, grown, _ = _folds(ts, max_subset, ci1, upto)
+                        assert grown == full, (seed, upto, max_subset, ci1)
+        # 289 of the sets have a decomposition and 311 have none.
+        assert 100 < found < 500
+
+    def test_growth_keeps_ci1_restriction(self):
+        ts = frozenset(
+            {App("#f1", (t,)) for t in (a, f(a), f(f(a)), f(f(f(a))))}
+            | {App("#f2", (_g(a, t),)) for t in (b, f(b), f(f(b)))}
+        )
+        table = restrict_ci1(build_delta_table(ts, upto=1))
+        fold_delta_table(table, ts)
+        assert table.frontier.size > 1
+        assert {len(next(iter(k))) for k in table.pairs} == {1}
+
+    def test_restriction_does_not_grow_the_other_table(self):
+        ts = _chain_termset(9)
+        table = build_delta_table(ts, upto=1)
+        narrowed = restrict_ci1(table)
+        fold_delta_table(narrowed, ts)
+        assert table.frontier.size == 1
+        assert fold_delta_table(table, ts) == fold_delta_table(
+            build_delta_table(ts), ts
+        )
+
+    def test_every_key_is_clean(self):
+        unclean = 0
+        for seed in range(300):
+            ts = gen.random_tagged_term_set(random.Random(seed))
+            whole = build_delta_table(ts)
+            grown = build_delta_table(ts, upto=1)
+            fold_delta_table(grown, ts)
+            for table in (whole, grown):
+                assert table.entries == oracles.reference_clean_entries(
+                    table
+                ), seed
+            if seed < 30:
+                ref = oracles.reference_build_delta_table(ts)
+                unclean += len(ref.entries) > len(whole.entries)
+        # The sets do have subsets whose keys are unclean.
+        assert unclean > 10
 
 
 class TestValidate:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import cutintro.decomposition as decomposition
 import cutintro.pipeline as pipeline
 from cutintro.corpus import emit_stats, run_corpus, write_corpus_outputs
 from cutintro.euf import InternalOracle
@@ -258,6 +259,25 @@ class TestFailureStatuses:
         rep = run_pipeline(golden_file, RunConfig(termset_limit=5))
         assert rep.status == "too_large"
         assert rep.termset_size == 12
+
+    def test_subset_table_past_its_cap_is_too_large(
+        self, tmp_path, monkeypatch
+    ):
+        # Eight constants: the only key that covers the term set is the
+        # whole set, so the fold grows the table to all 2⁸ - 1 subsets.
+        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 200)
+        p = tmp_path / "constants.cis"
+        p.write_text(gen.constants_input(8))
+        rep = run_pipeline(p, RunConfig(out_dir=tmp_path / "out"))
+        assert rep.status == "too_large"
+        assert rep.termset_size == 8
+        assert rep.messages[0].startswith(
+            "delta_entries passed its cap of 200:"
+        )
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert written["messages"] == rep.messages
+        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 255)
+        assert run_pipeline(p, RunConfig()).status == "uncompressible"
 
     def test_uncompressible_set(self, tmp_path):
         # Two unrelated instances: every decomposition costs at least as
