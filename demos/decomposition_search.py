@@ -14,7 +14,6 @@ from cutintro import (
     build_delta_table,
     fold_delta_table,
     render_term,
-    restrict_ci1,
 )
 from cutintro.terms import alpha_subst, const, subst_term, term_key, tuple_key
 
@@ -39,10 +38,13 @@ def power(fn, t, n):
 
 def anti_unify(terms):
     """The least general pattern of the terms and their witness rows: the
-    Δ-table's pair whose cover is the whole list.  Lifted copies of it
-    sit under keys of higher arity, so the native pair is the one of
-    least arity."""
+    Δ-table's pair whose cover is the whole list.  The table is built to
+    a few terms per subset, so it is grown to all of them first.  Lifted
+    copies of the pair sit under keys of higher arity, so the native
+    pair is the one of least arity."""
     table = build_delta_table(terms)
+    while table.grow() is not None:
+        pass
     whole = (1 << len(table.terms)) - 1
     key, u = min(
         ((key, u) for key, pairs in table.pairs.items()
@@ -81,7 +83,7 @@ print(f"equal columns share: {render_term(u2)}  rows {rows_text(rows2)}")
 # A chain: nine iterates of one function compress to 3 + 3.
 chain = frozenset(power(f, a, i) for i in range(9))
 show("one-variable compression", chain)
-decs = fold_delta_table(build_delta_table(chain), chain)
+decs = fold_delta_table(build_delta_table(chain))
 for dec in decs:
     print(f"size {dec.size}:  {dec.render()}")
     regenerated = {
@@ -99,11 +101,10 @@ slide = frozenset(
     for (x, y) in [(a, b), (b, a)]
 )
 show("two-variable compression", slide)
-table = build_delta_table(slide)
-decs = fold_delta_table(table, slide)
+decs = fold_delta_table(build_delta_table(slide))
 print(f"unrestricted search, size {decs[0].size} of {len(slide)}:")
 print(f"  {decs[0].render()}")
-narrow = fold_delta_table(restrict_ci1(table), slide)
+narrow = fold_delta_table(build_delta_table(slide, ci1=True))
 print(f"single-variable search finds {len(narrow)} decomposition(s) "
       f"— two moving parts need two variables")
 
@@ -113,6 +114,6 @@ print(f"single-variable search finds {len(narrow)} decomposition(s) "
 # reports the input as uncompressible.
 flat = frozenset([a, b, c])
 show("uncompressible set", flat)
-worst = fold_delta_table(build_delta_table(flat), flat)[0]
+worst = fold_delta_table(build_delta_table(flat))[0]
 print(f"best available: size {worst.size} > |T| = {len(flat)}")
 print(f"  {worst.render()}")

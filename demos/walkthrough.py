@@ -68,9 +68,12 @@ banner("3. decomposition search")
 # by their witness rows, then search for the cheapest family of rows
 # whose patterns jointly regenerate the whole set.  A subset whose rows
 # would mention a formula tag is dropped, with all of its supersets.
+# The table is built to ⌊√|T|⌋ + 1 terms per subset; the fold grows it
+# only by the sizes that can still hold a smaller decomposition.
 table = build_delta_table(ts)
-print(f"table holds {len(table.pairs)} distinct clean witness keys")
-decs = fold_delta_table(table, ts)
+print(f"table holds {len(table.pairs)} distinct clean witness keys "
+      f"from subsets of up to {table.size} terms")
+decs = fold_delta_table(table)
 print(f"{len(decs)} minimal decomposition(s), size {decs[0].size} "
       f"(vs {len(ts.terms)} terms uncompressed)")
 print("  " + decs[0].render())

@@ -23,7 +23,6 @@ from .decomposition import (
     DeltaTable,
     build_delta_table,
     fold_delta_table,
-    restrict_ci1,
 )
 from .euf import InternalOracle, Oracle, Verdict
 from .formulas import (
@@ -120,7 +119,6 @@ __all__ = [
     "render_formula",
     "render_proof",
     "render_term",
-    "restrict_ci1",
     "run_corpus",
     "run_pipeline",
     "sf_improve",

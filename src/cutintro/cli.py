@@ -39,7 +39,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--mode",
         choices=["cistar", "ci1"],
-        default="cistar",
+        default=RunConfig.mode,
         help="decomposition search space: any arity (cistar) or a "
         "single variable (ci1)",
     )
@@ -53,7 +53,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-subset",
         type=int,
-        default=None,
+        default=RunConfig.max_subset,
         metavar="N",
         help="only anti-unify subsets up to this size",
     )
@@ -74,7 +74,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--oracle",
-        default="internal",
+        default=RunConfig.oracle_spec,
         metavar="SPEC",
         help="validity backend: 'internal' or 'cmd:<command with {file}>' "
         "for an external SMT solver",

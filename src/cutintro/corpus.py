@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -84,27 +85,26 @@ def _job_config(cfg: RunConfig, rel: Path) -> RunConfig:
     return dataclasses.replace(cfg, out_dir=str(per_file))
 
 
-def _bucket_label(size: int) -> str:
+def _bucket(size: Optional[int]) -> tuple[float, str]:
+    """(sort key, label) of the bucket of a term-set size: "0", a range
+    such as "6-10" keyed by its first size, or "unknown", last."""
+    if size is None:
+        return math.inf, "unknown"
     if size <= 0:
-        return "0"
+        return 0, "0"
     lo = ((size - 1) // BUCKET_WIDTH) * BUCKET_WIDTH + 1
-    return f"{lo}-{lo + BUCKET_WIDTH - 1}"
+    return lo, f"{lo}-{lo + BUCKET_WIDTH - 1}"
 
 
 def emit_stats(reports: Sequence[RunReport]) -> dict:
     """Aggregate a batch into status counts, size buckets, and a scatter."""
     by_status: dict[str, int] = {}
-    buckets: dict[str, dict] = {}
+    buckets: dict[tuple[float, str], dict] = {}
     scatter: list[list[int]] = []
     for r in reports:
         by_status[r.status] = by_status.get(r.status, 0) + 1
-        label = (
-            _bucket_label(r.termset_size)
-            if r.termset_size is not None
-            else "unknown"
-        )
         b = buckets.setdefault(
-            label,
+            _bucket(r.termset_size),
             {"runs": 0, "statuses": {}, "wall_time": 0.0, "comqs": []},
         )
         b["runs"] += 1
@@ -115,16 +115,8 @@ def emit_stats(reports: Sequence[RunReport]) -> dict:
         if r.status == "compressed" and r.decomposition:
             scatter.append([r.termset_size, r.decomposition["size"]])
 
-    def bucket_sort(item):
-        label = item[0]
-        if label == "unknown":
-            return (2, 0)
-        if label == "0":
-            return (0, 0)
-        return (1, int(label.split("-")[0]))
-
     bucket_rows = []
-    for label, b in sorted(buckets.items(), key=bucket_sort):
+    for (_, label), b in sorted(buckets.items()):
         row = {
             "termset_size": label,
             "runs": b["runs"],

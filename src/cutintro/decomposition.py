@@ -15,7 +15,7 @@ The search works in three stages:
    reserved formula-tag head ends the step.  ``_AntiUnifier.rows``
    reads each term's witness vector at the first-occurrence paths of
    the pattern's variables.
-2. ``build_delta_table`` enumerates the subsets of T one size at a
+2. ``DeltaTable.grow`` enumerates the subsets of T one size at a
    time, in ``term_key`` order, extending each subset of the last size
    by a later term, and indexes the results by witness-vector set (the
    key).  From the enumeration on, a subset (the pattern's cover) is an
@@ -32,10 +32,11 @@ The search works in three stages:
    coordinate injections as it is added, so that patterns found at a
    smaller arity are also visible at every compatible larger key; a
    lifted pair keeps its cover's mask, and its key has as many rows as
-   the source's.  The subsets of the last size built are kept as the
-   table's frontier, so a table built ``upto`` a size can grow.  A
-   table that would enumerate more than ``DELTA_ENTRIES_CAP`` subsets
-   ends with ``LimitReached("delta_entries")``.
+   the source's.  The table keeps the subsets of the last size it
+   added, so it can grow by the next; ``build_delta_table`` adds the
+   sizes up to ⌊√|T|⌋ + 1 terms.  A table that would enumerate more
+   than ``DELTA_ENTRIES_CAP`` subsets ends with
+   ``LimitReached("delta_entries")``.
 3. ``fold_delta_table`` scans the keys whose covers together cover T,
    the only ones that can tile it; it skips the others before sorting
    the keys into scan order.  Every pair under a key of k rows covers k
@@ -46,9 +47,9 @@ The search works in three stages:
    Selection is by cover — a chosen mask contributes every pattern the
    table associates with it — which keeps the expansion property exact.
    The groups are the pairs of a key grouped by mask, so the fold looks
-   up no cover's terms.  A table with a frontier is grown one size at a
-   time, and the new keys folded, while a larger size can still meet
-   that bound: branch and bound over the table's sizes, deepened one
+   up no cover's terms.  The table is then grown one size at a time,
+   and the new keys folded, while a larger size can still meet that
+   bound: branch and bound over the table's sizes, deepened one
    size at a time.
 
 The walks of the anti-unifier and of the fold's search keep their
@@ -63,9 +64,8 @@ the ground witnesses.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from operator import itemgetter
@@ -201,50 +201,6 @@ def _pattern_var_indices(u: Term) -> set[int]:
     return {alpha_index(v) for v in term_vars(u)}
 
 
-Pair = tuple  # (pattern term, cover bitmask)
-
-
-@dataclass(frozen=True)
-class DeltaTable:
-    """Anti-unification results of the subsets with clean keys, indexed
-    by witness key.
-
-    ``pairs`` maps each key to a tuple of its distinct (pattern, cover)
-    pairs, a cover being a bitmask over ``terms``: bit j stands for
-    ``terms[j]``, the term set in ``term_key`` order.  A table built
-    ``upto`` a size below its cap keeps the ``frontier`` it grows from,
-    and ``pairs`` holds the subsets of the sizes built so far; a whole
-    table has no frontier.
-    """
-
-    pairs: dict  # Key -> tuple[Pair, ...]
-    terms: tuple  # of Term, in term_key order
-    frontier: Optional[_Frontier] = field(
-        default=None, compare=False, repr=False
-    )
-
-    @property
-    def entries(self) -> dict:
-        """The table with each cover as the frozenset of its terms:
-        {key: frozenset of (pattern, frozenset of terms)}.  A view built
-        anew on every access, for readers that compare tables."""
-        terms = self.terms
-        covers: dict[int, frozenset] = {}
-
-        def cover(mask: int) -> frozenset:
-            c = covers.get(mask)
-            if c is None:
-                c = covers[mask] = frozenset(
-                    terms[i] for i in _bits(mask)
-                )
-            return c
-
-        return {
-            k: frozenset((u, cover(mask)) for u, mask in v)
-            for k, v in self.pairs.items()
-        }
-
-
 @cache
 def _byte_bits(k: int) -> tuple[tuple[int, ...], ...]:
     """For each byte value b, the indices of its set bits as byte k of a
@@ -278,53 +234,140 @@ def _inject_pattern(u: Term, injection: Sequence[int]) -> Term:
     return subst_term(u, mapping)
 
 
-# A step of ``_Frontier.extend`` not made yet (None is a step that met a
-# tagged column).
+Pair = tuple  # (pattern term, cover bitmask)
+
+
+# A step of ``DeltaTable._extend`` not made yet (None is a step that met
+# a tagged column).
 _UNMADE = object()
 
 # The most subsets one Δ-table enumerates, clean or not, however far it
-# grows; one more ends the build with ``LimitReached("delta_entries")``.
+# grows; one more ends the growth with ``LimitReached("delta_entries")``.
 # A set of at most 18 terms has fewer subsets than this.
 DELTA_ENTRIES_CAP = 1 << 18
 
 
-class _Frontier:
-    """The clean subsets of one size, from which a table grows by one
-    term at a time: the pattern, mask and key of each subset of
-    ``size`` terms, in three parallel lists (a tuple per subset would be
-    one more object for the cyclic collector to track).  Bit j of a
-    mask stands for ``terms[j]``, which are ground.  The frontier of
-    size 0 holds the empty subset.
+class DeltaTable:
+    """Anti-unification results of the subsets with clean keys, indexed
+    by witness key, built one subset size at a time.
 
-    A subset's pattern is the least general generalization of its
-    terms, its variables numbered by first occurrence, and its key holds
-    their witness rows.  The anti-unifier and the (pattern, term) step
-    memo are kept for the life of the frontier, so each step is made
-    once per build, whatever the sizes it is grown to.  ``visited``
-    counts the subsets enumerated so far, against ``DELTA_ENTRIES_CAP``.
-    A frontier stops keeping subsets at ``top`` terms, the table's cap;
-    ``ci1`` is set on a frontier of a table that keeps arity-1 keys only.
+    ``terms`` is the term set in ``term_key`` order.  ``pairs`` maps
+    each key to a tuple of its distinct (pattern, cover) pairs, a cover
+    being a bitmask over ``terms``: bit j stands for ``terms[j]``.  It
+    holds the subsets of at most ``size`` terms; ``grow`` adds the next
+    size, up to ``top``, the table's cap.  A ``ci1`` table keeps keys of
+    arity one only.
+
+    The table grows from the clean subsets of ``size`` terms: the
+    pattern, mask and key of each, in three parallel lists (a tuple per
+    subset would be one more object for the cyclic collector to track).
+    At size 0 they hold the empty subset.  A subset's pattern is the
+    least general generalization of its terms, its variables numbered by
+    first occurrence, and its key holds their witness rows.  The
+    anti-unifier and the (pattern, term) step memo are kept for the life
+    of the table, so each step is made once per table.
+    ``_visited`` counts the subsets enumerated so far, against
+    ``DELTA_ENTRIES_CAP``.
     """
 
-    def __init__(self, terms: Sequence[Term], top: int) -> None:
-        self.terms = terms
-        self.top = top
-        self.ci1 = False
+    def __init__(
+        self,
+        terms: Iterable[Term],
+        max_subset: Optional[int] = None,
+        ci1: bool = False,
+    ) -> None:
+        self.terms = tuple(sorted(set(terms), key=term_key))
+        n = len(self.terms)
+        self.top = n if max_subset is None else min(max_subset, n)
+        self.ci1 = ci1
         self.size = 0
-        self.patterns: list = [None]
-        self.masks: list[int] = [0]
-        self.keys: list = [None]
-        self.visited = 0
-        self.au = _AntiUnifier()
-        # steps[u][j]: the step of pattern u with terms[j], once made.
-        self.steps: dict[Term, list] = {}
+        self.pairs: dict[Key, tuple[Pair, ...]] = {}
+        self._patterns: list = [None]
+        self._masks: list[int] = [0]
+        self._keys: list = [None]
+        self._visited = 0
+        self._au = _AntiUnifier()
+        # _steps[u][j]: the step of pattern u with terms[j], once made.
+        self._steps: dict[Term, list] = {}
 
-    def extend(
-        self, cancel: Callable[[], None]
-    ) -> dict[Key, Sequence[Pair]]:
+    @property
+    def entries(self) -> dict:
+        """The table with each cover as the frozenset of its terms:
+        {key: frozenset of (pattern, frozenset of terms)}.  A view built
+        anew on every access, for readers that compare tables."""
+        terms = self.terms
+        covers: dict[int, frozenset] = {}
+
+        def cover(mask: int) -> frozenset:
+            c = covers.get(mask)
+            if c is None:
+                c = covers[mask] = frozenset(
+                    terms[i] for i in _bits(mask)
+                )
+            return c
+
+        return {
+            k: frozenset((u, cover(mask)) for u, mask in v)
+            for k, v in self.pairs.items()
+        }
+
+    def grow(
+        self, cancel: Callable[[], None] = NO_DEADLINE.poll
+    ) -> Optional[list[Key]]:
+        """Add the keys of the clean subsets of ``size + 1`` terms, closed
+        under lifting, or with ``ci1`` those of arity one; return those
+        keys.  None, and nothing added, at ``top``.
+
+        Every key of a size comes from subsets of that size, and lifting
+        keeps the number of rows, so a size is whole once it is added: it
+        takes no pair from a later size.  Only the pairs found by the
+        subset pass are lifted, never lifted copies; no lifted pair
+        repeats, since each lift has an arity of its own.  ``cancel`` runs
+        once per subset visited and lifting injection tried.
+        """
+        if self.size == self.top:
+            return None
+        new = self._extend(cancel)
+        if self.ci1:
+            # Lifting adds pairs to keys of arity two or more only.
+            new = {k: v for k, v in new.items() if _key_arity(k) == 1}
+        else:
+            lifted: list[tuple[Key, Pair]] = []
+            for key in new:
+                m = _key_arity(key)
+                if m < 2:
+                    continue
+                rows = list(key)
+                for m0 in range(1, m):
+                    for inj in permutations(range(m), m0):
+                        cancel()
+                        projected = [tuple(row[i] for i in inj) for row in rows]
+                        if len(set(projected)) != len(rows):
+                            continue
+                        src = new.get(frozenset(projected))
+                        if not src:
+                            continue
+                        for u0, mask in src:
+                            lifted.append(
+                                (key, (_inject_pattern(u0, inj), mask))
+                            )
+            for key, pair in lifted:
+                found = new[key]
+                if found.__class__ is tuple:
+                    found = new[key] = list(found)
+                found.append(pair)
+
+        # Each list is freed as its tuple replaces it.
+        for key, found in new.items():
+            if found.__class__ is list:
+                new[key] = tuple(found)
+        self.pairs.update(new)
+        return list(new)
+
+    def _extend(self, cancel: Callable[[], None]) -> dict[Key, Sequence[Pair]]:
         """The (pattern, mask) pair of each subset of ``size + 1`` terms
         whose key is clean, by key, in lexicographic order of the
-        subsets' bit lists; the frontier then holds those subsets.  A
+        subsets' bit lists; the table then grows from those subsets.  A
         key's pairs are a tuple while it has one, and a list from the
         second on: most keys of a large table have one pair, and a list
         each, frozen later, would be twice the objects for the cyclic
@@ -342,15 +385,15 @@ class _Frontier:
         ``cancel`` runs once per subset visited, including those found
         unclean.
         """
-        terms, au, steps = self.terms, self.au, self.steps
+        terms, au, steps = self.terms, self._au, self._steps
         n = len(terms)
         keep = self.size + 1 < self.top
         out: dict[Key, Sequence[Pair]] = {}
         patterns: list = []
         masks: list[int] = []
         keys: list = []
-        visited = self.visited
-        for u, mask, key in zip(self.patterns, self.masks, self.keys):
+        visited = self._visited
+        for u, mask, key in zip(self._patterns, self._masks, self._keys):
             # The terms after the subset's last one.
             first = mask.bit_length()
             visited += n - first
@@ -395,58 +438,10 @@ class _Frontier:
                     patterns.append(v)
                     masks.append(child)
                     keys.append(child_key)
-        self.visited = visited
+        self._visited = visited
         self.size += 1
-        self.patterns, self.masks, self.keys = patterns, masks, keys
+        self._patterns, self._masks, self._keys = patterns, masks, keys
         return out
-
-
-def _add_size(
-    pairs: dict, frontier: _Frontier, cancel: Callable[[], None]
-) -> list[Key]:
-    """Add to ``pairs`` the keys of the clean subsets one term larger
-    than the frontier's, closed under lifting; return those keys.
-
-    Every key of a size comes from subsets of that size, and lifting
-    keeps the number of rows, so a size is whole once it is added: it
-    takes no pair from a later size.  Only the pairs found by the subset
-    pass are lifted, never lifted copies; no lifted pair repeats, since
-    each lift has an arity of its own.
-    """
-    new = frontier.extend(cancel)
-    if frontier.ci1:
-        # Lifting adds pairs to keys of arity two or more only.
-        new = {k: v for k, v in new.items() if _key_arity(k) == 1}
-    else:
-        lifted: list[tuple[Key, Pair]] = []
-        for key in new:
-            m = _key_arity(key)
-            if m < 2:
-                continue
-            rows = list(key)
-            for m0 in range(1, m):
-                for inj in permutations(range(m), m0):
-                    cancel()
-                    projected = [tuple(row[i] for i in inj) for row in rows]
-                    if len(set(projected)) != len(rows):
-                        continue
-                    src = new.get(frozenset(projected))
-                    if not src:
-                        continue
-                    for u0, mask in src:
-                        lifted.append((key, (_inject_pattern(u0, inj), mask)))
-        for key, pair in lifted:
-            found = new[key]
-            if found.__class__ is tuple:
-                found = new[key] = list(found)
-            found.append(pair)
-
-    # Each list is freed as its tuple replaces it.
-    for key, found in new.items():
-        if found.__class__ is list:
-            new[key] = tuple(found)
-    pairs.update(new)
-    return list(new)
 
 
 def build_delta_table(
@@ -454,43 +449,36 @@ def build_delta_table(
     max_subset: Optional[int] = None,
     limit: int = DEFAULT_TERMSET_LIMIT,
     cancel: Callable[[], None] = NO_DEADLINE.poll,
-    upto: Optional[int] = None,
+    ci1: bool = False,
 ) -> DeltaTable:
     """Anti-unify the subsets of the term set and index by witness key.
 
-    The subsets are enumerated one size at a time, up to ``max_subset``
-    terms.  Only subsets with clean keys are stored; the enumeration
-    never extends a subset whose key is unclean.  Each size is closed
-    under lifting as it is added: a pair found at a key of arity m₀ is
-    copied to every key of arity m > m₀ that projects onto it
-    injectively (coordinate selection keeping all rows distinct), with
-    the pattern variables renamed to the selected coordinates.  Lifting
-    only raises arity; it never permutes a key onto itself.
-
-    With ``upto`` only the subsets of at most ``upto`` terms are built,
-    and the table keeps its frontier: ``fold_delta_table`` grows it by
-    the sizes that can still hold a minimal decomposition.
+    The subsets are enumerated one size at a time, up to ⌊√|T|⌋ + 1
+    terms and at most ``max_subset``: a key of k rows gives a
+    decomposition of size at least k + ⌈|T|/k⌉, least near k = √|T|, and
+    ``fold_delta_table`` grows the table by the larger sizes that can
+    still hold a minimal decomposition.  Only subsets with clean keys are
+    stored; the enumeration never extends a subset whose key is unclean.
+    Each size is closed under lifting as it is added: a pair found at a
+    key of arity m₀ is copied to every key of arity m > m₀ that projects
+    onto it injectively (coordinate selection keeping all rows
+    distinct), with the pattern variables renamed to the selected
+    coordinates.  Lifting only raises arity; it never permutes a key onto
+    itself.  With ``ci1`` only the keys of arity one are kept, and
+    nothing is lifted.
     """
-    terms = sorted(
-        set(t.terms if isinstance(t, TermSet) else t), key=term_key
+    table = DeltaTable(
+        t.terms if isinstance(t, TermSet) else t, max_subset, ci1
     )
-    if len(terms) > limit:
+    n = len(table.terms)
+    if n > limit:
         raise LimitReached("termset_limit", limit, (
-            f"term set has {len(terms)} terms; the subset table is limited "
+            f"term set has {n} terms; the subset table is limited "
             f"to {limit} (raise the limit explicitly to override)"
         ))
-    top = len(terms) if max_subset is None else min(max_subset, len(terms))
-    size = top if upto is None else min(upto, top)
-
-    pairs: dict[Key, tuple[Pair, ...]] = {}
-    frontier = _Frontier(terms, top)
-    while frontier.size < size:
-        _add_size(pairs, frontier, cancel)
-    return DeltaTable(
-        pairs=pairs,
-        terms=tuple(terms),
-        frontier=frontier if frontier.size < top else None,
-    )
+    while table.size < min(table.top, math.isqrt(n) + 1):
+        table.grow(cancel)
+    return table
 
 
 @dataclass(frozen=True)
@@ -618,11 +606,10 @@ def _search_key(
 
 
 def fold_delta_table(
-    dt: DeltaTable,
-    t: TermSet | Iterable[Term],
-    cancel: Callable[[], None] = NO_DEADLINE.poll,
+    dt: DeltaTable, cancel: Callable[[], None] = NO_DEADLINE.poll
 ) -> list[Decomposition]:
-    """All minimum-size decompositions recoverable from the table.
+    """All minimum-size decompositions of T = ``dt.terms`` recoverable
+    from the table.
 
     Only the keys that can tile T are scanned: those of nonzero arity
     whose covers together cover T.  A key W of k rows gives a
@@ -637,34 +624,24 @@ def fold_delta_table(
     Results are sorted by (|W|, patterns, vectors) and deduplicated;
     only sizes equal to the global minimum survive.
 
-    A table with a frontier is grown after the keys it holds are folded:
-    by one subset size at a time, each folded in turn, while some size
-    up to its cap can still meet the bound of the best size found.  With
-    nothing found, it grows to its cap.  So the result is that of the
-    whole table.
+    The table is grown after the keys it holds are folded: by one subset
+    size at a time, each folded in turn, while some size up to its cap
+    can still meet the bound of the best size found.  With nothing
+    found, it grows to its cap.  So the result is that of the whole
+    table.
 
-    The covers are the table's bitmasks over ``dt.terms``, so ``t`` is
-    looked up in the table's terms once, and never a cover.  The keys of
-    each size step that cover T are scanned in ``_fold_order``, groups
-    in the order of their sorted terms (ascending bit lists), and the
-    search branches on the uncovered term in the fewest groups, the
-    first in ``term_key`` order on a tie.  ``cancel`` runs once per
-    search node, the root of a skipped key included, and once per subset
-    and lifting injection of the growth.
+    The keys of each size step that cover T are scanned in
+    ``_fold_order``, groups in the order of their sorted terms
+    (ascending bit lists), and the search branches on the uncovered term
+    in the fewest groups, the first in ``term_key`` order on a tie.
+    ``cancel`` runs once per search node, the root of a skipped key
+    included, and once per subset and lifting injection of the growth.
     """
-    target = frozenset(t.terms if isinstance(t, TermSet) else t)
-    index = {x: i for i, x in enumerate(dt.terms)}
-    if not target.issubset(index):
-        return []  # no group covers a term outside the table
-    full = 0
-    for x in target:
-        full |= 1 << index[x]
-    n = len(target)
-
+    n = len(dt.terms)
+    full = (1 << n) - 1
     best: float = math.inf
     found: set[Decomposition] = set()
     keys: Optional[list[Key]] = list(dt.pairs)
-    frontier = dt.frontier
     while keys is not None:
         covering = []
         for key in keys:
@@ -684,28 +661,12 @@ def fold_delta_table(
         # the keys it adds may lower ``best``, and with it the sizes
         # worth building.
         keys = None
-        if frontier is not None and any(
+        if any(
             k + math.ceil(n / k) <= best
-            for k in range(frontier.size + 1, frontier.top + 1)
+            for k in range(dt.size + 1, dt.top + 1)
         ):
-            keys = _add_size(dt.pairs, frontier, cancel)
+            keys = dt.grow(cancel)
 
     results = [d for d in found if d.size == best]
     results.sort(key=Decomposition.sort_key)
     return results
-
-
-def restrict_ci1(dt: DeltaTable) -> DeltaTable:
-    """Keep only keys of vector arity one (single-variable search), in
-    the sizes built and in every size the table grows by.  The result
-    grows from a copy of ``dt``'s frontier, so neither table's growth
-    changes the other."""
-    frontier = dt.frontier
-    if frontier is not None:
-        frontier = copy.copy(frontier)
-        frontier.ci1 = True
-    return DeltaTable(
-        pairs={k: v for k, v in dt.pairs.items() if _key_arity(k) == 1},
-        terms=dt.terms,
-        frontier=frontier,
-    )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -41,7 +40,6 @@ from .decomposition import (
     Decomposition,
     build_delta_table,
     fold_delta_table,
-    restrict_ci1,
 )
 from .euf import InternalOracle, Oracle, Verdict
 from .formulas import formula_size, render_formula
@@ -178,20 +176,16 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
     termset = encode_termset(hs)
     report.termset_size = len(termset)
 
-    # Every size up to ⌊√|T|⌋ + 1 first: the fold grows the table only by
-    # the sizes that can still meet the best decomposition it finds.
     table = build_delta_table(
         termset,
         max_subset=cfg.max_subset,
         limit=cfg.termset_limit,
         cancel=cancel,
-        upto=math.isqrt(len(termset)) + 1,
+        ci1=cfg.mode == "ci1",
     )
-    if cfg.mode == "ci1":
-        table = restrict_ci1(table)
-    decs = fold_delta_table(table, termset, cancel=cancel)
-    # Free the table and the frontier it grows from before the proof
-    # search: nothing reads them past the fold.
+    decs = fold_delta_table(table, cancel=cancel)
+    # Free the table, with the subsets it grows from, before the proof
+    # search: nothing reads it past the fold.
     del table
     if not decs:
         report.status = "uncompressible"

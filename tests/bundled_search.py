@@ -47,7 +47,7 @@ def main() -> None:
     text = files("cutintro").joinpath("data/running_example.cis").read_text()
     seq, hs = parse_input(text)
     ts = encode_termset(hs)
-    dec = fold_delta_table(build_delta_table(ts), ts)[0]
+    dec = fold_delta_table(build_delta_table(ts))[0]
     e = build_schematic_ehs(seq, decode_termset(TermSet(dec.u, seq.q)), dec.w)
     checks = 0
     conflict = euf._theory_conflict

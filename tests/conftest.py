@@ -42,12 +42,16 @@ def golden_termset(golden):
 
 @pytest.fixture(scope="session")
 def golden_table(golden_termset):
-    return build_delta_table(golden_termset)
+    """The whole Δ-table: grown to every subset size."""
+    table = build_delta_table(golden_termset)
+    while table.grow() is not None:
+        pass
+    return table
 
 
 @pytest.fixture(scope="session")
-def golden_decompositions(golden_table, golden_termset):
-    return fold_delta_table(golden_table, golden_termset)
+def golden_decompositions(golden_table):
+    return fold_delta_table(golden_table)
 
 
 @pytest.fixture(scope="session")

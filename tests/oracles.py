@@ -8,8 +8,8 @@ all-subsets Δ-table with its fold over term sets, an exhaustive cover
 search for minimal decompositions, the expansion check of a
 decomposition, the clause form as negation normal form followed by
 distribution, and the input format by a recursive-descent parser.  They share no code with the implementations
-under test, with three exceptions: the Δ-table references build the
-package's ``DeltaTable`` and ``Decomposition`` records, the solution
+under test, with three exceptions: the fold reference builds the
+package's ``Decomposition`` records, the solution
 reference hands its sequent to ``decide_validity``, which is checked
 against the saturation reference on its own, and the parser reference
 raises the package's ``InputError`` and ends with its signature check.
@@ -846,14 +846,20 @@ def _reference_inject(u: Term, injection: Sequence[int]) -> Term:
     return App(u.head, tuple(_reference_inject(a, injection) for a in u.args))
 
 
+@dataclass(frozen=True)
+class ReferenceTable:
+    """A Δ-table as the references read one, the package's
+    ``DeltaTable.entries``: {key: frozenset of (pattern, frozenset of
+    the terms it covers)}."""
+
+    entries: dict
+
+
 def reference_build_delta_table(terms: Iterable[Term], max_subset=None):
     """The Δ-table built the slow way: ``antiunify`` on every subset of
     at most ``max_subset`` terms, unclean keys included, then every native
     pair lifted into each larger key that projects onto its key
-    injectively.  Returns a ``DeltaTable``; its covers are built as
-    term sets and stored as the table's bitmasks over the sorted terms."""
-    from cutintro.decomposition import DeltaTable
-
+    injectively.  Returns a ``ReferenceTable``."""
     tlist = sorted(terms, key=term_key)
     top = len(tlist) if max_subset is None else min(max_subset, len(tlist))
     table: dict[frozenset, set] = {}
@@ -876,14 +882,7 @@ def reference_build_delta_table(terms: Iterable[Term], max_subset=None):
                 for u0, covered in native.get(frozenset(projected), ()):
                     table[key].add((_reference_inject(u0, inj), covered))
 
-    bit = {x: 1 << i for i, x in enumerate(tlist)}
-    return DeltaTable(
-        pairs={
-            k: frozenset((u, sum(map(bit.__getitem__, cov))) for u, cov in v)
-            for k, v in table.items()
-        },
-        terms=tuple(tlist),
-    )
+    return ReferenceTable({k: frozenset(v) for k, v in table.items()})
 
 
 def reference_clean_entries(table) -> dict:

@@ -67,7 +67,7 @@ def test_criterion_1_golden_end_to_end(golden, golden_oracle):
         failures.append(f"term-set size {len(ts.terms)} != 12")
 
     t0 = time.monotonic()
-    decs = fold_delta_table(build_delta_table(ts), ts)
+    decs = fold_delta_table(build_delta_table(ts))
     search_time = time.monotonic() - t0
     if search_time >= 10.0:
         failures.append(f"decomposition search took {search_time:.1f}s >= 10s")
@@ -165,7 +165,7 @@ def test_criterion_2_decomposition_minimality():
     for seed in range(200):
         rng = random.Random(10_000 + seed)
         ts = gen.random_term_set(rng)
-        decs = fold_delta_table(build_delta_table(ts), ts)
+        decs = fold_delta_table(build_delta_table(ts))
         got = decs[0].size if decs else None
         want, best = oracles.brute_min_decompositions(ts)
         if got != want:
@@ -214,7 +214,7 @@ def test_criterion_3_soundness_fuzz(anti_unify):
         rng = random.Random(30_000 + seed)
         seed += 1
         ts = gen.random_term_set(rng)
-        for d in fold_delta_table(build_delta_table(ts), ts):
+        for d in fold_delta_table(build_delta_table(ts)):
             if not oracles.validate_decomposition(d, ts):
                 failures.append(f"set seed {seed}: returned decomposition invalid")
                 break
@@ -245,7 +245,7 @@ def test_criterion_4_solution_space():
         s, h = gen.random_solvable_instance(rng)
         ts = encode_termset(h)
         try:
-            decs = fold_delta_table(build_delta_table(ts), ts)
+            decs = fold_delta_table(build_delta_table(ts))
         except LimitReached:
             continue
         if not decs:

@@ -77,8 +77,7 @@ def _solved_random_instance(seed: int):
     ts = encode_termset(hs)
     if len(ts.terms) > 16:
         return None
-    dt = build_delta_table(ts)
-    decs = fold_delta_table(dt, ts)
+    decs = fold_delta_table(build_delta_table(ts))
     if not decs:
         return None
     u = decode_termset(TermSet(decs[0].u, seq.q))

@@ -17,11 +17,10 @@ from cutintro.decomposition import (
     DEFAULT_TERMSET_LIMIT,
     DELTA_ENTRIES_CAP,
     Decomposition,
+    DeltaTable,
     _AntiUnifier,
-    _Frontier,
     build_delta_table,
     fold_delta_table,
-    restrict_ci1,
 )
 from cutintro.herbrand import TermSet, decode_termset
 from cutintro.limits import LimitReached
@@ -104,13 +103,22 @@ def _tagged_rows(rows):
 
 def _clean_subsets(terms, top, cancel=lambda: None):
     """(key, pattern, mask) of each clean subset of at most ``top`` of
-    ``terms``, one size after another, from the frontier a table grows
-    from."""
-    frontier = _Frontier(terms, top)
-    while frontier.size < top:
-        for key, pairs in frontier.extend(cancel).items():
+    ``terms``, one size after another, by the subset pass a table grows
+    by, without lifting."""
+    table = DeltaTable(terms, top)
+    while table.size < table.top:
+        for key, pairs in table._extend(cancel).items():
             for u, mask in pairs:
                 yield key, u, mask
+
+
+def _grown(terms, size=math.inf, max_subset=None, ci1=False):
+    """The Δ-table of ``terms`` grown to subsets of ``size`` terms, or to
+    its cap where that is smaller: by default the whole table."""
+    table = DeltaTable(terms, max_subset, ci1)
+    while table.size < size and table.grow() is not None:
+        pass
+    return table
 
 
 def _subset(terms, mask):
@@ -276,14 +284,14 @@ class TestDeltaTable:
         ]
         for i, ts in enumerate(sets):
             ref = oracles.reference_build_delta_table(ts)
-            table = build_delta_table(ts)
+            table = _grown(ts)
             assert table.entries == oracles.reference_clean_entries(ref), i
             ref_polls, polls = [], []
             expected = oracles.reference_fold_delta_table(
                 ref, ts, cancel=lambda: ref_polls.append(1)
             )
             assert fold_delta_table(
-                table, ts, cancel=lambda: polls.append(1)
+                table, cancel=lambda: polls.append(1)
             ) == expected, i
             # The same search nodes, in the bitmask fold and the old one.
             assert len(polls) == len(ref_polls), i
@@ -298,9 +306,7 @@ class TestDeltaTable:
         expected = oracles.reference_fold_delta_table(
             ref, ts, cancel=lambda: ref_polls.append(1)
         )
-        got = fold_delta_table(
-            build_delta_table(ts), ts, cancel=lambda: polls.append(1)
-        )
+        got = fold_delta_table(_grown(ts), cancel=lambda: polls.append(1))
         assert got == expected
         assert len(polls) == len(ref_polls)
 
@@ -331,12 +337,12 @@ class TestDeltaTable:
 
     def test_max_subset_limits_native_subsets(self, golden_termset):
         small = build_delta_table(golden_termset, max_subset=2)
-        full = build_delta_table(golden_termset)
+        full = _grown(golden_termset.terms)
         assert len(small.entries) <= len(full.entries)
         for m in (1, 2, 3):
             ref = oracles.reference_build_delta_table(golden_termset.terms, m)
-            assert build_delta_table(
-                golden_termset, max_subset=m
+            assert _grown(
+                golden_termset.terms, max_subset=m
             ).entries == oracles.reference_clean_entries(ref)
 
     def test_termset_limit(self):
@@ -355,15 +361,17 @@ class TestDeltaTable:
         # Constants: every subset is clean, so all 2⁸ - 1 are enumerated.
         ts = frozenset(App("c%d" % i, ()) for i in range(8))
         monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 255)
-        assert len(build_delta_table(ts).pairs) == 255 - 8 + 1
+        assert len(_grown(ts).pairs) == 255 - 8 + 1
         monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 254)
         with pytest.raises(LimitReached) as exc:
-            build_delta_table(ts)
+            _grown(ts)
         assert (exc.value.meter, exc.value.cap) == ("delta_entries", 254)
-        # A grown table counts the subsets of every size it adds.
-        grown = build_delta_table(ts, upto=3)
+        # The table counts the subsets of every size it adds, also those
+        # the fold grows it by: it is built to 3 terms, and only the key
+        # of all 8 covers the set.
+        table = build_delta_table(ts)
         with pytest.raises(LimitReached) as exc:
-            fold_delta_table(grown, ts)
+            fold_delta_table(table)
         assert exc.value.meter == "delta_entries"
 
     def test_delta_entries_cap_admits_eighteen_terms(self):
@@ -427,13 +435,13 @@ class TestSubsetWalk:
             pass
         assert len(polls) == _visited(terms, top)
         ref = oracles.reference_build_delta_table(ts, max_subset)
-        table = build_delta_table(ts, max_subset=max_subset)
+        table = _grown(ts, max_subset=max_subset)
         assert table.entries == oracles.reference_clean_entries(ref)
         ref_polls, fold_polls = [], []
         expected = oracles.reference_fold_delta_table(
             ref, ts, cancel=lambda: ref_polls.append(1)
         )
-        got = fold_delta_table(table, ts, cancel=lambda: fold_polls.append(1))
+        got = fold_delta_table(table, cancel=lambda: fold_polls.append(1))
         assert got == expected
         assert len(fold_polls) == len(ref_polls)
         return got
@@ -512,20 +520,15 @@ class TestFold:
         ]
 
     def test_results_sorted_and_deterministic(self, golden_termset):
-        once = fold_delta_table(
-            build_delta_table(golden_termset), golden_termset
-        )
-        twice = fold_delta_table(
-            build_delta_table(golden_termset), golden_termset
-        )
+        once = fold_delta_table(build_delta_table(golden_termset))
+        twice = fold_delta_table(build_delta_table(golden_termset))
         assert once == twice
 
     def test_matches_exhaustive_search(self):
         for seed in range(60):
             rng = random.Random(seed)
             ts = gen.random_term_set(rng)
-            dt = build_delta_table(ts)
-            decs = fold_delta_table(dt, ts)
+            decs = fold_delta_table(build_delta_table(ts))
             bmin, bbest = oracles.brute_min_decompositions(ts)
             got_min = decs[0].size if decs else None
             assert got_min == bmin, f"seed {seed}"
@@ -536,25 +539,20 @@ class TestFold:
         for seed in range(40):
             rng = random.Random(500 + seed)
             ts = gen.random_term_set(rng)
-            dt = build_delta_table(ts)
-            for d in fold_delta_table(dt, ts):
+            for d in fold_delta_table(build_delta_table(ts)):
                 assert oracles.validate_decomposition(d, ts), f"seed {seed}"
 
     def test_fold_does_not_depend_on_term_identity(self):
-        # The fold is asked about the terms built again, in another order.
+        # The terms built again, in another order, and each term twice:
+        # the table is of the term set.
         terms = _deep_chain()
-        table = build_delta_table(terms)
-        expected = oracles.reference_fold_delta_table(table, terms)
+        expected = oracles.reference_fold_delta_table(_grown(terms), terms)
         assert expected
-        copy = _deep_chain()
-        shuffled = list(copy)
+        shuffled = _deep_chain()
         random.Random(3).shuffle(shuffled)
-        assert fold_delta_table(table, copy) == expected
-        assert fold_delta_table(table, shuffled) == expected
-        # Each term twice: the table is of the term set.
-        twice = build_delta_table(terms + copy)
-        assert twice.terms == table.terms
-        assert fold_delta_table(twice, terms) == expected
+        twice = build_delta_table(terms + shuffled)
+        assert twice.terms == tuple(sorted(terms, key=term_key))
+        assert fold_delta_table(twice) == expected
 
     def test_dead_terms_leave_the_term_table(self):
         # The patterns and columns the search built die with its results.
@@ -562,23 +560,24 @@ class TestFold:
         before = len(_table)
         terms = _deep_chain()
         table = build_delta_table(terms)
-        decs = fold_delta_table(table, terms)
+        decs = fold_delta_table(table)
         assert decs and len(_table) > before
         del terms, table, decs
         gc.collect()
         assert len(_table) == before
 
     @staticmethod
-    def _peak(upto):
-        """Traced peak bytes of a build and fold of ``_deep_chain()``."""
-        terms, copy = _deep_chain(), _deep_chain()
+    def _peak(size):
+        """Traced peak bytes of a table of ``_deep_chain()`` grown to
+        ``size`` terms and folded."""
+        terms = _deep_chain()
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            decs = fold_delta_table(build_delta_table(terms, upto=upto), copy)
+            decs = fold_delta_table(_grown(terms, size))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -590,18 +589,17 @@ class TestFold:
         # Covers are bitmasks from the enumeration on.  With a frozenset
         # of terms per pair the peak here was 7.4 MB, with bitmasks 4.0 MB
         # (Python 3.11).
-        assert self._peak(None) < 5_000_000
+        assert self._peak(math.inf) < 5_000_000
 
     def test_grown_build_and_fold_peak_memory(self):
-        # Built to 4 terms, as the pipeline builds 12; the fold grows it
-        # no further, since the minimum is 7 and 5 + ⌈12/5⌉ = 8.  0.2 MB
+        # Built to 4 terms, as build_delta_table builds 12; the fold grows
+        # it no further, since the minimum is 7 and 5 + ⌈12/5⌉ = 8.  0.2 MB
         # here, against 1.7 MB for the whole table (Python 3.11).
         assert self._peak(4) < 500_000
 
     def test_singleton_set_has_no_decomposition(self):
         ts = frozenset({App("#f1", (a,))})
-        dt = build_delta_table(ts)
-        assert fold_delta_table(dt, ts) == []
+        assert fold_delta_table(build_delta_table(ts)) == []
 
 
 class TestNoReferenceCycles:
@@ -612,7 +610,7 @@ class TestNoReferenceCycles:
     def test_build_and_fold_one_tag(self, leaves_no_cycles):
         ts = _chain_termset(10)
         decs = leaves_no_cycles(
-            lambda: fold_delta_table(build_delta_table(ts), ts)
+            lambda: fold_delta_table(build_delta_table(ts))
         )
         assert decs
 
@@ -622,38 +620,35 @@ class TestNoReferenceCycles:
         table = leaves_no_cycles(lambda: build_delta_table(golden_termset))
         assert len({t.head for t in table.terms}) > 1
         assert any(len(next(iter(k))) == 2 for k in table.pairs)
-        decs = leaves_no_cycles(
-            lambda: fold_delta_table(table, golden_termset)
-        )
+        decs = leaves_no_cycles(lambda: fold_delta_table(table))
         assert [d.arity for d in decs] == [2]
 
     def test_grown_table(self, leaves_no_cycles):
         ts = _chain_termset(12)
-        table = leaves_no_cycles(lambda: build_delta_table(ts, upto=2))
-        decs = leaves_no_cycles(lambda: fold_delta_table(table, ts))
+        table = leaves_no_cycles(lambda: _grown(ts, 2))
+        decs = leaves_no_cycles(lambda: fold_delta_table(table))
         # Size 7, met by keys of 3 and 4 rows only.
         assert decs[0].size == 7
         assert max(map(len, table.pairs)) == 4
 
     def test_delta_g(self, leaves_no_cycles):
         # The Δ-table of terms 40 to 51 deep holds Δ_G of the whole list.
-        table = leaves_no_cycles(lambda: build_delta_table(_deep_chain()))
+        table = leaves_no_cycles(lambda: _grown(_deep_chain()))
         whole = frozenset((_power(f, c, k),) for k in range(12))
         pattern = App("#f2", (_power(f, alpha(1), 40),))
         assert (pattern, (1 << 12) - 1) in table.pairs[whole]
 
 
-def _folds(ts, max_subset=None, ci1=False, upto=None):
-    """The fold of the whole table and of one built to ``upto`` terms
-    (⌊√|T|⌋ + 1, as the pipeline builds it, by default) and grown by
-    the fold; and the grown table."""
-    if upto is None:
-        upto = math.isqrt(len(ts)) + 1
-    full = build_delta_table(ts, max_subset=max_subset)
-    grown = build_delta_table(ts, max_subset=max_subset, upto=upto)
-    if ci1:
-        full, grown = restrict_ci1(full), restrict_ci1(grown)
-    return fold_delta_table(full, ts), fold_delta_table(grown, ts), grown
+def _folds(ts, max_subset=None, ci1=False, size=None):
+    """The fold of the whole table and of one grown to ``size`` terms
+    (built by ``build_delta_table``, to ⌊√|T|⌋ + 1, by default) and
+    grown by the fold; and the grown table."""
+    full = _grown(ts, max_subset=max_subset, ci1=ci1)
+    if size is None:
+        grown = build_delta_table(ts, max_subset=max_subset, ci1=ci1)
+    else:
+        grown = _grown(ts, size, max_subset, ci1)
+    return fold_delta_table(full), fold_delta_table(grown), grown
 
 
 class TestBoundedFold:
@@ -662,30 +657,31 @@ class TestBoundedFold:
     found, gives the decompositions of the whole table."""
 
     def test_bundled_example(self, golden_termset, golden_decompositions):
-        full, grown, table = _folds(golden_termset)
+        ts = golden_termset.terms
+        full, grown, table = _folds(ts)
         assert full == grown == golden_decompositions
         # Size 10, and k + ⌈12/k⌉ ≤ 10 holds up to k = 8.
         assert max(map(len, table.pairs)) == 8
         for max_subset in (None, 1, 2, 3):
-            full, grown, _ = _folds(golden_termset, max_subset, ci1=True)
+            full, grown, _ = _folds(ts, max_subset, ci1=True)
             assert full == grown == [], max_subset
-            full, grown, _ = _folds(golden_termset, max_subset)
+            full, grown, _ = _folds(ts, max_subset)
             assert full == grown, max_subset
 
     def test_chains(self):
         for n in range(7, 19):
             full, grown, table = _folds(_chain_termset(n))
             assert full and grown == full, n
-            assert table.frontier.size < n, n
+            assert table.size < n, n
 
     def test_chain16_grows_no_further_than_its_bound(self):
-        ts = _chain_termset(16)
-        table = build_delta_table(ts, upto=5)
-        decs = fold_delta_table(table, ts)
+        table = build_delta_table(_chain_termset(16))
+        assert table.size == 5
+        decs = fold_delta_table(table)
         # Size 8, and 5 + ⌈16/5⌉ = 9.
         assert decs[0].size == 8
         assert max(map(len, table.pairs)) == 5
-        assert table.frontier.size == 5
+        assert table.size == 5
 
     def test_random_sets(self):
         found = 0
@@ -696,14 +692,14 @@ class TestBoundedFold:
                 if seed % 2
                 else gen.random_term_set(rng)
             )
-            found += bool(fold_delta_table(build_delta_table(ts), ts))
+            found += bool(fold_delta_table(build_delta_table(ts)))
             # Also from below ⌊√|T|⌋, where the bound still falls as k
             # grows.
-            for upto in (None, seed % 3):
+            for size in (None, seed % 3):
                 for max_subset in (None, 1, 2, 3):
                     for ci1 in (False, True):
-                        full, grown, _ = _folds(ts, max_subset, ci1, upto)
-                        assert grown == full, (seed, upto, max_subset, ci1)
+                        full, grown, _ = _folds(ts, max_subset, ci1, size)
+                        assert grown == full, (seed, size, max_subset, ci1)
         # 289 of the sets have a decomposition and 311 have none.
         assert 100 < found < 500
 
@@ -712,28 +708,18 @@ class TestBoundedFold:
             {App("#f1", (t,)) for t in (a, f(a), f(f(a)), f(f(f(a))))}
             | {App("#f2", (_g(a, t),)) for t in (b, f(b), f(f(b)))}
         )
-        table = restrict_ci1(build_delta_table(ts, upto=1))
-        fold_delta_table(table, ts)
-        assert table.frontier.size > 1
+        table = _grown(ts, 1, ci1=True)
+        fold_delta_table(table)
+        assert table.size > 1
         assert {len(next(iter(k))) for k in table.pairs} == {1}
-
-    def test_restriction_does_not_grow_the_other_table(self):
-        ts = _chain_termset(9)
-        table = build_delta_table(ts, upto=1)
-        narrowed = restrict_ci1(table)
-        fold_delta_table(narrowed, ts)
-        assert table.frontier.size == 1
-        assert fold_delta_table(table, ts) == fold_delta_table(
-            build_delta_table(ts), ts
-        )
 
     def test_every_key_is_clean(self):
         unclean = 0
         for seed in range(300):
             ts = gen.random_tagged_term_set(random.Random(seed))
-            whole = build_delta_table(ts)
-            grown = build_delta_table(ts, upto=1)
-            fold_delta_table(grown, ts)
+            whole = _grown(ts)
+            grown = _grown(ts, 1)
+            fold_delta_table(grown)
             for table in (whole, grown):
                 assert table.entries == oracles.reference_clean_entries(
                     table
@@ -772,8 +758,7 @@ class TestValidate:
         for seed in range(60):
             rng = random.Random(seed)
             ts = gen.random_term_set(rng)
-            dt = build_delta_table(ts)
-            decs = fold_delta_table(dt, ts)
+            decs = fold_delta_table(build_delta_table(ts))
             if not decs:
                 continue
             d = decs[0]
@@ -789,22 +774,22 @@ class TestValidate:
 
 
 class TestRestrictAndSplit:
-    def test_golden_single_variable_mode_is_empty(
-        self, golden_table, golden_termset
-    ):
-        narrowed = restrict_ci1(golden_table)
+    def test_golden_single_variable_mode_is_empty(self, golden_termset):
+        narrowed = _grown(golden_termset.terms, ci1=True)
         assert all(
             len(next(iter(key))) == 1 for key in narrowed.entries
         )
-        assert fold_delta_table(narrowed, golden_termset) == []
+        assert fold_delta_table(narrowed) == []
+        ci1 = build_delta_table(golden_termset, ci1=True)
+        assert fold_delta_table(ci1) == []
 
-    def test_restriction_filters_the_entries(self, golden_table):
-        tables = [golden_table] + [
-            build_delta_table(gen.random_tagged_term_set(random.Random(s)))
-            for s in range(20)
+    def test_restriction_filters_the_entries(self, golden_termset):
+        sets = [golden_termset.terms] + [
+            gen.random_tagged_term_set(random.Random(s)) for s in range(20)
         ]
-        for dt in tables:
-            narrowed = restrict_ci1(dt)
+        for ts in sets:
+            dt = _grown(ts)
+            narrowed = _grown(ts, ci1=True)
             assert narrowed.terms == dt.terms
             assert narrowed.entries == {
                 k: v
@@ -816,9 +801,8 @@ class TestRestrictAndSplit:
         ts = frozenset(
             {App("#f1", (t,)) for t in (a, f(a), f(f(a)), f(f(f(a))))}
         )
-        dt = build_delta_table(ts)
-        full = fold_delta_table(dt, ts)
-        narrowed = fold_delta_table(restrict_ci1(dt), ts)
+        full = fold_delta_table(build_delta_table(ts))
+        narrowed = fold_delta_table(build_delta_table(ts, ci1=True))
         assert narrowed
         assert all(d.arity == 1 for d in narrowed)
         assert min(d.size for d in full) <= min(d.size for d in narrowed)

@@ -184,6 +184,24 @@ class TestGoldenRun:
         assert any("single-variable" in m for m in rep.messages)
 
 
+class TestSingleVariableMode:
+    @pytest.mark.parametrize("n, size", [(9, 6), (12, 7), (16, 8)])
+    def test_chain_compresses_as_in_the_unrestricted_mode(
+        self, tmp_path, n, size
+    ):
+        # One tag and one variable: the minimal decompositions of a chain
+        # have arity one, so both modes find the same.
+        p = tmp_path / f"chain{n}.cis"
+        p.write_text(gen.chain_input(n))
+        cistar = run_pipeline(p, RunConfig())
+        ci1 = run_pipeline(p, RunConfig(mode="ci1"))
+        for rep in (cistar, ci1):
+            assert rep.status == "compressed", rep.messages
+            assert rep.decomposition["size"] == size
+            assert rep.decomposition["arity"] == 1
+        assert ci1.cut_formula == cistar.cut_formula
+
+
 class TestGoldenArtifacts:
     """The bundled example's artifacts, byte for byte as committed under
     tests/data/running_example (the report without its wall time)."""
@@ -410,6 +428,18 @@ class TestCorpus:
                 "mean_comq",
             }
         assert all(len(point) == 2 for point in stats["scatter"])
+
+    def test_buckets_in_size_order(self):
+        # A sort of the labels as strings puts "11-15" before "6-10".
+        sizes = [None, 12, 7, 0, 3]
+        reports = [
+            RunReport(input=f"{i}.cis", mode="cistar", status="error",
+                      termset_size=size)
+            for i, size in enumerate(sizes)
+        ]
+        assert [b["termset_size"] for b in emit_stats(reports)["buckets"]] == [
+            "0", "1-5", "6-10", "11-15", "unknown"
+        ]
 
     def test_outputs_written(self, tmp_path):
         self._write_corpus(tmp_path, n=4)

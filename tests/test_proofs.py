@@ -190,7 +190,7 @@ class TestGoldenProof:
             ts = encode_termset(hs)
             if len(ts.terms) > 12:
                 continue
-            decs = fold_delta_table(build_delta_table(ts), ts)
+            decs = fold_delta_table(build_delta_table(ts))
             if not decs:
                 continue
             u = decode_termset(TermSet(decs[0].u, seq.q))
