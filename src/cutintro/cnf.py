@@ -131,3 +131,14 @@ def clause_formula(c: Clause) -> Formula:
 
 def formula_of_cnf(cnf: CNF) -> Formula:
     return conj([clause_formula(c) for c in sorted(cnf, key=clause_key)])
+
+
+def cnf_size(cnf: CNF) -> int:
+    """``formula_size(formula_of_cnf(cnf))``: k - 1 ∧ for k clauses, m - 1
+    ∨ for a clause of m literals, 1 per positive and 2 per negative
+    literal; ∅ (⊤) and the empty clause (⊥) count 1."""
+    if not cnf:
+        return 1
+    return len(cnf) - 1 + sum(
+        max(2 * len(c) - 1, 1) + sum(not sign for sign, _ in c) for c in cnf
+    )

@@ -31,7 +31,9 @@ entailment; ``sf_improve`` then searches for smaller solutions by
 forgetful inference: replacing two clauses of the clause form by one of
 their resolvents or paramodulants and keeping the results that still
 pass the guard.  They keep (i) because they follow from the canonical
-clauses.
+clauses.  The search interns each clause once, as an int id with its
+attributes, as in hash-consing (Filliâtre and Conchon, 2006), and a
+candidate's formula is built only when it is read.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .cnf import (
     CNF,
     Clause,
     cnf_of_formulas,
+    cnf_size,
     clause_formula,
     clause_key,
     formula_of_cnf,
@@ -104,12 +107,6 @@ class SchematicEHS:
         """Clause form of Γ' ∧ ¬⋁Δ'; raises LimitReached past the cap."""
         return cnf_of_formulas(self.gamma, self.delta)
 
-    @cached_property
-    def _instances(self) -> dict:
-        """Each clause's instances under the rows W, kept as long as this
-        sequent once ``guard_clauses`` has met the clause."""
-        return {}
-
 
 def build_schematic_ehs(
     s: Sequent, u: HerbrandStructure, w: Iterable[tuple]
@@ -154,13 +151,32 @@ def build_schematic_ehs(
     )
 
 
-@dataclass(frozen=True)
 class SolutionCandidate:
-    """A cut-formula matrix together with its clause form and ancestry."""
+    """A cut-formula matrix, its clause form and the forgetful steps
+    (clause, clause, result) taken.  The matrix is the ``formula`` given
+    (the canonical solution's), or else ``formula_of_cnf(clauses)``,
+    built on first read; ``size`` builds none.  With a ``table``,
+    ``clauses`` holds ids into that list: a visited node is one set."""
 
-    formula: Formula
-    clauses: CNF
-    steps: tuple = ()  # forgetful steps (clause, clause, result) taken
+    __slots__ = ("given", "_formula", "_clauses", "_table", "steps")
+
+    def __init__(
+        self, formula: Optional[Formula], clauses, steps=(), table=None
+    ) -> None:
+        self.given = self._formula = formula
+        self._clauses, self._table, self.steps = clauses, table, steps
+
+    @property
+    def clauses(self) -> CNF:
+        if self._table is None:
+            return self._clauses
+        return frozenset(map(self._table.__getitem__, self._clauses))
+
+    @property
+    def formula(self) -> Formula:
+        if self._formula is None:
+            self._formula = formula_of_cnf(self.clauses)
+        return self._formula
 
     @property
     def provenance(self) -> tuple[str, ...]:
@@ -173,7 +189,9 @@ class SolutionCandidate:
 
     @property
     def size(self) -> int:
-        return formula_size(self.formula)
+        if self.given is None:
+            return cnf_size(self.clauses)
+        return formula_size(self.given)
 
     def sort_key(self) -> tuple:
         return (self.size, render_formula(self.formula))
@@ -208,12 +226,9 @@ def canonical_solution(e: SchematicEHS) -> SolutionCandidate:
 def guard_clauses(e: SchematicEHS, clauses: CNF) -> CNF:
     """A(w̄₁), .., A(w̄_k), Γ' ⊢ Δ' as a clause set to refute, where
     ``clauses`` is the clause form of A(ᾱ)."""
-    known = e._instances
-    for c in clauses - known.keys():
-        known[c] = frozenset().union(
-            *(subst_clauses([c], alpha_subst(row)) for row in e.w)
-        )
-    return e.side_clauses.union(*[known[c] for c in clauses])
+    return e.side_clauses.union(
+        *(subst_clauses(clauses, alpha_subst(row)) for row in e.w)
+    )
 
 
 def _negated(c: Clause) -> CNF:
@@ -254,10 +269,6 @@ def subst_clauses(cnf: CNF, mapping: dict) -> CNF:
 # forgetful inference
 
 
-def _clause_eqs(c: Clause) -> list[Eq]:
-    return [a for sign, a in c if sign and isinstance(a, Eq)]
-
-
 def _rewrite_literal(lit, lhs: Term, rhs: Term):
     """All single-occurrence rewrites of lhs to rhs inside the literal."""
     sign, atom = lit
@@ -290,7 +301,7 @@ def _pair_successors(ci: Clause, cj: Clause) -> list[Clause]:
                 (ci - {(sign, atom)}) | (cj - {(not sign, atom)})
             )
     for src, dst in ((ci, cj), (cj, ci)):
-        for eq in _clause_eqs(src):
+        for eq in [a for sign, a in src if sign and isinstance(a, Eq)]:
             rest = src - {(True, eq)}
             for lhs, rhs in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
                 for lit in dst:
@@ -299,52 +310,6 @@ def _pair_successors(ci: Clause, cj: Clause) -> list[Clause]:
                             continue
                         out.append(rest | (dst - {lit}) | {new_lit})
     return out
-
-
-def _forget_moves(
-    cnf: CNF, pairs: Optional[dict] = None
-) -> Iterator[tuple[CNF, tuple]]:
-    """Every clause set reachable by one forgetful inference step, each
-    distinct successor once, with the (clause, clause, result) step that
-    first reached it; the step is rendered only on demand.  ``pairs``,
-    when given, keeps each ordered clause pair's ``_pair_successors``
-    across calls.
-
-    One step picks two clauses and replaces both by a single resolvent
-    or ground paramodulant, which is dropped when it is a tautology; the
-    node itself holds none.  The result is strictly less general in the
-    entailment order, which is what lets the improvement loop shrink
-    solutions.
-    """
-    if pairs is None:
-        pairs = {}
-    clauses = sorted(cnf, key=clause_key)
-    seen: set[CNF] = set()
-    for i in range(len(clauses)):
-        for j in range(i + 1, len(clauses)):
-            pair = (clauses[i], clauses[j])
-            news = pairs.get(pair)
-            if news is None:
-                news = pairs[pair] = _pair_successors(*pair)
-            rest = cnf - {clauses[i], clauses[j]}
-            for new in news:
-                succ = rest if is_tautological(new) else rest | {new}
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                yield succ, (clauses[i], clauses[j], new)
-
-
-def _drop_alpha_free(cnf: CNF, known: dict) -> CNF:
-    """Drop clauses with no schema variable; ``known`` keeps, per clause,
-    whether it mentions one.
-
-    Such clauses follow from Γ' (they were instantiated from it), so
-    removing them preserves solutionhood while shrinking the formula.
-    """
-    for c in cnf - known.keys():
-        known[c] = any(any(is_alpha(v) for v in formula_vars(a)) for _, a in c)
-    return frozenset(c for c in cnf if known[c])
 
 
 @dataclass
@@ -365,38 +330,77 @@ def sf_improve(
 
     Maintains a stack of clause-set nodes known to solve the schema
     (validated via the step guard A(w̄₁)..A(w̄_k), Γ' ⊢ Δ', which the
-    successors of a solution inherit).  α-free clauses are dropped at
-    every node.  Nodes whose every successor fails the guard are leaves.
-    Every visited node is returned as a candidate, in visiting order;
-    the pipeline tries them in ``SolutionCandidate.sort_key`` order
-    (``candidates_by_sort_key``), smallest first.
-    """
-    mentions_alpha: dict = {}
-    pairs: dict = {}
-    entry = _drop_alpha_free(simplify_clauses(cand.clauses), mentions_alpha)
-    seen: set[CNF] = {entry}
-    stack: list[tuple[CNF, tuple]] = [(entry, cand.steps)]
+    successors of a solution inherit).  A step replaces two clauses of a
+    node, taken in ``clause_key`` order, by one ``_pair_successors``
+    result unless it is a tautology: a less general solution.  α-free
+    clauses, which follow from Γ', are dropped.  Each distinct successor
+    is asked once, with the first step that reached it.  Every visited
+    node is a candidate, in visiting order; the pipeline tries them in
+    ``SolutionCandidate.sort_key`` order, smallest first.  A node is a
+    frozenset of ids into ``table``; an id holds, computed once, its
+    ``clause_key`` if a node keeps it (it mentions an α and is no
+    tautology) or else None, its successors per id pair and, at its
+    first guard, its instances under W."""
+    table: list[Clause] = []  # by id, as are keys and insts
+    ids: dict[Clause, int] = {}
+    keys: list[Optional[tuple]] = []
+    insts: list[Optional[CNF]] = []
+    pairs: dict[tuple[int, int], list[int]] = {}
+    side, substs = e.side_clauses, [alpha_subst(row) for row in e.w]
+
+    def intern(c: Clause) -> int:
+        i = ids.get(c)
+        if i is None:
+            i = ids[c] = len(table)
+            keep = not is_tautological(c) and any(
+                any(is_alpha(v) for v in formula_vars(a)) for _, a in c
+            )
+            table.append(c)
+            keys.append(clause_key(c) if keep else None)
+            insts.append(None)
+        return i
+
+    def instances(i: int) -> CNF:
+        if insts[i] is None:
+            insts[i] = frozenset(
+                frozenset((s, apply_subst(a, m)) for s, a in table[i])
+                for m in substs
+            )
+        return insts[i]
+
+    entry = frozenset(
+        i for i in map(intern, simplify_clauses(cand.clauses)) if keys[i]
+    )
+    seen: set[frozenset] = {entry}
+    stack: list[tuple[frozenset, tuple]] = [(entry, cand.steps)]
     results: list[SolutionCandidate] = []
-    visited = 0
-    capped = False
+    visited, capped = 0, False
     while stack:
         cancel()
         node, steps = stack.pop()
         visited += 1
-        results.append(
-            SolutionCandidate(
-                formula=formula_of_cnf(node), clauses=node, steps=steps
-            )
-        )
+        results.append(SolutionCandidate(None, node, steps, table))
         if visited >= node_cap:
             capped = True
             break
-        for succ, move in _forget_moves(node, pairs):
-            succ = _drop_alpha_free(succ, mentions_alpha)
-            if succ in seen:
-                continue
-            seen.add(succ)
-            if oracle.refutation(guard_clauses(e, succ)) is Verdict.VALID:
-                stack.append((succ, steps + (move,)))
+        order = sorted(node, key=keys.__getitem__)
+        for n, i in enumerate(order):
+            for j in order[n + 1 :]:
+                news = pairs.get((i, j))
+                if news is None:
+                    news = pairs[i, j] = [
+                        intern(c) for c in _pair_successors(table[i], table[j])
+                    ]
+                if not news:
+                    continue
+                rest = node - {i, j}
+                for k in news:
+                    succ = rest if keys[k] is None else rest | {k}
+                    if succ in seen:
+                        continue
+                    seen.add(succ)
+                    guard = side.union(*map(instances, succ))
+                    if oracle.refutation(guard) is Verdict.VALID:
+                        move = (table[i], table[j], table[k])
+                        stack.append((succ, steps + (move,)))
     return SFResult(candidates=results, visited=visited, capped=capped)
-

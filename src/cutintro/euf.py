@@ -234,11 +234,12 @@ class _Search:
     Variables are among 1..n and a literal is ±v.  ``_val[l]`` is the
     truth of literal l (negative literals index from the end of the
     list).  The variables of the clauses are decided most frequent
-    first, ties by number.  The first two literals of a clause are
-    watched.  ``next_model`` returns
-    a total assignment satisfying every clause, or None; ``block`` adds
-    a clause that the last model falsifies, after which ``next_model``
-    resumes from the assignments the clause leaves standing.
+    first, ties by number, an order built at the first decision, so a
+    query that unit propagation refutes never builds it.  The first two
+    literals of a clause are watched.  ``next_model`` returns a total
+    assignment satisfying every clause, or None; ``block`` adds a clause
+    that the last model falsifies, after which ``next_model`` resumes
+    from the assignments the clause leaves standing.
 
     A conflict clause is falsified at its highest decision level L.  If
     one literal sits at L, the search backjumps to the next level below
@@ -250,7 +251,7 @@ class _Search:
 
     __slots__ = ("cap", "steps", "_cancel", "_val", "_level", "_watches",
                  "_trail", "_head", "_starts", "_flipped", "_pos", "_order",
-                 "_unsat")
+                 "_clauses", "_unsat")
 
     def __init__(
         self,
@@ -270,11 +271,8 @@ class _Search:
         self._starts: list[int] = []  # trail length when each level began
         self._flipped: list[bool] = []  # per level
         self._pos: list[int] = []  # per level: decision's place in _order
-        count = Counter(map(abs, chain.from_iterable(clauses)))
-        # A reversed sort is stable: equal counts keep increasing order.
-        self._order = sorted(
-            sorted(count), key=count.__getitem__, reverse=True
-        )
+        self._order = None
+        self._clauses = clauses  # _order is built from them
         self._unsat = False
         self.charge(len(clauses))
         watches, val = self._watches, self._val
@@ -391,6 +389,12 @@ class _Search:
             if conflict is not None:
                 self._resolve(conflict)
                 continue
+            if order is None:
+                count = Counter(map(abs, chain.from_iterable(self._clauses)))
+                # Stable when reversed: equal counts keep increasing order.
+                order = self._order = sorted(
+                    sorted(count), key=count.__getitem__, reverse=True
+                )
             pos = self._pos[-1] if self._pos else 0
             while pos < len(order) and val[order[pos]] is not None:
                 pos += 1

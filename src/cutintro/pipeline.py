@@ -42,7 +42,7 @@ from .decomposition import (
     fold_delta_table,
 )
 from .euf import InternalOracle, Oracle, Verdict
-from .formulas import formula_size, render_formula
+from .formulas import render_formula
 from .herbrand import (
     TermSet,
     decode_termset,
@@ -216,8 +216,8 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
             failures.append(f"constructed proof failed its recheck: {msg}")
             continue
         report.decomposition = _decomposition_json(dec, seq.q)
-        report.canonical_size = formula_size(canonical.formula)
-        report.improved_size = formula_size(best.formula)
+        report.canonical_size = canonical.size
+        report.improved_size = best.size
         report.comq = metrics(proof)["comq"]
         report.cut_formula = render_formula(best.formula)
         report.sf_visited = sf.visited

@@ -20,6 +20,14 @@ tests ask of the decision procedure.  Its refutation is
 ``reference_refute``, the internal oracle's query as it was before the
 run-wide atom table (it numbers and encodes each query afresh), on the
 package's search and theory check.
+
+``reference_sf_improve`` is the forgetful-inference search as it was
+before its clause table: nodes are sets of clauses, sorted, filtered
+and instantiated afresh at each node.  It is the old search, not an
+independent one: it takes the package's inference rule
+(``_pair_successors``), subsumption filter, clause order and candidate
+records, so what it checks is that the table changes no query, order or
+candidate.
 """
 
 from __future__ import annotations
@@ -31,8 +39,17 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from cutintro.cnf import (
     DEFAULT_CNF_CAP,
+    clause_key,
     cnf_of_formulas,
+    formula_of_cnf,
     is_tautological,
+    simplify_clauses,
+)
+from cutintro.cutformula import (
+    SFResult,
+    SolutionCandidate,
+    _pair_successors,
+    subst_clauses,
 )
 from cutintro.euf import (
     DEFAULT_STEP_CAP,
@@ -54,6 +71,7 @@ from cutintro.formulas import (
     Top,
     apply_subst,
     conj,
+    formula_vars,
     render_formula,
 )
 from cutintro.herbrand import HerbrandStructure
@@ -67,6 +85,7 @@ from cutintro.terms import (
     Var,
     alpha,
     alpha_index,
+    alpha_subst,
     is_alpha,
     is_tag_head,
     render_term,
@@ -657,6 +676,81 @@ def reference_check_solution(e, a: Formula, cnf_cap: int = 10**6) -> bool:
     verdict = decide_validity(seq, cnf_cap=cnf_cap)
     assert verdict is not Verdict.UNKNOWN, "raise the reference's cnf_cap"
     return verdict is Verdict.VALID
+
+
+# --------------------------------------------------------------------------
+# Forgetful inference, as the search was before its clause table
+# --------------------------------------------------------------------------
+
+
+def reference_forget_moves(cnf, pairs: Optional[dict]):
+    """Every clause set one forgetful step reaches, each distinct one
+    once, with the (clause, clause, result) step that first reached it:
+    each pair in ``clause_key`` order, recomputed per node, replaced by
+    each of its ``_pair_successors`` that is no tautology.  ``pairs``,
+    when given, keeps each ordered pair's successors across calls."""
+    clauses = sorted(cnf, key=clause_key)
+    seen: set = set()
+    for i in range(len(clauses)):
+        for j in range(i + 1, len(clauses)):
+            pair = (clauses[i], clauses[j])
+            if pairs is None:
+                news = _pair_successors(*pair)
+            else:
+                news = pairs.get(pair)
+                if news is None:
+                    news = pairs[pair] = _pair_successors(*pair)
+            rest = cnf - {clauses[i], clauses[j]}
+            for new in news:
+                succ = rest if is_tautological(new) else rest | {new}
+                if succ not in seen:
+                    seen.add(succ)
+                    yield succ, (clauses[i], clauses[j], new)
+
+
+def _reference_drop_alpha_free(cnf):
+    return frozenset(
+        c
+        for c in cnf
+        if any(any(is_alpha(v) for v in formula_vars(a)) for _, a in c)
+    )
+
+
+def reference_sf_improve(
+    e, cand, oracle, node_cap: int = 10_000, shared_pairs: bool = True
+) -> SFResult:
+    """``cutformula.sf_improve`` on clause sets: every node is a set of
+    clauses, sorted by ``clause_key`` and dropped of α-free clauses
+    afresh, its guard built from the definition, and its formula built
+    when it is visited.  ``shared_pairs`` keeps one pair memo for the
+    search, as the package does; without it each node recomputes its
+    pairs' successors."""
+    pairs = {} if shared_pairs else None
+    side = e.side_clauses
+    entry = _reference_drop_alpha_free(simplify_clauses(cand.clauses))
+    seen = {entry}
+    stack = [(entry, cand.steps)]
+    results = []
+    visited = 0
+    capped = False
+    while stack:
+        node, steps = stack.pop()
+        visited += 1
+        results.append(SolutionCandidate(formula_of_cnf(node), node, steps))
+        if visited >= node_cap:
+            capped = True
+            break
+        for succ, move in reference_forget_moves(node, pairs):
+            succ = _reference_drop_alpha_free(succ)
+            if succ in seen:
+                continue
+            seen.add(succ)
+            guard = side.union(
+                *(subst_clauses(succ, alpha_subst(row)) for row in e.w)
+            )
+            if oracle.refutation(guard) is Verdict.VALID:
+                stack.append((succ, steps + (move,)))
+    return SFResult(candidates=results, visited=visited, capped=capped)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cutintro.cnf import (
     clause_formula,
     cnf_of_formulas,
+    cnf_size,
     formula_of_cnf,
     simplify_clauses,
 )
@@ -24,11 +26,13 @@ from cutintro.formulas import (
     Or,
     QuantBlock,
     Top,
+    formula_size,
 )
 from cutintro.herbrand import herbrand_sequent
 from cutintro.limits import LimitReached
 from cutintro.terms import Var, const
 
+import gen
 from oracles import _collect_atoms, _eval, reference_clauses
 from test_formulas import formulas_strategy
 
@@ -202,6 +206,21 @@ class TestClauseFormula:
 
     def test_empty_cnf_is_true(self):
         assert formula_of_cnf(frozenset()) == Top()
+
+    def test_cnf_size_is_the_size_of_the_formula(self):
+        # The closed form counts k - 1 ∧, and per clause m - 1 ∨ and 1 or
+        # 2 per literal; ⊤ and ⊥ count 1.
+        sets = [frozenset(), frozenset({frozenset()})]
+        for seed in range(200):
+            rng = random.Random(seed)
+            clauses = list(gen.random_ground_clauses(rng))
+            k = rng.choice([1, 2, len(clauses)])
+            picked = rng.sample(clauses, min(k, len(clauses)))
+            if rng.random() < 0.3:
+                picked.append(frozenset())
+            sets.append(frozenset(picked))
+        for cnf in sets:
+            assert cnf_size(cnf) == formula_size(formula_of_cnf(cnf))
 
     def test_formula_of_cnf_deterministic(self):
         c1 = frozenset({(True, P), (False, Q)})

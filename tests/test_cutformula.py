@@ -11,7 +11,6 @@ import cutintro.cutformula as cutformula
 from cutintro.cutformula import (
     SchemaError,
     SolutionCandidate,
-    _forget_moves,
     build_schematic_ehs,
     candidates_by_sort_key,
     canonical_solution,
@@ -21,7 +20,7 @@ from cutintro.cutformula import (
     subst_clauses,
 )
 from cutintro.decomposition import build_delta_table, fold_delta_table
-from cutintro.cnf import cnf_of_formulas
+from cutintro.cnf import cnf_of_formulas, formula_of_cnf
 from cutintro.euf import InternalOracle, Verdict
 from cutintro.formulas import (
     And,
@@ -31,6 +30,7 @@ from cutintro.formulas import (
     Not,
     Or,
     apply_subst,
+    formula_size,
     formula_vars,
     render_formula,
 )
@@ -50,6 +50,7 @@ import bundled_search
 import gen
 import oracles
 from oracles import decide_validity
+from test_euf import _Recording
 
 a, b = const("a"), const("b")
 
@@ -59,8 +60,30 @@ def f(t):
 
 
 def forget(cnf):
-    """Every clause set one forgetful inference step reaches."""
-    return [succ for succ, _ in _forget_moves(cnf)]
+    """Every clause set one forgetful inference step reaches, as the
+    reference search generates them from the package's inference rule."""
+    return [succ for succ, _ in oracles.reference_forget_moves(cnf, None)]
+
+
+def _same_search(e, node_cap: int = 10_000, shared_pairs: bool = True):
+    """Run ``sf_improve`` and ``oracles.reference_sf_improve`` on the
+    canonical solution, each with its own oracle, and check that they
+    ask the same clause sets in the same order and return the same
+    candidates (clauses, steps and order), ``visited`` and ``capped``.
+    Returns the package's result and its oracle."""
+    can = canonical_solution(e)
+    got_oracle = _Recording(InternalOracle())
+    want_oracle = _Recording(InternalOracle())
+    got = sf_improve(e, can, got_oracle, node_cap=node_cap)
+    want = oracles.reference_sf_improve(
+        e, can, want_oracle, node_cap=node_cap, shared_pairs=shared_pairs
+    )
+    assert got_oracle.clause_sets == want_oracle.clause_sets
+    assert (got.visited, got.capped) == (want.visited, want.capped)
+    assert [(c.clauses, c.steps) for c in got.candidates] == [
+        (c.clauses, c.steps) for c in want.candidates
+    ]
+    return got, got_oracle
 
 
 def _mini_ehs():
@@ -277,17 +300,22 @@ class TestForget:
         for succ in forget(cnf):
             assert len(succ) < len(cnf)
 
-    def test_shared_pair_memo_changes_no_move(self, golden_sf):
-        # One memo across every node of the bundled search, as sf_improve
-        # keeps it: each node's moves come out as without it, in order.
-        pairs: dict = {}
-        asked = 0
-        for cand in golden_sf.candidates:
-            node = cand.clauses
-            shared = list(_forget_moves(node, pairs))
-            assert shared == list(_forget_moves(node))
-            asked += len(node) * (len(node) - 1) // 2
-        assert 0 < len(pairs) < asked / 2
+    def test_shared_pair_memo_changes_no_move(self, golden_ehs, monkeypatch):
+        # One pair memo across every node of the bundled search: the
+        # search asks what a reference that recomputes each node's pairs
+        # asks, in the same order, and computes under half of the pairs.
+        computed = []
+        pair_successors = cutformula._pair_successors
+        monkeypatch.setattr(
+            cutformula,
+            "_pair_successors",
+            lambda ci, cj: computed.append(1) or pair_successors(ci, cj),
+        )
+        res, _ = _same_search(golden_ehs, shared_pairs=False)
+        asked = sum(
+            len(c.clauses) * (len(c.clauses) - 1) // 2 for c in res.candidates
+        )
+        assert 0 < len(computed) < asked / 2
 
     def test_subst_clauses_grounds_variables(self):
         P = lambda t: Atom("P", (t,))
@@ -302,40 +330,29 @@ class TestSFImprove:
         assert not golden_sf.capped
         assert len(golden_sf.candidates) == golden_sf.visited
 
-    def test_memos_match_their_definitions(self, golden_ehs, monkeypatch):
-        # Every guard the bundled search asks is read from the sequent's
-        # instance memo, and every α-free drop from the search's α memo;
-        # each equals the definition it stands for.
-        guards, drops = [], []
-        guard, drop = cutformula.guard_clauses, cutformula._drop_alpha_free
-
-        def recording_guard(e, clauses):
-            got = guard(e, clauses)
-            guards.append((clauses, got))
-            return got
-
-        def recording_drop(cnf, memo):
-            got = drop(cnf, memo)
-            drops.append((cnf, got))
-            return got
-
-        monkeypatch.setattr(cutformula, "guard_clauses", recording_guard)
-        monkeypatch.setattr(cutformula, "_drop_alpha_free", recording_drop)
-        res = sf_improve(
-            golden_ehs, canonical_solution(golden_ehs), InternalOracle()
-        )
-        assert res.visited == 192 and len(guards) >= 350
+    def test_memos_match_their_definitions(self, golden_ehs):
+        # Every guard the bundled search asks, built from the clause
+        # table's instances, is the definition: the side clauses and the
+        # instances under W of a set of clauses that all mention an α.
+        # Every visited node but the first had its guard asked, and the
+        # queries are the reference search's, in its order.
+        res, oracle = _same_search(golden_ehs)
+        assert res.visited == 192 and len(oracle.clause_sets) >= 350
         substs = [alpha_subst(row) for row in golden_ehs.w]
-        for clauses, got in guards:
-            assert got == golden_ehs.side_clauses.union(
+
+        def guard(clauses):
+            return golden_ehs.side_clauses.union(
                 *(subst_clauses(clauses, m) for m in substs)
             )
-        for cnf, got in drops:
-            assert got == frozenset(
-                c
-                for c in cnf
-                if any(any(is_alpha(v) for v in formula_vars(x)) for _, x in c)
-            )
+
+        asked = set(oracle.clause_sets)
+        for cand in res.candidates[1:]:
+            assert guard(cand.clauses) in asked
+        for cand in res.candidates:
+            for c in cand.clauses:
+                assert any(
+                    any(is_alpha(v) for v in formula_vars(x)) for _, x in c
+                )
 
     def test_golden_best_candidate(self, golden_sf):
         best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
@@ -464,6 +481,75 @@ class TestSFImprove:
                 assert check_solution(e, cand.formula, oracle), f"seed {seed}"
             checked += 1
         assert checked >= 5
+
+
+NODE_CAPS = (1, 2, 5, 10_000)
+
+
+class TestSearchAgainstReference:
+    """The search on clause ids equals the search on clause sets it
+    replaced (``oracles.reference_sf_improve``): the same queries in the
+    same order, and the same candidates, ``visited`` and ``capped``."""
+
+    @pytest.mark.parametrize("node_cap", NODE_CAPS)
+    def test_bundled_example(self, golden_ehs, node_cap):
+        res, _ = _same_search(golden_ehs, node_cap)
+        assert res.visited == min(node_cap, 192)
+
+    def test_random_instances(self):
+        checked = capped = 0
+        for seed in range(300):
+            e = _solved_random_instance(seed)
+            if e is None:
+                continue
+            for node_cap in NODE_CAPS:
+                res, _ = _same_search(e, node_cap)
+                capped += res.capped and node_cap > 1
+            checked += 1
+        assert checked >= 200
+        assert capped >= 50
+
+    @staticmethod
+    def _two_clause_ehs(first: str, second: str, succ: str):
+        """The sequent ∀x A(x), ∀x B(x) ⊢ C over the rows {(a,)}."""
+        seq, _ = parse_input(
+            f"ante all x: {first}.\nante all x: {second}.\n"
+            f"succ {succ}.\ninst 1: a.\ninst 2: a."
+        )
+        u = HerbrandStructure(
+            (frozenset({(alpha(1),)}), frozenset({(alpha(1),)}), frozenset())
+        )
+        return build_schematic_ehs(seq, u, {(a,)})
+
+    def test_alpha_free_result_is_dropped(self):
+        # Resolving ~P(α1) with P(α1) | Q(a) leaves Q(a), which mentions
+        # no α: the successor is the empty clause set, and its step still
+        # names Q(a).  No bundled or random search meets such a result.
+        e = self._two_clause_ehs("P(x) | Q(a)", "~P(x)", "Q(a)")
+        res, _ = _same_search(e)
+        assert [c.clauses for c in res.candidates][1:] == [frozenset()]
+        assert res.candidates[1].provenance[1].endswith("=> [Q(a)]")
+
+    def test_tautological_result_is_dropped(self):
+        # Both resolvents of P(α1) | Q(α1) and ~P(α1) | ~Q(α1) are
+        # tautologies, so the one successor is the empty clause set,
+        # whose guard is the side clauses alone.  No bundled or random
+        # search meets such a result either.
+        e = self._two_clause_ehs("P(x) | Q(x)", "~P(x) | ~Q(x)", "R(a)")
+        res, oracle = _same_search(e)
+        assert oracle.clause_sets == [e.side_clauses]
+        assert res.visited == 1
+
+    def test_candidate_sizes_build_no_formula(self, golden_ehs):
+        can = canonical_solution(golden_ehs)
+        res = sf_improve(golden_ehs, can, InternalOracle(), node_cap=60)
+        # The canonical formula is given, and its size is that formula's.
+        assert can.given is can.formula and can.size == 28
+        sizes = [cand.size for cand in res.candidates]
+        assert all(cand._formula is None for cand in res.candidates)
+        for cand, size in zip(res.candidates, sizes):
+            assert cand.formula == formula_of_cnf(cand.clauses)
+            assert size == formula_size(cand.formula)
 
 
 def _random_alpha_formula(rng: random.Random, atoms: list) -> Formula:

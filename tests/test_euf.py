@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -638,3 +639,39 @@ class TestInternalOracle:
             seq = gen.random_ground_sequent(rng)
             clauses = cnf_of_formulas(seq.ante, seq.succ)
             assert o.refutation(clauses) == decide_validity(seq), f"seed {seed}"
+
+
+class TestDecisionOrder:
+    """``_Search`` builds its decision order, most frequent variable
+    first and ties by number, at its first decision only."""
+
+    @staticmethod
+    def _search(clauses):
+        n = max((abs(u) for c in clauses for u in c), default=0)
+        return euf._Search(clauses, n, euf.DEFAULT_STEP_CAP, lambda: None)
+
+    def test_unit_refutation_leaves_the_order_unbuilt(self):
+        search = self._search([(1,), (-1, 2), (-2, -1)])
+        assert search.next_model() is None
+        assert search._order is None
+
+    def test_first_decision_builds_the_order(self):
+        built = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            clauses = [
+                tuple(
+                    rng.choice((-1, 1)) * v
+                    for v in sorted(rng.sample(range(1, 7), rng.randint(1, 3)))
+                )
+                for _ in range(rng.randint(1, 8))
+            ]
+            search = self._search(clauses)
+            assert search._order is None
+            search.next_model()
+            if search._order is None:  # refuted or satisfied by units
+                continue
+            count = Counter(abs(u) for c in clauses for u in c)
+            assert search._order == sorted(count, key=lambda v: (-count[v], v))
+            built += 1
+        assert built >= 50

@@ -12,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
+import cutintro.cutformula as cutformula
 import cutintro.decomposition as decomposition
 import cutintro.pipeline as pipeline
 from cutintro.corpus import emit_stats, run_corpus, write_corpus_outputs
+from cutintro.cutformula import candidates_by_sort_key
 from cutintro.euf import InternalOracle
+from cutintro.formulas import render_formula
 from cutintro.parser import parse_input
 from cutintro.pipeline import RunConfig, RunReport, run_pipeline
 from cutintro.serialize import entries_from_json, node_from_json
@@ -108,6 +111,39 @@ class TestGoldenRun:
         assert rep.cut_formula == "P(α1, f(f(α2))) | ~P(f(f(α1)), α2)"
         assert not rep.sf_capped
         assert rep.wall_time > 0
+
+    def test_builds_formulas_only_for_candidates_it_reaches(
+        self, golden_file, tmp_path, monkeypatch
+    ):
+        # A candidate's formula is built when the pipeline tries it, or
+        # when candidates_by_sort_key renders its size tie, and for no
+        # candidate past the one selected.
+        built, found = [], []
+        build, search = cutformula.formula_of_cnf, pipeline.sf_improve
+        monkeypatch.setattr(
+            cutformula,
+            "formula_of_cnf",
+            lambda cnf: built.append(cnf) or build(cnf),
+        )
+        monkeypatch.setattr(
+            pipeline,
+            "sf_improve",
+            lambda *args, **kw: found.append(search(*args, **kw)) or found[0],
+        )
+        rep = run_pipeline(golden_file, RunConfig(out_dir=tmp_path / "out"))
+        monkeypatch.undo()
+        assert rep.status == "compressed" and len(found) == 1
+        cands = found[0].candidates
+        order = list(candidates_by_sort_key(cands))
+        rendered = [render_formula(c.formula) for c in order]
+        selected = order[rendered.index(rep.cut_formula)]
+        ties = [c for c in cands if c.size == selected.size]
+        reached = order[: order.index(selected) + 1]
+        if len(ties) > 1:
+            reached += [c for c in ties if c not in reached]
+        assert len(built) == len(reached)
+        assert set(built) == {c.clauses for c in reached}
+        assert len(built) < len(cands) == 192
 
     def test_report_is_json_serializable(self, golden_file):
         rep = run_pipeline(golden_file, RunConfig())
