@@ -32,11 +32,13 @@ The search works in three stages:
    coordinate injections as it is added, so that patterns found at a
    smaller arity are also visible at every compatible larger key; a
    lifted pair keeps its cover's mask, and its key has as many rows as
-   the source's.  The table keeps the subsets of the last size it
-   added, so it can grow by the next; ``build_delta_table`` adds the
-   sizes up to ⌊√|T|⌋ + 1 terms.  A table that would enumerate more
-   than ``DELTA_ENTRIES_CAP`` subsets ends with
-   ``LimitReached("delta_entries")``.
+   the source's.  A key tries only the injections whose first
+   coordinate holds the first column of a smaller key of its size, and
+   a size whose keys share one arity lifts nothing.  The table keeps
+   the subsets of the last size it added, so it can grow by the next;
+   ``build_delta_table`` adds the sizes up to ⌊√|T|⌋ + 1 terms.  A
+   table that would enumerate more than ``DELTA_ENTRIES_CAP`` subsets
+   ends with ``LimitReached("delta_entries")``.
 3. ``fold_delta_table`` scans the keys whose covers together cover T,
    the only ones that can tile it; it skips the others before sorting
    the keys into scan order.  Every pair under a key of k rows covers k
@@ -237,6 +239,40 @@ def _inject_pattern(u: Term, injection: Sequence[int]) -> Term:
 Pair = tuple  # (pattern term, cover bitmask)
 
 
+def _lift(new: dict[Key, Sequence[Pair]], cancel: Callable[[], None]) -> list:
+    """The lifted copies of one size's pairs, as (key, pair), by key,
+    source arity m₀, injection (in ``permutations`` order) and source
+    pair.  A key of arity m tries only the injections whose first
+    coordinate's column is the first column of a key of arity m₀ < m.
+    ``cancel`` runs once per key of arity two or more and per injection
+    tried, unless all keys share one arity, when nothing can lift.
+    """
+    arity = {key: _key_arity(key) for key in new}
+    top = max(arity.values(), default=0)
+    sources = {
+        (m, frozenset(r[0] for r in k)) for k, m in arity.items() if m < top
+    }
+    if not sources:
+        return []
+    lifted: list[tuple[Key, Pair]] = []
+    for key, m in arity.items():
+        if m < 2:
+            continue
+        cancel()
+        columns = [frozenset(col) for col in zip(*key)]
+        for m0 in range(1, m):
+            for inj in permutations(range(m), m0):
+                if (m0, columns[inj[0]]) not in sources:
+                    continue
+                cancel()
+                projected = [tuple(row[i] for i in inj) for row in key]
+                if len(set(projected)) != len(key):
+                    continue
+                for u0, mask in new.get(frozenset(projected), ()):
+                    lifted.append((key, (_inject_pattern(u0, inj), mask)))
+    return lifted
+
+
 # A step of ``DeltaTable._extend`` not made yet (None is a step that met
 # a tagged column).
 _UNMADE = object()
@@ -323,7 +359,7 @@ class DeltaTable:
         takes no pair from a later size.  Only the pairs found by the
         subset pass are lifted, never lifted copies; no lifted pair
         repeats, since each lift has an arity of its own.  ``cancel`` runs
-        once per subset visited and lifting injection tried.
+        once per subset visited, and in lifting as ``_lift`` says.
         """
         if self.size == self.top:
             return None
@@ -332,26 +368,7 @@ class DeltaTable:
             # Lifting adds pairs to keys of arity two or more only.
             new = {k: v for k, v in new.items() if _key_arity(k) == 1}
         else:
-            lifted: list[tuple[Key, Pair]] = []
-            for key in new:
-                m = _key_arity(key)
-                if m < 2:
-                    continue
-                rows = list(key)
-                for m0 in range(1, m):
-                    for inj in permutations(range(m), m0):
-                        cancel()
-                        projected = [tuple(row[i] for i in inj) for row in rows]
-                        if len(set(projected)) != len(rows):
-                            continue
-                        src = new.get(frozenset(projected))
-                        if not src:
-                            continue
-                        for u0, mask in src:
-                            lifted.append(
-                                (key, (_inject_pattern(u0, inj), mask))
-                            )
-            for key, pair in lifted:
+            for key, pair in _lift(new, cancel):
                 found = new[key]
                 if found.__class__ is tuple:
                     found = new[key] = list(found)
@@ -465,7 +482,7 @@ def build_delta_table(
     distinct), with the pattern variables renamed to the selected
     coordinates.  Lifting only raises arity; it never permutes a key onto
     itself.  With ``ci1`` only the keys of arity one are kept, and
-    nothing is lifted.
+    nothing is lifted.  ``cancel`` runs as ``DeltaTable.grow`` says.
     """
     table = DeltaTable(
         t.terms if isinstance(t, TermSet) else t, max_subset, ci1
@@ -635,7 +652,7 @@ def fold_delta_table(
     (ascending bit lists), and the search branches on the uncovered term
     in the fewest groups, the first in ``term_key`` order on a tie.
     ``cancel`` runs once per search node, the root of a skipped key
-    included, and once per subset and lifting injection of the growth.
+    included, and as ``DeltaTable.grow`` says for the sizes it adds.
     """
     n = len(dt.terms)
     full = (1 << n) - 1

@@ -17,8 +17,9 @@ per run, as a sorted int tuple or as a tautology.  A query looks up its
 clauses' codes, drops the tautologies and joins its lemmas; it is not
 simplified by subsumption.  The table also holds one term table and
 closure, which interns each ground term once, at the first theory check
-of a query that mentions it; checking a model resets the union-find and
-merges the model's true equations.  Terms of earlier queries may join
+of a query that mentions it; checking a model rebuilds the union-find
+from the model's true equations, unless the closure already holds
+exactly those over the same terms.  Terms of earlier queries may join
 classes, but congruence among a query's own terms, and so its verdict,
 stays the same.  The oracle keeps one lemma store per run, in the
 table's variables: every blocking clause is valid in every congruence,
@@ -139,6 +140,19 @@ class CongruenceClosure:
         for i, (_, args) in enumerate(self._node):
             for a in args:
                 self._use[a].append(i)
+        self._built = None
+
+    def rebuild(self, merges: list[tuple[int, int, int]]) -> None:
+        """Reset, then merge i and j labelled v for each (v, i, j).  A
+        closure that already holds exactly these merges over the same
+        terms is left as it is: finds have only compressed its paths."""
+        built = (len(self._node), merges)
+        if built == self._built:
+            return
+        self.reset()
+        for v, i, j in merges:
+            self.merge(i, j, v)
+        self._built = built
 
     def find(self, i: int) -> int:
         parent = self._parent
@@ -151,6 +165,7 @@ class CongruenceClosure:
 
     def merge(self, i: int, j: int, label: object) -> None:
         """Assert that the terms with ids i and j are equal."""
+        self._built = None
         queue = [(i, j, label)]
         while queue:
             a, b, why = queue.pop()
@@ -420,10 +435,7 @@ def _theory_conflict(
     atom assigned false, comes last.  None means the assignment is a
     genuine countermodel.
     """
-    cc.reset()
-    for v, i, j in eqs:
-        if val[v]:
-            cc.merge(i, j, v)
+    cc.rebuild([e for e in eqs if val[e[0]]])
     find = cc.find
     for v, i, j in eqs:
         if not val[v] and find(i) == find(j):

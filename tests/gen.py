@@ -155,9 +155,12 @@ def random_term_set(rng: random.Random, max_size: int = 8) -> frozenset:
     return frozenset(terms)
 
 
-def random_tagged_term_set(rng: random.Random, max_size: int = 9) -> frozenset:
+def random_tagged_term_set(
+    rng: random.Random, max_size: int = 9, max_width: int = 2
+) -> frozenset:
     """An encoded term set over 2–3 formula tags: every term is
-    #fᵢ(t₁, .., t_k) with ground arguments, k ∈ {1, 2} fixed per tag.
+    #fᵢ(t₁, .., t_k) with ground arguments, k ∈ {1, .., max_width}
+    fixed per tag.
 
     Half the draws instantiate a few tagged patterns with one shared set
     of vectors, as the term set of a compressible proof does; the rest is
@@ -166,7 +169,7 @@ def random_tagged_term_set(rng: random.Random, max_size: int = 9) -> frozenset:
     funcs = [("f", 1), ("g", 2), ("h", 1)][: rng.randint(1, 3)]
     consts = ["a", "b"][: rng.randint(1, 2)]
     q = rng.randint(2, 3)
-    width = [rng.randint(1, 2) for _ in range(q)]
+    width = [rng.randint(1, max_width) for _ in range(q)]
     size = rng.randint(q, max(q, max_size))
 
     def noise(i: int) -> Term:

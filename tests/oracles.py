@@ -979,6 +979,30 @@ def reference_build_delta_table(terms: Iterable[Term], max_subset=None):
     return ReferenceTable({k: frozenset(v) for k, v in table.items()})
 
 
+def reference_lift(new: dict, cancel: Callable[[], None]) -> list:
+    """The lifted pairs of one Δ-table size, the package's ``_lift``
+    without its key index: every key of arity m ≥ 2, every m₀ < m and
+    every injection in ``permutations(range(m), m₀)``, each tried by
+    projecting the rows and looking the projection up among the size's
+    keys.  ``cancel`` runs once per injection.  Returns (key, (pattern,
+    mask)) by key, m₀, injection and source pair."""
+    lifted = []
+    for key in new:
+        m = len(next(iter(key)))
+        if m < 2:
+            continue
+        rows = list(key)
+        for m0 in range(1, m):
+            for inj in itertools.permutations(range(m), m0):
+                cancel()
+                projected = [tuple(row[i] for i in inj) for row in rows]
+                if len(set(projected)) != len(rows):
+                    continue
+                for u0, mask in new.get(frozenset(projected), ()):
+                    lifted.append((key, (_reference_inject(u0, inj), mask)))
+    return lifted
+
+
 def reference_clean_entries(table) -> dict:
     """The entries of a Δ-table whose keys mention no reserved tag head."""
     return {

@@ -392,6 +392,122 @@ class TestDeltaTable:
             build_delta_table(golden_termset, cancel=cancel)
 
 
+def _grown_by(monkeypatch, lift, terms, max_subset=None):
+    """The whole Δ-table of ``terms``, each size lifted by ``lift``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(decomposition, "_lift", lift)
+        return _grown(terms, max_subset=max_subset)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop_at(n):
+    """A ``cancel`` that raises ``_Stop`` on its n-th call."""
+    calls = itertools.count(1)
+
+    def cancel():
+        if next(calls) == n:
+            raise _Stop()
+
+    return cancel
+
+
+class TestLifting:
+    """Each size lifts through an index of its keys' first columns; the
+    lifted pairs, and their order, are those of trying every injection
+    (``oracles.reference_lift``)."""
+
+    # f(a), f(b) give the arity-1 key {(a,), (b,)}; g(a, b), g(b, a) the
+    # arity-2 key {(a, b), (b, a)}, which lifts it, and h(c, d, e),
+    # h(d, e, c) an arity-3 key that lifts nothing.
+    MIXED = [
+        f(a), f(b), _g(a, b), _g(b, a),
+        App("h", (c, d, e)), App("h", (d, e, c)),
+    ]
+
+    def test_same_pairs_in_the_same_order(self, monkeypatch, golden_termset):
+        lifts = []
+
+        def recording(new, cancel):
+            out = oracles.reference_lift(new, cancel)
+            lifts.extend(out)
+            return out
+
+        sets = [golden_termset.terms, self.MIXED]
+        sets += [
+            gen.random_tagged_term_set(random.Random(s), 8, max_width=4)
+            for s in range(240)
+        ]
+        for i, ts in enumerate(sets):
+            for max_subset in (None, 2):
+                ref = _grown_by(monkeypatch, recording, ts, max_subset)
+                table = _grown(ts, max_subset=max_subset)
+                assert list(table.pairs.items()) == list(ref.pairs.items()), i
+        # Some pairs lift from arity two to arity three or four, where
+        # an injection's first coordinate leaves others to choose.
+        wide = [
+            (key, u) for key, (u, _) in lifts
+            if len(next(iter(key))) >= 3 and len(term_vars(u)) >= 2
+        ]
+        assert len(wide) >= 20
+        assert len(lifts) >= 200
+
+    def test_size_of_one_arity_polls_only_its_subsets(self):
+        # #f1(cᵢ, dᵢ) with all cᵢ and dᵢ distinct: every subset of two or
+        # more terms has the key of #f1(α1, α2), which
+        # ``oracles.reference_lift`` polls twice.
+        ts = [
+            App("#f1", (const(f"c{i}"), const(f"d{i}"))) for i in range(6)
+        ]
+        table = DeltaTable(ts)
+        while True:
+            polls, visited = [], table._visited
+            keys = table.grow(lambda: polls.append(1))
+            if keys is None:
+                break
+            assert {len(next(iter(k))) for k in keys} == {
+                0 if table.size == 1 else 2
+            }
+            assert len(polls) == table._visited - visited
+        # The same on random sets, in every size whose keys share an
+        # arity; the sizes that hold two arities poll more.
+        mixed = 0
+        for s in range(120):
+            ts = gen.random_tagged_term_set(random.Random(s), 8, max_width=4)
+            table = DeltaTable(ts)
+            while True:
+                polls, visited = [], table._visited
+                keys = table.grow(lambda: polls.append(1))
+                if keys is None:
+                    break
+                extra = len(polls) - (table._visited - visited)
+                if len({len(next(iter(k))) for k in keys}) == 1:
+                    assert extra == 0, s
+                else:
+                    mixed += extra > 0
+        assert mixed >= 20
+
+    def test_deadline_strikes_at_every_poll(self, monkeypatch):
+        ts = self.MIXED
+        ref_polls, polls = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(decomposition, "_lift", oracles.reference_lift)
+            build_delta_table(ts, cancel=lambda: ref_polls.append(1))
+        whole = build_delta_table(ts, cancel=lambda: polls.append(1))
+        visited = whole._visited
+        # The lifting pass polls, but less than trying every injection.
+        assert visited < len(polls) < len(ref_polls)
+        for n in range(1, len(ref_polls) + 1):
+            if n <= len(polls):
+                with pytest.raises(_Stop):
+                    build_delta_table(ts, cancel=_stop_at(n))
+            else:
+                table = build_delta_table(ts, cancel=_stop_at(n))
+                assert table.pairs == whole.pairs
+
+
 def _visited(terms, top):
     """How many subsets the enumeration visits: those of at most ``top``
     terms whose subset without its last term is empty or has a clean

@@ -373,6 +373,116 @@ class TestLemmaStore:
         assert first == second
 
 
+class TestClosureReuse:
+    """A theory check rebuilds the closure only when the model's true
+    equations or the interned terms changed since the last rebuild; the
+    closure it leaves is the one a rebuild would make."""
+
+    @staticmethod
+    def _rebuild_always(cc, merges):
+        cc.reset()
+        for v, i, j in merges:
+            cc.merge(i, j, v)
+
+    def _run(self, monkeypatch, sequence, always):
+        """Verdicts, theory-check results and lemma store of one oracle
+        over ``sequence``, and how many checks reset the closure."""
+        checks, resets = [], []
+        conflict, reset = euf._theory_conflict, CongruenceClosure.reset
+
+        def recording(*args):
+            checks.append(conflict(*args))
+            return checks[-1]
+
+        def counting(cc):
+            resets.append(None)
+            reset(cc)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(euf, "_theory_conflict", recording)
+            patch.setattr(CongruenceClosure, "reset", counting)
+            if always:
+                patch.setattr(CongruenceClosure, "rebuild", self._rebuild_always)
+            oracle = InternalOracle()
+            verdicts = [oracle.refutation(cnf) for cnf in sequence]
+        return verdicts, checks, oracle._lemmas, len(resets)
+
+    def test_same_as_rebuilding_at_every_check(self, monkeypatch, golden_ehs):
+        rec = _Recording(InternalOracle())
+        sf_improve(golden_ehs, canonical_solution(golden_ehs), rec)
+        bundled = list(dict.fromkeys(rec.clause_sets))
+        pool = bundled + [
+            gen.random_ground_clauses(random.Random(seed)) for seed in range(40)
+        ]
+        sequences = [bundled, bundled[::-1]]
+        for seed in range(10):
+            # Random draws and halves of them, so that later queries
+            # meet the terms and lemmas of earlier ones.
+            rng = random.Random(seed)
+            sequences.append([])
+            for _ in range(40):
+                cnf = sorted(
+                    rng.choice(pool),
+                    key=lambda c: sorted((s, a.key) for s, a in c),
+                )
+                if rng.random() < 0.4:
+                    cnf = rng.sample(cnf, len(cnf) // 2)
+                sequences[-1].append(frozenset(cnf))
+        kept = 0
+        for i, sequence in enumerate(sequences):
+            *got, resets = self._run(monkeypatch, sequence, always=False)
+            *want, _ = self._run(monkeypatch, sequence, always=True)
+            assert got == want, i
+            # One reset is the new closure's own.
+            kept += len(got[1]) + 1 - resets
+        assert kept >= 100
+
+    @staticmethod
+    def _state(cc):
+        """The closure as a rebuild leaves it, up to path compression."""
+        why = [
+            (w.app, w.twin) if isinstance(w, euf._Congruence) else w
+            for w in cc._why
+        ]
+        roots = [cc.find(i) for i in range(len(cc._node))]
+        return roots, cc._size, cc._edge, why, cc._sig, cc._use
+
+    def test_rebuild_leaves_what_a_fresh_rebuild_makes(self):
+        # Rebuilds with a few merge lists, two of them one list under
+        # other labels, between new terms and merges made directly.
+        funcs = [("f", 1), ("g", 2)]
+        kept = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            cc, fresh = CongruenceClosure(), CongruenceClosure()
+
+            def term():
+                return gen.random_ground_term(rng, funcs, ["a", "b", "c"], 2)
+
+            ids = [cc.intern(t) for t in (term() for _ in range(8))]
+            pairs = [tuple(rng.sample(ids, 2)) for _ in range(4)]
+            lists = [
+                [(v, i, j) for v, (i, j) in enumerate(pairs)],
+                [(v + 10, i, j) for v, (i, j) in enumerate(pairs)],
+                [(v, i, j) for v, (i, j) in enumerate(pairs[:2])],
+            ]
+            for _ in range(40):
+                r = rng.random()
+                if r < 0.15:
+                    cc.intern(term())
+                elif r < 0.3:
+                    cc.merge(*rng.sample(ids, 2), "direct")
+                else:
+                    merges, parent = rng.choice(lists), cc._parent
+                    cc.rebuild(merges)
+                    kept += cc._parent is parent  # not reset
+                    for t in list(cc._ids)[len(fresh._node):]:
+                        fresh.intern(t)
+                    self._rebuild_always(fresh, merges)
+                    assert self._state(cc) == self._state(fresh), seed
+        assert kept >= 200
+
+
 def decoded_models(oracle: InternalOracle) -> list[list]:
     """The internal oracle's stored countermodels, each as the unit
     clauses of its literals, decoded through the atom table."""
