@@ -24,6 +24,7 @@ from cutintro import (
     decode_termset,
     encode_termset,
     fold_delta_table,
+    formula_size,
     metrics,
     parse_input,
     render_formula,
@@ -98,15 +99,15 @@ for row in e.w:
 banner("5. canonical solution")
 oracle = InternalOracle()
 can = canonical_solution(e)
-print(f"size {can.size}: {render_formula(can.formula)}")
-print(f"accepted by the solution check: {check_solution(e, can.formula, oracle)}")
+print(f"size {formula_size(can)}: {render_formula(can)}")
+print(f"accepted by the solution check: {check_solution(e, can, oracle)}")
 
 # ---------------------------------------------------------------------
 banner("6. improvement by forgetful inference")
-# Starting from the canonical solution's clause form, repeatedly replace
-# a clause pair by a resolvent or paramodulant as long as the result
-# still solves the schema, and keep the smallest survivors.
-res = sf_improve(e, can, oracle)
+# Starting from the canonical solution's clause form, the side clauses,
+# repeatedly replace a clause pair by a resolvent or paramodulant as long
+# as the result still solves the schema, and keep the smallest survivors.
+res = sf_improve(e, oracle)
 best = min(res.candidates, key=SolutionCandidate.sort_key)
 print(f"visited {res.visited} clause-set nodes, "
       f"kept {len(res.candidates)} solutions")

@@ -27,13 +27,13 @@ Write S for the side clauses, the clause form of Γ' ∧ ¬⋁Δ':
 
 The canonical solution ⋀Γ' ∧ ¬⋁Δ' always works (its clause form is S,
 so (i) asks nothing) and is a least element of the solution space under
-entailment; ``sf_improve`` then searches for smaller solutions by
-forgetful inference: replacing two clauses of the clause form by one of
-their resolvents or paramodulants and keeping the results that still
-pass the guard.  They keep (i) because they follow from the canonical
-clauses.  The search interns each clause once, as an int id with its
-attributes, as in hash-consing (Filliâtre and Conchon, 2006), and a
-candidate's formula is built only when it is read.
+entailment; ``sf_improve`` then starts at S and searches for smaller
+solutions by forgetful inference: replacing two clauses by one of their
+resolvents or paramodulants and keeping the results that still pass the
+guard.  They keep (i) because they follow from S.  The search interns
+each clause once, as an int id with its attributes, as in hash-consing
+(Filliâtre and Conchon, 2006), and a candidate's formula is built only
+when it is read.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .cnf import (
     clause_key,
     formula_of_cnf,
     is_tautological,
-    simplify_clauses,
 )
 from .euf import Oracle, Verdict
 from .formulas import (
@@ -64,7 +63,6 @@ from .formulas import (
     apply_subst,
     conj,
     disj,
-    formula_size,
     formula_vars,
     render_formula,
 )
@@ -82,6 +80,9 @@ from .terms import (
     term_vars,
     tuple_key,
 )
+
+
+DEFAULT_SF_CAP = 10_000  # nodes the forgetful-inference search visits
 
 
 class SchemaError(ValueError):
@@ -152,25 +153,22 @@ def build_schematic_ehs(
 
 
 class SolutionCandidate:
-    """A cut-formula matrix, its clause form and the forgetful steps
-    (clause, clause, result) taken.  The matrix is the ``formula`` given
-    (the canonical solution's), or else ``formula_of_cnf(clauses)``,
-    built on first read; ``size`` builds none.  With a ``table``,
-    ``clauses`` holds ids into that list: a visited node is one set."""
+    """A cut-formula matrix that ``sf_improve`` reached: its clause form,
+    held as a set of ids into the search's clause list ``table``, so a
+    visited node is one set, and the forgetful steps (clause, clause,
+    result) taken from the side clauses.  ``formula`` is
+    ``formula_of_cnf(clauses)``, built on first read; ``size`` builds
+    none."""
 
-    __slots__ = ("given", "_formula", "_clauses", "_table", "steps")
+    __slots__ = ("_ids", "_table", "steps", "_formula")
 
-    def __init__(
-        self, formula: Optional[Formula], clauses, steps=(), table=None
-    ) -> None:
-        self.given = self._formula = formula
-        self._clauses, self._table, self.steps = clauses, table, steps
+    def __init__(self, ids: frozenset, table: list, steps: tuple = ()) -> None:
+        self._ids, self._table, self.steps = ids, table, steps
+        self._formula: Optional[Formula] = None
 
     @property
     def clauses(self) -> CNF:
-        if self._table is None:
-            return self._clauses
-        return frozenset(map(self._table.__getitem__, self._clauses))
+        return frozenset(map(self._table.__getitem__, self._ids))
 
     @property
     def formula(self) -> Formula:
@@ -189,9 +187,7 @@ class SolutionCandidate:
 
     @property
     def size(self) -> int:
-        if self.given is None:
-            return cnf_size(self.clauses)
-        return formula_size(self.given)
+        return cnf_size(self.clauses)
 
     def sort_key(self) -> tuple:
         return (self.size, render_formula(self.formula))
@@ -213,21 +209,22 @@ def candidates_by_sort_key(
         yield from tied
 
 
-def canonical_solution(e: SchematicEHS) -> SolutionCandidate:
-    """⋀Γ' ∧ ¬⋁Δ'; empty sides contribute no conjunct."""
+def canonical_solution(e: SchematicEHS) -> Formula:
+    """⋀Γ' ∧ ¬⋁Δ'; empty sides contribute no conjunct.  Its clause form
+    is ``e.side_clauses``, where ``sf_improve`` starts."""
     parts: list[Formula] = []
     if e.gamma:
         parts.append(conj(list(e.gamma)))
     if e.delta:
         parts.append(Not(disj(list(e.delta))))
-    return SolutionCandidate(formula=conj(parts), clauses=e.side_clauses)
+    return conj(parts)
 
 
-def guard_clauses(e: SchematicEHS, clauses: CNF) -> CNF:
-    """A(w̄₁), .., A(w̄_k), Γ' ⊢ Δ' as a clause set to refute, where
-    ``clauses`` is the clause form of A(ᾱ)."""
-    return e.side_clauses.union(
-        *(subst_clauses(clauses, alpha_subst(row)) for row in e.w)
+def _instances(c: Clause, substs: list) -> CNF:
+    """The instances of clause C under W, given as ``alpha_subst`` of
+    each row: C's share of the guard's ⋃_{w̄ ∈ W} A[w̄]."""
+    return frozenset(
+        frozenset((sign, apply_subst(a, m)) for sign, a in c) for m in substs
     )
 
 
@@ -254,15 +251,9 @@ def check_solution(
     except LimitReached:  # clause_form_literals: no deadline is polled
         return False
     queries = [side | _negated(c) for c in clauses - side]
-    queries.append(guard_clauses(e, clauses))
+    substs = [alpha_subst(row) for row in e.w]
+    queries.append(side.union(*(_instances(c, substs) for c in clauses)))
     return all(oracle.refutation(q) is Verdict.VALID for q in queries)
-
-
-def subst_clauses(cnf: CNF, mapping: dict) -> CNF:
-    return frozenset(
-        frozenset((sign, apply_subst(a, mapping)) for sign, a in c)
-        for c in cnf
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +306,35 @@ def _pair_successors(ci: Clause, cj: Clause) -> list[Clause]:
 @dataclass
 class SFResult:
     candidates: list  # of SolutionCandidate, one per visited node
-    visited: int
     capped: bool
+
+    @property
+    def visited(self) -> int:
+        return len(self.candidates)
 
 
 def sf_improve(
     e: SchematicEHS,
-    cand: SolutionCandidate,
     oracle: Oracle,
-    node_cap: int = 10_000,
+    node_cap: int = DEFAULT_SF_CAP,
     cancel: Callable[[], None] = NO_DEADLINE.poll,
 ) -> SFResult:
-    """Greedy-complete search over forgetful successors of a solution.
+    """Greedy-complete search over forgetful successors of the canonical
+    solution, whose clause form is the side clauses.
 
     Maintains a stack of clause-set nodes known to solve the schema
     (validated via the step guard A(w̄₁)..A(w̄_k), Γ' ⊢ Δ', which the
     successors of a solution inherit).  A step replaces two clauses of a
     node, taken in ``clause_key`` order, by one ``_pair_successors``
     result unless it is a tautology: a less general solution.  α-free
-    clauses, which follow from Γ', are dropped.  Each distinct successor
-    is asked once, with the first step that reached it.  Every visited
-    node is a candidate, in visiting order; the pipeline tries them in
-    ``SolutionCandidate.sort_key`` order, smallest first.  A node is a
-    frozenset of ids into ``table``; an id holds, computed once, its
-    ``clause_key`` if a node keeps it (it mentions an α and is no
-    tautology) or else None, its successors per id pair and, at its
-    first guard, its instances under W."""
+    clauses, which follow from Γ', are dropped, from the side clauses
+    too.  Each distinct successor is asked once, with the first step
+    that reached it.  Every visited node is a candidate, in visiting
+    order; the pipeline tries them in ``SolutionCandidate.sort_key``
+    order, smallest first.  A node is a frozenset of ids into ``table``;
+    an id holds, computed once, its ``clause_key`` if a node keeps it (it
+    mentions an α and is no tautology) or else None, its successors per
+    id pair and, at its first guard, its ``_instances``."""
     table: list[Clause] = []  # by id, as are keys and insts
     ids: dict[Clause, int] = {}
     keys: list[Optional[tuple]] = []
@@ -362,25 +356,19 @@ def sf_improve(
 
     def instances(i: int) -> CNF:
         if insts[i] is None:
-            insts[i] = frozenset(
-                frozenset((s, apply_subst(a, m)) for s, a in table[i])
-                for m in substs
-            )
+            insts[i] = _instances(table[i], substs)
         return insts[i]
 
-    entry = frozenset(
-        i for i in map(intern, simplify_clauses(cand.clauses)) if keys[i]
-    )
+    entry = frozenset(i for i in map(intern, side) if keys[i])
     seen: set[frozenset] = {entry}
-    stack: list[tuple[frozenset, tuple]] = [(entry, cand.steps)]
+    stack: list[tuple[frozenset, tuple]] = [(entry, ())]
     results: list[SolutionCandidate] = []
-    visited, capped = 0, False
+    capped = False
     while stack:
         cancel()
         node, steps = stack.pop()
-        visited += 1
-        results.append(SolutionCandidate(None, node, steps, table))
-        if visited >= node_cap:
+        results.append(SolutionCandidate(node, table, steps))
+        if len(results) >= node_cap:
             capped = True
             break
         order = sorted(node, key=keys.__getitem__)
@@ -403,4 +391,4 @@ def sf_improve(
                     if oracle.refutation(guard) is Verdict.VALID:
                         move = (table[i], table[j], table[k])
                         stack.append((succ, steps + (move,)))
-    return SFResult(candidates=results, visited=visited, capped=capped)
+    return SFResult(candidates=results, capped=capped)

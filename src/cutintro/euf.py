@@ -541,9 +541,9 @@ class Oracle:
     raises to abandon the run, so a deadline holds for every backend.
     """
 
-    calls: int = field(default=0, kw_only=True)
+    calls: int = field(default=0, init=False)
     cancel: Callable[[], None] = field(default=NO_DEADLINE.poll, kw_only=True)
-    _memo: dict = field(default_factory=dict, kw_only=True, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def validity(self, seq: Sequent) -> Verdict:
         try:

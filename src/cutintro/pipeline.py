@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from .cutformula import (
+    DEFAULT_SF_CAP,
     build_schematic_ehs,
     candidates_by_sort_key,
     canonical_solution,
@@ -42,7 +43,7 @@ from .decomposition import (
     fold_delta_table,
 )
 from .euf import InternalOracle, Oracle, Verdict
-from .formulas import render_formula
+from .formulas import formula_size, render_formula
 from .herbrand import (
     TermSet,
     decode_termset,
@@ -69,7 +70,7 @@ class RunConfig:
     timeout: Optional[float] = 60.0
     max_subset: Optional[int] = None
     termset_limit: int = DEFAULT_TERMSET_LIMIT
-    sf_cap: int = 10_000
+    sf_cap: int = DEFAULT_SF_CAP
     oracle_spec: str = "internal"  # or "cmd:<template with {file}>"
     out_dir: Optional[str] = None
 
@@ -216,7 +217,7 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
             failures.append(f"constructed proof failed its recheck: {msg}")
             continue
         report.decomposition = _decomposition_json(dec, seq.q)
-        report.canonical_size = canonical.size
+        report.canonical_size = formula_size(canonical)
         report.improved_size = best.size
         report.comq = metrics(proof)["comq"]
         report.cut_formula = render_formula(best.formula)
@@ -240,21 +241,22 @@ def _try_decomposition(
     except ValueError as err:
         failures.append(str(err))
         return None
+    canonical = canonical_solution(ehs)
     try:
-        cand = canonical_solution(ehs)
+        ehs.side_clauses  # its clause form, built here to name the cap
     except LimitReached as err:  # clause_form_literals, as in check_solution
         failures.append(
             f"canonical solution for {dec.render()} passes the "
             f"clause-form cap: {err}"
         )
         return None
-    if not check_solution(ehs, cand.formula, oracle):
+    if not check_solution(ehs, canonical, oracle):
         failures.append(
             "canonical solution could not be certified for "
             f"{dec.render()}"
         )
         return None
-    sf = sf_improve(ehs, cand, oracle, node_cap=cfg.sf_cap, cancel=cancel)
+    sf = sf_improve(ehs, oracle, node_cap=cfg.sf_cap, cancel=cancel)
     for candidate in candidates_by_sort_key(sf.candidates):
         cancel()
         try:
@@ -262,7 +264,7 @@ def _try_decomposition(
         except ProofBuildError as err:
             failures.append(str(err))
             continue
-        return ehs, cand, candidate, proof, sf
+        return ehs, canonical, candidate, proof, sf
     return None
 
 
@@ -283,7 +285,7 @@ def _artifact_files(ehs, canonical, best, proof, sf) -> dict:
     (in ``tuple_key`` order) as indexes into its node table."""
     lines = [
         "canonical solution:",
-        "  " + render_formula(canonical.formula),
+        "  " + render_formula(canonical),
         "",
         f"selected solution (of {len(sf.candidates)} found):",
         "  " + render_formula(best.formula),

@@ -286,9 +286,11 @@ def _check_inference(node: Inference, oracle: Oracle) -> None:
     if rule.kind:
         q = node.formula
         if not isinstance(q, QuantBlock) or q.kind != rule.kind:
+            block = f"{'∀' if rule.kind == 'all' else '∃'} block"
+            if q is None:
+                raise ProofCheckError(f"{node.rule} names no {block}")
             raise ProofCheckError(
-                f"{render_formula(q)} is not a "
-                f"{'∀' if rule.kind == 'all' else '∃'} block"
+                f"{node.rule}: {render_formula(q)} is not a {block}"
             )
         if len(q.vars) != len(node.terms):
             raise ProofCheckError(

@@ -76,7 +76,7 @@ def _clause_sexp(c: Clause) -> str:
     return lits[0] if len(lits) == 1 else "(or " + " ".join(lits) + ")"
 
 
-def export_smt2(clauses: CNF, logic: str = "QF_UF") -> str:
+def export_smt2(clauses: CNF) -> str:
     """SMT-LIB 2 script that is unsat iff the clause set is unsatisfiable
     modulo equality."""
     decls: dict[str, str] = {}
@@ -85,7 +85,7 @@ def export_smt2(clauses: CNF, logic: str = "QF_UF") -> str:
         sym = _var_sym(name) if kind == "var" else _sym(name)
         dom = " ".join(["U"] * arity)
         decls.setdefault(sym, f"({dom}) {'Bool' if kind == 'pred' else 'U'}")
-    lines = [f"(set-logic {logic})", "(declare-sort U 0)"]
+    lines = ["(set-logic QF_UF)", "(declare-sort U 0)"]
     lines += [f"(declare-fun {sym} {decls[sym]})" for sym in sorted(decls)]
     lines += [
         f"(assert {_clause_sexp(c)})" for c in sorted(clauses, key=clause_key)

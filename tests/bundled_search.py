@@ -22,7 +22,6 @@ from importlib.resources import files
 import cutintro.euf as euf
 from cutintro.cutformula import (
     build_schematic_ehs,
-    canonical_solution,
     sf_improve,
 )
 from cutintro.decomposition import build_delta_table, fold_delta_table
@@ -59,7 +58,7 @@ def main() -> None:
 
     euf._theory_conflict = counting
     oracle = euf.InternalOracle()
-    sf = sf_improve(e, canonical_solution(e), oracle)
+    sf = sf_improve(e, oracle)
     lemmas = sorted(
         sorted(("" if s else "~") + render_formula(a) for s, a in clause)
         for _, clause in decoded_lemmas(oracle)

@@ -69,9 +69,7 @@ def golden_oracle():
 
 @pytest.fixture(scope="session")
 def golden_sf(golden_ehs, golden_oracle):
-    return sf_improve(
-        golden_ehs, canonical_solution(golden_ehs), golden_oracle
-    )
+    return sf_improve(golden_ehs, golden_oracle)
 
 
 @pytest.fixture

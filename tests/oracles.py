@@ -22,12 +22,15 @@ run-wide atom table (it numbers and encodes each query afresh), on the
 package's search and theory check.
 
 ``reference_sf_improve`` is the forgetful-inference search as it was
-before its clause table: nodes are sets of clauses, sorted, filtered
-and instantiated afresh at each node.  It is the old search, not an
-independent one: it takes the package's inference rule
-(``_pair_successors``), subsumption filter, clause order and candidate
-records, so what it checks is that the table changes no query, order or
-candidate.
+before its clause table: it starts from ``simplify_clauses`` of the side
+clauses, and nodes are sets of clauses, sorted, filtered and
+instantiated afresh at each node through ``guard_clauses``, the guard
+as defined: the side clauses and ``subst_clauses`` of the whole clause
+set under each row of W.  It is the old search, not an independent one:
+it takes the package's inference rule (``_pair_successors``),
+subsumption filter and clause order, and keeps candidates in a record
+of its own, so what it checks is that the table changes no query, order
+or candidate.
 """
 
 from __future__ import annotations
@@ -41,16 +44,10 @@ from cutintro.cnf import (
     DEFAULT_CNF_CAP,
     clause_key,
     cnf_of_formulas,
-    formula_of_cnf,
     is_tautological,
     simplify_clauses,
 )
-from cutintro.cutformula import (
-    SFResult,
-    SolutionCandidate,
-    _pair_successors,
-    subst_clauses,
-)
+from cutintro.cutformula import SFResult, _pair_successors
 from cutintro.euf import (
     DEFAULT_STEP_CAP,
     CongruenceClosure,
@@ -708,6 +705,30 @@ def reference_forget_moves(cnf, pairs: Optional[dict]):
                     yield succ, (clauses[i], clauses[j], new)
 
 
+def subst_clauses(cnf, mapping: dict):
+    """The clause set with ``mapping`` applied to every atom."""
+    return frozenset(
+        frozenset((sign, apply_subst(a, mapping)) for sign, a in c)
+        for c in cnf
+    )
+
+
+def guard_clauses(e, clauses):
+    """A(w̄₁), .., A(w̄_k), Γ' ⊢ Δ' as a clause set to refute, where
+    ``clauses`` is the clause form of A(ᾱ)."""
+    return e.side_clauses.union(
+        *(subst_clauses(clauses, alpha_subst(row)) for row in e.w)
+    )
+
+
+@dataclass(frozen=True)
+class ReferenceCandidate:
+    """A node of ``reference_sf_improve`` and the steps that reached it."""
+
+    clauses: frozenset
+    steps: tuple
+
+
 def _reference_drop_alpha_free(cnf):
     return frozenset(
         c
@@ -717,27 +738,24 @@ def _reference_drop_alpha_free(cnf):
 
 
 def reference_sf_improve(
-    e, cand, oracle, node_cap: int = 10_000, shared_pairs: bool = True
+    e, oracle, node_cap: int = 10_000, shared_pairs: bool = True
 ) -> SFResult:
-    """``cutformula.sf_improve`` on clause sets: every node is a set of
-    clauses, sorted by ``clause_key`` and dropped of α-free clauses
-    afresh, its guard built from the definition, and its formula built
-    when it is visited.  ``shared_pairs`` keeps one pair memo for the
+    """``cutformula.sf_improve`` on clause sets, from the side clauses
+    simplified: every node is a set of clauses, sorted by ``clause_key``
+    and dropped of α-free clauses afresh, and its guard
+    ``guard_clauses``.  ``shared_pairs`` keeps one pair memo for the
     search, as the package does; without it each node recomputes its
     pairs' successors."""
     pairs = {} if shared_pairs else None
-    side = e.side_clauses
-    entry = _reference_drop_alpha_free(simplify_clauses(cand.clauses))
+    entry = _reference_drop_alpha_free(simplify_clauses(e.side_clauses))
     seen = {entry}
-    stack = [(entry, cand.steps)]
+    stack = [(entry, ())]
     results = []
-    visited = 0
     capped = False
     while stack:
         node, steps = stack.pop()
-        visited += 1
-        results.append(SolutionCandidate(formula_of_cnf(node), node, steps))
-        if visited >= node_cap:
+        results.append(ReferenceCandidate(node, steps))
+        if len(results) >= node_cap:
             capped = True
             break
         for succ, move in reference_forget_moves(node, pairs):
@@ -745,12 +763,9 @@ def reference_sf_improve(
             if succ in seen:
                 continue
             seen.add(succ)
-            guard = side.union(
-                *(subst_clauses(succ, alpha_subst(row)) for row in e.w)
-            )
-            if oracle.refutation(guard) is Verdict.VALID:
+            if oracle.refutation(guard_clauses(e, succ)) is Verdict.VALID:
                 stack.append((succ, steps + (move,)))
-    return SFResult(candidates=results, visited=visited, capped=capped)
+    return SFResult(candidates=results, capped=capped)
 
 
 # --------------------------------------------------------------------------

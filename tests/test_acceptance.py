@@ -101,10 +101,10 @@ def test_criterion_1_golden_end_to_end(golden, golden_oracle):
         failures.append(f"schematic sequent size {e_size} != 10")
 
     can = canonical_solution(e)
-    if not check_solution(e, can.formula, golden_oracle):
+    if not check_solution(e, can, golden_oracle):
         failures.append("canonical solution rejected")
 
-    res = sf_improve(e, can, golden_oracle)
+    res = sf_improve(e, golden_oracle)
     bad = [
         c for c in res.candidates
         if not check_solution(e, c.formula, golden_oracle)
@@ -254,15 +254,15 @@ def test_criterion_4_solution_space():
         e = build_schematic_ehs(s, u, decs[0].w)
         oracle = InternalOracle()
         can = canonical_solution(e)
-        if not check_solution(e, can.formula, oracle):
+        if not check_solution(e, can, oracle):
             failures.append(f"seed {seed - 1}: canonical rejected")
-        res = sf_improve(e, can, oracle, node_cap=400)
+        res = sf_improve(e, oracle, node_cap=400)
         for cand in res.candidates:
             if not check_solution(e, cand.formula, oracle):
                 failures.append(f"seed {seed - 1}: improvement output rejected")
                 break
             entailed = oracle.validity(
-                Sequent((can.formula,), (cand.formula,))
+                Sequent((can,), (cand.formula,))
             )
             if entailed is not Verdict.VALID:
                 failures.append(

@@ -15,9 +15,7 @@ from cutintro.cutformula import (
     candidates_by_sort_key,
     canonical_solution,
     check_solution,
-    guard_clauses,
     sf_improve,
-    subst_clauses,
 )
 from cutintro.decomposition import build_delta_table, fold_delta_table
 from cutintro.cnf import cnf_of_formulas, formula_of_cnf
@@ -49,7 +47,7 @@ from cutintro.terms import App, Var, alpha, alpha_subst, const, is_alpha
 import bundled_search
 import gen
 import oracles
-from oracles import decide_validity
+from oracles import decide_validity, guard_clauses, subst_clauses
 from test_euf import _Recording
 
 a, b = const("a"), const("b")
@@ -66,17 +64,16 @@ def forget(cnf):
 
 
 def _same_search(e, node_cap: int = 10_000, shared_pairs: bool = True):
-    """Run ``sf_improve`` and ``oracles.reference_sf_improve`` on the
-    canonical solution, each with its own oracle, and check that they
-    ask the same clause sets in the same order and return the same
-    candidates (clauses, steps and order), ``visited`` and ``capped``.
-    Returns the package's result and its oracle."""
-    can = canonical_solution(e)
+    """Run ``sf_improve`` and ``oracles.reference_sf_improve``, each with
+    its own oracle, and check that they ask the same clause sets in the
+    same order and return the same candidates (clauses, steps and
+    order), ``visited`` and ``capped``.  Returns the package's result and
+    its oracle."""
     got_oracle = _Recording(InternalOracle())
     want_oracle = _Recording(InternalOracle())
-    got = sf_improve(e, can, got_oracle, node_cap=node_cap)
+    got = sf_improve(e, got_oracle, node_cap=node_cap)
     want = oracles.reference_sf_improve(
-        e, can, want_oracle, node_cap=node_cap, shared_pairs=shared_pairs
+        e, want_oracle, node_cap=node_cap, shared_pairs=shared_pairs
     )
     assert got_oracle.clause_sets == want_oracle.clause_sets
     assert (got.visited, got.capped) == (want.visited, want.capped)
@@ -90,6 +87,12 @@ def _mini_ehs():
     seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
     u = HerbrandStructure((frozenset({(alpha(1),)}), frozenset()))
     return build_schematic_ehs(seq, u, {(a,)})
+
+
+def _candidate(cnf) -> SolutionCandidate:
+    """A candidate of the clause set, over a clause table of its own."""
+    table = list(cnf)
+    return SolutionCandidate(frozenset(range(len(table))), table)
 
 
 def _solved_random_instance(seed: int):
@@ -135,13 +138,16 @@ class TestBuildSchematicEHS:
         assert golden_ehs.w == ((a, ffa), (ffa, a))
 
     def test_side_clauses_are_the_canonical_clause_form(self, golden_ehs):
+        # sf_improve starts at the side clauses, not at the canonical
+        # solution's clause form: the two are one set.
         assert golden_ehs.side_clauses == cnf_of_formulas(
             golden_ehs.gamma, golden_ehs.delta
         )
-        can = canonical_solution(golden_ehs)
-        assert can.clauses == golden_ehs.side_clauses == cnf_of_formulas(
-            [can.formula], []
-        )
+        random_ehs = list(filter(None, map(_solved_random_instance, range(200))))
+        assert len(random_ehs) >= 100
+        for e in [golden_ehs, *random_ehs]:
+            can = canonical_solution(e)
+            assert cnf_of_formulas((can,), ()) == e.side_clauses
 
     def test_shape_mismatch_rejected(self):
         seq, _ = parse_input("ante all x: P(x).\nsucc P(a).\ninst 1: a.")
@@ -193,11 +199,13 @@ class TestBuildSchematicEHS:
 
 
 class TestCheckSolution:
-    def test_canonical_solves_golden(self, golden_ehs, golden_oracle):
+    def test_canonical_solves_golden(
+        self, golden_ehs, golden_sf, golden_oracle
+    ):
         can = canonical_solution(golden_ehs)
-        assert can.provenance == ("canonical",)
-        assert can.size == 28
-        assert check_solution(golden_ehs, can.formula, golden_oracle)
+        assert golden_sf.candidates[0].provenance == ("canonical",)
+        assert formula_size(can) == 28
+        assert check_solution(golden_ehs, can, golden_oracle)
 
     def test_known_small_solution(self, golden_ehs, golden_oracle):
         # Chains two implication steps through f(f(_)).
@@ -235,9 +243,7 @@ class TestCheckSolution:
 
     def test_canonical_check_is_one_query(self, golden_ehs):
         oracle = InternalOracle()
-        assert check_solution(
-            golden_ehs, canonical_solution(golden_ehs).formula, oracle
-        )
+        assert check_solution(golden_ehs, canonical_solution(golden_ehs), oracle)
         assert oracle.calls == 1
 
     def test_canonical_solves_random_instances(self, oracle):
@@ -247,7 +253,7 @@ class TestCheckSolution:
             if e is None:
                 continue
             can = canonical_solution(e)
-            assert check_solution(e, can.formula, oracle), f"seed {seed}"
+            assert check_solution(e, can, oracle), f"seed {seed}"
             solved += 1
         assert solved >= 15
 
@@ -376,7 +382,7 @@ class TestSFImprove:
         # improvement the search reaches.
         from cutintro.sequents import Sequent
 
-        can = canonical_solution(golden_ehs).formula
+        can = canonical_solution(golden_ehs)
         for cand in golden_sf.candidates[:40]:
             seq = Sequent((can,), (cand.formula,))
             assert golden_oracle.validity(seq) is Verdict.VALID
@@ -388,12 +394,7 @@ class TestSFImprove:
                 assert "=>" in step
 
     def test_node_cap_reported(self, golden_ehs, golden_oracle):
-        res = sf_improve(
-            golden_ehs,
-            canonical_solution(golden_ehs),
-            golden_oracle,
-            node_cap=10,
-        )
+        res = sf_improve(golden_ehs, golden_oracle, node_cap=10)
         assert res.capped
         assert res.visited <= 10
 
@@ -420,7 +421,7 @@ class TestSFImprove:
                 formulas += [*seq.ante, *seq.succ]
             # Equal formulas too: ties on the whole key keep their order.
             lists.append(
-                [SolutionCandidate(f, frozenset()) for f in formulas]
+                [_candidate(cnf_of_formulas([f], [])) for f in formulas]
             )
         for cands in lists:
             want = sorted(cands, key=SolutionCandidate.sort_key)
@@ -461,8 +462,8 @@ class TestSFImprove:
                 continue
             oracle = InternalOracle()
             can = canonical_solution(e)
-            assert check_solution(e, can.formula, oracle), f"seed {seed}"
-            res = sf_improve(e, can, oracle, node_cap=300)
+            assert check_solution(e, can, oracle), f"seed {seed}"
+            res = sf_improve(e, oracle, node_cap=300)
             for cand in res.candidates:
                 build_proof_with_cut(e, cand.formula, oracle)
             built += 1
@@ -474,9 +475,9 @@ class TestSFImprove:
             e = _solved_random_instance(seed)
             if e is None:
                 continue
-            res = sf_improve(e, canonical_solution(e), oracle, node_cap=300)
+            res = sf_improve(e, oracle, node_cap=300)
             best = min(res.candidates, key=SolutionCandidate.sort_key)
-            assert best.size <= canonical_solution(e).size
+            assert best.size <= formula_size(canonical_solution(e))
             for cand in res.candidates[:25]:
                 assert check_solution(e, cand.formula, oracle), f"seed {seed}"
             checked += 1
@@ -542,9 +543,10 @@ class TestSearchAgainstReference:
 
     def test_candidate_sizes_build_no_formula(self, golden_ehs):
         can = canonical_solution(golden_ehs)
-        res = sf_improve(golden_ehs, can, InternalOracle(), node_cap=60)
-        # The canonical formula is given, and its size is that formula's.
-        assert can.given is can.formula and can.size == 28
+        res = sf_improve(golden_ehs, InternalOracle(), node_cap=60)
+        # The canonical solution is a plain formula; the search's
+        # candidates are clause sets, sized without a formula.
+        assert formula_size(can) == 28
         sizes = [cand.size for cand in res.candidates]
         assert all(cand._formula is None for cand in res.candidates)
         for cand, size in zip(res.candidates, sizes):
@@ -578,7 +580,7 @@ class TestCheckSolutionAgainstReference:
             Not(Atom("P", (f(f(alpha(1))), alpha(2)))),
         )
         for a, want in (
-            (canonical_solution(golden_ehs).formula, True),
+            (canonical_solution(golden_ehs), True),
             (small, True),
             (Atom("P", (alpha(1), alpha(2))), False),
         ):
@@ -596,8 +598,8 @@ class TestCheckSolutionAgainstReference:
                 continue
             oracle = InternalOracle()
             can = canonical_solution(e)
-            assert self._agree(e, can.formula, oracle), f"seed {seed}"
-            res = sf_improve(e, can, oracle, node_cap=300)
+            assert self._agree(e, can, oracle), f"seed {seed}"
+            res = sf_improve(e, oracle, node_cap=300)
             for cand in res.candidates[:25]:
                 assert self._agree(e, cand.formula, oracle), f"seed {seed}"
             checked += 1
@@ -608,7 +610,7 @@ class TestCheckSolutionAgainstReference:
         # canonical solution, or a contradiction, keeps the guard (ii),
         # so only (i) rejects those.
         e, rng = golden_ehs, random.Random(7)
-        can = canonical_solution(e).formula
+        can = canonical_solution(e)
         atoms = sorted(
             {atom for c in e.side_clauses for _, atom in c}, key=repr
         )
@@ -630,3 +632,43 @@ class TestCheckSolutionAgainstReference:
                 guard_only += 1
         assert rejected >= 30
         assert guard_only >= 20
+
+
+class TestCheckSolutionQueries:
+    """``check_solution`` asks one query (i) per clause of A outside the
+    side clauses, then the guard as ``oracles.guard_clauses`` defines
+    it, and nothing else."""
+
+    @staticmethod
+    def _asks_the_definition(e, a: Formula, oracle) -> None:
+        rec = _Recording(oracle)
+        assert check_solution(e, a, rec), render_formula(a)
+        side, clauses = e.side_clauses, cnf_of_formulas([a], [])
+        entailed = [
+            side | {frozenset([(not sign, atom)]) for sign, atom in c}
+            for c in clauses - side
+        ]
+        guard = guard_clauses(e, clauses)
+        assert Counter(rec.clause_sets) == Counter([*entailed, guard])
+        assert rec.clause_sets[-1] == guard
+
+    def test_golden_sf_candidates(self, golden_ehs, golden_sf, golden_oracle):
+        self._asks_the_definition(
+            golden_ehs, canonical_solution(golden_ehs), golden_oracle
+        )
+        for cand in golden_sf.candidates:
+            self._asks_the_definition(golden_ehs, cand.formula, golden_oracle)
+
+    def test_random_instances(self):
+        checked = 0
+        for seed in range(12):
+            e = _solved_random_instance(seed)
+            if e is None:
+                continue
+            oracle = InternalOracle()
+            self._asks_the_definition(e, canonical_solution(e), oracle)
+            res = sf_improve(e, oracle, node_cap=300)
+            for cand in res.candidates[:25]:
+                self._asks_the_definition(e, cand.formula, oracle)
+            checked += 1
+        assert checked >= 5

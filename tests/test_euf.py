@@ -11,7 +11,7 @@ import pytest
 
 import cutintro.euf as euf
 from cutintro.cnf import simplify_clauses
-from cutintro.cutformula import canonical_solution, sf_improve
+from cutintro.cutformula import sf_improve
 from cutintro.euf import (
     CongruenceClosure,
     InternalOracle,
@@ -220,7 +220,7 @@ class TestAgainstReferenceSolver:
     def bundled(self, golden_ehs):
         """The clause sets sf_improve asks on the bundled example."""
         rec = _Recording(InternalOracle())
-        sf_improve(golden_ehs, canonical_solution(golden_ehs), rec)
+        sf_improve(golden_ehs, rec)
         assert len(rec.clause_sets) >= 350
         return rec.clause_sets
 
@@ -314,7 +314,7 @@ class TestLemmaStore:
         """An oracle after sf_improve on the bundled example, and the
         distinct clause sets it was asked."""
         rec = _Recording(InternalOracle())
-        sf_improve(golden_ehs, canonical_solution(golden_ehs), rec)
+        sf_improve(golden_ehs, rec)
         return rec.inner, list(dict.fromkeys(rec.clause_sets))
 
     @pytest.fixture
@@ -409,7 +409,7 @@ class TestClosureReuse:
 
     def test_same_as_rebuilding_at_every_check(self, monkeypatch, golden_ehs):
         rec = _Recording(InternalOracle())
-        sf_improve(golden_ehs, canonical_solution(golden_ehs), rec)
+        sf_improve(golden_ehs, rec)
         bundled = list(dict.fromkeys(rec.clause_sets))
         pool = bundled + [
             gen.random_ground_clauses(random.Random(seed)) for seed in range(40)
@@ -507,7 +507,7 @@ class TestCountermodelIndex:
         """Oracles after sf_improve on the bundled example and after 150
         random clause sets."""
         bundled = InternalOracle()
-        sf_improve(golden_ehs, canonical_solution(golden_ehs), bundled)
+        sf_improve(golden_ehs, bundled)
         random_sets = InternalOracle()
         for seed in range(150):
             random_sets.refutation(

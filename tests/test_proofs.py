@@ -197,7 +197,7 @@ class TestGoldenProof:
             e = build_schematic_ehs(seq, u, decs[0].w)
             oracle = InternalOracle()
             proofs.append(
-                build_proof_with_cut(e, canonical_solution(e).formula, oracle)
+                build_proof_with_cut(e, canonical_solution(e), oracle)
             )
         assert len(proofs) >= 20
         for p in proofs:
@@ -400,6 +400,26 @@ class TestUnsoundBlocks:
         ok, msg = check_proof_report(p, oracle)
         assert not ok
         assert msg == "root: substitution would capture a bound variable"
+
+    @pytest.mark.parametrize("rule", ["forall_l", "exists_r", "forall_r"])
+    def test_block_step_without_a_block_formula_rejected(self, oracle, rule):
+        # A library-built block step may carry no formula, or one that
+        # is no quantifier block: the checker names the rule instead of
+        # failing to render the formula.
+        block = "∃" if rule == "exists_r" else "∀"
+        pa = Atom("P", (a,))
+        leaf = Inference("oracle", Sequent((pa,), (pa,)))
+        seq, terms = Sequent((pa,), (pa,)), (Var("x"),)
+        p = Inference(rule, seq, (leaf,), None, terms)
+        assert check_proof_report(p, oracle) == (
+            False,
+            f"root: {rule} names no {block} block",
+        )
+        p = Inference(rule, seq, (leaf,), pa, terms)
+        assert check_proof_report(p, oracle) == (
+            False,
+            f"root: {rule}: P(a) is not a {block} block",
+        )
 
 
 class TestCommittedProofJson:

@@ -10,7 +10,6 @@ from hypothesis import given
 
 from cutintro.cutformula import (
     SolutionCandidate,
-    canonical_solution,
     sf_improve,
 )
 from cutintro.euf import InternalOracle
@@ -137,7 +136,7 @@ class TestProofJson:
             if e is None:
                 continue
             oracle = InternalOracle()
-            res = sf_improve(e, canonical_solution(e), oracle, node_cap=50)
+            res = sf_improve(e, oracle, node_cap=50)
             best = min(res.candidates, key=SolutionCandidate.sort_key)
             _assert_proof_written_unchanged(
                 build_proof_with_cut(e, best.formula, oracle)
