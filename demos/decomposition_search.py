@@ -80,16 +80,22 @@ u2, rows2 = anti_unify([g(a, a), g(b, b)])
 print(f"equal columns share: {render_term(u2)}  rows {rows_text(rows2)}")
 
 # ---------------------------------------------------------------------
-# A chain: nine iterates of one function compress to 3 + 3.
+# A chain: nine iterates of one function compress to 3 + 3.  The fold
+# returns the minimal decompositions one |W| class at a time, the least
+# |W| first; ``after=`` the last of a class asks for the next.
 chain = frozenset(power(f, a, i) for i in range(9))
 show("one-variable compression", chain)
-decs = fold_delta_table(build_delta_table(chain))
-for dec in decs:
-    print(f"size {dec.size}:  {dec.render()}")
-    regenerated = {
-        subst_term(u, alpha_subst(row)) for u in dec.u for row in dec.w
-    }
-    print(f"  regenerates T exactly: {regenerated == chain}")
+table = build_delta_table(chain)
+decs = fold_delta_table(table)
+while decs:
+    print(f"|W| = {len(decs[0].w)}:")
+    for dec in decs:
+        print(f"size {dec.size}:  {dec.render()}")
+        regenerated = {
+            subst_term(u, alpha_subst(row)) for u in dec.u for row in dec.w
+        }
+        print(f"  regenerates T exactly: {regenerated == chain}")
+    decs = fold_delta_table(table, after=decs[-1])
 
 # ---------------------------------------------------------------------
 # Two moving parts: four pairs sliding in opposite directions, started

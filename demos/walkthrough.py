@@ -70,13 +70,15 @@ banner("3. decomposition search")
 # whose patterns jointly regenerate the whole set.  A subset whose rows
 # would mention a formula tag is dropped, with all of its supersets.
 # The table is built to ⌊√|T|⌋ + 1 terms per subset; the fold grows it
-# only by the sizes that can still hold a smaller decomposition.
+# only by the sizes that can still hold a smaller decomposition.  It
+# returns the minimal decompositions of the least |W|, one class; a
+# call with ``after=decs[-1]`` would give the next.
 table = build_delta_table(ts)
 print(f"table holds {len(table.pairs)} distinct clean witness keys "
       f"from subsets of up to {table.size} terms")
 decs = fold_delta_table(table)
-print(f"{len(decs)} minimal decomposition(s), size {decs[0].size} "
-      f"(vs {len(ts.terms)} terms uncompressed)")
+print(f"{len(decs)} minimal decomposition(s) with |W| = {len(decs[0].w)}, "
+      f"size {decs[0].size} (vs {len(ts.terms)} terms uncompressed)")
 print("  " + decs[0].render())
 
 # ---------------------------------------------------------------------

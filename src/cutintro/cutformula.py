@@ -236,7 +236,9 @@ def _negated(c: Clause) -> CNF:
 def check_solution(
     e: SchematicEHS, a: Formula, oracle: Oracle
 ) -> bool:
-    """True iff A(ᾱ) solves the schema; UNKNOWN counts as failure."""
+    """True iff A(ᾱ) solves the schema; UNKNOWN counts as failure.  The
+    canonical solution's clause form is ``e.side_clauses``, which it
+    takes as it is; formulas are interned, so an identity test finds it."""
     bad = [
         v
         for v in formula_vars(a)
@@ -247,7 +249,11 @@ def check_solution(
             f"candidate mentions variable {sorted(bad)[0]} outside α₁..α_{e.arity}"
         )
     try:
-        side, clauses = e.side_clauses, cnf_of_formulas((a,), ())
+        side = e.side_clauses
+        if a is canonical_solution(e):
+            clauses = side
+        else:
+            clauses = cnf_of_formulas((a,), ())
     except LimitReached:  # clause_form_literals: no deadline is polled
         return False
     queries = [side | _negated(c) for c in clauses - side]

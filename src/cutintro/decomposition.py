@@ -40,19 +40,22 @@ The search works in three stages:
    table that would enumerate more than ``DELTA_ENTRIES_CAP`` subsets
    ends with ``LimitReached("delta_entries")``.
 3. ``fold_delta_table`` scans the keys whose covers together cover T,
-   the only ones that can tile it; it skips the others before sorting
-   the keys into scan order.  Every pair under a key of k rows covers k
-   terms, so a decomposition on that key has size at least
-   k + ⌈|T|/k⌉; a key whose bound exceeds the best size found is
+   the only ones that can tile it, in ascending |W|; it skips the others
+   before sorting the keys into scan order.  Every pair under a key of
+   k rows covers k terms, so a decomposition on that key has size at
+   least k + ⌈|T|/k⌉; a key whose bound exceeds the best size found is
    skipped before its pairs are grouped.  For each other key it solves
    a set-cover problem: pick pattern groups whose covers tile T.
    Selection is by cover — a chosen mask contributes every pattern the
    table associates with it — which keeps the expansion property exact.
    The groups are the pairs of a key grouped by mask, so the fold looks
-   up no cover's terms.  The table is then grown one size at a time,
-   and the new keys folded, while a larger size can still meet that
-   bound: branch and bound over the table's sizes, deepened one
-   size at a time.
+   up no cover's terms.  A key with more rows than the best found so
+   far only counts when it does strictly better, so the fold returns
+   the minimum-size decompositions of the least |W|, one class; a call
+   with ``after`` gives the next.  The table is then grown one size at
+   a time, and the new keys folded, while a larger size can still beat
+   the best size found (or meet it, while none is found): branch and
+   bound over the table's sizes, deepened one size at a time.
 
 The walks of the anti-unifier and of the fold's search keep their
 state in arguments and explicit stacks, not in self-referencing
@@ -474,7 +477,7 @@ def build_delta_table(
     terms and at most ``max_subset``: a key of k rows gives a
     decomposition of size at least k + ⌈|T|/k⌉, least near k = √|T|, and
     ``fold_delta_table`` grows the table by the larger sizes that can
-    still hold a minimal decomposition.  Only subsets with clean keys are
+    still hold a decomposition of the class it looks for.  Only subsets with clean keys are
     stored; the enumeration never extends a subset whose key is unclean.
     Each size is closed under lifting as it is added: a pair found at a
     key of arity m₀ is copied to every key of arity m > m₀ that projects
@@ -527,12 +530,12 @@ class Decomposition:
 
 
 def _fold_order(keys: list[Key]) -> list[Key]:
-    """``keys`` in scan order: by arity, then size, then their rows sorted
-    by ``tuple_key``.  Each witness term is ranked by ``term_key`` once,
-    and a row is coded as the number whose digits in base ``len(rank)``
-    are its ranks; rows of one arity compare as their codes, in the same
-    order.  The order is total, so sorting a subset of the keys gives
-    that subset in the order of the whole.
+    """``keys`` in scan order: by size |W|, then arity, then their rows
+    sorted by ``tuple_key``.  Each witness term is ranked by ``term_key``
+    once, and a row is coded as the number whose digits in base
+    ``len(rank)`` are its ranks; rows of one arity compare as their
+    codes, in the same order.  The order is total, so sorting a subset of
+    the keys gives that subset in the order of the whole.
     """
     witnesses = {x for k in keys for row in k for x in row}
     rank = {x: i for i, x in enumerate(sorted(witnesses, key=term_key))}
@@ -545,7 +548,7 @@ def _fold_order(keys: list[Key]) -> list[Key]:
         return c
 
     def order(k: Key) -> tuple:
-        return (_key_arity(k), len(k), tuple(sorted(map(code, k))))
+        return (len(k), _key_arity(k), tuple(sorted(map(code, k))))
 
     return sorted(keys, key=order)
 
@@ -555,15 +558,20 @@ def _search_key(
     key: Key,
     full: int,
     best: float,
+    ties: bool,
     found: set[Decomposition],
     cancel: Callable[[], None],
 ) -> float:
     """Branch and bound over the groups of ``key``'s pairs for tilings
-    of the terms in mask ``full``.  Each decomposition on ``key`` no
-    larger than ``best`` joins ``found``, which is emptied first when
-    one is smaller; returns the best size."""
+    of the terms in mask ``full``.  Each decomposition on ``key`` smaller
+    than ``best``, or no larger with ``ties``, joins ``found``, which is
+    emptied first when one is smaller; after that, ties count.  Returns
+    the best size."""
     m = _key_arity(key)
     base_cost = len(key)
+    # The largest size worth reaching: a node whose bound passes it is
+    # pruned.
+    limit = best if ties else best - 1
     groups: dict[int, list[Term]] = {}
     for u, mask in dt.pairs[key]:
         groups.setdefault(mask, []).append(u)
@@ -595,15 +603,15 @@ def _search_key(
             if used != set(range(1, m + 1)):
                 continue
             size = len(u_set) + base_cost
-            if size > best:
+            if size > limit:
                 continue
             if size < best:
-                best = size
+                best = limit = size
                 found.clear()
             found.add(Decomposition(u=u_set, w=key))
             continue
         lower = n_patterns + math.ceil(uncovered.bit_count() / base_cost)
-        if lower + base_cost > best:
+        if lower + base_cost > limit:
             continue
         pivot = -1
         rest = uncovered
@@ -623,29 +631,39 @@ def _search_key(
 
 
 def fold_delta_table(
-    dt: DeltaTable, cancel: Callable[[], None] = NO_DEADLINE.poll
+    dt: DeltaTable,
+    cancel: Callable[[], None] = NO_DEADLINE.poll,
+    after: Optional[Decomposition] = None,
 ) -> list[Decomposition]:
-    """All minimum-size decompositions of T = ``dt.terms`` recoverable
-    from the table.
+    """The minimum-size decompositions of T = ``dt.terms`` recoverable
+    from the table whose |W| is least: the first |W| class of the
+    minimum, sorted by ``Decomposition.sort_key``.  With ``after``, a
+    decomposition of minimum size b, the next class: the decompositions
+    of size b with the least |W| above ``after``'s.  Each call, with
+    ``after`` set to the last decomposition of the class before, gives
+    the next class, and the classes joined are every minimum-size
+    decomposition in ``sort_key`` order, which orders by |W| first.
 
-    Only the keys that can tile T are scanned: those of nonzero arity
-    whose covers together cover T.  A key W of k rows gives a
-    decomposition of size at least k + ⌈|T|/k⌉, since each of its pairs
-    covers k terms; a key whose bound exceeds the best size found so far
-    is skipped before its pairs are grouped.  For every other key the
-    pairs are grouped by cover; a branch and bound search picks groups
-    that tile T.  Picking a group means taking every pattern associated
-    with that cover, so |U| counts all of them.  Covers that leave some
-    coordinate of W unused in every chosen pattern are discarded (the
-    same decomposition already appears under the projected key).
-    Results are sorted by (|W|, patterns, vectors) and deduplicated;
-    only sizes equal to the global minimum survive.
+    One branch and bound, strict towards larger |W|.  Only the keys that
+    can tile T are scanned, in ascending |W|: those of nonzero arity
+    whose covers together cover T (and, with ``after``, more rows than
+    its W).  A key W of k rows gives a decomposition of size at least
+    k + ⌈|T|/k⌉, since each of its pairs covers k terms.  A key of the
+    |W| of the best found, or any key while nothing is found, takes the
+    decompositions no larger than the best size (b, with ``after``); a
+    key with a larger |W| takes only smaller ones, which replace the
+    best.  A key whose bound passes what it may take is skipped before
+    its pairs are grouped.  For every other key the pairs are grouped by
+    cover; the search picks groups that tile T.  Picking a group means
+    taking every pattern associated with that cover, so |U| counts all of
+    them.  Covers that leave some coordinate of W unused in every chosen
+    pattern are discarded (the same decomposition already appears under
+    the projected key).
 
     The table is grown after the keys it holds are folded: by one subset
     size at a time, each folded in turn, while some size up to its cap
-    can still meet the bound of the best size found.  With nothing
-    found, it grows to its cap.  So the result is that of the whole
-    table.
+    can still be taken by that rule.  With nothing found, it grows to its
+    cap.  So the result is that of the whole table.
 
     The keys of each size step that cover T are scanned in
     ``_fold_order``, groups in the order of their sorted terms
@@ -656,12 +674,14 @@ def fold_delta_table(
     """
     n = len(dt.terms)
     full = (1 << n) - 1
-    best: float = math.inf
+    floor, best = (0, math.inf) if after is None else (len(after.w), after.size)
     found: set[Decomposition] = set()
     keys: Optional[list[Key]] = list(dt.pairs)
     while keys is not None:
         covering = []
         for key in keys:
+            if len(key) <= floor:
+                continue
             union = 0
             for _, mask in dt.pairs[key]:
                 union |= mask
@@ -669,21 +689,23 @@ def fold_delta_table(
                 covering.append(key)
 
         for key in _fold_order(covering):
-            if len(key) + math.ceil(n / len(key)) > best:
+            k = len(key)
+            # All found share one |W|, at most k: the scan ascends.
+            ties = not found or len(next(iter(found)).w) == k
+            if k + math.ceil(n / k) > (best if ties else best - 1):
                 cancel()  # the root node, which the bound prunes
                 continue
-            best = _search_key(dt, key, full, best, found, cancel)
+            best = _search_key(dt, key, full, best, ties, found, cancel)
 
-        # Grow by one size while a larger one can still meet the bound:
-        # the keys it adds may lower ``best``, and with it the sizes
-        # worth building.
+        # Grow by one size while a larger one can still be taken: the
+        # keys it adds may lower ``best``, and with it the sizes worth
+        # building.  They have more rows than every key held.
+        limit = best - 1 if found else best
         keys = None
         if any(
-            k + math.ceil(n / k) <= best
+            k + math.ceil(n / k) <= limit
             for k in range(dt.size + 1, dt.top + 1)
         ):
             keys = dt.grow(cancel)
 
-    results = [d for d in found if d.size == best]
-    results.sort(key=Decomposition.sort_key)
-    return results
+    return sorted(found, key=Decomposition.sort_key)

@@ -177,16 +177,20 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
     termset = encode_termset(hs)
     report.termset_size = len(termset)
 
-    table = build_delta_table(
-        termset,
-        max_subset=cfg.max_subset,
-        limit=cfg.termset_limit,
-        cancel=cancel,
-        ci1=cfg.mode == "ci1",
-    )
+    def build():
+        return build_delta_table(
+            termset,
+            max_subset=cfg.max_subset,
+            limit=cfg.termset_limit,
+            cancel=cancel,
+            ci1=cfg.mode == "ci1",
+        )
+
+    table = build()
+    # The minimal decompositions of the least |W|, one class.
     decs = fold_delta_table(table, cancel=cancel)
     # Free the table, with the subsets it grows from, before the proof
-    # search: nothing reads it past the fold.
+    # search: only a fallback to the next class reads it again.
     del table
     if not decs:
         report.status = "uncompressible"
@@ -206,7 +210,7 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
         return
 
     failures: list[str] = []
-    for dec in decs:
+    for dec in _by_class(decs, build, cancel):
         cancel()
         outcome = _try_decomposition(dec, seq, cfg, oracle, cancel, failures)
         if outcome is None:
@@ -230,6 +234,18 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
     report.messages.extend(
         failures or ["no decomposition yielded a certifiable proof"]
     )
+
+
+def _by_class(decs: list, build, cancel):
+    """The decompositions of ``decs``, the fold's first |W| class, then
+    of each next class, folded only once the one before is used up, on
+    a table that ``build()`` makes anew for the first of them."""
+    table = None
+    while decs:
+        yield from decs
+        if table is None:
+            table = build()
+        decs = fold_delta_table(table, cancel=cancel, after=decs[-1])
 
 
 def _try_decomposition(

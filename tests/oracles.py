@@ -1028,11 +1028,44 @@ def reference_clean_entries(table) -> dict:
 
 
 def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> list:
-    """Minimum decompositions from a Δ-table by branch and bound over
-    covered term sets, scanning keys by (arity, size, sorted rows),
-    groups by their sorted terms, and branching on the uncovered term in
-    the fewest groups.  Returns ``Decomposition``s sorted by their
-    ``sort_key``.  ``cancel`` runs once per search node."""
+    """Every minimum decomposition from a Δ-table, by branch and bound
+    over covered term sets that keeps the ties of every |W|.  Returns
+    ``Decomposition``s sorted by their ``sort_key``.  ``cancel`` runs
+    once per search node."""
+    return _reference_fold(table, terms, cancel, classwise=False, after=None)
+
+
+def reference_fold_class(
+    table, terms: Iterable[Term], after=None, cancel=None
+) -> list:
+    """One |W| class of the minimum decompositions from a Δ-table, by the
+    search of ``reference_fold_delta_table`` made strict towards larger
+    |W|: a key with more rows than the best found counts only when it
+    does strictly better.  Without ``after``, the class of the least
+    |W|; with ``after``, a decomposition of minimum size b, the class of
+    size b with the least |W| above ``after``'s.  ``cancel`` runs once
+    per search node."""
+    return _reference_fold(table, terms, cancel, classwise=True, after=after)
+
+
+def joined_classes(fold: Callable) -> list:
+    """The classes ``fold(after)`` returns joined, from ``fold(None)`` on,
+    each ``after`` being the last decomposition of the class before,
+    until a class is empty."""
+    out: list = []
+    decs = fold(None)
+    while decs:
+        out += decs
+        decs = fold(decs[-1])
+    return out
+
+
+def _reference_fold(table, terms, cancel, classwise: bool, after) -> list:
+    """Keys scanned by (size, arity, sorted rows) and those of no more
+    rows than ``after``'s skipped; groups by their sorted terms; the
+    search branches on the uncovered term in the fewest groups.  A node
+    or result of the best size counts unless ``classwise`` and the key
+    has more rows than the best found."""
     import math
 
     from cutintro.decomposition import Decomposition
@@ -1041,16 +1074,18 @@ def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> lis
         return tuple(term_key(t) for t in row)
 
     def key_order(key):
-        return (len(next(iter(key))), len(key), tuple(sorted(map(row_key, key))))
+        return (len(key), len(next(iter(key))), tuple(sorted(map(row_key, key))))
 
     target = frozenset(terms)
-    best: list[float] = [math.inf]
+    floor, best = (0, math.inf) if after is None else (len(after.w), after.size)
+    # best size, and the |W| of the decompositions found (0 while none)
+    state = [best, 0]
     found: set = set()
 
     entries = table.entries  # a view built on every access
     for key in sorted(entries, key=key_order):
         m = len(next(iter(key)))
-        if m == 0:
+        if m == 0 or len(key) <= floor:
             continue
         if not all(_row_is_clean(row) for row in key):
             continue
@@ -1068,6 +1103,11 @@ def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> lis
             for x in cov:
                 by_term[x].append(gi)
 
+        def allowed(size: int) -> bool:
+            if size == state[0]:
+                return not classwise or state[1] in (0, len(key))
+            return size < state[0]
+
         chosen: list[int] = []
 
         def search(uncovered: frozenset, n_patterns: int) -> None:
@@ -1081,15 +1121,16 @@ def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> lis
                 if used != set(range(1, m + 1)):
                     return
                 size = len(u_set) + len(key)
-                if size > best[0]:
+                if not allowed(size):
                     return
-                if size < best[0]:
-                    best[0] = size
+                if size < state[0]:
+                    state[0] = size
                     found.clear()
+                state[1] = len(key)
                 found.add(Decomposition(u=u_set, w=key))
                 return
             lower = n_patterns + math.ceil(len(uncovered) / len(key))
-            if lower + len(key) > best[0]:
+            if not allowed(lower + len(key)):
                 return
             pivot = min(uncovered, key=lambda x: (len(by_term[x]), term_key(x)))
             for gi in by_term[pivot]:
@@ -1100,9 +1141,7 @@ def reference_fold_delta_table(table, terms: Iterable[Term], cancel=None) -> lis
 
         search(target, 0)
 
-    results = [d for d in found if d.size == best[0]]
-    results.sort(key=Decomposition.sort_key)
-    return results
+    return sorted(found, key=Decomposition.sort_key)
 
 
 def _is_ground(t: Term) -> bool:

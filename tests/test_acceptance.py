@@ -159,13 +159,20 @@ def test_criterion_1_golden_end_to_end(golden, golden_oracle):
 # 2. fold equals exhaustive minimum on 200 random term sets
 
 
+def _classes(table):
+    """Every minimum decomposition: the fold's |W| classes joined."""
+    return oracles.joined_classes(
+        lambda after: fold_delta_table(table, after=after)
+    )
+
+
 def test_criterion_2_decomposition_minimality():
     failures: list[str] = []
     t0 = time.monotonic()
     for seed in range(200):
         rng = random.Random(10_000 + seed)
         ts = gen.random_term_set(rng)
-        decs = fold_delta_table(build_delta_table(ts))
+        decs = _classes(build_delta_table(ts))
         got = decs[0].size if decs else None
         want, best = oracles.brute_min_decompositions(ts)
         if got != want:
@@ -214,7 +221,7 @@ def test_criterion_3_soundness_fuzz(anti_unify):
         rng = random.Random(30_000 + seed)
         seed += 1
         ts = gen.random_term_set(rng)
-        for d in fold_delta_table(build_delta_table(ts)):
+        for d in _classes(build_delta_table(ts)):
             if not oracles.validate_decomposition(d, ts):
                 failures.append(f"set seed {seed}: returned decomposition invalid")
                 break

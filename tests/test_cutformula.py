@@ -652,6 +652,36 @@ class TestCheckSolutionQueries:
         assert Counter(rec.clause_sets) == Counter([*entailed, guard])
         assert rec.clause_sets[-1] == guard
 
+    def test_canonical_asks_what_its_rebuilt_clause_form_asks(
+        self, golden_ehs, monkeypatch
+    ):
+        # The canonical solution takes its clause form from the side
+        # clauses.  With the identity test defeated, it is rebuilt from
+        # the formula, as for any other A: the oracle must see the same
+        # clause sets in the same order.
+        random_ehs = list(filter(None, map(_solved_random_instance, range(200))))
+        assert len(random_ehs) >= 100
+        cases = [golden_ehs, *random_ehs]
+
+        def asked(e):
+            rec = _Recording(InternalOracle())
+            verdict = check_solution(e, canonical_solution(e), rec)
+            return verdict, rec.clause_sets
+
+        for e in cases:
+            e.side_clauses  # built here, before the rebuild is barred
+        rebuild = cutformula.cnf_of_formulas
+        monkeypatch.setattr(
+            cutformula,
+            "cnf_of_formulas",
+            lambda *args: pytest.fail("the clause form was rebuilt"),
+        )
+        taken = list(map(asked, cases))
+        monkeypatch.setattr(cutformula, "cnf_of_formulas", rebuild)
+        monkeypatch.setattr(cutformula, "canonical_solution", lambda e: None)
+        assert list(map(asked, cases)) == taken
+        assert all(verdict for verdict, _ in taken)
+
     def test_golden_sf_candidates(self, golden_ehs, golden_sf, golden_oracle):
         self._asks_the_definition(
             golden_ehs, canonical_solution(golden_ehs), golden_oracle

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import inspect
 import itertools
 import math
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +24,9 @@ from cutintro.decomposition import (
     build_delta_table,
     fold_delta_table,
 )
-from cutintro.herbrand import TermSet, decode_termset
+from cutintro.herbrand import TermSet, decode_termset, encode_termset
 from cutintro.limits import LimitReached
+from cutintro.parser import parse_input
 from cutintro.terms import (
     App,
     _table,
@@ -119,6 +122,47 @@ def _grown(terms, size=math.inf, max_subset=None, ci1=False):
     while table.size < size and table.grow() is not None:
         pass
     return table
+
+
+def _classes(table):
+    """The fold's |W| classes, joined through ``after``."""
+    return oracles.joined_classes(
+        lambda after: fold_delta_table(table, after=after)
+    )
+
+
+def _fold_calls(fold):
+    """The classes of ``fold(after, cancel)`` joined, and the number of
+    polls of each call."""
+    polls = []
+
+    def call(after):
+        polls.append(0)
+
+        def poll():
+            polls[-1] += 1
+
+        return fold(after, poll)
+
+    return oracles.joined_classes(call), polls
+
+
+def _same_fold_as_reference(table, ref, ts):
+    """The classes of ``table``'s fold, joined, equal every minimum
+    decomposition of the reference table; the package and the reference
+    class search visit the same nodes in each call.  Returns the
+    classes."""
+    got = _fold_calls(
+        lambda after, cancel: fold_delta_table(table, cancel, after)
+    )
+    want = _fold_calls(
+        lambda after, cancel: oracles.reference_fold_class(
+            ref, ts, after, cancel
+        )
+    )
+    assert got == want
+    assert got[0] == oracles.reference_fold_delta_table(ref, ts)
+    return got[0]
 
 
 def _subset(terms, mask):
@@ -286,15 +330,8 @@ class TestDeltaTable:
             ref = oracles.reference_build_delta_table(ts)
             table = _grown(ts)
             assert table.entries == oracles.reference_clean_entries(ref), i
-            ref_polls, polls = [], []
-            expected = oracles.reference_fold_delta_table(
-                ref, ts, cancel=lambda: ref_polls.append(1)
-            )
-            assert fold_delta_table(
-                table, cancel=lambda: polls.append(1)
-            ) == expected, i
             # The same search nodes, in the bitmask fold and the old one.
-            assert len(polls) == len(ref_polls), i
+            _same_fold_as_reference(table, ref, ts)
 
     @pytest.mark.parametrize("seed", [180, 624, 1095])
     def test_fold_visits_the_reference_nodes(self, seed):
@@ -302,13 +339,7 @@ class TestDeltaTable:
         # order (by bitmask value, say) changes the number of nodes.
         ts = gen.random_tagged_term_set(random.Random(seed), max_size=11)
         ref = oracles.reference_build_delta_table(ts)
-        ref_polls, polls = [], []
-        expected = oracles.reference_fold_delta_table(
-            ref, ts, cancel=lambda: ref_polls.append(1)
-        )
-        got = fold_delta_table(_grown(ts), cancel=lambda: polls.append(1))
-        assert got == expected
-        assert len(polls) == len(ref_polls)
+        _same_fold_as_reference(_grown(ts), ref, ts)
 
     def test_every_pair_expands_to_its_cover(self, golden_table):
         checked = 0
@@ -553,14 +584,7 @@ class TestSubsetWalk:
         ref = oracles.reference_build_delta_table(ts, max_subset)
         table = _grown(ts, max_subset=max_subset)
         assert table.entries == oracles.reference_clean_entries(ref)
-        ref_polls, fold_polls = [], []
-        expected = oracles.reference_fold_delta_table(
-            ref, ts, cancel=lambda: ref_polls.append(1)
-        )
-        got = fold_delta_table(table, cancel=lambda: fold_polls.append(1))
-        assert got == expected
-        assert len(fold_polls) == len(ref_polls)
-        return got
+        return _same_fold_as_reference(table, ref, ts)
 
     def test_steps_keep_then_generalize_the_pattern(self):
         ts = self.STABLE_THEN_GENERALIZED
@@ -644,7 +668,7 @@ class TestFold:
         for seed in range(60):
             rng = random.Random(seed)
             ts = gen.random_term_set(rng)
-            decs = fold_delta_table(build_delta_table(ts))
+            decs = _classes(build_delta_table(ts))
             bmin, bbest = oracles.brute_min_decompositions(ts)
             got_min = decs[0].size if decs else None
             assert got_min == bmin, f"seed {seed}"
@@ -655,7 +679,7 @@ class TestFold:
         for seed in range(40):
             rng = random.Random(500 + seed)
             ts = gen.random_term_set(rng)
-            for d in fold_delta_table(build_delta_table(ts)):
+            for d in _classes(build_delta_table(ts)):
                 assert oracles.validate_decomposition(d, ts), f"seed {seed}"
 
     def test_fold_does_not_depend_on_term_identity(self):
@@ -668,7 +692,7 @@ class TestFold:
         random.Random(3).shuffle(shuffled)
         twice = build_delta_table(terms + shuffled)
         assert twice.terms == tuple(sorted(terms, key=term_key))
-        assert fold_delta_table(twice) == expected
+        assert _classes(twice) == expected
 
     def test_dead_terms_leave_the_term_table(self):
         # The patterns and columns the search built die with its results.
@@ -743,8 +767,15 @@ class TestNoReferenceCycles:
         ts = _chain_termset(12)
         table = leaves_no_cycles(lambda: _grown(ts, 2))
         decs = leaves_no_cycles(lambda: fold_delta_table(table))
-        # Size 7, met by keys of 3 and 4 rows only.
-        assert decs[0].size == 7
+        # Size 7, met by keys of 3 and 4 rows only.  Those of 3 come
+        # first, and 4 + ⌈12/4⌉ = 7 only ties, so the table does not grow
+        # to 4 terms until the next class is asked for.
+        assert {(d.size, len(d.w)) for d in decs} == {(7, 3)}
+        assert max(map(len, table.pairs)) == 3
+        more = leaves_no_cycles(
+            lambda: fold_delta_table(table, after=decs[-1])
+        )
+        assert {(d.size, len(d.w)) for d in more} == {(7, 4)}
         assert max(map(len, table.pairs)) == 4
 
     def test_delta_g(self, leaves_no_cycles):
@@ -756,28 +787,34 @@ class TestNoReferenceCycles:
 
 
 def _folds(ts, max_subset=None, ci1=False, size=None):
-    """The fold of the whole table and of one grown to ``size`` terms
-    (built by ``build_delta_table``, to ⌊√|T|⌋ + 1, by default) and
-    grown by the fold; and the grown table."""
+    """The fold's classes, joined, of the whole table and of one grown
+    to ``size`` terms (built by ``build_delta_table``, to ⌊√|T|⌋ + 1, by
+    default) and grown by the fold; and the grown table."""
     full = _grown(ts, max_subset=max_subset, ci1=ci1)
     if size is None:
         grown = build_delta_table(ts, max_subset=max_subset, ci1=ci1)
     else:
         grown = _grown(ts, size, max_subset, ci1)
-    return fold_delta_table(full), fold_delta_table(grown), grown
+    return _classes(full), _classes(grown), grown
 
 
 class TestBoundedFold:
     """A table built to a few terms per subset and grown by the fold,
-    only by the sizes k with k + ⌈|T|/k⌉ no more than the best size
-    found, gives the decompositions of the whole table."""
+    only by the sizes k with k + ⌈|T|/k⌉ below the best size found (or
+    no more than it, while none is found), gives the decompositions of
+    the whole table, class by class."""
 
     def test_bundled_example(self, golden_termset, golden_decompositions):
         ts = golden_termset.terms
         full, grown, table = _folds(ts)
         assert full == grown == golden_decompositions
-        # Size 10, and k + ⌈12/k⌉ ≤ 10 holds up to k = 8.
+        # Size 10 with |W| = 2.  The first class grows the table while
+        # k + ⌈12/k⌉ < 10, to k = 7; the call for the next class, which
+        # finds none, while it is ≤ 10, to k = 8.
         assert max(map(len, table.pairs)) == 8
+        first = build_delta_table(ts)
+        fold_delta_table(first)
+        assert first.size == 7
         for max_subset in (None, 1, 2, 3):
             full, grown, _ = _folds(ts, max_subset, ci1=True)
             assert full == grown == [], max_subset
@@ -845,6 +882,79 @@ class TestBoundedFold:
                 unclean += len(ref.entries) > len(whole.entries)
         # The sets do have subsets whose keys are unclean.
         assert unclean > 10
+
+
+def _workload_term_sets():
+    """The distinct term sets of the benchmark's workload structures
+    (``perfbench/gen.py``, read by path: it imports nothing from the
+    package), by structure name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_workload_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(module)
+        sets = {}
+        for workload in module.WORKLOADS:
+            for st in module.structures(workload):
+                ts = encode_termset(parse_input(st.text)[1]).terms
+                sets.setdefault(ts, st.base)
+    finally:
+        del sys.modules[spec.name]
+    return {name: ts for ts, name in sets.items()}
+
+
+class TestFoldClasses:
+    """The fold returns the minimum decompositions one |W| class at a
+    time: the first call the least |W|, each call with ``after`` the
+    next, and the classes joined are every minimum decomposition in
+    ``sort_key`` order, the list of the search that keeps all ties."""
+
+    @staticmethod
+    def _check(ts):
+        whole = oracles.reference_build_delta_table(ts)
+        arity_one = oracles.ReferenceTable({
+            k: v for k, v in whole.entries.items() if len(next(iter(k))) == 1
+        })
+        for ref, max_subset, ci1 in (
+            (whole, None, False),
+            (arity_one, None, True),
+            (oracles.reference_build_delta_table(ts, 2), 2, False),
+        ):
+            expected = oracles.reference_fold_delta_table(ref, ts)
+            least = [d for d in expected if len(d.w) == len(expected[0].w)]
+            table = build_delta_table(ts, max_subset=max_subset, ci1=ci1)
+            assert fold_delta_table(table) == least, (max_subset, ci1)
+            assert _classes(table) == expected, (max_subset, ci1)
+
+    def test_generated_sets(self):
+        several = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            ts = (
+                gen.random_tagged_term_set(rng)
+                if seed % 2
+                else gen.random_term_set(rng)
+            )
+            self._check(ts)
+            decs = _classes(build_delta_table(ts))
+            several += len({len(d.w) for d in decs}) > 1
+        # Sets whose minimum comes in more than one class.
+        assert several > 20
+
+    def test_workload_structures_and_bundled_example(self, golden_termset):
+        sets = _workload_term_sets()
+        assert {"chain13", "spread-noise12", "lemma-r2-h0"} <= set(sets)
+        for ts in [*sets.values(), golden_termset.terms]:
+            self._check(ts)
+
+    def test_chain_classes(self):
+        # chain13: 70 minimum decompositions, 16 of them in the first
+        # class.
+        table = build_delta_table(_chain_termset(13))
+        first = fold_delta_table(table)
+        assert len(first) == 16
+        assert len(_classes(table)) == 70
 
 
 class TestValidate:

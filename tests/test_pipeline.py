@@ -19,12 +19,14 @@ from cutintro.corpus import emit_stats, run_corpus, write_corpus_outputs
 from cutintro.cutformula import candidates_by_sort_key
 from cutintro.euf import InternalOracle
 from cutintro.formulas import render_formula
+from cutintro.herbrand import encode_termset
 from cutintro.parser import parse_input
 from cutintro.pipeline import RunConfig, RunReport, run_pipeline
 from cutintro.serialize import entries_from_json, node_from_json
 from cutintro.terms import tuple_key
 
 import gen
+import oracles
 from gen import render_input
 
 GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "running_example"
@@ -387,6 +389,63 @@ class TestFailureStatuses:
         assert rep.status == "error"
         # Line ends count as text mode reads them: "\r\n" is one.
         assert rep.messages == ["byte 0xe9 is not UTF-8 at line 2, column 8"]
+
+
+class TestFallbackOrder:
+    """The pipeline tries the decompositions of the fold's first |W|
+    class, and asks for the next class only when every one of them
+    fails: the tries, in order, are the list of every minimum
+    decomposition, which the pipeline tried whole before the fold
+    returned one class at a time."""
+
+    @staticmethod
+    def _chain(tmp_path):
+        # chain7: 18 minimum decompositions of size 6, in |W| classes of
+        # 5, 6 and 7 decompositions.
+        p = tmp_path / "chain7.cis"
+        p.write_text(gen.chain_input(7))
+        ts = encode_termset(parse_input(p.read_text())[1]).terms
+        ref = oracles.reference_build_delta_table(ts)
+        expected = oracles.reference_fold_delta_table(ref, ts)
+        assert len({len(d.w) for d in expected}) == 3
+        return p, expected
+
+    def test_every_class_fails(self, tmp_path, monkeypatch):
+        p, expected = self._chain(tmp_path)
+        tried = []
+
+        def fail(dec, seq, cfg, oracle, cancel, failures):
+            tried.append(dec)
+            failures.append(f"no proof for {dec.render()}")
+
+        monkeypatch.setattr(pipeline, "_try_decomposition", fail)
+        rep = run_pipeline(p, RunConfig())
+        assert tried == expected
+        assert rep.status == "error"
+        assert rep.decomposition["rendered"] == expected[0].render()
+        # One failure per decomposition, in the order of the whole list.
+        assert rep.messages == [f"no proof for {d.render()}" for d in expected]
+
+    def test_first_class_fails(self, tmp_path, monkeypatch):
+        p, expected = self._chain(tmp_path)
+        first = [d for d in expected if len(d.w) == len(expected[0].w)]
+        tried = []
+        stage = pipeline._try_decomposition
+
+        def fail_first_class(dec, seq, cfg, oracle, cancel, failures):
+            tried.append(dec)
+            if dec in first:
+                failures.append(f"no proof for {dec.render()}")
+                return None
+            return stage(dec, seq, cfg, oracle, cancel, failures)
+
+        monkeypatch.setattr(pipeline, "_try_decomposition", fail_first_class)
+        rep = run_pipeline(p, RunConfig())
+        assert rep.status == "compressed", rep.messages
+        assert tried == expected[: len(first) + 1]
+        assert rep.decomposition["rendered"] == expected[len(first)].render()
+        assert rep.decomposition["w_size"] == len(first[0].w) + 1
+        assert rep.messages == []
 
 
 class TestLemmaWithSideChains:
