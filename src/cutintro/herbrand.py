@@ -78,24 +78,29 @@ def decode_termset(ts: TermSet) -> HerbrandStructure:
     return HerbrandStructure(tuple(frozenset(s) for s in out))
 
 
+def instance_tuples(seq: Sequent, h: HerbrandStructure, i: int) -> tuple:
+    """Formula i's tuples in instance order: H_i's by ``tuple_key``, or,
+    without prefix, the empty tuple, which leaves the matrix as it is."""
+    if not seq.k(i):
+        return ((),)
+    return tuple(sorted(h.instances[i - 1], key=tuple_key))
+
+
 def instance_formulas(
     seq: Sequent, h: HerbrandStructure, i: int
 ) -> tuple[Formula, ...]:
-    """The instances of formula i: the matrix under each tuple of H_i if the
-    formula is quantified, else the matrix itself.  Deterministic order."""
+    """The instances of formula i: its matrix under each instance tuple."""
     names, matrix = prefix(seq.formula(i))
-    if not names:
-        return (matrix,)
-    tuples = sorted(h.instances[i - 1], key=tuple_key)
-    return tuple(apply_subst(matrix, dict(zip(names, tup))) for tup in tuples)
+    return tuple(
+        apply_subst(matrix, dict(zip(names, tup))) if tup else matrix
+        for tup in instance_tuples(seq, h, i)
+    )
 
 
 def herbrand_sequent(seq: Sequent, h: HerbrandStructure) -> Sequent:
     """The quantifier-free instance sequent: each formula's instances in
     ``instance_formulas`` order, antecedents before succedents."""
-    ante: list[Formula] = []
-    succ: list[Formula] = []
+    sides: tuple = ([], [])
     for i in range(1, seq.q + 1):
-        target = ante if i <= seq.p else succ
-        target.extend(instance_formulas(seq, h, i))
-    return Sequent(tuple(ante), tuple(succ))
+        sides[i > seq.p].extend(instance_formulas(seq, h, i))
+    return Sequent(*map(tuple, sides))

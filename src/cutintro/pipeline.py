@@ -49,6 +49,7 @@ from .herbrand import (
     decode_termset,
     encode_termset,
     herbrand_sequent,
+    instance_tuples,
 )
 from .limits import Deadline, LimitReached
 from .parser import InputError, parse_input, read_input
@@ -61,7 +62,6 @@ from .proofs import (
     render_proof,
 )
 from .serialize import node_to_json
-from .terms import tuple_key
 
 
 @dataclass
@@ -298,7 +298,7 @@ def _decomposition_json(dec: Decomposition, q: int) -> dict:
 def _artifact_files(ehs, canonical, best, proof, sf) -> dict:
     """A compressed run's artifacts, file name -> text, from what ``_run``
     returns.  ``decomposition.json`` gives W's rows and each Uᵢ's tuples
-    (in ``tuple_key`` order) as indexes into its node table."""
+    (in ``instance_tuples`` order) as indexes into its node table."""
     lines = [
         "canonical solution:",
         "  " + render_formula(canonical),
@@ -315,7 +315,10 @@ def _artifact_files(ehs, canonical, best, proof, sf) -> dict:
         return [node_to_json(t, index, nodes) for t in ts]
 
     w = [row(r) for r in ehs.w]
-    u = [[row(r) for r in sorted(ui, key=tuple_key)] for ui in ehs.u.instances]
+    u = [  # a formula without prefix has no tuple, only its matrix's ()
+        [row(r) for r in instance_tuples(ehs.base, ehs.u, i) if r]
+        for i in range(1, ehs.base.q + 1)
+    ]
     return {
         "solution.txt": "\n".join(lines) + "\n",
         "proof.txt": render_proof(proof) + "\n",

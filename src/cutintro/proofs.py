@@ -1,7 +1,9 @@
 """Sequent proofs with one quantified cut.
 
-A proof is a tree of ``Inference`` records, one record type for every
-rule: the rule's name, its conclusion, its premises, the formula it
+A proof is the tuple of its steps in post-order, root last, as the
+``proof`` table of ``proof.json`` lists them.  A step is an
+``Inference``, one record type for every rule: the rule's name, its
+conclusion, its premises (indexes of earlier steps), the formula it
 introduces and a quantifier block's terms.  ``_RULES`` states each rule
 once: the names of its premises, and for the three quantifier-block
 rules the quantifier and the sequent side the block acts on.  A block
@@ -13,11 +15,10 @@ oracle-certified quantifier-free leaf, cut, contraction and weakening.
 
 ``build_proof_with_cut`` assembles the standard two-branch shape around
 a solution of a schematic extended Herbrand sequent;
-``check_proof_report`` re-verifies every inference from scratch,
-consulting the validity oracle only at the leaves, and names the first
-bad inference.  ``proof_to_json`` writes ``proof.json``, a flat table,
-and ``proof_from_json`` reads it.  Writing, reading and checking keep
-their own stacks, so a proof may have any number of steps.
+``check_proof_report`` re-verifies every step from scratch, consulting
+the validity oracle only at the leaves, and names the first bad one.
+``proof_to_json`` writes ``proof.json`` and ``proof_from_json`` reads
+it.  Each is a loop over the steps, so a proof may have any number.
 
 Sides of a sequent are compared as multisets throughout: the inference
 rules never depend on formula order.
@@ -26,7 +27,7 @@ rules never depend on formula order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache
 from typing import Any, NamedTuple, Optional
 
@@ -41,6 +42,7 @@ from .formulas import (
     render_formula,
     symbols,
 )
+from .herbrand import instance_tuples
 from .sequents import Sequent, prefix
 from .serialize import (
     entries_from_json,
@@ -52,7 +54,7 @@ from .serialize import (
     slots_from_json,
     tree_size,
 )
-from .terms import Var, alpha, alpha_subst, render_term, tuple_key
+from .terms import Var, alpha, alpha_subst, render_term
 
 
 class ProofBuildError(Exception):
@@ -81,15 +83,48 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Inference:
-    """One inference and, through its premises, the proof above it."""
+class Inference(NamedTuple):
+    """One step of a proof."""
 
     rule: str  # a key of _RULES, as proof.json names it
     conclusion: Sequent
-    premises: tuple = ()  # one per name of the rule's premises, in order
+    premises: tuple = ()  # indexes of earlier steps, in _RULES order
     formula: Optional[Formula] = None  # a block's formula, or the cut formula
     terms: tuple = ()  # a block's terms; for forall_r its eigenvariables (Var)
+
+
+def _rule(name: Any) -> _Rule:
+    rule = _RULES.get(name) if isinstance(name, str) else None
+    if rule is None:
+        raise ValueError(f"unknown proof rule: {name!r}")
+    return rule
+
+
+def _shape(proof: tuple) -> None:
+    """Raise ValueError, naming the first bad step as ``proof[i]``,
+    unless the steps form one tree in post-order: each rule is known and
+    has its number of premises, each premise is an earlier step that no
+    other step names, and every step but the last is named."""
+    if not proof:
+        raise ValueError("the proof has no steps")
+    named: set = set()
+    for i, step in enumerate(proof):
+        try:
+            rule = _rule(step.rule)
+            if len(step.premises) != len(rule.premises):
+                raise ValueError(
+                    f"{step.rule} takes {len(rule.premises)} premises, "
+                    f"not {len(step.premises)}"
+                )
+            for j in step.premises:
+                if index_from_json(j, i) in named:
+                    raise ValueError(f"step {j} is a premise twice")
+                named.add(j)
+        except ValueError as err:
+            raise ValueError(f"proof[{i}]: {err}") from None
+    for i in range(len(proof) - 1):
+        if i not in named:
+            raise ValueError(f"proof[{i}]: a premise of no later step")
 
 
 # ---------------------------------------------------------------------------
@@ -113,48 +148,47 @@ def _used_names(e: SchematicEHS, a: Formula) -> set:
     return {name for _, name, _ in symbols((a, *e.base.ante, *e.base.succ))}
 
 
-def _leaf(seq: Sequent, oracle: Oracle, failure: str) -> Inference:
-    """An oracle leaf; ``failure`` formats the verdict and the sequent."""
+def _leaf(steps: list, seq: Sequent, oracle: Oracle, failure: str) -> None:
+    """Append an oracle leaf; ``failure`` formats verdict and sequent."""
     verdict = oracle.validity(seq)
     if verdict is not Verdict.VALID:
         raise ProofBuildError(failure.format(verdict.value, seq.render()))
-    return Inference("oracle", seq)
+    steps.append(Inference("oracle", seq))
+
+
+def _over_last(steps: list, rule: str, conclusion: Sequent, *parts) -> None:
+    """Append a one-premise step whose premise is the last step."""
+    steps.append(Inference(rule, conclusion, (len(steps) - 1,), *parts))
 
 
 def _block(
-    premise: Inference, rule: str, formula: Formula, terms: tuple, pos: int
-) -> Inference:
-    """The block rule replacing the instance at ``pos`` of its side of the
-    premise's conclusion by ``formula``."""
+    steps: list, rule: str, formula: Formula, terms: tuple, pos: int
+) -> None:
+    """Append the block rule replacing the instance at ``pos`` of its side
+    of the last step's conclusion by ``formula``."""
     side = _RULES[rule].side
-    formulas = list(getattr(premise.conclusion, side))
+    c = steps[-1].conclusion
+    formulas = list(getattr(c, side))
     formulas[pos] = formula
-    conclusion = replace(premise.conclusion, **{side: tuple(formulas)})
-    return Inference(rule, conclusion, (premise,), formula, tuple(terms))
+    conclusion = replace(c, **{side: tuple(formulas)})
+    _over_last(steps, rule, conclusion, formula, tuple(terms))
 
 
-def _weaken(
-    p: Inference, ante: tuple, succ: tuple, keep_last: int = 0
-) -> Inference:
-    """Weaken by the formulas of ante ⊢ succ that p's conclusion lacks,
-    appended to each side; the last ``keep_last`` succedent formulas stay
-    last."""
-    c = p.conclusion
+def _weaken(steps: list, ante: tuple, succ: tuple, keep_last: int = 0) -> int:
+    """Weaken the last step by the formulas of ante ⊢ succ its conclusion
+    lacks, appended to each side; the last ``keep_last`` succedent
+    formulas stay last.  Returns the index of the last step."""
+    c = steps[-1].conclusion
     more_ante = tuple(f for f in ante if f not in c.ante)
     more_succ = tuple(f for f in succ if f not in c.succ)
-    if not more_ante and not more_succ:
-        return p
-    at = len(c.succ) - keep_last
-    return Inference(
-        "weaken",
-        Sequent(c.ante + more_ante, c.succ[:at] + more_succ + c.succ[at:]),
-        (p,),
-    )
+    if more_ante or more_succ:
+        at = len(c.succ) - keep_last
+        succ = c.succ[:at] + more_succ + c.succ[at:]
+        _over_last(steps, "weaken", Sequent(c.ante + more_ante, succ))
+    return len(steps) - 1
 
 
-def build_proof_with_cut(
-    e: SchematicEHS, a: Formula, oracle: Oracle
-) -> Inference:
+def build_proof_with_cut(e: SchematicEHS, a: Formula, oracle: Oracle) -> tuple:
     """Assemble the proof of the base sequent with cut formula ∀x̄.A.
 
     Left branch: certify Γ' ⊢ Δ', A(ᾱ), fold every instantiated formula
@@ -164,109 +198,97 @@ def build_proof_with_cut(
     cut formula once per vector, contract.  Cut and a final contraction
     yield the input sequent.  Both leaves are oracle-checked here; a
     failure raises ProofBuildError rather than returning an unsound
-    tree.
+    proof.
     """
     s = e.base
     k = len(e.w)
-    m = e.arity
     if k == 0:
         raise ProofBuildError("decomposition has no instantiation vectors")
-    names = _fresh_bound_names(m, _used_names(e, a))
+    names = _fresh_bound_names(e.arity, _used_names(e, a))
     cut_formula = QuantBlock(
         "all", names, apply_subst(a, alpha_subst([Var(x) for x in names]))
     )
+    steps: list = []
 
     # ---- left branch -----------------------------------------------------
-    proof = _leaf(
-        Sequent(e.gamma, e.delta + (a,)),
-        oracle,
-        "left leaf is not certified ({}): {}",
-    )
-    pos = 0
-    for i in range(1, s.q + 1):
-        if i == s.p + 1:
-            pos = 0
-        if s.k(i) == 0:
-            pos += 1
-            continue
-        rule = "forall_l" if i <= s.p else "exists_r"
-        for tup in sorted(e.u.instances[i - 1], key=tuple_key):
-            proof = _block(proof, rule, s.formula(i), tup, pos)
-            pos += 1
-    eigen = tuple(alpha(i + 1) for i in range(m))
-    proof = _block(proof, "forall_r", cut_formula, eigen, len(e.delta))
-    left = _weaken(proof, s.ante, s.succ, keep_last=1)
+    leaf = Sequent(e.gamma, e.delta + (a,))
+    _leaf(steps, leaf, oracle, "left leaf is not certified ({}): {}")
+    for rule, side in (
+        ("forall_l", range(1, s.p + 1)),
+        ("exists_r", range(s.p + 1, s.q + 1)),
+    ):
+        # Γ' and Δ' list each formula's instances in this order.
+        slots = [(i, tup) for i in side for tup in instance_tuples(s, e.u, i)]
+        for pos, (i, tup) in enumerate(slots):
+            if tup:  # not the matrix of a formula without prefix
+                _block(steps, rule, s.formula(i), tup, pos)
+    eigen = tuple(alpha(i + 1) for i in range(e.arity))
+    _block(steps, "forall_r", cut_formula, eigen, len(e.delta))
+    left = _weaken(steps, s.ante, s.succ, keep_last=1)
 
     # ---- right branch ----------------------------------------------------
-    steps = tuple(apply_subst(a, alpha_subst(row)) for row in e.w)
+    instances = tuple(apply_subst(a, alpha_subst(row)) for row in e.w)
     zero_ante = tuple(f for f in s.ante if not prefix(f)[0])
     zero_succ = tuple(f for f in s.succ if not prefix(f)[0])
-    proof = _leaf(
-        Sequent(steps + zero_ante, zero_succ),
+    _leaf(
+        steps,
+        Sequent(instances + zero_ante, zero_succ),
         oracle,
         "right leaf is not certified ({}) — the solution does not support "
         "the instantiated cut: {}",
     )
     for j, row in enumerate(e.w):
-        proof = _block(proof, "forall_l", cut_formula, row, j)
+        _block(steps, "forall_l", cut_formula, row, j)
     if k > 1:
-        c = proof.conclusion
-        proof = Inference(
-            "contract", Sequent((cut_formula,) + c.ante[k:], c.succ), (proof,)
-        )
-    right = _weaken(proof, s.ante, s.succ)
+        c = steps[-1].conclusion
+        contracted = Sequent((cut_formula,) + c.ante[k:], c.succ)
+        _over_last(steps, "contract", contracted)
+    right = _weaken(steps, s.ante, s.succ)
 
     # ---- cut and final contraction ---------------------------------------
-    l_succ = list(left.conclusion.succ)
-    r_ante = list(right.conclusion.ante)
+    lc, rc = steps[left].conclusion, steps[right].conclusion
+    l_succ, r_ante = list(lc.succ), list(rc.ante)
     l_succ.remove(cut_formula)
     r_ante.remove(cut_formula)
-    cut = Inference(
-        "cut",
-        Sequent(
-            left.conclusion.ante + tuple(r_ante),
-            tuple(l_succ) + right.conclusion.succ,
-        ),
-        (left, right),
-        cut_formula,
-    )
-    return Inference("contract", s, (cut,))
+    cut = Sequent(lc.ante + tuple(r_ante), tuple(l_succ) + rc.succ)
+    steps.append(Inference("cut", cut, (left, right), cut_formula))
+    _over_last(steps, "contract", s)
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
 # checking
 
 
-def _check(root: Inference, oracle: Oracle) -> None:
-    """Check every inference, each after its premises in rule order; the
-    first failure raises, located by its path from the root."""
-    # (inference, its premise name, premises checked?): the checked ones
-    # on the stack are the ancestors of the inference at hand.
-    stack: list = [(root, "root", False)]
-    while stack:
-        node, name, ready = stack.pop()
+def check_proof_report(proof: tuple, oracle: Oracle) -> tuple[bool, str]:
+    """(True, "ok") or (False, message locating the first bad step); the
+    steps are checked in table order, so each after its premises."""
+    try:
+        _shape(proof)
+    except ValueError as err:
+        return False, str(err)
+    for i, step in enumerate(proof):
         try:
-            if ready:
-                _check_inference(node, oracle)
-                continue
-            rule = _RULES.get(node.rule)
-            if rule is None:
-                raise ProofCheckError(f"unknown rule {node.rule!r}")
-            if len(node.premises) != len(rule.premises):
-                raise ProofCheckError(
-                    f"{node.rule} takes {len(rule.premises)} premises, "
-                    f"not {len(node.premises)}"
-                )
+            _check_inference(proof, step, oracle)
         except ProofCheckError as err:
-            path = [n for _, n, up in stack if up] + [name]
-            raise ProofCheckError(f"{'.'.join(path)}: {err}") from None
-        stack.append((node, name, True))
-        named = tuple(zip(rule.premises, node.premises))
-        stack.extend((q, n, False) for n, q in reversed(named))
+            return False, f"{_path(proof, i)}: {err}"
+    return True, "ok"
 
 
-def _check_inference(node: Inference, oracle: Oracle) -> None:
-    """Check one inference whose premises are well formed."""
+def _path(proof: tuple, i: int) -> str:
+    """Step i's path from the root, as ``root.left.premise``: one scan,
+    as each step's ancestors follow it in the table."""
+    names = []
+    for k in range(i + 1, len(proof)):
+        if i in proof[k].premises:
+            rule = _RULES[proof[k].rule]
+            names.append(rule.premises[proof[k].premises.index(i)])
+            i = k
+    return ".".join(["root", *reversed(names)])
+
+
+def _check_inference(proof: tuple, node: Inference, oracle: Oracle) -> None:
+    """Check one step of a proof of good shape."""
     rule = _RULES[node.rule]
     c = node.conclusion
 
@@ -311,7 +333,7 @@ def _check_inference(node: Inference, oracle: Oracle) -> None:
             instance = apply_subst(q.body, dict(zip(q.vars, node.terms)))
         except ValueError as err:  # a term would be captured
             raise ProofCheckError(str(err)) from None
-        p = node.premises[0].conclusion
+        p = proof[node.premises[0]].conclusion
         passive = "succ" if rule.side == "ante" else "ante"
         if Counter(getattr(p, passive)) != Counter(getattr(c, passive)):
             raise ProofCheckError("passive side changed")
@@ -331,16 +353,11 @@ def _check_inference(node: Inference, oracle: Oracle) -> None:
 
     if node.rule == "cut":
         cf = node.formula
-        l, r = node.premises[0].conclusion, node.premises[1].conclusion
+        l, r = (proof[j].conclusion for j in node.premises)
         ls, ra = Counter(l.succ), Counter(r.ante)
-        if ls[cf] < 1:
-            raise ProofCheckError(
-                "cut formula missing from the left succedent"
-            )
-        if ra[cf] < 1:
-            raise ProofCheckError(
-                "cut formula missing from the right antecedent"
-            )
+        for side, where in ((ls, "left succedent"), (ra, "right antecedent")):
+            if side[cf] < 1:
+                raise ProofCheckError(f"cut formula missing from the {where}")
         ls[cf] -= 1
         ra[cf] -= 1
         if Counter(c.ante) != Counter(l.ante) + ra:
@@ -349,7 +366,7 @@ def _check_inference(node: Inference, oracle: Oracle) -> None:
             raise ProofCheckError("succedents do not join")
         return
 
-    p = node.premises[0].conclusion
+    p = proof[node.premises[0]].conclusion
     for pside, cside, label in (
         (p.ante, c.ante, "antecedent"),
         (p.succ, c.succ, "succedent"),
@@ -364,47 +381,32 @@ def _check_inference(node: Inference, oracle: Oracle) -> None:
             raise ProofCheckError(f"contraction increases a {label} count")
 
 
-def check_proof_report(p: Inference, oracle: Oracle) -> tuple[bool, str]:
-    """(True, "ok") or (False, message locating the first bad inference)."""
-    try:
-        _check(p, oracle)
-    except ProofCheckError as err:
-        return False, str(err)
-    return True, "ok"
-
-
-def metrics(p: Inference) -> dict:
-    """Proof length (inference count) and quantifier complexity.
+def metrics(proof: tuple) -> dict:
+    """Proof length (step count) and quantifier complexity.
 
     ``comq`` counts the weak quantifier-block inferences (∀ left and
     ∃ right); it is the standard size measure for proofs with cut.
     """
-    length = 0
-    comq = 0
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        length += 1
-        if node.rule in ("forall_l", "exists_r"):
-            comq += 1
-        stack.extend(node.premises)
-    return {"length": length, "comq": comq}
+    comq = sum(step.rule in ("forall_l", "exists_r") for step in proof)
+    return {"length": len(proof), "comq": comq}
 
 
 # ---------------------------------------------------------------------------
 # rendering and serialization
 
 
-def render_proof(p: Inference) -> str:
-    """One line per step in pre-order, indented two spaces per level.
+def render_proof(proof: tuple) -> str:
+    """One line per step in pre-order from the root, indented two spaces
+    per level.
 
     Each distinct formula is rendered once per call: formulas are
     hash-consed, and consecutive steps share most of theirs."""
     text = cache(render_formula)
     lines: list[str] = []
-    stack = [(p, 0)]
+    stack = [(len(proof) - 1, 0)]
     while stack:
-        node, depth = stack.pop()
+        i, depth = stack.pop()
+        node = proof[i]
         extra = ""
         if _RULES[node.rule].kind:
             extra = " [" + ", ".join(render_term(t) for t in node.terms) + "]"
@@ -413,25 +415,20 @@ def render_proof(p: Inference) -> str:
         lines.append(
             f"{'  ' * depth}{node.rule}{extra}: {node.conclusion.render(text)}"
         )
-        stack.extend((q, depth + 1) for q in reversed(node.premises))
+        stack.extend((j, depth + 1) for j in reversed(node.premises))
     return "\n".join(lines)
 
 
-def proof_to_json(p: Inference) -> Any:
+def proof_to_json(proof: tuple) -> Any:
     """The proof as ``proof.json`` holds it: ``nodes``, the node table of
-    its formulas and terms (``serialize``), and ``proof``, its steps in
-    post-order, so the root is last.  A step has the keys that name the
-    rule and its parts in ``_RULES``, with node indexes for formulas and
-    terms and the indexes of earlier steps for premises."""
-    order, stack = [], [p]  # the steps in reverse post-order
-    while stack:
-        order.append(stack.pop())
-        stack.extend(order[-1].premises)
+    its formulas and terms (``serialize``), and ``proof``, its steps.  A
+    step has the keys that name the rule and its parts in ``_RULES``,
+    with node indexes for formulas and terms and step indexes for
+    premises."""
     index: dict = {}
     nodes: list = []
     steps: list = []
-    done: list = []  # the indexes of the steps no step names yet
-    for inf in reversed(order):
+    for inf in proof:
         rule = _RULES[inf.rule]
         ante, succ = (
             [node_to_json(f, index, nodes) for f in side]
@@ -444,11 +441,7 @@ def proof_to_json(p: Inference) -> Any:
             d["eigen"] = [t.name for t in inf.terms]
         elif rule.kind:
             d["terms"] = [node_to_json(t, index, nodes) for t in inf.terms]
-        if rule.premises:
-            n = len(rule.premises)
-            d.update(zip(rule.premises, done[-n:]))
-            del done[-n:]
-        done.append(len(steps))
+        d.update(zip(rule.premises, inf.premises))
         steps.append(d)
     return {"nodes": nodes, "proof": steps}
 
@@ -461,25 +454,25 @@ def proof_to_json(p: Inference) -> Any:
 MAX_TREE_NODES = 10**7
 
 
-def proof_from_json(d: Any) -> Inference:
+def proof_from_json(d: Any) -> tuple:
     """The proof a ``proof.json`` holds: the table ``proof_to_json``
     writes, or the nested object of earlier versions, read as one inline
-    root step.  Each step of a table but the root must be the premise of
-    exactly one later step."""
+    root step.  An inline step is read, with the inline steps above it,
+    before the step that names it.  The steps must form one tree, root
+    last (``_shape``)."""
     if not isinstance(d, dict):
         raise ValueError(f"bad proof encoding: {type(d).__name__}")
     if "rule" in d:
-        return _StepReader([]).step(d, [])
-    reader = _StepReader(
-        entries_from_json(d.get("nodes"), "nodes", node_from_json)
-    )
-    steps = entries_from_json(d.get("proof"), "proof", reader.step)
-    if not steps:
-        raise ValueError("the proof has no steps")
-    for i in range(len(steps) - 1):
-        if i not in reader.used:
-            raise ValueError(f"proof[{i}]: a premise of no later step")
-    return steps[-1]
+        reader = _StepReader([])
+        reader.step(d, [])
+    else:
+        reader = _StepReader(
+            entries_from_json(d.get("nodes"), "nodes", node_from_json)
+        )
+        entries_from_json(d.get("proof"), "proof", reader.step)
+    proof = tuple(reader.steps)
+    _shape(proof)
+    return proof
 
 
 class _StepReader:
@@ -489,33 +482,28 @@ class _StepReader:
 
     def __init__(self, nodes: list) -> None:
         self.nodes = nodes
-        self.used: set = set()  # the steps already named as premises
+        self.steps: list = []
         self.sizes: dict = {}
         self.total = 0
 
-    def step(self, e: Any, steps: list) -> Inference:
-        """One step or inline step, over the steps read so far."""
+    def step(self, e: Any, entries: list) -> int:
+        """Append step ``e`` after its inline premises and return its
+        index; ``entries`` holds the step index of each table entry read
+        so far."""
         if not isinstance(e, dict):
             raise ValueError(f"bad proof step: {type(e).__name__}")
         name = e.get("rule")
-        rule = _RULES.get(name) if isinstance(name, str) else None
-        if rule is None:
-            raise ValueError(f"unknown proof rule: {name!r}")
-        nodes, used = self.nodes, self.used
+        rule = _rule(name)
+        nodes = self.nodes
         c = e["conclusion"]
         ante = slots_from_json(c["ante"], nodes, False)
         succ = slots_from_json(c["succ"], nodes, False)
-        premises = []
-        for key in rule.premises:
-            x = e[key]
-            if isinstance(x, dict):
-                premises.append(self.step(x, steps))
-                continue
-            i = index_from_json(x, len(steps))
-            if i in used:
-                raise ValueError(f"step {i} is a premise twice")
-            used.add(i)
-            premises.append(steps[i])
+        premises = tuple(
+            self.step(x, entries)
+            if isinstance(x, dict)
+            else entries[index_from_json(x, len(entries))]
+            for x in (e[key] for key in rule.premises)
+        )
         formula = None
         if rule.formula:
             formula = slot_from_json(e[rule.formula], nodes, False)
@@ -534,4 +522,6 @@ class _StepReader:
                 f"{MAX_TREE_NODES} nodes"
             )
         conclusion = Sequent(ante, succ)
-        return Inference(name, conclusion, tuple(premises), formula, terms)
+        step = Inference(name, conclusion, premises, formula, terms)
+        self.steps.append(step)
+        return len(self.steps) - 1

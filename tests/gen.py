@@ -549,10 +549,33 @@ def render_input(seq: Sequent, structure: HerbrandStructure) -> str:
 # hand-made proofs
 
 
-def unsound_forall_r() -> Inference:
+def unsound_forall_r() -> tuple:
     """∀ right from the leaf P(α1) ⊢ P(α1) to P(α1) ⊢ ∀x P(x): the
     eigenvariable α1 stays free in the conclusion, so the step is unsound."""
     p = Atom("P", (alpha(1),))
     leaf = Inference("oracle", Sequent((p,), (p,)))
     q = QuantBlock("all", ("x",), Atom("P", (Var("x"),)))
-    return Inference("forall_r", Sequent((p,), (q,)), (leaf,), q, (alpha(1),))
+    step = Inference("forall_r", Sequent((p,), (q,)), (0,), q, (alpha(1),))
+    return leaf, step
+
+
+def weakening_chain(seq: Sequent, n: int) -> tuple:
+    """The leaf seq under n weakenings that add nothing: n + 1 steps."""
+    steps = [Inference("oracle", seq)]
+    steps += (Inference("weaken", seq, (i,)) for i in range(n))
+    return tuple(steps)
+
+
+def splice_out(proof: tuple, i: int) -> tuple:
+    """The proof with step i, a step of one premise, left out: the step
+    that named it names its premise instead."""
+    (above,) = proof[i].premises
+
+    def renumber(j: int) -> int:
+        return above if j == i else j - (j > i)
+
+    return tuple(
+        step._replace(premises=tuple(map(renumber, step.premises)))
+        for k, step in enumerate(proof)
+        if k != i
+    )

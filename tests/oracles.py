@@ -19,7 +19,7 @@ refutation with both caps exposed, the sequent-level question the
 tests ask of the decision procedure.  Its refutation is
 ``reference_refute``, the internal oracle's query as it was before the
 run-wide atom table (it numbers and encodes each query afresh), on the
-package's search and theory check.
+package's search; it checks models on ``ReferenceClosure``.
 
 ``reference_sf_improve`` is the forgetful-inference search as it was
 before its clause table: it starts from ``simplify_clauses`` of the side
@@ -48,13 +48,7 @@ from cutintro.cnf import (
     simplify_clauses,
 )
 from cutintro.cutformula import SFResult, _pair_successors
-from cutintro.euf import (
-    DEFAULT_STEP_CAP,
-    CongruenceClosure,
-    Verdict,
-    _Search,
-    _theory_conflict,
-)
+from cutintro.euf import DEFAULT_STEP_CAP, Verdict, _Search
 from cutintro.formulas import (
     And,
     Atom,
@@ -170,11 +164,12 @@ def reference_render_term(t: Term) -> str:
 def reference_render_proof(p) -> str:
     """``proofs.render_proof`` as it was before it kept each formula's
     text: every step's formulas, and its whole conclusion, rendered
-    afresh."""
+    afresh.  ``p`` is the table of steps, root last."""
     lines: list[str] = []
-    stack = [(p, 0)]
+    stack = [(len(p) - 1, 0)]
     while stack:
-        node, depth = stack.pop()
+        i, depth = stack.pop()
+        node = p[i]
         extra = ""
         if _RULES[node.rule].kind:
             extra = " [" + ", ".join(render_term(t) for t in node.terms) + "]"
@@ -184,7 +179,7 @@ def reference_render_proof(p) -> str:
         left = ", ".join(render_formula(f) for f in seq.ante)
         right = ", ".join(render_formula(f) for f in seq.succ)
         lines.append(f"{'  ' * depth}{node.rule}{extra}: {left} |- {right}")
-        stack.extend((q, depth + 1) for q in reversed(node.premises))
+        stack.extend((j, depth + 1) for j in reversed(node.premises))
     return "\n".join(lines)
 
 
@@ -333,8 +328,8 @@ class ReferenceClosure:
         known = self._ids.get(t)
         if known is not None:
             return known
-        if isinstance(t, Var):
-            head, args = t.name, ()
+        if isinstance(t, Var):  # its own head: no constant's congruence
+            head, args = t, ()
         else:
             head, args = t.head, tuple(self.intern(a) for a in t.args)
         i = len(self._node)
@@ -424,6 +419,25 @@ def _reference_model_conflict(true_eqs: list, others: list):
     return core, clash
 
 
+def _reference_blocking(model, index: dict):
+    """The blocking clause, as ints, of a propositional model that is no
+    model modulo equality, or None: ``index`` numbers the atoms from 1,
+    and ``model[i]`` is the value of atom i."""
+    true_eqs = [a for a, i in index.items() if isinstance(a, Eq) and model[i]]
+    others = [
+        (model[i], a)
+        for a, i in index.items()
+        if not (isinstance(a, Eq) and model[i])
+    ]
+    conflict = _reference_model_conflict(true_eqs, others)
+    if conflict is None:
+        return None
+    core, clash = conflict
+    return [-index[e] for e in core] + [
+        (-index[a] if s else index[a]) for s, a in clash
+    ]
+
+
 def _reference_propagate(clauses: list, assign: dict) -> bool:
     changed = True
     while changed:
@@ -478,24 +492,10 @@ def reference_decide_clauses(cnf, *, theory: bool = True) -> bool:
             return True
         if not theory:
             return False
-        true_eqs = [
-            a for a, i in index.items() if isinstance(a, Eq) and model[i]
-        ]
-        others = [
-            (model[i], a)
-            for a, i in index.items()
-            if not (isinstance(a, Eq) and model[i])
-        ]
-        conflict = _reference_model_conflict(true_eqs, others)
-        if conflict is None:
+        blocking = _reference_blocking(model, index)
+        if blocking is None:
             return False
-        core, clash = conflict
-        clauses.append(
-            frozenset(
-                [-index[e] for e in core]
-                + [(-index[a] if s else index[a]) for s, a in clash]
-            )
-        )
+        clauses.append(frozenset(blocking))
 
 
 # --------------------------------------------------------------------------
@@ -572,7 +572,6 @@ def reference_clauses(asserted: list, denied: list, cap: int):
 
 def reference_refute(
     clauses,
-    closure: CongruenceClosure,
     *,
     learned: Optional[dict] = None,
     step_cap: int = DEFAULT_STEP_CAP,
@@ -580,7 +579,10 @@ def reference_refute(
 ) -> Verdict:
     """The internal oracle's query as it was before its run-wide atom
     table: VALID iff the clause set is unsatisfiable modulo equality,
-    UNKNOWN past the step cap; models are checked in ``closure``.
+    UNKNOWN past the step cap.  The package's search finds the models;
+    each is checked, and blocked, as ``reference_decide_clauses`` does,
+    on ``ReferenceClosure``, so no code of the package's theory check
+    runs here.
 
     Each query drops its tautologies, numbers its own atoms 1..n in
     ``key`` order and encodes its clauses afresh.  ``learned``, when
@@ -605,20 +607,10 @@ def reference_refute(
     )
     if any(not c for c in ints):
         return Verdict.VALID
-    eqs = preds = None
     try:
         search = _Search(ints, len(atoms), step_cap, cancel)
         while (model := search.next_model()) is not None:
-            if eqs is None:
-                eqs, preds = [], []
-                for v, atom in enumerate(atoms, 1):
-                    if isinstance(atom, Eq):
-                        lhs = closure.intern(atom.lhs)
-                        eqs.append((v, lhs, closure.intern(atom.rhs)))
-                    else:
-                        args = tuple([closure.intern(t) for t in atom.args])
-                        preds.append((v, atom.pred, args))
-            blocking = _theory_conflict(closure, eqs, preds, model)
+            blocking = _reference_blocking(model, index)
             if blocking is None:
                 return Verdict.INVALID
             lemma = frozenset((u > 0, atoms[abs(u) - 1]) for u in blocking)
@@ -649,9 +641,7 @@ def decide_validity(
         if err.meter != "clause_form_literals":
             raise
         return Verdict.UNKNOWN
-    return reference_refute(
-        clauses, CongruenceClosure(), step_cap=step_cap, cancel=cancel
-    )
+    return reference_refute(clauses, step_cap=step_cap, cancel=cancel)
 
 
 # --------------------------------------------------------------------------

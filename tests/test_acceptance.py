@@ -353,14 +353,12 @@ def test_criterion_5_equality_oracle():
 
 
 def _splice_out_block(proof, rng):
-    blocks = _collect(proof, "forall_l")
-    victim = rng.choice(blocks)
-    return _swap(proof, victim, victim.premises[0])
+    return gen.splice_out(proof, rng.choice(_collect(proof, "forall_l")))
 
 
 def _corrupt_eigen(proof, rng):
-    strong = _collect(proof, "forall_r")
-    victim = rng.choice(strong)
+    i = rng.choice(_collect(proof, "forall_r"))
+    victim = proof[i]
     names = list(victim.terms)
     if len(names) > 1 and rng.random() < 0.5:
         names[0], names[1] = names[1], names[0]
@@ -368,13 +366,12 @@ def _corrupt_eigen(proof, rng):
         names[1] = names[0]
     else:
         names[0] = alpha(99)
-    return _swap(proof, victim, dataclasses.replace(victim, terms=tuple(names)))
+    return _swap(proof, i, victim._replace(terms=tuple(names)))
 
 
 def _corrupt_leaf(proof, rng):
-    leaves = _collect(proof, "oracle")
-    victim = rng.choice(leaves)
-    conc = victim.conclusion
+    i = rng.choice(_collect(proof, "oracle"))
+    conc = proof[i].conclusion
     choice = rng.randrange(3)
     if choice == 0 and conc.ante:
         drop = rng.randrange(len(conc.ante))
@@ -388,29 +385,23 @@ def _corrupt_leaf(proof, rng):
         )
     else:
         new = dataclasses.replace(conc, ante=conc.succ, succ=conc.ante)
-    return _swap(proof, victim, dataclasses.replace(victim, conclusion=new))
+    return _swap(proof, i, proof[i]._replace(conclusion=new))
 
 
 def _collect(proof, rule):
-    out = []
-
-    def walk(n):
-        if n.rule == rule:
-            out.append(n)
-        for child in n.premises:
-            walk(child)
-
-    walk(proof)
+    """The indexes of the steps of ``rule``, in pre-order from the root."""
+    out, stack = [], [len(proof) - 1]
+    while stack:
+        i = stack.pop()
+        if proof[i].rule == rule:
+            out.append(i)
+        stack.extend(reversed(proof[i].premises))
     return out
 
 
-def _swap(proof, old, new):
-    if proof is old:
-        return new
-    premises = tuple(_swap(child, old, new) for child in proof.premises)
-    if all(x is y for x, y in zip(premises, proof.premises)):
-        return proof
-    return dataclasses.replace(proof, premises=premises)
+def _swap(proof, i, new):
+    """The proof with step i replaced by ``new``."""
+    return proof[:i] + (new,) + proof[i + 1:]
 
 
 def test_criterion_6_mutations_rejected(golden_ehs, golden_sf, golden_oracle):

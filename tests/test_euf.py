@@ -287,20 +287,18 @@ class TestAgainstReferenceSolver:
         # One oracle keeps its atom table, closure and lemma store across
         # queries; whatever an earlier query left there, in either order,
         # no verdict differs from a fresh oracle's, from the per-query
-        # encoding's with one closure and lemma store of its own, or from
-        # the reference's.
+        # encoding's with one lemma store of its own, or from the
+        # reference's.
         sequence = bundled + random_sets
         assert len(bundled) >= 350 and len(random_sets) == 150
         fresh = {cnf: InternalOracle().refutation(cnf) for cnf in sequence}
         for order in (sequence, sequence[::-1]):
             one = InternalOracle()
-            closure, learned = CongruenceClosure(), {}
+            learned: dict = {}
             for cnf in order:
                 got = one.refutation(cnf)
                 assert got is fresh[cnf]
-                assert got is oracles.reference_refute(
-                    cnf, closure, learned=learned
-                )
+                assert got is oracles.reference_refute(cnf, learned=learned)
                 assert (got is Verdict.VALID) == reference[cnf]
             assert one.hits >= 1
 

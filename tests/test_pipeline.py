@@ -255,7 +255,8 @@ class TestGoldenArtifacts:
         return root / "out"
 
     @pytest.mark.parametrize(
-        "name", ["proof.json", "decomposition.json", "solution.txt"]
+        "name",
+        ["proof.json", "proof.txt", "decomposition.json", "solution.txt"],
     )
     def test_artifact_matches(self, out, name):
         assert (out / name).read_bytes() == (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -60,26 +61,21 @@ def golden_proof(golden_ehs, golden_sf, golden_oracle):
     return build_proof_with_cut(golden_ehs, best.formula, golden_oracle)
 
 
-def _nodes(p) -> list:
-    out = []
-
-    def walk(n):
-        out.append(n)
-        for child in n.premises:
-            walk(child)
-
-    walk(p)
+def _nodes(p, rules: tuple, root: int = -1) -> list:
+    """The indexes of the steps of ``rules`` in the subproof whose root
+    is step ``root``, in pre-order."""
+    out, stack = [], [root % len(p)]
+    while stack:
+        i = stack.pop()
+        if p[i].rule in rules:
+            out.append(i)
+        stack.extend(reversed(p[i].premises))
     return out
 
 
-def _replace_node(p, old, new):
-    """Rebuild the proof with `old` (by identity) swapped for `new`."""
-    if p is old:
-        return new
-    premises = tuple(_replace_node(child, old, new) for child in p.premises)
-    if all(x is y for x, y in zip(premises, p.premises)):
-        return p
-    return dataclasses.replace(p, premises=premises)
+def _replace_node(p, i: int, new):
+    """The proof with step i replaced by ``new``."""
+    return p[:i] + (new,) + p[i + 1:]
 
 
 class TestGoldenProof:
@@ -94,61 +90,46 @@ class TestGoldenProof:
         self, golden_proof, golden
     ):
         seq, _ = golden
-        assert sorted(map(render_formula, golden_proof.conclusion.ante)) == (
+        root = golden_proof[-1].conclusion
+        assert sorted(map(render_formula, root.ante)) == (
             sorted(map(render_formula, seq.ante))
         )
-        assert tuple(golden_proof.conclusion.succ) == seq.succ
+        assert tuple(root.succ) == seq.succ
 
     def test_exactly_one_cut(self, golden_proof):
-        cuts = [n for n in _nodes(golden_proof) if n.rule == "cut"]
+        cuts = _nodes(golden_proof, ("cut",))
         assert len(cuts) == 1
-        cut = cuts[0]
+        cut = golden_proof[cuts[0]]
         assert isinstance(cut.formula, QuantBlock)
         assert cut.formula.kind == "all"
         assert len(cut.formula.vars) == 2
 
     def test_cut_formula_matches_solution(self, golden_proof, golden_sf):
         best = min(golden_sf.candidates, key=SolutionCandidate.sort_key)
-        cut = next(
-            n for n in _nodes(golden_proof) if n.rule == "cut"
-        )
-        body = cut.formula.body
+        (cut,) = _nodes(golden_proof, ("cut",))
+        body = golden_proof[cut].formula.body
         # Body is the solution with α's renamed to bound variables.
         assert render_formula(body).count("P(") == render_formula(
             best.formula
         ).count("P(")
 
     def test_left_branch_has_the_strong_block(self, golden_proof):
-        cut = next(
-            n for n in _nodes(golden_proof) if n.rule == "cut"
-        )
-        strong = [
-            n
-            for n in _nodes(cut.premises[0])
-            if n.rule == "forall_r"
-        ]
-        assert len(strong) == 1
-        assert strong[0].terms == (alpha(1), alpha(2))
+        (cut,) = _nodes(golden_proof, ("cut",))
+        left = golden_proof[cut].premises[0]
+        (strong,) = _nodes(golden_proof, ("forall_r",), left)
+        assert golden_proof[strong].terms == (alpha(1), alpha(2))
 
     def test_right_branch_instantiates_per_witness_row(self, golden_proof):
-        cut = next(
-            n for n in _nodes(golden_proof) if n.rule == "cut"
-        )
-        blocks = [
-            n
-            for n in _nodes(cut.premises[1])
-            if n.rule == "forall_l"
-        ]
+        (cut,) = _nodes(golden_proof, ("cut",))
+        right = golden_proof[cut].premises[1]
+        blocks = _nodes(golden_proof, ("forall_l",), right)
         assert len(blocks) == 2
         ffa = f(f(a))
-        assert {b.terms for b in blocks} == {(a, ffa), (ffa, a)}
+        terms = {golden_proof[i].terms for i in blocks}
+        assert terms == {(a, ffa), (ffa, a)}
 
     def test_weak_block_count_matches_comq(self, golden_proof):
-        weak = [
-            n
-            for n in _nodes(golden_proof)
-            if n.rule in ("forall_l", "exists_r")
-        ]
+        weak = _nodes(golden_proof, ("forall_l", "exists_r"))
         assert len(weak) == metrics(golden_proof)["comq"] == 10
 
     def test_render_mentions_every_rule(self, golden_proof):
@@ -158,20 +139,21 @@ class TestGoldenProof:
 
     def test_render_matches_a_recursive_walk(self, golden_proof):
         # Each step's own line, then its premises one level deeper.
-        def walk(p, depth):
-            own = render_proof(dataclasses.replace(p, premises=()))
+        def walk(i, depth):
+            step = golden_proof[i]
+            own = render_proof((step._replace(premises=()),))
             yield "  " * depth + own
-            for q in p.premises:
-                yield from walk(q, depth + 1)
+            for j in step.premises:
+                yield from walk(j, depth + 1)
 
-        assert render_proof(golden_proof) == "\n".join(walk(golden_proof, 0))
+        assert render_proof(golden_proof) == "\n".join(
+            walk(len(golden_proof) - 1, 0)
+        )
 
     def test_render_ten_thousand_step_chain(self, oracle):
         # The leaf P(a) ⊢ P(a) under 10^4 weakenings that add nothing.
         seq = Sequent((Atom("P", (a,)),), (Atom("P", (a,)),))
-        p = Inference("oracle", seq)
-        for _ in range(10**4):
-            p = Inference("weaken", seq, (p,))
+        p = gen.weakening_chain(seq, 10**4)
         assert check_proof_report(p, oracle)[0]
         text = render_proof(p)
         lines = text.split("\n")
@@ -179,6 +161,18 @@ class TestGoldenProof:
         assert lines[0] == "weaken: " + seq.render()
         assert lines[-1] == "  " * 10**4 + "oracle: " + seq.render()
         assert text == oracles.reference_render_proof(p)
+
+    def test_hundred_thousand_step_chain(self, oracle):
+        # A proof is a flat table: reading, checking, equality, hashing,
+        # repr and pickling each take one pass over its steps, whatever
+        # its depth.  (Its proof.txt would indent by 10^10 spaces in all.)
+        seq = Sequent((Atom("P", (a,)),), (Atom("P", (a,)),))
+        chain = gen.weakening_chain(seq, 10**5)
+        p = proof_from_json(proof_to_json(chain))
+        assert p == chain and hash(p) == hash(chain)
+        assert check_proof_report(p, oracle) == (True, "ok")
+        assert repr(p).count("Inference(") == 10**5 + 1
+        assert pickle.loads(pickle.dumps(p)) == p
 
     def test_render_is_the_reference_rendering(self, golden_proof):
         # Each formula's text is kept for the call; the bytes are those
@@ -252,110 +246,80 @@ class TestMutations:
     """Corrupted proofs must be rejected by the checker."""
 
     def test_deleted_instance_tuple(self, golden_proof, golden_oracle):
-        block = next(
-            n
-            for n in _nodes(golden_proof)
-            if n.rule == "forall_l"
-        )
-        spliced = _replace_node(golden_proof, block, block.premises[0])
+        block = _nodes(golden_proof, ("forall_l",))[0]
+        spliced = gen.splice_out(golden_proof, block)
         ok, msg = check_proof_report(spliced, golden_oracle)
         assert not ok and msg
 
     def test_swapped_eigenvariable(self, golden_proof, golden_oracle):
-        strong = next(
-            n
-            for n in _nodes(golden_proof)
-            if n.rule == "forall_r"
-        )
-        mutated = dataclasses.replace(
-            strong, terms=(strong.terms[1], strong.terms[0])
-        )
-        bad = _replace_node(golden_proof, strong, mutated)
+        i = _nodes(golden_proof, ("forall_r",))[0]
+        strong = golden_proof[i]
+        mutated = strong._replace(terms=(strong.terms[1], strong.terms[0]))
+        bad = _replace_node(golden_proof, i, mutated)
         ok, msg = check_proof_report(bad, golden_oracle)
         assert not ok and msg
 
     def test_duplicate_eigenvariable(self, golden_proof, golden_oracle):
-        strong = next(
-            n
-            for n in _nodes(golden_proof)
-            if n.rule == "forall_r"
-        )
-        mutated = dataclasses.replace(
-            strong, terms=(strong.terms[0], strong.terms[0])
-        )
-        bad = _replace_node(golden_proof, strong, mutated)
+        i = _nodes(golden_proof, ("forall_r",))[0]
+        strong = golden_proof[i]
+        mutated = strong._replace(terms=(strong.terms[0], strong.terms[0]))
+        bad = _replace_node(golden_proof, i, mutated)
         assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_altered_leaf(self, golden_proof, golden_oracle):
-        leaf = next(
-            n for n in _nodes(golden_proof) if n.rule == "oracle"
-        )
-        broken = dataclasses.replace(
-            leaf,
+        i = _nodes(golden_proof, ("oracle",))[0]
+        leaf = golden_proof[i]
+        broken = leaf._replace(
             conclusion=dataclasses.replace(
                 leaf.conclusion, ante=leaf.conclusion.ante[1:]
             ),
         )
-        bad = _replace_node(golden_proof, leaf, broken)
+        bad = _replace_node(golden_proof, i, broken)
         assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_invalid_leaf_sequent(self, golden_proof, golden_oracle):
-        leaf = next(
-            n for n in _nodes(golden_proof) if n.rule == "oracle"
-        )
+        i = _nodes(golden_proof, ("oracle",))[0]
+        leaf = golden_proof[i]
         # Keep the tree consistent but claim an unprovable leaf: negate
         # the whole antecedent away.
-        broken = dataclasses.replace(
-            leaf,
+        broken = leaf._replace(
             conclusion=dataclasses.replace(leaf.conclusion, ante=()),
         )
-        bad = _replace_node(golden_proof, leaf, broken)
+        bad = _replace_node(golden_proof, i, broken)
         assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_altered_cut_formula(self, golden_proof, golden_oracle):
-        cut = next(
-            n for n in _nodes(golden_proof) if n.rule == "cut"
-        )
-        mutated = dataclasses.replace(
-            cut,
+        (i,) = _nodes(golden_proof, ("cut",))
+        cut = golden_proof[i]
+        mutated = cut._replace(
             formula=QuantBlock(
                 "all",
                 cut.formula.vars,
                 Not(cut.formula.body),
             ),
         )
-        bad = _replace_node(golden_proof, cut, mutated)
+        bad = _replace_node(golden_proof, i, mutated)
         assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_swapped_cut_branches(self, golden_proof, golden_oracle):
-        cut = next(
-            n for n in _nodes(golden_proof) if n.rule == "cut"
-        )
-        mutated = dataclasses.replace(cut, premises=cut.premises[::-1])
-        bad = _replace_node(golden_proof, cut, mutated)
+        (i,) = _nodes(golden_proof, ("cut",))
+        cut = golden_proof[i]
+        mutated = cut._replace(premises=cut.premises[::-1])
+        bad = _replace_node(golden_proof, i, mutated)
         assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_wrong_instantiation_term(self, golden_proof, golden_oracle):
-        block = next(
-            n
-            for n in _nodes(golden_proof)
-            if n.rule == "forall_l"
-        )
-        terms = tuple(f(t) for t in block.terms)
-        mutated = dataclasses.replace(block, terms=terms)
-        bad = _replace_node(golden_proof, block, mutated)
+        i = _nodes(golden_proof, ("forall_l",))[0]
+        block = golden_proof[i]
+        mutated = block._replace(terms=tuple(f(t) for t in block.terms))
+        bad = _replace_node(golden_proof, i, mutated)
         assert not check_proof_report(bad, golden_oracle)[0]
 
     def test_report_names_the_failing_rule(self, golden_proof, golden_oracle):
-        block = next(
-            n
-            for n in _nodes(golden_proof)
-            if n.rule == "forall_l"
-        )
-        mutated = dataclasses.replace(
-            block, terms=tuple(f(t) for t in block.terms)
-        )
-        bad = _replace_node(golden_proof, block, mutated)
+        i = _nodes(golden_proof, ("forall_l",))[0]
+        block = golden_proof[i]
+        mutated = block._replace(terms=tuple(f(t) for t in block.terms))
+        bad = _replace_node(golden_proof, i, mutated)
         ok, msg = check_proof_report(bad, golden_oracle)
         assert not ok
         assert msg
@@ -369,15 +333,10 @@ class TestJsonErrors:
     def test_round_trip_of_mutants_preserves_rejection(
         self, golden_proof, golden_oracle
     ):
-        block = next(
-            n
-            for n in _nodes(golden_proof)
-            if n.rule == "forall_l"
-        )
-        mutated = dataclasses.replace(
-            block, terms=tuple(f(t) for t in block.terms)
-        )
-        bad = _replace_node(golden_proof, block, mutated)
+        i = _nodes(golden_proof, ("forall_l",))[0]
+        block = golden_proof[i]
+        mutated = block._replace(terms=tuple(f(t) for t in block.terms))
+        bad = _replace_node(golden_proof, i, mutated)
         again = proof_from_json(proof_to_json(bad))
         assert not check_proof_report(again, golden_oracle)[0]
 
@@ -394,8 +353,8 @@ class TestUnsoundBlocks:
         inner = QuantBlock("all", ("y",), Atom("P", (Var("x"), Var("y"))))
         q = QuantBlock("all", ("x",), inner)
         leaf = Inference("oracle", Sequent((pa,), (pa,)))
-        p = Inference(
-            "forall_l", Sequent((q, pa), (pa,)), (leaf,), q, (Var("y"),)
+        p = leaf, Inference(
+            "forall_l", Sequent((q, pa), (pa,)), (0,), q, (Var("y"),)
         )
         ok, msg = check_proof_report(p, oracle)
         assert not ok
@@ -410,12 +369,12 @@ class TestUnsoundBlocks:
         pa = Atom("P", (a,))
         leaf = Inference("oracle", Sequent((pa,), (pa,)))
         seq, terms = Sequent((pa,), (pa,)), (Var("x"),)
-        p = Inference(rule, seq, (leaf,), None, terms)
+        p = leaf, Inference(rule, seq, (0,), None, terms)
         assert check_proof_report(p, oracle) == (
             False,
             f"root: {rule} names no {block} block",
         )
-        p = Inference(rule, seq, (leaf,), pa, terms)
+        p = leaf, Inference(rule, seq, (0,), pa, terms)
         assert check_proof_report(p, oracle) == (
             False,
             f"root: {rule}: P(a) is not a {block} block",
@@ -440,7 +399,7 @@ class TestCommittedProofJson:
 
     def test_reading_leaves_no_reference_cycles(self, leaves_no_cycles):
         d = json.loads(self.GOLDEN.read_text(encoding="utf-8"))
-        assert leaves_no_cycles(lambda: proof_from_json(d)).premises
+        assert leaves_no_cycles(lambda: proof_from_json(d))[-1].premises
 
     def test_indented_file_reads_and_checks(self, oracle):
         text = self.INDENTED.read_text(encoding="utf-8")

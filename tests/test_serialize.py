@@ -24,13 +24,15 @@ from cutintro.sequents import Sequent
 from cutintro.serialize import node_to_json, tree_size
 from cutintro.terms import App, Var, const
 
+import gen
 from test_cutformula import _solved_random_instance
 from test_formulas import formulas_strategy
 from test_terms import terms_strategy
 
 
-def _leaf(ante=(), succ=()) -> Inference:
-    return Inference("oracle", Sequent(tuple(ante), tuple(succ)))
+def _leaf(ante=(), succ=()) -> tuple:
+    """The one-step proof of an oracle leaf."""
+    return (Inference("oracle", Sequent(tuple(ante), tuple(succ))),)
 
 
 def _written(proof) -> str:
@@ -39,7 +41,8 @@ def _written(proof) -> str:
 
 
 def _read(text: str) -> Inference:
-    return proof_from_json(json.loads(text))
+    """The root step of the proof that ``text`` holds."""
+    return proof_from_json(json.loads(text))[-1]
 
 
 def _table(*nodes) -> dict:
@@ -84,7 +87,7 @@ class TestFormulas:
             {"atom": "P", "args": [0]},
             {"quant": "all", "vars": ["x", "y"], "body": 1},
         ]
-        assert proof_from_json(packed).conclusion.ante == (f,)
+        assert proof_from_json(packed)[-1].conclusion.ante == (f,)
 
     def test_nested_connectives(self):
         f = Imp(Not(Atom("P", ())), Eq(const("a"), const("b")))
@@ -93,7 +96,7 @@ class TestFormulas:
         assert packed["proof"] == [
             {"rule": "oracle", "conclusion": {"ante": [5], "succ": [5]}}
         ]
-        assert proof_from_json(packed).conclusion.succ == (f,)
+        assert proof_from_json(packed)[-1].conclusion.succ == (f,)
 
     def test_bad_payload_rejected(self):
         bad = _table({"atom": "P", "args": []}, {"xor": [0, 0]})
@@ -107,16 +110,16 @@ class TestSequents:
             (Atom("P", (const("a"),)), Eq(const("a"), const("b"))),
             (Atom("Q", ()),),
         )
-        assert _read(_written(Inference("oracle", s))).conclusion == s
+        assert _read(_written(_leaf(s.ante, s.succ))).conclusion == s
 
     def test_empty_sequent(self):
         s = Sequent((), ())
-        assert _read(_written(Inference("oracle", s))).conclusion == s
+        assert _read(_written(_leaf(s.ante, s.succ))).conclusion == s
 
 
 def _assert_proof_written_unchanged(proof) -> None:
     """The text the pipeline writes to proof.json reads back to proof."""
-    assert _read(_written(proof)) == proof
+    assert proof_from_json(json.loads(_written(proof))) == proof
 
 
 @pytest.fixture(scope="module")
@@ -169,12 +172,8 @@ class TestProofJson:
 
     def test_ten_thousand_step_chain(self):
         pa = Atom("P", (const("a"),))
-        p = _leaf([pa], [pa])
-        for _ in range(10**4):
-            p = Inference("weaken", p.conclusion, (p,))
-        text = _written(p)
-        # Inference equality recurses once per step; compare the text.
-        assert _written(_read(text)) == text
+        p = gen.weakening_chain(Sequent((pa,), (pa,)), 10**4)
+        assert proof_from_json(json.loads(_written(p))) == p
 
     def test_tree_size_counts_a_shared_node_each_time(self):
         fa = App("f", (const("a"),))
@@ -193,7 +192,8 @@ class TestProofJson:
             },
         }
         a = Atom("P", (const("a"),))
-        leaf = _leaf([a], [a])
-        assert proof_from_json(nested) == Inference(
-            "weaken", Sequent((a, a), (a,)), (leaf,)
+        (leaf,) = _leaf([a], [a])
+        assert proof_from_json(nested) == (
+            leaf,
+            Inference("weaken", Sequent((a, a), (a,)), (0,)),
         )
