@@ -20,7 +20,6 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import emit_stats, run_corpus, write_corpus_outputs
 from .euf import InternalOracle
 from .limits import Deadline, LimitReached
 from .pipeline import RunConfig, run_pipeline
@@ -106,6 +105,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    # Imported here: ``run`` and ``check`` do not load the corpus module.
+    from .corpus import emit_stats, run_corpus, write_corpus_outputs
+
     try:
         reports = run_corpus(args.directory, args.config, workers=args.workers)
         if args.out:

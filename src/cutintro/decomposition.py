@@ -34,10 +34,16 @@ The search works in three stages:
    lifted pair keeps its cover's mask, and its key has as many rows as
    the source's.  A key tries only the injections whose first
    coordinate holds the first column of a smaller key of its size, and
-   a size whose keys share one arity lifts nothing.  The table keeps
-   the subsets of the last size it added, so it can grow by the next;
-   ``build_delta_table`` adds the sizes up to ⌊√|T|⌋ + 1 terms.  A
-   table that would enumerate more than ``DELTA_ENTRIES_CAP`` subsets
+   a size whose keys share one arity lifts nothing; a column is read
+   into a set only when one of its terms is in such a first column.
+   The table keeps the subsets of the last size it added, so it can
+   grow by the next; ``build_delta_table`` adds the sizes up to
+   ⌊√|T|⌋ + 1 terms.  A size is spent when it lifts nothing and no two
+   of its subsets have keys equal up to column order (``_spent``); no
+   later size but |T| then holds a key whose covers cover T.  So a
+   table capped at |T| stops growing at its first spent size, and then
+   adds only the key of the whole set, by one anti-unification over T.
+   A table that would enumerate more than ``DELTA_ENTRIES_CAP`` subsets
    ends with ``LimitReached("delta_entries")``.
 3. ``fold_delta_table`` scans the keys whose covers together cover T,
    the only ones that can tile it, in ascending |W|; it skips the others
@@ -55,7 +61,9 @@ The search works in three stages:
    with ``after`` gives the next.  The table is then grown one size at
    a time, and the new keys folded, while a larger size can still beat
    the best size found (or meet it, while none is found): branch and
-   bound over the table's sizes, deepened one size at a time.
+   bound over the table's sizes, deepened one size at a time.  After a
+   spent size only |T| is left, so a fold that finds nothing folds the
+   whole set's key next.
 
 The walks of the anti-unifier and of the fold's search keep their
 state in arguments and explicit stacks, not in self-referencing
@@ -247,8 +255,10 @@ def _lift(new: dict[Key, Sequence[Pair]], cancel: Callable[[], None]) -> list:
     source arity m₀, injection (in ``permutations`` order) and source
     pair.  A key of arity m tries only the injections whose first
     coordinate's column is the first column of a key of arity m₀ < m.
-    ``cancel`` runs once per key of arity two or more and per injection
-    tried, unless all keys share one arity, when nothing can lift.
+    A column is read into a set only when one of its terms is in the
+    first column of such a key.  ``cancel`` runs once per key of arity
+    two or more and per injection tried, unless all keys share one
+    arity, when nothing can lift.
     """
     arity = {key: _key_arity(key) for key in new}
     top = max(arity.values(), default=0)
@@ -257,23 +267,91 @@ def _lift(new: dict[Key, Sequence[Pair]], cancel: Callable[[], None]) -> list:
     }
     if not sources:
         return []
+    firsts = {x for _, col in sources for x in col}
     lifted: list[tuple[Key, Pair]] = []
     for key, m in arity.items():
         if m < 2:
             continue
         cancel()
-        columns = [frozenset(col) for col in zip(*key)]
+        row = next(iter(key))
+        columns = {
+            j: frozenset(r[j] for r in key)
+            for j in range(m)
+            if row[j] in firsts
+        }
         for m0 in range(1, m):
-            for inj in permutations(range(m), m0):
-                if (m0, columns[inj[0]]) not in sources:
+            for j, column in columns.items():
+                if (m0, column) not in sources:
                     continue
-                cancel()
-                projected = [tuple(row[i] for i in inj) for row in key]
-                if len(set(projected)) != len(key):
-                    continue
-                for u0, mask in new.get(frozenset(projected), ()):
-                    lifted.append((key, (_inject_pattern(u0, inj), mask)))
+                rest = [i for i in range(m) if i != j]
+                for tail in permutations(rest, m0 - 1):
+                    inj = (j, *tail)
+                    cancel()
+                    projected = [tuple(r[i] for i in inj) for r in key]
+                    if len(set(projected)) != len(key):
+                        continue
+                    for u0, mask in new.get(frozenset(projected), ()):
+                        lifted.append(
+                            (key, (_inject_pattern(u0, inj), mask))
+                        )
     return lifted
+
+
+def _spent(new: dict[Key, Sequence[Pair]]) -> bool:
+    """Whether a size whose subset pass gave ``new``, and which lifts
+    nothing, is spent: no two distinct covers have keys equal up to
+    column order.  Keys equal up to column order have one arity and the
+    same rows as sets, so the test compares those: it may miss a spent
+    size, and never calls a size spent that is not.
+
+    Claim: when a size s < |T| of the whole table is spent, so is every
+    larger size, and no key of a size from s to |T| - 1 has covers that
+    together cover T.
+
+    Let S = u·K be a clean subset of k + 1 terms with key K, and S' the
+    subset u·(K ∖ {w}) left by dropping a row w.  Every column of S' is
+    a subterm of one of S, so S' is clean, and the subset pass of size
+    k holds it: it holds every clean subset of k terms, since every
+    subset of a clean subset is clean.  The pattern u uses every column
+    of K, and the least general generalization of S' replaces each αⱼ
+    of u by the generalization of column j of K ∖ {w}: two positions
+    share a variable when their columns over K ∖ {w} are equal.  So up
+    to column order the key of S' is read off K ∖ {w} alone, at its
+    distinct columns.  Two subsets S₁ ≠ S₂ of one size give S₁' ≠ S₂'
+    for some w: were S₁ ∖ S₂ the term of row w for each of the
+    k + 1 ≥ 2 rows, two rows would name one term.  Now suppose the size
+    k + 1 is not spent.
+
+    - Two covers S₁ ≠ S₂ of k + 1 terms whose keys are equal up to
+      column order: renaming the variables of u₂, both are over one K,
+      and for such a w the keys of S₁' ≠ S₂' are equal up to column
+      order, both read off K ∖ {w}.
+    - A lifted pair: the key K of S = u·K takes the pattern of
+      S₀ = u₀·K₀, where K₀ ≠ K is the image of K under an injective
+      projection.  Drop w from K and its image from K₀, with w such
+      that S' ≠ S₀'.  The distinct columns of the projection of
+      K ∖ {w} are some of those of K ∖ {w}, so the key of S₀' is, up to
+      column order, a projection of the key of S', injective since both
+      have k distinct rows.  If it keeps every column the two keys are
+      equal up to column order, and if not S₀' lifts into S''s key.
+
+    Either way size k is not spent.  At a spent size every key has one
+    cover, its own subset; below |T| that cover leaves a term out.  The
+    one subset of |T| terms is T, whose key has one pair, its least
+    general generalization; nothing lifts into a size of one key.  A
+    ``ci1`` table tests its sizes as the whole table would, lifting
+    included, and keeps some of the keys and pairs of the whole table,
+    so the claim holds for it too.
+    """
+    if any(len(found) > 1 for found in new.values()):
+        return False
+    shapes = set()
+    for key in new:
+        shape = (_key_arity(key), frozenset(map(frozenset, key)))
+        if shape in shapes:
+            return False
+        shapes.add(shape)
+    return True
 
 
 # A step of ``DeltaTable._extend`` not made yet (None is a step that met
@@ -284,6 +362,13 @@ _UNMADE = object()
 # grows; one more ends the growth with ``LimitReached("delta_entries")``.
 # A set of at most 18 terms has fewer subsets than this.
 DELTA_ENTRIES_CAP = 1 << 18
+
+
+def _past_cap(n: int) -> LimitReached:
+    return LimitReached("delta_entries", DELTA_ENTRIES_CAP, (
+        f"delta_entries passed its cap of {DELTA_ENTRIES_CAP}: the subset "
+        f"table of {n} terms would enumerate more subsets than that"
+    ))
 
 
 class DeltaTable:
@@ -307,6 +392,11 @@ class DeltaTable:
     of the table, so each step is made once per table.
     ``_visited`` counts the subsets enumerated so far, against
     ``DELTA_ENTRIES_CAP``.
+
+    ``spent`` tells that a size added was spent (see ``_spent``), which
+    ``grow`` checks only when ``top`` is |T|.  No later size but |T| can
+    then hold a key whose covers cover T, so the next ``grow`` adds only
+    the key of the whole set, and the table reaches ``top``.
     """
 
     def __init__(
@@ -320,6 +410,7 @@ class DeltaTable:
         self.top = n if max_subset is None else min(max_subset, n)
         self.ci1 = ci1
         self.size = 0
+        self.spent = False
         self.pairs: dict[Key, tuple[Pair, ...]] = {}
         self._patterns: list = [None]
         self._masks: list[int] = [0]
@@ -355,27 +446,33 @@ class DeltaTable:
     ) -> Optional[list[Key]]:
         """Add the keys of the clean subsets of ``size + 1`` terms, closed
         under lifting, or with ``ci1`` those of arity one; return those
-        keys.  None, and nothing added, at ``top``.
+        keys.  None, and nothing added, at ``top``.  After a spent size,
+        add the key of the whole set instead, as ``_whole_set`` says.
 
         Every key of a size comes from subsets of that size, and lifting
         keeps the number of rows, so a size is whole once it is added: it
         takes no pair from a later size.  Only the pairs found by the
         subset pass are lifted, never lifted copies; no lifted pair
         repeats, since each lift has an arity of its own.  ``cancel`` runs
-        once per subset visited, and in lifting as ``_lift`` says.
+        once per subset visited, and in lifting as ``_lift`` says; a
+        ``ci1`` table lifts only to tell whether a size is spent.
         """
         if self.size == self.top:
             return None
+        if self.spent:
+            return self._whole_set(cancel)
         new = self._extend(cancel)
+        lifted = [] if self.ci1 else _lift(new, cancel)
+        if self.size < self.top == len(self.terms) and not lifted:
+            self.spent = _spent(new) and not (self.ci1 and _lift(new, cancel))
         if self.ci1:
             # Lifting adds pairs to keys of arity two or more only.
             new = {k: v for k, v in new.items() if _key_arity(k) == 1}
-        else:
-            for key, pair in _lift(new, cancel):
-                found = new[key]
-                if found.__class__ is tuple:
-                    found = new[key] = list(found)
-                found.append(pair)
+        for key, pair in lifted:
+            found = new[key]
+            if found.__class__ is tuple:
+                found = new[key] = list(found)
+            found.append(pair)
 
         # Each list is freed as its tuple replaces it.
         for key, found in new.items():
@@ -383,6 +480,37 @@ class DeltaTable:
                 new[key] = tuple(found)
         self.pairs.update(new)
         return list(new)
+
+    def _whole_set(self, cancel: Callable[[], None]) -> list[Key]:
+        """Grow to ``top``, |T|, by the key of T alone, the one key left
+        that can cover T; return the keys added.  T is clean only if its
+        first ``size`` terms are, and they are then the first subset the
+        last size kept: its pattern is anti-unified with each later term
+        in order, the steps ``_extend`` would make on its way to T.  The
+        key is added with its one pair when it is clean, and with
+        ``ci1`` when its arity is one.  When T is reached, it counts as
+        one subset visited, and ``cancel`` runs once.
+        """
+        terms, au = self.terms, self._au
+        first = self.size
+        self.size = self.top
+        if not self._masks or self._masks[0] != (1 << first) - 1:
+            return []
+        self._visited += 1
+        if self._visited > DELTA_ENTRIES_CAP:
+            raise _past_cap(len(terms))
+        cancel()
+        v = self._patterns[0]
+        for t in terms[first:]:
+            step = au.step(v, t)
+            if step is None:
+                return []
+            v = step[0]
+        key = frozenset(au.rows(v, terms))
+        if self.ci1 and _key_arity(key) != 1:
+            return []
+        self.pairs[key] = ((v, (1 << len(terms)) - 1),)
+        return [key]
 
     def _extend(self, cancel: Callable[[], None]) -> dict[Key, Sequence[Pair]]:
         """The (pattern, mask) pair of each subset of ``size + 1`` terms
@@ -418,11 +546,7 @@ class DeltaTable:
             first = mask.bit_length()
             visited += n - first
             if visited > DELTA_ENTRIES_CAP:
-                raise LimitReached("delta_entries", DELTA_ENTRIES_CAP, (
-                    f"delta_entries passed its cap of {DELTA_ENTRIES_CAP}: "
-                    f"the subset table of {n} terms would enumerate more "
-                    f"subsets than that"
-                ))
+                raise _past_cap(n)
             row_steps = None
             if u is not None:
                 row_steps = steps.get(u)
@@ -477,8 +601,11 @@ def build_delta_table(
     terms and at most ``max_subset``: a key of k rows gives a
     decomposition of size at least k + ⌈|T|/k⌉, least near k = √|T|, and
     ``fold_delta_table`` grows the table by the larger sizes that can
-    still hold a decomposition of the class it looks for.  Only subsets with clean keys are
-    stored; the enumeration never extends a subset whose key is unclean.
+    still hold a decomposition of the class it looks for.  Without
+    ``max_subset`` below |T|, a spent size among the first ends the
+    enumeration, and the table then holds the whole set's key as well
+    (``DeltaTable.grow``).  Only subsets with clean keys are stored; the
+    enumeration never extends a subset whose key is unclean.
     Each size is closed under lifting as it is added: a pair found at a
     key of arity m₀ is copied to every key of arity m > m₀ that projects
     onto it injectively (coordinate selection keeping all rows
@@ -662,8 +789,11 @@ def fold_delta_table(
 
     The table is grown after the keys it holds are folded: by one subset
     size at a time, each folded in turn, while some size up to its cap
-    can still be taken by that rule.  With nothing found, it grows to its
-    cap.  So the result is that of the whole table.
+    can still be taken by that rule.  After a spent size the one size
+    left to take is |T|, by the whole set's key (``DeltaTable.grow``).
+    With nothing found, the table grows to its cap, by every size up to
+    its first spent size and then by the whole set.  So the result is
+    that of the whole table.
 
     The keys of each size step that cover T are scanned in
     ``_fold_order``, groups in the order of their sorted terms
@@ -701,11 +831,11 @@ def fold_delta_table(
         # keys it adds may lower ``best``, and with it the sizes worth
         # building.  They have more rows than every key held.
         limit = best - 1 if found else best
+        ahead = range(dt.size + 1, dt.top + 1)
+        if dt.spent:
+            ahead = ahead[-1:]
         keys = None
-        if any(
-            k + math.ceil(n / k) <= limit
-            for k in range(dt.size + 1, dt.top + 1)
-        ):
+        if any(k + math.ceil(n / k) <= limit for k in ahead):
             keys = dt.grow(cancel)
 
     return sorted(found, key=Decomposition.sort_key)

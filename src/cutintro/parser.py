@@ -18,10 +18,11 @@ variables inside that formula's matrix; everything else is a function
 symbol or constant.  Names in the generated-variable namespace are
 rejected.
 
-The tokenizer is one pass of a regular expression; a token is its kind,
-text and offset, and an error works out its line and column from the
-offset.  Terms and matrices are parsed in loops over explicit stacks, so
-no parse step recurses once per nesting level.
+The tokenizer is one pass of a regular expression, which keeps only the
+token texts; a token's kind is read off its text.  An error finds its
+token's offset by a second pass, and its line and column from that.
+Terms and matrices are parsed in loops over explicit stacks, so no parse
+step recurses once per nesting level.
 """
 
 from __future__ import annotations
@@ -44,18 +45,17 @@ class InputError(ValueError):
         super().__init__(f"{msg}{where}")
 
 
-# Whitespace and comments match no group; ``bad`` is any other character
-# that starts no token.
+# A token is an identifier, a natural number, a punctuation mark or any
+# other character but whitespace, which is an error: the one group of
+# ``_TOKEN_RE``.  A comment matches outside it, and whitespace not at all.
+_IDENT_RE = re.compile(r"[^\W\d]\w*'*")
 _TOKEN_RE = re.compile(
-    r"""
-      \s+ | %[^\n]*
-    | (?P<ident>[^\W\d]\w*'*)
-    | (?P<nat>\d+)
-    | (?P<punct>->|[().,:;=~&|])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+    rf"%[^\n]*|({_IDENT_RE.pattern}|\d+|->|[().,:;=~&|]|\S)"
 )
+_PUNCT = frozenset(["->", "(", ")", ".", ",", ":", ";", "=", "~", "&", "|"])
+# The token texts that are no identifier, but for numbers; "" is the end
+# of the input.
+_NOT_IDENT = _PUNCT | {""}
 
 # How tightly each binary connective binds ("(" least, so it stays on
 # the operator stack until its ")"), and the node it builds.
@@ -87,25 +87,48 @@ def read_input(path) -> str:
         ) from None
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks: list[tuple[str, str, int]] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        s = m.group()
-        if kind == "bad":
-            raise InputError(
-                f"unexpected character {s!r}", *_position(text, m.start())
-            )
-        if kind == "ident" and is_alpha(s):
-            raise InputError(
-                f"identifier {s!r} is in the reserved variable namespace",
-                *_position(text, m.start()),
-            )
-        toks.append((kind, s, m.start()))
-    toks.append(("eof", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The texts of the tokens of ``text``, then "" for its end.  A
+    character that starts no token, or an identifier in the reserved
+    variable namespace, is an error at the first of them."""
+    toks = _TOKEN_RE.findall(text)
+    if "%" in text:
+        toks = [t for t in toks if t]
+    bad = {t for t in set(toks) if _is_bad(t)}
+    if bad:
+        i = next(i for i, t in enumerate(toks) if t in bad)
+        if _IDENT_RE.match(toks[i]):
+            msg = f"identifier {toks[i]!r} is in the reserved variable namespace"
+        else:
+            msg = f"unexpected character {toks[i]!r}"
+        raise InputError(msg, *_position(text, _offset(text, i)))
+    toks.append("")
     return toks
+
+
+def _is_bad(tok: str) -> bool:
+    if is_alpha(tok):
+        return True
+    return not (tok in _PUNCT or tok[0].isdecimal() or _IDENT_RE.match(tok))
+
+
+def _offset(text: str, i: int) -> int:
+    """The offset in ``text`` of its token ``i``: a token's offset is
+    worked out only for an error."""
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex:
+            if not i:
+                return m.start()
+            i -= 1
+    return len(text)
+
+
+def _is_nat(tok: str) -> bool:
+    return tok[:1].isdecimal()
+
+
+def _is_ident(tok: str) -> bool:
+    return tok not in _NOT_IDENT and not tok[0].isdecimal()
 
 
 class _Parser:
@@ -114,19 +137,20 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def kind(self) -> str:
-        return self.toks[self.pos][0]
-
     def peek(self) -> str:
         """The text of the next token; "" at the end of the input."""
-        return self.toks[self.pos][1]
+        return self.toks[self.pos]
 
     def next(self) -> str:
         self.pos += 1
-        return self.toks[self.pos - 1][1]
+        return self.toks[self.pos - 1]
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column of token ``i``."""
+        return _position(self.text, _offset(self.text, i))
 
     def err(self, msg: str) -> InputError:
-        return InputError(msg, *_position(self.text, self.toks[self.pos][2]))
+        return InputError(msg, *self.position(self.pos))
 
     def expect(self, text: str) -> None:
         if self.peek() != text:
@@ -140,9 +164,9 @@ class _Parser:
     def parse_file(self):
         ante: list[Formula] = []
         succ: list[Formula] = []
-        # (formula number, tuples, offset) resolved after all formulas.
+        # (formula number, tuples, token) resolved after all formulas.
         insts: list[tuple[int, list[tuple[Term, ...]], int]] = []
-        while self.kind() != "eof":
+        while self.peek():
             t = self.peek()
             if t == "ante":
                 self.next()
@@ -152,9 +176,9 @@ class _Parser:
                 succ.append(self.parse_prenex("ex"))
             elif t == "inst":
                 self.next()
-                if self.kind() != "nat":
+                if not _is_nat(self.peek()):
                     raise self.err("expected a formula number after 'inst'")
-                at = self.toks[self.pos][2]
+                at = self.pos
                 n = int(self.next())
                 self.expect(":")
                 insts.append((n, self.parse_instlist(), at))
@@ -172,7 +196,7 @@ class _Parser:
             raise self.err(f"{t!r} prefix is a strong quantifier in the {side}")
         self.next()
         names: list[str] = []
-        while self.kind() == "ident":
+        while _is_ident(self.peek()):
             names.append(self.next())
         if not names:
             raise self.err("expected at least one bound variable")
@@ -234,31 +258,42 @@ class _Parser:
     def parse_term(self, bound: frozenset[str]) -> Term:
         # An explicit stack of the applications still open, each with
         # the arguments read so far, so nesting depth costs no frames.
+        # The token index is a local, stored back before an error and
+        # at the end.
+        toks, pos = self.toks, self.pos
         stack: list[tuple[str, list[Term]]] = []
         while True:
-            if self.kind() != "ident":
+            name = toks[pos]
+            if not _is_ident(name):
+                self.pos = pos
                 raise self.err(
-                    f"expected a term, found {self.peek() or 'end of input'!r}"
+                    f"expected a term, found {name or 'end of input'!r}"
                 )
-            name = self.next()
-            if self.peek() == "(":
+            pos += 1
+            if toks[pos] == "(":
                 if name in bound:
+                    self.pos = pos
                     raise self.err(
                         f"quantified variable {name!r} used as a function symbol"
                     )
-                self.next()
+                pos += 1
                 stack.append((name, []))
                 continue
             term: Term = Var(name) if name in bound else App(name, ())
             while stack:
                 stack[-1][1].append(term)
-                if self.peek() == ",":
-                    self.next()
+                tok = toks[pos]
+                if tok == ",":
+                    pos += 1
                     break
-                self.expect(")")
+                if tok != ")":
+                    self.pos = pos
+                    self.expect(")")
+                pos += 1
                 head, args = stack.pop()
                 term = App(head, tuple(args))
             if not stack:
+                self.pos = pos
                 return term
 
     # --- instance tuples ----------------------------------------------
@@ -306,27 +341,28 @@ def _check_signature(seq: Sequent, structure: HerbrandStructure) -> None:
 
 
 def parse_input(text: str) -> tuple[Sequent, HerbrandStructure]:
-    ante, succ, insts = _Parser(text).parse_file()
+    parser = _Parser(text)
+    ante, succ, insts = parser.parse_file()
     seq = Sequent(tuple(ante), tuple(succ))
     collected: list[set[tuple[Term, ...]]] = [set() for _ in range(seq.q)]
     for n, tuples, at in insts:
         if not 1 <= n <= seq.q:
             raise InputError(
                 f"inst refers to formula {n}, but there are only {seq.q}",
-                *_position(text, at),
+                *parser.position(at),
             )
         k = seq.k(n)
         if k == 0:
             raise InputError(
                 f"formula {n} has no quantifier prefix, instances not allowed",
-                *_position(text, at),
+                *parser.position(at),
             )
         for tup in tuples:
             if len(tup) != k:
                 raise InputError(
                     f"instance {render_tuple(tup)} for formula {n} has arity"
                     f" {len(tup)}, expected {k}",
-                    *_position(text, at),
+                    *parser.position(at),
                 )
         collected[n - 1].update(tuples)
     structure = HerbrandStructure(tuple(frozenset(s) for s in collected))

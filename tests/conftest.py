@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import gc
 from importlib.resources import files
+from unittest import mock
 
 import pytest
 
+import cutintro.decomposition as decomposition
 from cutintro.cutformula import (
     build_schematic_ehs,
     canonical_solution,
@@ -42,10 +44,12 @@ def golden_termset(golden):
 
 @pytest.fixture(scope="session")
 def golden_table(golden_termset):
-    """The whole Δ-table: grown to every subset size."""
-    table = build_delta_table(golden_termset)
-    while table.grow() is not None:
-        pass
+    """The whole Δ-table: grown to every subset size, none taken for
+    spent."""
+    with mock.patch.object(decomposition, "_spent", lambda new: False):
+        table = build_delta_table(golden_termset)
+        while table.grow() is not None:
+            pass
     return table
 
 

@@ -589,12 +589,12 @@ class TestConsoleScript:
     # The largest term sets the default --termset-limit admits, each in
     # a child whose address space is capped at 600 MB.  chain22 needs
     # subsets of at most 6 terms; the 22 constants compress under no key
-    # but the whole set, so their table would pass its subset cap.
+    # but the whole set, and their table stops at its spent size 2.
     @pytest.mark.parametrize(
         "text, code, status",
         [
             (gen.chain_input(22), 0, "compressed"),
-            (gen.constants_input(22), 3, "too_large"),
+            (gen.constants_input(22), 0, "uncompressible"),
         ],
         ids=["chain22", "constants22"],
     )
@@ -626,9 +626,34 @@ class TestConsoleScript:
             assert report["decomposition"]["size"] == 10
         else:
             assert report["messages"] == [
-                "delta_entries passed its cap of 262144: the subset table "
-                "of 22 terms would enumerate more subsets than that"
+                "minimal decomposition has size 23 > 22 instances"
             ]
+
+    # Constants: each size of two or more terms is spent, so the table
+    # adds the whole set's key after its subsets of two terms.
+    @pytest.mark.parametrize("n", range(16, 23))
+    def test_constants_end_uncompressible_in_under_a_second(self, tmp_path, n):
+        p = tmp_path / "constants.cis"
+        p.write_text(gen.constants_input(n))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "cutintro.cli", "run", str(p)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap_address_space,
+        )
+        assert time.monotonic() - start < 1
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["status"] == "uncompressible"
+        assert report["messages"] == [
+            f"minimal decomposition has size {n + 1} > {n} instances"
+        ]
 
     def test_help_lists_subcommands(self):
         done = subprocess.run(

@@ -11,6 +11,7 @@ import random
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -117,10 +118,12 @@ def _clean_subsets(terms, top, cancel=lambda: None):
 
 def _grown(terms, size=math.inf, max_subset=None, ci1=False):
     """The Δ-table of ``terms`` grown to subsets of ``size`` terms, or to
-    its cap where that is smaller: by default the whole table."""
+    its cap where that is smaller: by default the whole table.  Every
+    size is added in full: no size is taken for spent."""
     table = DeltaTable(terms, max_subset, ci1)
-    while table.size < size and table.grow() is not None:
-        pass
+    with mock.patch.object(decomposition, "_spent", lambda new: False):
+        while table.size < size and table.grow() is not None:
+            pass
     return table
 
 
@@ -388,21 +391,33 @@ class TestDeltaTable:
             f"term set has {DEFAULT_TERMSET_LIMIT + 1} terms;"
         )
 
-    def test_delta_entries_meter(self, monkeypatch):
-        # Constants: every subset is clean, so all 2⁸ - 1 are enumerated.
-        ts = frozenset(App("c%d" % i, ()) for i in range(8))
+    def test_delta_entries_meter(self, monkeypatch, golden_termset):
+        # A chain: every subset is clean, so all 2⁸ - 1 are enumerated,
+        # and no size below the whole set is spent.
+        ts = _chain_termset(8)
         monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 255)
-        assert len(_grown(ts).pairs) == 255 - 8 + 1
+        table = DeltaTable(ts)
+        while table.grow() is not None:
+            assert not table.spent
+        assert table._visited == 255
         monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 254)
         with pytest.raises(LimitReached) as exc:
             _grown(ts)
         assert (exc.value.meter, exc.value.cap) == ("delta_entries", 254)
         # The table counts the subsets of every size it adds, also those
-        # the fold grows it by: it is built to 3 terms, and only the key
-        # of all 8 covers the set.
-        table = build_delta_table(ts)
+        # the fold grows it by: the bundled example's is built to 4 terms,
+        # and the fold grows it to 7, short of its spent size 8.
+        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 1 << 18)
+        table = build_delta_table(golden_termset)
+        built = table._visited
+        fold_delta_table(table)
+        assert (table.size, table.spent) == (7, False)
+        monkeypatch.setattr(
+            decomposition, "DELTA_ENTRIES_CAP", table._visited - 1
+        )
+        assert build_delta_table(golden_termset)._visited == built
         with pytest.raises(LimitReached) as exc:
-            fold_delta_table(table)
+            fold_delta_table(build_delta_table(golden_termset))
         assert exc.value.meter == "delta_entries"
 
     def test_delta_entries_cap_admits_eighteen_terms(self):
@@ -955,6 +970,117 @@ class TestFoldClasses:
         first = fold_delta_table(table)
         assert len(first) == 16
         assert len(_classes(table)) == 70
+
+
+def _spent_at(ts, ci1=False):
+    """The first size a table of ``ts`` finds spent, or None."""
+    table = DeltaTable(ts, ci1=ci1)
+    while table.grow() is not None:
+        if table.spent:
+            return table.size
+    return None
+
+
+def _covering_sizes(table):
+    """The sizes of the keys of ``table`` of nonzero arity whose covers
+    cover its terms: the keys the fold scans."""
+    full = (1 << len(table.terms)) - 1
+    sizes = set()
+    for key, pairs in table.pairs.items():
+        if key == {()}:
+            continue
+        union = 0
+        for _, mask in pairs:
+            union |= mask
+        if union == full:
+            sizes.add(len(key))
+    return sizes
+
+
+class TestSpentSizes:
+    """After a spent size no size of the whole table but |T| holds a key
+    whose covers cover T (``decomposition._spent``), so the table adds
+    only the whole set's key, and the fold is that of the whole table."""
+
+    @staticmethod
+    def _check(ts):
+        """Whether a size of ``ts`` is spent below |T|; asserts the claim
+        on the whole table, and that the fold of the table that stops
+        equals the reference fold of the whole table, under cistar,
+        ``ci1`` and ``max_subset=2``."""
+        n = len(ts)
+        at = _spent_at(ts)
+        if at is not None:
+            assert at == _spent_at(ts, ci1=True)
+            assert all(k < at or k == n for k in _covering_sizes(_grown(ts)))
+        for max_subset, ci1 in ((None, False), (None, True), (2, False)):
+            whole = _grown(ts, max_subset=max_subset, ci1=ci1)
+            expected = oracles.reference_fold_delta_table(whole, ts)
+            table = build_delta_table(ts, max_subset=max_subset, ci1=ci1)
+            assert _classes(table) == expected, (max_subset, ci1)
+            if at is not None and max_subset is None:
+                # Grown past the spent size only by the whole set.
+                assert all(len(k) <= at or len(k) == n for k in table.pairs)
+        return at is not None and at < n
+
+    def test_generated_sets(self):
+        spent = 0
+        for seed in range(2000):
+            rng = random.Random(seed)
+            ts = (
+                gen.random_tagged_term_set(rng)
+                if seed % 2
+                else gen.random_term_set(rng)
+            )
+            spent += self._check(ts)
+        # 1 559 of the sets have a spent size below |T|.
+        assert 1000 < spent < 1900
+
+    def test_larger_generated_sets(self):
+        # Up to 12 terms, tags of up to three arguments.
+        spent = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            if seed % 2:
+                ts = gen.random_tagged_term_set(rng, 12, max_width=3)
+            else:
+                ts = gen.random_term_set(rng, 11)
+            spent += self._check(ts)
+        assert 100 < spent < 190
+
+    def test_workload_structures_and_bundled_example(self, golden_termset):
+        sets = _workload_term_sets()
+        at = {name: _spent_at(ts) for name, ts in sets.items()}
+        # Noise and lemma-r1 stop short of |T|; chains never do.
+        assert at["spread-noise12"] == 2
+        assert at["lemma-r1-h0"] == 4
+        assert at["chain13"] is None
+        assert _spent_at(golden_termset.terms) == 8
+        for ts in [*sets.values(), golden_termset.terms]:
+            self._check(ts)
+
+    def test_constants(self):
+        for n in (3, 8, 22):
+            ts = frozenset(const(f"c{i}") for i in range(n))
+            assert _spent_at(ts) == 2
+            table = build_delta_table(ts)
+            (dec,) = fold_delta_table(table)
+            assert (dec.size, table.size, table._visited) == (
+                n + 1, n, n + n * (n - 1) // 2 + 1
+            )
+            assert len(table.pairs) == n * (n - 1) // 2 + 2
+
+    def test_a_size_that_lifts_is_not_spent(self):
+        # No two subsets of two terms have keys equal up to column order,
+        # but {(a, b), (c, d)} lifts h(α1) from {(a,), (c,)}.  The key of
+        # the three g-terms lifts two patterns and covers T, size 3 + 3.
+        ts = [_g(a, b), _g(c, d), _g(e, f(a))] + [
+            App("h", (x,)) for x in (a, b, c, d, e, f(a))
+        ]
+        assert _spent_at(ts) == 4
+        assert _covering_sizes(_grown(ts)) == {3, 9}
+        (dec,) = fold_delta_table(build_delta_table(ts))
+        assert (dec.size, len(dec.w)) == (6, 3)
 
 
 class TestValidate:

@@ -8,6 +8,11 @@ A deletion tends to leave its imports behind; this scan finds them.
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -64,3 +69,51 @@ def test_every_import_is_used(path):
 )
 def test_scan(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from cutintro import *", namespace)
+    assert set(cutintro.__all__) <= set(namespace)
+    for name in cutintro.__all__:
+        value = namespace[name]
+        assert getattr(cutintro, name) is value
+        # Classes and functions are the objects their modules define;
+        # the type aliases (Formula, Term) are typing objects.
+        if value.__module__.startswith("cutintro."):
+            assert getattr(import_module(value.__module__), name) is value
+    with pytest.raises(AttributeError):
+        cutintro.no_such_name
+    assert set(cutintro.__all__) <= set(dir(cutintro))
+
+
+def _loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter loads for ``statement``."""
+    code = (
+        "import sys; before = set(sys.modules); "
+        f"{statement}; print(__import__('json').dumps("
+        "sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(cutintro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env=env, check=True,
+    )
+    return set(json.loads(done.stdout))
+
+
+# Modules that ``run`` and ``check`` do not need: the external solver
+# bridge, the corpus runner and what only they import.
+_LAZY = {
+    "cutintro.smt", "cutintro.corpus",
+    "subprocess", "tempfile", "select", "signal", "csv",
+}
+
+
+def test_pipeline_import_loads_no_corpus_or_solver_bridge():
+    assert not _LAZY & _loaded_by("import cutintro.pipeline")
+    assert not _LAZY & _loaded_by("import cutintro.cli")
+    assert {"cutintro.smt", "cutintro.corpus"} <= _loaded_by(
+        "from cutintro import *"
+    )

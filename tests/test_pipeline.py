@@ -320,21 +320,21 @@ class TestFailureStatuses:
     def test_subset_table_past_its_cap_is_too_large(
         self, tmp_path, monkeypatch
     ):
-        # Eight constants: the only key that covers the term set is the
-        # whole set, so the fold grows the table to all 2⁸ - 1 subsets.
-        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 200)
-        p = tmp_path / "constants.cis"
-        p.write_text(gen.constants_input(8))
+        # A chain of eight terms: no size is spent, and the table is
+        # built to its 8 + 28 + 56 = 92 subsets of at most 3 terms.
+        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 91)
+        p = tmp_path / "chain.cis"
+        p.write_text(gen.chain_input(8))
         rep = run_pipeline(p, RunConfig(out_dir=tmp_path / "out"))
         assert rep.status == "too_large"
         assert rep.termset_size == 8
         assert rep.messages[0].startswith(
-            "delta_entries passed its cap of 200:"
+            "delta_entries passed its cap of 91:"
         )
         written = json.loads((tmp_path / "out" / "report.json").read_text())
         assert written["messages"] == rep.messages
-        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 255)
-        assert run_pipeline(p, RunConfig()).status == "uncompressible"
+        monkeypatch.setattr(decomposition, "DELTA_ENTRIES_CAP", 92)
+        assert run_pipeline(p, RunConfig()).status == "compressed"
 
     def test_uncompressible_set(self, tmp_path):
         # Two unrelated instances: every decomposition costs at least as
