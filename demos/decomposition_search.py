@@ -110,7 +110,7 @@ show("two-variable compression", slide)
 decs = fold_delta_table(build_delta_table(slide))
 print(f"unrestricted search, size {decs[0].size} of {len(slide)}:")
 print(f"  {decs[0].render()}")
-narrow = fold_delta_table(build_delta_table(slide, ci1=True))
+narrow = fold_delta_table(build_delta_table(slide), ci1=True)
 print(f"single-variable search finds {len(narrow)} decomposition(s) "
       f"— two moving parts need two variables")
 

@@ -52,8 +52,10 @@ def _clause_form(
         return _clause_form(g.body, not pos, cap, budget)
     if isinstance(g, (Top, Bottom)):
         return set() if isinstance(g, Top) == pos else {frozenset()}
-    if not isinstance(g, (And, Or, Imp)):
-        raise ValueError(f"not quantifier-free: {g!r}")
+    if not isinstance(g, (And, Or, Imp)):  # a quantifier block
+        raise ValueError(
+            f"{g.kind} {' '.join(g.vars)}: … is not quantifier-free"
+        )
     left = _clause_form(g.lhs, pos != isinstance(g, Imp), cap, budget)
     right = _clause_form(g.rhs, pos, cap, budget)
     if isinstance(g, And) == pos:

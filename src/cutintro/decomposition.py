@@ -63,7 +63,8 @@ The search works in three stages:
    the best size found (or meet it, while none is found): branch and
    bound over the table's sizes, deepened one size at a time.  After a
    spent size only |T| is left, so a fold that finds nothing folds the
-   whole set's key next.
+   whole set's key next.  Both search modes fold the same table: the
+   single-variable mode (``ci1``) scans only the keys of arity one.
 
 The walks of the anti-unifier and of the fold's search keep their
 state in arguments and explicit stacks, not in self-referencing
@@ -338,10 +339,7 @@ def _spent(new: dict[Key, Sequence[Pair]]) -> bool:
     Either way size k is not spent.  At a spent size every key has one
     cover, its own subset; below |T| that cover leaves a term out.  The
     one subset of |T| terms is T, whose key has one pair, its least
-    general generalization; nothing lifts into a size of one key.  A
-    ``ci1`` table tests its sizes as the whole table would, lifting
-    included, and keeps some of the keys and pairs of the whole table,
-    so the claim holds for it too.
+    general generalization; nothing lifts into a size of one key.
     """
     if any(len(found) > 1 for found in new.values()):
         return False
@@ -379,8 +377,7 @@ class DeltaTable:
     each key to a tuple of its distinct (pattern, cover) pairs, a cover
     being a bitmask over ``terms``: bit j stands for ``terms[j]``.  It
     holds the subsets of at most ``size`` terms; ``grow`` adds the next
-    size, up to ``top``, the table's cap.  A ``ci1`` table keeps keys of
-    arity one only.
+    size, up to ``top``, the table's cap.
 
     The table grows from the clean subsets of ``size`` terms: the
     pattern, mask and key of each, in three parallel lists (a tuple per
@@ -403,12 +400,10 @@ class DeltaTable:
         self,
         terms: Iterable[Term],
         max_subset: Optional[int] = None,
-        ci1: bool = False,
     ) -> None:
         self.terms = tuple(sorted(set(terms), key=term_key))
         n = len(self.terms)
         self.top = n if max_subset is None else min(max_subset, n)
-        self.ci1 = ci1
         self.size = 0
         self.spent = False
         self.pairs: dict[Key, tuple[Pair, ...]] = {}
@@ -445,29 +440,25 @@ class DeltaTable:
         self, cancel: Callable[[], None] = NO_DEADLINE.poll
     ) -> Optional[list[Key]]:
         """Add the keys of the clean subsets of ``size + 1`` terms, closed
-        under lifting, or with ``ci1`` those of arity one; return those
-        keys.  None, and nothing added, at ``top``.  After a spent size,
-        add the key of the whole set instead, as ``_whole_set`` says.
+        under lifting; return those keys.  None, and nothing added, at
+        ``top``.  After a spent size, add the key of the whole set
+        instead, as ``_whole_set`` says.
 
         Every key of a size comes from subsets of that size, and lifting
         keeps the number of rows, so a size is whole once it is added: it
         takes no pair from a later size.  Only the pairs found by the
         subset pass are lifted, never lifted copies; no lifted pair
         repeats, since each lift has an arity of its own.  ``cancel`` runs
-        once per subset visited, and in lifting as ``_lift`` says; a
-        ``ci1`` table lifts only to tell whether a size is spent.
+        once per subset visited, and in lifting as ``_lift`` says.
         """
         if self.size == self.top:
             return None
         if self.spent:
             return self._whole_set(cancel)
         new = self._extend(cancel)
-        lifted = [] if self.ci1 else _lift(new, cancel)
+        lifted = _lift(new, cancel)
         if self.size < self.top == len(self.terms) and not lifted:
-            self.spent = _spent(new) and not (self.ci1 and _lift(new, cancel))
-        if self.ci1:
-            # Lifting adds pairs to keys of arity two or more only.
-            new = {k: v for k, v in new.items() if _key_arity(k) == 1}
+            self.spent = _spent(new)
         for key, pair in lifted:
             found = new[key]
             if found.__class__ is tuple:
@@ -487,9 +478,9 @@ class DeltaTable:
         first ``size`` terms are, and they are then the first subset the
         last size kept: its pattern is anti-unified with each later term
         in order, the steps ``_extend`` would make on its way to T.  The
-        key is added with its one pair when it is clean, and with
-        ``ci1`` when its arity is one.  When T is reached, it counts as
-        one subset visited, and ``cancel`` runs once.
+        key is added with its one pair when it is clean.  When T is
+        reached, it counts as one subset visited, and ``cancel`` runs
+        once.
         """
         terms, au = self.terms, self._au
         first = self.size
@@ -507,8 +498,6 @@ class DeltaTable:
                 return []
             v = step[0]
         key = frozenset(au.rows(v, terms))
-        if self.ci1 and _key_arity(key) != 1:
-            return []
         self.pairs[key] = ((v, (1 << len(terms)) - 1),)
         return [key]
 
@@ -593,7 +582,6 @@ def build_delta_table(
     max_subset: Optional[int] = None,
     limit: int = DEFAULT_TERMSET_LIMIT,
     cancel: Callable[[], None] = NO_DEADLINE.poll,
-    ci1: bool = False,
 ) -> DeltaTable:
     """Anti-unify the subsets of the term set and index by witness key.
 
@@ -611,12 +599,9 @@ def build_delta_table(
     onto it injectively (coordinate selection keeping all rows
     distinct), with the pattern variables renamed to the selected
     coordinates.  Lifting only raises arity; it never permutes a key onto
-    itself.  With ``ci1`` only the keys of arity one are kept, and
-    nothing is lifted.  ``cancel`` runs as ``DeltaTable.grow`` says.
+    itself.  ``cancel`` runs as ``DeltaTable.grow`` says.
     """
-    table = DeltaTable(
-        t.terms if isinstance(t, TermSet) else t, max_subset, ci1
-    )
+    table = DeltaTable(t.terms if isinstance(t, TermSet) else t, max_subset)
     n = len(table.terms)
     if n > limit:
         raise LimitReached("termset_limit", limit, (
@@ -761,6 +746,7 @@ def fold_delta_table(
     dt: DeltaTable,
     cancel: Callable[[], None] = NO_DEADLINE.poll,
     after: Optional[Decomposition] = None,
+    ci1: bool = False,
 ) -> list[Decomposition]:
     """The minimum-size decompositions of T = ``dt.terms`` recoverable
     from the table whose |W| is least: the first |W| class of the
@@ -770,20 +756,23 @@ def fold_delta_table(
     ``after`` set to the last decomposition of the class before, gives
     the next class, and the classes joined are every minimum-size
     decomposition in ``sort_key`` order, which orders by |W| first.
+    With ``ci1`` only the decompositions of arity one count, those of a
+    single-variable cut formula: the scan takes the keys of one witness
+    column alone, of the same table.
 
     One branch and bound, strict towards larger |W|.  Only the keys that
     can tile T are scanned, in ascending |W|: those of nonzero arity
-    whose covers together cover T (and, with ``after``, more rows than
-    its W).  A key W of k rows gives a decomposition of size at least
-    k + ⌈|T|/k⌉, since each of its pairs covers k terms.  A key of the
-    |W| of the best found, or any key while nothing is found, takes the
-    decompositions no larger than the best size (b, with ``after``); a
-    key with a larger |W| takes only smaller ones, which replace the
-    best.  A key whose bound passes what it may take is skipped before
-    its pairs are grouped.  For every other key the pairs are grouped by
-    cover; the search picks groups that tile T.  Picking a group means
-    taking every pattern associated with that cover, so |U| counts all of
-    them.  Covers that leave some coordinate of W unused in every chosen
+    (one, with ``ci1``) whose covers together cover T (and, with
+    ``after``, more rows than its W).  A key W of k rows gives a
+    decomposition of size at least k + ⌈|T|/k⌉, since each of its pairs
+    covers k terms.  A key of the |W| of the best found, or any key
+    while nothing is found, takes the decompositions no larger than the
+    best size (b, with ``after``); a key with a larger |W| takes only
+    smaller ones, which replace the best.  A key whose bound passes what
+    it may take is skipped before its pairs are grouped.  For every
+    other key the pairs are grouped by cover; the search picks groups
+    that tile T.  Picking a group means taking every pattern associated
+    with that cover, so |U| counts all of them.  Covers that leave some coordinate of W unused in every chosen
     pattern are discarded (the same decomposition already appears under
     the projected key).
 
@@ -805,6 +794,7 @@ def fold_delta_table(
     n = len(dt.terms)
     full = (1 << n) - 1
     floor, best = (0, math.inf) if after is None else (len(after.w), after.size)
+    max_arity = 1 if ci1 else math.inf
     found: set[Decomposition] = set()
     keys: Optional[list[Key]] = list(dt.pairs)
     while keys is not None:
@@ -815,7 +805,7 @@ def fold_delta_table(
             union = 0
             for _, mask in dt.pairs[key]:
                 union |= mask
-            if union == full and _key_arity(key):
+            if union == full and 0 < _key_arity(key) <= max_arity:
                 covering.append(key)
 
         for key in _fold_order(covering):

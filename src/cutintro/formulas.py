@@ -115,16 +115,6 @@ def disj(fs: Iterable[Formula]) -> Formula:
     return out
 
 
-def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, QuantBlock):
-        return False
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (And, Or, Imp)):
-        return is_quantifier_free(f.lhs) and is_quantifier_free(f.rhs)
-    return True
-
-
 def formula_vars(f: Formula) -> set[str]:
     """Free variable names."""
     if isinstance(f, Atom):

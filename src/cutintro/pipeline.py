@@ -183,12 +183,12 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
             max_subset=cfg.max_subset,
             limit=cfg.termset_limit,
             cancel=cancel,
-            ci1=cfg.mode == "ci1",
         )
 
+    ci1 = cfg.mode == "ci1"
     table = build()
     # The minimal decompositions of the least |W|, one class.
-    decs = fold_delta_table(table, cancel=cancel)
+    decs = fold_delta_table(table, cancel=cancel, ci1=ci1)
     # Free the table, with the subsets it grows from, before the proof
     # search: only a fallback to the next class reads it again.
     del table
@@ -196,7 +196,7 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
         report.status = "uncompressible"
         report.messages.append(
             "no single-variable decomposition exists for this term set"
-            if cfg.mode == "ci1"
+            if ci1
             else "no decomposition exists for this term set"
         )
         return
@@ -210,7 +210,7 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
         return
 
     failures: list[str] = []
-    for dec in _by_class(decs, build, cancel):
+    for dec in _by_class(decs, build, cancel, ci1):
         cancel()
         outcome = _try_decomposition(dec, seq, cfg, oracle, cancel, failures)
         if outcome is None:
@@ -236,16 +236,19 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
     )
 
 
-def _by_class(decs: list, build, cancel):
+def _by_class(decs: list, build, cancel, ci1: bool):
     """The decompositions of ``decs``, the fold's first |W| class, then
-    of each next class, folded only once the one before is used up, on
-    a table that ``build()`` makes anew for the first of them."""
+    of each next class in the same mode (``ci1``), folded only once the
+    one before is used up, on a table that ``build()`` makes anew for the
+    first of them."""
     table = None
     while decs:
         yield from decs
         if table is None:
             table = build()
-        decs = fold_delta_table(table, cancel=cancel, after=decs[-1])
+        decs = fold_delta_table(
+            table, cancel=cancel, after=decs[-1], ci1=ci1
+        )
 
 
 def _try_decomposition(

@@ -954,6 +954,14 @@ class ReferenceTable:
     entries: dict
 
 
+def arity_one(table) -> ReferenceTable:
+    """The keys of one witness column of a table (anything with
+    ``entries``) and their pairs: what the single-variable fold scans."""
+    return ReferenceTable({
+        k: v for k, v in table.entries.items() if len(next(iter(k))) == 1
+    })
+
+
 def reference_build_delta_table(terms: Iterable[Term], max_subset=None):
     """The Δ-table built the slow way: ``antiunify`` on every subset of
     at most ``max_subset`` terms, unclean keys included, then every native

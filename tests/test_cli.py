@@ -361,6 +361,33 @@ class TestCheck:
         ],
     }
 
+    def test_quantifier_in_a_leaf_exits_one(self, tmp_path, capsys):
+        # The leaf P(a) & (all x: P(x)) ⊢ P(a): the oracle decides clause
+        # sets, and the clause form names the block it cannot take.
+        packed = {
+            "nodes": [
+                {"app": "a", "args": []},
+                {"atom": "P", "args": [0]},
+                {"var": "x"},
+                {"atom": "P", "args": [2]},
+                {"quant": "all", "vars": ["x"], "body": 3},
+                {"and": [1, 4]},
+            ],
+            "proof": [
+                {"rule": "oracle", "conclusion": {"ante": [5], "succ": [1]}}
+            ],
+        }
+        p = tmp_path / "proof.json"
+        p.write_text(json.dumps(packed))
+        assert main(["check", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == (
+            "invalid: root: leaf contains a quantifier: "
+            "all x: … is not quantifier-free\n"
+        )
+        assert len(out.encode()) < 1024
+        assert err == ""
+
     @staticmethod
     def _malformed(case: str):
         packed = json.loads(json.dumps(TestCheck.TABLE))

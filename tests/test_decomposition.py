@@ -116,21 +116,21 @@ def _clean_subsets(terms, top, cancel=lambda: None):
                 yield key, u, mask
 
 
-def _grown(terms, size=math.inf, max_subset=None, ci1=False):
+def _grown(terms, size=math.inf, max_subset=None):
     """The Δ-table of ``terms`` grown to subsets of ``size`` terms, or to
     its cap where that is smaller: by default the whole table.  Every
     size is added in full: no size is taken for spent."""
-    table = DeltaTable(terms, max_subset, ci1)
+    table = DeltaTable(terms, max_subset)
     with mock.patch.object(decomposition, "_spent", lambda new: False):
         while table.size < size and table.grow() is not None:
             pass
     return table
 
 
-def _classes(table):
+def _classes(table, ci1=False):
     """The fold's |W| classes, joined through ``after``."""
     return oracles.joined_classes(
-        lambda after: fold_delta_table(table, after=after)
+        lambda after: fold_delta_table(table, after=after, ci1=ci1)
     )
 
 
@@ -804,13 +804,14 @@ class TestNoReferenceCycles:
 def _folds(ts, max_subset=None, ci1=False, size=None):
     """The fold's classes, joined, of the whole table and of one grown
     to ``size`` terms (built by ``build_delta_table``, to ⌊√|T|⌋ + 1, by
-    default) and grown by the fold; and the grown table."""
-    full = _grown(ts, max_subset=max_subset, ci1=ci1)
+    default) and grown by the fold; and the grown table.  With ``ci1``
+    the folds are those of the single-variable mode."""
+    full = _grown(ts, max_subset=max_subset)
     if size is None:
-        grown = build_delta_table(ts, max_subset=max_subset, ci1=ci1)
+        grown = build_delta_table(ts, max_subset=max_subset)
     else:
-        grown = _grown(ts, size, max_subset, ci1)
-    return _classes(full), _classes(grown), grown
+        grown = _grown(ts, size, max_subset)
+    return _classes(full, ci1), _classes(grown, ci1), grown
 
 
 class TestBoundedFold:
@@ -871,16 +872,6 @@ class TestBoundedFold:
         # 289 of the sets have a decomposition and 311 have none.
         assert 100 < found < 500
 
-    def test_growth_keeps_ci1_restriction(self):
-        ts = frozenset(
-            {App("#f1", (t,)) for t in (a, f(a), f(f(a)), f(f(f(a))))}
-            | {App("#f2", (_g(a, t),)) for t in (b, f(b), f(f(b)))}
-        )
-        table = _grown(ts, 1, ci1=True)
-        fold_delta_table(table)
-        assert table.size > 1
-        assert {len(next(iter(k))) for k in table.pairs} == {1}
-
     def test_every_key_is_clean(self):
         unclean = 0
         for seed in range(300):
@@ -928,19 +919,16 @@ class TestFoldClasses:
     @staticmethod
     def _check(ts):
         whole = oracles.reference_build_delta_table(ts)
-        arity_one = oracles.ReferenceTable({
-            k: v for k, v in whole.entries.items() if len(next(iter(k))) == 1
-        })
         for ref, max_subset, ci1 in (
             (whole, None, False),
-            (arity_one, None, True),
+            (oracles.arity_one(whole), None, True),
             (oracles.reference_build_delta_table(ts, 2), 2, False),
         ):
             expected = oracles.reference_fold_delta_table(ref, ts)
             least = [d for d in expected if len(d.w) == len(expected[0].w)]
-            table = build_delta_table(ts, max_subset=max_subset, ci1=ci1)
-            assert fold_delta_table(table) == least, (max_subset, ci1)
-            assert _classes(table) == expected, (max_subset, ci1)
+            table = build_delta_table(ts, max_subset=max_subset)
+            assert fold_delta_table(table, ci1=ci1) == least, (max_subset, ci1)
+            assert _classes(table, ci1) == expected, (max_subset, ci1)
 
     def test_generated_sets(self):
         several = 0
@@ -972,9 +960,9 @@ class TestFoldClasses:
         assert len(_classes(table)) == 70
 
 
-def _spent_at(ts, ci1=False):
+def _spent_at(ts):
     """The first size a table of ``ts`` finds spent, or None."""
-    table = DeltaTable(ts, ci1=ci1)
+    table = DeltaTable(ts)
     while table.grow() is not None:
         if table.spent:
             return table.size
@@ -1007,17 +995,18 @@ class TestSpentSizes:
         """Whether a size of ``ts`` is spent below |T|; asserts the claim
         on the whole table, and that the fold of the table that stops
         equals the reference fold of the whole table, under cistar,
-        ``ci1`` and ``max_subset=2``."""
+        ``ci1`` (whose reference folds the keys of arity one) and
+        ``max_subset=2``."""
         n = len(ts)
         at = _spent_at(ts)
         if at is not None:
-            assert at == _spent_at(ts, ci1=True)
             assert all(k < at or k == n for k in _covering_sizes(_grown(ts)))
         for max_subset, ci1 in ((None, False), (None, True), (2, False)):
-            whole = _grown(ts, max_subset=max_subset, ci1=ci1)
-            expected = oracles.reference_fold_delta_table(whole, ts)
-            table = build_delta_table(ts, max_subset=max_subset, ci1=ci1)
-            assert _classes(table) == expected, (max_subset, ci1)
+            whole = _grown(ts, max_subset=max_subset)
+            ref = oracles.arity_one(whole) if ci1 else whole
+            expected = oracles.reference_fold_delta_table(ref, ts)
+            table = build_delta_table(ts, max_subset=max_subset)
+            assert _classes(table, ci1) == expected, (max_subset, ci1)
             if at is not None and max_subset is None:
                 # Grown past the spent size only by the whole set.
                 assert all(len(k) <= at or len(k) == n for k in table.pairs)
@@ -1127,34 +1116,17 @@ class TestValidate:
 
 class TestRestrictAndSplit:
     def test_golden_single_variable_mode_is_empty(self, golden_termset):
-        narrowed = _grown(golden_termset.terms, ci1=True)
-        assert all(
-            len(next(iter(key))) == 1 for key in narrowed.entries
-        )
-        assert fold_delta_table(narrowed) == []
-        ci1 = build_delta_table(golden_termset, ci1=True)
-        assert fold_delta_table(ci1) == []
-
-    def test_restriction_filters_the_entries(self, golden_termset):
-        sets = [golden_termset.terms] + [
-            gen.random_tagged_term_set(random.Random(s)) for s in range(20)
-        ]
-        for ts in sets:
-            dt = _grown(ts)
-            narrowed = _grown(ts, ci1=True)
-            assert narrowed.terms == dt.terms
-            assert narrowed.entries == {
-                k: v
-                for k, v in dt.entries.items()
-                if len(next(iter(k))) == 1
-            }
+        whole = _grown(golden_termset.terms)
+        assert fold_delta_table(whole, ci1=True) == []
+        table = build_delta_table(golden_termset)
+        assert fold_delta_table(table, ci1=True) == []
 
     def test_single_variable_set_still_folds(self):
         ts = frozenset(
             {App("#f1", (t,)) for t in (a, f(a), f(f(a)), f(f(f(a))))}
         )
         full = fold_delta_table(build_delta_table(ts))
-        narrowed = fold_delta_table(build_delta_table(ts, ci1=True))
+        narrowed = fold_delta_table(build_delta_table(ts), ci1=True)
         assert narrowed
         assert all(d.arity == 1 for d in narrowed)
         assert min(d.size for d in full) <= min(d.size for d in narrowed)

@@ -27,7 +27,6 @@ from cutintro.formulas import (
     disj,
     formula_size,
     formula_vars,
-    is_quantifier_free,
     render_formula,
     symbols,
 )
@@ -204,11 +203,6 @@ class TestConstructors:
 
 
 class TestTraversals:
-    def test_quantifier_free(self):
-        qf = Imp(Atom("P", (Var("x"),)), Eq(Var("x"), const("a")))
-        assert is_quantifier_free(qf)
-        assert not is_quantifier_free(QuantBlock("all", ("x",), qf))
-
     def test_formula_vars_respects_binding(self):
         body = Atom("P", (Var("x"), Var("y")))
         assert formula_vars(body) == {"x", "y"}

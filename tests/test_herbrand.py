@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cutintro.cnf import cnf_of_formulas
 from cutintro.formulas import Atom, Eq
 from cutintro.herbrand import (
     TermSet,
@@ -136,12 +137,10 @@ class TestHerbrandSequent:
         assert decide_validity(hseq) is Verdict.VALID
 
     def test_all_formulas_quantifier_free(self, golden):
-        from cutintro.formulas import is_quantifier_free
-
         seq, hs = golden
         hseq = herbrand_sequent(seq, hs)
-        for f in hseq.ante + hseq.succ:
-            assert is_quantifier_free(f)
+        # The clause form raises ValueError on a quantifier.
+        cnf_of_formulas(hseq.ante, hseq.succ)
 
     def test_dropping_an_instance_breaks_validity(self, golden):
         seq, hs = golden

@@ -448,6 +448,44 @@ class TestFallbackOrder:
         assert rep.decomposition["w_size"] == len(first[0].w) + 1
         assert rep.messages == []
 
+    # The random tagged set of seed 3337 (``gen.random_tagged_term_set``)
+    # as the instances of ∀x P(x) and ∀x∀y Q(x, y).  Its minimum, size 7,
+    # comes in |W| classes 2 and 3, each with decompositions of arity one
+    # and of arity two.
+    MIXED = (
+        "ante all x: P(x).\nante all x y: Q(x, y).\nsucc P(a).\n"
+        "inst 1: a; f(a); f(f(a)); f(f(f(a))).\n"
+        "inst 2: (a, a); (f(a), a); (f(a), f(a)); (f(a), f(f(a))); "
+        "(f(f(a)), a).\n"
+    )
+
+    def test_single_variable_mode_tries_only_arity_one(
+        self, tmp_path, monkeypatch
+    ):
+        p = tmp_path / "mixed.cis"
+        p.write_text(self.MIXED)
+        ts = encode_termset(parse_input(self.MIXED)[1]).terms
+        assert ts == gen.random_tagged_term_set(random.Random(3337))
+        whole = oracles.reference_build_delta_table(ts)
+        assert {d.arity for d in oracles.reference_fold_delta_table(
+            whole, ts
+        )} == {1, 2}
+        expected = oracles.reference_fold_delta_table(
+            oracles.arity_one(whole), ts
+        )
+        assert [len(d.w) for d in expected] == [2, 2, 3]
+        tried = []
+
+        def fail(dec, seq, cfg, oracle, cancel, failures):
+            tried.append(dec)
+            failures.append(f"no proof for {dec.render()}")
+
+        monkeypatch.setattr(pipeline, "_try_decomposition", fail)
+        rep = run_pipeline(p, RunConfig(mode="ci1"))
+        # The first class failed, so the next is folded, with the mode.
+        assert tried == expected
+        assert rep.status == "error"
+
 
 class TestLemmaWithSideChains:
     """The running example at r = 2 with ground side hypotheses: the
