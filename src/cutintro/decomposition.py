@@ -800,12 +800,12 @@ def fold_delta_table(
     while keys is not None:
         covering = []
         for key in keys:
-            if len(key) <= floor:
+            if len(key) <= floor or not 0 < _key_arity(key) <= max_arity:
                 continue
             union = 0
             for _, mask in dt.pairs[key]:
                 union |= mask
-            if union == full and 0 < _key_arity(key) <= max_arity:
+            if union == full:
                 covering.append(key)
 
         for key in _fold_order(covering):

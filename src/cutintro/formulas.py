@@ -4,9 +4,11 @@ Atoms are predicate applications or equations; Top/Bottom exist for
 degenerate constructions (they cannot be written in input files).
 
 Formulas are nodes of the term bank (``terms.Node``): equal formulas are
-one object, so ``==`` is identity, and each formula's hash and sort key
-``key`` are computed once, from its children's, when it is first built.
-The hash is the one a frozen dataclass of the same fields would have.
+one object, so ``==`` is identity, and each formula's hash is computed
+once, from its children's, when it is first built.  The hash is the one
+a frozen dataclass of the same fields would have.  Atoms and equations,
+which literals and the oracle's atom table sort, also cache a sort key
+``key`` then; connectives have none, since nothing sorts them.
 """
 
 from __future__ import annotations
@@ -42,50 +44,29 @@ class Eq(Node):
 class Top(Node):
     __slots__ = _fields = ()
 
-    def _key(self) -> tuple:
-        return (2,)
-
 
 class Bottom(Node):
     __slots__ = _fields = ()
-
-    def _key(self) -> tuple:
-        return (3,)
 
 
 class Not(Node):
     __slots__ = _fields = ("body",)
 
-    def _key(self) -> tuple:
-        return (4, self.body.key)
-
 
 class And(Node):
     __slots__ = _fields = ("lhs", "rhs")
-
-    def _key(self) -> tuple:
-        return (5, self.lhs.key, self.rhs.key)
 
 
 class Or(Node):
     __slots__ = _fields = ("lhs", "rhs")
 
-    def _key(self) -> tuple:
-        return (6, self.lhs.key, self.rhs.key)
-
 
 class Imp(Node):
     __slots__ = _fields = ("lhs", "rhs")
 
-    def _key(self) -> tuple:
-        return (7, self.lhs.key, self.rhs.key)
-
 
 class QuantBlock(Node):
     __slots__ = _fields = ("kind", "vars", "body")  # kind "all" or "ex"
-
-    def _key(self) -> tuple:
-        return (8, self.kind, self.vars, self.body.key)
 
 
 Formula = Union[Atom, Eq, Top, Bottom, Not, And, Or, Imp, QuantBlock]

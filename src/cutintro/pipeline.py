@@ -177,21 +177,15 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
     termset = encode_termset(hs)
     report.termset_size = len(termset)
 
-    def build():
-        return build_delta_table(
-            termset,
-            max_subset=cfg.max_subset,
-            limit=cfg.termset_limit,
-            cancel=cancel,
-        )
-
     ci1 = cfg.mode == "ci1"
-    table = build()
+    table = build_delta_table(
+        termset,
+        max_subset=cfg.max_subset,
+        limit=cfg.termset_limit,
+        cancel=cancel,
+    )
     # The minimal decompositions of the least |W|, one class.
     decs = fold_delta_table(table, cancel=cancel, ci1=ci1)
-    # Free the table, with the subsets it grows from, before the proof
-    # search: only a fallback to the next class reads it again.
-    del table
     if not decs:
         report.status = "uncompressible"
         report.messages.append(
@@ -210,7 +204,7 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
         return
 
     failures: list[str] = []
-    for dec in _by_class(decs, build, cancel, ci1):
+    for dec in _by_class(decs, table, cancel, ci1):
         cancel()
         outcome = _try_decomposition(dec, seq, cfg, oracle, cancel, failures)
         if outcome is None:
@@ -236,16 +230,12 @@ def _run(path, cfg: RunConfig, oracle: Oracle, cancel, report: RunReport):
     )
 
 
-def _by_class(decs: list, build, cancel, ci1: bool):
+def _by_class(decs: list, table, cancel, ci1: bool):
     """The decompositions of ``decs``, the fold's first |W| class, then
-    of each next class in the same mode (``ci1``), folded only once the
-    one before is used up, on a table that ``build()`` makes anew for the
-    first of them."""
-    table = None
+    of each next class in the same mode (``ci1``), folded from ``table``
+    only once the one before is used up."""
     while decs:
         yield from decs
-        if table is None:
-            table = build()
         decs = fold_delta_table(
             table, cancel=cancel, after=decs[-1], ci1=ci1
         )

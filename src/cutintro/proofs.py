@@ -64,6 +64,25 @@ class ProofCheckError(Exception):
     """An inference failed; the message locates the first failure."""
 
 
+# A failure message renders a formula or sequent only while it has at
+# most this many term and formula nodes written out as a tree: a table
+# of n entries, each naming the one before twice, holds a formula of
+# 2^n nodes, whose rendering no message should carry.
+_SHOWN_NODES = 100
+
+
+def _shown(x) -> str:
+    """``x``, a sequent or a formula, as a failure message gives it: its
+    rendering while it is small, else its node count.  ``tree_size``
+    visits each node once, so a large ``x`` is never walked as a tree."""
+    seq = isinstance(x, Sequent)
+    sizes: dict = {}
+    n = sum(tree_size(f, sizes) for f in ((*x.ante, *x.succ) if seq else (x,)))
+    if n > _SHOWN_NODES:
+        return f"a {'sequent' if seq else 'formula'} of {n} nodes"
+    return x.render() if seq else render_formula(x)
+
+
 class _Rule(NamedTuple):
     premises: tuple  # premise names: proof.json keys and check-path steps
     formula: str = ""  # proof.json key of the introduced formula, if any
@@ -151,7 +170,7 @@ def _leaf(steps: list, seq: Sequent, oracle: Oracle, failure: str) -> None:
     """Append an oracle leaf; ``failure`` formats verdict and sequent."""
     verdict = oracle.validity(seq)
     if verdict is not Verdict.VALID:
-        raise ProofBuildError(failure.format(verdict.value, seq.render()))
+        raise ProofBuildError(failure.format(verdict.value, _shown(seq)))
     steps.append(Inference("oracle", seq))
 
 
@@ -299,9 +318,9 @@ def _check_inference(proof: tuple, node: Inference, oracle: Oracle) -> None:
                 f"leaf contains a quantifier: {err}"
             ) from None
         if v is Verdict.INVALID:
-            raise ProofCheckError(f"leaf is not valid: {c.render()}")
+            raise ProofCheckError(f"leaf is not valid: {_shown(c)}")
         if v is Verdict.UNKNOWN:
-            raise ProofCheckError(f"leaf could not be certified: {c.render()}")
+            raise ProofCheckError(f"leaf could not be certified: {_shown(c)}")
         return
 
     if rule.kind:
@@ -311,7 +330,7 @@ def _check_inference(proof: tuple, node: Inference, oracle: Oracle) -> None:
             if q is None:
                 raise ProofCheckError(f"{node.rule} names no {block}")
             raise ProofCheckError(
-                f"{node.rule}: {render_formula(q)} is not a {block}"
+                f"{node.rule}: {_shown(q)} is not a {block}"
             )
         if len(q.vars) != len(node.terms):
             raise ProofCheckError(
@@ -339,14 +358,14 @@ def _check_inference(proof: tuple, node: Inference, oracle: Oracle) -> None:
         before = Counter(getattr(p, rule.side))
         if before[instance] < 1:
             raise ProofCheckError(
-                f"premise lacks instance {render_formula(instance)}"
+                f"premise lacks instance {_shown(instance)}"
             )
         before[instance] -= 1
         before[q] += 1
         if before != Counter(getattr(c, rule.side)):
             raise ProofCheckError(
                 "conclusion does not replace the instance by "
-                f"{render_formula(q)}"
+                f"{_shown(q)}"
             )
         return
 

@@ -23,8 +23,10 @@ children already hold, so no later use walks it again:
   sets and dicts differs between runs, but repeats at one
   ``PYTHONHASHSEED``.  Outputs do not depend on that order: every output
   is sorted before it is written;
-- ``key``, its total-order sort key.  For a term it is what ``term_key``
-  returns (variables before applications, then by name and arguments);
+- ``key``, its total-order sort key, on terms, atoms and equations
+  only: the nodes that something sorts.  For a term it is what
+  ``term_key`` returns (variables before applications, then by name and
+  arguments).  A connective has no ``key``;
 - for a term, ``tagged``: whether some subterm has a reserved
   formula-tag head.
 
@@ -59,18 +61,19 @@ _no_ref = type(None)
 class Node:
     """An immutable, hash-consed node.  A subclass names its fields in
     ``_fields``, gives the values of trailing optional ones in
-    ``_defaults``, and derives ``key`` in ``_key``; its constructor takes
-    the field values positionally.  The hash is that of the tuple of
-    field values, as a frozen dataclass's; a subclass may derive its
-    cached values otherwise by overriding ``_derive``.  A node pickles
-    through its constructor (``__reduce__``), so an unpickled node joins
-    the receiving process's table, and its cached hash is recomputed
-    there: string hashes differ between processes, such as corpus
-    workers."""
+    ``_defaults``, and, if it is sorted, derives ``key`` in ``_key``; its
+    constructor takes the field values positionally.  The hash is that
+    of the tuple of field values, as a frozen dataclass's; a subclass
+    may derive its cached values otherwise by overriding ``_derive``.  A
+    node pickles through its constructor (``__reduce__``), so an
+    unpickled node joins the receiving process's table, and its cached
+    hash is recomputed there: string hashes differ between processes,
+    such as corpus workers."""
 
     __slots__ = ("key", "_hash", "__weakref__")
     _fields: tuple[str, ...] = ()
     _defaults: tuple = ()
+    _key = None
 
     def __new__(cls, *values):
         ident = (cls, *values)
@@ -90,9 +93,11 @@ class Node:
         return self
 
     def _derive(self, values: tuple) -> None:
-        """Cache the hash and ``key``; runs once, when the node is built."""
+        """Cache the hash, and ``key`` where ``_key`` is defined; runs
+        once, when the node is built."""
         _set(self, "_hash", hash(values))
-        _set(self, "key", self._key())
+        if self._key is not None:
+            _set(self, "key", self._key())
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

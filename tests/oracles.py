@@ -110,25 +110,13 @@ def reference_term_key(t: Term) -> tuple:
 
 
 def reference_formula_key(f: Formula) -> tuple:
-    """The sort key that ``f.key`` caches, rebuilt by a walk."""
+    """The sort key that ``f.key`` caches on an atom or equation, the
+    formulas that carry one, rebuilt by a walk: atoms before equations,
+    then by predicate and arguments, or by sides."""
     if isinstance(f, Atom):
         return (0, f.pred, tuple(reference_term_key(t) for t in f.args))
-    if isinstance(f, Eq):
-        return (1, reference_term_key(f.lhs), reference_term_key(f.rhs))
-    if isinstance(f, Top):
-        return (2,)
-    if isinstance(f, Bottom):
-        return (3,)
-    if isinstance(f, Not):
-        return (4, reference_formula_key(f.body))
-    if isinstance(f, And):
-        return (5, reference_formula_key(f.lhs), reference_formula_key(f.rhs))
-    if isinstance(f, Or):
-        return (6, reference_formula_key(f.lhs), reference_formula_key(f.rhs))
-    if isinstance(f, Imp):
-        return (7, reference_formula_key(f.lhs), reference_formula_key(f.rhs))
-    assert isinstance(f, QuantBlock)
-    return (8, f.kind, f.vars, reference_formula_key(f.body))
+    assert isinstance(f, Eq)
+    return (1, reference_term_key(f.lhs), reference_term_key(f.rhs))
 
 
 def reference_positions_of(t: Term, s: Term) -> list[tuple[int, ...]]:

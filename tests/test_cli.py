@@ -388,6 +388,30 @@ class TestCheck:
         assert len(out.encode()) < 1024
         assert err == ""
 
+    def test_leaf_of_a_shared_table_prints_a_short_line(
+        self, tmp_path, capsys
+    ):
+        # The leaf X ⊢ X, where X is the last of 14 entries, each naming
+        # the one before twice: 2^15 - 1 nodes as a tree.  The sequent
+        # is named by its node count, not rendered.
+        nodes = [{"atom": "P", "args": []}]
+        nodes += [{"and": [i, i]} for i in range(14)]
+        leaf = {"ante": [14], "succ": [14]}
+        packed = {
+            "nodes": nodes,
+            "proof": [{"rule": "oracle", "conclusion": leaf}],
+        }
+        p = tmp_path / "proof.json"
+        p.write_text(json.dumps(packed))
+        assert main(["check", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == (
+            "invalid: root: leaf could not be certified: "
+            "a sequent of 65534 nodes\n"
+        )
+        assert len(out.encode()) < 1024
+        assert err == ""
+
     @staticmethod
     def _malformed(case: str):
         packed = json.loads(json.dumps(TestCheck.TABLE))

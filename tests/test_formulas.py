@@ -46,15 +46,17 @@ def _terms():
     )
 
 
-def formulas_strategy():
-    atoms = st.one_of(
+def atoms_strategy():
+    """Atoms and equations: the formulas that carry a sort key."""
+    return st.one_of(
         st.builds(lambda t: Atom("P", (t,)), _terms()),
         st.builds(Eq, _terms(), _terms()),
-        st.just(Top()),
-        st.just(Bottom()),
     )
+
+
+def formulas_strategy():
     return st.recursive(
-        atoms,
+        st.one_of(atoms_strategy(), st.just(Top()), st.just(Bottom())),
         lambda node: st.one_of(
             st.builds(Not, node),
             st.builds(And, node, node),
@@ -135,9 +137,15 @@ class TestBank:
         for f in fs:
             assert hash(f) == hash(as_dataclass(f))
 
-    @given(quantified_formulas_strategy())
+    @given(atoms_strategy())
     def test_key_matches_reference(self, f):
         assert f.key == reference_formula_key(f)
+
+    def test_connectives_have_no_key(self):
+        p, q = Atom("P"), Atom("Q")
+        for f in [TOP, BOTTOM, Not(p), And(p, q), Or(p, q), Imp(p, q)]:
+            assert not hasattr(f, "key")
+        assert not hasattr(QuantBlock("all", ("x",), p), "key")
 
     @given(quantified_formulas_strategy())
     def test_pickle_round_trip(self, f):
@@ -308,7 +316,7 @@ class TestRendering:
             == "a = f(b)"
         )
 
-    @given(formulas_strategy(), formulas_strategy())
+    @given(atoms_strategy(), atoms_strategy())
     def test_formula_key_separates_distinct_formulas(self, f, g):
         assert (f.key == g.key) == (f == g)
 

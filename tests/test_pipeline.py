@@ -440,10 +440,20 @@ class TestFallbackOrder:
                 return None
             return stage(dec, seq, cfg, oracle, cancel, failures)
 
+        tables = []
+        build = pipeline.build_delta_table
+
+        def counted_build(*args, **kw):
+            tables.append(build(*args, **kw))
+            return tables[-1]
+
         monkeypatch.setattr(pipeline, "_try_decomposition", fail_first_class)
+        monkeypatch.setattr(pipeline, "build_delta_table", counted_build)
         rep = run_pipeline(p, RunConfig())
         assert rep.status == "compressed", rep.messages
         assert tried == expected[: len(first) + 1]
+        # The next class is folded from the table the first came from.
+        assert len(tables) == 1
         assert rep.decomposition["rendered"] == expected[len(first)].render()
         assert rep.decomposition["w_size"] == len(first[0].w) + 1
         assert rep.messages == []

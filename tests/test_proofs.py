@@ -33,6 +33,7 @@ from cutintro.formulas import (
 )
 from cutintro.parser import parse_input
 from cutintro.proofs import (
+    _SHOWN_NODES,
     Inference,
     ProofBuildError,
     build_proof_with_cut,
@@ -379,6 +380,44 @@ class TestUnsoundBlocks:
             False,
             f"root: {rule}: P(a) is not a {block} block",
         )
+
+
+class TestFailureText:
+    """A failure message renders a formula or sequent of at most
+    ``_SHOWN_NODES`` nodes, and names a larger one by its node count."""
+
+    @staticmethod
+    def _nots(n: int):
+        """~…~P(a), a formula of n nodes with the term a."""
+        g = Atom("P", (a,))
+        for _ in range(n - 2):
+            g = Not(g)
+        return g
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_formula_rendered_up_to_the_bound(self, oracle, extra):
+        n = _SHOWN_NODES + extra
+        q, pa = self._nots(n), Atom("P", (a,))
+        leaf = Inference("oracle", Sequent((pa,), (pa,)))
+        p = leaf, Inference(
+            "forall_l", Sequent((pa,), (pa,)), (0,), q, (Var("x"),)
+        )
+        shown = f"a formula of {n} nodes" if extra else render_formula(q)
+        assert check_proof_report(p, oracle) == (
+            False,
+            f"root: forall_l: {shown} is not a ∀ block",
+        )
+
+    def test_uncertified_leaf_named_by_its_node_count(
+        self, golden_ehs, golden_oracle
+    ):
+        big = And(Atom("P", (alpha(1), alpha(2))), self._nots(_SHOWN_NODES))
+        with pytest.raises(ProofBuildError) as err:
+            build_proof_with_cut(golden_ehs, big, golden_oracle)
+        text = str(err.value)
+        assert "is not certified" in text
+        assert text.endswith(" nodes") and "a sequent of " in text
+        assert len(text) < 200
 
 
 class TestCommittedProofJson:
